@@ -34,6 +34,14 @@ from .conditions import Certificate
 _LP_ENTRY_BUDGET = 4e7  # tableau cells; beyond this the dense solver thrashes
 
 
+class SynthesisNotOptimalError(RuntimeError):
+    """The synthesis LP stopped without an optimum; ``status`` says how."""
+
+    def __init__(self, status):
+        super().__init__(f"synthesis LP did not reach optimality: {status.value}")
+        self.status = status
+
+
 def psi_s(h, structure, s, phi="l1"):
     """Exact noise-amplification constant for l1-ball noise metrics.
 
@@ -229,7 +237,7 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
                       lb=lb),
         maxiter=maxiter, pivot=pivot)
     if report.status != Status.OPTIMAL:
-        raise RuntimeError(f"synthesis LP did not reach optimality: {report.status}")
+        raise SynthesisNotOptimalError(report.status)
 
     h_opt = x[:nh].reshape(m, big_m)
     w_opt = (bmat - h_opt.T @ a) @ b_pinv

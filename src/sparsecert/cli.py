@@ -3,11 +3,14 @@
 Subcommands and their exit codes:
 
     recover     0 solved, 2 iteration cap hit, 3 infeasible, 1 bad input
-    certify     0 certificate with gamma < 1, 4 not certifiable by the
-                requested method, 5 unsupported structure/metric combination
+    certify     0 certificate with gamma < 1, 2 synthesis LP stopped at its
+                iteration cap, 4 not certifiable by the requested method,
+                5 unsupported structure/metric combination
     nullspace   0 certified good, 4 certified bad or unknown
     bound       0 bound printed, 4 parameters outside bound validity
-    experiment  0 every trial within its bound, 7 a bound violation, 1 bad
+    experiment  0 every trial within its bound, 2 synthesis LP stopped at
+                its iteration cap, 4 certificate gamma >= 1, 5 unsupported
+                structure/metric combination, 7 a bound violation, 1 bad
                 config
     axioms      0 all randomized checks pass, 4 violation found
 
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, serialize, structures
-from .certify import (certify_lowrank, gamma_s_bruteforce,
-                      synth_certificate_group)
+from .certify import (SynthesisNotOptimalError, certify_lowrank,
+                      gamma_s_bruteforce, synth_certificate_group)
 from .engine import Status
 from .recovery import (ErrorBudget, GammaTooLargeError, LambdaBelowBetaError,
                        RecoveryProblem, error_bound, recover_penalized,
@@ -115,6 +118,12 @@ def _make_certificate(structure, rep, a, s, phi, method, iters, seed):
     return synth_certificate_group(a, rep.matrix, structure, s, phi=phi)
 
 
+def _report_unsupported(args, exc):
+    _emit(args, {"error": str(exc), "supported": False},
+          [f"unsupported combination: {exc}"])
+    return 5
+
+
 def cmd_certify(args):
     structure, rep = _load_structure(args.structure)
     a = serialize.load_matrix(args.matrix)
@@ -122,9 +131,7 @@ def cmd_certify(args):
         cert = _make_certificate(structure, rep, a, args.s, args.phi,
                                  args.method, args.iters, args.seed)
     except norms.UnsupportedNormError as exc:
-        _emit(args, {"error": str(exc), "supported": False},
-              [f"unsupported combination: {exc}"])
-        return 5
+        return _report_unsupported(args, exc)
     if args.out:
         serialize.save_certificate(args.out, cert)
     doc = serialize.certificate_to_dict(cert)
@@ -325,8 +332,11 @@ def cmd_experiment(args):
 
     method = cfg.certificate.get("method", "auto")
     iters = int(cfg.certificate.get("iters", 2000))
-    cert = _make_certificate(structure, rep, a, s, phi, method, iters,
-                             args.seed)
+    try:
+        cert = _make_certificate(structure, rep, a, s, phi, method, iters,
+                                 args.seed)
+    except norms.UnsupportedNormError as exc:
+        return _report_unsupported(args, exc)
     if not cert.valid:
         _emit(args, {"error": "certificate gamma >= 1", "gamma": cert.gamma},
               [f"certificate not valid (gamma = {cert.gamma:.6g}); "
@@ -495,6 +505,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SynthesisNotOptimalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,10 @@ Both programs share the shape
 where the data term is either the indicator of {phi(A u - y) <= eps}
 (constrained recovery) or lam * phi(A u - y) (penalized recovery).  Stacking
 M = [B; A] and splitting v = [w; r] with M u = v gives an ADMM iteration whose
-u-step is a single cached Cholesky solve of B'B + A'A (the penalty parameter
-cancels there, so rescaling rho never re-factorizes) and whose v-step is a
+u-step is the fixed linear map u = G (v - mu) with the gain
+G = (B'B + A'A)^{-1} M', computed once per solve from a Cholesky factor
+(the penalty parameter cancels there, so rescaling rho never changes it) and
+applied by one matrix-vector product per iteration; the v-step is a
 structure-norm prox plus a ball projection or a phi prox.
 
 rho is rescaled every 50 iterations by comparing primal and dual residuals
@@ -78,6 +80,23 @@ def _objective(sp, u):
     return float(obj)
 
 
+def _u_step_gain(stack):
+    """Gain G = (M'M)^{-1} M' of the u-step for M = ``stack``, and warnings.
+
+    Two triangular solves on the Cholesky factor of M'M, with all of M' as
+    right-hand side; no explicit inverse is formed.  A singular M'M is
+    regularized by 1e-10*I, which is reported as a warning.
+    """
+    normal = stack.T @ stack
+    warnings = []
+    try:
+        chol = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        chol = np.linalg.cholesky(normal + 1e-10 * np.eye(normal.shape[0]))
+        warnings.append("coupling matrix singular; regularized by 1e-10*I")
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, stack.T)), warnings
+
+
 def solve_split(sp):
     """Run the splitting scheme; returns (u, SolveReport).
 
@@ -88,16 +107,7 @@ def solve_split(sp):
     m, n = sp.a.shape
     e_dim = sp.b.shape[0]
     stack = np.vstack([sp.b, sp.a])
-    normal = stack.T @ stack
-    warnings = []
-    try:
-        chol = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(normal + 1e-10 * np.eye(n))
-        warnings.append("coupling matrix singular; regularized by 1e-10*I")
-
-    def usolve(rhs):
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    gain, warnings = _u_step_gain(stack)
 
     u = np.zeros(n) if sp.x0 is None else np.asarray(sp.x0, dtype=float).copy()
     v = stack @ u
@@ -108,8 +118,9 @@ def solve_split(sp):
     it = 0
     r_primal = r_dual = np.inf
     for it in range(1, sp.maxiter + 1):
-        u = usolve(stack.T @ (v - mu))
-        mu_full = stack @ u + mu
+        u = gain @ (v - mu)
+        stack_u = stack @ u
+        mu_full = stack_u + mu
         w_in, r_in = mu_full[:e_dim], mu_full[e_dim:]
         w = norms.prox_structure_norm(sp.structure, w_in, 1.0 / rho)
         if sp.mode == "constraint":
@@ -118,7 +129,7 @@ def solve_split(sp):
             r = sp.y + norms.prox_vector_norm(r_in - sp.y, sp.phi, sp.lam / rho)
         v_new = np.concatenate([w, r])
         mu = mu_full - v_new
-        r_primal = float(np.linalg.norm(stack @ u - v_new))
+        r_primal = float(np.linalg.norm(stack_u - v_new))
         r_dual = float(rho * np.linalg.norm(stack.T @ (v_new - v)))
         v = v_new
         if max(r_primal, r_dual) <= sp.tol:

@@ -444,6 +444,21 @@ def prox_vector_norm(v, tag, tau):
     raise UnsupportedNormError(f"prox not implemented for {tag!r}")
 
 
+def _prox_l2_groups(structure, w, tau):
+    """Block shrinkage for an all-l2 group structure in one vectorized pass."""
+    w = np.asarray(w, dtype=float).ravel()
+    sizes = [len(v) for v in structure.blocks]
+    block_id = np.repeat(np.arange(len(sizes)), sizes)
+    if block_id.size != w.size:
+        raise ValueError(f"expected an E-vector of length {block_id.size}, "
+                         f"got {w.size}")
+    nrm = np.sqrt(np.bincount(block_id, weights=w * w, minlength=len(sizes)))
+    scale = np.zeros(len(sizes))
+    keep = nrm > tau
+    scale[keep] = 1.0 - tau / nrm[keep]
+    return w * scale[block_id]
+
+
 def prox_structure_norm(structure, w, tau):
     """argmin_u tau*||u|| + (1/2)*||u - w||_2^2 for the structure norm.
 
@@ -457,6 +472,8 @@ def prox_structure_norm(structure, w, tau):
     if kind == "plain":
         return soft_threshold(w, tau)
     if kind == "group":
+        if all(t == "l2" for t in structure.block_norms):
+            return _prox_l2_groups(structure, w, tau)
         views = _group_block_views(structure, w)
         return np.concatenate([
             prox_vector_norm(b, t, tau)
@@ -464,7 +481,9 @@ def prox_structure_norm(structure, w, tau):
     if kind == "lowrank":
         w = np.asarray(w, dtype=float)
         flat = w.ndim == 1
-        u, sv, vt = svd_descending(_as_matrix(structure, w))
+        # no sign convention needed: flipping a column of U together with the
+        # matching row of Vt leaves (U * s) @ Vt bitwise unchanged
+        u, sv, vt = np.linalg.svd(_as_matrix(structure, w), full_matrices=False)
         out = (u * np.maximum(sv - tau, 0.0)) @ vt
         return out.reshape(-1) if flat else out
     raise ValueError(f"unknown structure kind {kind!r}")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsecert import serialize, structures
+from sparsecert import cli, serialize, structures
 from sparsecert.recovery import RecoveryProblem
 
 
@@ -118,6 +118,25 @@ def test_certify_unsupported_combo_is_exit_five(tmp_path):
                 "--s", "1", "--phi", "l2", "--method", "synth")
     assert r.returncode == 5
     assert "unsupported" in (r.stdout + r.stderr).lower()
+
+
+def test_certify_synthesis_maxiter_is_exit_two(tmp_path, monkeypatch,
+                                               capsys):
+    from sparsecert.certify import synthesis
+    from sparsecert.engine import SolveReport, Status
+
+    def capped(lp, **kwargs):
+        return None, SolveReport(status=Status.MAXITER, iterations=8000)
+
+    monkeypatch.setattr(synthesis, "solve_lp", capped)
+    st, _ = structures.build_plain(4)
+    sp = write_structure(tmp_path, st)
+    mp = write_matrix(tmp_path, np.eye(4))
+    code = cli.main(["certify", "--structure", str(sp), "--matrix", str(mp),
+                     "--s", "1", "--method", "synth"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "maxiter" in err
 
 
 def test_certify_lowrank_methods(tmp_path):
@@ -251,6 +270,15 @@ def test_experiment_outputs_are_bit_identical(tmp_path):
     r = run_cli("experiment", "--config", str(cfg), "--threads", "4")
     assert r.returncode == 0
     assert (tmp_path / "rows.csv").read_bytes() == first
+
+
+def test_experiment_unsupported_combo_is_exit_five(tmp_path, capsys):
+    path = make_config(tmp_path)
+    cfg = serialize.load_json(path)
+    cfg["certificate"] = {"phi": "l2"}
+    serialize.save_json(path, cfg)
+    assert cli.main(["experiment", "--config", str(path)]) == 5
+    assert "unsupported" in capsys.readouterr().out.lower()
 
 
 def test_experiment_rejects_bad_config(tmp_path):

@@ -328,3 +328,45 @@ def test_prox_structure_norm_all_kinds(rng):
         cand = 0.5 * np.linalg.svd(c, compute_uv=False).sum() \
             + 0.5 * np.sum((c - m) ** 2)
         assert cand >= val - 1e-8
+
+
+def test_vectorized_l2_group_prox_matches_per_block_loop(rng):
+    # unequal block sizes, overlapping coordinates, one block of size 1
+    gr, _ = structures.build_group([(0, 1, 2), (2, 3), (4,), (5, 6, 7, 8), (0, 9)],
+                                   block_norm="l2")
+    sizes = [len(v) for v in gr.blocks]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+
+    def reference(w, tau):
+        return np.concatenate([prox_vector_norm(w[starts[k]:starts[k + 1]],
+                                                "l2", tau)
+                               for k in range(len(sizes))])
+
+    for trial in range(20):
+        w = rng.standard_normal(starts[-1]) * rng.uniform(0.1, 3.0)
+        w[starts[3]:starts[4]] = 0.0                   # an all-zero block
+        w[starts[1]:starts[2]] = [3.0, 4.0]            # norm 5 ...
+        for tau in (0.0, 0.3, 1.0, 5.0):               # ... equal to tau = 5
+            got = prox_structure_norm(gr, w, tau)
+            ref = reference(w, tau)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-15)
+            assert np.array_equal(got == 0.0, ref == 0.0)
+    with pytest.raises(ValueError):
+        prox_structure_norm(gr, np.ones(starts[-1] + 1), 0.5)
+    with pytest.raises(ValueError):
+        prox_structure_norm(gr, np.ones(starts[-1] - 1), 0.5)
+
+
+def test_lowrank_prox_is_bitwise_the_svd_descending_formula():
+    for p, q in ((3, 3), (4, 3), (5, 2)):
+        lr, _ = structures.build_lowrank(p, q)
+        r = np.random.default_rng([p, q])
+        for _ in range(10):
+            m = r.standard_normal((p, q))
+            tau = float(r.uniform(0.0, 1.5))
+            u, sv, vt = svd_descending(m)
+            ref = (u * np.maximum(sv - tau, 0.0)) @ vt
+            assert np.array_equal(prox_structure_norm(lr, m, tau), ref)
+            assert np.array_equal(prox_structure_norm(lr, m.ravel(), tau),
+                                  ref.ravel())

@@ -5,6 +5,7 @@ import pytest
 
 from sparsecert import structures
 from sparsecert.engine import SplitProblem, Status, solve_split
+from sparsecert.engine.splitting import _u_step_gain
 from sparsecert.recovery import RecoveryProblem, recover_regular
 
 
@@ -106,3 +107,45 @@ def test_group_structure_split(rng):
     from sparsecert import norms
     assert norms.structure_norm(st, rep.apply(u)) <= \
         norms.structure_norm(st, rep.apply(x0)) + 1e-6
+
+
+def _two_solve_reference(stack, rhs, regularize):
+    """The u-step as two triangular solves per right-hand side."""
+    normal = stack.T @ stack
+    if regularize:
+        normal = normal + 1e-10 * np.eye(normal.shape[0])
+    chol = np.linalg.cholesky(normal)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, stack.T @ rhs))
+
+
+def test_u_step_gain_matches_two_triangular_solves(rng):
+    # full column rank: the plain Cholesky factor
+    stack = np.vstack([rng.standard_normal((7, 6)), rng.standard_normal((4, 6))])
+    gain, warnings = _u_step_gain(stack)
+    assert warnings == []
+    # B and A both miss coordinate 2, so M'M is singular and regularized
+    b = np.diag([1.0, 2.0, 0.0, 0.5, 1.5])
+    a = rng.standard_normal((3, 5))
+    a[:, 2] = 0.0
+    singular = np.vstack([b, a])
+    sgain, swarnings = _u_step_gain(singular)
+    assert any("regularized by 1e-10*I" in w for w in swarnings)
+    for mat, g, reg in ((stack, gain, False), (singular, sgain, True)):
+        for _ in range(5):
+            rhs = rng.standard_normal(mat.shape[0])
+            ref = _two_solve_reference(mat, rhs, reg)
+            assert np.linalg.norm(g @ rhs - ref) <= \
+                1e-10 * np.linalg.norm(ref)
+
+
+def test_regularization_warning_reaches_the_report(rng):
+    st, rep = structures.build_plain(4)
+    a = rng.standard_normal((2, 4))
+    b = rep.matrix.copy()
+    b[3, 3] = 0.0
+    a[:, 3] = 0.0
+    sp = SplitProblem(a=a, b=b, y=a @ np.array([1.0, 0.0, 0.0, 0.0]),
+                      structure=st, phi="l2", epsilon=0.0, tol=1e-9)
+    u, out = solve_split(sp)
+    assert out.status is Status.OPTIMAL
+    assert out.warnings == ["coupling matrix singular; regularized by 1e-10*I"]

@@ -270,7 +270,7 @@ def _group_ratio_and_grad(structure, bmat, z, s):
 
 def _lowrank_ratio_and_grad(structure, z, s):
     p, q = structure.p, structure.q
-    k = min(int(math.floor(s + 1e-12)), q)
+    k = min(int(math.floor(s + 1e-12)), p, q)
     mat = z.reshape(p, q)
     u, sv, vt = norms.svd_descending(mat)
     den = float(sv.sum())

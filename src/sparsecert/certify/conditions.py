@@ -112,7 +112,7 @@ def worst_condition_projector(structure, w, s, rng=None, probes=0):
         return proj, 2.0 * value
     # lowrank
     mat = w.reshape(structure.p, structure.q)
-    k = min(int(np.floor(s + 1e-12)), structure.q)
+    k = min(int(np.floor(s + 1e-12)), structure.p, structure.q)
     u, sv, vt = norms.svd_descending(mat)
     best_proj = structures.lowrank_projector(structure, u[:, :k], vt[:k, :].T)
     best = 2.0 * float(sv[:k].sum())

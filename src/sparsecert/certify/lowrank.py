@@ -60,10 +60,6 @@ def theta(w_op, p, q):
     return np.einsum("abcd->bcad", w.reshape(p, q, p, q)).reshape(p * q, p * q).copy()
 
 
-def _theta_inverse(mat, p, q):
-    return np.einsum("bcad->abcd", mat.reshape(q, p, p, q)).reshape(p * q, p * q).copy()
-
-
 def rearrange(u, which, p, q):
     """Entry rearrangements behind the tractable relaxation.
 
@@ -204,8 +200,8 @@ def _beta_bounds(h, s, p, q, phi, rng):
     if phi == "l2":
         sing = norms.singular_values(h)
         top = float(sing[0]) if sing.size else 0.0
-        k1 = min(int(s), q)
-        k2 = min(2 * int(s), q)
+        k1 = min(int(s), p, q)
+        k2 = min(2 * int(s), p, q)
         bound = (math.sqrt(k1) + math.sqrt(k2)) * top
         lower = _beta_sample_lower(h, st, s, "l2", rng)
         return bound, False, {"sampling_lower_bound": lower}
@@ -226,7 +222,7 @@ def _beta_sample_lower(h, st, s, phi, rng, draws=200):
 
 
 def certify_lowrank(a, s, phi="l1", h_candidates=None, p=None, q=None,
-                    iters=2000, polish_steps=0, seed=0):
+                    iters=2000, seed=0):
     """Best certificate over a small family of measurement dual maps.
 
     Each candidate H gives W = Id - H^T A; gamma is opt_star(W) (opt_bar
@@ -262,10 +258,6 @@ def certify_lowrank(a, s, phi="l1", h_candidates=None, p=None, q=None,
                        "gamma_star": star})
     best = min(scored, key=lambda d: d["gamma_star"])
 
-    if polish_steps > 0 and iters > 0:
-        best = dict(best)
-        best.update(_polish_h(a, best, s, p, q, iters, polish_steps))
-
     h, w = best["h"], best["w"]
     gamma = best["gamma_star"] if iters > 0 else best["gamma_bar"]
     method = "LowRankUStar" if iters > 0 else "LowRankUBar"
@@ -283,36 +275,6 @@ def certify_lowrank(a, s, phi="l1", h_candidates=None, p=None, q=None,
                        w_matrix=w, identity_residual=residual,
                        exact_gamma=False, exact_beta=beta_exact,
                        details=details)
-
-
-def _polish_h(a, start, s, p, q, iters, steps):
-    """Optional subgradient polish over H (the objective is convex in H)."""
-    h = start["h"].copy()
-    best = {"name": start["name"] + "+polish", "h": h.copy(), "w": start["w"],
-            "gamma_bar": start["gamma_bar"], "gamma_star": start["gamma_star"]}
-    ident = np.eye(p * q)
-    scale = max(np.linalg.norm(a), 1e-12)
-    for t in range(1, steps + 1):
-        w = ident - h.T @ a
-        val, info = opt_star(w, s, p, q, iters=iters, full_output=True)
-        if val < best["gamma_star"]:
-            best = {"name": best["name"], "h": h.copy(), "w": w,
-                    "gamma_bar": opt_bar(w, s, p, q), "gamma_star": val}
-        grad_theta = np.zeros((p * q, p * q))
-        tm = theta(w, p, q)
-        for k, rec in info.items():
-            t2, t3 = rec["split"]
-            _, g1 = _top_k_subgradient(tm - t2 - t3, min(k, p * q))
-            grad_theta += g1
-        g_w = _theta_inverse(grad_theta, p, q)
-        grad_h = -(a @ g_w.T)
-        h = h - (0.1 / scale / math.sqrt(t)) * grad_h
-    w = ident - h.T @ a
-    val = opt_star(w, s, p, q, iters=iters)
-    if val < best["gamma_star"]:
-        best = {"name": best["name"], "h": h.copy(), "w": w,
-                "gamma_bar": opt_bar(w, s, p, q), "gamma_star": val}
-    return best
 
 
 def badnews_check(a, h, s, p, q):

@@ -1,4 +1,4 @@
-"""Certificate synthesis for entrywise and block structures via one LP.
+"""Certificate synthesis for entrywise and block structures via LPs.
 
 A contraction certificate needs gamma with, for every w and admissible P,
 2 * sum_{k in I} ||(Ww)^k|| <= gamma * ||w||, where W = (B - H^T A) B^+ and H
@@ -6,10 +6,16 @@ is free.  Writing Omega[W]_{kl} for the (l -> k) block induced norm, the
 quantity max_l pi_s(Col_l(Omega[W])) is such a gamma, so the synthesizer
 minimizes it over H.
 
-The columns of Omega are coupled through H (every column of W sees every
-column block of H), so per-column subproblems would not be independent; the
-whole objective goes into a single LP instead.  Two relaxations keep it
-linear, both erring upward (certificates stay valid):
+Row block k of W depends only on the columns of H in block k.  At s = 1 with
+unit weights the objective is 2 * max_{k,l} Omega_kl, so the row blocks
+decouple: one small LP per target block k minimizes g_k = 2 * max_l Omega_kl
+over H[:, block k], and gamma = max_k g_k is the optimum of the joint
+problem.  For plain structures each piece is min ||e_r - A^T h_r||_inf
+(Juditsky & Nemirovski, Math. Program. B 127, 2011).  Elsewhere (s != 1 or
+non-unit weights) pi_s couples the blocks of a column of Omega, and the whole
+objective stays in one joint LP.  Both come from one builder, parameterized
+by the target blocks.  Two relaxations keep every LP linear, both erring
+upward (certificates stay valid):
 
 * block induced norms are replaced by entrywise surrogates (column sums, row
   sums, max entry, total sum) chosen per (source tag, target tag), exact for
@@ -18,9 +24,19 @@ linear, both erring upward (certificates stay valid):
   epigraph is linear by LP duality (exact when all block weights are 1, in
   particular for entrywise sparsity).
 
-The reported gamma is the LP's optimal value, which is unique even though
-the minimizing H need not be, so re-solves under different pivot rules agree
-to solver tolerance.
+beta = psi_1(H) = 2 * max_k max_i ||H[i, block k]|| decouples the same way.
+In the per-block case a second LP per block minimizes that block norm subject
+to g_k <= gamma (l2 blocks minimize the l1 norm, a linear surrogate), and the
+block keeps the new columns only if their true block norm is smaller.  It runs
+lazily: blocks are visited in descending order of their first-stage norm, and
+the visit stops once the next one cannot raise the running maximum, which
+gives the beta of running it on every block.  The joint LP's beta is whatever
+vertex the simplex lands on.
+
+The reported gamma is the LP optimal value, which is unique even though the
+minimizing H need not be, so re-solves under different pivot rules agree to
+solver tolerance.  It is never below the recheck of the final W with exact
+induced norms.
 """
 
 from __future__ import annotations
@@ -32,6 +48,9 @@ from ..engine import LinearProgram, Status, solve_lp
 from .conditions import Certificate
 
 _LP_ENTRY_BUDGET = 4e7  # tableau cells; beyond this the dense solver thrashes
+# entrywise surrogate of a block induced norm, by (source tag, target tag)
+_PER_ENTRY, _PER_COL, _PER_ROW, _TOTAL = range(4)
+_NORM_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
 
 class SynthesisNotOptimalError(RuntimeError):
@@ -58,37 +77,235 @@ def psi_s(h, structure, s, phi="l1"):
 
 
 def _rep_blocks(structure):
-    """Representation-space row ranges, norm tags, and weights per block."""
+    """Representation-space block offsets, norm tags, and weights."""
     if structure.kind == "plain":
         n = structure.n
-        return [range(i, i + 1) for i in range(n)], ["l1"] * n, np.ones(n)
+        return np.arange(n + 1), ["l1"] * n, np.ones(n)
     if structure.kind == "group":
         sizes = [len(v) for v in structure.blocks]
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        ranges = [range(offs[l], offs[l + 1]) for l in range(len(sizes))]
-        return ranges, list(structure.block_norms), np.asarray(structure.weights, dtype=float)
+        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        return offs, list(structure.block_norms), \
+            np.asarray(structure.weights, dtype=float)
     raise norms.UnsupportedNormError(
         "LP synthesis covers entrywise and block structures only")
 
 
-def _surrogate_kind(from_tag, to_tag):
-    if from_tag == "l1":
-        return "per_entry" if to_tag == "linf" else "per_col"
-    if to_tag == "linf":
-        return "per_row"
-    return "total"
+class _Layout:
+    """W = C - H^T D (C = B B^+, D = A B^+) and its block layout."""
+
+    def __init__(self, structure, a, bmat):
+        self.b_pinv = np.linalg.pinv(bmat)
+        self.c_full = bmat @ self.b_pinv
+        self.d_full = a @ self.b_pinv
+        self.offs, self.tags, self.chi = _rep_blocks(structure)
+        self.sizes = np.diff(self.offs)
+        self.block_of = np.repeat(np.arange(self.sizes.size), self.sizes)
+        self.pos = np.arange(self.offs[-1]) - self.offs[self.block_of]
+        # pair (k, l) bounds the l -> k block: target tag on rows, source on
+        # columns
+        from_l1 = np.array([t == "l1" for t in self.tags])[None, :]
+        from_linf = np.array([t == "linf" for t in self.tags])[None, :]
+        to_l1 = np.array([t == "l1" for t in self.tags])[:, None]
+        to_linf = np.array([t == "linf" for t in self.tags])[:, None]
+        self.kind = np.where(from_l1, np.where(to_linf, _PER_ENTRY, _PER_COL),
+                             np.where(to_linf, _PER_ROW, _TOTAL))
+        rows1 = (self.sizes == 1)[:, None]
+        cols1 = (self.sizes == 1)[None, :]
+        self.pair_exact = (rows1 & cols1) | (self.kind == _PER_ENTRY) \
+            | ((self.kind == _PER_COL) & (to_l1 | rows1)) \
+            | ((self.kind == _PER_ROW) & (from_linf | cols1))
+
+    def block(self, k):
+        return slice(self.offs[k], self.offs[k + 1])
 
 
-def _surrogate_exact(kind, from_tag, to_tag, rows, cols):
-    if rows == 1 and cols == 1:
-        return True
-    if kind == "per_entry":
-        return True
-    if kind == "per_col":
-        return to_tag == "l1" or rows == 1
-    if kind == "per_row":
-        return from_tag == "linf" or cols == 1
-    return False
+def _synthesis_lp(lay, targets, s, simple):
+    """The LP minimizing the targets' share of gamma over H[:, their rows].
+
+    Rows come in the order (target, source block, W-entry pairs, surrogate
+    sums).  ``simple`` (s = 1, unit weights) bounds twice each surrogate by g
+    directly; otherwise each surrogate flows into the relaxed-selection dual
+    through lam and mu, closed by one row 2*(s*lam_l + sum_k mu_kl) <= g per
+    column block l.  Variables: H[:, rows] row-major, the surrogate entries
+    of the non-scalar pairs, [lam, mu,] and g last.  Returns the LP and the
+    number of H variables.
+    """
+    kk = lay.sizes.size
+    m, big_m = lay.d_full.shape
+    targets = np.asarray(targets)
+    rows_t = np.concatenate([np.arange(lay.offs[k], lay.offs[k + 1])
+                             for k in targets])
+    tpos = np.repeat(np.arange(targets.size), lay.sizes[targets])
+    a_tot = rows_t.size
+    nh = m * a_tot
+
+    # one W entry per (target row, column), row-major
+    t_e = np.repeat(np.arange(a_tot), big_m)
+    c_e = np.tile(np.arange(big_m), a_tot)
+    r_e = rows_t[t_e]
+    k_e, l_e = lay.block_of[r_e], lay.block_of[c_e]
+    ri_e, ci_e = lay.pos[r_e], lay.pos[c_e]
+    n_ent = t_e.size
+    scalar = (lay.sizes[k_e] == 1) & (lay.sizes[l_e] == 1)
+    pair = tpos[t_e] * kk + l_e
+    within = ri_e * lay.sizes[l_e] + ci_e
+    span = 2 * int(lay.sizes.max()) ** 2 + 2
+
+    # surrogate variables |W_rc| <= E_rc of the non-scalar pairs, numbered in
+    # row order, and the sums of them that each surrogate kind bounds
+    ns = np.nonzero(~scalar)[0]
+    ns = ns[np.argsort(pair[ns] * span + within[ns], kind="stable")]
+    n_sur = ns.size
+    kind = lay.kind[k_e[ns], l_e[ns]]
+    grp = np.select([kind == _PER_ENTRY, kind == _PER_COL, kind == _PER_ROW],
+                    [within[ns], ci_e[ns], ri_e[ns]], 0)
+    grp_keys, grp_of = np.unique(pair[ns] * span + grp, return_inverse=True)
+    grp_pair = grp_keys // span
+
+    keys = np.concatenate([2 * pair * span + 2 * within,
+                           2 * pair * span + 2 * within + 1,
+                           (2 * grp_pair + 1) * span + grp_keys % span])
+    rowpos = np.empty(keys.size, dtype=int)
+    rowpos[np.argsort(keys, kind="stable")] = np.arange(keys.size)
+    p_plus, p_minus = rowpos[:n_ent], rowpos[n_ent:2 * n_ent]
+    p_grp = rowpos[2 * n_ent:]
+
+    g_var = nh + n_sur + (0 if simple else kk + kk * kk)
+    nvars = g_var + 1
+    n_core = keys.size
+    nrows = n_core + (0 if simple else kk)
+    if nrows * (nvars + nrows) > _LP_ENTRY_BUDGET:
+        raise norms.UnsupportedNormError(
+            "synthesis LP too large for the dense solver "
+            f"({nrows} rows, {nvars} variables)")
+
+    factor = 2.0 if simple else 1.0
+    f_e = np.where(scalar, factor, 1.0)
+    coef = np.zeros((n_ent, m, a_tot))
+    coef[np.arange(n_ent), :, t_e] = lay.d_full[:, c_e].T * -f_e[:, None]
+    coef = coef.reshape(n_ent, nh)
+    const = lay.c_full[r_e, c_e] * f_e
+    g_mat = np.zeros((nrows, nvars))
+    h_vec = np.zeros(nrows)
+    g_mat[p_plus, :nh] = coef
+    g_mat[p_minus, :nh] = -coef
+    h_vec[p_plus] = -const
+    h_vec[p_minus] = const
+    sur_cols = nh + np.arange(n_sur)
+    g_mat[p_plus[ns], sur_cols] = -1.0
+    g_mat[p_minus[ns], sur_cols] = -1.0
+    g_mat[p_grp[grp_of], sur_cols] = factor
+
+    sc = np.nonzero(scalar)[0]
+    sink_rows = np.concatenate([p_plus[sc], p_minus[sc], p_grp])
+    if simple:
+        g_mat[sink_rows, g_var] = -1.0
+    else:
+        sink_k = np.concatenate([k_e[sc], k_e[sc], targets[grp_pair // kk]])
+        sink_l = np.concatenate([l_e[sc], l_e[sc], grp_pair % kk])
+        lam_off, mu_off = nh + n_sur, nh + n_sur + kk
+        g_mat[sink_rows, lam_off + sink_l] = -lay.chi[sink_k]
+        g_mat[sink_rows, mu_off + sink_k * kk + sink_l] = -1.0
+        sel = n_core + np.arange(kk)
+        g_mat[sel, lam_off + np.arange(kk)] = 2.0 * float(s)
+        g_mat[np.tile(sel, kk), mu_off + np.arange(kk * kk)] = 2.0
+        g_mat[sel, g_var] = -1.0
+
+    cost = np.zeros(nvars)
+    cost[g_var] = 1.0
+    lb = np.concatenate([np.full(nh, -np.inf), np.zeros(nvars - nh)])
+    return LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * nrows,
+                         lb=lb), nh
+
+
+def _beta_lp(lay, k, lp, gamma):
+    """Stage two for block k: min max_i ||H[i, block k]|| s.t. g <= gamma.
+
+    ``lp`` is block k's stage-one LP; its last variable g is fixed at gamma.
+    Linf and scalar blocks bound |H_ij| <= t; the others bound |H_ij| <= u_ij
+    and sum_j u_ij <= t, the l1 norm (a linear surrogate for l2).
+    Variables: H[:, block k] row-major, the stage-one surrogates, t, [u].
+    """
+    m, a = lay.d_full.shape[0], int(lay.sizes[k])
+    nh = m * a
+    n0 = lp.c.size - 1
+    split = a > 1 and lay.tags[k] != "linf"
+    nvars = n0 + 1 + (nh if split else 0)
+    r0 = lp.h.size
+    nrows = r0 + 2 * nh + (m if split else 0)
+    g_mat = np.zeros((nrows, nvars))
+    h_vec = np.zeros(nrows)
+    g_mat[:r0, :n0] = lp.G[:, :n0]
+    h_vec[:r0] = lp.h - lp.G[:, n0] * gamma
+    eye = np.eye(nh)
+    bound = slice(r0, r0 + 2 * nh)
+    g_mat[bound, :nh] = np.vstack([eye, -eye])
+    if split:
+        g_mat[bound, n0 + 1:] = np.vstack([-eye, -eye])
+        g_mat[r0 + 2 * nh:, n0] = -1.0
+        g_mat[r0 + 2 * nh:, n0 + 1:] = np.kron(np.eye(m), np.ones(a))
+    else:
+        g_mat[bound, n0] = -1.0
+    cost = np.zeros(nvars)
+    cost[n0] = 1.0
+    lb = np.concatenate([np.full(nh, -np.inf), np.zeros(nvars - nh)])
+    return LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * nrows,
+                         lb=lb)
+
+
+def _block_norm(h, tag):
+    """max_i ||h[i, :]||_tag over the rows of one block of H."""
+    return float(np.linalg.norm(h, _NORM_ORD[tag], axis=1).max(initial=0.0))
+
+
+class _Runs:
+    """solve_lp with this call's limits, tallying LPs, pivots and gaps."""
+
+    def __init__(self, maxiter, pivot):
+        self.maxiter, self.pivot = maxiter, pivot
+        self.lps = self.beta_lps = self.iterations = 0
+        self.delta = 0.0
+
+    def solve(self, lp, beta=False):
+        x, report = solve_lp(lp, maxiter=self.maxiter, pivot=self.pivot)
+        self.lps += 1
+        self.beta_lps += int(beta)
+        self.iterations += report.iterations
+        if report.status == Status.OPTIMAL:
+            self.delta = max(self.delta, float(report.delta))
+        elif not beta:
+            raise SynthesisNotOptimalError(report.status)
+        return x, report
+
+
+def _stage_one(lay, runs):
+    """Per-block LPs at s = 1, unit weights: [(lp, H[:, block k], g_k)]."""
+    m = lay.d_full.shape[0]
+    out = []
+    for k in range(lay.sizes.size):
+        lp, nh = _synthesis_lp(lay, [k], 1.0, simple=True)
+        x, report = runs.solve(lp)
+        out.append((lp, x[:nh].reshape(m, lay.sizes[k]),
+                    float(report.objective)))
+    return out
+
+
+def _settle_block(lay, k, stage, gamma, runs):
+    """Block k's columns of H after stage two, and their block norm.
+
+    The stage-two H replaces the stage-one H only when its LP is optimal and
+    its true block norm is smaller.
+    """
+    lp, h1, _ = stage
+    tag = lay.tags[k]
+    norm1 = _block_norm(h1, tag)
+    x, report = runs.solve(_beta_lp(lay, k, lp, gamma), beta=True)
+    if report.status == Status.OPTIMAL:
+        h2 = x[:h1.size].reshape(h1.shape)
+        norm2 = _block_norm(h2, tag)
+        if norm2 < norm1:
+            return h2, norm2
+    return h1, norm1
 
 
 def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
@@ -97,7 +314,9 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
 
     b = None uses the structure's canonical representation map.  The result
     carries the full H and W, the identity residual of B = WB + H^T A, and
-    exactness flags for the reported gamma and beta.
+    exactness flags for the reported gamma and beta.  ``details`` counts the
+    LPs solved (``lps``, of which ``beta_lps`` in stage two), their pivots
+    (``lp_iterations``) and the largest duality gap among them (``lp_delta``).
     """
     if structure.kind not in ("plain", "group"):
         raise norms.UnsupportedNormError(
@@ -120,149 +339,66 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     if np.linalg.matrix_rank(bmat) < n_amb:
         raise norms.UnsupportedNormError(
             "synthesis requires a representation map with full column rank")
-    b_pinv = np.linalg.pinv(bmat)
 
-    ranges, tags, chi = _rep_blocks(structure)
-    kk = len(ranges)
+    lay = _Layout(structure, a, bmat)
+    kk = lay.sizes.size
     # when s = 1 with unit weights the relaxed selection of a column is just
-    # twice its maximum, so scalar blocks can bound g directly and the
-    # CVaR-style machinery drops out
-    simple_max = float(s) == 1.0 and _weights_unit(chi)
-
-    nh = m * big_m
-    counter = [nh]
-
-    def alloc(count):
-        start = counter[0]
-        counter[0] += count
-        return start
-
-    def vh(i, j):
-        return i * big_m + j
-
-    e_var = {}
-    for k in range(kk):
-        for l in range(kk):
-            if len(ranges[k]) > 1 or len(ranges[l]) > 1:
-                e_var[(k, l)] = alloc(len(ranges[k]) * len(ranges[l]))
+    # twice its maximum, so the row blocks of W decouple
+    simple_max = float(s) == 1.0 and _weights_unit(lay.chi)
+    runs = _Runs(maxiter, pivot)
     if simple_max:
-        lam_off = mu_off = None
+        stages = _stage_one(lay, runs)
+        gamma_lp = max(g for _, _, g in stages)
+        h_opt = np.zeros((m, big_m))
+        norm1 = np.zeros(kk)
+        for k, (_, h1, _) in enumerate(stages):
+            h_opt[:, lay.block(k)] = h1
+            norm1[k] = _block_norm(h1, lay.tags[k])
+        settled = 0.0
+        for k in np.argsort(-norm1, kind="stable"):
+            if norm1[k] <= settled:
+                break
+            h_opt[:, lay.block(k)], value = _settle_block(
+                lay, k, stages[k], gamma_lp, runs)
+            settled = max(settled, value)
     else:
-        lam_off = alloc(kk)
-        mu_off = alloc(kk * kk)
-    g_var = alloc(1)
-    nvars = counter[0]
+        lp, nh = _synthesis_lp(lay, range(kk), s, simple=False)
+        x, report = runs.solve(lp)
+        gamma_lp = float(report.objective)
+        h_opt = x[:nh].reshape(m, big_m)
 
-    rows, rhs = [], []
-
-    def add_row(cols, rhs_val):
-        row = np.zeros(nvars)
-        for idx, coeff in cols:
-            row[idx] += coeff
-        rows.append(row)
-        rhs.append(rhs_val)
-
-    exact_pairs = True
-    # W = C - H^T D with C = B B^+, D = A B^+ (entries affine in H)
-    c_full = bmat @ b_pinv
-    d_full = a @ b_pinv
-
-    def w_terms(r, c, sg, factor):
-        # LP terms for factor * sg * W_rc (affine in H) and the constant side
-        cols = [(vh(i, r), -factor * sg * d_full[i, c]) for i in range(m)]
-        return cols, -factor * sg * c_full[r, c]
-
-    def sink(k, l):
-        # the surrogate value of pair (k, l) flows into g (weight 2, s=1
-        # unit-weight case) or into the relaxed-selection row via mu/lam
-        if simple_max:
-            return [(g_var, -1.0)], 2.0
-        return [(lam_off + l, -chi[k]), (mu_off + k * kk + l, -1.0)], 1.0
-
-    for k in range(kk):
-        for l in range(kk):
-            rk, ck = list(ranges[k]), list(ranges[l])
-            kind = _surrogate_kind(tags[l], tags[k])
-            if not _surrogate_exact(kind, tags[l], tags[k], len(rk), len(ck)):
-                exact_pairs = False
-            tail, factor = sink(k, l)
-            if (k, l) not in e_var:
-                for sg in (1.0, -1.0):
-                    cols, const = w_terms(rk[0], ck[0], sg, factor)
-                    add_row(cols + tail, const)
-                continue
-            base = e_var[(k, l)]
-
-            def ve(r_pos, c_pos):
-                return base + r_pos * len(ck) + c_pos
-
-            for ri, r in enumerate(rk):
-                for ci, c in enumerate(ck):
-                    for sg in (1.0, -1.0):
-                        cols, const = w_terms(r, c, sg, 1.0)
-                        add_row(cols + [(ve(ri, ci), -1.0)], const)
-            if kind == "per_col":
-                groups = [[(ri, ci) for ri in range(len(rk))]
-                          for ci in range(len(ck))]
-            elif kind == "per_entry":
-                groups = [[(ri, ci)] for ri in range(len(rk))
-                          for ci in range(len(ck))]
-            elif kind == "per_row":
-                groups = [[(ri, ci) for ci in range(len(ck))]
-                          for ri in range(len(rk))]
-            else:
-                groups = [[(ri, ci) for ri in range(len(rk))
-                           for ci in range(len(ck))]]
-            for grp in groups:
-                add_row([(ve(ri, ci), factor) for ri, ci in grp] + tail, 0.0)
-
-    if not simple_max:
-        # 2*(s*lam_l + sum_k mu_kl) <= g completes the relaxed selection dual
-        for l in range(kk):
-            add_row([(lam_off + l, 2.0 * float(s))]
-                    + [(mu_off + k * kk + l, 2.0) for k in range(kk)]
-                    + [(g_var, -1.0)], 0.0)
-
-    g_mat = np.array(rows)
-    h_vec = np.array(rhs)
-    if g_mat.shape[0] * (nvars + g_mat.shape[0]) > _LP_ENTRY_BUDGET:
-        raise norms.UnsupportedNormError(
-            "synthesis LP too large for the dense solver "
-            f"({g_mat.shape[0]} rows, {nvars} variables)")
-    lb = np.concatenate([np.full(nh, -np.inf), np.zeros(nvars - nh)])
-    cost = np.zeros(nvars)
-    cost[g_var] = 1.0
-    x, report = solve_lp(
-        LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * g_mat.shape[0],
-                      lb=lb),
-        maxiter=maxiter, pivot=pivot)
-    if report.status != Status.OPTIMAL:
-        raise SynthesisNotOptimalError(report.status)
-
-    h_opt = x[:nh].reshape(m, big_m)
-    w_opt = (bmat - h_opt.T @ a) @ b_pinv
-    gamma = max(0.0, float(report.objective))
+    w_opt = (bmat - h_opt.T @ a) @ lay.b_pinv
     identity_residual = float(
         np.linalg.norm(bmat - w_opt @ bmat - h_opt.T @ a))
 
     # tighter (still valid) recheck with exact induced norms where available
-    omega_vals = np.zeros((kk, kk))
-    omega_exact = np.ones((kk, kk), dtype=bool)
-    for k in range(kk):
-        for l in range(kk):
-            blockm = w_opt[np.ix_(list(ranges[k]), list(ranges[l]))]
-            omega_vals[k, l], omega_exact[k, l] = norms.induced_norm(
-                blockm, tags[l], tags[k])
-    gamma_recheck = max(
-        norms.pi_s(omega_vals[:, l], chi, s) for l in range(kk))
-    exact_gamma = bool(exact_pairs and np.all(omega_exact)
-                       and abs(gamma - gamma_recheck) <= 1e-8
-                       and _weights_unit(chi))
+    if np.all(lay.sizes == 1):   # 1x1 blocks: the norm is the magnitude
+        omega_vals = np.abs(w_opt)
+        omega_exact = True
+    else:
+        omega_vals = np.zeros((kk, kk))
+        omega_exact = np.ones((kk, kk), dtype=bool)
+        for k in range(kk):
+            for l in range(kk):
+                omega_vals[k, l], omega_exact[k, l] = norms.induced_norm(
+                    w_opt[lay.block(k), lay.block(l)], lay.tags[l],
+                    lay.tags[k])
+    if simple_max:
+        gamma_recheck = 2.0 * float(omega_vals.max())
+    else:
+        gamma_recheck = max(
+            norms.pi_s(omega_vals[:, l], lay.chi, s) for l in range(kk))
+    exact_gamma = bool(np.all(lay.pair_exact) and np.all(omega_exact)
+                       and abs(gamma_lp - gamma_recheck) <= 1e-8
+                       and _weights_unit(lay.chi))
+    gamma = max(0.0, gamma_lp, gamma_recheck)
 
     beta = psi_s(h_opt, structure, s, phi)
     details = {
-        "lp_iterations": report.iterations,
-        "lp_delta": report.delta,
+        "lps": runs.lps,
+        "beta_lps": runs.beta_lps,
+        "lp_iterations": runs.iterations,
+        "lp_delta": runs.delta,
         "gamma_recheck_exact_norms": float(gamma_recheck),
         "pivot": pivot,
     }

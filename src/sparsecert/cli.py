@@ -296,7 +296,7 @@ def _sparse_signal(structure, s, law, rng):
         return x
     p, q = structure.p, structure.q
     mat = np.zeros((p, q))
-    for _ in range(min(int(s), q)):
+    for _ in range(min(int(s), p, q)):
         mat += np.outer(draw(p), draw(q))
     return mat.reshape(-1)
 

@@ -417,7 +417,7 @@ def project_ball(v, phi, radius):
     if phi == "linf":
         return np.clip(v, -radius, radius)
     if phi == "l2":
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(v @ v)  # = np.linalg.norm(v) on a vector, bitwise
         return v.copy() if nrm <= radius else v * (radius / nrm)
     if phi == "l1":
         return project_l1_ball(v, radius)
@@ -434,7 +434,7 @@ def prox_vector_norm(v, tag, tau):
     if tag == "l1":
         return soft_threshold(v, tau)
     if tag == "l2":
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(v @ v)  # = np.linalg.norm(v) on a vector, bitwise
         if nrm <= tau:
             return np.zeros_like(v)
         return v * (1.0 - tau / nrm)

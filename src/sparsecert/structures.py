@@ -9,7 +9,7 @@ Three concrete models are implemented:
                 weights chi_l; the representation space stacks the blocks,
                 the norm sums per-block norms, projectors keep a subset of
                 blocks, weight = sum of kept chi_l;
-* ``lowrank`` - p x q matrices (p >= q), nuclear norm, projectors
+* ``lowrank`` - p x q matrices (any shape), nuclear norm, projectors
                 P(x) = P_left x P_right built from orthonormal bases, weight
                 = max of the two ranks.  The complement is
                 (I - P_left) x (I - P_right), which is NOT identity minus P.
@@ -53,7 +53,6 @@ class SparsityStructure:
     block_norms: tuple = ()
     p: int = 0
     q: int = 0
-    transposed: bool = False  # lowrank input arrived as p < q and was flipped
 
     def full_weight(self):
         """Largest projector weight in the family."""
@@ -61,7 +60,7 @@ class SparsityStructure:
             return float(self.n)
         if self.kind == "group":
             return float(sum(self.weights))
-        return float(self.q)
+        return float(min(self.p, self.q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +159,7 @@ def build_lowrank(p, q):
     p, q = int(p), int(q)
     if p < 1 or q < 1:
         raise StructureError("lowrank structure needs p, q >= 1")
-    transposed = p < q
-    if transposed:
-        p, q = q, p
-    s = SparsityStructure(kind="lowrank", p=p, q=q, transposed=transposed,
+    s = SparsityStructure(kind="lowrank", p=p, q=q,
                           ambient_dim_x=p * q, ambient_dim_e=p * q)
     return s, _build_rep_map(s)
 
@@ -379,7 +375,7 @@ def best_sparse_approx(structure, w, s):
         return SparseApprox(p, delta, exact)
     # lowrank: truncated SVD projectors
     w = np.asarray(w, dtype=float).reshape(structure.p, structure.q)
-    k = min(int(math.floor(s + 1e-12)), structure.q)
+    k = min(int(math.floor(s + 1e-12)), structure.p, structure.q)
     u, sv, vt = svd_descending(w)
     p = lowrank_projector(structure, u[:, :k], vt[:k, :].T)
     return SparseApprox(p, float(sv[k:].sum()), True)

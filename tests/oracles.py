@@ -155,3 +155,72 @@ def matrix_with_kernel(v):
 def gamma_kernel1_oracle(v, s):
     v = np.asarray(v, dtype=float).ravel()
     return top_sum_oracle(v, s) / float(np.abs(v).sum())
+
+
+def joint_synthesis_lp_oracle(a, bmat, sizes, tags, chi, s):
+    """The joint synthesis LP assembled row by row: (G, h, number of H vars).
+
+    Variables: H (m x E, row-major), per non-scalar block pair (k, l) the
+    bounds E >= |W_rc| of its entries, lam (K), mu (K x K), g.  Row order:
+    for each pair (k, l) the W-entry rows (+ then -) followed by the
+    surrogate sums of its kind, then one selection row per column block.
+    """
+    m, big_m = a.shape[0], bmat.shape[0]
+    b_pinv = np.linalg.pinv(bmat)
+    c_full, d_full = bmat @ b_pinv, a @ b_pinv
+    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    ranges = [list(range(offs[k], offs[k + 1])) for k in range(len(sizes))]
+    kk = len(sizes)
+    nh = m * big_m
+    e_base, nvars = {}, nh
+    for k in range(kk):
+        for l in range(kk):
+            if sizes[k] > 1 or sizes[l] > 1:
+                e_base[(k, l)] = nvars
+                nvars += sizes[k] * sizes[l]
+    lam, mu = nvars, nvars + kk
+    g = mu + kk * kk
+    rows, rhs = [], []
+
+    def add(terms, value):
+        row = np.zeros(g + 1)
+        for idx, coeff in terms:
+            row[idx] += coeff
+        rows.append(row)
+        rhs.append(value)
+
+    def w_entry(r, c, sg):   # sg * W_rc = sg * C_rc - sg * sum_i H_ir D_ic
+        return [(i * big_m + r, -sg * d_full[i, c]) for i in range(m)], \
+            -sg * c_full[r, c]
+
+    for k in range(kk):
+        for l in range(kk):
+            rk, rl = ranges[k], ranges[l]
+            sink = [(lam + l, -chi[k]), (mu + k * kk + l, -1.0)]
+            if (k, l) not in e_base:
+                for sg in (1.0, -1.0):
+                    terms, value = w_entry(rk[0], rl[0], sg)
+                    add(terms + sink, value)
+                continue
+            ent = {(ri, ci): e_base[(k, l)] + ri * len(rl) + ci
+                   for ri in range(len(rk)) for ci in range(len(rl))}
+            for (ri, ci), var in ent.items():
+                for sg in (1.0, -1.0):
+                    terms, value = w_entry(rk[ri], rl[ci], sg)
+                    add(terms + [(var, -1.0)], value)
+            if tags[l] == "l1" and tags[k] == "linf":      # max entry
+                groups = [[key] for key in ent]
+            elif tags[l] == "l1":                           # column sums
+                groups = [[(ri, ci) for ri in range(len(rk))]
+                          for ci in range(len(rl))]
+            elif tags[k] == "linf":                         # row sums
+                groups = [[(ri, ci) for ci in range(len(rl))]
+                          for ri in range(len(rk))]
+            else:                                           # total sum
+                groups = [list(ent)]
+            for grp in groups:
+                add([(ent[key], 1.0) for key in grp] + sink, 0.0)
+    for l in range(kk):
+        add([(lam + l, 2.0 * s)] + [(mu + k * kk + l, 2.0) for k in range(kk)]
+            + [(g, -1.0)], 0.0)
+    return np.array(rows), np.array(rhs), nh

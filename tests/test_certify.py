@@ -277,3 +277,122 @@ def test_soundness_chain_small_instance():
                                    epsilon=0.0)
             res = recover_regular(prob, st)
             assert np.max(np.abs(res.x_hat - x0)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# per-block decomposition at s = 1 with unit weights
+
+PAIRS = [(2 * i, 2 * i + 1) for i in range(5)]
+
+
+def _pinned_cases():
+    """Instances with gamma and beta of the joint LP (one LP over all of H),
+    as computed before synthesis was split per block."""
+    st, rep = structures.build_plain(12)
+    a = np.random.default_rng(1201).standard_normal((7, 12))
+    yield "plain", st, rep, a, 0.9705505435282762, 0.7811197466195434
+    for j, (tag, gamma, beta) in enumerate((
+            ("l1", 1.1919386469854878, 1.5645743848241265),
+            ("linf", 1.016099896234997, 1.2653717606884254),
+            ("l2", 2.138084350277359, 3.1465109823480475))):
+        st, rep = structures.build_group(PAIRS, block_norm=tag)
+        a = np.random.default_rng(1300 + j).standard_normal((6, 10))
+        yield tag, st, rep, a, gamma, beta
+
+
+def test_synthesis_s1_plain_is_exact():
+    """At s = 1 the verifiable LP loses nothing: gamma = 2 * gamma_1."""
+    for n in (6, 9, 12):
+        st, rep = structures.build_plain(n)
+        for trial in range(2):
+            a = np.random.default_rng(40 + 3 * n + trial).standard_normal(
+                (n // 2 + 1, n))
+            cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+            bf = gamma_s_bruteforce(a, st, 1)
+            assert cert.gamma == pytest.approx(2.0 * bf.gamma_value, abs=1e-8)
+            assert cert.exact_gamma
+
+
+def test_synthesis_per_block_matches_joint_lp_values():
+    for name, st, rep, a, gamma, beta in _pinned_cases():
+        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+        assert cert.gamma == pytest.approx(gamma, abs=1e-9), name
+        assert cert.identity_residual <= 1e-8
+        if name != "l2":     # l2 stage two minimizes only a surrogate
+            assert cert.beta <= beta + 1e-9, name
+        assert cert.beta == pytest.approx(psi_s(cert.h_matrix, st, 1))
+        assert cert.gamma >= cert.details["gamma_recheck_exact_norms"]
+
+
+def _stage_one(st, rep, a):
+    from sparsecert.certify import synthesis
+    lay = synthesis._Layout(st, a, rep.matrix)
+    runs = synthesis._Runs(200000, "dantzig")
+    return synthesis, lay, runs, synthesis._stage_one(lay, runs)
+
+
+def test_synthesis_lazy_beta_equals_full_stage_two():
+    for name, st, rep, a, _, _ in _pinned_cases():
+        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+        synthesis, lay, runs, stages = _stage_one(st, rep, a)
+        gamma = max(g for _, _, g in stages)
+        every = max(synthesis._settle_block(lay, k, stages[k], gamma, runs)[1]
+                    for k in range(len(stages)))
+        assert cert.beta == pytest.approx(2.0 * every, abs=1e-9), name
+        assert cert.details["beta_lps"] <= len(stages)
+
+
+def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
+    from sparsecert.engine import SolveReport, Status
+    _, st, rep, a, _, _ = next(_pinned_cases())
+    synthesis, _, _, stages = _stage_one(st, rep, a)
+    real = synthesis.solve_lp
+    calls = []
+
+    def stage_two_stalls(lp, **kwargs):
+        calls.append(lp)
+        if len(calls) <= len(stages):
+            return real(lp, **kwargs)
+        return None, SolveReport(status=Status.MAXITER, iterations=7)
+
+    monkeypatch.setattr(synthesis, "solve_lp", stage_two_stalls)
+    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    h_one = np.hstack([h for _, h, _ in stages])
+    assert cert.details["beta_lps"] >= 1
+    assert np.array_equal(cert.h_matrix, h_one)
+    assert cert.beta == pytest.approx(psi_s(h_one, st, 1))
+
+
+def test_synthesis_details_count_the_lps():
+    _, st, rep, a, _, _ = next(_pinned_cases())
+    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    d = cert.details
+    assert d["lps"] == st.n + d["beta_lps"] and d["beta_lps"] >= 1
+    assert d["lp_iterations"] > 0 and 0.0 <= d["lp_delta"] <= 1e-8
+    st6, rep6 = structures.build_plain(6)
+    a6 = np.random.default_rng(5).standard_normal((4, 6))
+    joint = synth_certificate_group(a6, rep6.matrix, st6, 2, phi="l1")
+    assert joint.details["lps"] == 1 and joint.details["beta_lps"] == 0
+
+
+def test_joint_lp_matches_row_by_row_reference():
+    """Where pi_s couples the blocks, the array-built joint LP is the one
+    the row-by-row assembly gives, entry for entry."""
+    from sparsecert.certify import synthesis
+    from oracles import joint_synthesis_lp_oracle
+    blocks = [(0, 1, 2), (3,), (4, 5), (6, 7, 8)]
+    cases = [(structures.build_plain(9), 2.0)]
+    for tags in ("l1", "linf", "l2", ["l1", "l2", "linf", "l2"]):
+        cases.append((structures.build_group(blocks, block_norm=tags), 2.0))
+        cases.append((structures.build_group(blocks, weights=[1, 2, 1.5, 1],
+                                             block_norm=tags), 1.0))
+    for i, ((st, rep), s) in enumerate(cases):
+        a = np.random.default_rng(i).standard_normal((5, 9))
+        lay = synthesis._Layout(st, a, rep.matrix)
+        lp, nh = synthesis._synthesis_lp(lay, range(lay.sizes.size), s,
+                                         simple=False)
+        g_ref, h_ref, nh_ref = joint_synthesis_lp_oracle(
+            a, rep.matrix, lay.sizes, lay.tags, lay.chi, s)
+        assert nh == nh_ref
+        assert np.array_equal(lp.G, g_ref) and np.array_equal(lp.h, h_ref)
+        assert lp.c[-1] == 1.0 and np.all(np.isinf(lp.lb[:nh]))

@@ -101,6 +101,20 @@ def test_certify_identity_valid_and_round_trips(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_certify_json_reports_lp_counts(tmp_path):
+    st, _ = structures.build_plain(6)
+    sp = write_structure(tmp_path, st)
+    a = np.random.default_rng(3).standard_normal((5, 6))
+    r = run_cli("certify", "--structure", str(sp), "--matrix",
+                str(write_matrix(tmp_path, a)), "--s", "1", "--method",
+                "synth", "--json")
+    assert r.returncode in (0, 4), r.stderr
+    details = json.loads(r.stdout)["details"]
+    assert details["lps"] == 6 + details["beta_lps"]
+    assert details["lp_iterations"] > 0
+    assert 0.0 <= details["lp_delta"] <= 1e-8
+
+
 def test_certify_zero_map_not_certifiable(tmp_path):
     st, _ = structures.build_plain(4)
     sp = write_structure(tmp_path, st)

@@ -123,7 +123,7 @@ def test_structure_norms(rng):
     assert structure_norm(gr, w, dual=True) == pytest.approx(expect_dual)
 
     lr, _ = structures.build_lowrank(3, 4)
-    m = rng.standard_normal((4, 3))
+    m = rng.standard_normal((3, 4))
     sv = np.linalg.svd(m, compute_uv=False)
     assert structure_norm(lr, m.ravel()) == pytest.approx(sv.sum())
     assert structure_norm(lr, m.ravel(), dual=True) == pytest.approx(sv[0])
@@ -370,3 +370,19 @@ def test_lowrank_prox_is_bitwise_the_svd_descending_formula():
             assert np.array_equal(prox_structure_norm(lr, m, tau), ref)
             assert np.array_equal(prox_structure_norm(lr, m.ravel(), tau),
                                   ref.ravel())
+
+
+def test_l2_ball_and_prox_match_numpy_norm_bitwise():
+    """The l2 branches take sqrt(v @ v), which is what np.linalg.norm
+    computes on a vector; the outputs are bitwise those of the norm call."""
+    rng = np.random.default_rng(31)
+    for size in (1, 5, 75, 300):
+        for _ in range(20):
+            v = rng.standard_normal(size) * rng.uniform(0.1, 10)
+            nrm = float(np.linalg.norm(v))
+            for level in (0.5 * nrm, 2.0 * nrm):
+                ball = v.copy() if nrm <= level else v * (level / nrm)
+                assert np.array_equal(project_ball(v, "l2", level), ball)
+                prox = np.zeros_like(v) if nrm <= level else \
+                    v * (1.0 - level / nrm)
+                assert np.array_equal(prox_vector_norm(v, "l2", level), prox)

@@ -149,3 +149,21 @@ def test_regularization_warning_reaches_the_report(rng):
     u, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
     assert out.warnings == ["coupling matrix singular; regularized by 1e-10*I"]
+
+
+def test_seeded_run_is_pinned():
+    """Residual norms as sqrt(x @ x) leave the iteration bitwise unchanged:
+    the iteration count and objective are those of the np.linalg.norm
+    version on this instance."""
+    r = np.random.default_rng(2024)
+    st, rep = structures.build_plain(30)
+    a = r.standard_normal((15, 30))
+    x0 = np.zeros(30)
+    x0[[3, 11, 20]] = [1.0, -2.0, 0.5]
+    y = a @ x0 + 0.01 * r.standard_normal(15)
+    sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi="l2",
+                      epsilon=0.05, tol=1e-8)
+    u, out = solve_split(sp)
+    assert out.status is Status.OPTIMAL
+    assert out.iterations == 3854
+    assert out.objective == pytest.approx(3.47842417746389, rel=1e-12)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsecert import structures
+from sparsecert import norms, structures
 from sparsecert.structures import (NotEnumerableError, StructureError,
                                    build_group, build_lowrank, build_plain,
                                    build_structure, best_sparse_approx,
@@ -53,11 +53,23 @@ def test_group_builder_rejects_bad_blocks():
         build_group([(0, 1)], block_norm="l3")
 
 
-def test_lowrank_builder_flips_wide_inputs():
+def test_lowrank_builder_keeps_wide_inputs():
+    """A 2 x 4 structure acts on 2 x 4 matrices: norms, projectors and the
+    file format all keep the shape the caller gave."""
     st, rep = build_lowrank(2, 4)
-    assert (st.p, st.q) == (4, 2) and st.transposed
+    assert (st.p, st.q) == (2, 4)
     assert st.full_weight() == 2.0
     assert rep.identity_shortcut
+    x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+    assert norms.structure_norm(st, x.ravel()) == pytest.approx(
+        math.sqrt(30.0), abs=1e-12)
+    approx = best_sparse_approx(st, x.ravel(), 3)
+    assert approx.projector.nu == 2.0 and approx.delta_x == pytest.approx(
+        0.0, abs=1e-12)
+    d = structure_to_dict(st)
+    assert (d["p"], d["q"]) == (2, 4)
+    st2, _ = structure_from_dict(d)
+    assert (st2.p, st2.q) == (2, 4)
     with pytest.raises(StructureError):
         build_lowrank(0, 3)
 

@@ -32,19 +32,12 @@ _LP_BUDGET = 20000
 _GOOD_MARGIN = 1e-9
 
 
-def _b_matrix(structure, b):
-    if b is None:
-        return structures._build_rep_map(structure).matrix
-    return b.matrix if hasattr(b, "matrix") else np.atleast_2d(np.asarray(b, dtype=float))
-
-
 def _classify(structure, bmat, s, gamma, z, exhaustive, details):
     """Map a found maximum (and maximizer z) to a verdict."""
     if z is None or gamma <= 1e-15:
         if exhaustive:
             return NullspaceVerdict(status="CertifiedGood", s=s,
-                                    gamma_value=0.0 if exhaustive else None,
-                                    details=details)
+                                    gamma_value=0.0, details=details)
         return NullspaceVerdict(status="Unknown", s=s, bracket=(0.0, 1.0),
                                 details=details)
     w = bmat @ z
@@ -125,56 +118,35 @@ def _plain_bruteforce(a, structure, s):
 # group: enumeration over maximal block sets, signs, and representatives
 
 
+def _group_lp(a, structure):
+    """Shared LP data of the group enumeration: (G, h, senses, lb).
+
+    Variables [z | t], with t the epigraph variables of the structure norm
+    (``norms.structure_norm_epigraph``).  Rows: A z = 0, the epigraph rows,
+    and the normalization cost @ t <= 1, so the feasible z span the unit
+    structure-norm ball of Ker(A).
+    """
+    m, n = a.shape
+    cost, g_u, g_t = norms.structure_norm_epigraph(structure, n)
+    r = g_u.shape[0]
+    g = np.zeros((m + r + 1, n + cost.size))
+    g[:m, :n] = a
+    g[m:m + r, :n] = g_u
+    g[m:m + r, n:] = g_t
+    g[-1, n:] = cost
+    h = np.zeros(m + r + 1)
+    h[-1] = 1.0
+    senses = ("eq",) * m + ("le",) * (r + 1)
+    lb = np.concatenate([np.full(n, -np.inf), np.zeros(cost.size)])
+    return g, h, senses, lb
+
+
 def _group_lp_bruteforce(a, structure, bmat, s):
     n = structure.n
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    m = a.shape[0]
     blocks, tags = structure.blocks, structure.block_norms
-    l1_cover = sorted({i for v, t in zip(blocks, tags) if t == "l1" for i in v})
-    l1_pos = {i: r for r, i in enumerate(l1_cover)}
-    linf_blocks = [l for l, t in enumerate(tags) if t == "linf"]
-    linf_pos = {l: r for r, l in enumerate(linf_blocks)}
-    n_u, n_t = len(l1_cover), len(linf_blocks)
-    nv = n + n_u + n_t
-
-    rows, rhs, senses = [], [], []
-    for j in range(m):
-        row = np.zeros(nv)
-        row[:n] = a[j]
-        rows.append(row)
-        rhs.append(0.0)
-        senses.append("eq")
-    for i in l1_cover:
-        for sg in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[i] = sg
-            row[n + l1_pos[i]] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            senses.append("le")
-    for l in linf_blocks:
-        for i in blocks[l]:
-            for sg in (1.0, -1.0):
-                row = np.zeros(nv)
-                row[i] = sg
-                row[n + n_u + linf_pos[l]] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-                senses.append("le")
-    denom = np.zeros(nv)
-    for v, t in zip(blocks, tags):
-        if t == "l1":
-            for i in v:
-                denom[n + l1_pos[i]] += 1.0
-    for l in linf_blocks:
-        denom[n + n_u + linf_pos[l]] = 1.0
-    rows.append(denom)
-    rhs.append(1.0)
-    senses.append("le")
-    g = np.array(rows)
-    h = np.array(rhs)
-    senses = tuple(senses)
-    lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_u + n_t)])
+    g, h, senses, lb = _group_lp(a, structure)
+    nv = lb.size
 
     proj_list = structures.enumerate_projectors(structure, s)
     best, best_z = 0.0, None
@@ -228,17 +200,7 @@ def _group_lp_bruteforce(a, structure, bmat, s):
 def _group_ratio_and_grad(structure, bmat, z, s):
     w = bmat @ z
     vals = norms.group_block_norms(structure, w)
-    chi = np.asarray(structure.weights)
-    try:
-        num, mask = norms.pi_s_argmax(vals, chi, s)
-    except norms.UnsupportedNormError:
-        mask = np.zeros(vals.size, dtype=bool)
-        budget = float(s)
-        for i in sorted(range(vals.size), key=lambda j: -vals[j] / chi[j]):
-            if chi[i] <= budget + 1e-12:
-                mask[i] = True
-                budget -= chi[i]
-        num = float(vals[mask].sum())
+    num, mask, _ = norms.select_blocks(vals, structure.weights, s)
     den = float(vals.sum())
     if den < 1e-14:
         return 0.0, np.zeros(z.size)
@@ -283,21 +245,11 @@ def _lowrank_ratio_and_grad(structure, z, s):
     return num / den, grad.ravel()
 
 
-def _ascent_search(a, structure, bmat, s, ratio_grad, seed, starts=30,
-                   iters=120, samples=400):
-    null = _kernel_basis(a)
+def _ascent_search(null, f, seed, starts=30, iters=120, samples=400):
+    """Maximize the ratio f(z) -> (ratio, gradient) over unit z in the span
+    of the kernel basis ``null`` (at least one column)."""
     d = null.shape[1]
-    if d == 0:
-        return None, 0.0
     rng = np.random.default_rng(seed)
-
-    if bmat is None:
-        def f(z):
-            return ratio_grad(structure, z, s)
-    else:
-        def f(z):
-            return ratio_grad(structure, bmat, z, s)
-
     best, best_z = 0.0, None
     for _ in range(samples):
         z = null @ rng.standard_normal(d)
@@ -345,33 +297,29 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
     if s < 0:
         raise ValueError("s must be nonnegative")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    bmat = _b_matrix(structure, b)
+    bmat = structures.rep_matrix(structure, b)
     if structure.kind == "plain":
         return _plain_bruteforce(a, structure, s)
+    if structure.kind == "group" and len(structure.blocks) > 12:
+        return NullspaceVerdict(
+            status="Unknown", s=s,
+            details={"reason": "more than 12 blocks exceeds the budget"})
+    null = _kernel_basis(a)
+    if null.shape[1] == 0:
+        return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
+                                details={"kernel_dim": 0})
     if structure.kind == "group":
-        if len(structure.blocks) > 12:
-            return NullspaceVerdict(
-                status="Unknown", s=s,
-                details={"reason": "more than 12 blocks exceeds the budget"})
-        null_dim = _kernel_basis(a).shape[1]
-        if null_dim == 0:
-            return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
-                                    details={"kernel_dim": 0})
         if all(t in ("l1", "linf") for t in structure.block_norms):
             return _group_lp_bruteforce(a, structure, bmat, s)
-        z, best = _ascent_search(a, structure, bmat, s, _group_ratio_and_grad,
-                                 seed)
+        z, best = _ascent_search(
+            null, lambda zz: _group_ratio_and_grad(structure, bmat, zz, s),
+            seed)
         return _classify(structure, bmat, s, best, z, False,
                          {"method": "sampled ascent (l2 blocks)"})
     # lowrank
-    null_dim = _kernel_basis(a).shape[1]
-    if null_dim == 0:
-        return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
-                                details={"kernel_dim": 0})
     if abs(s - round(s)) > 1e-9:
         raise ValueError("low-rank sparsity level must be an integer")
-    z, best = _ascent_search(a, structure, None, s,
-                             lambda st, zz, ss: _lowrank_ratio_and_grad(st, zz, ss),
-                             seed)
+    z, best = _ascent_search(
+        null, lambda zz: _lowrank_ratio_and_grad(structure, zz, s), seed)
     return _classify(structure, bmat, s, best, z, False,
                      {"method": "Monte-Carlo + projected ascent"})

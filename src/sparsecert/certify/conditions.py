@@ -96,18 +96,7 @@ def worst_condition_projector(structure, w, s, rng=None, probes=0):
         return proj, 2.0 * float(v[keep].sum())
     if structure.kind == "group":
         vals = norms.group_block_norms(structure, w)
-        chi = np.asarray(structure.weights)
-        try:
-            value, mask = norms.pi_s_argmax(vals, chi, s)
-        except norms.UnsupportedNormError:
-            # feasible greedy: sound (understates the maximum at worst)
-            mask = np.zeros(vals.size, dtype=bool)
-            budget = float(s)
-            for i in sorted(range(vals.size), key=lambda j: -vals[j] / chi[j]):
-                if chi[i] <= budget + 1e-12:
-                    mask[i] = True
-                    budget -= chi[i]
-            value = float(vals[mask].sum())
+        value, mask, _ = norms.select_blocks(vals, structure.weights, s)
         proj = structures.group_projector(structure, np.nonzero(mask)[0])
         return proj, 2.0 * value
     # lowrank
@@ -149,11 +138,7 @@ def check_condition_Cs(a, b, structure, s, gamma, beta, phi, trials, seed,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if b is None:
-        bmat = structures._build_rep_map(structure).matrix
-    else:
-        bmat = b.matrix if hasattr(b, "matrix") else \
-            np.atleast_2d(np.asarray(b, dtype=float))
+    bmat = structures.rep_matrix(structure, b)
     n = a.shape[1]
     rng = np.random.default_rng(seed)
     null = _kernel_basis(a)

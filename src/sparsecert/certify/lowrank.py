@@ -111,7 +111,7 @@ def _top_k_subgradient(mat, k):
 
 
 def _descend_level(tm, k, p, q, iters, step_scale):
-    """Minimize the split bound for one level k; returns (value, split)."""
+    """Minimize the split bound for one level k; returns its best value."""
     t2 = np.zeros_like(tm)
     t3 = np.zeros_like(tm)
 
@@ -125,27 +125,21 @@ def _descend_level(tm, k, p, q, iters, step_scale):
         return val, sub2, sub3
 
     best, _, _ = evaluate(t2, t3)
-    best_split = (t2.copy(), t3.copy())
     if iters <= 0:
-        return best, best_split
+        return best
     scale = step_scale if step_scale is not None else \
         max(np.linalg.norm(tm), 1e-12) / 8.0
     for t in range(1, iters + 1):
         val, sub2, sub3 = evaluate(t2, t3)
-        if val < best:
-            best = val
-            best_split = (t2.copy(), t3.copy())
+        best = min(best, val)
         eta = scale / math.sqrt(t)
         t2 = t2 - eta * sub2
         t3 = t3 - eta * sub3
     val, _, _ = evaluate(t2, t3)
-    if val < best:
-        best = val
-        best_split = (t2.copy(), t3.copy())
-    return best, best_split
+    return min(best, val)
 
 
-def opt_star(w_op, s, p, q, iters=2000, step_scale=None, full_output=False):
+def opt_star(w_op, s, p, q, iters=2000, step_scale=None):
     """Subgradient-minimized split upper bound; never exceeds opt_bar + fp.
 
     For each level k in {s, 2s} the split value is dual-feasible at every
@@ -155,16 +149,8 @@ def opt_star(w_op, s, p, q, iters=2000, step_scale=None, full_output=False):
     """
     _check_level(s)
     tm = theta(w_op, p, q)
-    total = 0.0
-    info = {}
-    for k in (int(s), 2 * int(s)):
-        k_eff = min(k, p * q)
-        val, split = _descend_level(tm, k_eff, p, q, iters, step_scale)
-        total += val
-        info[k] = {"value": val, "split": split}
-    if full_output:
-        return total, info
-    return total
+    return sum(_descend_level(tm, min(k, p * q), p, q, iters, step_scale)
+               for k in (int(s), 2 * int(s)))
 
 
 def _default_candidates(a):

@@ -328,10 +328,7 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     if s < 0:
         raise ValueError("s must be nonnegative")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if b is None:
-        bmat = structures._build_rep_map(structure).matrix
-    else:
-        bmat = b.matrix if hasattr(b, "matrix") else np.atleast_2d(np.asarray(b, dtype=float))
+    bmat = structures.rep_matrix(structure, b)
     m, n_amb = a.shape
     big_m = bmat.shape[0]
     if bmat.shape[1] != n_amb:
@@ -376,13 +373,7 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
         omega_vals = np.abs(w_opt)
         omega_exact = True
     else:
-        omega_vals = np.zeros((kk, kk))
-        omega_exact = np.ones((kk, kk), dtype=bool)
-        for k in range(kk):
-            for l in range(kk):
-                omega_vals[k, l], omega_exact[k, l] = norms.induced_norm(
-                    w_opt[lay.block(k), lay.block(l)], lay.tags[l],
-                    lay.tags[k])
+        omega_vals, omega_exact = norms.omega(structure, w_opt)
     if simple_max:
         gamma_recheck = 2.0 * float(omega_vals.max())
     else:

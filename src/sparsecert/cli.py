@@ -15,6 +15,8 @@ Subcommands and their exit codes:
     axioms      0 all randomized checks pass, 4 violation found
 
 Every command accepts --json (machine-readable stdout mirror) and --seed.
+``experiment`` runs its trials serially, in trial order; --threads is
+accepted on every command for compatibility and has no effect.
 Matrices are CSV files with a rows,cols header; everything else is JSON.
 Outputs are deterministic for fixed seeds: reruns write identical bytes.
 """
@@ -25,7 +27,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +49,6 @@ def _emit(args, doc, text_lines):
     else:
         for line in text_lines:
             print(line)
-
-
-def _parallel_map(fn, count, threads):
-    """Order-preserving map over range(count); results keyed by index."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +371,7 @@ def cmd_experiment(args):
             rows.append((i, mode, float(s), eps, err, bound, bound - err))
         return rows
 
-    all_rows = [row for rows in _parallel_map(one_trial, cfg.trials,
-                                              args.threads)
-                for row in rows]
+    all_rows = [row for i in range(cfg.trials) for row in one_trial(i)]
 
     table_path = cfg.output.get("table")
     if table_path:
@@ -429,7 +420,8 @@ def _build_parser():
     common.add_argument("--json", action="store_true",
                         help="print a JSON document instead of text")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trial maps (default 1)")
+                        help="accepted for compatibility; no effect "
+                        "(experiment trials run serially)")
 
     parser = argparse.ArgumentParser(
         prog="sparsecert",

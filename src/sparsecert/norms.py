@@ -6,11 +6,13 @@ three families of vector/matrix norms:
 * plain vector norms tagged ``"l1" | "l2" | "linf"`` and the matrix pair
   ``"nuclear" | "spectral"``,
 * the structure norm of a sparsity structure (sum of block norms for the
-  group model, l1 / nuclear for the plain / low-rank models) and its dual,
+  group model, l1 / nuclear for the plain / low-rank models), its dual and,
+  where it is polyhedral, its LP epigraph,
 * the sparsity-weighted objects used by the certification machinery:
   ``sum_top`` (sum of the s largest magnitudes), ``pi_s`` (weighted
-  block-selection norm, exact and relaxed variants), ``sigma_sum`` (partial
-  sum of singular values) and ``ps_seminorm``.
+  block-selection norm, exact and relaxed variants) with its maximizing
+  block set ``select_blocks``, ``sigma_sum`` (partial sum of singular
+  values) and ``ps_seminorm``.
 
 Structure-aware functions take the structure object duck-typed: only the
 fields ``kind``, ``n``, ``blocks``, ``weights``, ``block_norms``, ``p``,
@@ -198,6 +200,30 @@ def pi_s_argmax(u, chi, s):
     return _knapsack_branch_bound(a, chi, float(s))
 
 
+def select_blocks(u, chi, s):
+    """Heaviest block set of total weight <= s: (value, mask, exact).
+
+    The exact maximizer of ``pi_s_argmax`` where it is available; beyond its
+    25-block limit for non-integer weights, the greedy set by |u_l|/chi_l
+    ratio, which is feasible (so its value understates the maximum) and is
+    flagged exact=False.
+    """
+    try:
+        value, mask = pi_s_argmax(u, chi, s)
+        return value, mask, True
+    except UnsupportedNormError:
+        pass
+    a = np.abs(np.asarray(u, dtype=float)).ravel()
+    chi = np.asarray(chi, dtype=float).ravel()
+    mask = np.zeros(a.size, dtype=bool)
+    budget = float(s)
+    for i in sorted(range(a.size), key=lambda j: -(a[j] / chi[j])):
+        if chi[i] <= budget + 1e-12:
+            mask[i] = True
+            budget -= chi[i]
+    return float(a[mask].sum()), mask, False
+
+
 def pi_s(u, chi, s, variant="exact"):
     """Weighted block-selection norm 2*max{sum eta_l*|u_l| : sum chi*eta <= s}.
 
@@ -306,6 +332,48 @@ def ps_seminorm(structure, z, s):
         sv = singular_values(_as_matrix(structure, z))
         return float(sv[:si].sum() + sv[: 2 * si].sum())
     raise ValueError(f"unknown structure kind {kind!r}")
+
+
+def structure_norm_epigraph(structure, n):
+    """LP epigraph of the structure norm of u in R^n: (cost, g_u, g_t).
+
+    The rows g_u @ u + g_t @ t <= 0 say |u_i| <= t_k, first + then - for
+    each bounded pair (i, k); with t >= 0, min cost @ t over them is the
+    norm of B u for the canonical B.  Plain: one t per coordinate.  Group:
+    one t per coordinate of an l1 block (cost: the number of l1 blocks
+    holding it), in coordinate order, then one t per linf block (cost 1)
+    bounding its members in block order.  Raises UnsupportedNormError for
+    norms with no exact LP form (any l2 block, low rank).
+    """
+    if structure.kind == "plain":
+        coord = aux = np.arange(n)
+        cost = np.ones(n)
+    elif structure.kind == "group":
+        tags = np.array(structure.block_norms)
+        if np.any(tags == "l2"):
+            raise UnsupportedNormError("l2 blocks have no exact LP form")
+        sizes = [len(v) for v in structure.blocks]
+        members = np.concatenate(structure.blocks).astype(int)
+        member_tag = np.repeat(tags, sizes)
+        l1_mult = np.bincount(members[member_tag == "l1"],
+                              minlength=n).astype(float)
+        l1_coords = np.nonzero(l1_mult)[0]
+        is_linf = tags == "linf"
+        in_linf = member_tag == "linf"
+        linf_aux = l1_coords.size + np.cumsum(is_linf) - 1
+        coord = np.concatenate([l1_coords, members[in_linf]])
+        aux = np.concatenate([np.arange(l1_coords.size),
+                              np.repeat(linf_aux, sizes)[in_linf]])
+        cost = np.concatenate([l1_mult[l1_coords],
+                               np.ones(int(is_linf.sum()))])
+    else:
+        raise UnsupportedNormError("nuclear norm has no exact LP form")
+    rows = np.arange(2 * coord.size)
+    g_u = np.zeros((rows.size, n))
+    g_u[rows, np.repeat(coord, 2)] = np.tile([1.0, -1.0], coord.size)
+    g_t = np.zeros((rows.size, cost.size))
+    g_t[rows, np.repeat(aux, 2)] = -1.0
+    return cost, g_u, g_t
 
 
 # ---------------------------------------------------------------------------

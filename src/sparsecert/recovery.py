@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import norms
+from . import norms, structures
 from .engine import LinearProgram, SolveReport, SplitProblem, Status, solve_lp, \
     solve_split
 from .norms import UnsupportedNormError
@@ -56,8 +56,7 @@ class RecoveryProblem:
 
     @property
     def b_matrix(self):
-        return self.b.matrix if hasattr(self.b, "matrix") else \
-            np.atleast_2d(np.asarray(self.b, dtype=float))
+        return structures.rep_matrix(None, self.b)
 
 
 @dataclass
@@ -119,59 +118,6 @@ def error_bound(gamma, beta, budget, mode):
 # LP reformulations
 
 
-def _objective_parts(structure, n):
-    """LP encoding of ||B u||: aux-variable costs and epigraph rows.
-
-    Returns (aux_cost, rows) with rows as (u_coeffs, aux_coeffs, rhs); every
-    row reads u_coeffs . u + aux_coeffs . t <= rhs.  Raises
-    UnsupportedNormError when the structure norm is not polyhedral (any l2
-    block).
-    """
-    if structure.kind == "plain":
-        cost = np.ones(n)
-        rows = []
-        for i in range(n):
-            for sgn in (1.0, -1.0):
-                uc = np.zeros(n)
-                uc[i] = sgn
-                ac = np.zeros(n)
-                ac[i] = -1.0
-                rows.append((uc, ac, 0.0))
-        return cost, rows
-    if structure.kind == "group":
-        if any(t == "l2" for t in structure.block_norms):
-            raise UnsupportedNormError("l2 blocks have no exact LP form")
-        l1_mult = np.zeros(n)
-        for v, t in zip(structure.blocks, structure.block_norms):
-            if t == "l1":
-                for i in v:
-                    l1_mult[i] += 1.0
-        l1_coords = [i for i in range(n) if l1_mult[i] > 0]
-        linf_blocks = [l for l, t in enumerate(structure.block_norms)
-                       if t == "linf"]
-        n_aux = len(l1_coords) + len(linf_blocks)
-        cost = np.concatenate([l1_mult[l1_coords],
-                               np.ones(len(linf_blocks))])
-        rows = []
-        for k, i in enumerate(l1_coords):
-            for sgn in (1.0, -1.0):
-                uc = np.zeros(n)
-                uc[i] = sgn
-                ac = np.zeros(n_aux)
-                ac[k] = -1.0
-                rows.append((uc, ac, 0.0))
-        for k, l in enumerate(linf_blocks):
-            for i in structure.blocks[l]:
-                for sgn in (1.0, -1.0):
-                    uc = np.zeros(n)
-                    uc[i] = sgn
-                    ac = np.zeros(n_aux)
-                    ac[len(l1_coords) + k] = -1.0
-                    rows.append((uc, ac, 0.0))
-        return cost, rows
-    raise UnsupportedNormError("nuclear norm has no exact LP form")
-
-
 def _lp_solvable(structure, phi, epsilon, mode):
     if structure.kind == "lowrank":
         return False
@@ -183,61 +129,53 @@ def _lp_solvable(structure, phi, epsilon, mode):
 
 
 def _build_recovery_lp(problem, structure, mode, lam=0.0):
-    """Exact LP for polyhedral instances.  Variable layout: [u | obj aux | fit aux]."""
+    """Exact LP for polyhedral instances.  Variable layout: [u | obj aux | fit aux].
+
+    Rows: the epigraph of ||B u|| (``norms.structure_norm_epigraph``), then
+    the data fit.  That is A u = y for regular recovery with epsilon = 0;
+    otherwise the pair +-(a_j u - y_j) for each j, bounded by fit aux j
+    (l1, closed by sum(fit aux) <= epsilon when regular), by one shared fit
+    aux (linf, penalized) or by epsilon (linf, regular).
+    """
     a, y = problem.a, problem.y
     m, n = a.shape
-    obj_cost, obj_rows = _objective_parts(structure, n)
-    n_obj = obj_cost.size
-
-    fit_cost = np.zeros(0)
-    fit_rows = []       # (u_coeffs, fit_aux_coeffs, rhs, sense)
+    obj_cost, obj_u, obj_t = norms.structure_norm_epigraph(structure, n)
     if mode == "regular" and problem.epsilon == 0.0:
-        for j in range(m):
-            fit_rows.append((a[j], np.zeros(0), y[j], "eq"))
-    elif problem.phi == "l1":
-        fit_cost = np.full(m, lam) if mode == "penalized" else np.zeros(m)
-        for j in range(m):
-            for sgn in (1.0, -1.0):
-                fc = np.zeros(m)
-                fc[j] = -1.0
-                fit_rows.append((sgn * a[j], fc, sgn * y[j], "le"))
-        if mode == "regular":
-            fit_rows.append((np.zeros(n), np.ones(m), problem.epsilon, "le"))
-    elif problem.phi == "linf":
-        if mode == "penalized":
-            fit_cost = np.array([lam])
-            for j in range(m):
-                for sgn in (1.0, -1.0):
-                    fit_rows.append((sgn * a[j], -np.ones(1), sgn * y[j], "le"))
+        fit_cost, fit_u, fit_aux, fit_h, sense = np.zeros(0), a, \
+            np.zeros((m, 0)), y, "eq"
+    elif problem.phi in ("l1", "linf"):
+        sign = np.tile([1.0, -1.0], m)
+        fit_u = np.repeat(a, 2, axis=0) * sign[:, None]
+        fit_h = np.repeat(y, 2) * sign
+        sense = "le"
+        if problem.phi == "l1":
+            fit_cost = np.full(m, lam) if mode == "penalized" else np.zeros(m)
+            fit_aux = np.zeros((2 * m, m))
+            fit_aux[np.arange(2 * m), np.repeat(np.arange(m), 2)] = -1.0
+            if mode == "regular":
+                fit_u = np.vstack([fit_u, np.zeros(n)])
+                fit_aux = np.vstack([fit_aux, np.ones(m)])
+                fit_h = np.append(fit_h, problem.epsilon)
+        elif mode == "penalized":
+            fit_cost, fit_aux = np.array([lam]), -np.ones((2 * m, 1))
         else:
-            for j in range(m):
-                for sgn in (1.0, -1.0):
-                    fit_rows.append((sgn * a[j], np.zeros(0),
-                                     sgn * y[j] + problem.epsilon, "le"))
+            fit_cost, fit_aux = np.zeros(0), np.zeros((2 * m, 0))
+            fit_h = fit_h + problem.epsilon
     else:
         raise UnsupportedNormError("phi=l2 has no exact LP form with epsilon > 0")
 
-    n_fit = fit_cost.size
-    nv = n + n_obj + n_fit
-    g_rows, h_vals, senses = [], [], []
-    for uc, ac, rhs in obj_rows:
-        row = np.zeros(nv)
-        row[:n] = uc
-        row[n: n + n_obj] = ac
-        g_rows.append(row)
-        h_vals.append(rhs)
-        senses.append("le")
-    for uc, fc, rhs, sense in fit_rows:
-        row = np.zeros(nv)
-        row[:n] = uc
-        row[n + n_obj:] = fc
-        g_rows.append(row)
-        h_vals.append(rhs)
-        senses.append(sense)
+    n_obj, n_fit = obj_cost.size, fit_cost.size
+    r_obj = obj_u.shape[0]
+    g = np.zeros((r_obj + fit_u.shape[0], n + n_obj + n_fit))
+    g[:r_obj, :n] = obj_u
+    g[:r_obj, n:n + n_obj] = obj_t
+    g[r_obj:, :n] = fit_u
+    g[r_obj:, n + n_obj:] = fit_aux
     c = np.concatenate([np.zeros(n), obj_cost, fit_cost])
     lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_obj + n_fit)])
-    return LinearProgram(c=c, G=np.array(g_rows), h=np.array(h_vals),
-                         senses=tuple(senses), lb=lb), n
+    return LinearProgram(c=c, G=g, h=np.concatenate([np.zeros(r_obj), fit_h]),
+                         senses=("le",) * r_obj + (sense,) * fit_u.shape[0],
+                         lb=lb), n
 
 
 def _finish(problem, structure, x, report, mode, lam=0.0):
@@ -317,10 +255,8 @@ def recover_penalized(problem, structure, lam, method="auto", tol=1e-8,
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
     use_lp = method == "lp" or (method == "auto"
-                                and structure.kind != "lowrank"
-                                and problem.phi in ("l1", "linf")
-                                and not (structure.kind == "group"
-                                         and "l2" in structure.block_norms))
+                                and _lp_solvable(structure, problem.phi,
+                                                 problem.epsilon, "penalized"))
     if use_lp:
         lp, n = _build_recovery_lp(problem, structure, "penalized", lam)
         x, report = solve_lp(lp)

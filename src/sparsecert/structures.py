@@ -30,8 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import norms
-from .norms import (dual_tag, knapsack_argmax, singular_values, sum_top,
-                    svd_descending, vector_norm)
+# singular_values is not called here but stays importable from this module,
+# where perfbench/spans.py wraps it
+from .norms import singular_values, svd_descending  # noqa: F401
 
 
 class StructureError(ValueError):
@@ -107,6 +108,15 @@ def _build_rep_map(structure):
         return RepresentationMap(matrix=b, identity_shortcut=ident)
     dim = structure.ambient_dim_e
     return RepresentationMap(matrix=np.eye(dim), identity_shortcut=True)
+
+
+def rep_matrix(structure, b=None):
+    """Dense matrix of B: ``b`` (a RepresentationMap or array-like) if given,
+    else the structure's canonical representation map."""
+    if b is None:
+        return _build_rep_map(structure).matrix
+    return b.matrix if hasattr(b, "matrix") else \
+        np.atleast_2d(np.asarray(b, dtype=float))
 
 
 def build_plain(n):
@@ -342,9 +352,10 @@ def best_sparse_approx(structure, w, s):
     """Best weight-<= s projector for w and the structure-norm residual.
 
     plain keeps the s largest magnitudes; group solves the retained-norm
-    knapsack exactly for integer weights (greedy upper bound otherwise,
-    flagged exact=False); lowrank truncates the SVD.  delta_x is
-    ||w - Pw|| in the structure norm.
+    knapsack exactly where ``norms.select_blocks`` can (integer weights, or
+    at most 25 blocks), else takes its greedy set, an upper bound flagged
+    exact=False; lowrank truncates the SVD.  delta_x is ||w - Pw|| in the
+    structure norm.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -357,19 +368,7 @@ def best_sparse_approx(structure, w, s):
         return SparseApprox(p, delta, True)
     if structure.kind == "group":
         vals = norms.group_block_norms(structure, w)
-        chi = np.asarray(structure.weights)
-        if norms._weights_are_integer(chi):
-            cap = int(math.floor(s + 1e-12))
-            _, mask = knapsack_argmax(vals, chi, cap)
-            exact = True
-        else:
-            mask = np.zeros(len(vals), dtype=bool)
-            budget = float(s)
-            for i in sorted(range(len(vals)), key=lambda j: -(vals[j] / chi[j])):
-                if chi[i] <= budget + 1e-12:
-                    mask[i] = True
-                    budget -= chi[i]
-            exact = False
+        _, mask, exact = norms.select_blocks(vals, structure.weights, s)
         p = group_projector(structure, np.nonzero(mask)[0])
         delta = float(vals[~mask].sum())
         return SparseApprox(p, delta, exact)

@@ -224,3 +224,156 @@ def joint_synthesis_lp_oracle(a, bmat, sizes, tags, chi, s):
         add([(lam + l, 2.0 * s)] + [(mu + k * kk + l, 2.0) for k in range(kk)]
             + [(g, -1.0)], 0.0)
     return np.array(rows), np.array(rhs), nh
+
+
+def _epigraph_rows_oracle(structure, n):
+    """The structure-norm epigraph row by row: (aux cost, [(u, aux, rhs)])."""
+    if structure.kind == "plain":
+        rows = []
+        for i in range(n):
+            for sgn in (1.0, -1.0):
+                uc = np.zeros(n)
+                uc[i] = sgn
+                ac = np.zeros(n)
+                ac[i] = -1.0
+                rows.append((uc, ac, 0.0))
+        return np.ones(n), rows
+    l1_mult = np.zeros(n)
+    for v, t in zip(structure.blocks, structure.block_norms):
+        if t == "l1":
+            for i in v:
+                l1_mult[i] += 1.0
+    l1_coords = [i for i in range(n) if l1_mult[i] > 0]
+    linf_blocks = [l for l, t in enumerate(structure.block_norms)
+                   if t == "linf"]
+    n_aux = len(l1_coords) + len(linf_blocks)
+    cost = np.concatenate([l1_mult[l1_coords], np.ones(len(linf_blocks))])
+    rows = []
+    for k, i in enumerate(l1_coords):
+        for sgn in (1.0, -1.0):
+            uc = np.zeros(n)
+            uc[i] = sgn
+            ac = np.zeros(n_aux)
+            ac[k] = -1.0
+            rows.append((uc, ac, 0.0))
+    for k, l in enumerate(linf_blocks):
+        for i in structure.blocks[l]:
+            for sgn in (1.0, -1.0):
+                uc = np.zeros(n)
+                uc[i] = sgn
+                ac = np.zeros(n_aux)
+                ac[len(l1_coords) + k] = -1.0
+                rows.append((uc, ac, 0.0))
+    return cost, rows
+
+
+def recovery_lp_oracle(problem, structure, mode, lam=0.0):
+    """The recovery LP assembled row by row: (c, G, h, senses, lb).
+
+    Variables [u | obj aux | fit aux]; rows: the norm epigraph, then the
+    data fit (equalities for regular recovery with epsilon = 0, else the
+    signed residual pairs per measurement and, for regular l1, the budget
+    row).  Plain and l1/linf group structures, phi l1/linf or epsilon = 0.
+    """
+    a, y = problem.a, problem.y
+    m, n = a.shape
+    obj_cost, obj_rows = _epigraph_rows_oracle(structure, n)
+    n_obj = obj_cost.size
+    fit_cost = np.zeros(0)
+    fit_rows = []       # (u_coeffs, fit_aux_coeffs, rhs, sense)
+    if mode == "regular" and problem.epsilon == 0.0:
+        for j in range(m):
+            fit_rows.append((a[j], np.zeros(0), y[j], "eq"))
+    elif problem.phi == "l1":
+        fit_cost = np.full(m, lam) if mode == "penalized" else np.zeros(m)
+        for j in range(m):
+            for sgn in (1.0, -1.0):
+                fc = np.zeros(m)
+                fc[j] = -1.0
+                fit_rows.append((sgn * a[j], fc, sgn * y[j], "le"))
+        if mode == "regular":
+            fit_rows.append((np.zeros(n), np.ones(m), problem.epsilon, "le"))
+    else:   # linf
+        if mode == "penalized":
+            fit_cost = np.array([lam])
+            for j in range(m):
+                for sgn in (1.0, -1.0):
+                    fit_rows.append((sgn * a[j], -np.ones(1), sgn * y[j], "le"))
+        else:
+            for j in range(m):
+                for sgn in (1.0, -1.0):
+                    fit_rows.append((sgn * a[j], np.zeros(0),
+                                     sgn * y[j] + problem.epsilon, "le"))
+    nv = n + n_obj + fit_cost.size
+    g_rows, h_vals, senses = [], [], []
+    for uc, ac, rhs in obj_rows:
+        row = np.zeros(nv)
+        row[:n] = uc
+        row[n: n + n_obj] = ac
+        g_rows.append(row)
+        h_vals.append(rhs)
+        senses.append("le")
+    for uc, fc, rhs, sense in fit_rows:
+        row = np.zeros(nv)
+        row[:n] = uc
+        row[n + n_obj:] = fc
+        g_rows.append(row)
+        h_vals.append(rhs)
+        senses.append(sense)
+    c = np.concatenate([np.zeros(n), obj_cost, fit_cost])
+    lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_obj + fit_cost.size)])
+    return c, np.array(g_rows), np.array(h_vals), tuple(senses), lb
+
+
+def group_bruteforce_lp_oracle(a, structure):
+    """The shared LP of the group brute force, row by row: (G, h, senses, lb).
+
+    Variables [z | per-coordinate l1 aux | per-block linf aux]; rows: A z = 0,
+    the epigraph pairs of the l1 coordinates then of the linf block members,
+    and the normalization row.
+    """
+    n = structure.n
+    m = a.shape[0]
+    blocks, tags = structure.blocks, structure.block_norms
+    l1_cover = sorted({i for v, t in zip(blocks, tags) if t == "l1" for i in v})
+    l1_pos = {i: r for r, i in enumerate(l1_cover)}
+    linf_blocks = [l for l, t in enumerate(tags) if t == "linf"]
+    linf_pos = {l: r for r, l in enumerate(linf_blocks)}
+    n_u, n_t = len(l1_cover), len(linf_blocks)
+    nv = n + n_u + n_t
+    rows, rhs, senses = [], [], []
+    for j in range(m):
+        row = np.zeros(nv)
+        row[:n] = a[j]
+        rows.append(row)
+        rhs.append(0.0)
+        senses.append("eq")
+    for i in l1_cover:
+        for sg in (1.0, -1.0):
+            row = np.zeros(nv)
+            row[i] = sg
+            row[n + l1_pos[i]] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+            senses.append("le")
+    for l in linf_blocks:
+        for i in blocks[l]:
+            for sg in (1.0, -1.0):
+                row = np.zeros(nv)
+                row[i] = sg
+                row[n + n_u + linf_pos[l]] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+                senses.append("le")
+    denom = np.zeros(nv)
+    for v, t in zip(blocks, tags):
+        if t == "l1":
+            for i in v:
+                denom[n + l1_pos[i]] += 1.0
+    for l in linf_blocks:
+        denom[n + n_u + linf_pos[l]] = 1.0
+    rows.append(denom)
+    rhs.append(1.0)
+    senses.append("le")
+    lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_u + n_t)])
+    return np.array(rows), np.array(rhs), tuple(senses), lb

@@ -170,9 +170,33 @@ def test_best_sparse_approx_group_real_weights_is_upper_bound(rng):
     for _ in range(20):
         w = rng.standard_normal(5)
         got = best_sparse_approx(st, w, 2.0)
-        assert not got.exact
-        # greedy residual can only be >= the true minimum
+        # up to 25 blocks the branch and bound gives the true minimum
+        assert got.exact
         assert got.delta_x >= best_group_approx_oracle(st, w, 2.0) - 1e-12
+        assert got.delta_x == pytest.approx(
+            best_group_approx_oracle(st, w, 2.0), abs=1e-12)
+
+
+def test_best_sparse_approx_real_weights_beats_greedy():
+    # greedy by norm/weight ratio keeps block 0 (2.3/1.1) and nothing else
+    # fits; the best set is blocks 1 and 2
+    st, _ = build_group([(0,), (1,), (2,)], weights=[1.1, 1.0, 1.0])
+    got = best_sparse_approx(st, np.array([2.3, 2.0, -2.0]), 2.0)
+    assert got.exact
+    assert got.delta_x == pytest.approx(2.3, abs=1e-12)
+    assert got.projector.block_set == frozenset({1, 2})
+
+
+def test_best_sparse_approx_many_real_weights_falls_back_to_greedy():
+    # past 25 non-integer weights the greedy set is used and flagged; the
+    # same trap as above makes it strictly worse than the best set
+    weights = [1.1, 1.0, 1.0] + [1.5] * 24
+    st, _ = build_group([(i,) for i in range(27)], weights=weights)
+    w = np.concatenate([[2.3, 2.0, 2.0], np.full(24, 0.1)])
+    got = best_sparse_approx(st, w, 2.0)
+    assert not got.exact
+    assert got.delta_x == pytest.approx(w.sum() - 2.3, abs=1e-12)
+    assert got.delta_x >= w.sum() - 4.0
 
 
 def test_best_sparse_approx_lowrank_truncates_svd(rng):

@@ -6,15 +6,23 @@ signed-support linear functional with one LP each (the max of finitely many
 linear maximizations is the max of the convex objective over the polytope).
 Group structures with l1/linf block norms get the analogous enumeration over
 inclusion-maximal block sets, per-coordinate signs on l1 blocks, and
-(representative, sign) choices on linf blocks.  l2 blocks and low rank leave
-the polyhedral world: there the search is Monte-Carlo plus projected ratio
+(representative, sign) choices on linf blocks.  The LPs of one enumeration
+share their feasible set and differ only in the cost, so they go through
+``solve_lp_costs``: one phase one per verdict, and each LP starts at the
+optimal basis of the one before.  l2 blocks and low rank leave the
+polyhedral world: there the search is Monte-Carlo plus projected ratio
 ascent on a kernel basis, which can certify badness (a witness is a witness)
 but never goodness, so those paths return a bracket instead of a value.
 
 Verdict semantics are uniform: gamma_value is the maximal retained fraction
   max_z  (worst-P retained mass of Bz) / ||Bz||,
-CertifiedGood needs an exhaustive method and gamma < 1/2 - 1e-9, ties at 1/2
+CertifiedGood needs an exhaustive method whose LPs all ended optimal and a
+certified upper bound max_k (value_k + delta_k) < 1/2 - 1e-9; ties at 1/2
 are CertifiedBad (two sparse signals share a measurement, non-uniqueness).
+An enumeration with an LP that did not end optimal reports at most a bracket,
+or CertifiedBad by witness.  ``details`` carries the LP count, the total
+pivots (``lp_iterations``), the largest per-LP gap (``lp_delta``) and
+``lps_not_optimal``.
 """
 
 from __future__ import annotations
@@ -25,17 +33,23 @@ import math
 import numpy as np
 
 from .. import norms, structures
-from ..engine import LinearProgram, Status, solve_lp
+from ..engine import LinearProgram, Status, solve_lp_costs
+# the benchmark's layer tracer (perfbench/spans.py) looks ``solve_lp`` up here
+from ..engine import solve_lp  # noqa: F401
 from .conditions import NullspaceVerdict, worst_condition_projector, _kernel_basis
 
 _LP_BUDGET = 20000
 _GOOD_MARGIN = 1e-9
 
 
-def _classify(structure, bmat, s, gamma, z, exhaustive, details):
-    """Map a found maximum (and maximizer z) to a verdict."""
+def _classify(structure, bmat, s, gamma, z, upper, details):
+    """Map a found maximum (and maximizer z) to a verdict.  ``upper`` is a
+    certified upper bound on the exact maximum, or None when the search was
+    not exhaustive."""
+    exhaustive = upper is not None
+    certified = exhaustive and upper < 0.5 - _GOOD_MARGIN
     if z is None or gamma <= 1e-15:
-        if exhaustive:
+        if certified:
             return NullspaceVerdict(status="CertifiedGood", s=s,
                                     gamma_value=0.0, details=details)
         return NullspaceVerdict(status="Unknown", s=s, bracket=(0.0, 1.0),
@@ -44,7 +58,7 @@ def _classify(structure, bmat, s, gamma, z, exhaustive, details):
     proj, lhs = worst_condition_projector(structure, w, s)
     retained = 0.5 * lhs
     total = norms.structure_norm(structure, w)
-    if exhaustive and gamma < 0.5 - _GOOD_MARGIN:
+    if certified:
         return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=gamma,
                                 witness=z, witness_projector=proj,
                                 details=details)
@@ -56,11 +70,39 @@ def _classify(structure, bmat, s, gamma, z, exhaustive, details):
                                 witness=z, witness_projector=proj,
                                 details=details)
     if exhaustive:
-        details = dict(details, note="maximum within 1e-9 of 1/2; too close to certify")
+        details = dict(details, note=f"certified upper bound {upper:.12g} is not "
+                       "below 1/2 - 1e-9; too close to certify")
         return NullspaceVerdict(status="Unknown", s=s, gamma_value=gamma,
                                 witness=z, details=details)
     return NullspaceVerdict(status="Unknown", s=s, bracket=(gamma, 1.0),
                             witness=z, details=details)
+
+
+def _maximize(lp, costs, witness):
+    """Maximize -c.x over the feasible set of ``lp`` for every c of
+    ``costs``, warm-started (``solve_lp_costs``).
+
+    Returns (best value, witness(x) at the best, upper, stats): ``upper`` is
+    max over the LPs of value + delta, a certified upper bound on the
+    maximum, or None when some LP did not end optimal, since its value is
+    then unknown.
+    """
+    best, best_z, upper = 0.0, None, 0.0
+    iterations = not_optimal = 0
+    gap = 0.0
+    for x, rep in solve_lp_costs(lp, costs):
+        iterations += rep.iterations
+        if rep.status is not Status.OPTIMAL:
+            not_optimal += 1
+            continue
+        val = -rep.objective
+        upper = max(upper, val + rep.delta)
+        gap = max(gap, rep.delta)
+        if val > best:
+            best, best_z = val, witness(x)
+    stats = {"lp_iterations": iterations, "lp_delta": gap,
+             "lps_not_optimal": not_optimal}
+    return best, best_z, None if not_optimal else upper, stats
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +136,21 @@ def _plain_bruteforce(a, structure, s):
     g[m, :] = 1.0
     h = np.zeros(m + 1)
     h[m] = 1.0
-    senses = ("eq",) * m + ("le",)
-    best, best_z = 0.0, None
-    for support in itertools.combinations(range(n), k):
-        for signs in itertools.product((1.0, -1.0), repeat=k - 1):
-            sigma = (1.0,) + signs  # z -> -z symmetry: pin the first sign
-            c = np.zeros(2 * n)
-            for i, sg in zip(support, sigma):
-                c[i] = -sg
-                c[n + i] = sg
-            x, rep = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses))
-            if rep.status != Status.OPTIMAL:
-                continue
-            val = -rep.objective
-            if val > best:
-                best = val
-                best_z = x[:n] - x[n:]
-    details = {"lp_count": count, "kernel_dim": null.shape[1]}
-    return _classify(structure, np.eye(n), s, best, best_z, True, details)
+    lp = LinearProgram(c=np.zeros(2 * n), G=g, h=h, senses=("eq",) * m + ("le",))
+
+    def costs():
+        for support in itertools.combinations(range(n), k):
+            for signs in itertools.product((1.0, -1.0), repeat=k - 1):
+                sigma = (1.0,) + signs  # z -> -z symmetry: pin the first sign
+                c = np.zeros(2 * n)
+                for i, sg in zip(support, sigma):
+                    c[i] = -sg
+                    c[n + i] = sg
+                yield c
+
+    best, best_z, upper, stats = _maximize(lp, costs(), lambda x: x[:n] - x[n:])
+    details = {"lp_count": count, "kernel_dim": null.shape[1], **stats}
+    return _classify(structure, np.eye(n), s, best, best_z, upper, details)
 
 
 # ---------------------------------------------------------------------------
@@ -148,49 +187,50 @@ def _group_lp_bruteforce(a, structure, bmat, s):
     g, h, senses, lb = _group_lp(a, structure)
     nv = lb.size
 
+    # per maximal block set: multiplicities of the l1-block coordinates, the
+    # coordinates that get a sign, and the linf blocks that pick a
+    # (representative, sign); the LP count is known before any LP runs
     proj_list = structures.enumerate_projectors(structure, s)
-    best, best_z = 0.0, None
+    plans = []
     lp_count = 0
     for proj in proj_list:
-        isel = sorted(proj.block_set)
         mult = np.zeros(n)
         linf_members = []
-        for l in isel:
+        for l in sorted(proj.block_set):
             if tags[l] == "l1":
-                for i in blocks[l]:
-                    mult[i] += 1.0
+                mult[list(blocks[l])] += 1.0
             else:
                 linf_members.append(blocks[l])
-        u1 = [i for i in range(n) if mult[i] > 0]
+        u1 = [int(i) for i in np.nonzero(mult > 0)[0]]
         combos = 2 ** max(len(u1) - (0 if linf_members else 1), 0)
         for v in linf_members:
             combos *= 2 * len(v)
-        if lp_count + combos > _LP_BUDGET:
-            return NullspaceVerdict(
-                status="Unknown", s=s,
-                details={"reason": "signed-support enumeration exceeds the LP budget"})
-        sign_space = itertools.product((1.0, -1.0), repeat=len(u1))
-        rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
-                     for v in linf_members]
-        for sigma in sign_space:
-            if not linf_members and u1 and sigma[0] < 0:
-                continue  # z -> -z symmetry
-            for picks in itertools.product(*rep_space):
-                c = np.zeros(nv)
-                for i, sg in zip(u1, sigma):
-                    c[i] -= mult[i] * sg
-                for i, sg in picks:
-                    c[i] -= sg
-                lp_count += 1
-                x, rep = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb))
-                if rep.status != Status.OPTIMAL:
-                    continue
-                val = -rep.objective
-                if val > best:
-                    best = val
-                    best_z = x[:n].copy()
-    details = {"lp_count": lp_count, "maximal_sets": len(proj_list)}
-    return _classify(structure, bmat, s, best, best_z, True, details)
+        lp_count += combos
+        plans.append((mult, u1, linf_members))
+    if lp_count > _LP_BUDGET:
+        return NullspaceVerdict(
+            status="Unknown", s=s,
+            details={"reason": f"{lp_count} signed supports exceed the LP budget"})
+
+    def costs():
+        for mult, u1, linf_members in plans:
+            rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
+                         for v in linf_members]
+            for sigma in itertools.product((1.0, -1.0), repeat=len(u1)):
+                if not linf_members and u1 and sigma[0] < 0:
+                    continue  # z -> -z symmetry
+                for picks in itertools.product(*rep_space):
+                    c = np.zeros(nv)
+                    for i, sg in zip(u1, sigma):
+                        c[i] -= mult[i] * sg
+                    for i, sg in picks:
+                        c[i] -= sg
+                    yield c
+
+    lp = LinearProgram(c=np.zeros(nv), G=g, h=h, senses=senses, lb=lb)
+    best, best_z, upper, stats = _maximize(lp, costs(), lambda x: x[:n].copy())
+    details = {"lp_count": lp_count, "maximal_sets": len(proj_list), **stats}
+    return _classify(structure, bmat, s, best, best_z, upper, details)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +354,12 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
         z, best = _ascent_search(
             null, lambda zz: _group_ratio_and_grad(structure, bmat, zz, s),
             seed)
-        return _classify(structure, bmat, s, best, z, False,
+        return _classify(structure, bmat, s, best, z, None,
                          {"method": "sampled ascent (l2 blocks)"})
     # lowrank
     if abs(s - round(s)) > 1e-9:
         raise ValueError("low-rank sparsity level must be an integer")
     z, best = _ascent_search(
         null, lambda zz: _lowrank_ratio_and_grad(structure, zz, s), seed)
-    return _classify(structure, bmat, s, best, z, False,
+    return _classify(structure, bmat, s, best, z, None,
                      {"method": "Monte-Carlo + projected ascent"})

@@ -14,6 +14,12 @@ deterministic.  Optimal bases are re-verified against the untouched data and
 a run that lost feasibility to roundoff is retried under Bland ordering
 rather than reported as solved.
 
+``solve_lp_costs`` minimizes a sequence of cost vectors over one feasible
+set: phase one runs once, and each later solve starts phase two at the basis
+the previous one ended on, with the tableau re-formed from the untouched
+standard form at that basis.  ``solve_lp`` is the one-cost case of the same
+two phases.
+
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
 near-optimality estimate; infeasible problems a Farkas vector; unbounded
@@ -23,7 +29,7 @@ attached under ``report.standard``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -100,49 +106,41 @@ class _Standard:
     """Equality-form problem plus the bookkeeping to map back."""
 
     def __init__(self, lp):
-        n = lp.c.size
-        # variable transform x = off + S z, z >= 0
-        cols = []        # (orig index, sign)
-        off = np.zeros(n)
-        upper_rows = []  # (z column, range) for doubly bounded variables
-        self.bad_bound = None
-        for j in range(n):
-            lo, hi = lp.lb[j], lp.ub[j]
-            if lo > hi + _TOL:
-                self.bad_bound = j
-                return
-            if np.isfinite(lo):
-                off[j] = lo
-                cols.append((j, 1.0))
-                if np.isfinite(hi):
-                    upper_rows.append((len(cols) - 1, max(hi - lo, 0.0)))
-            elif np.isfinite(hi):
-                off[j] = hi
-                cols.append((j, -1.0))
-            else:
-                cols.append((j, 1.0))
-                cols.append((j, -1.0))
-        nz = len(cols)
-        self.cols = cols
-        self.off = off
-        self.const = float(lp.c @ off)
+        self.warnings = []  # phase one's notes on this form, shown by every solve
+        lo, hi = lp.lb, lp.ub
+        bad = np.nonzero(lo > hi + _TOL)[0]
+        self.bad_bound = int(bad[0]) if bad.size else None
+        if bad.size:
+            return
+        # variable transform x = off + S z, z >= 0: a finite lower bound
+        # shifts, an upper bound alone mirrors, a free variable splits in two
+        # columns (+, -); a doubly bounded one gets a row z <= hi - lo
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        free = ~fin_lo & ~fin_hi
+        width = 1 + free.astype(int)
+        first = np.cumsum(width) - width       # first z column of each variable
+        self.var = np.repeat(np.arange(lp.c.size), width)
+        self.sign = np.ones(self.var.size)
+        self.sign[first[~fin_lo & fin_hi]] = -1.0
+        self.sign[first[free] + 1] = -1.0
+        self.off = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
+        boxed = fin_lo & fin_hi
+        span = hi[boxed] - lo[boxed]
+        span = np.where(span < 0.0, 0.0, span)
+        nz, m0, nb = self.var.size, lp.G.shape[0], span.size
 
-        g = np.zeros((lp.G.shape[0] + len(upper_rows), nz))
-        for k, (j, sgn) in enumerate(cols):
-            g[: lp.G.shape[0], k] = sgn * lp.G[:, j]
-        h = np.concatenate([lp.h - lp.G @ off,
-                            [r for _, r in upper_rows]])
-        senses = list(lp.senses)
-        for k, (zc, _) in enumerate(upper_rows):
-            g[lp.G.shape[0] + k, zc] = 1.0
-            senses.append("le")
-        self.n_orig_rows = lp.G.shape[0]
+        g = np.zeros((m0 + nb, nz))
+        g[:m0] = lp.G[:, self.var] * self.sign
+        g[m0 + np.arange(nb), first[boxed]] = 1.0
+        h = np.concatenate([lp.h - lp.G @ self.off, span])
+        senses = np.array(lp.senses + ("le",) * nb, dtype=object)
+        self.n_orig_rows = m0
 
         m = g.shape[0]
-        slack_rows = [i for i, s in enumerate(senses) if s != "eq"]
-        a = np.hstack([g, np.zeros((m, len(slack_rows)))])
-        for k, i in enumerate(slack_rows):
-            a[i, nz + k] = 1.0 if senses[i] == "le" else -1.0
+        slack_rows = np.nonzero(senses != "eq")[0]
+        a = np.hstack([g, np.zeros((m, slack_rows.size))])
+        a[slack_rows, nz + np.arange(slack_rows.size)] = \
+            np.where(senses[slack_rows] == "le", 1.0, -1.0)
         self.row_sign = np.ones(m)
         b = h.copy()
         neg = b < 0
@@ -151,15 +149,19 @@ class _Standard:
         self.row_sign[neg] = -1.0
         self.A = a
         self.b = b
-        self.c = np.concatenate([np.array([sgn * lp.c[j] for j, sgn in cols]),
-                                 np.zeros(len(slack_rows))])
         self.nz = nz
+        self.c = self.costs(lp.c)[0]
         self.kept_rows = np.arange(m)  # narrowed if redundant rows get dropped
+
+    def costs(self, c):
+        """Equality-form cost vector and constant offset of the cost ``c``."""
+        c_std = np.zeros(self.A.shape[1])
+        c_std[: self.nz] = self.sign * c[self.var]
+        return c_std, float(c @ self.off)
 
     def x_original(self, z):
         x = self.off.copy()
-        for k, (j, sgn) in enumerate(self.cols):
-            x[j] += sgn * z[k]
+        np.add.at(x, self.var, self.sign * z)
         return x
 
     def drop_row(self, local_i):
@@ -176,7 +178,7 @@ class _Standard:
 
 
 class _Tableau:
-    def __init__(self, a, b, basis):
+    def __init__(self, a, b, basis, pivot):
         m, n = a.shape
         self.T = np.zeros((m + 1, n + 1))
         self.T[:m, :n] = a
@@ -185,8 +187,8 @@ class _Tableau:
         self.n = n
         self.m = m
         self.iterations = 0
-        self.bland = False
-        self.forced_bland = False
+        self.forced_bland = pivot == "bland"
+        self.bland = self.forced_bland
         self._streak = 0
 
     def set_costs(self, c):
@@ -289,17 +291,11 @@ def _duals(std, basis, costs):
         return np.linalg.lstsq(bmat.T, costs[basis], rcond=None)[0]
 
 
-def solve_lp(lp, maxiter=20000, pivot="dantzig"):
-    """Solve the LP; returns (x, SolveReport).  x is None unless a basic
-    feasible point was reached (optimal or iteration-capped).
-
-    pivot="dantzig" (default) switches to Bland's rule only after a run of
-    degenerate steps; pivot="bland" uses Bland's rule from the first step,
-    giving an independently-ordered solve useful for cross-checking.
-    """
-    if pivot not in ("dantzig", "bland"):
-        raise ValueError("pivot must be 'dantzig' or 'bland'")
-    std = _Standard(lp)
+def _phase_one(std, maxiter, pivot):
+    """Phase one on ``std``: returns (tableau, None) with a basis of
+    structural columns, ready for phase two, or (None, report) when the
+    feasible set is empty or phase one hit the iteration cap.  Redundant
+    equality rows are dropped from ``std``, whose ``warnings`` says so."""
     if std.bad_bound is not None:
         return None, SolveReport(
             status=Status.INFEASIBLE,
@@ -319,10 +315,7 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
         a_work[i, ncols + k] = 1.0
         basis[i] = ncols + k
 
-    tab = _Tableau(a_work, std.b, basis)
-    tab.forced_bland = pivot == "bland"
-    tab.bland = tab.forced_bland
-    warnings = []
+    tab = _Tableau(a_work, std.b, basis, pivot)
 
     if n_art:
         cost1 = np.zeros(ncols + n_art)
@@ -364,12 +357,47 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
             tab.m -= len(drop)
             for i in sorted(drop, reverse=True):
                 std.drop_row(i)
-            warnings.append(f"dropped {len(drop)} redundant row(s)")
+            std.warnings.append(f"dropped {len(drop)} redundant row(s)")
+    return tab, None
 
-    allowed = np.zeros(a_work.shape[1], dtype=bool)
+
+def _solves(bmat, zb, b):
+    """Whether zb is a nonnegative solution of bmat zb = b to tolerance."""
+    resid = float(np.max(np.abs(bmat @ zb - b)))
+    return zb.min() >= -1e-9 and resid <= 1e-7 * (1.0 + float(np.abs(b).max()))
+
+
+def _warm_tableau(std, basis, pivot):
+    """Tableau of ``std`` at ``basis`` re-formed from the untouched data (one
+    m x m solve), so no pivot roundoff carries over from earlier solves.
+    None when that basis is singular or its point fails ``_solves``."""
+    m, ncols = std.A.shape
+    if m:
+        bmat = std.A[:, basis]
+        try:
+            t = np.linalg.solve(bmat, np.column_stack([std.A, std.b]))
+        except np.linalg.LinAlgError:
+            return None
+        zb = t[:, ncols]
+        if not _solves(bmat, zb, std.b):
+            return None
+        t[:, basis] = np.eye(m)
+        t[:, ncols] = np.maximum(zb, 0.0)
+    else:
+        t = np.zeros((0, ncols + 1))
+    return _Tableau(t[:, :ncols], t[:, ncols], basis, pivot)
+
+
+def _phase_two(lp, std, tab, cost, maxiter, pivot):
+    """Minimize ``cost`` from the feasible basis of ``tab`` and certify the
+    outcome against the untouched standard form; returns (x, SolveReport)."""
+    ncols = std.A.shape[1]
+    c_std, const = std.costs(cost)
+    warnings = list(std.warnings)
+    allowed = np.zeros(tab.n, dtype=bool)
     allowed[:ncols] = True
-    cost2 = np.zeros(a_work.shape[1])
-    cost2[:ncols] = std.c
+    cost2 = np.zeros(tab.n)
+    cost2[:ncols] = c_std
     tab.set_costs(cost2)
     outcome, unb_col = tab.run(allowed, maxiter - tab.iterations)
 
@@ -380,16 +408,14 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
         # returns garbage, not an error, on near-singular bases)
         try:
             zb = np.linalg.solve(std.A[:, tab.basis], std.b)
-            resid = float(np.max(np.abs(std.A[:, tab.basis] @ zb - std.b)))
-            if zb.min() >= -1e-9 and \
-                    resid <= 1e-7 * (1.0 + float(np.abs(std.b).max())):
+            if _solves(std.A[:, tab.basis], zb, std.b):
                 z_full = np.zeros_like(z_full)
                 z_full[tab.basis] = np.maximum(zb, 0.0)
         except np.linalg.LinAlgError:
             pass
     z = z_full[:ncols]
     x = std.x_original(z[: std.nz])
-    obj = float(std.c @ z + std.const)
+    obj = float(c_std @ z + const)
 
     if outcome == "unbounded":
         ray = np.zeros(ncols)
@@ -399,19 +425,19 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
                 ray[jb] = -tab.T[i, unb_col]
         ray_x = std.x_original(ray[: std.nz]) - std.off
         cert = {"kind": "ray", "ray": ray_x, "ray_standard": ray,
-                "descent": float(std.c @ ray)}
+                "descent": float(c_std @ ray)}
         return x, SolveReport(status=Status.UNBOUNDED, iterations=tab.iterations,
                               certificate=cert, used_bland=tab.bland,
                               warnings=warnings,
-                              standard={"A": std.A, "b": std.b, "c": std.c})
+                              standard={"A": std.A, "b": std.b, "c": c_std})
 
-    y = _duals(std, tab.basis, std.c)
-    reduced = std.c - std.A.T @ y
+    y = _duals(std, tab.basis, c_std)
+    reduced = c_std - std.A.T @ y
     primal_resid = float(np.max(np.abs(std.A @ z - std.b))) if std.b.size else 0.0
     primal_resid = max(primal_resid, float(max(0.0, -z.min())) if z.size else 0.0)
     dual_infeas = float(max(0.0, -reduced.min())) if reduced.size else 0.0
     comp = float(np.max(np.abs(z * reduced))) if z.size else 0.0
-    dual_obj = float(y @ std.b) + std.const if std.b.size else std.const
+    dual_obj = float(y @ std.b) + const if std.b.size else const
     # certified near-optimality: duality gap plus a cushion for any tiny dual
     # infeasibility (scaled by the iterate's l1 mass; fp-level in practice)
     delta = max(0.0, obj - dual_obj) + dual_infeas * (1.0 + float(np.abs(z).sum()))
@@ -422,7 +448,8 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
         # the basic point claimed optimal is not feasible: never report it as
         # solved; one Bland-ordered rerun usually lands on a clean basis
         if pivot == "dantzig":
-            x2, rep2 = solve_lp(lp, maxiter=maxiter, pivot="bland")
+            x2, rep2 = solve_lp(replace(lp, c=cost), maxiter=maxiter, pivot="bland")
+            rep2.iterations += tab.iterations  # the discarded pivots
             rep2.warnings.append(
                 "default pivoting lost feasibility; reran under Bland's rule")
             return x2, rep2
@@ -434,5 +461,56 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
                    "comp_slack": comp},
         dual=std.dual_original(y), delta=float(delta), used_bland=tab.bland,
         warnings=warnings,
-        standard={"A": std.A, "b": std.b, "c": std.c, "x": z, "y": y})
+        standard={"A": std.A, "b": std.b, "c": c_std, "x": z, "y": y})
     return x, report
+
+
+def solve_lp(lp, maxiter=20000, pivot="dantzig"):
+    """Solve the LP; returns (x, SolveReport).  x is None unless a basic
+    feasible point was reached (optimal or iteration-capped).
+
+    pivot="dantzig" (default) switches to Bland's rule only after a run of
+    degenerate steps; pivot="bland" uses Bland's rule from the first step,
+    giving an independently-ordered solve useful for cross-checking.
+    """
+    return next(solve_lp_costs(lp, [lp.c], maxiter, pivot))
+
+
+def solve_lp_costs(lp, costs, maxiter=20000, pivot="dantzig"):
+    """Minimize each cost vector of ``costs`` over the feasible set of ``lp``
+    (``lp.c`` is ignored); yields (x, SolveReport) per cost, in order.
+
+    Phase one runs once, before the first cost.  Each later solve starts at
+    the basis the previous one ended on, with the tableau re-formed from the
+    untouched standard-form data (one m x m solve), so roundoff does not
+    build up over many solves; a basis that fails that re-forming falls back
+    to a fresh phase one.  Every report carries what ``solve_lp``'s does:
+    re-verified point, duals, ``delta``, the Bland rerun (a cold
+    ``solve_lp(..., pivot="bland")`` on that cost), Farkas vector or ray.
+    ``maxiter`` caps each solve; ``iterations`` counts the pivots of that
+    solve, phase one included in the solve that ran it, so the reports sum
+    to the total, a discarded run before a Bland rerun included.  The first
+    solve is the one ``solve_lp`` makes.
+    """
+    if pivot not in ("dantzig", "bland"):
+        raise ValueError("pivot must be 'dantzig' or 'bland'")
+    n = lp.c.size
+    std = _Standard(lp)
+    tab = stop = None
+    for cost in costs:
+        cost = np.asarray(cost, dtype=float).ravel()
+        if cost.size != n or not np.all(np.isfinite(cost)):
+            raise ValueError(f"each cost must be {n} finite numbers")
+        if tab is None and stop is None:
+            tab, stop = _phase_one(std, maxiter, pivot)
+            first = True
+        if stop is not None:
+            yield None, replace(
+                stop, iterations=stop.iterations if first else 0,
+                standard=stop.standard and dict(stop.standard,
+                                                c=std.costs(cost)[0]))
+            first = False
+            continue
+        x, rep = _phase_two(lp, std, tab, cost, maxiter, pivot)
+        yield x, rep
+        tab = _warm_tableau(std, tab.basis, pivot)

@@ -377,3 +377,60 @@ def group_bruteforce_lp_oracle(a, structure):
     senses.append("le")
     lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_u + n_t)])
     return np.array(rows), np.array(rhs), tuple(senses), lb
+
+
+def standard_form_oracle(lp, tol=1e-9):
+    """Equality standard form of ``lp`` built column by column: (A, b, c,
+    x_original), or None when some lower bound exceeds its upper bound.
+
+    Finite lower bounds shift, an upper bound alone mirrors, a free variable
+    splits into (+, -) columns and a doubly bounded one adds a row
+    z <= hi - lo; then one slack column per inequality row, and rows with a
+    negative right-hand side are negated.  ``x_original(z)`` maps the
+    structural columns back.
+    """
+    n = lp.c.size
+    cols, off, upper_rows = [], np.zeros(n), []
+    for j in range(n):
+        lo, hi = lp.lb[j], lp.ub[j]
+        if lo > hi + tol:
+            return None
+        if np.isfinite(lo):
+            off[j] = lo
+            cols.append((j, 1.0))
+            if np.isfinite(hi):
+                upper_rows.append((len(cols) - 1, max(hi - lo, 0.0)))
+        elif np.isfinite(hi):
+            off[j] = hi
+            cols.append((j, -1.0))
+        else:
+            cols.append((j, 1.0))
+            cols.append((j, -1.0))
+    nz, m0 = len(cols), lp.G.shape[0]
+    g = np.zeros((m0 + len(upper_rows), nz))
+    for k, (j, sgn) in enumerate(cols):
+        g[:m0, k] = sgn * lp.G[:, j]
+    h = np.concatenate([lp.h - lp.G @ off, [r for _, r in upper_rows]])
+    senses = list(lp.senses)
+    for k, (zc, _) in enumerate(upper_rows):
+        g[m0 + k, zc] = 1.0
+        senses.append("le")
+    m = g.shape[0]
+    slack_rows = [i for i, s in enumerate(senses) if s != "eq"]
+    a = np.hstack([g, np.zeros((m, len(slack_rows)))])
+    for k, i in enumerate(slack_rows):
+        a[i, nz + k] = 1.0 if senses[i] == "le" else -1.0
+    b = h.copy()
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    c = np.concatenate([np.array([sgn * lp.c[j] for j, sgn in cols]),
+                        np.zeros(len(slack_rows))])
+
+    def x_original(z):
+        x = off.copy()
+        for k, (j, sgn) in enumerate(cols):
+            x[j] += sgn * z[k]
+        return x
+
+    return a, b, c, x_original

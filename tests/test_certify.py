@@ -86,6 +86,85 @@ def test_group_bruteforce_l1_blocks_exhaustive(rng):
     assert 0.0 <= v.gamma_value <= 1.0 + 1e-9
 
 
+def _good_instances():
+    """(a, structure, rep, s) whose exhaustive verdict is CertifiedGood."""
+    st, rep = structures.build_plain(3)
+    yield np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), st, rep, 1
+    blocks = [(0, 1), (2, 3), (4, 5)]
+    for tag, seed in (("l1", 1), ("linf", 4)):
+        st, rep = structures.build_group(blocks, block_norm=tag)
+        yield np.random.default_rng(seed).standard_normal((4, 6)), st, rep, 1
+
+
+def _patch_reports(monkeypatch, change):
+    """Let ``change(index, x, report)`` rewrite the brute-force LP results."""
+    from sparsecert.certify import bruteforce
+    real = bruteforce.solve_lp_costs
+
+    def patched(lp, costs, **kwargs):
+        for i, (x, rep) in enumerate(real(lp, costs, **kwargs)):
+            yield change(i, x, rep)
+
+    monkeypatch.setattr(bruteforce, "solve_lp_costs", patched)
+
+
+def test_bruteforce_details_report_pivots_and_gaps():
+    for a, st, rep, s in _good_instances():
+        v = gamma_s_bruteforce(a, st, s, b=rep)
+        assert v.status == "CertifiedGood"
+        d = v.details
+        assert d["lp_iterations"] >= d["lp_count"] > 0
+        assert 0.0 <= d["lp_delta"] <= 1e-12 and d["lps_not_optimal"] == 0
+
+
+def test_bruteforce_unsolved_lp_blocks_a_good_verdict(monkeypatch):
+    """An LP that stops at its cap leaves its value unknown: the verdict
+    can no longer be exhaustive."""
+    from sparsecert.engine import SolveReport, Status
+
+    def second_stalls(i, x, rep):
+        if i == 1:
+            return x, SolveReport(status=Status.MAXITER, iterations=7)
+        return x, rep
+
+    _patch_reports(monkeypatch, second_stalls)
+    for a, st, rep, s in _good_instances():
+        v = gamma_s_bruteforce(a, st, s, b=rep)
+        assert v.status == "Unknown" and v.bracket[1] == 1.0
+        assert v.details["lps_not_optimal"] == 1
+
+
+def test_bruteforce_good_verdict_needs_the_certified_bound(monkeypatch):
+    """CertifiedGood is decided on max(value + delta), not on the values."""
+    def loose(i, x, rep):
+        rep.delta = 0.5 if i == 0 else rep.delta
+        return x, rep
+
+    _patch_reports(monkeypatch, loose)
+    for a, st, rep, s in _good_instances():
+        v = gamma_s_bruteforce(a, st, s, b=rep)
+        assert v.status == "Unknown" and v.gamma_value < 0.5
+        assert v.details["lp_delta"] == 0.5
+
+
+def test_group_bruteforce_checks_the_budget_before_any_lp(monkeypatch):
+    """15 maximal block sets of 8 LPs each: over a budget of 100 the
+    enumeration refuses before solving the first LP."""
+    from sparsecert.certify import bruteforce
+
+    def no_lp(lp, costs, **kwargs):
+        raise AssertionError("an LP was solved")
+        yield
+
+    monkeypatch.setattr(bruteforce, "_LP_BUDGET", 100)
+    monkeypatch.setattr(bruteforce, "solve_lp_costs", no_lp)
+    st, rep = structures.build_group([(2 * i, 2 * i + 1) for i in range(6)],
+                                     block_norm="l1")
+    a = np.random.default_rng(0).standard_normal((8, 12))
+    v = gamma_s_bruteforce(a, st, 2, b=rep)
+    assert v.status == "Unknown" and "120" in v.details["reason"]
+
+
 def test_group_bruteforce_l2_blocks_only_brackets(rng):
     """Sampled ascent cannot certify goodness; it returns a bracket."""
     st, rep = structures.build_group([(0, 1), (2, 3)], block_norm="l2")

@@ -196,6 +196,10 @@ def test_nullspace_verdicts(tmp_path):
     doc = json.loads(bad.stdout)
     assert doc["status"] == "CertifiedBad"
     assert doc["gamma_value"] == pytest.approx(0.5, abs=1e-9)
+    details = doc["details"]
+    assert details["lp_iterations"] >= details["lp_count"] == 5
+    assert 0.0 <= details["lp_delta"] <= 1e-12
+    assert details["lps_not_optimal"] == 0
 
 
 def test_bound_evaluates_closed_form(tmp_path):

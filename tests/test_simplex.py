@@ -4,9 +4,12 @@ status/certificate contract."""
 import numpy as np
 import pytest
 
-from sparsecert.engine import LinearProgram, Status, solve_lp
+from sparsecert import structures
+from sparsecert.engine import LinearProgram, Status, solve_lp, solve_lp_costs
+from sparsecert.engine.simplex import _Standard
+from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
-from oracles import vertex_enumeration_lp
+from oracles import standard_form_oracle, vertex_enumeration_lp
 
 
 def random_feasible_lp(rng, n=None, m=None):
@@ -151,3 +154,202 @@ def test_report_residuals_small(rng):
         lp = random_feasible_lp(rng)
         x, rep = solve_lp(lp)
         assert rep.residuals["primal"] <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# standard form and warm-started cost sequences
+
+
+def mixed_bounds_lp(rng, n, m, redundant=False):
+    """Feasible LP around a point x0 whose variables are free, lower-bounded,
+    upper-bounded or doubly bounded, in random order; ``redundant`` repeats
+    the first row as an equality."""
+    g = rng.standard_normal((m, n))
+    x0 = rng.uniform(-1.0, 1.5, size=n)
+    senses = [("le", "ge", "eq")[rng.integers(0, 3)] for _ in range(m)]
+    h = g @ x0
+    for i, s in enumerate(senses):
+        h[i] += {"le": 1.0, "ge": -1.0, "eq": 0.0}[s] * rng.uniform(0.1, 1.0)
+    if redundant:
+        senses[0] = "eq"
+        h[0] = g[0] @ x0
+        g, h, senses = np.vstack([g, g[:1]]), np.append(h, h[0]), senses + ["eq"]
+    kind = rng.integers(0, 4, size=n)
+    lb = np.where(kind % 2 == 0, -np.inf, x0 - rng.uniform(0.0, 2.0, size=n))
+    ub = np.where(kind < 2, np.inf, x0 + rng.uniform(0.0, 2.0, size=n))
+    return LinearProgram(c=rng.standard_normal(n), G=g, h=h, senses=senses,
+                         lb=lb, ub=ub)
+
+
+def test_standard_form_matches_column_by_column_reference(rng):
+    for trial in range(60):
+        lp = mixed_bounds_lp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        if trial % 5 == 0:
+            lp.h = lp.h - 10.0       # negative right-hand sides flip rows
+        a_ref, b_ref, c_ref, x_original = standard_form_oracle(lp)
+        std = _Standard(lp)
+        assert np.array_equal(std.A, a_ref) and np.array_equal(std.b, b_ref)
+        assert np.array_equal(std.c, c_ref)
+        z = rng.uniform(0.0, 2.0, size=c_ref.size)
+        assert np.array_equal(std.x_original(z[: std.nz]), x_original(z))
+        x, rep = solve_lp(lp)
+        if not rep.warnings:         # no redundant row was dropped
+            assert np.array_equal(rep.standard["A"], a_ref)
+            assert np.array_equal(rep.standard["b"], b_ref)
+            assert np.array_equal(rep.standard["c"], c_ref)
+        if rep.status is Status.OPTIMAL:
+            assert np.array_equal(x, x_original(rep.standard["x"]))
+    crossed = LinearProgram(c=[1.0, 1.0], G=np.zeros((0, 2)), h=[],
+                            lb=[0.0, 2.0], ub=[1.0, 1.0])
+    assert standard_form_oracle(crossed) is None
+    _, rep = solve_lp(crossed)
+    assert rep.certificate == {"kind": "bounds", "index": 1}
+
+
+def _assert_same_as_cold(lp, costs):
+    """solve_lp_costs against one cold solve_lp per cost; returns the warm
+    reports."""
+    reports = []
+    for cost, (x, rep) in zip(costs, solve_lp_costs(lp, costs), strict=True):
+        x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
+                                              senses=lp.senses, lb=lp.lb, ub=lp.ub))
+        assert rep.status is cold.status
+        if rep.status is Status.OPTIMAL:
+            assert rep.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert float(np.dot(cost, x)) == pytest.approx(rep.objective, abs=1e-9)
+            assert 0.0 <= rep.delta <= 1e-9
+            assert rep.residuals["primal"] <= 1e-9
+            assert np.all(x >= lp.lb - 1e-9) and np.all(x <= lp.ub + 1e-9)
+        reports.append(rep)
+    return reports
+
+
+def test_cost_sequence_matches_cold_solves(rng):
+    seen = set()
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
+        costs = [rng.standard_normal(n) for _ in range(12)]
+        seen.update(r.status for r in _assert_same_as_cold(lp, costs))
+    assert Status.OPTIMAL in seen and Status.UNBOUNDED in seen
+
+
+def test_cost_sequence_first_solve_is_the_cold_solve(rng):
+    lp = mixed_bounds_lp(rng, 5, 6)
+    cost = rng.standard_normal(5)
+    x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
+                                          senses=lp.senses, lb=lp.lb, ub=lp.ub))
+    (x, rep), = solve_lp_costs(lp, [cost])
+    assert np.array_equal(x, x_cold) and rep.iterations == cold.iterations
+    assert rep.objective == cold.objective
+
+
+def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
+    """A basis that cannot be re-formed sends the next cost through phase
+    one again, which makes that solve the cold one, pivot for pivot."""
+    from sparsecert.engine import simplex
+    monkeypatch.setattr(simplex, "_warm_tableau", lambda std, basis, pivot: None)
+    lp = mixed_bounds_lp(rng, 5, 6)
+    costs = [rng.standard_normal(5) for _ in range(6)]
+    for cost, (x, rep) in zip(costs, solve_lp_costs(lp, costs)):
+        x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
+                                              senses=lp.senses, lb=lp.lb, ub=lp.ub))
+        assert rep.status is cold.status and rep.iterations == cold.iterations
+        assert np.array_equal(x, x_cold)
+
+
+def test_bland_rerun_counts_the_discarded_pivots(rng, monkeypatch):
+    """A Dantzig solve whose optimal point fails the feasibility check is
+    rerun under Bland's rule; the report counts the pivots of both runs."""
+    from sparsecert.engine import simplex
+    lp = mixed_bounds_lp(rng, 5, 6)
+    dantzig = solve_lp(lp)[1]
+    bland = solve_lp(lp, pivot="bland")[1]
+    assert dantzig.status is Status.OPTIMAL and dantzig.iterations > 0
+    real = simplex._Tableau.solution
+
+    def corrupted(tab):
+        z = real(tab)
+        return z if tab.forced_bland else z - 1.0
+
+    monkeypatch.setattr(simplex._Tableau, "solution", corrupted)
+    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
+    _, rep = solve_lp(lp)
+    assert rep.status is Status.OPTIMAL and rep.used_bland
+    assert any("reran under Bland" in w for w in rep.warnings)
+    assert rep.iterations == dantzig.iterations + bland.iterations
+
+
+def test_cost_sequence_drops_a_redundant_row(rng):
+    for _ in range(10):
+        lp = mixed_bounds_lp(rng, 4, 4, redundant=True)
+        costs = [rng.standard_normal(4) for _ in range(8)]
+        reports = _assert_same_as_cold(lp, costs)
+        rows = lp.G.shape[0] - 1 + int(np.sum(np.isfinite(lp.lb) & np.isfinite(lp.ub)))
+        for rep in reports:
+            # every report built on the reduced form says it was reduced
+            assert "dropped 1 redundant row(s)" in rep.warnings
+            assert rep.standard["A"].shape[0] == rows
+
+
+def test_cost_sequence_on_an_empty_set_reports_farkas_every_time():
+    # x1 + x2 <= -1 with x >= 0 is empty
+    lp = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[-1.0])
+    costs = [[1.0, 0.0], [-1.0, 2.0], [0.0, 0.0]]
+    out = list(solve_lp_costs(lp, costs))
+    assert len(out) == 3
+    for cost, (x, rep) in zip(costs, out):
+        assert x is None and rep.status is Status.INFEASIBLE
+        y, std = rep.certificate["y"], rep.standard
+        assert y @ std["b"] > 1e-9 and np.max(y @ std["A"]) <= 1e-9
+        assert np.array_equal(std["c"][:2], cost)
+    # phase one ran once; its pivots are counted on the first report
+    assert out[0][1].iterations == solve_lp(lp)[1].iterations
+    assert [rep.iterations for _, rep in out[1:]] == [0, 0]
+
+
+def test_cost_sequence_unbounded_then_bounded():
+    # x2 <= 1, x >= 0: x1 is unbounded above
+    lp = LinearProgram(c=[0.0, 0.0], G=[[0.0, 1.0]], h=[1.0])
+    costs = [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0], [-1.0, -1.0], [2.0, -3.0]]
+    reports = _assert_same_as_cold(lp, costs)
+    assert [r.status for r in reports] == [
+        Status.UNBOUNDED, Status.OPTIMAL, Status.OPTIMAL, Status.UNBOUNDED,
+        Status.OPTIMAL]
+    assert reports[0].certificate["descent"] < 0
+    assert reports[2].objective == pytest.approx(0.0)
+    assert reports[4].objective == pytest.approx(-3.0)
+    # no rows at all: x >= 0 only
+    free_lp = LinearProgram(c=[0.0, 0.0], G=np.zeros((0, 2)), h=[])
+    reports = _assert_same_as_cold(free_lp, [[1.0, 2.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert [r.status for r in reports] == [
+        Status.OPTIMAL, Status.UNBOUNDED, Status.OPTIMAL]
+
+
+def test_cost_sequence_rejects_a_bad_cost():
+    lp = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[1.0])
+    with pytest.raises(ValueError):
+        list(solve_lp_costs(lp, [[1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError):
+        list(solve_lp_costs(lp, [[1.0, np.nan]]))
+    with pytest.raises(ValueError):
+        list(solve_lp_costs(lp, [[1.0, 0.0]], pivot="steepest"))
+
+
+def test_recovery_lp_pivots_pinned():
+    """Splitting solve_lp into its two phases keeps its pivot sequence: a
+    seeded recovery LP takes the 93 pivots and reaches the objective it did
+    before the split."""
+    r = np.random.default_rng(11)
+    n, m = 30, 15
+    st, rep = structures.build_plain(n)
+    a = r.standard_normal((m, n))
+    x = np.zeros(n)
+    x[[3, 17, 22]] = [1.0, -2.0, 0.5]
+    prob = RecoveryProblem(a=a, b=rep, y=a @ x + 0.01 * r.standard_normal(m),
+                           phi="l1", epsilon=0.05)
+    lp, _ = _build_recovery_lp(prob, st, "regular")
+    _, report = solve_lp(lp)
+    assert report.status is Status.OPTIMAL and not report.used_bland
+    assert report.iterations == 93
+    assert report.objective == pytest.approx(3.4958134631947595, rel=1e-12)

@@ -1,12 +1,16 @@
 """Brute-force nullspace verdicts.
 
-For entrywise sparsity the quantity of interest is the exact maximum of
-||z||_{s,1} over {z in Ker(A), ||z||_1 <= 1}, obtained by maximizing every
-signed-support linear functional with one LP each (the max of finitely many
-linear maximizations is the max of the convex objective over the polytope).
-Group structures with l1/linf block norms get the analogous enumeration over
-inclusion-maximal block sets, per-coordinate signs on l1 blocks, and
-(representative, sign) choices on linf blocks.  The LPs of one enumeration
+Where the structure norm is polyhedral (``norms.has_lp_form``: plain, and
+group structures with l1/linf blocks) the quantity of interest is the exact
+maximum of the retained mass over {z in Ker(A), ||Bz|| <= 1}, obtained by
+maximizing every signed-support linear functional with one LP each (the max
+of finitely many linear maximizations is the max of the convex objective
+over the polytope).  One enumeration serves both kinds: a plain structure is
+the group of singleton l1 blocks, so its maximal projectors are the supports
+of size min(floor(s), n).  Per inclusion-maximal block set, each coordinate
+of an l1 block gets a sign and each linf block a (representative, sign).  The LPs
+are written in the one encoding of ``norms.structure_norm_epigraph``,
+variables [u+ | u- | t] >= 0 with z = u+ - u-.  The LPs of one enumeration
 share their feasible set and differ only in the cost, so they go through
 ``solve_lp_costs``: one phase one per verdict, and each LP starts at the
 optimal basis of the one before.  l2 blocks and low rank leave the
@@ -106,131 +110,108 @@ def _maximize(lp, costs, witness):
 
 
 # ---------------------------------------------------------------------------
-# plain: per-(support, sign) LPs
+# polyhedral: enumeration over maximal projectors, signs and representatives
 
 
-def _plain_bruteforce(a, structure, s):
-    n = structure.n
-    if n > 20:
-        return NullspaceVerdict(status="Unknown", s=s,
-                                details={"reason": f"n = {n} exceeds the n <= 20 budget"})
-    k = min(int(math.floor(s + 1e-12)), n)
-    null = _kernel_basis(a)
-    if null.shape[1] == 0:
-        return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
-                                details={"kernel_dim": 0})
-    if k == 0:
-        return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
-                                details={"note": "only the zero projector has weight <= s"})
-    count = math.comb(n, k) * 2 ** (k - 1)
-    if count > _LP_BUDGET:
-        return NullspaceVerdict(
-            status="Unknown", s=s,
-            details={"reason": f"{count} signed supports exceed the LP budget"})
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    m = a.shape[0]
-    # shared constraint matrix: A(xp - xm) = 0, sum(xp + xm) <= 1
-    g = np.zeros((m + 1, 2 * n))
-    g[:m, :n] = a
-    g[:m, n:] = -a
-    g[m, :] = 1.0
-    h = np.zeros(m + 1)
-    h[m] = 1.0
-    lp = LinearProgram(c=np.zeros(2 * n), G=g, h=h, senses=("eq",) * m + ("le",))
+def _kernel_ball_lp(a, structure):
+    """The shared LP of one enumeration, with zero cost.
 
-    def costs():
-        for support in itertools.combinations(range(n), k):
-            for signs in itertools.product((1.0, -1.0), repeat=k - 1):
-                sigma = (1.0,) + signs  # z -> -z symmetry: pin the first sign
-                c = np.zeros(2 * n)
-                for i, sg in zip(support, sigma):
-                    c[i] = -sg
-                    c[n + i] = sg
-                yield c
-
-    best, best_z, upper, stats = _maximize(lp, costs(), lambda x: x[:n] - x[n:])
-    details = {"lp_count": count, "kernel_dim": null.shape[1], **stats}
-    return _classify(structure, np.eye(n), s, best, best_z, upper, details)
-
-
-# ---------------------------------------------------------------------------
-# group: enumeration over maximal block sets, signs, and representatives
-
-
-def _group_lp(a, structure):
-    """Shared LP data of the group enumeration: (G, h, senses, lb).
-
-    Variables [z | t], with t the epigraph variables of the structure norm
-    (``norms.structure_norm_epigraph``).  Rows: A z = 0, the epigraph rows,
-    and the normalization cost @ t <= 1, so the feasible z span the unit
-    structure-norm ball of Ker(A).
+    Variables [u+ | u- | t] of ``norms.structure_norm_epigraph``, z = u+ - u-.
+    Rows: [A, -A] (u+, u-) = 0, the epigraph rows (linf blocks only), and
+    the normalization cost @ v <= 1, so the feasible z span the unit
+    structure-norm ball of Ker(A).  For plain this is A(u+ - u-) = 0,
+    sum(u+ + u-) <= 1.
     """
     m, n = a.shape
-    cost, g_u, g_t = norms.structure_norm_epigraph(structure, n)
-    r = g_u.shape[0]
-    g = np.zeros((m + r + 1, n + cost.size))
+    cost, g_ball = norms.structure_norm_epigraph(structure, n)
+    r = g_ball.shape[0]
+    g = np.zeros((m + r + 1, cost.size))
     g[:m, :n] = a
-    g[m:m + r, :n] = g_u
-    g[m:m + r, n:] = g_t
-    g[-1, n:] = cost
+    g[:m, n:2 * n] = -a
+    g[m:m + r] = g_ball
+    g[-1] = cost
     h = np.zeros(m + r + 1)
     h[-1] = 1.0
-    senses = ("eq",) * m + ("le",) * (r + 1)
-    lb = np.concatenate([np.full(n, -np.inf), np.zeros(cost.size)])
-    return g, h, senses, lb
+    return LinearProgram(c=np.zeros(cost.size), G=g, h=h,
+                         senses=("eq",) * m + ("le",) * (r + 1))
 
 
-def _group_lp_bruteforce(a, structure, bmat, s):
-    n = structure.n
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    blocks, tags = structure.blocks, structure.block_norms
-    g, h, senses, lb = _group_lp(a, structure)
-    nv = lb.size
+def _signed_costs(structure, s, n, nv):
+    """The costs one verdict maximizes over: (LP count, plans, costs).
 
-    # per maximal block set: multiplicities of the l1-block coordinates, the
-    # coordinates that get a sign, and the linf blocks that pick a
-    # (representative, sign); the LP count is known before any LP runs
-    proj_list = structures.enumerate_projectors(structure, s)
+    One plan per maximal projector (``structures.iter_projectors``; a plain
+    support is a set of singleton l1 blocks): the multiplicities of its
+    l1-block coordinates, each of which gets a sign, and its linf blocks,
+    each of which picks a (representative, sign).  Without linf blocks the
+    first sign is pinned (z -> -z symmetry).  The count is known before any
+    LP runs, except that the enumeration stops past ``_LP_BUDGET`` plans,
+    each of which has an LP: ``costs`` is then None and the count a lower
+    bound.  ``costs`` yields the vectors lazily, mirrored on u-.
+    """
+    blocks, tags = norms.lp_blocks(structure, n)
     plans = []
-    lp_count = 0
-    for proj in proj_list:
-        mult = np.zeros(n)
+    count = 0
+    for proj in structures.iter_projectors(structure, s):
+        chosen = proj.support if structure.kind == "plain" else proj.block_set
+        mult = {}
         linf_members = []
-        for l in sorted(proj.block_set):
+        for l in sorted(chosen):
             if tags[l] == "l1":
-                mult[list(blocks[l])] += 1.0
+                for i in blocks[l]:
+                    mult[i] = mult.get(i, 0.0) + 1.0
             else:
                 linf_members.append(blocks[l])
-        u1 = [int(i) for i in np.nonzero(mult > 0)[0]]
+        u1 = sorted(mult)
+        if not u1 and not linf_members:
+            continue  # the zero projector: nothing to maximize
         combos = 2 ** max(len(u1) - (0 if linf_members else 1), 0)
         for v in linf_members:
             combos *= 2 * len(v)
-        lp_count += combos
+        count += combos
         plans.append((mult, u1, linf_members))
-    if lp_count > _LP_BUDGET:
-        return NullspaceVerdict(
-            status="Unknown", s=s,
-            details={"reason": f"{lp_count} signed supports exceed the LP budget"})
+        if len(plans) > _LP_BUDGET:
+            return count, plans, None
 
     def costs():
         for mult, u1, linf_members in plans:
             rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
                          for v in linf_members]
-            for sigma in itertools.product((1.0, -1.0), repeat=len(u1)):
-                if not linf_members and u1 and sigma[0] < 0:
-                    continue  # z -> -z symmetry
+            pinned = () if linf_members else (1.0,)  # z -> -z symmetry
+            for rest in itertools.product((1.0, -1.0),
+                                          repeat=len(u1) - len(pinned)):
                 for picks in itertools.product(*rep_space):
                     c = np.zeros(nv)
-                    for i, sg in zip(u1, sigma):
+                    for i, sg in zip(u1, pinned + rest):
                         c[i] -= mult[i] * sg
+                        c[n + i] += mult[i] * sg
                     for i, sg in picks:
                         c[i] -= sg
+                        c[n + i] += sg
                     yield c
 
-    lp = LinearProgram(c=np.zeros(nv), G=g, h=h, senses=senses, lb=lb)
-    best, best_z, upper, stats = _maximize(lp, costs(), lambda x: x[:n].copy())
-    details = {"lp_count": lp_count, "maximal_sets": len(proj_list), **stats}
-    return _classify(structure, bmat, s, best, best_z, upper, details)
+    return count, plans, costs()
+
+
+def _lp_bruteforce(a, structure, bmat, s, kernel_dim):
+    n = a.shape[1]
+    lp = _kernel_ball_lp(a, structure)
+    count, plans, costs = _signed_costs(structure, s, n, lp.c.size)
+    if count > _LP_BUDGET:
+        more = "more than " if costs is None else ""
+        return NullspaceVerdict(
+            status="Unknown", s=s,
+            details={"reason": f"{more}{count} signed supports exceed the "
+                     "LP budget"})
+    details = {"lp_count": count, "maximal_sets": len(plans),
+               "kernel_dim": kernel_dim}
+    if count == 0:
+        return NullspaceVerdict(
+            status="CertifiedGood", s=s, gamma_value=0.0,
+            details=dict(details, note="only the zero projector has weight <= s"))
+    best, best_z, upper, stats = _maximize(lp, costs,
+                                           lambda x: x[:n] - x[n:2 * n])
+    return _classify(structure, bmat, s, best, best_z, upper,
+                     dict(details, **stats))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +319,10 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
         raise ValueError("s must be nonnegative")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     bmat = structures.rep_matrix(structure, b)
-    if structure.kind == "plain":
-        return _plain_bruteforce(a, structure, s)
+    if structure.kind == "plain" and structure.n > 20:
+        return NullspaceVerdict(
+            status="Unknown", s=s,
+            details={"reason": f"n = {structure.n} exceeds the n <= 20 budget"})
     if structure.kind == "group" and len(structure.blocks) > 12:
         return NullspaceVerdict(
             status="Unknown", s=s,
@@ -348,9 +331,9 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
     if null.shape[1] == 0:
         return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
                                 details={"kernel_dim": 0})
+    if norms.has_lp_form(structure):
+        return _lp_bruteforce(a, structure, bmat, s, null.shape[1])
     if structure.kind == "group":
-        if all(t in ("l1", "linf") for t in structure.block_norms):
-            return _group_lp_bruteforce(a, structure, bmat, s)
         z, best = _ascent_search(
             null, lambda zz: _group_ratio_and_grad(structure, bmat, zz, s),
             seed)

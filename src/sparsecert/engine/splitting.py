@@ -51,7 +51,6 @@ class SplitProblem:
     rho: float = 1.0
     tol: float = 1e-8
     maxiter: int = 50000
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -110,7 +109,7 @@ def solve_split(sp):
     stack = np.vstack([sp.b, sp.a])
     gain, warnings = _u_step_gain(stack)
 
-    u = np.zeros(n) if sp.x0 is None else np.asarray(sp.x0, dtype=float).copy()
+    u = np.zeros(n)
     v = stack @ u
     mu = np.zeros(e_dim + m)  # scaled dual
     rho = float(sp.rho)

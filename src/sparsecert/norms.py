@@ -7,7 +7,9 @@ three families of vector/matrix norms:
   ``"nuclear" | "spectral"``,
 * the structure norm of a sparsity structure (sum of block norms for the
   group model, l1 / nuclear for the plain / low-rank models), its dual and,
-  where it is polyhedral, its LP epigraph,
+  where it is polyhedral (``has_lp_form``), its one LP encoding over
+  variables [u+ | u- | t], all >= 0 with u = u+ - u-: the l1 mass is a cost
+  on u+ + u- and only linf blocks add a t and rows,
 * the sparsity-weighted objects used by the certification machinery:
   ``sum_top`` (sum of the s largest magnitudes), ``pi_s`` (weighted
   block-selection norm, exact and relaxed variants) with its maximizing
@@ -334,46 +336,54 @@ def ps_seminorm(structure, z, s):
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
-def structure_norm_epigraph(structure, n):
-    """LP epigraph of the structure norm of u in R^n: (cost, g_u, g_t).
+def has_lp_form(structure):
+    """Whether the structure norm is polyhedral, so that
+    ``structure_norm_epigraph`` writes it as an LP: plain structures and
+    group structures whose blocks are all l1 or linf."""
+    return structure.kind == "plain" or structure.kind == "group" and all(
+        t in ("l1", "linf") for t in structure.block_norms)
 
-    The rows g_u @ u + g_t @ t <= 0 say |u_i| <= t_k, first + then - for
-    each bounded pair (i, k); with t >= 0, min cost @ t over them is the
-    norm of B u for the canonical B.  Plain: one t per coordinate.  Group:
-    one t per coordinate of an l1 block (cost: the number of l1 blocks
-    holding it), in coordinate order, then one t per linf block (cost 1)
-    bounding its members in block order.  Raises UnsupportedNormError for
-    norms with no exact LP form (any l2 block, low rank).
-    """
+
+def lp_blocks(structure, n):
+    """(blocks, tags) of a structure with an LP form on R^n: the group
+    blocks, or for plain the singleton l1 blocks (i,), one per coordinate."""
     if structure.kind == "plain":
-        coord = aux = np.arange(n)
-        cost = np.ones(n)
-    elif structure.kind == "group":
-        tags = np.array(structure.block_norms)
-        if np.any(tags == "l2"):
-            raise UnsupportedNormError("l2 blocks have no exact LP form")
-        sizes = [len(v) for v in structure.blocks]
-        members = np.concatenate(structure.blocks).astype(int)
-        member_tag = np.repeat(tags, sizes)
-        l1_mult = np.bincount(members[member_tag == "l1"],
-                              minlength=n).astype(float)
-        l1_coords = np.nonzero(l1_mult)[0]
-        is_linf = tags == "linf"
-        in_linf = member_tag == "linf"
-        linf_aux = l1_coords.size + np.cumsum(is_linf) - 1
-        coord = np.concatenate([l1_coords, members[in_linf]])
-        aux = np.concatenate([np.arange(l1_coords.size),
-                              np.repeat(linf_aux, sizes)[in_linf]])
-        cost = np.concatenate([l1_mult[l1_coords],
-                               np.ones(int(is_linf.sum()))])
-    else:
-        raise UnsupportedNormError("nuclear norm has no exact LP form")
-    rows = np.arange(2 * coord.size)
-    g_u = np.zeros((rows.size, n))
-    g_u[rows, np.repeat(coord, 2)] = np.tile([1.0, -1.0], coord.size)
-    g_t = np.zeros((rows.size, cost.size))
-    g_t[rows, np.repeat(aux, 2)] = -1.0
-    return cost, g_u, g_t
+        return tuple((i,) for i in range(n)), ("l1",) * n
+    return structure.blocks, structure.block_norms
+
+
+def structure_norm_epigraph(structure, n):
+    """The LP encoding of the structure norm of u in R^n: (cost, g).
+
+    Variables [u+ | u- | t], all >= 0, with u = u+ - u-; min cost @ v over
+    the rows g @ v <= 0 is the norm of B u for the canonical B.  The l1 mass
+    is the cost mult @ (u+ + u-), mult_i the number of l1 blocks holding
+    coordinate i (all ones for plain, whose coordinates are singleton l1
+    blocks).  Each linf block has one t (cost 1), in block order, and the
+    rows +-(u+_i - u-_i) <= t for its members in block order, + then -;
+    plain structures and l1 coordinates get no rows.  Raises
+    UnsupportedNormError where ``has_lp_form`` is False.
+    """
+    if not has_lp_form(structure):
+        raise UnsupportedNormError(
+            "l2 blocks and the nuclear norm have no exact LP form")
+    blocks, tags = lp_blocks(structure, n)
+    tags = np.array(tags)
+    sizes = [len(v) for v in blocks]
+    members = np.concatenate(blocks).astype(int)
+    member_tag = np.repeat(tags, sizes)
+    mult = np.bincount(members[member_tag == "l1"], minlength=n).astype(float)
+    is_linf, in_linf = tags == "linf", member_tag == "linf"
+    n_t = int(is_linf.sum())
+    coord = np.repeat(members[in_linf], 2)
+    t_col = np.repeat(2 * n + np.cumsum(is_linf) - 1, sizes)[in_linf]
+    rows = np.arange(coord.size)
+    sign = np.tile([1.0, -1.0], coord.size // 2)
+    g = np.zeros((coord.size, 2 * n + n_t))
+    g[rows, coord] = sign
+    g[rows, n + coord] = -sign
+    g[rows, np.repeat(t_col, 2)] = -1.0
+    return np.concatenate([mult, mult, np.ones(n_t)]), g
 
 
 # ---------------------------------------------------------------------------

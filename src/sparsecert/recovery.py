@@ -51,6 +51,9 @@ class RecoveryProblem:
             raise ValueError("A row count must match y length")
         if self.phi not in norms.VECTOR_TAGS:
             raise ValueError("phi must be one of l1/l2/linf")
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.y))
+                and np.isfinite(self.epsilon)):
+            raise ValueError("a, y and epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
@@ -118,34 +121,27 @@ def error_bound(gamma, beta, budget, mode):
 # LP reformulations
 
 
-def _lp_solvable(structure, phi, epsilon, mode):
-    if structure.kind == "lowrank":
-        return False
-    if structure.kind == "group" and any(t == "l2" for t in structure.block_norms):
-        return False
-    if phi in ("l1", "linf"):
-        return True
-    return mode == "regular" and epsilon == 0.0
-
-
 def _build_recovery_lp(problem, structure, mode, lam=0.0):
-    """Exact LP for polyhedral instances.  Variable layout: [u | obj aux | fit aux].
+    """Exact LP for polyhedral instances: (lp, n), with u = x[:n] - x[n:2n].
 
-    Rows: the epigraph of ||B u|| (``norms.structure_norm_epigraph``), then
-    the data fit.  That is A u = y for regular recovery with epsilon = 0;
-    otherwise the pair +-(a_j u - y_j) for each j, bounded by fit aux j
-    (l1, closed by sum(fit aux) <= epsilon when regular), by one shared fit
-    aux (linf, penalized) or by epsilon (linf, regular).
+    Variable layout [u+ | u- | t | fit aux], all >= 0: the first three are
+    the encoding of ||B u|| by ``norms.structure_norm_epigraph`` (its rows
+    come first, linf blocks only), then the data fit on [A, -A].  That is
+    A u = y for regular recovery with epsilon = 0; otherwise the pair
+    +-(a_j u - y_j) for each j, bounded by fit aux j (l1, closed by
+    sum(fit aux) <= epsilon when regular), by one shared fit aux (linf,
+    penalized) or by epsilon (linf, regular).
     """
     a, y = problem.a, problem.y
     m, n = a.shape
-    obj_cost, obj_u, obj_t = norms.structure_norm_epigraph(structure, n)
+    obj_cost, obj_g = norms.structure_norm_epigraph(structure, n)
+    a_pm = np.hstack([a, -a])
     if mode == "regular" and problem.epsilon == 0.0:
-        fit_cost, fit_u, fit_aux, fit_h, sense = np.zeros(0), a, \
+        fit_cost, fit_u, fit_aux, fit_h, sense = np.zeros(0), a_pm, \
             np.zeros((m, 0)), y, "eq"
     elif problem.phi in ("l1", "linf"):
         sign = np.tile([1.0, -1.0], m)
-        fit_u = np.repeat(a, 2, axis=0) * sign[:, None]
+        fit_u = np.repeat(a_pm, 2, axis=0) * sign[:, None]
         fit_h = np.repeat(y, 2) * sign
         sense = "le"
         if problem.phi == "l1":
@@ -153,7 +149,7 @@ def _build_recovery_lp(problem, structure, mode, lam=0.0):
             fit_aux = np.zeros((2 * m, m))
             fit_aux[np.arange(2 * m), np.repeat(np.arange(m), 2)] = -1.0
             if mode == "regular":
-                fit_u = np.vstack([fit_u, np.zeros(n)])
+                fit_u = np.vstack([fit_u, np.zeros(2 * n)])
                 fit_aux = np.vstack([fit_aux, np.ones(m)])
                 fit_h = np.append(fit_h, problem.epsilon)
         elif mode == "penalized":
@@ -164,22 +160,20 @@ def _build_recovery_lp(problem, structure, mode, lam=0.0):
     else:
         raise UnsupportedNormError("phi=l2 has no exact LP form with epsilon > 0")
 
-    n_obj, n_fit = obj_cost.size, fit_cost.size
-    r_obj = obj_u.shape[0]
-    g = np.zeros((r_obj + fit_u.shape[0], n + n_obj + n_fit))
-    g[:r_obj, :n] = obj_u
-    g[:r_obj, n:n + n_obj] = obj_t
-    g[r_obj:, :n] = fit_u
-    g[r_obj:, n + n_obj:] = fit_aux
-    c = np.concatenate([np.zeros(n), obj_cost, fit_cost])
-    lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_obj + n_fit)])
-    return LinearProgram(c=c, G=g, h=np.concatenate([np.zeros(r_obj), fit_h]),
-                         senses=("le",) * r_obj + (sense,) * fit_u.shape[0],
-                         lb=lb), n
+    n_obj, r_obj = obj_cost.size, obj_g.shape[0]
+    g = np.zeros((r_obj + fit_u.shape[0], n_obj + fit_cost.size))
+    g[:r_obj, :n_obj] = obj_g
+    g[r_obj:, :2 * n] = fit_u
+    g[r_obj:, n_obj:] = fit_aux
+    return LinearProgram(c=np.concatenate([obj_cost, fit_cost]), G=g,
+                         h=np.concatenate([np.zeros(r_obj), fit_h]),
+                         senses=("le",) * r_obj + (sense,) * fit_u.shape[0]), n
 
 
 def _finish(problem, structure, x, report, mode, lam=0.0):
-    if x is None:
+    """The result of a solve; none for a missing point or an infeasible or
+    unbounded program."""
+    if x is None or report.status in (Status.INFEASIBLE, Status.UNBOUNDED):
         return RecoveryResult(x_hat=None, w_hat=None, delta=np.inf,
                               delta_phi=np.inf, report=report)
     w = problem.b_matrix @ x
@@ -201,37 +195,20 @@ def _finish(problem, structure, x, report, mode, lam=0.0):
                           report=report)
 
 
-def _solve_via_split(problem, structure, mode, lam, tol, maxiter, x0):
-    sp = SplitProblem(a=problem.a, b=problem.b_matrix, y=problem.y,
-                      structure=structure, phi=problem.phi, mode=mode
-                      if mode != "penalized" else "penalty",
-                      epsilon=problem.epsilon, lam=max(lam, 1e-12),
-                      tol=tol, maxiter=maxiter, x0=x0)
-    return solve_split(sp)
-
-
-def recover_regular(problem, structure, method="auto", tol=1e-8,
-                    maxiter=50000, x0=None):
-    """Minimize ||B u|| subject to phi(A u - y) <= epsilon.
-
-    method 'lp' forces the exact polyhedral path (UnsupportedNormError when
-    none exists), 'split' the iterative one, 'auto' prefers LP whenever exact.
-    Returns a RecoveryResult whose delta/delta_phi are measured, not assumed.
-    """
-    mode = "regular"
-    use_lp = method == "lp" or (method == "auto"
-                                and _lp_solvable(structure, problem.phi,
-                                                 problem.epsilon, mode))
+def _recover(problem, structure, mode, lam, method, tol, maxiter):
+    """The body of both recovery modes; ``lam`` is 0 for regular."""
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
-    if use_lp:
-        lp, n = _build_recovery_lp(problem, structure, mode)
+    lp_fit = problem.phi in ("l1", "linf") or (
+        mode == "regular" and problem.epsilon == 0.0)
+    if method == "lp" or (method == "auto" and lp_fit
+                          and norms.has_lp_form(structure)):
+        lp, n = _build_recovery_lp(problem, structure, mode, lam)
         x, report = solve_lp(lp)
-        if report.status in (Status.INFEASIBLE, Status.UNBOUNDED):
-            return RecoveryResult(x_hat=None, w_hat=None, delta=np.inf,
-                                  delta_phi=np.inf, report=report)
-        return _finish(problem, structure, x[:n], report, "regular")
-    if problem.phi == "l2":
+        return _finish(problem, structure,
+                       None if x is None else x[:n] - x[n:2 * n], report,
+                       mode, lam)
+    if mode == "regular" and problem.phi == "l2":
         # infeasibility is decidable for the euclidean ball: compare epsilon
         # with the least-squares residual of the data equations
         resid = problem.y - problem.a @ np.linalg.lstsq(
@@ -240,30 +217,30 @@ def recover_regular(problem, structure, method="auto", tol=1e-8,
         if min_fit > problem.epsilon + max(1e-9, 1e-9 * np.abs(problem.y).max(initial=0.0)):
             report = SolveReport(status=Status.INFEASIBLE,
                                  residuals={"min_phi": min_fit})
-            return RecoveryResult(x_hat=None, w_hat=None, delta=np.inf,
-                                  delta_phi=np.inf, report=report)
-    x, report = _solve_via_split(problem, structure, "constraint", 0.0,
-                                 tol, maxiter, x0)
-    return _finish(problem, structure, x, report, "regular")
+            return _finish(problem, structure, None, report, mode)
+    sp = SplitProblem(a=problem.a, b=problem.b_matrix, y=problem.y,
+                      structure=structure, phi=problem.phi,
+                      mode="constraint" if mode == "regular" else "penalty",
+                      epsilon=problem.epsilon, lam=max(lam, 1e-12),
+                      tol=tol, maxiter=maxiter)
+    x, report = solve_split(sp)
+    return _finish(problem, structure, x, report, mode, lam)
+
+
+def recover_regular(problem, structure, method="auto", tol=1e-8,
+                    maxiter=50000):
+    """Minimize ||B u|| subject to phi(A u - y) <= epsilon.
+
+    method 'lp' forces the exact polyhedral path (UnsupportedNormError when
+    none exists), 'split' the iterative one, 'auto' prefers LP whenever exact.
+    Returns a RecoveryResult whose delta/delta_phi are measured, not assumed.
+    """
+    return _recover(problem, structure, "regular", 0.0, method, tol, maxiter)
 
 
 def recover_penalized(problem, structure, lam, method="auto", tol=1e-8,
-                      maxiter=50000, x0=None):
+                      maxiter=50000):
     """Minimize ||B u|| + lam * phi(A u - y); problem.epsilon plays no role."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if method not in ("auto", "lp", "split"):
-        raise ValueError("method must be auto/lp/split")
-    use_lp = method == "lp" or (method == "auto"
-                                and _lp_solvable(structure, problem.phi,
-                                                 problem.epsilon, "penalized"))
-    if use_lp:
-        lp, n = _build_recovery_lp(problem, structure, "penalized", lam)
-        x, report = solve_lp(lp)
-        if report.status in (Status.INFEASIBLE, Status.UNBOUNDED):
-            return RecoveryResult(x_hat=None, w_hat=None, delta=np.inf,
-                                  delta_phi=np.inf, report=report)
-        return _finish(problem, structure, x[:n], report, "penalized", lam)
-    x, report = _solve_via_split(problem, structure, "penalized", lam,
-                                 tol, maxiter, x0)
-    return _finish(problem, structure, x, report, "penalized", lam)
+    return _recover(problem, structure, "penalized", lam, method, tol, maxiter)

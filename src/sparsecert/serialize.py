@@ -50,9 +50,12 @@ def load_matrix(path):
     if len(data) != r or any(len(line) != c for line in data):
         raise FormatError(f"{path}: body does not match declared {r}x{c}")
     try:
-        return np.array([[float(v) for v in line] for line in data])
+        mat = np.array([[float(v) for v in line] for line in data])
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric entry") from exc
+    if not np.all(np.isfinite(mat)):
+        raise FormatError(f"{path}: non-finite entry")
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,9 @@ def build_group(blocks, weights=None, block_norm="l2"):
     if weights is None:
         weights = (1.0,) * k
     weights = tuple(float(c) for c in weights)
-    if len(weights) != k or any(c <= 0 for c in weights):
-        raise StructureError("need one positive weight per block")
+    if len(weights) != k or not all(math.isfinite(c) and c > 0
+                                    for c in weights):
+        raise StructureError("need one positive finite weight per block")
     if isinstance(block_norm, str):
         tags = (block_norm,) * k
     else:
@@ -316,19 +317,25 @@ def enumerate_projectors(structure, s):
     dominated); group: inclusion-maximal block subsets with total weight <= s;
     lowrank: raises NotEnumerableError (continuous family).
     """
+    return list(iter_projectors(structure, s))
+
+
+def iter_projectors(structure, s):
+    """``enumerate_projectors`` one at a time, in the same order; the checks
+    run at the first ``next``."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if structure.kind == "plain":
         k = min(int(math.floor(s + 1e-12)), structure.n)
-        return [plain_projector(structure, c)
-                for c in itertools.combinations(range(structure.n), k)]
+        for c in itertools.combinations(range(structure.n), k):
+            yield plain_projector(structure, c)
+        return
     if structure.kind == "group":
         kk = len(structure.blocks)
         if 2 ** kk > 4_000_000:
             raise NotEnumerableError(f"2^{kk} block subsets is beyond the "
                                      "enumeration budget")
         chi = np.asarray(structure.weights)
-        out = []
         for mask in range(2 ** kk):
             members = [i for i in range(kk) if mask >> i & 1]
             tot = chi[members].sum() if members else 0.0
@@ -337,8 +344,8 @@ def enumerate_projectors(structure, s):
             # inclusion-maximal: no outside block still fits under the cap
             if any(tot + chi[i] <= s + 1e-12 for i in range(kk) if not mask >> i & 1):
                 continue
-            out.append(group_projector(structure, members))
-        return out
+            yield group_projector(structure, members)
+        return
     raise NotEnumerableError("the low-rank projector family is continuous")
 
 

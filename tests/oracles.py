@@ -379,6 +379,75 @@ def group_bruteforce_lp_oracle(a, structure):
     return np.array(rows), np.array(rhs), tuple(senses), lb
 
 
+def plain_bruteforce_lp_oracle(a, s):
+    """The plain brute force LP written by hand: (G, h, senses, costs).
+
+    Variables [x+ | x-] >= 0; rows A(x+ - x-) = 0 and sum(x+ + x-) <= 1, so
+    the feasible x+ - x- span the unit l1 ball of Ker(A).  One cost per
+    support of size min(floor(s), n), in ``itertools.combinations`` order,
+    and per sign vector on it with the first sign pinned to +1; the cost is
+    -sign on x+_i and +sign on x-_i.  With k = 0 there is no cost: the
+    zero projector has nothing to maximize.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    m, n = a.shape
+    g = np.zeros((m + 1, 2 * n))
+    g[:m, :n] = a
+    g[:m, n:] = -a
+    g[m, :] = 1.0
+    h = np.zeros(m + 1)
+    h[m] = 1.0
+    k = min(int(math.floor(s + 1e-12)), n)
+    costs = []
+    for support in itertools.combinations(range(n), k) if k else ():
+        for signs in itertools.product((1.0, -1.0), repeat=k - 1):
+            c = np.zeros(2 * n)
+            for i, sg in zip(support, (1.0,) + signs):
+                c[i] = -sg
+                c[n + i] = sg
+            costs.append(c)
+    return g, h, ("eq",) * m + ("le",), costs
+
+
+def group_gamma_lp_oracle(a, structure, s):
+    """Largest retained block mass over the unit structure-norm ball of
+    Ker(A), by cold LPs on ``group_bruteforce_lp_oracle``'s LP.
+
+    Every block set of weight <= s (maximal or not), every sign vector on
+    each of its l1 blocks and every (member, sign) of each of its linf
+    blocks gets one maximization; no symmetry is used.  Returns
+    (gamma, statuses of the LPs).
+    """
+    from sparsecert.engine import LinearProgram, solve_lp
+
+    g, h, senses, lb = group_bruteforce_lp_oracle(a, structure)
+    chi = np.asarray(structure.weights, dtype=float)
+    kk = len(structure.blocks)
+    best, statuses = 0.0, []
+    for mask in itertools.product((0, 1), repeat=kk):
+        chosen = [l for l in range(kk) if mask[l]]
+        if not chosen or chi[chosen].sum() > s + 1e-12:
+            continue
+        spaces = []
+        for l in chosen:
+            v = structure.blocks[l]
+            if structure.block_norms[l] == "l1":
+                spaces.append([list(zip(v, sg)) for sg in
+                               itertools.product((1.0, -1.0), repeat=len(v))])
+            else:
+                spaces.append([[(i, sg)] for i in v for sg in (1.0, -1.0)])
+        for pick in itertools.product(*spaces):
+            c = np.zeros(g.shape[1])
+            for terms in pick:
+                for i, sg in terms:
+                    c[i] -= sg
+            _, rep = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses,
+                                            lb=lb))
+            statuses.append(rep.status)
+            best = max(best, -rep.objective)
+    return best, statuses
+
+
 def standard_form_oracle(lp, tol=1e-9):
     """Equality standard form of ``lp`` built column by column: (A, b, c,
     x_original), or None when some lower bound exceeds its upper bound.

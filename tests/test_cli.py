@@ -202,6 +202,23 @@ def test_nullspace_verdicts(tmp_path):
     assert details["lps_not_optimal"] == 0
 
 
+def test_non_finite_inputs_are_exit_one(tmp_path):
+    """A NaN weight or a NaN measurement is bad input, not a verdict or an
+    iteration cap."""
+    sp = tmp_path / "structure.json"
+    sp.write_text('{"kind": "group", "blocks": [[0], [1]], '
+                  '"weights": [NaN, 1.0], "block_norm": "l1"}')
+    r = run_cli("nullspace", "--structure", str(sp), "--matrix",
+                str(write_matrix(tmp_path, np.ones((1, 2)))), "--s", "1")
+    assert r.returncode == 1
+    pp = tmp_path / "problem.json"
+    pp.write_text('{"structure": {"kind": "plain", "n": 2}, '
+                  '"a": [[1.0, 0.0], [0.0, 1.0]], "y": [NaN, 1.0], '
+                  '"phi": "l2"}')
+    r = run_cli("recover", "--problem", str(pp))
+    assert r.returncode == 1
+
+
 def test_bound_evaluates_closed_form(tmp_path):
     from sparsecert.certify import Certificate
     cert_path = tmp_path / "cert.json"

@@ -1,19 +1,28 @@
-"""The array-built LPs against their row-by-row reference assemblies.
+"""The LPs in the one structure-norm encoding against their references.
 
-Recovery and the group brute force build their LPs from
-``norms.structure_norm_epigraph`` and array blocks.  Here they must equal the
-row-by-row references in ``oracles`` bit for bit, row order included, so the
-simplex sees the same LP and takes the same pivots.
+Recovery and the brute force write the structure norm through
+``norms.structure_norm_epigraph``: variables [u+ | u- | t] >= 0 with
+u = u+ - u-.  The row-by-row references in ``oracles`` keep the older
+t-epigraph form (u free, one t and two rows per l1 coordinate), so here the
+two must agree in what they solve to: the same status and objective.  For
+plain the brute-force LP and its cost sequence equal the hand-written l1
+ball LP of ``oracles.plain_bruteforce_lp_oracle`` exactly, so the simplex
+takes the same pivots; the group verdicts must match an enumeration of cold
+LPs over the reference LP.
 """
 
 import numpy as np
 import pytest
 
-from sparsecert import structures
-from sparsecert.certify.bruteforce import _group_lp
+from sparsecert import norms, structures
+from sparsecert.certify import gamma_s_bruteforce
+from sparsecert.certify.bruteforce import _kernel_ball_lp, _signed_costs
+from sparsecert.engine import LinearProgram, Status, solve_lp
 from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
-from oracles import group_bruteforce_lp_oracle, recovery_lp_oracle
+from oracles import (group_bruteforce_lp_oracle, group_gamma_lp_oracle,
+                     matrix_with_kernel, plain_bruteforce_lp_oracle,
+                     recovery_lp_oracle)
 
 GROUPS = {
     "l1": ([(0, 1), (2, 3), (4, 5)], "l1"),
@@ -33,9 +42,11 @@ FITS = [("regular", "l1", 0.0), ("regular", "l1", 0.3),
         ("penalized", "linf", 0.0), ("penalized", "linf", 0.3)]
 
 
-def _same(got, want):
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def _same_solution(got, want):
+    assert got.status is want.status
+    if want.status is Status.OPTIMAL:
+        assert got.objective == pytest.approx(want.objective, rel=1e-9,
+                                              abs=1e-12)
 
 
 @pytest.mark.parametrize("name,structure", STRUCTURES)
@@ -44,7 +55,7 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
                                                   eps):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((4, 6))
-    a[1, 2] = 0.0                     # signed zeros must come out alike
+    a[1, 2] = 0.0
     y = rng.standard_normal(4)
     y[3] = 0.0
     problem = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
@@ -52,19 +63,74 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
     c, g, h, senses, lb = recovery_lp_oracle(problem, structure, mode,
                                              lam=1.7)
     assert n == 6
-    for got, want in ((lp.c, c), (lp.G, g), (lp.h, h), (lp.lb, lb)):
-        _same(got, want)
-    assert tuple(lp.senses) == senses
+    assert np.all(lp.lb == 0.0) and np.all(np.isinf(lp.ub))
+    x, got = solve_lp(lp)
+    _, want = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb))
+    _same_solution(got, want)
+    if got.status is Status.OPTIMAL:
+        # the objective is the structure norm of u = u+ - u- plus the fit
+        u = x[:n] - x[n:2 * n]
+        assert got.objective >= norms.structure_norm(
+            structure, structures.rep_matrix(structure) @ u) - 1e-9
 
 
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_group_bruteforce_lp_matches_row_by_row_reference(name):
+    """Both LPs span the same ball of Ker(A): every linear functional of z
+    has the same maximum over them."""
     blocks, tags = GROUPS[name]
     structure, _ = structures.build_group(blocks, block_norm=tags)
     a = np.random.default_rng(11).standard_normal((3, 6))
     a[0, 4] = 0.0
-    g, h, senses, lb = _group_lp(a, structure)
-    g_ref, h_ref, senses_ref, lb_ref = group_bruteforce_lp_oracle(a, structure)
-    for got, want in ((g, g_ref), (h, h_ref), (lb, lb_ref)):
-        _same(got, want)
-    assert senses == senses_ref
+    lp = _kernel_ball_lp(a, structure)
+    g, h, senses, lb = group_bruteforce_lp_oracle(a, structure)
+    n_aux = g.shape[1] - 6
+    for d in np.random.default_rng(12).standard_normal((8, 6)):
+        _, got = solve_lp(LinearProgram(
+            c=np.concatenate([d, -d, np.zeros(lp.c.size - 12)]), G=lp.G,
+            h=lp.h, senses=lp.senses))
+        _, want = solve_lp(LinearProgram(
+            c=np.concatenate([d, np.zeros(n_aux)]), G=g, h=h, senses=senses,
+            lb=lb))
+        _same_solution(got, want)
+
+
+@pytest.mark.parametrize("n,m,s", [(6, 3, 1), (6, 3, 2), (7, 4, 3),
+                                   (5, 2, 0.5)])
+def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
+    a = np.random.default_rng(n + m).standard_normal((m, n))
+    a[0, 1] = 0.0
+    st, _ = structures.build_plain(n)
+    lp = _kernel_ball_lp(a, st)
+    g, h, senses, costs = plain_bruteforce_lp_oracle(a, s)
+    ref = LinearProgram(c=np.zeros(2 * n), G=g, h=h, senses=senses)
+    for name in ("c", "G", "h", "lb", "ub"):
+        got, want = getattr(lp, name), getattr(ref, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert lp.senses == ref.senses
+    count, _, seq = _signed_costs(st, s, n, lp.c.size)
+    seq = list(seq)
+    assert count == len(seq) == len(costs)
+    for got, want in zip(seq, costs):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("m,seed", [(2, 0), (4, 1), (5, 2), (5, None)])
+def test_group_bruteforce_verdict_matches_oracle_enumeration(name, s, m,
+                                                             seed):
+    blocks, tags = GROUPS[name]
+    structure, rep = structures.build_group(blocks, block_norm=tags)
+    if seed is None:    # kernel near the all-ones vector: mass spread evenly
+        v = 1.0 + 0.1 * np.random.default_rng(3).standard_normal(6)
+        a = matrix_with_kernel(v)
+    else:
+        a = np.random.default_rng(seed).standard_normal((m, 6))
+    gamma, statuses = group_gamma_lp_oracle(a, structure, s)
+    assert all(st is Status.OPTIMAL for st in statuses)
+    v = gamma_s_bruteforce(a, structure, s, b=rep)
+    assert v.gamma_value == pytest.approx(gamma, abs=1e-9)
+    assert abs(gamma - 0.5) > 1e-6      # away from the tie, so status is sharp
+    assert v.status == ("CertifiedGood" if gamma < 0.5 else "CertifiedBad")

@@ -386,3 +386,40 @@ def test_l2_ball_and_prox_match_numpy_norm_bitwise():
                 prox = np.zeros_like(v) if nrm <= level else \
                     v * (1.0 - level / nrm)
                 assert np.array_equal(prox_vector_norm(v, "l2", level), prox)
+
+
+def test_structure_norm_epigraph_minimum_is_the_norm(rng):
+    """Over [u+ | u- | t] >= 0 with u+ - u- pinned to u, the least cost
+    under the epigraph rows is the structure norm of B u."""
+    from sparsecert.engine import LinearProgram, Status, solve_lp
+    cases = [structures.build_plain(5)[0]] + [
+        structures.build_group(blocks, block_norm=tags)[0]
+        for blocks, tags in (
+            ([(0, 1), (2, 3, 4)], "l1"),
+            ([(0, 1), (2, 3, 4)], "linf"),
+            ([(0, 1, 2), (2, 3, 4), (3, 4), (0, 4)],
+             ["l1", "l1", "linf", "linf"]))]
+    for st in cases:
+        cost, g = norms.structure_norm_epigraph(st, 5)
+        pin = np.zeros((5, cost.size))
+        pin[:, :5], pin[:, 5:10] = np.eye(5), -np.eye(5)
+        for u in rng.standard_normal((3, 5)):
+            _, rep = solve_lp(LinearProgram(
+                c=cost, G=np.vstack([g, pin]),
+                h=np.concatenate([np.zeros(g.shape[0]), u]),
+                senses=("le",) * g.shape[0] + ("eq",) * 5))
+            assert rep.status is Status.OPTIMAL
+            want = structure_norm(st, structures.rep_matrix(st) @ u)
+            assert rep.objective == pytest.approx(want, rel=1e-9)
+
+
+def test_lp_form_predicate():
+    assert norms.has_lp_form(structures.build_plain(3)[0])
+    assert norms.has_lp_form(structures.build_group(
+        [(0, 1), (2,)], block_norm=["l1", "linf"])[0])
+    for st in (structures.build_group([(0, 1), (2,)],
+                                      block_norm=["l1", "l2"])[0],
+               structures.build_lowrank(2, 2)[0]):
+        assert not norms.has_lp_form(st)
+        with pytest.raises(UnsupportedNormError):
+            norms.structure_norm_epigraph(st, st.ambient_dim_x)

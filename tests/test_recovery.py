@@ -141,6 +141,34 @@ def test_problem_validation():
                           st, lam=-1.0)
 
 
+def test_problem_rejects_non_finite_data():
+    _, rep = structures.build_plain(2)
+    a, y = np.eye(2), np.ones(2)
+    for bad in (np.nan, np.inf):
+        a_bad = a.copy()
+        a_bad[0, 1] = bad
+        with pytest.raises(ValueError):
+            RecoveryProblem(a=a_bad, b=rep, y=y)
+        with pytest.raises(ValueError):
+            RecoveryProblem(a=a, b=rep, y=np.array([bad, 1.0]))
+        with pytest.raises(ValueError):
+            RecoveryProblem(a=a, b=rep, y=y, epsilon=bad)
+
+
+def test_lp_stopped_in_phase_one_returns_no_point(monkeypatch):
+    """A phase one that hits its cap has no point to map back: the result
+    carries the MAXITER report and no x_hat."""
+    from sparsecert import recovery
+    from sparsecert.engine import SolveReport, Status
+    monkeypatch.setattr(recovery, "solve_lp", lambda lp: (
+        None, SolveReport(status=Status.MAXITER, iterations=3)))
+    prob, st = make_plain_problem(np.eye(3), np.ones(3))
+    for res in (recover_regular(prob, st),
+                recover_penalized(prob, st, lam=2.0)):
+        assert res.report.status is Status.MAXITER
+        assert res.x_hat is None and res.delta == np.inf
+
+
 def test_method_dispatch(rng):
     a = rng.standard_normal((3, 5))
     prob, st = make_plain_problem(a, rng.standard_normal(3), phi="l2",

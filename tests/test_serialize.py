@@ -39,6 +39,14 @@ def test_matrix_rejects_malformed(tmp_path):
         load_matrix(p)
 
 
+def test_matrix_rejects_non_finite_entries(tmp_path):
+    p = tmp_path / "bad.csv"
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"rows,cols\n2,2\n1.0,2.0\n3.0,{bad}\n")
+        with pytest.raises(FormatError):
+            load_matrix(p)
+
+
 def test_json_errors_become_format_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{broken")

@@ -7,9 +7,10 @@ import pytest
 from sparsecert import structures
 from sparsecert.engine import LinearProgram, Status, solve_lp, solve_lp_costs
 from sparsecert.engine.simplex import _Standard
-from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
+from sparsecert.recovery import RecoveryProblem
 
-from oracles import standard_form_oracle, vertex_enumeration_lp
+from oracles import (recovery_lp_oracle, standard_form_oracle,
+                     vertex_enumeration_lp)
 
 
 def random_feasible_lp(rng, n=None, m=None):
@@ -338,8 +339,9 @@ def test_cost_sequence_rejects_a_bad_cost():
 
 def test_recovery_lp_pivots_pinned():
     """Splitting solve_lp into its two phases keeps its pivot sequence: a
-    seeded recovery LP takes the 93 pivots and reaches the objective it did
-    before the split."""
+    seeded recovery LP in the t-epigraph form of ``recovery_lp_oracle``
+    takes the 93 pivots and reaches the objective it did before the
+    split."""
     r = np.random.default_rng(11)
     n, m = 30, 15
     st, rep = structures.build_plain(n)
@@ -348,8 +350,8 @@ def test_recovery_lp_pivots_pinned():
     x[[3, 17, 22]] = [1.0, -2.0, 0.5]
     prob = RecoveryProblem(a=a, b=rep, y=a @ x + 0.01 * r.standard_normal(m),
                            phi="l1", epsilon=0.05)
-    lp, _ = _build_recovery_lp(prob, st, "regular")
-    _, report = solve_lp(lp)
+    c, g, h, senses, lb = recovery_lp_oracle(prob, st, "regular")
+    _, report = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb))
     assert report.status is Status.OPTIMAL and not report.used_bland
     assert report.iterations == 93
     assert report.objective == pytest.approx(3.4958134631947595, rel=1e-12)

@@ -53,6 +53,13 @@ def test_group_builder_rejects_bad_blocks():
         build_group([(0, 1)], block_norm="l3")
 
 
+def test_group_builder_rejects_non_finite_weights():
+    # NaN passes a plain "c <= 0" test, since every comparison with NaN fails
+    for bad in (np.nan, np.inf):
+        with pytest.raises(StructureError):
+            build_group([(0,), (1,)], weights=[bad, 1.0])
+
+
 def test_lowrank_builder_keeps_wide_inputs():
     """A 2 x 4 structure acts on 2 x 4 matrices: norms, projectors and the
     file format all keep the shape the caller gave."""

@@ -10,13 +10,15 @@ the group of singleton l1 blocks, so its maximal projectors are the supports
 of size min(floor(s), n).  Per inclusion-maximal block set, each coordinate
 of an l1 block gets a sign and each linf block a (representative, sign).  The LPs
 are written in the one encoding of ``norms.structure_norm_epigraph``,
-variables [u+ | u- | t] >= 0 with z = u+ - u-.  The LPs of one enumeration
-share their feasible set and differ only in the cost, so they go through
-``solve_lp_costs``: one phase one per verdict, and each LP starts at the
-optimal basis of the one before.  l2 blocks and low rank leave the
-polyhedral world: there the search is Monte-Carlo plus projected ratio
-ascent on a kernel basis, which can certify badness (a witness is a witness)
-but never goodness, so those paths return a bracket instead of a value.
+variables [u+ | u- | t] >= 0 with z = u+ - u-; for a representation map
+other than the canonical one the signs run over the coordinates of B z.
+The LPs of one enumeration share their feasible set and differ only in the
+cost, so they go through ``solve_lp_costs``: one phase one per verdict, and
+each LP starts at the optimal basis of the one before.  l2 blocks and low
+rank leave the polyhedral world: there the search is Monte-Carlo plus
+projected ratio ascent on a kernel basis, which can certify badness (a
+witness is a witness) but never goodness, so those paths return a bracket
+instead of a value.
 
 Verdict semantics are uniform: gamma_value is the maximal retained fraction
   max_z  (worst-P retained mass of Bz) / ||Bz||,
@@ -113,17 +115,18 @@ def _maximize(lp, costs, witness):
 # polyhedral: enumeration over maximal projectors, signs and representatives
 
 
-def _kernel_ball_lp(a, structure):
+def _kernel_ball_lp(a, structure, lift=None):
     """The shared LP of one enumeration, with zero cost.
 
-    Variables [u+ | u- | t] of ``norms.structure_norm_epigraph``, z = u+ - u-.
-    Rows: [A, -A] (u+, u-) = 0, the epigraph rows (linf blocks only), and
-    the normalization cost @ v <= 1, so the feasible z span the unit
-    structure-norm ball of Ker(A).  For plain this is A(u+ - u-) = 0,
+    Variables [u+ | u- | t] of ``norms.structure_norm_epigraph`` for the
+    representation map ``lift`` (None: the canonical one), z = u+ - u-.
+    Rows: [A, -A] (u+, u-) = 0, the epigraph rows, and the normalization
+    cost @ v <= 1, so the feasible z span the unit ball of ||B z|| in
+    Ker(A).  For plain with the canonical B this is A(u+ - u-) = 0,
     sum(u+ + u-) <= 1.
     """
     m, n = a.shape
-    cost, g_ball = norms.structure_norm_epigraph(structure, n)
+    cost, g_ball = norms.structure_norm_epigraph(structure, n, lift)
     r = g_ball.shape[0]
     g = np.zeros((m + r + 1, cost.size))
     g[:m, :n] = a
@@ -136,7 +139,7 @@ def _kernel_ball_lp(a, structure):
                          senses=("eq",) * m + ("le",) * (r + 1))
 
 
-def _signed_costs(structure, s, n, nv):
+def _signed_costs(structure, s, n, nv, lift=None):
     """The costs one verdict maximizes over: (LP count, plans, costs).
 
     One plan per maximal projector (``structures.iter_projectors``; a plain
@@ -146,9 +149,18 @@ def _signed_costs(structure, s, n, nv):
     first sign is pinned (z -> -z symmetry).  The count is known before any
     LP runs, except that the enumeration stops past ``_LP_BUDGET`` plans,
     each of which has an LP: ``costs`` is then None and the count a lower
-    bound.  ``costs`` yields the vectors lazily, mirrored on u-.
+    bound.  ``costs`` yields the vectors lazily, mirrored on u-.  The
+    coordinates are those of z for the canonical B; for another B
+    (``lift``) they are those of B z, whose blocks do not overlap, and each
+    functional f of B z is the cost f @ B of z.
     """
-    blocks, tags = norms.lp_blocks(structure, n)
+    if lift is None:
+        blocks, tags = norms.lp_blocks(structure, n)
+        nf = n
+    else:
+        offs, tags, _ = norms.rep_blocks(structure)
+        blocks = [tuple(range(lo, hi)) for lo, hi in zip(offs[:-1], offs[1:])]
+        nf = lift.shape[0]
     plans = []
     count = 0
     for proj in structures.iter_projectors(structure, s):
@@ -180,13 +192,15 @@ def _signed_costs(structure, s, n, nv):
             for rest in itertools.product((1.0, -1.0),
                                           repeat=len(u1) - len(pinned)):
                 for picks in itertools.product(*rep_space):
-                    c = np.zeros(nv)
+                    f = np.zeros(nf)
                     for i, sg in zip(u1, pinned + rest):
-                        c[i] -= mult[i] * sg
-                        c[n + i] += mult[i] * sg
+                        f[i] += mult[i] * sg
                     for i, sg in picks:
-                        c[i] -= sg
-                        c[n + i] += sg
+                        f[i] += sg
+                    if lift is not None:
+                        f = f @ lift
+                    c = np.zeros(nv)
+                    c[:n], c[n:2 * n] = -f, f
                     yield c
 
     return count, plans, costs()
@@ -194,8 +208,9 @@ def _signed_costs(structure, s, n, nv):
 
 def _lp_bruteforce(a, structure, bmat, s, kernel_dim):
     n = a.shape[1]
-    lp = _kernel_ball_lp(a, structure)
-    count, plans, costs = _signed_costs(structure, s, n, lp.c.size)
+    lift = structures.custom_rep_matrix(structure, bmat)
+    lp = _kernel_ball_lp(a, structure, lift)
+    count, plans, costs = _signed_costs(structure, s, n, lp.c.size, lift)
     if count > _LP_BUDGET:
         more = "more than " if costs is None else ""
         return NullspaceVerdict(

@@ -24,14 +24,28 @@ upward (certificates stay valid):
   epigraph is linear by LP duality (exact when all block weights are 1, in
   particular for entrywise sparsity).
 
+The per-block LPs of target blocks with the same (size, norm tag) share
+their constraint matrix and differ only in the right-hand side, which holds
+the block's rows of C.  Stage one therefore solves their LP duals (Juditsky &
+Nemirovski's kernel-ball maximization, max{z_r : Az = 0, ||z|| <= 1} for
+plain structures): one feasible set per signature, with the blocks'
+right-hand sides as costs, solved as one warm-started sequence
+(``solve_lp_costs``: one phase one, each LP starting at the previous optimal
+basis).  g_k is minus the dual optimum and H[:, block k] is read from the
+dual's multipliers.
+
 beta = psi_1(H) = 2 * max_k max_i ||H[i, block k]|| decouples the same way.
 In the per-block case a second LP per block minimizes that block norm subject
 to g_k <= gamma (l2 blocks minimize the l1 norm, a linear surrogate), and the
 block keeps the new columns only if their true block norm is smaller.  It runs
 lazily: blocks are visited in descending order of their first-stage norm, and
 the visit stops once the next one cannot raise the running maximum, which
-gives the beta of running it on every block.  The joint LP's beta is whatever
-vertex the simplex lands on.
+gives the beta of running it on every block.  Stage two stays on the primal,
+one cold LP per visited block.  Its duals would share a feasible set per
+signature as well, but a warm-started dual sequence of them has been seen to
+stall at the 200,000-pivot cap on the dense tableau, while a stalled beta LP
+only costs time (the block keeps its stage-one columns).  The joint LP's beta
+is whatever vertex the simplex lands on.
 
 The reported gamma is the LP optimal value, which is unique even though the
 minimizing H need not be, so re-solves under different pivot rules agree to
@@ -41,10 +55,12 @@ induced norms.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .. import norms, structures
-from ..engine import LinearProgram, Status, solve_lp
+from ..engine import LinearProgram, Status, solve_lp, solve_lp_costs
 from .conditions import Certificate
 
 _LP_ENTRY_BUDGET = 4e7  # tableau cells; beyond this the dense solver thrashes
@@ -76,20 +92,6 @@ def psi_s(h, structure, s, phi="l1"):
     return max(norms.ps_seminorm(structure, row, s) for row in h)
 
 
-def _rep_blocks(structure):
-    """Representation-space block offsets, norm tags, and weights."""
-    if structure.kind == "plain":
-        n = structure.n
-        return np.arange(n + 1), ["l1"] * n, np.ones(n)
-    if structure.kind == "group":
-        sizes = [len(v) for v in structure.blocks]
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        return offs, list(structure.block_norms), \
-            np.asarray(structure.weights, dtype=float)
-    raise norms.UnsupportedNormError(
-        "LP synthesis covers entrywise and block structures only")
-
-
 class _Layout:
     """W = C - H^T D (C = B B^+, D = A B^+) and its block layout."""
 
@@ -97,7 +99,7 @@ class _Layout:
         self.b_pinv = np.linalg.pinv(bmat)
         self.c_full = bmat @ self.b_pinv
         self.d_full = a @ self.b_pinv
-        self.offs, self.tags, self.chi = _rep_blocks(structure)
+        self.offs, self.tags, self.chi = norms.rep_blocks(structure)
         self.sizes = np.diff(self.offs)
         self.block_of = np.repeat(np.arange(self.sizes.size), self.sizes)
         self.pos = np.arange(self.offs[-1]) - self.offs[self.block_of]
@@ -127,8 +129,10 @@ def _synthesis_lp(lay, targets, s, simple):
     directly; otherwise each surrogate flows into the relaxed-selection dual
     through lam and mu, closed by one row 2*(s*lam_l + sum_k mu_kl) <= g per
     column block l.  Variables: H[:, rows] row-major, the surrogate entries
-    of the non-scalar pairs, [lam, mu,] and g last.  Returns the LP and the
-    number of H variables.
+    of the non-scalar pairs, [lam, mu,] and g last.  Returns the LP, the
+    number of H variables and ``rhs``: rhs(r0) is the LP's h with the target
+    rows moved to start at row r0 of C, which for a single target is the h
+    of any block with its size and tag (G does not depend on C).
     """
     kk = lay.sizes.size
     m, big_m = lay.d_full.shape
@@ -174,23 +178,30 @@ def _synthesis_lp(lay, targets, s, simple):
     nvars = g_var + 1
     n_core = keys.size
     nrows = n_core + (0 if simple else kk)
-    if nrows * (nvars + nrows) > _LP_ENTRY_BUDGET:
+    # size the tableau of the LP actually solved: stage one (``simple``)
+    # solves the dual, one row per variable here and one column per row
+    rows, cols = (nvars, nrows) if simple else (nrows, nvars)
+    if rows * (cols + rows) > _LP_ENTRY_BUDGET:
         raise norms.UnsupportedNormError(
             "synthesis LP too large for the dense solver "
-            f"({nrows} rows, {nvars} variables)")
+            f"({rows} rows, {cols} variables)")
 
     factor = 2.0 if simple else 1.0
     f_e = np.where(scalar, factor, 1.0)
     coef = np.zeros((n_ent, m, a_tot))
     coef[np.arange(n_ent), :, t_e] = lay.d_full[:, c_e].T * -f_e[:, None]
     coef = coef.reshape(n_ent, nh)
-    const = lay.c_full[r_e, c_e] * f_e
     g_mat = np.zeros((nrows, nvars))
-    h_vec = np.zeros(nrows)
     g_mat[p_plus, :nh] = coef
     g_mat[p_minus, :nh] = -coef
-    h_vec[p_plus] = -const
-    h_vec[p_minus] = const
+
+    def rhs(r0):
+        const = lay.c_full[r_e - rows_t[0] + r0, c_e] * f_e
+        h = np.zeros(nrows)
+        h[p_plus] = -const
+        h[p_minus] = const
+        return h
+
     sur_cols = nh + np.arange(n_sur)
     g_mat[p_plus[ns], sur_cols] = -1.0
     g_mat[p_minus[ns], sur_cols] = -1.0
@@ -214,8 +225,24 @@ def _synthesis_lp(lay, targets, s, simple):
     cost = np.zeros(nvars)
     cost[g_var] = 1.0
     lb = np.concatenate([np.full(nh, -np.inf), np.zeros(nvars - nh)])
-    return LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * nrows,
-                         lb=lb), nh
+    return LinearProgram(c=cost, G=g_mat, h=rhs(rows_t[0]),
+                         senses=("le",) * nrows, lb=lb), nh, rhs
+
+
+def _dual_lp(lp, nh):
+    """The dual of a stage-one LP, with zero cost (the cost is its h).
+
+    The primal min c.x over G x <= h, x[:nh] free, x[nh:] >= 0 has the dual
+    max -h.p over p >= 0 with G_free^T p = -c_free and -G_rest^T p <= c_rest,
+    written as a minimization: its optimum is minus the primal one.  The
+    reported duals y of these rows are a primal optimum, x = (y[:nh],
+    -y[nh:]).
+    """
+    g_t = lp.G.T
+    return LinearProgram(
+        c=np.zeros(lp.h.size), G=np.vstack([g_t[:nh], -g_t[nh:]]),
+        h=np.concatenate([-lp.c[:nh], lp.c[nh:]]),
+        senses=("eq",) * nh + ("le",) * (lp.c.size - nh))
 
 
 def _beta_lp(lay, k, lp, gamma):
@@ -259,15 +286,16 @@ def _block_norm(h, tag):
 
 
 class _Runs:
-    """solve_lp with this call's limits, tallying LPs, pivots and gaps."""
+    """The LP solves of one call, with its limits, tallying LPs, pivots and
+    gaps; a stage-one or joint LP that is not optimal raises."""
 
     def __init__(self, maxiter, pivot):
         self.maxiter, self.pivot = maxiter, pivot
         self.lps = self.beta_lps = self.iterations = 0
+        self.sequences = self.sequence_iterations = 0
         self.delta = 0.0
 
-    def solve(self, lp, beta=False):
-        x, report = solve_lp(lp, maxiter=self.maxiter, pivot=self.pivot)
+    def _tally(self, report, beta):
         self.lps += 1
         self.beta_lps += int(beta)
         self.iterations += report.iterations
@@ -275,18 +303,39 @@ class _Runs:
             self.delta = max(self.delta, float(report.delta))
         elif not beta:
             raise SynthesisNotOptimalError(report.status)
-        return x, report
+        return report
+
+    def solve(self, lp, beta=False):
+        x, report = solve_lp(lp, maxiter=self.maxiter, pivot=self.pivot)
+        return x, self._tally(report, beta)
+
+    def solve_costs(self, lp, costs):
+        """One warm-started sequence (``solve_lp_costs``): yields the reports."""
+        self.sequences += 1
+        for _, report in solve_lp_costs(lp, costs, self.maxiter, self.pivot):
+            self.sequence_iterations += report.iterations
+            yield self._tally(report, False)
 
 
 def _stage_one(lay, runs):
-    """Per-block LPs at s = 1, unit weights: [(lp, H[:, block k], g_k)]."""
+    """Per-block LPs at s = 1, unit weights: [(lp, H[:, block k], g_k)].
+
+    Blocks of one (size, tag) share G and differ only in h, so one dual LP
+    per signature serves them all: its costs are their h, solved in one
+    warm-started sequence, and block k's H is read from its duals.
+    """
     m = lay.d_full.shape[0]
-    out = []
+    signatures = {}
     for k in range(lay.sizes.size):
-        lp, nh = _synthesis_lp(lay, [k], 1.0, simple=True)
-        x, report = runs.solve(lp)
-        out.append((lp, x[:nh].reshape(m, lay.sizes[k]),
-                    float(report.objective)))
+        signatures.setdefault((lay.sizes[k], lay.tags[k]), []).append(k)
+    out = [None] * lay.sizes.size
+    for blocks in signatures.values():
+        lp, nh, rhs = _synthesis_lp(lay, blocks[:1], 1.0, simple=True)
+        primal = [replace(lp, h=rhs(lay.offs[k])) for k in blocks]
+        reports = runs.solve_costs(_dual_lp(lp, nh), [p.h for p in primal])
+        for k, p, report in zip(blocks, primal, reports):
+            out[k] = (p, report.dual[:nh].reshape(m, lay.sizes[k]),
+                      -float(report.objective))
     return out
 
 
@@ -316,7 +365,10 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     carries the full H and W, the identity residual of B = WB + H^T A, and
     exactness flags for the reported gamma and beta.  ``details`` counts the
     LPs solved (``lps``, of which ``beta_lps`` in stage two), their pivots
-    (``lp_iterations``) and the largest duality gap among them (``lp_delta``).
+    (``lp_iterations``), the warm-started stage-one sequences
+    (``stage_one_sequences``, one per block signature) and their pivots
+    (``stage_one_iterations``), and the largest duality gap among all LPs
+    (``lp_delta``).
     """
     if structure.kind not in ("plain", "group"):
         raise norms.UnsupportedNormError(
@@ -359,7 +411,7 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
                 lay, k, stages[k], gamma_lp, runs)
             settled = max(settled, value)
     else:
-        lp, nh = _synthesis_lp(lay, range(kk), s, simple=False)
+        lp, nh, _ = _synthesis_lp(lay, range(kk), s, simple=False)
         x, report = runs.solve(lp)
         gamma_lp = float(report.objective)
         h_opt = x[:nh].reshape(m, big_m)
@@ -389,6 +441,8 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
         "lps": runs.lps,
         "beta_lps": runs.beta_lps,
         "lp_iterations": runs.iterations,
+        "stage_one_sequences": runs.sequences,
+        "stage_one_iterations": runs.sequence_iterations,
         "lp_delta": runs.delta,
         "gamma_recheck_exact_norms": float(gamma_recheck),
         "pivot": pivot,

@@ -291,6 +291,17 @@ def _duals(std, basis, costs):
         return np.linalg.lstsq(bmat.T, costs[basis], rcond=None)[0]
 
 
+def _slack_basis(std):
+    """Initial basis: per row, the first slack column that survived the sign
+    flips as +1 and has no other entry 1.0; -1 where a row has none."""
+    unit = std.A[:, std.nz:] == 1.0
+    cols = np.nonzero(unit.sum(axis=0) == 1)[0]
+    rows, first = np.unique(np.nonzero(unit[:, cols].T)[1], return_index=True)
+    basis = np.full(std.A.shape[0], -1, dtype=int)
+    basis[rows] = std.nz + cols[first]
+    return basis
+
+
 def _phase_one(std, maxiter, pivot):
     """Phase one on ``std``: returns (tableau, None) with a basis of
     structural columns, ready for phase two, or (None, report) when the
@@ -302,18 +313,12 @@ def _phase_one(std, maxiter, pivot):
             certificate={"kind": "bounds", "index": std.bad_bound})
 
     m, ncols = std.A.shape
-    # initial basis: reuse slack columns that survived sign flips as +1
-    basis = np.full(m, -1, dtype=int)
-    for j in range(std.nz, ncols):
-        rows = np.nonzero(std.A[:, j] == 1.0)[0]
-        if rows.size == 1 and basis[rows[0]] == -1:
-            basis[rows[0]] = j
+    basis = _slack_basis(std)
     need_art = np.nonzero(basis == -1)[0]
     n_art = need_art.size
     a_work = np.hstack([std.A, np.zeros((m, n_art))])
-    for k, i in enumerate(need_art):
-        a_work[i, ncols + k] = 1.0
-        basis[i] = ncols + k
+    a_work[need_art, ncols + np.arange(n_art)] = 1.0
+    basis[need_art] = ncols + np.arange(n_art)
 
     tab = _Tableau(a_work, std.b, basis, pivot)
 

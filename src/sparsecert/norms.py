@@ -352,21 +352,41 @@ def lp_blocks(structure, n):
     return structure.blocks, structure.block_norms
 
 
-def structure_norm_epigraph(structure, n):
-    """The LP encoding of the structure norm of u in R^n: (cost, g).
+def rep_blocks(structure):
+    """Representation-space block offsets, norm tags and weights: block k
+    holds the coordinates offs[k] .. offs[k+1] - 1 of B x (plain: one l1
+    coordinate per block)."""
+    if structure.kind == "plain":
+        n = structure.n
+        return np.arange(n + 1), ["l1"] * n, np.ones(n)
+    if structure.kind == "group":
+        sizes = [len(v) for v in structure.blocks]
+        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        return offs, list(structure.block_norms), \
+            np.asarray(structure.weights, dtype=float)
+    raise UnsupportedNormError("low-rank structures have no block layout")
+
+
+def structure_norm_epigraph(structure, n, b=None):
+    """The LP encoding of the structure norm of B u, u in R^n: (cost, g).
 
     Variables [u+ | u- | t], all >= 0, with u = u+ - u-; min cost @ v over
-    the rows g @ v <= 0 is the norm of B u for the canonical B.  The l1 mass
-    is the cost mult @ (u+ + u-), mult_i the number of l1 blocks holding
-    coordinate i (all ones for plain, whose coordinates are singleton l1
-    blocks).  Each linf block has one t (cost 1), in block order, and the
-    rows +-(u+_i - u-_i) <= t for its members in block order, + then -;
-    plain structures and l1 coordinates get no rows.  Raises
-    UnsupportedNormError where ``has_lp_form`` is False.
+    the rows g @ v <= 0 is the norm of B u.  For the canonical B (``b`` is
+    None) the l1 mass is the cost mult @ (u+ + u-), mult_i the number of l1
+    blocks holding coordinate i (all ones for plain, whose coordinates are
+    singleton l1 blocks).  Each linf block has one t (cost 1), in block
+    order, and the rows +-(u+_i - u-_i) <= t for its members in block order,
+    + then -; plain structures and l1 coordinates get no rows.  Any other
+    matrix ``b`` gets one t per l1 coordinate of B u, then one per linf
+    block, and the rows +-(b_j @ (u+ - u-)) <= t of each coordinate j of
+    B u, + then -.  Raises UnsupportedNormError where ``has_lp_form`` is
+    False.
     """
     if not has_lp_form(structure):
         raise UnsupportedNormError(
             "l2 blocks and the nuclear norm have no exact LP form")
+    if b is not None:
+        return _general_epigraph(structure, n, np.asarray(b, dtype=float))
     blocks, tags = lp_blocks(structure, n)
     tags = np.array(tags)
     sizes = [len(v) for v in blocks]
@@ -384,6 +404,27 @@ def structure_norm_epigraph(structure, n):
     g[rows, n + coord] = -sign
     g[rows, np.repeat(t_col, 2)] = -1.0
     return np.concatenate([mult, mult, np.ones(n_t)]), g
+
+
+def _general_epigraph(structure, n, b):
+    offs, tags, _ = rep_blocks(structure)
+    if b.shape != (offs[-1], n):
+        raise ValueError(f"B must be {offs[-1]} x {n} for this structure")
+    sizes = np.diff(offs)
+    is_l1 = np.repeat(np.array(tags) == "l1", sizes)
+    n_e = int(is_l1.sum())
+    # the t bounding each coordinate of B u: its own (l1), its block's (linf)
+    t_col = np.empty(offs[-1], dtype=int)
+    t_col[is_l1] = 2 * n + np.arange(n_e)
+    is_linf = np.array(tags) == "linf"
+    t_col[~is_l1] = 2 * n + n_e + np.repeat(np.cumsum(is_linf) - 1,
+                                            sizes)[~is_l1]
+    n_t = n_e + int(is_linf.sum())
+    g = np.zeros((2 * offs[-1], 2 * n + n_t))
+    g[0::2, :n], g[0::2, n:2 * n] = b, -b
+    g[1::2, :n], g[1::2, n:2 * n] = -b, b
+    g[np.arange(g.shape[0]), np.repeat(t_col, 2)] = -1.0
+    return np.concatenate([np.zeros(2 * n), np.ones(n_t)]), g
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ def _build_recovery_lp(problem, structure, mode, lam=0.0):
 
     Variable layout [u+ | u- | t | fit aux], all >= 0: the first three are
     the encoding of ||B u|| by ``norms.structure_norm_epigraph`` (its rows
-    come first, linf blocks only), then the data fit on [A, -A].  That is
+    come first: linf blocks only for the canonical B, every coordinate of
+    B u for any other), then the data fit on [A, -A].  That is
     A u = y for regular recovery with epsilon = 0; otherwise the pair
     +-(a_j u - y_j) for each j, bounded by fit aux j (l1, closed by
     sum(fit aux) <= epsilon when regular), by one shared fit aux (linf,
@@ -134,7 +135,8 @@ def _build_recovery_lp(problem, structure, mode, lam=0.0):
     """
     a, y = problem.a, problem.y
     m, n = a.shape
-    obj_cost, obj_g = norms.structure_norm_epigraph(structure, n)
+    obj_cost, obj_g = norms.structure_norm_epigraph(
+        structure, n, structures.custom_rep_matrix(structure, problem.b))
     a_pm = np.hstack([a, -a])
     if mode == "regular" and problem.epsilon == 0.0:
         fit_cost, fit_u, fit_aux, fit_h, sense = np.zeros(0), a_pm, \

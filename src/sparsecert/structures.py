@@ -119,6 +119,17 @@ def rep_matrix(structure, b=None):
         np.atleast_2d(np.asarray(b, dtype=float))
 
 
+def custom_rep_matrix(structure, b):
+    """The dense B of ``b`` when it is not the structure's canonical
+    representation map, else None (``b`` None included)."""
+    if b is None:
+        return None
+    bmat = rep_matrix(structure, b)
+    canon = _build_rep_map(structure).matrix
+    same = bmat.shape == canon.shape and np.array_equal(bmat, canon)
+    return None if same else bmat
+
+
 def build_plain(n):
     if int(n) < 1:
         raise StructureError("plain structure needs n >= 1")

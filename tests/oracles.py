@@ -503,3 +503,31 @@ def standard_form_oracle(lp, tol=1e-9):
         return x
 
     return a, b, c, x_original
+
+
+def slack_basis_oracle(std):
+    """Phase one's initial basis, column by column: each slack column j in
+    order whose only entry equal to 1.0 is in a row with no basic column yet
+    becomes that row's basic column; -1 marks rows left for an artificial."""
+    m, ncols = std.A.shape
+    basis = np.full(m, -1, dtype=int)
+    for j in range(std.nz, ncols):
+        rows = np.nonzero(std.A[:, j] == 1.0)[0]
+        if rows.size == 1 and basis[rows[0]] == -1:
+            basis[rows[0]] = j
+    return basis
+
+
+def stage_one_primal_oracle(lay, maxiter=200000):
+    """Synthesis stage one solved the cold, primal way: block k's LP on its
+    own, one ``solve_lp`` each; [(H[:, block k], g_k, status)]."""
+    from sparsecert.certify import synthesis
+    from sparsecert.engine import solve_lp
+    m = lay.d_full.shape[0]
+    out = []
+    for k in range(lay.sizes.size):
+        lp, nh, _ = synthesis._synthesis_lp(lay, [k], 1.0, simple=True)
+        x, rep = solve_lp(lp, maxiter=maxiter)
+        out.append((x[:nh].reshape(m, lay.sizes[k]), float(rep.objective),
+                    rep.status))
+    return out

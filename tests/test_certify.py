@@ -165,6 +165,33 @@ def test_group_bruteforce_checks_the_budget_before_any_lp(monkeypatch):
     assert v.status == "Unknown" and "120" in v.details["reason"]
 
 
+def test_bruteforce_measures_a_non_canonical_b():
+    """||Bz|| with B = diag(1, 10, 1): the kernel direction (1, -1, 1) keeps
+    10 of its 12 units on coordinate 1, so the verdict is bad at 10/12."""
+    st, _ = structures.build_plain(3)
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    v = gamma_s_bruteforce(a, st, 1, b=np.diag([1.0, 10.0, 1.0]))
+    assert v.status == "CertifiedBad"
+    assert v.gamma_value == pytest.approx(10.0 / 12.0, abs=1e-12)
+
+
+def test_bruteforce_invertible_b_is_a_change_of_variables():
+    """For invertible B on non-overlapping blocks (canonical B = I), the
+    verdict for (A, B) is the canonical one for A B^-1, since w = B z."""
+    cases = [(structures.build_plain(7)[0], 2)] + [
+        (structures.build_group([(0, 1), (2, 3), (4, 5, 6)],
+                                block_norm=tags)[0], 1)
+        for tags in ("l1", "linf", ["l1", "linf", "l1"])]
+    for i, (st, s) in enumerate(cases):
+        rng = np.random.default_rng(60 + i)
+        a = rng.standard_normal((4, 7))
+        b = np.eye(7) + 0.5 * rng.standard_normal((7, 7))
+        got = gamma_s_bruteforce(a, st, s, b=b)
+        want = gamma_s_bruteforce(a @ np.linalg.inv(b), st, s)
+        assert got.status == want.status
+        assert got.gamma_value == pytest.approx(want.gamma_value, abs=1e-9)
+
+
 def test_group_bruteforce_l2_blocks_only_brackets(rng):
     """Sampled ascent cannot certify goodness; it returns a bracket."""
     st, rep = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
@@ -410,6 +437,45 @@ def _stage_one(st, rep, a):
     return synthesis, lay, runs, synthesis._stage_one(lay, runs)
 
 
+def _stage_one_cases():
+    """Plain, l1, linf, l2, mixed-tag and uneven-size blocks, two draws each."""
+    blocks = [(0, 1, 2), (3,), (4, 5), (6, 7, 8), (9, 10)]
+    shapes = [(structures.build_plain(10), 6)] + [
+        (structures.build_group(PAIRS, block_norm=tag), 6)
+        for tag in ("l1", "linf", "l2")] + [
+        (structures.build_group(blocks,
+                                block_norm=["l1", "linf", "l2", "l1", "linf"]), 7),
+        (structures.build_group(blocks, block_norm="linf"), 7),
+        (structures.build_group(blocks, block_norm="l1"), 7)]
+    for i, ((st, rep), m) in enumerate(shapes):
+        for d in range(2):
+            a = np.random.default_rng([77, i, d]).standard_normal(
+                (m, rep.matrix.shape[1]))
+            yield f"{i}.{d}", st, rep, a
+
+
+def test_dual_stage_one_matches_cold_primal_per_block():
+    """g_k of the warm-started dual sequences is the cold primal optimum of
+    every block, and the H read from the duals attains it: its exact block
+    row of 2 * Omega is at most g_k."""
+    from sparsecert import norms
+    from oracles import stage_one_primal_oracle
+    for name, st, rep, a in _stage_one_cases():
+        synthesis, lay, runs, stages = _stage_one(st, rep, a)
+        cold = stage_one_primal_oracle(lay)
+        assert runs.sequences == len(set(zip(lay.sizes, lay.tags))), name
+        assert runs.lps == len(stages) == len(cold)
+        h = np.hstack([h for _, h, _ in stages])
+        w = (rep.matrix - h.T @ a) @ lay.b_pinv
+        omega = np.abs(w) if np.all(lay.sizes == 1) else \
+            norms.omega(st, w)[0]
+        for k, ((_, h_k, g_k), (_, g_cold, status)) in enumerate(
+                zip(stages, cold)):
+            assert status.value == "optimal"
+            assert g_k == pytest.approx(g_cold, abs=1e-9), (name, k)
+            assert 2.0 * omega[k].max() <= g_k + 1e-9, (name, k)
+
+
 def test_synthesis_lazy_beta_equals_full_stage_two():
     for name, st, rep, a, _, _ in _pinned_cases():
         cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
@@ -425,19 +491,19 @@ def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
     from sparsecert.engine import SolveReport, Status
     _, st, rep, a, _, _ = next(_pinned_cases())
     synthesis, _, _, stages = _stage_one(st, rep, a)
-    real = synthesis.solve_lp
     calls = []
 
+    # stage one runs through solve_lp_costs, so every solve_lp call is a
+    # stage-two LP: all of them stall
     def stage_two_stalls(lp, **kwargs):
         calls.append(lp)
-        if len(calls) <= len(stages):
-            return real(lp, **kwargs)
         return None, SolveReport(status=Status.MAXITER, iterations=7)
 
     monkeypatch.setattr(synthesis, "solve_lp", stage_two_stalls)
     cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
     h_one = np.hstack([h for _, h, _ in stages])
     assert cert.details["beta_lps"] >= 1
+    assert len(calls) == cert.details["beta_lps"]
     assert np.array_equal(cert.h_matrix, h_one)
     assert cert.beta == pytest.approx(psi_s(h_one, st, 1))
 
@@ -454,6 +520,22 @@ def test_synthesis_details_count_the_lps():
     assert joint.details["lps"] == 1 and joint.details["beta_lps"] == 0
 
 
+def test_synthesis_budget_sizes_the_lp_solved(monkeypatch):
+    """Stage one solves the dual, whose tableau has one row per primal
+    variable: plain n = 20, m = 12 has 13 x 53 dual cells against 40 x 53
+    primal ones.  A budget between the two admits stage one; the joint LP
+    (s = 2) is sized on its primal and refused."""
+    from sparsecert.certify import synthesis
+    from sparsecert.norms import UnsupportedNormError
+    st, rep = structures.build_plain(20)
+    a = np.random.default_rng(8).standard_normal((12, 20))
+    monkeypatch.setattr(synthesis, "_LP_ENTRY_BUDGET", 1000)
+    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    assert cert.details["stage_one_sequences"] == 1
+    with pytest.raises(UnsupportedNormError, match="too large"):
+        synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
+
+
 def test_joint_lp_matches_row_by_row_reference():
     """Where pi_s couples the blocks, the array-built joint LP is the one
     the row-by-row assembly gives, entry for entry."""
@@ -468,7 +550,7 @@ def test_joint_lp_matches_row_by_row_reference():
     for i, ((st, rep), s) in enumerate(cases):
         a = np.random.default_rng(i).standard_normal((5, 9))
         lay = synthesis._Layout(st, a, rep.matrix)
-        lp, nh = synthesis._synthesis_lp(lay, range(lay.sizes.size), s,
+        lp, nh, _ = synthesis._synthesis_lp(lay, range(lay.sizes.size), s,
                                          simple=False)
         g_ref, h_ref, nh_ref = joint_synthesis_lp_oracle(
             a, rep.matrix, lay.sizes, lay.tags, lay.chi, s)

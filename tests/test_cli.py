@@ -112,6 +112,9 @@ def test_certify_json_reports_lp_counts(tmp_path):
     details = json.loads(r.stdout)["details"]
     assert details["lps"] == 6 + details["beta_lps"]
     assert details["lp_iterations"] > 0
+    # the six singleton blocks share one signature: one warm-started sequence
+    assert details["stage_one_sequences"] == 1
+    assert 0 < details["stage_one_iterations"] <= details["lp_iterations"]
     assert 0.0 <= details["lp_delta"] <= 1e-8
 
 
@@ -142,10 +145,41 @@ def test_certify_synthesis_maxiter_is_exit_two(tmp_path, monkeypatch,
     def capped(lp, **kwargs):
         return None, SolveReport(status=Status.MAXITER, iterations=8000)
 
+    def capped_costs(lp, costs, *args):
+        for _ in costs:
+            yield capped(lp)
+
+    # stage one solves through solve_lp_costs, stage two through solve_lp
     monkeypatch.setattr(synthesis, "solve_lp", capped)
+    monkeypatch.setattr(synthesis, "solve_lp_costs", capped_costs)
     st, _ = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
+    code = cli.main(["certify", "--structure", str(sp), "--matrix", str(mp),
+                     "--s", "1", "--method", "synth"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "maxiter" in err
+
+
+def test_certify_dual_stage_one_not_optimal_is_exit_two(tmp_path, monkeypatch,
+                                                       capsys):
+    """One stage-one dual LP of a warm-started sequence stops at MAXITER while
+    the others solve: no certificate, exit 2."""
+    from sparsecert.certify import synthesis
+    from sparsecert.engine import SolveReport, Status
+    real = synthesis.solve_lp_costs
+
+    def second_capped(lp, costs, *args):
+        for i, (x, rep) in enumerate(real(lp, costs, *args)):
+            yield (None, SolveReport(status=Status.MAXITER, iterations=9)) \
+                if i == 1 else (x, rep)
+
+    monkeypatch.setattr(synthesis, "solve_lp_costs", second_capped)
+    st, _ = structures.build_plain(5)
+    sp = write_structure(tmp_path, st)
+    mp = write_matrix(tmp_path,
+                      np.random.default_rng(4).standard_normal((3, 5)))
     code = cli.main(["certify", "--structure", str(sp), "--matrix", str(mp),
                      "--s", "1", "--method", "synth"])
     assert code == 2

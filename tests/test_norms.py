@@ -413,6 +413,33 @@ def test_structure_norm_epigraph_minimum_is_the_norm(rng):
             assert rep.objective == pytest.approx(want, rel=1e-9)
 
 
+def test_structure_norm_epigraph_of_any_b_is_the_norm(rng):
+    """The same for a representation map other than the canonical one."""
+    from sparsecert.engine import LinearProgram, Status, solve_lp
+    cases = [structures.build_plain(5)[0]] + [
+        structures.build_group(blocks, block_norm=tags)[0]
+        for blocks, tags in (
+            ([(0, 1), (2, 3, 4)], "l1"),
+            ([(0, 1), (2, 3, 4)], "linf"),
+            ([(0, 1, 2), (2, 3, 4), (3, 4), (0, 4)],
+             ["l1", "l1", "linf", "linf"]))]
+    for st in cases:
+        b = rng.standard_normal((st.ambient_dim_e, 5))
+        cost, g = norms.structure_norm_epigraph(st, 5, b)
+        pin = np.zeros((5, cost.size))
+        pin[:, :5], pin[:, 5:10] = np.eye(5), -np.eye(5)
+        for u in rng.standard_normal((3, 5)):
+            _, rep = solve_lp(LinearProgram(
+                c=cost, G=np.vstack([g, pin]),
+                h=np.concatenate([np.zeros(g.shape[0]), u]),
+                senses=("le",) * g.shape[0] + ("eq",) * 5))
+            assert rep.status is Status.OPTIMAL
+            assert rep.objective == pytest.approx(structure_norm(st, b @ u),
+                                                  rel=1e-9)
+        with pytest.raises(ValueError):
+            norms.structure_norm_epigraph(st, 5, b[:, :4])
+
+
 def test_lp_form_predicate():
     assert norms.has_lp_form(structures.build_plain(3)[0])
     assert norms.has_lp_form(structures.build_group(

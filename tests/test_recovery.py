@@ -182,6 +182,45 @@ def test_method_dispatch(rng):
         recover_regular(prob, st, method="newton")
 
 
+def test_lp_path_minimizes_a_non_canonical_b():
+    """B = diag(1, 10, 1): x = (1, 0, 1) fits y = (1, 1) with ||Bx||_1 = 2,
+    where (0, 1, 0) costs 10; every method finds the former."""
+    st, _ = structures.build_plain(3)
+    prob = RecoveryProblem(a=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+                           b=np.diag([1.0, 10.0, 1.0]), y=np.ones(2),
+                           phi="l1", epsilon=0.0)
+    for method in ("lp", "auto", "split"):
+        res = recover_regular(prob, st, method=method)
+        assert np.allclose(res.x_hat, [1.0, 0.0, 1.0], atol=1e-6), method
+        assert res.report.objective == pytest.approx(2.0, abs=1e-6), method
+
+
+def test_lp_path_with_invertible_b_is_a_change_of_variables(rng):
+    """min ||B u|| s.t. fit(A u - y) equals min ||w|| s.t. fit(A B^-1 w - y)
+    under the canonical B, for each LP fit."""
+    for st in (structures.build_plain(6)[0],
+               structures.build_group([(0, 1), (2, 3, 4), (5,)],
+                                      block_norm=["linf", "l1", "linf"])[0]):
+        a = rng.standard_normal((3, 6))
+        b = np.eye(6) + 0.5 * rng.standard_normal((6, 6))
+        y = rng.standard_normal(3)
+        for phi, eps in (("l1", 0.0), ("l1", 0.3), ("linf", 0.2)):
+            got = recover_regular(RecoveryProblem(a=a, b=b, y=y, phi=phi,
+                                                  epsilon=eps), st, method="lp")
+            want = recover_regular(RecoveryProblem(
+                a=a @ np.linalg.inv(b), b=np.eye(6), y=y, phi=phi,
+                epsilon=eps), st, method="lp")
+            assert got.report.objective == pytest.approx(
+                want.report.objective, rel=1e-9, abs=1e-12)
+        got = recover_penalized(RecoveryProblem(a=a, b=b, y=y, phi="l1"), st,
+                                2.0, method="lp")
+        want = recover_penalized(RecoveryProblem(a=a @ np.linalg.inv(b),
+                                                 b=np.eye(6), y=y, phi="l1"),
+                                 st, 2.0, method="lp")
+        assert got.report.objective == pytest.approx(want.report.objective,
+                                                     rel=1e-9, abs=1e-12)
+
+
 def test_group_recovery_lp_vs_oracle_objective(rng):
     """Group objective with l1 blocks is a weighted l1; LP must match the
     direct enumeration of the tiny kernel instance."""

@@ -6,11 +6,11 @@ import pytest
 
 from sparsecert import structures
 from sparsecert.engine import LinearProgram, Status, solve_lp, solve_lp_costs
-from sparsecert.engine.simplex import _Standard
+from sparsecert.engine.simplex import _slack_basis, _Standard
 from sparsecert.recovery import RecoveryProblem
 
-from oracles import (recovery_lp_oracle, standard_form_oracle,
-                     vertex_enumeration_lp)
+from oracles import (recovery_lp_oracle, slack_basis_oracle,
+                     standard_form_oracle, vertex_enumeration_lp)
 
 
 def random_feasible_lp(rng, n=None, m=None):
@@ -205,6 +205,27 @@ def test_standard_form_matches_column_by_column_reference(rng):
     assert standard_form_oracle(crossed) is None
     _, rep = solve_lp(crossed)
     assert rep.certificate == {"kind": "bounds", "index": 1}
+
+
+def test_slack_basis_matches_column_by_column_reference(rng):
+    """Phase one's initial basis, built from arrays, is the one the loop over
+    slack columns picks, so the pivots that follow do not move."""
+    for trial in range(60):
+        lp = mixed_bounds_lp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)),
+                             redundant=trial % 7 == 0)
+        if trial % 5 == 0:
+            lp.h = lp.h - 10.0       # negative right-hand sides flip rows
+        std = _Standard(lp)
+        assert np.array_equal(_slack_basis(std), slack_basis_oracle(std))
+
+    class Loose:                     # slack block with stray 1.0 entries
+        nz = 2
+        A = np.array([[9.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+                      [1.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 1.0, -1.0],
+                      [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+    assert np.array_equal(_slack_basis(Loose), slack_basis_oracle(Loose))
+    assert np.array_equal(_slack_basis(Loose), [-1, 3, -1, 5])
 
 
 def _assert_same_as_cold(lp, costs):

@@ -3,22 +3,36 @@
 Where the structure norm is polyhedral (``norms.has_lp_form``: plain, and
 group structures with l1/linf blocks) the quantity of interest is the exact
 maximum of the retained mass over {z in Ker(A), ||Bz|| <= 1}, obtained by
-maximizing every signed-support linear functional with one LP each (the max
-of finitely many linear maximizations is the max of the convex objective
-over the polytope).  One enumeration serves both kinds: a plain structure is
-the group of singleton l1 blocks, so its maximal projectors are the supports
-of size min(floor(s), n).  Per inclusion-maximal block set, each coordinate
-of an l1 block gets a sign and each linf block a (representative, sign).  The LPs
-are written in the one encoding of ``norms.structure_norm_epigraph``,
-variables [u+ | u- | t] >= 0 with z = u+ - u-; for a representation map
-other than the canonical one the signs run over the coordinates of B z.
-The LPs of one enumeration share their feasible set and differ only in the
-cost, so they go through ``solve_lp_costs``: one phase one per verdict, and
-each LP starts at the optimal basis of the one before.  l2 blocks and low
-rank leave the polyhedral world: there the search is Monte-Carlo plus
-projected ratio ascent on a kernel basis, which can certify badness (a
-witness is a witness) but never goodness, so those paths return a bracket
-instead of a value.
+maximizing signed-support linear functionals with one LP each (the max of
+finitely many linear maximizations is the max of the convex objective over
+the polytope).  One enumeration serves both kinds: a plain structure is the
+group of singleton l1 blocks, so its maximal projectors are the supports of
+size min(floor(s), n).  Per block set, each coordinate of an l1 block gets a
+sign and each linf block a (representative, sign).  The LPs are written in
+the one encoding of ``norms.structure_norm_epigraph``, variables
+[u+ | u- | t] >= 0 with z = u+ - u-; for a representation map other than
+the canonical one the signs run over the coordinates of B z.  The LPs of one
+enumeration share their feasible set and differ only in the cost, so they go
+through ``solve_lp_costs``: one phase one per verdict, and each LP starts at
+the optimal basis of the one before.
+
+Most of those LPs cannot matter, and certified bounds prove it without
+solving them.  The value of a block set (its largest retained mass) adds up
+over blocks, so it is subadditive: val(S) <= val(S - l) + val({l}).  Every
+single block is solved first; each larger set is then bounded by the min
+over its blocks l of UB(S - l) + UB({l}), UB being a solved set's largest
+value + delta (+inf when one of its LPs did not end optimal) and any other
+set's bound.  The inclusion-maximal sets are visited in descending order of
+bound, and their LPs run only while that bound exceeds the best value
+found; when a set's bound comes from an unsolved subset, that cheaper
+subset is solved first (``_pruned_search``).  Every visited set lies inside
+a maximal one, so the best value stays the exact maximum, and the certified
+upper bound is the largest value + delta over the LPs solved.
+
+l2 blocks and low rank leave the polyhedral world: there the search is
+Monte-Carlo plus projected ratio ascent on a kernel basis, which can certify
+badness (a witness is a witness) but never goodness, so those paths return
+a bracket instead of a value.
 
 Verdict semantics are uniform: gamma_value is the maximal retained fraction
   max_z  (worst-P retained mass of Bz) / ||Bz||,
@@ -26,15 +40,22 @@ CertifiedGood needs an exhaustive method whose LPs all ended optimal and a
 certified upper bound max_k (value_k + delta_k) < 1/2 - 1e-9; ties at 1/2
 are CertifiedBad (two sparse signals share a measurement, non-uniqueness).
 An enumeration with an LP that did not end optimal reports at most a bracket,
-or CertifiedBad by witness.  ``details`` carries the LP count, the total
-pivots (``lp_iterations``), the largest per-LP gap (``lp_delta``) and
-``lps_not_optimal``.
+or CertifiedBad by witness.  ``details`` carries ``signed_supports`` (the
+LPs of the maximal sets, which ``_LP_BUDGET`` caps before any LP runs),
+``lp_count`` (the LPs solved), ``lps_pruned`` (the maximal sets' LPs
+skipped, so the maximal sets' LPs solved are ``signed_supports -
+lps_pruned`` and the rest of ``lp_count`` went to smaller sets), the total
+pivots (``lp_iterations``), the largest per-LP gap (``lp_delta``),
+``lps_not_optimal`` and, when every LP ended optimal, the certified upper
+bound ``gamma_upper``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,35 +105,8 @@ def _classify(structure, bmat, s, gamma, z, upper, details):
                             witness=z, details=details)
 
 
-def _maximize(lp, costs, witness):
-    """Maximize -c.x over the feasible set of ``lp`` for every c of
-    ``costs``, warm-started (``solve_lp_costs``).
-
-    Returns (best value, witness(x) at the best, upper, stats): ``upper`` is
-    max over the LPs of value + delta, a certified upper bound on the
-    maximum, or None when some LP did not end optimal, since its value is
-    then unknown.
-    """
-    best, best_z, upper = 0.0, None, 0.0
-    iterations = not_optimal = 0
-    gap = 0.0
-    for x, rep in solve_lp_costs(lp, costs):
-        iterations += rep.iterations
-        if rep.status is not Status.OPTIMAL:
-            not_optimal += 1
-            continue
-        val = -rep.objective
-        upper = max(upper, val + rep.delta)
-        gap = max(gap, rep.delta)
-        if val > best:
-            best, best_z = val, witness(x)
-    stats = {"lp_iterations": iterations, "lp_delta": gap,
-             "lps_not_optimal": not_optimal}
-    return best, best_z, None if not_optimal else upper, stats
-
-
 # ---------------------------------------------------------------------------
-# polyhedral: enumeration over maximal projectors, signs and representatives
+# polyhedral: pruned enumeration over block sets, signs and representatives
 
 
 def _kernel_ball_lp(a, structure, lift=None):
@@ -139,92 +133,221 @@ def _kernel_ball_lp(a, structure, lift=None):
                          senses=("eq",) * m + ("le",) * (r + 1))
 
 
-def _signed_costs(structure, s, n, nv, lift=None):
-    """The costs one verdict maximizes over: (LP count, plans, costs).
+def _maximal_sets(chi, s):
+    """The inclusion-maximal block sets of weight <= s (block weights
+    ``chi``), as sorted tuples in lexicographic order, depth first, so the
+    first ones come without enumerating the rest."""
+    cap = s + 1e-12
+    kk = len(chi)
 
-    One plan per maximal projector (``structures.iter_projectors``; a plain
-    support is a set of singleton l1 blocks): the multiplicities of its
-    l1-block coordinates, each of which gets a sign, and its linf blocks,
-    each of which picks a (representative, sign).  Without linf blocks the
-    first sign is pinned (z -> -z symmetry).  The count is known before any
-    LP runs, except that the enumeration stops past ``_LP_BUDGET`` plans,
-    each of which has an LP: ``costs`` is then None and the count a lower
-    bound.  ``costs`` yields the vectors lazily, mirrored on u-.  The
-    coordinates are those of z for the canonical B; for another B
+    def grow(chosen, weight):
+        extended = False
+        for l in range(chosen[-1] + 1 if chosen else 0, kk):
+            if weight + chi[l] <= cap:
+                extended = True
+                yield from grow(chosen + (l,), weight + chi[l])
+        if not extended and chosen and all(
+                weight + chi[l] > cap for l in range(kk) if l not in chosen):
+            yield chosen
+
+    return grow((), 0.0)
+
+
+def _lattice(maximal):
+    """Every nonempty subset of the sets ``maximal``, by size: level k - 1
+    holds the k-block sets, in lexicographic order."""
+    by_size = {}
+    for chosen in maximal:
+        by_size.setdefault(len(chosen), set()).add(chosen)
+    top = max(by_size)
+    for k in range(top, 1, -1):
+        below = by_size.setdefault(k - 1, set())
+        for chosen in by_size.get(k, ()):
+            below.update(chosen[:i] + chosen[i + 1:] for i in range(k))
+    return [sorted(by_size.get(k, ())) for k in range(1, top + 1)]
+
+
+class _Plan(NamedTuple):
+    """The signed supports of one block set."""
+    mult: dict      # l1 coordinate -> number of chosen l1 blocks holding it
+    l1: list        # those coordinates, sorted
+    linf: list      # the chosen linf blocks' members
+    count: int      # LPs: signs on ``l1`` times (member, sign) per linf block
+
+
+class _SignedSupports:
+    """The signed-support costs of one enumeration, per block set.
+
+    The blocks are the structure's (a plain support is a set of singleton
+    l1 blocks) in the coordinates of z for the canonical B; for another B
     (``lift``) they are those of B z, whose blocks do not overlap, and each
-    functional f of B z is the cost f @ B of z.
+    functional f of B z is the cost f @ B of z.  A block set maximizes one
+    functional per sign vector on the coordinates of its l1 blocks, each
+    counted once per l1 block holding it, times one (member, sign) per linf
+    block; without linf blocks the first sign is pinned (z -> -z symmetry).
+    Costs are mirrored on u-.
     """
-    if lift is None:
-        blocks, tags = norms.lp_blocks(structure, n)
-        nf = n
-    else:
-        offs, tags, _ = norms.rep_blocks(structure)
-        blocks = [tuple(range(lo, hi)) for lo, hi in zip(offs[:-1], offs[1:])]
-        nf = lift.shape[0]
-    plans = []
-    count = 0
-    for proj in structures.iter_projectors(structure, s):
-        chosen = proj.support if structure.kind == "plain" else proj.block_set
+
+    def __init__(self, structure, n, nv, lift=None):
+        offs, self.tags, self.weights = norms.rep_blocks(structure)
+        if lift is None:
+            self.blocks = norms.lp_blocks(structure, n)[0]
+            self.nf = n
+        else:
+            self.blocks = [tuple(range(lo, hi))
+                           for lo, hi in zip(offs[:-1], offs[1:])]
+            self.nf = lift.shape[0]
+        self.n, self.nv, self.lift = n, nv, lift
+
+    def plan(self, chosen):
+        """The ``_Plan`` of block set ``chosen``."""
         mult = {}
         linf_members = []
-        for l in sorted(chosen):
-            if tags[l] == "l1":
-                for i in blocks[l]:
+        for l in chosen:
+            if self.tags[l] == "l1":
+                for i in self.blocks[l]:
                     mult[i] = mult.get(i, 0.0) + 1.0
             else:
-                linf_members.append(blocks[l])
+                linf_members.append(self.blocks[l])
         u1 = sorted(mult)
-        if not u1 and not linf_members:
-            continue  # the zero projector: nothing to maximize
-        combos = 2 ** max(len(u1) - (0 if linf_members else 1), 0)
+        count = 2 ** max(len(u1) - (0 if linf_members else 1), 0)
         for v in linf_members:
-            combos *= 2 * len(v)
-        count += combos
-        plans.append((mult, u1, linf_members))
-        if len(plans) > _LP_BUDGET:
-            return count, plans, None
+            count *= 2 * len(v)
+        return _Plan(mult, u1, linf_members, count)
+
+    def costs(self, plan):
+        """The cost vectors of one block set's ``plan``, lazily."""
+        mult, u1, linf_members = plan.mult, plan.l1, plan.linf
+        n = self.n
+        rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
+                     for v in linf_members]
+        pinned = () if linf_members else (1.0,)  # z -> -z symmetry
+        for rest in itertools.product((1.0, -1.0),
+                                      repeat=len(u1) - len(pinned)):
+            for picks in itertools.product(*rep_space):
+                f = np.zeros(self.nf)
+                for i, sg in zip(u1, pinned + rest):
+                    f[i] += mult[i] * sg
+                for i, sg in picks:
+                    f[i] += sg
+                if self.lift is not None:
+                    f = f @ self.lift
+                c = np.zeros(self.nv)
+                c[:n], c[n:2 * n] = -f, f
+                yield c
+
+
+def _pruned_search(lp, maximal, supports, witness):
+    """Maximize the retained mass over the feasible set of ``lp``: the max
+    over the block sets ``maximal`` (set -> LP count) of their
+    signed-support LPs (``supports``), one warm-started ``solve_lp_costs``
+    sequence.
+
+    The value of a block set is subadditive, val(S) <= val(S - l) +
+    val({l}), so a set of two or more blocks is bounded by the min over its
+    blocks l of UB(S - l) + UB({l}).  UB is the max of value + delta over a
+    solved set's LPs (+inf if one did not end optimal), and for any other
+    set its bound, set level by level from the singletons up, all of which
+    are solved first.  The maximal sets are then visited in descending
+    order of bound, each bound brought up to date when its set comes first,
+    until none exceeds the best value found.  The first one's LPs run
+    unless the subset S - l of its bound is unsolved: that cheaper subset
+    runs first, and the set goes back in line.  The costs are drawn lazily,
+    so each decision sees every report before it.  Every set is a subset of
+    a maximal one, so its value is a lower bound on theirs, and the best is
+    the exact maximum.
+
+    Returns (best value, witness(x) at the best, upper, stats): ``upper`` is
+    max over the LPs solved of value + delta, a certified upper bound on the
+    maximum (a skipped set's bound is at most the best value), or None when
+    some LP did not end optimal.
+    """
+    levels = _lattice(maximal)
+    ub, solved = {}, set()
+    best, best_z, upper = 0.0, None, 0.0
+    current = None
+
+    def solve(chosen):
+        nonlocal current
+        current = chosen
+        ub[chosen] = 0.0    # z = 0 is feasible: no value is below 0
+        solved.add(chosen)
+        yield from supports.costs(supports.plan(chosen))
+
+    def bound(chosen):
+        """(the bound of ``chosen``, the subset S - l that attains it)"""
+        return min((ub[chosen[:i] + chosen[i + 1:]] + ub[chosen[i:i + 1]],
+                    chosen[:i] + chosen[i + 1:]) for i in range(len(chosen)))
 
     def costs():
-        for mult, u1, linf_members in plans:
-            rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
-                         for v in linf_members]
-            pinned = () if linf_members else (1.0,)  # z -> -z symmetry
-            for rest in itertools.product((1.0, -1.0),
-                                          repeat=len(u1) - len(pinned)):
-                for picks in itertools.product(*rep_space):
-                    f = np.zeros(nf)
-                    for i, sg in zip(u1, pinned + rest):
-                        f[i] += mult[i] * sg
-                    for i, sg in picks:
-                        f[i] += sg
-                    if lift is not None:
-                        f = f @ lift
-                    c = np.zeros(nv)
-                    c[:n], c[n:2 * n] = -f, f
-                    yield c
+        for chosen in levels[0]:
+            yield from solve(chosen)
+        for level in levels[1:]:
+            for chosen in level:
+                ub[chosen] = bound(chosen)[0]
+        queue = [(-ub[m], m) for m in maximal if len(m) > 1]
+        heapq.heapify(queue)
+        while queue and -queue[0][0] > best:
+            key, chosen = heapq.heappop(queue)
+            value, sub = bound(chosen)
+            if value < -key:            # tightened since it was queued
+                heapq.heappush(queue, (-value, chosen))
+            elif len(sub) > 1 and sub not in solved:
+                yield from solve(sub)
+                heapq.heappush(queue, (-value, chosen))
+            else:
+                yield from solve(chosen)
 
-    return count, plans, costs()
+    count = iterations = not_optimal = 0
+    gap = 0.0
+    for x, rep in solve_lp_costs(lp, costs()):
+        count += 1
+        iterations += rep.iterations
+        if rep.status is not Status.OPTIMAL:
+            not_optimal += 1
+            ub[current] = math.inf
+            continue
+        val = -rep.objective
+        ub[current] = max(ub[current], val + rep.delta)
+        upper = max(upper, val + rep.delta)
+        gap = max(gap, rep.delta)
+        if val > best:
+            best, best_z = val, witness(x)
+    pruned = sum(c for m, c in maximal.items() if m not in solved)
+    stats = {"lp_count": count, "lps_pruned": pruned,
+             "lp_iterations": iterations, "lp_delta": gap,
+             "lps_not_optimal": not_optimal}
+    return best, best_z, None if not_optimal else upper, stats
 
 
 def _lp_bruteforce(a, structure, bmat, s, kernel_dim):
     n = a.shape[1]
     lift = structures.custom_rep_matrix(structure, bmat)
     lp = _kernel_ball_lp(a, structure, lift)
-    count, plans, costs = _signed_costs(structure, s, n, lp.c.size, lift)
+    supports = _SignedSupports(structure, n, lp.c.size, lift)
+    maximal = {}
+    for chosen in _maximal_sets(supports.weights, s):
+        maximal[chosen] = supports.plan(chosen).count
+        if len(maximal) > _LP_BUDGET:   # each set has at least one LP
+            break
+    count = sum(maximal.values())
     if count > _LP_BUDGET:
-        more = "more than " if costs is None else ""
+        more = "more than " if len(maximal) > _LP_BUDGET else ""
         return NullspaceVerdict(
             status="Unknown", s=s,
             details={"reason": f"{more}{count} signed supports exceed the "
                      "LP budget"})
-    details = {"lp_count": count, "maximal_sets": len(plans),
+    details = {"signed_supports": count, "maximal_sets": len(maximal),
                "kernel_dim": kernel_dim}
     if count == 0:
         return NullspaceVerdict(
             status="CertifiedGood", s=s, gamma_value=0.0,
-            details=dict(details, note="only the zero projector has weight <= s"))
-    best, best_z, upper, stats = _maximize(lp, costs,
-                                           lambda x: x[:n] - x[n:2 * n])
+            details=dict(details, lp_count=0, lps_pruned=0,
+                         note="only the zero projector has weight <= s"))
+    best, best_z, upper, stats = _pruned_search(
+        lp, maximal, supports, lambda x: x[:n] - x[n:2 * n])
+    if upper is not None:
+        stats["gamma_upper"] = upper
     return _classify(structure, bmat, s, best, best_z, upper,
                      dict(details, **stats))
 
@@ -334,11 +457,8 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
         raise ValueError("s must be nonnegative")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     bmat = structures.rep_matrix(structure, b)
-    if structure.kind == "plain" and structure.n > 20:
-        return NullspaceVerdict(
-            status="Unknown", s=s,
-            details={"reason": f"n = {structure.n} exceeds the n <= 20 budget"})
-    if structure.kind == "group" and len(structure.blocks) > 12:
+    if structure.kind == "group" and len(structure.blocks) > 12 \
+            and not norms.has_lp_form(structure):
         return NullspaceVerdict(
             status="Unknown", s=s,
             details={"reason": "more than 12 blocks exceeds the budget"})

@@ -42,10 +42,16 @@ lazily: blocks are visited in descending order of their first-stage norm, and
 the visit stops once the next one cannot raise the running maximum, which
 gives the beta of running it on every block.  Stage two stays on the primal,
 one cold LP per visited block.  Its duals would share a feasible set per
-signature as well, but a warm-started dual sequence of them has been seen to
-stall at the 200,000-pivot cap on the dense tableau, while a stalled beta LP
-only costs time (the block keeps its stage-one columns).  The joint LP's beta
-is whatever vertex the simplex lands on.
+signature as well, but one of them can stall even when solved cold, with no
+warm start involved: for plain n = 20, m = 12 (unscaled Gaussian A, seed 5)
+block 0's stage-two dual stops at the 20,000-pivot cap under the default
+pivoting and is optimal in 84 pivots under pivot="bland".  There the default
+rule turns to its Bland mode after 12 degenerate pivots and then cycles among
+13 bases of one vertex: the leaving-row choice of that mode drops tied rows
+with small pivot elements, which forfeits Bland's guarantee against cycling.
+The primal beta LP is optimal in 36 pivots, and a stalled beta LP only costs
+time (the block keeps its stage-one columns).  The joint LP's beta is
+whatever vertex the simplex lands on.
 
 The reported gamma is the LP optimal value, which is unique even though the
 minimizing H need not be, so re-solves under different pivot rules agree to

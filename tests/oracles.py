@@ -531,3 +531,79 @@ def stage_one_primal_oracle(lay, maxiter=200000):
         out.append((x[:nh].reshape(m, lay.sizes[k]), float(rep.objective),
                     rep.status))
     return out
+
+
+def unpruned_bruteforce_oracle(a, structure, s, b=None):
+    """The polyhedral brute-force verdict with no pruning: every signed
+    support of every maximal projector (``structures.iter_projectors``), one
+    warm-started ``solve_lp_costs`` sequence on the library's kernel-ball LP.
+
+    Per projector, each coordinate of an l1 block gets a sign (counted once
+    per l1 block holding it) and each linf block a (member, sign); without
+    linf blocks the first sign is pinned (z -> -z symmetry).  For a
+    non-canonical B the signs run over the coordinates of B z and each
+    functional f becomes f @ B.  Returns the verdict ``_classify`` makes of
+    the best value and max(value + delta) (None if an LP did not end
+    optimal), with ``lp_count``, ``lp_iterations`` and ``gamma_upper`` in
+    its details.
+    """
+    from sparsecert import norms, structures
+    from sparsecert.certify import bruteforce
+    from sparsecert.engine import Status, solve_lp_costs
+
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    n = a.shape[1]
+    bmat = structures.rep_matrix(structure, b)
+    lift = structures.custom_rep_matrix(structure, bmat)
+    lp = bruteforce._kernel_ball_lp(a, structure, lift)
+    if lift is None:
+        blocks, tags = norms.lp_blocks(structure, n)
+        nf = n
+    else:
+        offs, tags, _ = norms.rep_blocks(structure)
+        blocks = [tuple(range(lo, hi)) for lo, hi in zip(offs[:-1], offs[1:])]
+        nf = lift.shape[0]
+    costs = []
+    for proj in structures.iter_projectors(structure, s):
+        chosen = proj.support if structure.kind == "plain" else proj.block_set
+        mult, linf_members = {}, []
+        for l in sorted(chosen):
+            if tags[l] == "l1":
+                for i in blocks[l]:
+                    mult[i] = mult.get(i, 0.0) + 1.0
+            else:
+                linf_members.append(blocks[l])
+        u1 = sorted(mult)
+        if not u1 and not linf_members:
+            continue
+        rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
+                     for v in linf_members]
+        pinned = () if linf_members else (1.0,)
+        for rest in itertools.product((1.0, -1.0),
+                                      repeat=len(u1) - len(pinned)):
+            for picks in itertools.product(*rep_space):
+                f = np.zeros(nf)
+                for i, sg in zip(u1, pinned + rest):
+                    f[i] += mult[i] * sg
+                for i, sg in picks:
+                    f[i] += sg
+                if lift is not None:
+                    f = f @ lift
+                c = np.zeros(lp.c.size)
+                c[:n], c[n:2 * n] = -f, f
+                costs.append(c)
+    best, best_z, upper, iterations, optimal = 0.0, None, 0.0, 0, True
+    for x, rep in solve_lp_costs(lp, costs):
+        iterations += rep.iterations
+        if rep.status is not Status.OPTIMAL:
+            optimal = False
+            continue
+        val = -rep.objective
+        upper = max(upper, val + rep.delta)
+        if val > best:
+            best, best_z = val, x[:n] - x[n:2 * n]
+    upper = upper if optimal else None
+    details = {"lp_count": len(costs), "lp_iterations": iterations,
+               "gamma_upper": upper}
+    return bruteforce._classify(structure, bmat, s, best, best_z, upper,
+                                details)

@@ -8,7 +8,8 @@ from sparsecert.certify import (check_condition_Cs, gamma_s_bruteforce,
                                 psi_s, synth_certificate_group)
 from sparsecert.recovery import RecoveryProblem, recover_regular
 
-from oracles import gamma_kernel1_oracle, matrix_with_kernel
+from oracles import (gamma_kernel1_oracle, matrix_with_kernel,
+                     unpruned_bruteforce_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,184 @@ def test_bruteforce_good_verdict_needs_the_certified_bound(monkeypatch):
         v = gamma_s_bruteforce(a, st, s, b=rep)
         assert v.status == "Unknown" and v.gamma_value < 0.5
         assert v.details["lp_delta"] == 0.5
+
+
+def _record_costs(monkeypatch):
+    """The cost vectors the brute force hands to ``solve_lp_costs``, in the
+    order they are drawn."""
+    from sparsecert.certify import bruteforce
+    real = bruteforce.solve_lp_costs
+    seen = []
+
+    def patched(lp, costs, **kwargs):
+        def tap():
+            for c in costs:
+                seen.append(c)
+                yield c
+        yield from real(lp, tap(), **kwargs)
+
+    monkeypatch.setattr(bruteforce, "solve_lp_costs", patched)
+    return seen
+
+
+def _supports_solved(seen, n):
+    """How many LPs ran per plain support (the nonzero costs on u+)."""
+    out = {}
+    for c in seen:
+        key = tuple(np.nonzero(c[:n])[0])
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+# plain n=6, m=5, s=2: CertifiedGood at gamma 0.4956, with all but one pair
+# pruned: 6 singleton LPs, then 2 of the 30 pair LPs
+_PRUNED_GOOD = (np.random.default_rng(5).standard_normal((5, 6)), 2)
+
+
+def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
+        monkeypatch):
+    """A singleton LP that stops at its cap has UB +inf: every pair holding
+    it has an infinite bound, so none may be pruned, and the verdict can no
+    longer be exhaustive."""
+    from sparsecert.engine import SolveReport, Status
+    a, s = _PRUNED_GOOD
+    st, _ = structures.build_plain(6)
+    assert gamma_s_bruteforce(a, st, s).status == "CertifiedGood"
+    seen = _record_costs(monkeypatch)
+
+    def first_stalls(i, x, rep):
+        if i == 0:      # the LP of the singleton (0,)
+            return x, SolveReport(status=Status.MAXITER, iterations=7)
+        return x, rep
+
+    _patch_reports(monkeypatch, first_stalls)
+    v = gamma_s_bruteforce(a, st, s)
+    assert v.status == "Unknown" and v.bracket[1] == 1.0
+    assert v.details["lps_not_optimal"] == 1
+    assert "gamma_upper" not in v.details
+    solved = _supports_solved(seen, 6)
+    assert all(solved.get((0, j)) == 2 for j in range(1, 6))
+
+
+def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
+        monkeypatch):
+    """A singleton's UB is its value + delta.  With delta = 0.5 on (0,) every
+    pair holding it is bounded above gamma < 1/2, so every such pair is
+    solved, where without the patch all but one pair is pruned."""
+    a, s = _PRUNED_GOOD
+    st, _ = structures.build_plain(6)
+    seen = _record_costs(monkeypatch)
+    plain = gamma_s_bruteforce(a, st, s)
+    pairs = [(0, j) for j in range(1, 6)]
+    assert sum(p in _supports_solved(seen, 6) for p in pairs) <= 1
+    seen.clear()
+
+    def loose_first(i, x, rep):
+        rep.delta = 0.5 if i == 0 else rep.delta
+        return x, rep
+
+    _patch_reports(monkeypatch, loose_first)
+    v = gamma_s_bruteforce(a, st, s)
+    solved = _supports_solved(seen, 6)
+    assert all(solved.get(p) == 2 for p in pairs)
+    assert v.gamma_value == pytest.approx(plain.gamma_value, abs=1e-12)
+    assert v.status == "Unknown" and v.details["gamma_upper"] >= 0.5
+    assert v.details["lp_count"] > plain.details["lp_count"]
+
+
+def test_maximal_sets_are_the_maximal_projectors():
+    """The depth-first enumeration yields, in lexicographic order, the
+    nonempty block sets of ``structures.iter_projectors``."""
+    from sparsecert.certify.bruteforce import _maximal_sets
+    rng = np.random.default_rng(8)
+    blocks = [(i,) for i in range(7)]
+    for _ in range(12):
+        weights = rng.choice([0.5, 1.0, 1.5, 0.7, 2.0], size=7)
+        st, _ = structures.build_group(blocks, weights, block_norm="l1")
+        for s in (0.4, 1.0, 1.7, 2.0, 3.3, 20.0):
+            want = sorted(tuple(sorted(p.block_set))
+                          for p in structures.iter_projectors(st, s)
+                          if len(p.block_set))
+            assert list(_maximal_sets(weights, s)) == want
+
+
+def _oracle_cases():
+    """(name, a, structure, b, s) for the pruned-against-unpruned sweep."""
+    # m close to n makes the good verdicts: (10, 8, 2), (12, 11, 3)
+    for n, m, s in [(6, 3, 1), (6, 4, 2), (8, 5, 2), (8, 4, 3), (10, 6, 2),
+                    (10, 8, 2), (10, 6, 3), (11, 6, 2.5), (12, 7, 1),
+                    (12, 7, 2), (12, 7, 3), (12, 11, 3), (13, 7, 1.5),
+                    (14, 8, 2), (16, 10, 2), (16, 10, 3), (24, 14, 1)]:
+        st, _ = structures.build_plain(n)
+        for seed in (0, 1):
+            a = np.random.default_rng([n, m, seed]).standard_normal((m, n))
+            yield f"plain-n{n}-m{m}-s{s}-{seed}", a, st, None, s
+    groups = {
+        "l1": ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)], "l1", None),
+        "linf": ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)], "linf",
+                 None),
+        "mixed": ([(0, 1, 2), (3, 4), (5,), (6, 7), (8, 9, 10), (11,)],
+                  ["l1", "linf", "l1", "l1", "linf", "l1"], None),
+        "overlap": ([(0, 1, 2), (2, 3, 4), (4, 5), (1, 5), (5,), (6, 7),
+                     (7, 8, 9, 10, 11)],
+                    ["l1", "l1", "linf", "linf", "l1", "l1", "linf"], None),
+        "weighted": ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)],
+                     ["l1", "linf", "l1", "linf", "l1", "l1"],
+                     [0.5, 1.0, 1.5, 0.7, 1.2, 1.0]),
+    }
+    for name, (blocks, tags, weights) in groups.items():
+        st, rep = structures.build_group(blocks, weights, block_norm=tags)
+        for s, m in ((1, 6), (2, 7), (2.6, 8)):
+            a = np.random.default_rng([len(blocks), m]).standard_normal(
+                (m, 12))
+            yield f"{name}-s{s}", a, st, rep, s
+    # non-canonical B: plain and mixed blocks under B = I + 0.4 G
+    for name, st, s in (("plain", structures.build_plain(9)[0], 2),
+                        ("mixed", structures.build_group(
+                            [(0, 1, 2), (3, 4), (5, 6, 7, 8)],
+                            block_norm=["l1", "linf", "l1"])[0], 2)):
+        rng = np.random.default_rng(77)
+        a = rng.standard_normal((5, 9))
+        b = np.eye(9) + 0.4 * rng.standard_normal((9, 9))
+        yield f"custom-b-{name}", a, st, b, s
+
+
+_ORACLE_CASES = {c[0]: c[1:] for c in _oracle_cases()}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_pruned_bruteforce_matches_unpruned_oracle(name):
+    """The pruned enumeration reaches the verdict of solving every signed
+    support: same status, gamma to 1e-9, a certified upper bound at least
+    gamma, and the LP count of the maximal sets the oracle solves."""
+    a, st, b, s = _ORACLE_CASES[name]
+    want = unpruned_bruteforce_oracle(a, st, s, b=b)
+    got = gamma_s_bruteforce(a, st, s, b=b)
+    assert got.status == want.status
+    assert got.gamma_value == pytest.approx(want.gamma_value, abs=1e-9)
+    d = got.details
+    assert d["gamma_upper"] >= got.gamma_value
+    assert d["signed_supports"] == want.details["lp_count"]
+    assert 0 <= d["lps_pruned"] <= d["signed_supports"]
+    assert d["signed_supports"] - d["lps_pruned"] <= d["lp_count"]
+
+
+def test_lp_structures_have_no_size_guard():
+    """Plain n > 20 and more than 12 l1/linf blocks run the LP enumeration;
+    only l2 blocks keep the 12-block guard of the sampled search."""
+    st, _ = structures.build_plain(30)
+    a = np.random.default_rng(4).standard_normal((20, 30))
+    v = gamma_s_bruteforce(a, st, 1)
+    assert v.bracket is None and v.details["signed_supports"] == 30
+    blocks = [(2 * i, 2 * i + 1) for i in range(14)]
+    a = np.random.default_rng(5).standard_normal((18, 28))
+    for tag in ("l1", "linf"):
+        st, rep = structures.build_group(blocks, block_norm=tag)
+        v = gamma_s_bruteforce(a, st, 1, b=rep)
+        assert v.bracket is None and v.details["maximal_sets"] == 14
+    st, rep = structures.build_group(blocks, block_norm="l2")
+    v = gamma_s_bruteforce(a, st, 1, b=rep)
+    assert v.status == "Unknown" and "12 blocks" in v.details["reason"]
 
 
 def test_group_bruteforce_checks_the_budget_before_any_lp(monkeypatch):

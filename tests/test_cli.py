@@ -232,8 +232,27 @@ def test_nullspace_verdicts(tmp_path):
     assert doc["gamma_value"] == pytest.approx(0.5, abs=1e-9)
     details = doc["details"]
     assert details["lp_iterations"] >= details["lp_count"] == 5
+    assert details["signed_supports"] == 5 and details["lps_pruned"] == 0
     assert 0.0 <= details["lp_delta"] <= 1e-12
     assert details["lps_not_optimal"] == 0
+
+
+def test_nullspace_json_reports_the_pruning(tmp_path):
+    """Plain n=8, s=2: 28 pairs of 2 signed supports each; the bounds from
+    the 8 singleton LPs prune most pairs."""
+    st, _ = structures.build_plain(8)
+    sp = write_structure(tmp_path, st)
+    a = np.random.default_rng(3).standard_normal((5, 8))
+    r = run_cli("nullspace", "--structure", str(sp), "--matrix",
+                str(write_matrix(tmp_path, a)), "--s", "2", "--json")
+    assert r.returncode == 4, r.stderr
+    doc = json.loads(r.stdout)
+    details = doc["details"]
+    assert details["signed_supports"] == 56 and details["maximal_sets"] == 28
+    assert 0 < details["lps_pruned"] <= 56
+    assert 56 - details["lps_pruned"] <= details["lp_count"] - 8
+    assert details["lp_count"] < 56
+    assert details["gamma_upper"] >= doc["gamma_value"]
 
 
 def test_non_finite_inputs_are_exit_one(tmp_path):

@@ -5,10 +5,10 @@ Recovery and the brute force write the structure norm through
 u = u+ - u-.  The row-by-row references in ``oracles`` keep the older
 t-epigraph form (u free, one t and two rows per l1 coordinate), so here the
 two must agree in what they solve to: the same status and objective.  For
-plain the brute-force LP and its cost sequence equal the hand-written l1
-ball LP of ``oracles.plain_bruteforce_lp_oracle`` exactly, so the simplex
-takes the same pivots; the group verdicts must match an enumeration of cold
-LPs over the reference LP.
+plain the brute-force LP, and the signed costs of its maximal supports in
+enumeration order, equal the hand-written l1 ball LP and cost list of
+``oracles.plain_bruteforce_lp_oracle`` exactly; the group verdicts must
+match an enumeration of cold LPs over the reference LP.
 """
 
 import numpy as np
@@ -16,7 +16,8 @@ import pytest
 
 from sparsecert import norms, structures
 from sparsecert.certify import gamma_s_bruteforce
-from sparsecert.certify.bruteforce import _kernel_ball_lp, _signed_costs
+from sparsecert.certify.bruteforce import (_kernel_ball_lp, _maximal_sets,
+                                          _SignedSupports)
 from sparsecert.engine import LinearProgram, Status, solve_lp
 from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
@@ -109,9 +110,11 @@ def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
     assert lp.senses == ref.senses
-    count, _, seq = _signed_costs(st, s, n, lp.c.size)
-    seq = list(seq)
-    assert count == len(seq) == len(costs)
+    supports = _SignedSupports(st, n, lp.c.size)
+    plans = [supports.plan(chosen)
+             for chosen in _maximal_sets(supports.weights, s)]
+    seq = [c for plan in plans for c in supports.costs(plan)]
+    assert sum(plan.count for plan in plans) == len(seq) == len(costs)
     for got, want in zip(seq, costs):
         assert np.array_equal(got, want)
 

@@ -172,7 +172,7 @@ class _Plan(NamedTuple):
     mult: dict      # l1 coordinate -> number of chosen l1 blocks holding it
     l1: list        # those coordinates, sorted
     linf: list      # the chosen linf blocks' members
-    count: int      # LPs: signs on ``l1`` times (member, sign) per linf block
+    count: int      # LPs: l1 signs x linf (member, sign)s, halved by symmetry
 
 
 class _SignedSupports:
@@ -184,8 +184,9 @@ class _SignedSupports:
     functional f of B z is the cost f @ B of z.  A block set maximizes one
     functional per sign vector on the coordinates of its l1 blocks, each
     counted once per l1 block holding it, times one (member, sign) per linf
-    block; without linf blocks the first sign is pinned (z -> -z symmetry).
-    Costs are mirrored on u-.
+    block.  z -> -z maps the feasible set onto itself and f onto -f, so the
+    first sign (of the first l1 coordinate, else of the first linf pick) is
+    pinned to +.  Costs are mirrored on u-.
     """
 
     def __init__(self, structure, n, nv, lift=None):
@@ -210,31 +211,27 @@ class _SignedSupports:
             else:
                 linf_members.append(self.blocks[l])
         u1 = sorted(mult)
-        count = 2 ** max(len(u1) - (0 if linf_members else 1), 0)
+        count = 2 ** len(u1)
         for v in linf_members:
             count *= 2 * len(v)
-        return _Plan(mult, u1, linf_members, count)
+        return _Plan(mult, u1, linf_members, count // 2)
 
     def costs(self, plan):
         """The cost vectors of one block set's ``plan``, lazily."""
-        mult, u1, linf_members = plan.mult, plan.l1, plan.linf
         n = self.n
-        rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
-                     for v in linf_members]
-        pinned = () if linf_members else (1.0,)  # z -> -z symmetry
-        for rest in itertools.product((1.0, -1.0),
-                                      repeat=len(u1) - len(pinned)):
-            for picks in itertools.product(*rep_space):
-                f = np.zeros(self.nf)
-                for i, sg in zip(u1, pinned + rest):
-                    f[i] += mult[i] * sg
-                for i, sg in picks:
-                    f[i] += sg
-                if self.lift is not None:
-                    f = f @ self.lift
-                c = np.zeros(self.nv)
-                c[:n], c[n:2 * n] = -f, f
-                yield c
+        choices = [[(i, plan.mult[i]), (i, -plan.mult[i])] for i in plan.l1]
+        choices += [[(i, sg) for i in v for sg in (1.0, -1.0)]
+                    for v in plan.linf]
+        choices[0] = [p for p in choices[0] if p[1] > 0]  # z -> -z symmetry
+        for picks in itertools.product(*choices):
+            f = np.zeros(self.nf)
+            for i, w in picks:
+                f[i] += w
+            if self.lift is not None:
+                f = f @ self.lift
+            c = np.zeros(self.nv)
+            c[:n], c[n:2 * n] = -f, f
+            yield c
 
 
 def _pruned_search(lp, maximal, supports, witness):

@@ -98,10 +98,10 @@ def _load_structure(path):
 def _make_certificate(structure, rep, a, s, phi, method, iters, seed):
     if structure.kind == "lowrank":
         if method in ("auto", "ustar"):
-            return certify_lowrank(a, int(s), phi=phi, p=structure.p,
+            return certify_lowrank(a, s, phi=phi, p=structure.p,
                                    q=structure.q, iters=iters, seed=seed)
         if method == "bar":
-            return certify_lowrank(a, int(s), phi=phi, p=structure.p,
+            return certify_lowrank(a, s, phi=phi, p=structure.p,
                                    q=structure.q, iters=0, seed=seed)
         raise serialize.FormatError(
             f"method {method!r} does not apply to low-rank structures")

@@ -14,11 +14,14 @@ deterministic.  Optimal bases are re-verified against the untouched data and
 a run that lost feasibility to roundoff is retried under Bland ordering
 rather than reported as solved.
 
-``solve_lp_costs`` minimizes a sequence of cost vectors over one feasible
-set: phase one runs once, and each later solve starts phase two at the basis
-the previous one ended on, with the tableau re-formed from the untouched
-standard form at that basis.  ``solve_lp`` is the one-cost case of the same
-two phases.
+Each final basis is inverted once (``_inverse``), from the untouched
+standard form.  That inverse gives the re-verified point binv @ b, the duals
+c_B @ binv and, in a cost sequence, the next warm tableau binv @ [A | b];
+phase one's Farkas vector comes from its own basis the same way.  A singular
+basis falls back to least-squares duals, the tableau's own point and a fresh
+phase one.  ``solve_lp_costs`` minimizes a sequence of cost vectors over one
+feasible set: phase one runs once, and each later solve starts phase two at
+the basis the previous one ended on.  ``solve_lp`` is the one-cost case.
 
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
@@ -194,10 +197,7 @@ class _Tableau:
     def set_costs(self, c):
         self.T[-1, :] = 0.0
         self.T[-1, : c.size] = c
-        for i, j in enumerate(self.basis):
-            cj = self.T[-1, j]
-            if cj != 0.0:
-                self.T[-1] -= cj * self.T[i]
+        self.T[-1] -= self.T[-1, self.basis] @ self.T[: self.m]
 
     def pivot(self, r, j):
         self.T[r] /= self.T[r, j]
@@ -283,12 +283,21 @@ class _Tableau:
         return z
 
 
-def _duals(std, basis, costs):
-    bmat = std.A[:, basis]
+def _inverse(bmat):
+    """``np.linalg.inv`` of the square basis matrix ``bmat``, or None when it
+    is singular."""
     try:
-        return np.linalg.solve(bmat.T, costs[basis])
+        return np.linalg.inv(bmat)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(bmat.T, costs[basis], rcond=None)[0]
+        return None
+
+
+def _multipliers(bmat, binv, cb):
+    """y with y @ bmat = cb: cb @ binv, or least squares when the basis is
+    singular (``binv`` None)."""
+    if binv is None:
+        return np.linalg.lstsq(bmat.T, cb, rcond=None)[0]
+    return cb @ binv
 
 
 def _slack_basis(std):
@@ -334,11 +343,8 @@ def _phase_one(std, maxiter, pivot):
                                      residuals={"phase1_objective": phase1_obj})
         if phase1_obj > 1e-7:
             # Farkas vector from the phase-one duals on the working matrix
-            cb = cost1[tab.basis]
-            try:
-                y = np.linalg.solve(a_work[:, tab.basis].T, cb)
-            except np.linalg.LinAlgError:
-                y = np.linalg.lstsq(a_work[:, tab.basis].T, cb, rcond=None)[0]
+            bmat = a_work[:, tab.basis]
+            y = _multipliers(bmat, _inverse(bmat), cost1[tab.basis])
             cert = {"kind": "farkas", "y": y, "value": float(y @ std.b),
                     "max_yA": float(np.max(y @ std.A)) if std.A.size else 0.0}
             return None, SolveReport(
@@ -368,34 +374,27 @@ def _phase_one(std, maxiter, pivot):
 
 def _solves(bmat, zb, b):
     """Whether zb is a nonnegative solution of bmat zb = b to tolerance."""
-    resid = float(np.max(np.abs(bmat @ zb - b)))
-    return zb.min() >= -1e-9 and resid <= 1e-7 * (1.0 + float(np.abs(b).max()))
+    resid = float(np.max(np.abs(bmat @ zb - b), initial=0.0))
+    return zb.min(initial=0.0) >= -1e-9 and \
+        resid <= 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0)))
 
 
-def _warm_tableau(std, basis, pivot):
-    """Tableau of ``std`` at ``basis`` re-formed from the untouched data (one
-    m x m solve), so no pivot roundoff carries over from earlier solves.
-    None when that basis is singular or its point fails ``_solves``."""
-    m, ncols = std.A.shape
-    if m:
-        bmat = std.A[:, basis]
-        try:
-            t = np.linalg.solve(bmat, np.column_stack([std.A, std.b]))
-        except np.linalg.LinAlgError:
-            return None
-        zb = t[:, ncols]
-        if not _solves(bmat, zb, std.b):
-            return None
-        t[:, basis] = np.eye(m)
-        t[:, ncols] = np.maximum(zb, 0.0)
-    else:
-        t = np.zeros((0, ncols + 1))
-    return _Tableau(t[:, :ncols], t[:, ncols], basis, pivot)
+def _warm_tableau(std, basis, binv, pivot):
+    """Tableau of ``std`` at ``basis`` re-formed from the untouched data as
+    binv @ [A | b], so no pivot roundoff carries over from earlier solves;
+    None when ``binv`` is None."""
+    if binv is None:
+        return None
+    t = binv @ std.A
+    t[:, basis] = np.eye(basis.size)
+    return _Tableau(t, np.maximum(binv @ std.b, 0.0), basis, pivot)
 
 
 def _phase_two(lp, std, tab, cost, maxiter, pivot):
     """Minimize ``cost`` from the feasible basis of ``tab`` and certify the
-    outcome against the untouched standard form; returns (x, SolveReport)."""
+    outcome against the untouched standard form; returns (x, SolveReport,
+    binv), ``binv`` the inverse of the final basis matrix when its point
+    passes ``_solves`` (the next warm start), else None."""
     ncols = std.A.shape[1]
     c_std, const = std.costs(cost)
     warnings = list(std.warnings)
@@ -406,18 +405,16 @@ def _phase_two(lp, std, tab, cost, maxiter, pivot):
     tab.set_costs(cost2)
     outcome, unb_col = tab.run(allowed, maxiter - tab.iterations)
 
+    # re-solve on the untouched matrix to shed pivot error; accept only if the
+    # basis system is solved (a near-singular inverse is garbage, no error)
+    bmat = std.A[:, tab.basis]
+    binv = _inverse(bmat)
+    zb = None if binv is None else binv @ std.b
+    warm = binv if zb is not None and _solves(bmat, zb, std.b) else None
     z_full = tab.solution()
-    if outcome == "optimal" and tab.m:
-        # re-solve on the untouched matrix to shed accumulated pivot error;
-        # accept only if the basis system is actually solved (np.linalg.solve
-        # returns garbage, not an error, on near-singular bases)
-        try:
-            zb = np.linalg.solve(std.A[:, tab.basis], std.b)
-            if _solves(std.A[:, tab.basis], zb, std.b):
-                z_full = np.zeros_like(z_full)
-                z_full[tab.basis] = np.maximum(zb, 0.0)
-        except np.linalg.LinAlgError:
-            pass
+    if outcome == "optimal" and warm is not None:
+        z_full = np.zeros_like(z_full)
+        z_full[tab.basis] = np.maximum(zb, 0.0)
     z = z_full[:ncols]
     x = std.x_original(z[: std.nz])
     obj = float(c_std @ z + const)
@@ -434,9 +431,9 @@ def _phase_two(lp, std, tab, cost, maxiter, pivot):
         return x, SolveReport(status=Status.UNBOUNDED, iterations=tab.iterations,
                               certificate=cert, used_bland=tab.bland,
                               warnings=warnings,
-                              standard={"A": std.A, "b": std.b, "c": c_std})
+                              standard={"A": std.A, "b": std.b, "c": c_std}), warm
 
-    y = _duals(std, tab.basis, c_std)
+    y = _multipliers(bmat, binv, c_std[tab.basis])
     reduced = c_std - std.A.T @ y
     primal_resid = float(np.max(np.abs(std.A @ z - std.b))) if std.b.size else 0.0
     primal_resid = max(primal_resid, float(max(0.0, -z.min())) if z.size else 0.0)
@@ -457,7 +454,7 @@ def _phase_two(lp, std, tab, cost, maxiter, pivot):
             rep2.iterations += tab.iterations  # the discarded pivots
             rep2.warnings.append(
                 "default pivoting lost feasibility; reran under Bland's rule")
-            return x2, rep2
+            return x2, rep2, warm
         status = Status.MAXITER
         warnings.append("pivoting lost primal feasibility; not converged")
     report = SolveReport(
@@ -467,7 +464,7 @@ def _phase_two(lp, std, tab, cost, maxiter, pivot):
         dual=std.dual_original(y), delta=float(delta), used_bland=tab.bland,
         warnings=warnings,
         standard={"A": std.A, "b": std.b, "c": c_std, "x": z, "y": y})
-    return x, report
+    return x, report, warm
 
 
 def solve_lp(lp, maxiter=20000, pivot="dantzig"):
@@ -487,9 +484,10 @@ def solve_lp_costs(lp, costs, maxiter=20000, pivot="dantzig"):
 
     Phase one runs once, before the first cost.  Each later solve starts at
     the basis the previous one ended on, with the tableau re-formed from the
-    untouched standard-form data (one m x m solve), so roundoff does not
-    build up over many solves; a basis that fails that re-forming falls back
-    to a fresh phase one.  Every report carries what ``solve_lp``'s does:
+    untouched standard-form data through the inverse that certified the
+    previous solve, so roundoff does not build up over many solves; a
+    singular basis, or one whose point fails ``_solves``, falls back to a
+    fresh phase one.  Every report carries what ``solve_lp``'s does:
     re-verified point, duals, ``delta``, the Bland rerun (a cold
     ``solve_lp(..., pivot="bland")`` on that cost), Farkas vector or ray.
     ``maxiter`` caps each solve; ``iterations`` counts the pivots of that
@@ -516,6 +514,6 @@ def solve_lp_costs(lp, costs, maxiter=20000, pivot="dantzig"):
                                                 c=std.costs(cost)[0]))
             first = False
             continue
-        x, rep = _phase_two(lp, std, tab, cost, maxiter, pivot)
+        x, rep, binv = _phase_two(lp, std, tab, cost, maxiter, pivot)
         yield x, rep
-        tab = _warm_tableau(std, tab.basis, pivot)
+        tab = _warm_tableau(std, tab.basis, binv, pivot)

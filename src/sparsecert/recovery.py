@@ -52,8 +52,9 @@ class RecoveryProblem:
         if self.phi not in norms.VECTOR_TAGS:
             raise ValueError("phi must be one of l1/l2/linf")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.y))
+                and (self.b is None or np.all(np.isfinite(self.b_matrix)))
                 and np.isfinite(self.epsilon)):
-            raise ValueError("a, y and epsilon must be finite")
+            raise ValueError("a, b, y and epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
@@ -201,6 +202,9 @@ def _recover(problem, structure, mode, lam, method, tol, maxiter):
     """The body of both recovery modes; ``lam`` is 0 for regular."""
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
+    shape = (structure.ambient_dim_e, problem.a.shape[1])
+    if structures.rep_matrix(structure, problem.b).shape != shape:
+        raise ValueError(f"B must be {shape[0]} x {shape[1]} for this structure")
     lp_fit = problem.phi in ("l1", "linf") or (
         mode == "regular" and problem.epsilon == 0.0)
     if method == "lp" or (method == "auto" and lp_fit

@@ -533,14 +533,15 @@ def stage_one_primal_oracle(lay, maxiter=200000):
     return out
 
 
-def unpruned_bruteforce_oracle(a, structure, s, b=None):
+def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     """The polyhedral brute-force verdict with no pruning: every signed
     support of every maximal projector (``structures.iter_projectors``), one
     warm-started ``solve_lp_costs`` sequence on the library's kernel-ball LP.
 
     Per projector, each coordinate of an l1 block gets a sign (counted once
-    per l1 block holding it) and each linf block a (member, sign); without
-    linf blocks the first sign is pinned (z -> -z symmetry).  For a
+    per l1 block holding it) and each linf block a (member, sign); the first
+    sign (of the first l1 coordinate, else of the first linf pick) is pinned
+    to + (z -> -z symmetry) unless ``pin_first`` is False.  For a
     non-canonical B the signs run over the coordinates of B z and each
     functional f becomes f @ B.  Returns the verdict ``_classify`` makes of
     the best value and max(value + delta) (None if an LP did not end
@@ -578,12 +579,13 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None):
             continue
         rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
                      for v in linf_members]
-        pinned = () if linf_members else (1.0,)
-        for rest in itertools.product((1.0, -1.0),
-                                      repeat=len(u1) - len(pinned)):
+        for signs in itertools.product((1.0, -1.0), repeat=len(u1)):
             for picks in itertools.product(*rep_space):
+                first = signs[0] if u1 else picks[0][1]
+                if pin_first and first < 0:
+                    continue
                 f = np.zeros(nf)
-                for i, sg in zip(u1, pinned + rest):
+                for i, sg in zip(u1, signs):
                     f[i] += mult[i] * sg
                 for i, sg in picks:
                     f[i] += sg

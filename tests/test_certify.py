@@ -308,6 +308,22 @@ def test_pruned_bruteforce_matches_unpruned_oracle(name):
     assert d["signed_supports"] - d["lps_pruned"] <= d["lp_count"]
 
 
+@pytest.mark.parametrize("name", [n for n in _ORACLE_CASES
+                                  if n.startswith(("linf", "mixed",
+                                                   "custom-b-mixed"))])
+def test_pinned_first_sign_keeps_gamma_with_linf_blocks(name):
+    """z -> -z maps the kernel ball onto itself, so pinning the first sign
+    of every block set, linf blocks included, keeps gamma and halves the
+    signed supports."""
+    a, st, b, s = _ORACLE_CASES[name]
+    both = unpruned_bruteforce_oracle(a, st, s, b=b, pin_first=False)
+    pinned = unpruned_bruteforce_oracle(a, st, s, b=b)
+    got = gamma_s_bruteforce(a, st, s, b=b)
+    assert pinned.gamma_value == pytest.approx(both.gamma_value, abs=1e-9)
+    assert got.gamma_value == pytest.approx(both.gamma_value, abs=1e-9)
+    assert 2 * got.details["signed_supports"] == both.details["lp_count"]
+
+
 def test_lp_structures_have_no_size_guard():
     """Plain n > 20 and more than 12 l1/linf blocks run the LP enumeration;
     only l2 blocks keep the 12-block guard of the sampled search."""

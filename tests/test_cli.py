@@ -51,6 +51,20 @@ def test_recover_roundtrip(tmp_path):
     assert doc["status"] == "optimal"
 
 
+def test_recover_rejects_b_of_the_wrong_shape(tmp_path, capsys):
+    """A 3 x 4 B on plain n=4 is bad input (exit 1) on the LP path (l1) and
+    on the ADMM path (l2, epsilon > 0) alike."""
+    pp = tmp_path / "problem.json"
+    for phi, epsilon in (("l1", 0.0), ("l2", 0.1)):
+        pp.write_text(json.dumps({
+            "structure": {"kind": "plain", "n": 4},
+            "a": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
+            "y": [1.0, 0.5], "b": np.eye(3, 4).tolist(), "phi": phi,
+            "epsilon": epsilon}))
+        assert cli.main(["recover", "--problem", str(pp)]) == 1
+        assert "B must be 4 x 4" in capsys.readouterr().err
+
+
 def test_recover_json_flag_emits_machine_readable(tmp_path):
     p = write_plain_problem(tmp_path, np.eye(3), np.ones(3))
     r = run_cli("recover", "--problem", str(p), "--json")
@@ -204,6 +218,22 @@ def test_certify_lowrank_methods(tmp_path):
     assert r2.returncode == 0
 
 
+def test_lowrank_rank_level_must_be_an_integer(tmp_path, capsys):
+    """--s 1.5 on a low-rank structure is bad input (exit 1), as it is for
+    ``nullspace``, not a certificate at level 1; ``experiment`` builds its
+    certificate the same way."""
+    st, _ = structures.build_lowrank(2, 2)
+    sp = write_structure(tmp_path, st)
+    mp = write_matrix(tmp_path, np.eye(4))
+    for method in ("ustar", "bar"):
+        assert cli.main(["certify", "--structure", str(sp), "--matrix",
+                         str(mp), "--s", "1.5", "--method", method,
+                         "--iters", "10"]) == 1
+        assert "positive integer" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="positive integer"):
+        cli._make_certificate(st, None, np.eye(4), 1.5, "l1", "auto", 10, 0)
+
+
 def test_certify_wrong_method_for_structure(tmp_path):
     st, _ = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
@@ -268,6 +298,13 @@ def test_non_finite_inputs_are_exit_one(tmp_path):
     pp.write_text('{"structure": {"kind": "plain", "n": 2}, '
                   '"a": [[1.0, 0.0], [0.0, 1.0]], "y": [NaN, 1.0], '
                   '"phi": "l2"}')
+    r = run_cli("recover", "--problem", str(pp))
+    assert r.returncode == 1
+    # a NaN in B would otherwise run the ADMM path to its iteration cap
+    pp.write_text('{"structure": {"kind": "plain", "n": 2}, '
+                  '"a": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0], '
+                  '"b": [[NaN, 0.0], [0.0, 1.0]], "phi": "l2", '
+                  '"epsilon": 0.1}')
     r = run_cli("recover", "--problem", str(pp))
     assert r.returncode == 1
 

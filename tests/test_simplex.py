@@ -266,18 +266,86 @@ def test_cost_sequence_first_solve_is_the_cold_solve(rng):
     assert rep.objective == cold.objective
 
 
+def _cold(lp, cost):
+    return solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h, senses=lp.senses,
+                                  lb=lp.lb, ub=lp.ub))
+
+
 def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
-    """A basis that cannot be re-formed sends the next cost through phase
-    one again, which makes that solve the cold one, pivot for pivot."""
+    """A basis whose point fails ``_solves`` is not re-formed: the next cost
+    goes through phase one again, which makes that solve the cold one,
+    pivot for pivot."""
     from sparsecert.engine import simplex
-    monkeypatch.setattr(simplex, "_warm_tableau", lambda std, basis, pivot: None)
+    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
     lp = mixed_bounds_lp(rng, 5, 6)
     costs = [rng.standard_normal(5) for _ in range(6)]
     for cost, (x, rep) in zip(costs, solve_lp_costs(lp, costs)):
-        x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
-                                              senses=lp.senses, lb=lp.lb, ub=lp.ub))
+        x_cold, cold = _cold(lp, cost)
         assert rep.status is cold.status and rep.iterations == cold.iterations
         assert np.array_equal(x, x_cold)
+
+
+def test_singular_basis_gives_least_squares_duals_and_phase_one(rng, monkeypatch):
+    """With the basis inverse forced to fail, every solve still certifies
+    its optimum, through least-squares duals and the tableau's own point,
+    and every next cost restarts from phase one."""
+    from sparsecert.engine import simplex
+    lp = mixed_bounds_lp(rng, 5, 6)
+    costs = [rng.standard_normal(5) for _ in range(6)]
+    colds = [_cold(lp, cost) for cost in costs]
+    real_lstsq, fallbacks = np.linalg.lstsq, []
+
+    def lstsq(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_inverse", lambda bmat: None)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    reports = list(solve_lp_costs(lp, costs))
+    for (x_cold, cold), (x, rep) in zip(colds, reports):
+        assert rep.status is cold.status and rep.iterations == cold.iterations
+        if rep.status is Status.OPTIMAL:
+            assert np.allclose(x, x_cold, atol=1e-9)
+            assert np.allclose(rep.dual, cold.dual, atol=1e-9)
+            assert rep.delta == pytest.approx(cold.delta, abs=1e-9)
+    solved = [r for _, r in reports if r.status is not Status.UNBOUNDED]
+    assert len(fallbacks) == len(solved) > 0
+
+
+def test_cost_sequence_duals_match_cold_solves(rng):
+    """The duals and ``delta`` a warm solve takes from the basis inverse are
+    those of the cold solve of the same cost."""
+    compared = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
+        costs = [rng.standard_normal(n) for _ in range(8)]
+        for cost, (_, rep) in zip(costs, solve_lp_costs(lp, costs)):
+            _, cold = _cold(lp, cost)
+            assert rep.status is cold.status
+            if rep.status is Status.OPTIMAL:
+                assert np.allclose(rep.dual, cold.dual, rtol=0.0, atol=1e-9)
+                assert rep.delta == pytest.approx(cold.delta, abs=1e-9)
+                compared += 1
+    assert compared > 50
+
+
+def test_set_costs_matches_row_by_row_pricing(rng):
+    """Pricing the cost row in one product gives the row-by-row reference
+    to roundoff, with the basic reduced costs exactly zero."""
+    from sparsecert.engine import simplex
+    for _ in range(20):
+        lp = mixed_bounds_lp(rng, 5, 6)
+        tab, _ = simplex._phase_one(_Standard(lp), 20000, "dantzig")
+        c = rng.standard_normal(tab.n)
+        ref = tab.T[-1].copy()
+        ref[:] = 0.0
+        ref[: c.size] = c
+        for i, j in enumerate(tab.basis):
+            ref -= ref[j] * tab.T[i]
+        tab.set_costs(c)
+        assert np.allclose(tab.T[-1], ref, rtol=0.0, atol=1e-12)
+        assert np.all(tab.T[-1, tab.basis] == 0.0)
 
 
 def test_bland_rerun_counts_the_discarded_pivots(rng, monkeypatch):

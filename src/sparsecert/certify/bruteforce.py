@@ -192,7 +192,7 @@ class _SignedSupports:
     def __init__(self, structure, n, nv, lift=None):
         offs, self.tags, self.weights = norms.rep_blocks(structure)
         if lift is None:
-            self.blocks = norms.lp_blocks(structure, n)[0]
+            self.blocks = structure.blocks
             self.nf = n
         else:
             self.blocks = [tuple(range(lo, hi))
@@ -390,7 +390,8 @@ def _lowrank_ratio_and_grad(structure, z, s):
     p, q = structure.p, structure.q
     k = min(int(math.floor(s + 1e-12)), p, q)
     mat = z.reshape(p, q)
-    u, sv, vt = norms.svd_descending(mat)
+    # no sign convention needed: it leaves U[:, :k] @ Vt[:k] bitwise unchanged
+    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     den = float(sv.sum())
     if den < 1e-14 or k == 0:
         return 0.0, np.zeros(z.size)

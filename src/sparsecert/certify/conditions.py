@@ -83,23 +83,17 @@ class CsCheck:
 def worst_condition_projector(structure, w, s, rng=None, probes=0):
     """Worst (or best-known) projector for the condition's left side at w.
 
-    Returns (projector, lhs).  Exact for plain and for group structures where
-    the weight knapsack is solvable; for low rank the singular truncation of w
-    is the natural candidate and ``probes`` extra random projectors are tried.
+    Returns (projector, lhs).  Exact for plain (the top-s support) and for
+    group structures where the weight knapsack is solvable; for low rank the
+    singular truncation of w is the natural candidate and ``probes`` extra
+    random projectors are tried.
     """
     w = np.asarray(w, dtype=float)
-    if structure.kind == "plain":
-        v = np.abs(w)
-        k = min(int(np.floor(s + 1e-12)), structure.n)
-        keep = np.argsort(-v, kind="stable")[:k]
-        proj = structures.plain_projector(structure, keep)
-        return proj, 2.0 * float(v[keep].sum())
-    if structure.kind == "group":
+    if structure.kind != "lowrank":
         vals = norms.group_block_norms(structure, w)
         value, mask, _ = norms.select_blocks(vals, structure.weights, s)
         proj = structures.group_projector(structure, np.nonzero(mask)[0])
         return proj, 2.0 * value
-    # lowrank
     mat = w.reshape(structure.p, structure.q)
     k = min(int(np.floor(s + 1e-12)), structure.p, structure.q)
     u, sv, vt = norms.svd_descending(mat)

@@ -105,12 +105,13 @@ def _check_level(s):
 
 def _top_k_subgradient(mat, k):
     """(value, subgradient) of the sum of the k largest singular values."""
-    u, sv, vt = norms.svd_descending(mat)
+    # no sign convention needed: it leaves U[:, :k] @ Vt[:k] bitwise unchanged
+    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     k = min(k, sv.size)
     return float(sv[:k].sum()), u[:, :k] @ vt[:k]
 
 
-def _descend_level(tm, k, p, q, iters, step_scale):
+def _descend_level(tm, k, p, q, iters):
     """Minimize the split bound for one level k; returns its best value."""
     t2 = np.zeros_like(tm)
     t3 = np.zeros_like(tm)
@@ -127,8 +128,7 @@ def _descend_level(tm, k, p, q, iters, step_scale):
     best, _, _ = evaluate(t2, t3)
     if iters <= 0:
         return best
-    scale = step_scale if step_scale is not None else \
-        max(np.linalg.norm(tm), 1e-12) / 8.0
+    scale = max(np.linalg.norm(tm), 1e-12) / 8.0
     for t in range(1, iters + 1):
         val, sub2, sub3 = evaluate(t2, t3)
         best = min(best, val)
@@ -139,7 +139,7 @@ def _descend_level(tm, k, p, q, iters, step_scale):
     return min(best, val)
 
 
-def opt_star(w_op, s, p, q, iters=2000, step_scale=None):
+def opt_star(w_op, s, p, q, iters=2000):
     """Subgradient-minimized split upper bound; never exceeds opt_bar + fp.
 
     For each level k in {s, 2s} the split value is dual-feasible at every
@@ -149,7 +149,7 @@ def opt_star(w_op, s, p, q, iters=2000, step_scale=None):
     """
     _check_level(s)
     tm = theta(w_op, p, q)
-    return sum(_descend_level(tm, min(k, p * q), p, q, iters, step_scale)
+    return sum(_descend_level(tm, min(k, p * q), p, q, iters)
                for k in (int(s), 2 * int(s)))
 
 

@@ -61,7 +61,7 @@ induced norms.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,10 +251,11 @@ def _dual_lp(lp, nh):
         senses=("eq",) * nh + ("le",) * (lp.c.size - nh))
 
 
-def _beta_lp(lay, k, lp, gamma):
+def _beta_lp(lay, k, lp, rhs, gamma):
     """Stage two for block k: min max_i ||H[i, block k]|| s.t. g <= gamma.
 
-    ``lp`` is block k's stage-one LP; its last variable g is fixed at gamma.
+    ``lp`` is the stage-one LP of block k's signature and ``rhs`` block k's
+    right-hand side; its last variable g is fixed at gamma.
     Linf and scalar blocks bound |H_ij| <= t; the others bound |H_ij| <= u_ij
     and sum_j u_ij <= t, the l1 norm (a linear surrogate for l2).
     Variables: H[:, block k] row-major, the stage-one surrogates, t, [u].
@@ -264,12 +265,12 @@ def _beta_lp(lay, k, lp, gamma):
     n0 = lp.c.size - 1
     split = a > 1 and lay.tags[k] != "linf"
     nvars = n0 + 1 + (nh if split else 0)
-    r0 = lp.h.size
+    r0 = rhs.size
     nrows = r0 + 2 * nh + (m if split else 0)
     g_mat = np.zeros((nrows, nvars))
     h_vec = np.zeros(nrows)
     g_mat[:r0, :n0] = lp.G[:, :n0]
-    h_vec[:r0] = lp.h - lp.G[:, n0] * gamma
+    h_vec[:r0] = rhs - lp.G[:, n0] * gamma
     eye = np.eye(nh)
     bound = slice(r0, r0 + 2 * nh)
     g_mat[bound, :nh] = np.vstack([eye, -eye])
@@ -323,8 +324,16 @@ class _Runs:
             yield self._tally(report, False)
 
 
+class _StageOne(NamedTuple):
+    """Stage one of one block at s = 1, unit weights."""
+    lp: LinearProgram   # the stage-one LP of the block's signature
+    rhs: np.ndarray     # the block's right-hand side of that LP
+    h_cols: np.ndarray  # H[:, block k]
+    g: float            # g_k
+
+
 def _stage_one(lay, runs):
-    """Per-block LPs at s = 1, unit weights: [(lp, H[:, block k], g_k)].
+    """Per-block LPs at s = 1, unit weights: one ``_StageOne`` per block.
 
     Blocks of one (size, tag) share G and differ only in h, so one dual LP
     per signature serves them all: its costs are their h, solved in one
@@ -337,11 +346,11 @@ def _stage_one(lay, runs):
     out = [None] * lay.sizes.size
     for blocks in signatures.values():
         lp, nh, rhs = _synthesis_lp(lay, blocks[:1], 1.0, simple=True)
-        primal = [replace(lp, h=rhs(lay.offs[k])) for k in blocks]
-        reports = runs.solve_costs(_dual_lp(lp, nh), [p.h for p in primal])
-        for k, p, report in zip(blocks, primal, reports):
-            out[k] = (p, report.dual[:nh].reshape(m, lay.sizes[k]),
-                      -float(report.objective))
+        hs = [rhs(lay.offs[k]) for k in blocks]
+        reports = runs.solve_costs(_dual_lp(lp, nh), hs)
+        for k, h, report in zip(blocks, hs, reports):
+            cols = report.dual[:nh].reshape(m, lay.sizes[k])
+            out[k] = _StageOne(lp, h, cols, -float(report.objective))
     return out
 
 
@@ -351,10 +360,11 @@ def _settle_block(lay, k, stage, gamma, runs):
     The stage-two H replaces the stage-one H only when its LP is optimal and
     its true block norm is smaller.
     """
-    lp, h1, _ = stage
+    h1 = stage.h_cols
     tag = lay.tags[k]
     norm1 = _block_norm(h1, tag)
-    x, report = runs.solve(_beta_lp(lay, k, lp, gamma), beta=True)
+    x, report = runs.solve(_beta_lp(lay, k, stage.lp, stage.rhs, gamma),
+                           beta=True)
     if report.status == Status.OPTIMAL:
         h2 = x[:h1.size].reshape(h1.shape)
         norm2 = _block_norm(h2, tag)
@@ -403,12 +413,12 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     runs = _Runs(maxiter, pivot)
     if simple_max:
         stages = _stage_one(lay, runs)
-        gamma_lp = max(g for _, _, g in stages)
+        gamma_lp = max(st.g for st in stages)
         h_opt = np.zeros((m, big_m))
         norm1 = np.zeros(kk)
-        for k, (_, h1, _) in enumerate(stages):
-            h_opt[:, lay.block(k)] = h1
-            norm1[k] = _block_norm(h1, lay.tags[k])
+        for k, st in enumerate(stages):
+            h_opt[:, lay.block(k)] = st.h_cols
+            norm1[k] = _block_norm(st.h_cols, lay.tags[k])
         settled = 0.0
         for k in np.argsort(-norm1, kind="stable"):
             if norm1[k] <= settled:

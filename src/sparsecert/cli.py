@@ -270,6 +270,7 @@ def _sparse_signal(structure, s, law, rng):
             return rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size=size)
         raise serialize.FormatError(f"unknown magnitude law {law!r}")
 
+    # plain keeps its own draw (not the group one): a seed's signals stay put
     if structure.kind == "plain":
         k = min(int(s), structure.n)
         x = np.zeros(structure.n)

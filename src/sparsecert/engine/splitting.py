@@ -13,9 +13,10 @@ G = (B'B + A'A)^{-1} M', computed once per solve from a Cholesky factor
 applied by one matrix-vector product per iteration; the v-step is a
 structure-norm prox plus a ball projection or a phi prox.
 
-rho is rescaled every 50 iterations by comparing primal and dual residuals
-(doubled or halved, kept inside [1e-4, 1e4]); the scaled dual variable is
-rescaled accordingly.  Stops when max(primal, dual) residual <= tol.
+rho starts at 1 and is rescaled every 50 iterations by comparing primal
+and dual residuals (doubled or halved, kept inside [1e-4, 1e4]); the scaled
+dual variable is rescaled accordingly.  Stops when max(primal, dual)
+residual <= tol.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .. import norms
 from .simplex import SolveReport, Status
 
+_RHO_INIT = 1.0
 _RHO_BOUNDS = (1e-4, 1e4)
 _RESCALE_EVERY = 50
 
@@ -48,7 +50,6 @@ class SplitProblem:
     mode: str = "constraint"
     epsilon: float = 0.0
     lam: float = 1.0
-    rho: float = 1.0
     tol: float = 1e-8
     maxiter: int = 50000
 
@@ -64,8 +65,8 @@ class SplitProblem:
             raise ValueError("mode must be 'constraint' or 'penalty'")
         if self.phi not in norms.VECTOR_TAGS:
             raise ValueError("phi must be one of l1/l2/linf")
-        if self.rho <= 0 or self.tol <= 0 or self.maxiter < 1:
-            raise ValueError("rho, tol must be positive; maxiter >= 1")
+        if self.tol <= 0 or self.maxiter < 1:
+            raise ValueError("tol must be positive; maxiter >= 1")
         if self.mode == "constraint" and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.mode == "penalty" and self.lam <= 0:
@@ -112,7 +113,7 @@ def solve_split(sp):
     u = np.zeros(n)
     v = stack @ u
     mu = np.zeros(e_dim + m)  # scaled dual
-    rho = float(sp.rho)
+    rho = _RHO_INIT
 
     status = Status.MAXITER
     it = 0

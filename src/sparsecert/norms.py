@@ -6,19 +6,21 @@ three families of vector/matrix norms:
 * plain vector norms tagged ``"l1" | "l2" | "linf"`` and the matrix pair
   ``"nuclear" | "spectral"``,
 * the structure norm of a sparsity structure (sum of block norms for the
-  group model, l1 / nuclear for the plain / low-rank models), its dual and,
-  where it is polyhedral (``has_lp_form``), its one LP encoding over
-  variables [u+ | u- | t], all >= 0 with u = u+ - u-: the l1 mass is a cost
-  on u+ + u- and only linf blocks add a t and rows,
+  plain and group models, nuclear for low rank), its dual and, where it is
+  polyhedral (``has_lp_form``), its one LP encoding over variables
+  [u+ | u- | t], all >= 0 with u = u+ - u-: the l1 mass is a cost on
+  u+ + u- and only linf blocks add a t and rows,
 * the sparsity-weighted objects used by the certification machinery:
   ``sum_top`` (sum of the s largest magnitudes), ``pi_s`` (weighted
   block-selection norm, exact and relaxed variants) with its maximizing
   block set ``select_blocks``, ``sigma_sum`` (partial sum of singular
   values) and ``ps_seminorm``.
 
-Structure-aware functions take the structure object duck-typed: only the
-fields ``kind``, ``n``, ``blocks``, ``weights``, ``block_norms``, ``p``,
-``q`` are touched, so there is no import cycle with :mod:`.structures`.
+Structure-aware functions take the structure duck-typed, touching only
+``kind`` (low rank or a block layout), ``blocks``, ``weights``,
+``block_norms``, ``shared_norm`` (the tag all blocks share, or None),
+``ambient_dim_e``, ``p`` and ``q``, so there is no import cycle with
+:mod:`.structures`.  Plain means the n singleton l1 blocks, unit weights.
 """
 
 from __future__ import annotations
@@ -180,7 +182,9 @@ def _knapsack_branch_bound(values, weights, capacity):
 
 
 def pi_s_argmax(u, chi, s):
-    """Maximizer behind the exact pi_s: (value_without_factor_2, mask)."""
+    """Maximizer behind the exact pi_s: (value_without_factor_2, mask).
+    Unit weights keep the floor(s) largest |u_l|, lower index first among
+    ties (a stable sort)."""
     a = np.abs(np.asarray(u, dtype=float)).ravel()
     chi = np.asarray(chi, dtype=float).ravel()
     if np.any(chi <= 0):
@@ -189,6 +193,11 @@ def pi_s_argmax(u, chi, s):
         raise ValueError("u and chi must have matching length")
     if s < 0:
         raise ValueError("s must be nonnegative")
+    if np.all(chi == 1.0):
+        keep = np.argsort(-a, kind="stable")[:int(math.floor(s + 1e-12))]
+        mask = np.zeros(a.size, dtype=bool)
+        mask[keep] = True
+        return float(a[keep].sum()), mask
     feasible = chi <= s + 1e-12
     if not np.any(feasible):
         return 0.0, np.zeros(a.size, dtype=bool)
@@ -229,8 +238,9 @@ def select_blocks(u, chi, s):
 def pi_s(u, chi, s, variant="exact"):
     """Weighted block-selection norm 2*max{sum eta_l*|u_l| : sum chi*eta <= s}.
 
-    variant="exact" solves the 0/1 selection exactly (dynamic program for
-    integer weights, branch and bound for up to 25 non-integer weights);
+    variant="exact" solves the 0/1 selection exactly (a sort for unit
+    weights, dynamic program for integer weights, branch and bound for up to
+    25 non-integer weights);
     variant="hat" is the continuous relaxation 0 <= eta_l <= min(1,
     floor(s/chi_l)) solved greedily by the |u_l|/chi_l ratio.  The relaxed
     value is never below the exact one.
@@ -262,20 +272,24 @@ def pi_s(u, chi, s, variant="exact"):
 # structure norms
 
 
-def _group_block_views(structure, w):
+def _e_vector(structure, w):
     w = np.asarray(w, dtype=float).ravel()
-    out = []
-    pos = 0
-    for v in structure.blocks:
-        out.append(w[pos: pos + len(v)])
-        pos += len(v)
-    if pos != w.size:
-        raise ValueError(f"expected an E-vector of length {pos}, got {w.size}")
-    return out
+    if w.size != structure.ambient_dim_e:
+        raise ValueError(f"expected an E-vector of length "
+                         f"{structure.ambient_dim_e}, got {w.size}")
+    return w
+
+
+def _group_block_views(structure, w):
+    sizes = [len(v) for v in structure.blocks]
+    return np.split(_e_vector(structure, w), np.cumsum(sizes)[:-1])
 
 
 def group_block_norms(structure, w):
-    """Vector of per-block norms [||w^1||_(1), ..., ||w^K||_(K)]."""
+    """Vector of per-block norms [||w^1||_(1), ..., ||w^K||_(K)]; |w| when
+    every block is a singleton."""
+    if len(structure.blocks) == structure.ambient_dim_e:
+        return np.abs(_e_vector(structure, w))
     views = _group_block_views(structure, w)
     return np.array([vector_norm(b, t)
                      for b, t in zip(views, structure.block_norms)])
@@ -293,78 +307,56 @@ def _as_matrix(structure, w):
 def structure_norm(structure, w, dual=False):
     """The representation-space norm of the structure, or its conjugate.
 
-    plain: l1 / linf; group: sum of block norms / max of dual block norms;
-    low-rank: nuclear / spectral.
+    plain/group: sum of block norms / max of dual block norms, one l1 /
+    linf norm of w when every block is l1; low-rank: nuclear / spectral.
     """
-    kind = structure.kind
-    if kind == "plain":
-        return vector_norm(w, "linf" if dual else "l1")
-    if kind == "group":
-        views = _group_block_views(structure, w)
-        if dual:
-            return max((vector_norm(b, dual_tag(t))
-                        for b, t in zip(views, structure.block_norms)),
-                       default=0.0)
-        return float(sum(vector_norm(b, t)
-                         for b, t in zip(views, structure.block_norms)))
-    if kind == "lowrank":
+    if structure.kind == "lowrank":
         sv = singular_values(_as_matrix(structure, w))
         return float(sv[0]) if dual else float(sv.sum())
-    raise ValueError(f"unknown structure kind {kind!r}")
+    if structure.shared_norm == "l1":
+        return vector_norm(_e_vector(structure, w), "linf" if dual else "l1")
+    views = _group_block_views(structure, w)
+    if dual:
+        return max((vector_norm(b, dual_tag(t))
+                    for b, t in zip(views, structure.block_norms)),
+                   default=0.0)
+    return float(sum(vector_norm(b, t)
+                     for b, t in zip(views, structure.block_norms)))
 
 
 def ps_seminorm(structure, z, s):
     """Seminorm mediating the strengthened nullspace condition.
 
-    plain: 2*||z||_{s,1}; group: pi_s of the block-norm vector; low-rank:
-    sum of the s largest plus the 2s largest singular values.
+    plain/group: pi_s of the block-norm vector (plain: 2*||z||_{s,1});
+    low-rank: sum of the s largest plus the 2s largest singular values.
     """
-    kind = structure.kind
-    if kind == "plain":
-        eff = min(int(math.floor(s + 1e-12)), structure.n)
-        if eff < 1:
-            return 0.0
-        return 2.0 * sum_top(z, eff)
-    if kind == "group":
-        return pi_s(group_block_norms(structure, z), structure.weights, s)
-    if kind == "lowrank":
+    if structure.kind == "lowrank":
         si = int(round(s))
         if abs(s - si) > 1e-9 or si < 1:
             raise ValueError("low-rank seminorm needs a positive integer s")
         sv = singular_values(_as_matrix(structure, z))
         return float(sv[:si].sum() + sv[: 2 * si].sum())
-    raise ValueError(f"unknown structure kind {kind!r}")
+    return pi_s(group_block_norms(structure, z), structure.weights, s)
 
 
 def has_lp_form(structure):
     """Whether the structure norm is polyhedral, so that
     ``structure_norm_epigraph`` writes it as an LP: plain structures and
     group structures whose blocks are all l1 or linf."""
-    return structure.kind == "plain" or structure.kind == "group" and all(
+    return structure.kind != "lowrank" and all(
         t in ("l1", "linf") for t in structure.block_norms)
-
-
-def lp_blocks(structure, n):
-    """(blocks, tags) of a structure with an LP form on R^n: the group
-    blocks, or for plain the singleton l1 blocks (i,), one per coordinate."""
-    if structure.kind == "plain":
-        return tuple((i,) for i in range(n)), ("l1",) * n
-    return structure.blocks, structure.block_norms
 
 
 def rep_blocks(structure):
     """Representation-space block offsets, norm tags and weights: block k
     holds the coordinates offs[k] .. offs[k+1] - 1 of B x (plain: one l1
     coordinate per block)."""
-    if structure.kind == "plain":
-        n = structure.n
-        return np.arange(n + 1), ["l1"] * n, np.ones(n)
-    if structure.kind == "group":
-        sizes = [len(v) for v in structure.blocks]
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        return offs, list(structure.block_norms), \
-            np.asarray(structure.weights, dtype=float)
-    raise UnsupportedNormError("low-rank structures have no block layout")
+    if structure.kind == "lowrank":
+        raise UnsupportedNormError("low-rank structures have no block layout")
+    sizes = [len(v) for v in structure.blocks]
+    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    return offs, list(structure.block_norms), \
+        np.asarray(structure.weights, dtype=float)
 
 
 def structure_norm_epigraph(structure, n, b=None):
@@ -387,8 +379,7 @@ def structure_norm_epigraph(structure, n, b=None):
             "l2 blocks and the nuclear norm have no exact LP form")
     if b is not None:
         return _general_epigraph(structure, n, np.asarray(b, dtype=float))
-    blocks, tags = lp_blocks(structure, n)
-    tags = np.array(tags)
+    blocks, tags = structure.blocks, np.array(structure.block_norms)
     sizes = [len(v) for v in blocks]
     members = np.concatenate(blocks).astype(int)
     member_tag = np.repeat(tags, sizes)
@@ -564,13 +555,10 @@ def prox_vector_norm(v, tag, tau):
 
 
 def _prox_l2_groups(structure, w, tau):
-    """Block shrinkage for an all-l2 group structure in one vectorized pass."""
-    w = np.asarray(w, dtype=float).ravel()
+    """Block shrinkage for an all-l2 block layout in one vectorized pass."""
+    w = _e_vector(structure, w)
     sizes = [len(v) for v in structure.blocks]
     block_id = np.repeat(np.arange(len(sizes)), sizes)
-    if block_id.size != w.size:
-        raise ValueError(f"expected an E-vector of length {block_id.size}, "
-                         f"got {w.size}")
     nrm = np.sqrt(np.bincount(block_id, weights=w * w, minlength=len(sizes)))
     scale = np.zeros(len(sizes))
     keep = nrm > tau
@@ -581,23 +569,14 @@ def _prox_l2_groups(structure, w, tau):
 def prox_structure_norm(structure, w, tau):
     """argmin_u tau*||u|| + (1/2)*||u - w||_2^2 for the structure norm.
 
-    Entrywise soft threshold (plain), per-block shrinkage adapted to each
-    block tag (group), singular value soft threshold (low-rank).  The result
-    has the same shape as the input.
+    Per-block shrinkage adapted to each block tag (plain/group): an
+    entrywise soft threshold when every block is l1, one vectorized pass
+    when every block is l2; singular value soft threshold (low-rank).  The
+    result has the same shape as the input.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    kind = structure.kind
-    if kind == "plain":
-        return soft_threshold(w, tau)
-    if kind == "group":
-        if all(t == "l2" for t in structure.block_norms):
-            return _prox_l2_groups(structure, w, tau)
-        views = _group_block_views(structure, w)
-        return np.concatenate([
-            prox_vector_norm(b, t, tau)
-            for b, t in zip(views, structure.block_norms)])
-    if kind == "lowrank":
+    if structure.kind == "lowrank":
         w = np.asarray(w, dtype=float)
         flat = w.ndim == 1
         # no sign convention needed: flipping a column of U together with the
@@ -605,4 +584,10 @@ def prox_structure_norm(structure, w, tau):
         u, sv, vt = np.linalg.svd(_as_matrix(structure, w), full_matrices=False)
         out = (u * np.maximum(sv - tau, 0.0)) @ vt
         return out.reshape(-1) if flat else out
-    raise ValueError(f"unknown structure kind {kind!r}")
+    if structure.shared_norm == "l1":
+        return soft_threshold(_e_vector(structure, w), tau)
+    if structure.shared_norm == "l2":
+        return _prox_l2_groups(structure, w, tau)
+    views = _group_block_views(structure, w)
+    return np.concatenate([prox_vector_norm(b, t, tau)
+                           for b, t in zip(views, structure.block_norms)])

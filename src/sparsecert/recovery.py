@@ -39,7 +39,8 @@ class LambdaBelowBetaError(ValueError):
 @dataclass
 class RecoveryProblem:
     a: np.ndarray
-    b: object                 # RepresentationMap or dense matrix
+    b: object                 # RepresentationMap, dense matrix or None
+                              # (the structure's canonical map)
     y: np.ndarray
     phi: str = "l2"
     epsilon: float = 0.0
@@ -52,15 +53,12 @@ class RecoveryProblem:
         if self.phi not in norms.VECTOR_TAGS:
             raise ValueError("phi must be one of l1/l2/linf")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.y))
-                and (self.b is None or np.all(np.isfinite(self.b_matrix)))
+                and (self.b is None or np.all(np.isfinite(
+                    structures.rep_matrix(None, self.b))))
                 and np.isfinite(self.epsilon)):
             raise ValueError("a, b, y and epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-
-    @property
-    def b_matrix(self):
-        return structures.rep_matrix(None, self.b)
 
 
 @dataclass
@@ -122,7 +120,7 @@ def error_bound(gamma, beta, budget, mode):
 # LP reformulations
 
 
-def _build_recovery_lp(problem, structure, mode, lam=0.0):
+def _build_recovery_lp(problem, structure, bmat, mode, lam=0.0):
     """Exact LP for polyhedral instances: (lp, n), with u = x[:n] - x[n:2n].
 
     Variable layout [u+ | u- | t | fit aux], all >= 0: the first three are
@@ -137,7 +135,7 @@ def _build_recovery_lp(problem, structure, mode, lam=0.0):
     a, y = problem.a, problem.y
     m, n = a.shape
     obj_cost, obj_g = norms.structure_norm_epigraph(
-        structure, n, structures.custom_rep_matrix(structure, problem.b))
+        structure, n, structures.custom_rep_matrix(structure, bmat))
     a_pm = np.hstack([a, -a])
     if mode == "regular" and problem.epsilon == 0.0:
         fit_cost, fit_u, fit_aux, fit_h, sense = np.zeros(0), a_pm, \
@@ -173,13 +171,13 @@ def _build_recovery_lp(problem, structure, mode, lam=0.0):
                          senses=("le",) * r_obj + (sense,) * fit_u.shape[0]), n
 
 
-def _finish(problem, structure, x, report, mode, lam=0.0):
+def _finish(problem, structure, bmat, x, report, mode, lam=0.0):
     """The result of a solve; none for a missing point or an infeasible or
-    unbounded program."""
+    unbounded program.  ``bmat`` is the dense B the solve used."""
     if x is None or report.status in (Status.INFEASIBLE, Status.UNBOUNDED):
         return RecoveryResult(x_hat=None, w_hat=None, delta=np.inf,
                               delta_phi=np.inf, report=report)
-    w = problem.b_matrix @ x
+    w = bmat @ x
     fit = norms.vector_norm(problem.a @ x - problem.y, problem.phi)
     if mode == "regular":
         delta_phi = max(0.0, fit - problem.epsilon)
@@ -203,15 +201,16 @@ def _recover(problem, structure, mode, lam, method, tol, maxiter):
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
     shape = (structure.ambient_dim_e, problem.a.shape[1])
-    if structures.rep_matrix(structure, problem.b).shape != shape:
+    bmat = structures.rep_matrix(structure, problem.b)
+    if bmat.shape != shape:
         raise ValueError(f"B must be {shape[0]} x {shape[1]} for this structure")
     lp_fit = problem.phi in ("l1", "linf") or (
         mode == "regular" and problem.epsilon == 0.0)
     if method == "lp" or (method == "auto" and lp_fit
                           and norms.has_lp_form(structure)):
-        lp, n = _build_recovery_lp(problem, structure, mode, lam)
+        lp, n = _build_recovery_lp(problem, structure, bmat, mode, lam)
         x, report = solve_lp(lp)
-        return _finish(problem, structure,
+        return _finish(problem, structure, bmat,
                        None if x is None else x[:n] - x[n:2 * n], report,
                        mode, lam)
     if mode == "regular" and problem.phi == "l2":
@@ -223,14 +222,14 @@ def _recover(problem, structure, mode, lam, method, tol, maxiter):
         if min_fit > problem.epsilon + max(1e-9, 1e-9 * np.abs(problem.y).max(initial=0.0)):
             report = SolveReport(status=Status.INFEASIBLE,
                                  residuals={"min_phi": min_fit})
-            return _finish(problem, structure, None, report, mode)
-    sp = SplitProblem(a=problem.a, b=problem.b_matrix, y=problem.y,
+            return _finish(problem, structure, bmat, None, report, mode)
+    sp = SplitProblem(a=problem.a, b=bmat, y=problem.y,
                       structure=structure, phi=problem.phi,
                       mode="constraint" if mode == "regular" else "penalty",
                       epsilon=problem.epsilon, lam=max(lam, 1e-12),
                       tol=tol, maxiter=maxiter)
     x, report = solve_split(sp)
-    return _finish(problem, structure, x, report, mode, lam)
+    return _finish(problem, structure, bmat, x, report, mode, lam)
 
 
 def recover_regular(problem, structure, method="auto", tol=1e-8,

@@ -3,16 +3,20 @@ projector family with complements.
 
 Three concrete models are implemented:
 
-* ``plain``   - coordinate sparsity in R^n, l1 norm, coordinate projectors,
-                weight = support size, complement = identity minus projector;
 * ``group``   - possibly overlapping index blocks V_1..V_K with positive
                 weights chi_l; the representation space stacks the blocks,
                 the norm sums per-block norms, projectors keep a subset of
                 blocks, weight = sum of kept chi_l;
+* ``plain``   - coordinate sparsity in R^n: the n singleton l1 blocks (i,)
+                with unit weights, run by the group code; its projectors
+                keep a support;
 * ``lowrank`` - p x q matrices (any shape), nuclear norm, projectors
                 P(x) = P_left x P_right built from orthonormal bases, weight
                 = max of the two ranks.  The complement is
                 (I - P_left) x (I - P_right), which is NOT identity minus P.
+
+Plain and group structures carry ``shared_norm``, the tag all their blocks
+share (None when mixed), derived at construction.
 
 The module also houses randomized verification of the three axioms the
 framework rests on: every P is idempotent (A.1), the complement kills the
@@ -54,14 +58,18 @@ class SparsityStructure:
     block_norms: tuple = ()
     p: int = 0
     q: int = 0
+    shared_norm: str | None = field(init=False)
+
+    def __post_init__(self):
+        tags = set(self.block_norms)
+        object.__setattr__(self, "shared_norm",
+                           tags.pop() if len(tags) == 1 else None)
 
     def full_weight(self):
         """Largest projector weight in the family."""
-        if self.kind == "plain":
-            return float(self.n)
-        if self.kind == "group":
-            return float(sum(self.weights))
-        return float(min(self.p, self.q))
+        if self.kind == "lowrank":
+            return float(min(self.p, self.q))
+        return float(sum(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +88,9 @@ class RepresentationMap:
 class ProjectorDesc:
     """One member of the projector family, with its weight.
 
-    plain: ``support`` (frozenset of coordinates); group: ``block_set``
-    (frozenset of block indices); lowrank: ``left``/``right`` orthonormal
-    bases of the row/column ranges.
+    group: ``block_set`` (frozenset of block indices); plain: ``support``
+    (frozenset of coordinates), which is also its ``block_set``; lowrank:
+    ``left``/``right`` orthonormal bases of the row/column ranges.
     """
     kind: str
     nu: float
@@ -97,17 +105,15 @@ class ProjectorDesc:
 
 
 def _build_rep_map(structure):
-    if structure.kind == "group":
-        b = np.zeros((structure.ambient_dim_e, structure.ambient_dim_x))
-        row = 0
-        for v in structure.blocks:
-            for i in v:
-                b[row, i] = 1.0
-                row += 1
-        ident = bool(b.shape[0] == b.shape[1] and np.array_equal(b, np.eye(b.shape[0])))
-        return RepresentationMap(matrix=b, identity_shortcut=ident)
-    dim = structure.ambient_dim_e
-    return RepresentationMap(matrix=np.eye(dim), identity_shortcut=True)
+    if structure.kind == "lowrank":
+        dim = structure.ambient_dim_e
+        return RepresentationMap(matrix=np.eye(dim), identity_shortcut=True)
+    members = np.fromiter(itertools.chain.from_iterable(structure.blocks),
+                          dtype=int, count=structure.ambient_dim_e)
+    b = np.zeros((structure.ambient_dim_e, structure.ambient_dim_x))
+    b[np.arange(members.size), members] = 1.0
+    ident = bool(np.array_equal(members, np.arange(structure.ambient_dim_x)))
+    return RepresentationMap(matrix=b, identity_shortcut=ident)
 
 
 def rep_matrix(structure, b=None):
@@ -131,10 +137,13 @@ def custom_rep_matrix(structure, b):
 
 
 def build_plain(n):
-    if int(n) < 1:
+    """Coordinate sparsity: the n singleton l1 blocks with unit weights."""
+    n = int(n)
+    if n < 1:
         raise StructureError("plain structure needs n >= 1")
-    s = SparsityStructure(kind="plain", n=int(n),
-                          ambient_dim_x=int(n), ambient_dim_e=int(n))
+    s = SparsityStructure(kind="plain", n=n, ambient_dim_x=n, ambient_dim_e=n,
+                          blocks=tuple((i,) for i in range(n)),
+                          weights=(1.0,) * n, block_norms=("l1",) * n)
     return s, _build_rep_map(s)
 
 
@@ -229,10 +238,14 @@ def plain_projector(structure, support):
     support = frozenset(int(i) for i in support)
     if support and (min(support) < 0 or max(support) >= structure.n):
         raise StructureError("support outside 0..n-1")
-    return ProjectorDesc(kind="plain", nu=float(len(support)), support=support)
+    return ProjectorDesc(kind="plain", nu=float(len(support)), support=support,
+                         block_set=support)
 
 
 def group_projector(structure, block_set):
+    """The projector keeping ``block_set`` (plain: block i is coordinate i)."""
+    if structure.kind == "plain":
+        return plain_projector(structure, block_set)
     block_set = frozenset(int(i) for i in block_set)
     if block_set and (min(block_set) < 0 or max(block_set) >= len(structure.blocks)):
         raise StructureError("block index out of range")
@@ -262,20 +275,14 @@ def project(structure, proj, w, which="direct"):
     """
     if which not in ("direct", "complement"):
         raise ValueError("which must be 'direct' or 'complement'")
-    if structure.kind in ("plain", "group"):
+    if structure.kind != "lowrank":
         w = np.asarray(w, dtype=float).ravel()
         if w.size != structure.ambient_dim_e:
             raise ValueError(f"expected E-dimension {structure.ambient_dim_e}, "
                              f"got {w.size}")
-        mask = np.zeros(w.size, dtype=bool)
-        if structure.kind == "plain":
-            mask[list(proj.support)] = True
-        else:
-            pos = 0
-            for l, v in enumerate(structure.blocks):
-                if l in proj.block_set:
-                    mask[pos: pos + len(v)] = True
-                pos += len(v)
+        kept = np.zeros(len(structure.blocks), dtype=bool)
+        kept[list(proj.block_set)] = True
+        mask = np.repeat(kept, [len(v) for v in structure.blocks])
         return np.where(mask, w, 0.0) if which == "direct" else np.where(mask, 0.0, w)
     # lowrank
     w = np.asarray(w, dtype=float)
@@ -293,7 +300,9 @@ def random_projector(structure, rng, max_weight=None):
     """Draw one projector from the family, optionally capped in weight.
 
     Low-rank bases come from QR factors of Gaussian matrices (the framework
-    fixes no sampler, so this is the repo's choice).
+    fixes no sampler, so this is the repo's choice).  Plain keeps its own
+    draw (a size, then a support), so a seed draws the projectors it did
+    before plain became a block layout.
     """
     if structure.kind == "plain":
         cap = structure.n if max_weight is None else min(structure.n, int(max_weight))
@@ -333,7 +342,8 @@ def enumerate_projectors(structure, s):
 
 def iter_projectors(structure, s):
     """``enumerate_projectors`` one at a time, in the same order; the checks
-    run at the first ``next``."""
+    run at the first ``next``.  Plain lists its supports directly: the
+    reference enumeration the tests compare against."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if structure.kind == "plain":
@@ -369,22 +379,15 @@ class SparseApprox(NamedTuple):
 def best_sparse_approx(structure, w, s):
     """Best weight-<= s projector for w and the structure-norm residual.
 
-    plain keeps the s largest magnitudes; group solves the retained-norm
-    knapsack exactly where ``norms.select_blocks`` can (integer weights, or
-    at most 25 blocks), else takes its greedy set, an upper bound flagged
-    exact=False; lowrank truncates the SVD.  delta_x is ||w - Pw|| in the
-    structure norm.
+    plain/group solve the retained-norm knapsack exactly where
+    ``norms.select_blocks`` can (unit or integer weights, or at most 25
+    blocks; plain keeps the s largest magnitudes), else take its greedy
+    set, an upper bound flagged exact=False; lowrank truncates the SVD.
+    delta_x is ||w - Pw|| in the structure norm.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if structure.kind == "plain":
-        w = np.asarray(w, dtype=float).ravel()
-        k = min(int(math.floor(s + 1e-12)), structure.n)
-        keep = np.argsort(-np.abs(w), kind="stable")[:k]
-        p = plain_projector(structure, keep)
-        delta = float(np.abs(w).sum() - np.abs(w[keep]).sum())
-        return SparseApprox(p, delta, True)
-    if structure.kind == "group":
+    if structure.kind != "lowrank":
         vals = norms.group_block_norms(structure, w)
         _, mask, exact = norms.select_blocks(vals, structure.weights, s)
         p = group_projector(structure, np.nonzero(mask)[0])

@@ -558,7 +558,10 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     lift = structures.custom_rep_matrix(structure, bmat)
     lp = bruteforce._kernel_ball_lp(a, structure, lift)
     if lift is None:
-        blocks, tags = norms.lp_blocks(structure, n)
+        if structure.kind == "plain":   # the singleton l1 blocks (i,)
+            blocks, tags = tuple((i,) for i in range(n)), ("l1",) * n
+        else:
+            blocks, tags = structure.blocks, structure.block_norms
         nf = n
     else:
         offs, tags, _ = norms.rep_blocks(structure)

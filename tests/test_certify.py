@@ -660,22 +660,21 @@ def test_dual_stage_one_matches_cold_primal_per_block():
         cold = stage_one_primal_oracle(lay)
         assert runs.sequences == len(set(zip(lay.sizes, lay.tags))), name
         assert runs.lps == len(stages) == len(cold)
-        h = np.hstack([h for _, h, _ in stages])
+        h = np.hstack([stage.h_cols for stage in stages])
         w = (rep.matrix - h.T @ a) @ lay.b_pinv
         omega = np.abs(w) if np.all(lay.sizes == 1) else \
             norms.omega(st, w)[0]
-        for k, ((_, h_k, g_k), (_, g_cold, status)) in enumerate(
-                zip(stages, cold)):
+        for k, (stage, (_, g_cold, status)) in enumerate(zip(stages, cold)):
             assert status.value == "optimal"
-            assert g_k == pytest.approx(g_cold, abs=1e-9), (name, k)
-            assert 2.0 * omega[k].max() <= g_k + 1e-9, (name, k)
+            assert stage.g == pytest.approx(g_cold, abs=1e-9), (name, k)
+            assert 2.0 * omega[k].max() <= stage.g + 1e-9, (name, k)
 
 
 def test_synthesis_lazy_beta_equals_full_stage_two():
     for name, st, rep, a, _, _ in _pinned_cases():
         cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
         synthesis, lay, runs, stages = _stage_one(st, rep, a)
-        gamma = max(g for _, _, g in stages)
+        gamma = max(stage.g for stage in stages)
         every = max(synthesis._settle_block(lay, k, stages[k], gamma, runs)[1]
                     for k in range(len(stages)))
         assert cert.beta == pytest.approx(2.0 * every, abs=1e-9), name
@@ -696,7 +695,7 @@ def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
 
     monkeypatch.setattr(synthesis, "solve_lp", stage_two_stalls)
     cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
-    h_one = np.hstack([h for _, h, _ in stages])
+    h_one = np.hstack([stage.h_cols for stage in stages])
     assert cert.details["beta_lps"] >= 1
     assert len(calls) == cert.details["beta_lps"]
     assert np.array_equal(cert.h_matrix, h_one)

@@ -1,19 +1,28 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsecert
 from sparsecert import cli, serialize, structures
 from sparsecert.recovery import RecoveryProblem
+
+# the CLI subprocess imports the package these tests import, installed or not
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(sparsecert.__file__).parents[1])]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "sparsecert", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=_ENV)
 
 
 def write_plain_problem(tmp_path, a, y, phi="linf", epsilon=0.0):

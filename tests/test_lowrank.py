@@ -94,6 +94,28 @@ def test_mdprime_nuclear_bound_on_extreme_points(rng):
             assert nuc == pytest.approx(math.sqrt(k), abs=1e-8)
 
 
+def test_svd_sign_convention_is_not_needed(rng):
+    """The low-rank subgradients read only the singular values and
+    U[:, :k] @ Vt[:k], which the sign convention of ``svd_descending``
+    leaves bitwise unchanged."""
+    from sparsecert import norms
+    from sparsecert.certify import bruteforce, lowrank
+    for shape in ((3, 3), (4, 3), (3, 4), (9, 9)):
+        mat = rng.standard_normal(shape)
+        u, sv, vt = norms.svd_descending(mat)
+        for k in (1, 2, 3, 9):
+            kk = min(k, sv.size)
+            val, grad = lowrank._top_k_subgradient(mat, k)
+            assert val == float(sv[:kk].sum())
+            assert np.array_equal(grad, u[:, :kk] @ vt[:kk])
+        st, _ = structures.build_lowrank(*shape)
+        ratio, grad = bruteforce._lowrank_ratio_and_grad(st, mat.ravel(), 2)
+        num, den = float(sv[:2].sum()), float(sv.sum())
+        want = ((u[:, :2] @ vt[:2]) * den - num * (u @ vt)) / den ** 2
+        assert ratio == num / den
+        assert np.array_equal(grad, want.ravel())
+
+
 def test_opt_bar_identity_value():
     for p, q in ((2, 2), (3, 3), (4, 4), (4, 3)):
         for s in (1, 2):

@@ -60,7 +60,8 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
     y = rng.standard_normal(4)
     y[3] = 0.0
     problem = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
-    lp, n = _build_recovery_lp(problem, structure, mode, lam=1.7)
+    lp, n = _build_recovery_lp(problem, structure,
+                               structures.rep_matrix(structure), mode, lam=1.7)
     c, g, h, senses, lb = recovery_lp_oracle(problem, structure, mode,
                                              lam=1.7)
     assert n == 6

@@ -68,13 +68,14 @@ def test_sigma_sum(rng):
 
 
 def test_pi_s_exact_matches_enumeration(rng):
+    """Integer weights (the knapsack) and unit weights (the sort)."""
     for _ in range(25):
         k = int(rng.integers(1, 9))
         u = rng.standard_normal(k)
-        chi = rng.integers(1, 4, size=k).astype(float)
-        for s in (0.0, 1.0, 2.0, 3.5, 10.0):
-            assert pi_s(u, chi, s) == pytest.approx(pi_s_oracle(u, chi, s),
-                                                    abs=1e-12)
+        for chi in (rng.integers(1, 4, size=k).astype(float), np.ones(k)):
+            for s in (0.0, 1.0, 2.0, 3.5, 10.0):
+                assert pi_s(u, chi, s) == pytest.approx(
+                    pi_s_oracle(u, chi, s), abs=1e-12)
 
 
 def test_pi_s_real_weights_branch_and_bound(rng):

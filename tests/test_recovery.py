@@ -182,6 +182,27 @@ def test_method_dispatch(rng):
         recover_regular(prob, st, method="newton")
 
 
+@pytest.mark.parametrize("phi,eps", [("l1", 0.0), ("l2", 0.1)])
+def test_b_none_is_the_canonical_map(rng, phi, eps):
+    """b=None resolves to the structure's representation map on the LP path
+    (l1, eps = 0) and the splitting path (l2, eps > 0): the same result as
+    passing that map, for plain and for overlapping group blocks."""
+    for st, rep in (structures.build_plain(6),
+                    structures.build_group([(0, 1, 2), (2, 3), (3, 4, 5)],
+                                           block_norm="l1")):
+        a = rng.standard_normal((4, 6))
+        y = a @ np.array([0.0, 1.5, 0.0, 0.0, -2.0, 0.0])
+        got = recover_regular(RecoveryProblem(a=a, b=None, y=y, phi=phi,
+                                              epsilon=eps), st)
+        want = recover_regular(RecoveryProblem(a=a, b=rep, y=y, phi=phi,
+                                               epsilon=eps), st)
+        assert got.feasible_solve
+        assert got.report.iterations == want.report.iterations
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert np.array_equal(got.w_hat, want.w_hat)
+        assert got.report.objective == want.report.objective
+
+
 def test_lp_path_minimizes_a_non_canonical_b():
     """B = diag(1, 10, 1): x = (1, 0, 1) fits y = (1, 1) with ||Bx||_1 = 2,
     where (0, 1, 0) costs 10; every method finds the former."""

@@ -24,9 +24,59 @@ def test_plain_builder():
     assert st.kind == "plain" and st.n == 5
     assert st.ambient_dim_x == st.ambient_dim_e == 5
     assert rep.identity_shortcut
+    assert np.array_equal(rep.matrix, np.eye(5))
     x = np.arange(5.0)
     assert np.array_equal(rep.apply(x), x)
     assert st.full_weight() == 5.0
+    # the block layout of the n singleton l1 blocks with unit weights
+    assert st.blocks == tuple((i,) for i in range(5))
+    assert st.weights == (1.0,) * 5 and st.shared_norm == "l1"
+
+
+def test_shared_norm_is_derived_from_the_block_tags():
+    assert build_group(BLOCKS, block_norm="linf")[0].shared_norm == "linf"
+    mixed, _ = build_group(BLOCKS, block_norm=["l1", "l2", "l1", "l1"])
+    assert mixed.shared_norm is None
+    assert build_lowrank(2, 3)[0].shared_norm is None
+
+
+def test_plain_is_the_singleton_l1_block_layout(rng):
+    """A plain structure and the group of its n singleton l1 blocks give the
+    same norms, seminorm, prox, best approximation and worst projector; the
+    plain projectors keep their kind and pick the stable top-s support."""
+    from sparsecert.certify.conditions import worst_condition_projector
+    n = 7
+    pl, _ = build_plain(n)
+    gr, _ = build_group([(i,) for i in range(n)], block_norm="l1")
+    for _ in range(10):
+        w = rng.standard_normal(n)
+        w[int(rng.integers(1, n))] = -w[0]      # a tie in magnitude
+        for dual in (False, True):
+            assert norms.structure_norm(pl, w, dual) == \
+                norms.structure_norm(gr, w, dual)
+        assert norms.structure_norm(pl, w) == pytest.approx(np.abs(w).sum())
+        assert np.array_equal(norms.prox_structure_norm(pl, w, 0.3),
+                              norms.prox_structure_norm(gr, w, 0.3))
+        assert np.array_equal(norms.prox_structure_norm(pl, w, 0.3),
+                              norms.soft_threshold(w, 0.3))
+        for s in (0, 1, 2.5, 3, n + 1):
+            k = min(int(s), n)
+            keep = np.argsort(-np.abs(w), kind="stable")[:k]
+            assert norms.ps_seminorm(pl, w, s) == norms.ps_seminorm(gr, w, s)
+            if k:
+                assert norms.ps_seminorm(pl, w, s) == pytest.approx(
+                    2.0 * norms.sum_top(w, k), abs=1e-12)
+            got = best_sparse_approx(pl, w, s)
+            want = best_sparse_approx(gr, w, s)
+            assert got.projector.kind == "plain" and got.exact
+            assert got.projector.support == want.projector.block_set \
+                == frozenset(keep.tolist())
+            assert got.delta_x == want.delta_x
+            proj, lhs = worst_condition_projector(pl, w, s)
+            assert lhs == worst_condition_projector(gr, w, s)[1]
+            assert lhs == 2.0 * float(np.abs(w)[keep].sum())
+            assert proj.kind == "plain"
+            assert proj.support == proj.block_set == frozenset(keep.tolist())
 
 
 def test_group_builder_overlap():

@@ -37,20 +37,13 @@ dual's multipliers.
 beta = psi_1(H) = 2 * max_k max_i ||H[i, block k]|| decouples the same way.
 In the per-block case a second LP per block minimizes that block norm subject
 to g_k <= gamma (l2 blocks minimize the l1 norm, a linear surrogate), and the
-block keeps the new columns only if their true block norm is smaller.  It runs
-lazily: blocks are visited in descending order of their first-stage norm, and
-the visit stops once the next one cannot raise the running maximum, which
-gives the beta of running it on every block.  Stage two stays on the primal,
-one cold LP per visited block.  Its duals would share a feasible set per
-signature as well, but one of them can stall even when solved cold, with no
-warm start involved: for plain n = 20, m = 12 (unscaled Gaussian A, seed 5)
-block 0's stage-two dual stops at the 20,000-pivot cap under the default
-pivoting and is optimal in 84 pivots under pivot="bland".  There the default
-rule turns to its Bland mode after 12 degenerate pivots and then cycles among
-13 bases of one vertex: the leaving-row choice of that mode drops tied rows
-with small pivot elements, which forfeits Bland's guarantee against cycling.
-The primal beta LP is optimal in 36 pivots, and a stalled beta LP only costs
-time (the block keeps its stage-one columns).  The joint LP's beta is
+block keeps the new columns only if their true block norm is smaller.  Its G,
+too, depends only on the block's signature, so stage two solves the duals in
+one warm-started sequence per signature as well.  It runs lazily: blocks are
+visited in descending order of their first-stage norm, and the visit stops
+once the next one cannot raise the running maximum, which gives the beta of
+running it on every block.  A stage-two LP that is not optimal only costs
+time: its block keeps the stage-one columns.  The joint LP's beta is
 whatever vertex the simplex lands on.
 
 The reported gamma is the LP optimal value, which is unique even though the
@@ -61,6 +54,7 @@ induced norms.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -122,9 +116,6 @@ class _Layout:
         self.pair_exact = (rows1 & cols1) | (self.kind == _PER_ENTRY) \
             | ((self.kind == _PER_COL) & (to_l1 | rows1)) \
             | ((self.kind == _PER_ROW) & (from_linf | cols1))
-
-    def block(self, k):
-        return slice(self.offs[k], self.offs[k + 1])
 
 
 def _synthesis_lp(lay, targets, s, simple):
@@ -236,7 +227,7 @@ def _synthesis_lp(lay, targets, s, simple):
 
 
 def _dual_lp(lp, nh):
-    """The dual of a stage-one LP, with zero cost (the cost is its h).
+    """The dual of a per-block LP, with zero cost (the cost is its h).
 
     The primal min c.x over G x <= h, x[:nh] free, x[nh:] >= 0 has the dual
     max -h.p over p >= 0 with G_free^T p = -c_free and -G_rest^T p <= c_rest,
@@ -292,36 +283,53 @@ def _block_norm(h, tag):
     return float(np.linalg.norm(h, _NORM_ORD[tag], axis=1).max(initial=0.0))
 
 
+def _optimal(report):
+    """``report``, which must be optimal: SynthesisNotOptimalError if not."""
+    if report.status != Status.OPTIMAL:
+        raise SynthesisNotOptimalError(report.status)
+    return report
+
+
 class _Runs:
-    """The LP solves of one call, with its limits, tallying LPs, pivots and
-    gaps; a stage-one or joint LP that is not optimal raises."""
+    """The LP solves of one stage of a call, with its limits, tallying LPs,
+    pivots, LPs not optimal, gaps, and the sequences and their pivots."""
 
     def __init__(self, maxiter, pivot):
         self.maxiter, self.pivot = maxiter, pivot
-        self.lps = self.beta_lps = self.iterations = 0
+        self.lps = self.iterations = self.not_optimal = 0
         self.sequences = self.sequence_iterations = 0
         self.delta = 0.0
+        self._open = {}  # key -> (pending cost, reports) of ``solve_next``
 
-    def _tally(self, report, beta):
+    def _tally(self, report):
         self.lps += 1
-        self.beta_lps += int(beta)
         self.iterations += report.iterations
         if report.status == Status.OPTIMAL:
             self.delta = max(self.delta, float(report.delta))
-        elif not beta:
-            raise SynthesisNotOptimalError(report.status)
+        else:
+            self.not_optimal += 1
         return report
 
-    def solve(self, lp, beta=False):
+    def solve(self, lp):
+        """The joint LP (``solve_lp``), which must end optimal."""
         x, report = solve_lp(lp, maxiter=self.maxiter, pivot=self.pivot)
-        return x, self._tally(report, beta)
+        return x, _optimal(self._tally(report))
 
-    def solve_costs(self, lp, costs):
-        """One warm-started sequence (``solve_lp_costs``): yields the reports."""
-        self.sequences += 1
-        for _, report in solve_lp_costs(lp, costs, self.maxiter, self.pivot):
-            self.sequence_iterations += report.iterations
-            yield self._tally(report, False)
+    def solve_next(self, key, make_lp, cost):
+        """The report of ``cost`` as the next solve of the warm-started
+        sequence ``key``, which its first call opens on ``make_lp()``."""
+        if key not in self._open:
+            self.sequences += 1
+            pending = []
+            # the sequence pulls its next cost only when asked for a report
+            self._open[key] = pending, solve_lp_costs(
+                make_lp(), (pending.pop() for _ in itertools.count()),
+                self.maxiter, self.pivot)
+        pending, reports = self._open[key]
+        pending.append(cost)
+        report = self._tally(next(reports)[1])
+        self.sequence_iterations += report.iterations
+        return report
 
 
 class _StageOne(NamedTuple):
@@ -340,33 +348,34 @@ def _stage_one(lay, runs):
     warm-started sequence, and block k's H is read from its duals.
     """
     m = lay.d_full.shape[0]
-    signatures = {}
+    lps, out = {}, []
     for k in range(lay.sizes.size):
-        signatures.setdefault((lay.sizes[k], lay.tags[k]), []).append(k)
-    out = [None] * lay.sizes.size
-    for blocks in signatures.values():
-        lp, nh, rhs = _synthesis_lp(lay, blocks[:1], 1.0, simple=True)
-        hs = [rhs(lay.offs[k]) for k in blocks]
-        reports = runs.solve_costs(_dual_lp(lp, nh), hs)
-        for k, h, report in zip(blocks, hs, reports):
-            cols = report.dual[:nh].reshape(m, lay.sizes[k])
-            out[k] = _StageOne(lp, h, cols, -float(report.objective))
+        key = (lay.sizes[k], lay.tags[k])
+        if key not in lps:
+            lps[key] = _synthesis_lp(lay, [k], 1.0, simple=True)
+        lp, nh, rhs = lps[key]
+        h = rhs(lay.offs[k])
+        report = _optimal(runs.solve_next(key, lambda: _dual_lp(lp, nh), h))
+        cols = report.dual[:nh].reshape(m, lay.sizes[k])
+        out.append(_StageOne(lp, h, cols, -float(report.objective)))
     return out
 
 
 def _settle_block(lay, k, stage, gamma, runs):
     """Block k's columns of H after stage two, and their block norm.
 
-    The stage-two H replaces the stage-one H only when its LP is optimal and
-    its true block norm is smaller.
+    Stage two solves the dual of ``_beta_lp`` in the block signature's
+    sequence.  Its H replaces the stage-one H only when that LP is optimal
+    and its true block norm is smaller.
     """
     h1 = stage.h_cols
     tag = lay.tags[k]
     norm1 = _block_norm(h1, tag)
-    x, report = runs.solve(_beta_lp(lay, k, stage.lp, stage.rhs, gamma),
-                           beta=True)
+    beta = _beta_lp(lay, k, stage.lp, stage.rhs, gamma)
+    report = runs.solve_next((lay.sizes[k], tag),
+                             lambda: _dual_lp(beta, h1.size), beta.h)
     if report.status == Status.OPTIMAL:
-        h2 = x[:h1.size].reshape(h1.shape)
+        h2 = report.dual[:h1.size].reshape(h1.shape)
         norm2 = _block_norm(h2, tag)
         if norm2 < norm1:
             return h2, norm2
@@ -381,10 +390,9 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     carries the full H and W, the identity residual of B = WB + H^T A, and
     exactness flags for the reported gamma and beta.  ``details`` counts the
     LPs solved (``lps``, of which ``beta_lps`` in stage two), their pivots
-    (``lp_iterations``), the warm-started stage-one sequences
-    (``stage_one_sequences``, one per block signature) and their pivots
-    (``stage_one_iterations``), and the largest duality gap among all LPs
-    (``lp_delta``).
+    (``lp_iterations``), per stage the warm-started sequences (at most one per
+    block signature), their pivots and the stage-two LPs not optimal
+    (``stage_one_*``, ``stage_two_*``), and the largest gap (``lp_delta``).
     """
     if structure.kind not in ("plain", "group"):
         raise norms.UnsupportedNormError(
@@ -410,22 +418,20 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     # when s = 1 with unit weights the relaxed selection of a column is just
     # twice its maximum, so the row blocks of W decouple
     simple_max = float(s) == 1.0 and _weights_unit(lay.chi)
-    runs = _Runs(maxiter, pivot)
+    runs, beta_runs = _Runs(maxiter, pivot), _Runs(maxiter, pivot)
     if simple_max:
         stages = _stage_one(lay, runs)
         gamma_lp = max(st.g for st in stages)
-        h_opt = np.zeros((m, big_m))
-        norm1 = np.zeros(kk)
-        for k, st in enumerate(stages):
-            h_opt[:, lay.block(k)] = st.h_cols
-            norm1[k] = _block_norm(st.h_cols, lay.tags[k])
+        cols = [st.h_cols for st in stages]
+        norm1 = np.array([_block_norm(c, t) for c, t in zip(cols, lay.tags)])
         settled = 0.0
         for k in np.argsort(-norm1, kind="stable"):
             if norm1[k] <= settled:
                 break
-            h_opt[:, lay.block(k)], value = _settle_block(
-                lay, k, stages[k], gamma_lp, runs)
+            cols[k], value = _settle_block(lay, k, stages[k], gamma_lp,
+                                           beta_runs)
             settled = max(settled, value)
+        h_opt = np.hstack(cols)
     else:
         lp, nh, _ = _synthesis_lp(lay, range(kk), s, simple=False)
         x, report = runs.solve(lp)
@@ -454,12 +460,15 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
 
     beta = psi_s(h_opt, structure, s, phi)
     details = {
-        "lps": runs.lps,
-        "beta_lps": runs.beta_lps,
-        "lp_iterations": runs.iterations,
+        "lps": runs.lps + beta_runs.lps,
+        "beta_lps": beta_runs.lps,
+        "lp_iterations": runs.iterations + beta_runs.iterations,
         "stage_one_sequences": runs.sequences,
         "stage_one_iterations": runs.sequence_iterations,
-        "lp_delta": runs.delta,
+        "stage_two_sequences": beta_runs.sequences,
+        "stage_two_iterations": beta_runs.sequence_iterations,
+        "stage_two_not_optimal": beta_runs.not_optimal,
+        "lp_delta": max(runs.delta, beta_runs.delta),
         "gamma_recheck_exact_norms": float(gamma_recheck),
         "pivot": pivot,
     }

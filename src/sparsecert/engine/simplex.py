@@ -8,11 +8,11 @@ get converted to equality standard form (shift finite lower bounds, mirror
 upper-bounded free variables, split doubly-free variables, slack columns,
 nonnegative right-hand side), and are solved by a tableau simplex.  Pivoting
 is Dantzig's rule with a stability scan that refuses numerically tiny pivot
-elements while an alternative column exists; a streak of degenerate steps
-switches to Bland's rule until the vertex is escaped.  Every run is
-deterministic.  Optimal bases are re-verified against the untouched data and
-a run that lost feasibility to roundoff is retried under Bland ordering
-rather than reported as solved.
+elements while an alternative column exists.  A streak of degenerate steps
+turns on the lexicographic ratio test (Dantzig, Orden & Wolfe, 1955), which
+cannot cycle, until a step leaves the vertex.  Every run is deterministic.
+Optimal bases are re-verified against the untouched data; a point that lost
+feasibility to roundoff is reported as not converged, never as solved.
 
 Each final basis is inverted once (``_inverse``), from the untouched
 standard form.  That inverse gives the re-verified point binv @ b, the duals
@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 _TOL = 1e-9
-_DEGENERATE_STREAK = 12  # consecutive zero-step pivots before switching to Bland
+_DEGENERATE_STREAK = 12  # zero-step pivots in a row that start the lex rule
 _PIVOT_MIN = 1e-7   # smallest pivot element worth dividing a row by
 _PIVOT_SCAN = 24    # entering candidates to try before accepting a tiny pivot
 
@@ -100,7 +100,7 @@ class SolveReport:
     dual: np.ndarray | None = None       # multipliers for the original rows
     certificate: dict | None = None      # farkas / ray / bounds evidence
     delta: float = np.nan                # certified near-optimality margin
-    used_bland: bool = False
+    used_bland: bool = False             # anti-cycling rule on at the end
     warnings: list = field(default_factory=list)
     standard: dict | None = None         # equality-form data for verification
 
@@ -191,7 +191,7 @@ class _Tableau:
         self.m = m
         self.iterations = 0
         self.forced_bland = pivot == "bland"
-        self.bland = self.forced_bland
+        self.lex_ref = None  # reference basis of the lexicographic rule
         self._streak = 0
 
     def set_costs(self, c):
@@ -216,29 +216,29 @@ class _Tableau:
             return None
         ratios = self.T[rows, self.n] / colv[rows]
         ties = rows[ratios <= ratios.min() + _TOL]
-        if self.bland:
-            # within the tie window, drop needlessly small pivot elements,
-            # then smallest basis index; the pure min-index rule stalls on
-            # floating-point tie windows instead of leaving the plateau
-            if ties.size > 1:
-                mags = colv[ties]
-                ties = ties[mags >= 0.5 * mags.max()]
-            return int(ties[np.argmin(self.basis[ties])])
-        # largest pivot element: the numerically stable choice
-        return int(ties[np.argmax(colv[ties])])
+        if self.lex_ref is None or ties.size == 1:
+            # largest pivot element: the numerically stable choice
+            return int(ties[np.argmax(colv[ties])])
+        big = ties[colv[ties] >= _PIVOT_MIN]
+        ties = big if big.size else ties
+        # lexicographic minimum of T[row, ref] / colv; the reference columns
+        # started as the identity, so in exact arithmetic no basis repeats
+        keys = self.T[np.ix_(ties, self.lex_ref)] / colv[ties, None]
+        return int(ties[np.lexsort(keys.T[::-1])[0]])
 
     def run(self, allowed, budget):
         """Minimize; returns 'optimal', 'unbounded' (with column), or 'maxiter'."""
+        # a reference restarts here: phase one's exit pivots may have voided it
+        if self.forced_bland or self.lex_ref is not None:
+            self.lex_ref = self.basis.copy()
         done = 0
         while done < budget:
             red = self.T[-1, : self.n]
             eligible = np.nonzero(allowed & (red < -_TOL))[0]
             if eligible.size == 0:
                 return "optimal", None
-            if self.bland:
-                # smallest eligible column, whatever its pivot element;
-                # skipping columns here makes degenerate phase-one starts
-                # walk in circles
+            if self.forced_bland:
+                # smallest eligible column, whatever its pivot element
                 j = int(eligible[0])
                 r = self._leaving_row(self.T[: self.m, j])
                 if r is None:
@@ -264,17 +264,17 @@ class _Tableau:
                         fall_r, fall_j, fall_mag = rc, int(jc), mag
                 if r is None:
                     r, j = fall_r, fall_j
-            if self.T[r, self.n] / self.T[r, j] <= _TOL:
-                self._streak += 1
-                if self._streak >= _DEGENERATE_STREAK:
-                    self.bland = True
-            else:
+            if self.T[r, self.n] / self.T[r, j] > _TOL:
                 self._streak = 0
                 if not self.forced_bland:
-                    self.bland = False  # degenerate vertex escaped
+                    self.lex_ref = None  # degenerate vertex escaped
+            else:
+                self._streak += 1
             self.pivot(r, j)
             self.iterations += 1
             done += 1
+            if self.lex_ref is None and self._streak >= _DEGENERATE_STREAK:
+                self.lex_ref = self.basis.copy()
         return "maxiter", None
 
     def solution(self):
@@ -390,7 +390,7 @@ def _warm_tableau(std, basis, binv, pivot):
     return _Tableau(t, np.maximum(binv @ std.b, 0.0), basis, pivot)
 
 
-def _phase_two(lp, std, tab, cost, maxiter, pivot):
+def _phase_two(std, tab, cost, maxiter):
     """Minimize ``cost`` from the feasible basis of ``tab`` and certify the
     outcome against the untouched standard form; returns (x, SolveReport,
     binv), ``binv`` the inverse of the final basis matrix when its point
@@ -429,8 +429,8 @@ def _phase_two(lp, std, tab, cost, maxiter, pivot):
         cert = {"kind": "ray", "ray": ray_x, "ray_standard": ray,
                 "descent": float(c_std @ ray)}
         return x, SolveReport(status=Status.UNBOUNDED, iterations=tab.iterations,
-                              certificate=cert, used_bland=tab.bland,
-                              warnings=warnings,
+                              certificate=cert, warnings=warnings,
+                              used_bland=tab.lex_ref is not None,
                               standard={"A": std.A, "b": std.b, "c": c_std}), warm
 
     y = _multipliers(bmat, binv, c_std[tab.basis])
@@ -447,22 +447,15 @@ def _phase_two(lp, std, tab, cost, maxiter, pivot):
     status = Status.OPTIMAL if outcome == "optimal" else Status.MAXITER
     feas_tol = 1e-6 * (1.0 + (float(np.abs(std.b).max()) if std.b.size else 0.0))
     if status is Status.OPTIMAL and primal_resid > feas_tol:
-        # the basic point claimed optimal is not feasible: never report it as
-        # solved; one Bland-ordered rerun usually lands on a clean basis
-        if pivot == "dantzig":
-            x2, rep2 = solve_lp(replace(lp, c=cost), maxiter=maxiter, pivot="bland")
-            rep2.iterations += tab.iterations  # the discarded pivots
-            rep2.warnings.append(
-                "default pivoting lost feasibility; reran under Bland's rule")
-            return x2, rep2, warm
+        # a basic point claimed optimal but not feasible is never solved
         status = Status.MAXITER
         warnings.append("pivoting lost primal feasibility; not converged")
     report = SolveReport(
         status=status, objective=obj, iterations=tab.iterations,
         residuals={"primal": primal_resid, "dual": dual_infeas,
                    "comp_slack": comp},
-        dual=std.dual_original(y), delta=float(delta), used_bland=tab.bland,
-        warnings=warnings,
+        dual=std.dual_original(y), delta=float(delta),
+        used_bland=tab.lex_ref is not None, warnings=warnings,
         standard={"A": std.A, "b": std.b, "c": c_std, "x": z, "y": y})
     return x, report, warm
 
@@ -471,9 +464,9 @@ def solve_lp(lp, maxiter=20000, pivot="dantzig"):
     """Solve the LP; returns (x, SolveReport).  x is None unless a basic
     feasible point was reached (optimal or iteration-capped).
 
-    pivot="dantzig" (default) switches to Bland's rule only after a run of
-    degenerate steps; pivot="bland" uses Bland's rule from the first step,
-    giving an independently-ordered solve useful for cross-checking.
+    pivot="dantzig" (default) is the module's rule; pivot="bland" enters the
+    smallest eligible column and leaves lexicographically from the first
+    step, an independently-ordered solve useful for cross-checking.
     """
     return next(solve_lp_costs(lp, [lp.c], maxiter, pivot))
 
@@ -488,12 +481,10 @@ def solve_lp_costs(lp, costs, maxiter=20000, pivot="dantzig"):
     previous solve, so roundoff does not build up over many solves; a
     singular basis, or one whose point fails ``_solves``, falls back to a
     fresh phase one.  Every report carries what ``solve_lp``'s does:
-    re-verified point, duals, ``delta``, the Bland rerun (a cold
-    ``solve_lp(..., pivot="bland")`` on that cost), Farkas vector or ray.
-    ``maxiter`` caps each solve; ``iterations`` counts the pivots of that
-    solve, phase one included in the solve that ran it, so the reports sum
-    to the total, a discarded run before a Bland rerun included.  The first
-    solve is the one ``solve_lp`` makes.
+    re-verified point, duals, ``delta``, Farkas vector or ray.  ``maxiter``
+    caps each solve; ``iterations`` counts the pivots of that solve, phase
+    one included in the solve that ran it, so the reports sum to the total.
+    The first solve is the one ``solve_lp`` makes.
     """
     if pivot not in ("dantzig", "bland"):
         raise ValueError("pivot must be 'dantzig' or 'bland'")
@@ -514,6 +505,6 @@ def solve_lp_costs(lp, costs, maxiter=20000, pivot="dantzig"):
                                                 c=std.costs(cost)[0]))
             first = False
             continue
-        x, rep, binv = _phase_two(lp, std, tab, cost, maxiter, pivot)
+        x, rep, binv = _phase_two(std, tab, cost, maxiter)
         yield x, rep
         tab = _warm_tableau(std, tab.basis, binv, pivot)

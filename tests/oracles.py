@@ -533,6 +533,22 @@ def stage_one_primal_oracle(lay, maxiter=200000):
     return out
 
 
+def stage_two_primal_oracle(lay, stages, gamma, maxiter=200000):
+    """Synthesis stage two solved the cold, primal way: block k's beta LP
+    (``_beta_lp`` at g = ``gamma``) on its own, one ``solve_lp`` each, from
+    the ``_StageOne`` of every block; [(H[:, block k], optimum, status)]."""
+    from sparsecert.certify import synthesis
+    from sparsecert.engine import solve_lp
+    out = []
+    for k, stage in enumerate(stages):
+        x, rep = solve_lp(synthesis._beta_lp(lay, k, stage.lp, stage.rhs,
+                                             gamma), maxiter=maxiter)
+        h = stage.h_cols
+        out.append((x[:h.size].reshape(h.shape), float(rep.objective),
+                    rep.status))
+    return out
+
+
 def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     """The polyhedral brute-force verdict with no pruning: every signed
     support of every maximal projector (``structures.iter_projectors``), one

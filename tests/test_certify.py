@@ -670,34 +670,111 @@ def test_dual_stage_one_matches_cold_primal_per_block():
             assert 2.0 * omega[k].max() <= stage.g + 1e-9, (name, k)
 
 
+def test_dual_stage_two_matches_cold_primal_per_block():
+    """Every block's stage-two dual, solved in its signature's warm-started
+    sequence, reaches the optimum of the cold primal beta LP, and the H read
+    from its multipliers attains it in the norm that LP minimizes (l1 for
+    l1 and l2 blocks, linf for linf and scalar ones)."""
+    from oracles import stage_two_primal_oracle
+    for name, st, rep, a in _stage_one_cases():
+        synthesis, lay, _, stages = _stage_one(st, rep, a)
+        gamma = max(stage.g for stage in stages)
+        cold = stage_two_primal_oracle(lay, stages, gamma)
+        runs = synthesis._Runs(200000, "dantzig")
+        for k, (stage, (_, t_cold, status)) in enumerate(zip(stages, cold)):
+            beta = synthesis._beta_lp(lay, k, stage.lp, stage.rhs, gamma)
+            nh = stage.h_cols.size
+            report = runs.solve_next((lay.sizes[k], lay.tags[k]),
+                                     lambda: synthesis._dual_lp(beta, nh),
+                                     beta.h)
+            assert status.value == report.status.value == "optimal", (name, k)
+            assert -report.objective == pytest.approx(t_cold, abs=1e-9)
+            h2 = report.dual[:nh].reshape(stage.h_cols.shape)
+            tag = "l1" if nh > lay.d_full.shape[0] and \
+                lay.tags[k] != "linf" else "linf"
+            assert synthesis._block_norm(h2, tag) == pytest.approx(
+                t_cold, abs=1e-9), (name, k)
+        assert runs.sequences == len(set(zip(lay.sizes, lay.tags)))
+
+
+def test_stage_two_dual_with_a_degenerate_plateau_is_optimal():
+    """Block 0's stage-two dual of plain n = 20, m = 12 (unscaled Gaussian
+    A, seed 5), solved cold under the default pivoting, walks a degenerate
+    vertex on which a leaving rule that drops tied rows with small pivot
+    elements cycles; the lexicographic rule reaches the primal optimum."""
+    from sparsecert.engine import LinearProgram, Status, solve_lp
+    st, rep = structures.build_plain(20)
+    a = np.random.default_rng(5).standard_normal((12, 20))
+    synthesis, lay, _, stages = _stage_one(st, rep, a)
+    gamma = max(stage.g for stage in stages)
+    beta = synthesis._beta_lp(lay, 0, stages[0].lp, stages[0].rhs, gamma)
+    dual = synthesis._dual_lp(beta, 12)
+    _, report = solve_lp(LinearProgram(c=beta.h, G=dual.G, h=dual.h,
+                                       senses=dual.senses, lb=dual.lb))
+    _, primal = solve_lp(beta)
+    assert report.status is Status.OPTIMAL
+    assert -report.objective == pytest.approx(primal.objective, abs=1e-9)
+
+
+def test_stage_two_sequences_end_optimal():
+    """No stage-two LP ends short of its optimum over 28 draws: plain
+    n = 16 to 30 and l1, linf and l2 pairs, with A scaled by 1/sqrt(m) and
+    unscaled."""
+    cases = [structures.build_plain(n) for n in (16, 20, 24, 30)] + [
+        structures.build_group([(2 * i, 2 * i + 1) for i in range(8)],
+                               block_norm=tag) for tag in ("l1", "linf", "l2")]
+    for i, (st, rep) in enumerate(cases):
+        n = rep.matrix.shape[1]
+        m = round(0.6 * n)
+        for d in range(4):
+            a = np.random.default_rng([31, i, d]).standard_normal((m, n))
+            a /= np.sqrt(m) if d % 2 else 1.0
+            cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+            assert cert.details["beta_lps"] >= 1
+            assert cert.details["stage_two_not_optimal"] == 0, (i, d)
+
+
 def test_synthesis_lazy_beta_equals_full_stage_two():
+    """Stopping the visit early gives the beta of settling every block in
+    the same order through the same stage-two sequences."""
     for name, st, rep, a, _, _ in _pinned_cases():
         cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
-        synthesis, lay, runs, stages = _stage_one(st, rep, a)
+        synthesis, lay, _, stages = _stage_one(st, rep, a)
         gamma = max(stage.g for stage in stages)
+        norm1 = [synthesis._block_norm(stage.h_cols, tag)
+                 for stage, tag in zip(stages, lay.tags)]
+        runs = synthesis._Runs(200000, "dantzig")
         every = max(synthesis._settle_block(lay, k, stages[k], gamma, runs)[1]
-                    for k in range(len(stages)))
+                    for k in np.argsort(np.negative(norm1), kind="stable"))
         assert cert.beta == pytest.approx(2.0 * every, abs=1e-9), name
+        assert runs.lps == len(stages) and runs.not_optimal == 0
         assert cert.details["beta_lps"] <= len(stages)
+        assert cert.details["stage_two_sequences"] <= runs.sequences
 
 
 def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
     from sparsecert.engine import SolveReport, Status
     _, st, rep, a, _, _ = next(_pinned_cases())
     synthesis, _, _, stages = _stage_one(st, rep, a)
-    calls = []
+    real, opened = synthesis.solve_lp_costs, []
 
-    # stage one runs through solve_lp_costs, so every solve_lp call is a
-    # stage-two LP: all of them stall
-    def stage_two_stalls(lp, **kwargs):
-        calls.append(lp)
-        return None, SolveReport(status=Status.MAXITER, iterations=7)
+    # plain blocks share one signature: the first sequence is stage one's,
+    # every later one is a stage-two sequence, and all of those stall
+    def stage_two_stalls(lp, costs, *args):
+        opened.append(lp)
+        if len(opened) == 1:
+            yield from real(lp, costs, *args)
+            return
+        for _ in costs:
+            yield None, SolveReport(status=Status.MAXITER, iterations=7)
 
-    monkeypatch.setattr(synthesis, "solve_lp", stage_two_stalls)
+    monkeypatch.setattr(synthesis, "solve_lp_costs", stage_two_stalls)
     cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
     h_one = np.hstack([stage.h_cols for stage in stages])
-    assert cert.details["beta_lps"] >= 1
-    assert len(calls) == cert.details["beta_lps"]
+    d = cert.details
+    assert d["beta_lps"] >= 1 and d["stage_two_not_optimal"] == d["beta_lps"]
+    assert len(opened) == 1 + d["stage_two_sequences"] == 2
+    assert d["stage_two_iterations"] == 7 * d["beta_lps"]
     assert np.array_equal(cert.h_matrix, h_one)
     assert cert.beta == pytest.approx(psi_s(h_one, st, 1))
 

@@ -138,6 +138,11 @@ def test_certify_json_reports_lp_counts(tmp_path):
     # the six singleton blocks share one signature: one warm-started sequence
     assert details["stage_one_sequences"] == 1
     assert 0 < details["stage_one_iterations"] <= details["lp_iterations"]
+    # stage two visits at least one block, all in one sequence as well
+    assert details["beta_lps"] >= 1 and details["stage_two_sequences"] == 1
+    assert details["stage_one_iterations"] + details["stage_two_iterations"] \
+        == details["lp_iterations"]
+    assert details["stage_two_not_optimal"] == 0
     assert 0.0 <= details["lp_delta"] <= 1e-8
 
 
@@ -172,7 +177,7 @@ def test_certify_synthesis_maxiter_is_exit_two(tmp_path, monkeypatch,
         for _ in costs:
             yield capped(lp)
 
-    # stage one solves through solve_lp_costs, stage two through solve_lp
+    # both stages solve through solve_lp_costs, the joint LP through solve_lp
     monkeypatch.setattr(synthesis, "solve_lp", capped)
     monkeypatch.setattr(synthesis, "solve_lp_costs", capped_costs)
     st, _ = structures.build_plain(4)

@@ -179,7 +179,9 @@ def test_norm_axioms_hypothesis(xs, ys, tag):
     nx = vector_norm(x, tag)
     assert vector_norm(-2.5 * x, tag) == pytest.approx(2.5 * nx, rel=1e-12,
                                                        abs=1e-9)
-    assert vector_norm(x + y, tag) <= nx + vector_norm(y, tag) + 1e-9
+    ny = vector_norm(y, tag)
+    # roundoff grows with the norms: sums near 4e6 miss an absolute 1e-9
+    assert vector_norm(x + y, tag) <= nx + ny + 1e-12 * (nx + ny) + 1e-9
 
 
 def test_ps_seminorm_against_enumeration(rng):

@@ -348,26 +348,22 @@ def test_set_costs_matches_row_by_row_pricing(rng):
         assert np.all(tab.T[-1, tab.basis] == 0.0)
 
 
-def test_bland_rerun_counts_the_discarded_pivots(rng, monkeypatch):
+def test_lost_feasibility_optimum_is_maxiter(rng, monkeypatch):
     """A Dantzig solve whose optimal point fails the feasibility check is
-    rerun under Bland's rule; the report counts the pivots of both runs."""
+    reported MAXITER with a warning, never as solved, and the report counts
+    its pivots."""
     from sparsecert.engine import simplex
     lp = mixed_bounds_lp(rng, 5, 6)
     dantzig = solve_lp(lp)[1]
-    bland = solve_lp(lp, pivot="bland")[1]
     assert dantzig.status is Status.OPTIMAL and dantzig.iterations > 0
     real = simplex._Tableau.solution
-
-    def corrupted(tab):
-        z = real(tab)
-        return z if tab.forced_bland else z - 1.0
-
-    monkeypatch.setattr(simplex._Tableau, "solution", corrupted)
+    monkeypatch.setattr(simplex._Tableau, "solution",
+                        lambda tab: real(tab) - 1.0)
     monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
     _, rep = solve_lp(lp)
-    assert rep.status is Status.OPTIMAL and rep.used_bland
-    assert any("reran under Bland" in w for w in rep.warnings)
-    assert rep.iterations == dantzig.iterations + bland.iterations
+    assert rep.status is Status.MAXITER
+    assert "pivoting lost primal feasibility; not converged" in rep.warnings
+    assert rep.iterations == dantzig.iterations
 
 
 def test_cost_sequence_drops_a_redundant_row(rng):

@@ -13,10 +13,21 @@ G = (B'B + A'A)^{-1} M', computed once per solve from a Cholesky factor
 applied by one matrix-vector product per iteration; the v-step is a
 structure-norm prox plus a ball projection or a phi prox.
 
-rho starts at 1 and is rescaled every 50 iterations by comparing primal
-and dual residuals (doubled or halved, kept inside [1e-4, 1e4]); the scaled
-dual variable is rescaled accordingly.  Stops when max(primal, dual)
-residual <= tol.
+rho starts at sqrt(lmin * lmax) for the extreme eigenvalues of M'M, the
+rate-optimal penalty of ADMM on quadratic problems (Ghadimi et al., IEEE TAC
+60(3), 2015), or at 1 when M'M had to be regularized (lmin is then about 0).
+Every 50 iterations it is rescaled by residual balancing (Boyd et al., FnT
+ML 2011, section 3.4.1): doubled when the primal residual exceeds 10 times
+the dual residual divided by sqrt(lmax), halved in the reverse case, kept
+inside [1e-4, 1e4]; the dual residual rho*||M'(v_new - v)|| carries a factor
+of up to sqrt(lmax) that the primal residual ||M u - v|| lacks, so the
+division puts both in the units of v.  The scaled dual variable is rescaled
+with rho.  The test may undo its previous move once; the second time it
+asks to, balancing stops and rho is kept.  rho then changes finitely often,
+the condition under which varying-penalty ADMM keeps its convergence
+guarantee, and a limit cycle of doubling and halving (residuals growing
+while rho flips every 100 iterations) cannot last.  Stops when max(primal,
+dual) residual <= tol.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ import numpy as np
 from .. import norms
 from .simplex import SolveReport, Status
 
-_RHO_INIT = 1.0
 _RHO_BOUNDS = (1e-4, 1e4)
 _RESCALE_EVERY = 50
 
@@ -98,6 +108,17 @@ def _u_step_gain(stack):
     return np.linalg.solve(chol.T, np.linalg.solve(chol, stack.T)), warnings
 
 
+def _penalty_start(stack, regularized):
+    """Starting rho and sqrt(lmax), for lmin, lmax the extreme eigenvalues of
+    M'M with M = ``stack``; rho is 1 when M'M was ``regularized``."""
+    lmin, lmax = np.linalg.eigvalsh(stack.T @ stack)[[0, -1]]
+    scale = math.sqrt(lmax) if lmax > 0.0 else 1.0
+    if regularized:
+        return 1.0, scale
+    rho = min(max(math.sqrt(max(lmin, 0.0) * lmax), _RHO_BOUNDS[0]), _RHO_BOUNDS[1])
+    return rho, scale
+
+
 def solve_split(sp):
     """Run the splitting scheme; returns (u, SolveReport).
 
@@ -109,15 +130,16 @@ def solve_split(sp):
     e_dim = sp.b.shape[0]
     stack = np.vstack([sp.b, sp.a])
     gain, warnings = _u_step_gain(stack)
+    rho, dual_scale = _penalty_start(stack, bool(warnings))
 
     u = np.zeros(n)
     v = stack @ u
     mu = np.zeros(e_dim + m)  # scaled dual
-    rho = _RHO_INIT
 
     status = Status.MAXITER
     it = 0
     r_primal = r_dual = np.inf
+    balancing, reversed_once, last_move = True, False, 0
     for it in range(1, sp.maxiter + 1):
         u = gain @ (v - mu)
         stack_u = stack @ u
@@ -134,19 +156,33 @@ def solve_split(sp):
         # its dispatch overhead
         diff = stack_u - v_new
         r_primal = math.sqrt(diff @ diff)
-        diff = stack.T @ (v_new - v)
+        v_old, v = v, v_new
+        # the dual residual is read only by the stop test once the primal
+        # one passes it, by the rescale and by the report: form it only then
+        rescale = balancing and it % _RESCALE_EVERY == 0
+        if r_primal > sp.tol and not rescale and it < sp.maxiter:
+            continue
+        diff = stack.T @ (v - v_old)
         r_dual = rho * math.sqrt(diff @ diff)
-        v = v_new
         if max(r_primal, r_dual) <= sp.tol:
             status = Status.OPTIMAL
             break
-        if it % _RESCALE_EVERY == 0:
-            if r_primal > 10.0 * r_dual and rho < _RHO_BOUNDS[1]:
-                rho = min(rho * 2.0, _RHO_BOUNDS[1])
-                mu *= 0.5
-            elif r_dual > 10.0 * r_primal and rho > _RHO_BOUNDS[0]:
-                rho = max(rho * 0.5, _RHO_BOUNDS[0])
-                mu *= 2.0
+        if rescale:
+            r_dual_v = r_dual / dual_scale
+            move = 0
+            if r_primal > 10.0 * r_dual_v and rho < _RHO_BOUNDS[1]:
+                move = 1
+            elif r_dual_v > 10.0 * r_primal and rho > _RHO_BOUNDS[0]:
+                move = -1
+            if move and move == -last_move:
+                # a reversal: the first is taken, the second stops balancing
+                balancing = not reversed_once
+                reversed_once = True
+            if move and balancing:
+                factor = 2.0 if move > 0 else 0.5
+                rho = min(max(rho * factor, _RHO_BOUNDS[0]), _RHO_BOUNDS[1])
+                mu /= factor
+                last_move = move
 
     fit = sp.a @ u - sp.y
     residuals = {"primal": r_primal, "dual": r_dual}

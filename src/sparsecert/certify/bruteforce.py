@@ -12,9 +12,10 @@ sign and each linf block a (representative, sign).  The LPs are written in
 the one encoding of ``norms.structure_norm_epigraph``, variables
 [u+ | u- | t] >= 0 with z = u+ - u-; for a representation map other than
 the canonical one the signs run over the coordinates of B z.  The LPs of one
-enumeration share their feasible set and differ only in the cost, so they go
-through ``solve_lp_costs``: one phase one per verdict, and each LP starts at
-the optimal basis of the one before.
+enumeration share their feasible set and differ only in the cost, so one
+``LPSequence`` per verdict solves them: one phase one, each LP starting at
+the optimal basis of the one before, and its tallies give the LP counts of
+``details``.
 
 Most of those LPs cannot matter, and certified bounds prove it without
 solving them.  The value of a block set (its largest retained mass) adds up
@@ -60,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import norms, structures
-from ..engine import LinearProgram, Status, solve_lp_costs
+from ..engine import LinearProgram, LPSequence, Status
 # the benchmark's layer tracer (perfbench/spans.py) looks ``solve_lp`` up here
 from ..engine import solve_lp  # noqa: F401
 from .conditions import NullspaceVerdict, worst_condition_projector, _kernel_basis
@@ -237,8 +238,7 @@ class _SignedSupports:
 def _pruned_search(lp, maximal, supports, witness):
     """Maximize the retained mass over the feasible set of ``lp``: the max
     over the block sets ``maximal`` (set -> LP count) of their
-    signed-support LPs (``supports``), one warm-started ``solve_lp_costs``
-    sequence.
+    signed-support LPs (``supports``), all solved by one ``LPSequence``.
 
     The value of a block set is subadditive, val(S) <= val(S - l) +
     val({l}), so a set of two or more blocks is bounded by the min over its
@@ -249,9 +249,8 @@ def _pruned_search(lp, maximal, supports, witness):
     order of bound, each bound brought up to date when its set comes first,
     until none exceeds the best value found.  The first one's LPs run
     unless the subset S - l of its bound is unsolved: that cheaper subset
-    runs first, and the set goes back in line.  The costs are drawn lazily,
-    so each decision sees every report before it.  Every set is a subset of
-    a maximal one, so its value is a lower bound on theirs, and the best is
+    runs first, and the set goes back in line.  Every set is a subset of a
+    maximal one, so its value is a lower bound on theirs, and the best is
     the exact maximum.
 
     Returns (best value, witness(x) at the best, upper, stats): ``upper`` is
@@ -262,59 +261,50 @@ def _pruned_search(lp, maximal, supports, witness):
     levels = _lattice(maximal)
     ub, solved = {}, set()
     best, best_z, upper = 0.0, None, 0.0
-    current = None
+    seq = LPSequence(lp)
 
     def solve(chosen):
-        nonlocal current
-        current = chosen
+        nonlocal best, best_z, upper
         ub[chosen] = 0.0    # z = 0 is feasible: no value is below 0
         solved.add(chosen)
-        yield from supports.costs(supports.plan(chosen))
+        for cost in supports.costs(supports.plan(chosen)):
+            x, rep = seq.solve(cost)
+            if rep.status is not Status.OPTIMAL:
+                ub[chosen] = math.inf
+                continue
+            val = -rep.objective
+            ub[chosen] = max(ub[chosen], val + rep.delta)
+            upper = max(upper, val + rep.delta)
+            if val > best:
+                best, best_z = val, witness(x)
 
     def bound(chosen):
         """(the bound of ``chosen``, the subset S - l that attains it)"""
         return min((ub[chosen[:i] + chosen[i + 1:]] + ub[chosen[i:i + 1]],
                     chosen[:i] + chosen[i + 1:]) for i in range(len(chosen)))
 
-    def costs():
-        for chosen in levels[0]:
-            yield from solve(chosen)
-        for level in levels[1:]:
-            for chosen in level:
-                ub[chosen] = bound(chosen)[0]
-        queue = [(-ub[m], m) for m in maximal if len(m) > 1]
-        heapq.heapify(queue)
-        while queue and -queue[0][0] > best:
-            key, chosen = heapq.heappop(queue)
-            value, sub = bound(chosen)
-            if value < -key:            # tightened since it was queued
-                heapq.heappush(queue, (-value, chosen))
-            elif len(sub) > 1 and sub not in solved:
-                yield from solve(sub)
-                heapq.heappush(queue, (-value, chosen))
-            else:
-                yield from solve(chosen)
-
-    count = iterations = not_optimal = 0
-    gap = 0.0
-    for x, rep in solve_lp_costs(lp, costs()):
-        count += 1
-        iterations += rep.iterations
-        if rep.status is not Status.OPTIMAL:
-            not_optimal += 1
-            ub[current] = math.inf
-            continue
-        val = -rep.objective
-        ub[current] = max(ub[current], val + rep.delta)
-        upper = max(upper, val + rep.delta)
-        gap = max(gap, rep.delta)
-        if val > best:
-            best, best_z = val, witness(x)
+    for chosen in levels[0]:
+        solve(chosen)
+    for level in levels[1:]:
+        for chosen in level:
+            ub[chosen] = bound(chosen)[0]
+    queue = [(-ub[m], m) for m in maximal if len(m) > 1]
+    heapq.heapify(queue)
+    while queue and -queue[0][0] > best:
+        key, chosen = heapq.heappop(queue)
+        value, sub = bound(chosen)
+        if value < -key:            # tightened since it was queued
+            heapq.heappush(queue, (-value, chosen))
+        elif len(sub) > 1 and sub not in solved:
+            solve(sub)
+            heapq.heappush(queue, (-value, chosen))
+        else:
+            solve(chosen)
     pruned = sum(c for m, c in maximal.items() if m not in solved)
-    stats = {"lp_count": count, "lps_pruned": pruned,
-             "lp_iterations": iterations, "lp_delta": gap,
-             "lps_not_optimal": not_optimal}
-    return best, best_z, None if not_optimal else upper, stats
+    stats = {"lp_count": seq.lps, "lps_pruned": pruned,
+             "lp_iterations": seq.iterations, "lp_delta": seq.delta,
+             "lps_not_optimal": seq.not_optimal}
+    return best, best_z, None if seq.not_optimal else upper, stats
 
 
 def _lp_bruteforce(a, structure, bmat, s, kernel_dim):

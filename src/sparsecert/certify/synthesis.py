@@ -29,10 +29,9 @@ their constraint matrix and differ only in the right-hand side, which holds
 the block's rows of C.  Stage one therefore solves their LP duals (Juditsky &
 Nemirovski's kernel-ball maximization, max{z_r : Az = 0, ||z|| <= 1} for
 plain structures): one feasible set per signature, with the blocks'
-right-hand sides as costs, solved as one warm-started sequence
-(``solve_lp_costs``: one phase one, each LP starting at the previous optimal
-basis).  g_k is minus the dual optimum and H[:, block k] is read from the
-dual's multipliers.
+right-hand sides as costs, solved by one ``LPSequence`` (one phase one, each
+LP starting at the previous optimal basis).  g_k is minus the dual optimum
+and H[:, block k] is read from the dual's multipliers.
 
 beta = psi_1(H) = 2 * max_k max_i ||H[i, block k]|| decouples the same way.
 In the per-block case a second LP per block minimizes that block norm subject
@@ -47,23 +46,26 @@ time: its block keeps the stage-one columns.  The joint LP's beta is
 whatever vertex the simplex lands on.
 
 The reported gamma is the LP optimal value, which is unique even though the
-minimizing H need not be, so re-solves under different pivot rules agree to
+minimizing H need not be, so the primal and dual routes to it agree to
 solver tolerance.  It is never below the recheck of the final W with exact
-induced norms.
+induced norms.  Each stage keeps its ``LPSequence``s in one dict, and
+``details`` sums their tallies.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import norms, structures
-from ..engine import LinearProgram, Status, solve_lp, solve_lp_costs
+from ..engine import LinearProgram, LPSequence, Status
+# the benchmark's layer tracer (perfbench/spans.py) looks ``solve_lp`` up here
+from ..engine import solve_lp  # noqa: F401
 from .conditions import Certificate
 
 _LP_ENTRY_BUDGET = 4e7  # tableau cells; beyond this the dense solver thrashes
+_MAXITER = 200000       # pivots per synthesis LP
 # entrywise surrogate of a block induced norm, by (source tag, target tag)
 _PER_ENTRY, _PER_COL, _PER_ROW, _TOTAL = range(4)
 _NORM_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
@@ -290,48 +292,6 @@ def _optimal(report):
     return report
 
 
-class _Runs:
-    """The LP solves of one stage of a call, with its limits, tallying LPs,
-    pivots, LPs not optimal, gaps, and the sequences and their pivots."""
-
-    def __init__(self, maxiter, pivot):
-        self.maxiter, self.pivot = maxiter, pivot
-        self.lps = self.iterations = self.not_optimal = 0
-        self.sequences = self.sequence_iterations = 0
-        self.delta = 0.0
-        self._open = {}  # key -> (pending cost, reports) of ``solve_next``
-
-    def _tally(self, report):
-        self.lps += 1
-        self.iterations += report.iterations
-        if report.status == Status.OPTIMAL:
-            self.delta = max(self.delta, float(report.delta))
-        else:
-            self.not_optimal += 1
-        return report
-
-    def solve(self, lp):
-        """The joint LP (``solve_lp``), which must end optimal."""
-        x, report = solve_lp(lp, maxiter=self.maxiter, pivot=self.pivot)
-        return x, _optimal(self._tally(report))
-
-    def solve_next(self, key, make_lp, cost):
-        """The report of ``cost`` as the next solve of the warm-started
-        sequence ``key``, which its first call opens on ``make_lp()``."""
-        if key not in self._open:
-            self.sequences += 1
-            pending = []
-            # the sequence pulls its next cost only when asked for a report
-            self._open[key] = pending, solve_lp_costs(
-                make_lp(), (pending.pop() for _ in itertools.count()),
-                self.maxiter, self.pivot)
-        pending, reports = self._open[key]
-        pending.append(cost)
-        report = self._tally(next(reports)[1])
-        self.sequence_iterations += report.iterations
-        return report
-
-
 class _StageOne(NamedTuple):
     """Stage one of one block at s = 1, unit weights."""
     lp: LinearProgram   # the stage-one LP of the block's signature
@@ -340,40 +300,45 @@ class _StageOne(NamedTuple):
     g: float            # g_k
 
 
-def _stage_one(lay, runs):
+def _stage_one(lay, seqs):
     """Per-block LPs at s = 1, unit weights: one ``_StageOne`` per block.
 
     Blocks of one (size, tag) share G and differ only in h, so one dual LP
-    per signature serves them all: its costs are their h, solved in one
-    warm-started sequence, and block k's H is read from its duals.
+    per signature serves them all: its costs are their h, solved by the
+    signature's ``LPSequence`` in ``seqs``, and block k's H is read from its
+    duals.
     """
     m = lay.d_full.shape[0]
     lps, out = {}, []
     for k in range(lay.sizes.size):
         key = (lay.sizes[k], lay.tags[k])
         if key not in lps:
-            lps[key] = _synthesis_lp(lay, [k], 1.0, simple=True)
+            lp, nh, _ = lps[key] = _synthesis_lp(lay, [k], 1.0, simple=True)
+            seqs[key] = LPSequence(_dual_lp(lp, nh), _MAXITER)
         lp, nh, rhs = lps[key]
         h = rhs(lay.offs[k])
-        report = _optimal(runs.solve_next(key, lambda: _dual_lp(lp, nh), h))
+        report = _optimal(seqs[key].solve(h)[1])
         cols = report.dual[:nh].reshape(m, lay.sizes[k])
         out.append(_StageOne(lp, h, cols, -float(report.objective)))
     return out
 
 
-def _settle_block(lay, k, stage, gamma, runs):
+def _settle_block(lay, k, stage, gamma, seqs):
     """Block k's columns of H after stage two, and their block norm.
 
     Stage two solves the dual of ``_beta_lp`` in the block signature's
-    sequence.  Its H replaces the stage-one H only when that LP is optimal
-    and its true block norm is smaller.
+    ``LPSequence`` in ``seqs``, which the signature's first block opens.
+    Its H replaces the stage-one H only when that LP is optimal and its
+    true block norm is smaller.
     """
     h1 = stage.h_cols
     tag = lay.tags[k]
     norm1 = _block_norm(h1, tag)
     beta = _beta_lp(lay, k, stage.lp, stage.rhs, gamma)
-    report = runs.solve_next((lay.sizes[k], tag),
-                             lambda: _dual_lp(beta, h1.size), beta.h)
+    key = (lay.sizes[k], tag)
+    if key not in seqs:
+        seqs[key] = LPSequence(_dual_lp(beta, h1.size), _MAXITER)
+    report = seqs[key].solve(beta.h)[1]
     if report.status == Status.OPTIMAL:
         h2 = report.dual[:h1.size].reshape(h1.shape)
         norm2 = _block_norm(h2, tag)
@@ -382,17 +347,17 @@ def _settle_block(lay, k, stage, gamma, runs):
     return h1, norm1
 
 
-def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
-                            maxiter=200000):
+def synth_certificate_group(a, b, structure, s, phi="l1"):
     """Best LP-synthesized contraction certificate; see the module docstring.
 
     b = None uses the structure's canonical representation map.  The result
     carries the full H and W, the identity residual of B = WB + H^T A, and
     exactness flags for the reported gamma and beta.  ``details`` counts the
     LPs solved (``lps``, of which ``beta_lps`` in stage two), their pivots
-    (``lp_iterations``), per stage the warm-started sequences (at most one per
+    (``lp_iterations``), per stage the ``LPSequence``s (at most one per
     block signature), their pivots and the stage-two LPs not optimal
     (``stage_one_*``, ``stage_two_*``), and the largest gap (``lp_delta``).
+    Every LP is capped at ``_MAXITER`` pivots.
     """
     if structure.kind not in ("plain", "group"):
         raise norms.UnsupportedNormError(
@@ -418,9 +383,11 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     # when s = 1 with unit weights the relaxed selection of a column is just
     # twice its maximum, so the row blocks of W decouple
     simple_max = float(s) == 1.0 and _weights_unit(lay.chi)
-    runs, beta_runs = _Runs(maxiter, pivot), _Runs(maxiter, pivot)
+    # the LPSequences of stage one and stage two by block signature, and of
+    # the joint LP
+    one, two, joint = {}, {}, {}
     if simple_max:
-        stages = _stage_one(lay, runs)
+        stages = _stage_one(lay, one)
         gamma_lp = max(st.g for st in stages)
         cols = [st.h_cols for st in stages]
         norm1 = np.array([_block_norm(c, t) for c, t in zip(cols, lay.tags)])
@@ -428,14 +395,14 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
         for k in np.argsort(-norm1, kind="stable"):
             if norm1[k] <= settled:
                 break
-            cols[k], value = _settle_block(lay, k, stages[k], gamma_lp,
-                                           beta_runs)
+            cols[k], value = _settle_block(lay, k, stages[k], gamma_lp, two)
             settled = max(settled, value)
         h_opt = np.hstack(cols)
     else:
         lp, nh, _ = _synthesis_lp(lay, range(kk), s, simple=False)
-        x, report = runs.solve(lp)
-        gamma_lp = float(report.objective)
+        joint["joint"] = LPSequence(lp, _MAXITER)
+        x, report = joint["joint"].solve(lp.c)
+        gamma_lp = float(_optimal(report).objective)
         h_opt = x[:nh].reshape(m, big_m)
 
     w_opt = (bmat - h_opt.T @ a) @ lay.b_pinv
@@ -459,18 +426,18 @@ def synth_certificate_group(a, b, structure, s, phi="l1", pivot="dantzig",
     gamma = max(0.0, gamma_lp, gamma_recheck)
 
     beta = psi_s(h_opt, structure, s, phi)
+    every = [*one.values(), *two.values(), *joint.values()]
     details = {
-        "lps": runs.lps + beta_runs.lps,
-        "beta_lps": beta_runs.lps,
-        "lp_iterations": runs.iterations + beta_runs.iterations,
-        "stage_one_sequences": runs.sequences,
-        "stage_one_iterations": runs.sequence_iterations,
-        "stage_two_sequences": beta_runs.sequences,
-        "stage_two_iterations": beta_runs.sequence_iterations,
-        "stage_two_not_optimal": beta_runs.not_optimal,
-        "lp_delta": max(runs.delta, beta_runs.delta),
+        "lps": sum(q.lps for q in every),
+        "beta_lps": sum(q.lps for q in two.values()),
+        "lp_iterations": sum(q.iterations for q in every),
+        "stage_one_sequences": len(one),
+        "stage_one_iterations": sum(q.iterations for q in one.values()),
+        "stage_two_sequences": len(two),
+        "stage_two_iterations": sum(q.iterations for q in two.values()),
+        "stage_two_not_optimal": sum(q.not_optimal for q in two.values()),
+        "lp_delta": max((q.delta for q in every), default=0.0),
         "gamma_recheck_exact_norms": float(gamma_recheck),
-        "pivot": pivot,
     }
     return Certificate(gamma=gamma, beta=float(beta), s=float(s), phi=phi,
                        method="ColumnLP", h_matrix=h_opt, w_matrix=w_opt,

@@ -1,7 +1,8 @@
-"""Optimization backends: dense two-phase simplex and an ADMM-style splitting."""
+"""Optimization backends: a dense two-phase simplex, whose ``LPSequence``
+warm-starts many costs over one feasible set, and an ADMM-style splitting."""
 
-from .simplex import LinearProgram, SolveReport, Status, solve_lp, solve_lp_costs
+from .simplex import LinearProgram, LPSequence, SolveReport, Status, solve_lp
 from .splitting import SplitProblem, solve_split
 
-__all__ = ["LinearProgram", "SolveReport", "Status", "solve_lp", "solve_lp_costs",
+__all__ = ["LinearProgram", "LPSequence", "SolveReport", "Status", "solve_lp",
            "SplitProblem", "solve_split"]

@@ -19,9 +19,14 @@ standard form.  That inverse gives the re-verified point binv @ b, the duals
 c_B @ binv and, in a cost sequence, the next warm tableau binv @ [A | b];
 phase one's Farkas vector comes from its own basis the same way.  A singular
 basis falls back to least-squares duals, the tableau's own point and a fresh
-phase one.  ``solve_lp_costs`` minimizes a sequence of cost vectors over one
-feasible set: phase one runs once, and each later solve starts phase two at
-the basis the previous one ended on.  ``solve_lp`` is the one-cost case.
+phase one.
+
+``LPSequence`` minimizes cost vectors one at a time over one feasible set:
+phase one runs at the first solve, and each later solve starts phase two at
+the basis the previous one ended on, re-formed only when that next cost
+arrives.  The sequence tallies its solves (LPs, pivots, LPs not optimal and
+the largest gap of the optimal ones), so callers read one count.
+``solve_lp`` is the one-cost sequence.
 
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
@@ -100,7 +105,7 @@ class SolveReport:
     dual: np.ndarray | None = None       # multipliers for the original rows
     certificate: dict | None = None      # farkas / ray / bounds evidence
     delta: float = np.nan                # certified near-optimality margin
-    used_bland: bool = False             # anti-cycling rule on at the end
+    used_bland: bool = False             # lexicographic rule in force at the end
     warnings: list = field(default_factory=list)
     standard: dict | None = None         # equality-form data for verification
 
@@ -181,7 +186,7 @@ class _Standard:
 
 
 class _Tableau:
-    def __init__(self, a, b, basis, pivot):
+    def __init__(self, a, b, basis):
         m, n = a.shape
         self.T = np.zeros((m + 1, n + 1))
         self.T[:m, :n] = a
@@ -190,7 +195,6 @@ class _Tableau:
         self.n = n
         self.m = m
         self.iterations = 0
-        self.forced_bland = pivot == "bland"
         self.lex_ref = None  # reference basis of the lexicographic rule
         self._streak = 0
 
@@ -229,7 +233,7 @@ class _Tableau:
     def run(self, allowed, budget):
         """Minimize; returns 'optimal', 'unbounded' (with column), or 'maxiter'."""
         # a reference restarts here: phase one's exit pivots may have voided it
-        if self.forced_bland or self.lex_ref is not None:
+        if self.lex_ref is not None:
             self.lex_ref = self.basis.copy()
         done = 0
         while done < budget:
@@ -237,37 +241,29 @@ class _Tableau:
             eligible = np.nonzero(allowed & (red < -_TOL))[0]
             if eligible.size == 0:
                 return "optimal", None
-            if self.forced_bland:
-                # smallest eligible column, whatever its pivot element
-                j = int(eligible[0])
-                r = self._leaving_row(self.T[: self.m, j])
-                if r is None:
-                    return "unbounded", j
-            else:
-                order = eligible[np.argsort(red[eligible], kind="stable")]
-                # Scan candidates most-negative-first, refusing pivot elements
-                # so small that dividing by them would amplify roundoff into
-                # the tableau.  Settle for the largest-magnitude refusal only
-                # when the scan finds nothing better.
-                r = j = None
-                fall_r = fall_j = None
-                fall_mag = -1.0
-                for jc in order[:_PIVOT_SCAN]:
-                    rc = self._leaving_row(self.T[: self.m, jc])
-                    if rc is None:
-                        return "unbounded", int(jc)
-                    mag = self.T[rc, jc]
-                    if mag >= _PIVOT_MIN:
-                        r, j = rc, int(jc)
-                        break
-                    if mag > fall_mag:
-                        fall_r, fall_j, fall_mag = rc, int(jc), mag
-                if r is None:
-                    r, j = fall_r, fall_j
+            order = eligible[np.argsort(red[eligible], kind="stable")]
+            # Scan candidates most-negative-first, refusing pivot elements so
+            # small that dividing by them would amplify roundoff into the
+            # tableau.  Settle for the largest-magnitude refusal only when
+            # the scan finds nothing better.
+            r = j = None
+            fall_r = fall_j = None
+            fall_mag = -1.0
+            for jc in order[:_PIVOT_SCAN]:
+                rc = self._leaving_row(self.T[: self.m, jc])
+                if rc is None:
+                    return "unbounded", int(jc)
+                mag = self.T[rc, jc]
+                if mag >= _PIVOT_MIN:
+                    r, j = rc, int(jc)
+                    break
+                if mag > fall_mag:
+                    fall_r, fall_j, fall_mag = rc, int(jc), mag
+            if r is None:
+                r, j = fall_r, fall_j
             if self.T[r, self.n] / self.T[r, j] > _TOL:
                 self._streak = 0
-                if not self.forced_bland:
-                    self.lex_ref = None  # degenerate vertex escaped
+                self.lex_ref = None  # degenerate vertex escaped
             else:
                 self._streak += 1
             self.pivot(r, j)
@@ -311,7 +307,7 @@ def _slack_basis(std):
     return basis
 
 
-def _phase_one(std, maxiter, pivot):
+def _phase_one(std, maxiter):
     """Phase one on ``std``: returns (tableau, None) with a basis of
     structural columns, ready for phase two, or (None, report) when the
     feasible set is empty or phase one hit the iteration cap.  Redundant
@@ -329,7 +325,7 @@ def _phase_one(std, maxiter, pivot):
     a_work[need_art, ncols + np.arange(n_art)] = 1.0
     basis[need_art] = ncols + np.arange(n_art)
 
-    tab = _Tableau(a_work, std.b, basis, pivot)
+    tab = _Tableau(a_work, std.b, basis)
 
     if n_art:
         cost1 = np.zeros(ncols + n_art)
@@ -379,7 +375,7 @@ def _solves(bmat, zb, b):
         resid <= 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0)))
 
 
-def _warm_tableau(std, basis, binv, pivot):
+def _warm_tableau(std, basis, binv):
     """Tableau of ``std`` at ``basis`` re-formed from the untouched data as
     binv @ [A | b], so no pivot roundoff carries over from earlier solves;
     None when ``binv`` is None."""
@@ -387,7 +383,7 @@ def _warm_tableau(std, basis, binv, pivot):
         return None
     t = binv @ std.A
     t[:, basis] = np.eye(basis.size)
-    return _Tableau(t, np.maximum(binv @ std.b, 0.0), basis, pivot)
+    return _Tableau(t, np.maximum(binv @ std.b, 0.0), basis)
 
 
 def _phase_two(std, tab, cost, maxiter):
@@ -460,51 +456,65 @@ def _phase_two(std, tab, cost, maxiter):
     return x, report, warm
 
 
-def solve_lp(lp, maxiter=20000, pivot="dantzig"):
+def solve_lp(lp, maxiter=20000):
     """Solve the LP; returns (x, SolveReport).  x is None unless a basic
-    feasible point was reached (optimal or iteration-capped).
+    feasible point was reached (optimal or iteration-capped)."""
+    return LPSequence(lp, maxiter).solve(lp.c)
 
-    pivot="dantzig" (default) is the module's rule; pivot="bland" enters the
-    smallest eligible column and leaves lexicographically from the first
-    step, an independently-ordered solve useful for cross-checking.
+
+class LPSequence:
+    """Cost vectors minimized one at a time over the feasible set of ``lp``
+    (``lp.c`` is ignored), each ``solve`` capped at ``maxiter`` pivots.
+
+    Phase one runs at the first solve.  Each later solve starts at the basis
+    the previous one ended on, with the tableau re-formed from the untouched
+    standard-form data through the inverse that certified the previous
+    solve, so roundoff does not build up over many solves; a singular basis,
+    or one whose point fails ``_solves``, falls back to a fresh phase one.
+    Every report carries what ``solve_lp``'s does: re-verified point, duals,
+    ``delta``, Farkas vector or ray; its ``iterations`` counts the pivots of
+    that solve, phase one included in the solve that ran it.  The first
+    solve is the one ``solve_lp`` makes.
+
+    The sequence tallies its solves: ``lps``, ``iterations`` (the sum of
+    the reports'), ``not_optimal`` and ``delta``, the largest gap among the
+    optimal solves (0 before any).
     """
-    return next(solve_lp_costs(lp, [lp.c], maxiter, pivot))
 
+    def __init__(self, lp, maxiter=20000):
+        self.maxiter = maxiter
+        self._n = lp.c.size
+        self._std = _Standard(lp)
+        self._tab = self._stop = None
+        self._warm = None   # (basis, inverse) the last solve ended on
+        self.lps = self.iterations = self.not_optimal = 0
+        self.delta = 0.0
 
-def solve_lp_costs(lp, costs, maxiter=20000, pivot="dantzig"):
-    """Minimize each cost vector of ``costs`` over the feasible set of ``lp``
-    (``lp.c`` is ignored); yields (x, SolveReport) per cost, in order.
-
-    Phase one runs once, before the first cost.  Each later solve starts at
-    the basis the previous one ended on, with the tableau re-formed from the
-    untouched standard-form data through the inverse that certified the
-    previous solve, so roundoff does not build up over many solves; a
-    singular basis, or one whose point fails ``_solves``, falls back to a
-    fresh phase one.  Every report carries what ``solve_lp``'s does:
-    re-verified point, duals, ``delta``, Farkas vector or ray.  ``maxiter``
-    caps each solve; ``iterations`` counts the pivots of that solve, phase
-    one included in the solve that ran it, so the reports sum to the total.
-    The first solve is the one ``solve_lp`` makes.
-    """
-    if pivot not in ("dantzig", "bland"):
-        raise ValueError("pivot must be 'dantzig' or 'bland'")
-    n = lp.c.size
-    std = _Standard(lp)
-    tab = stop = None
-    for cost in costs:
+    def solve(self, cost):
+        """Minimize ``cost`` over the feasible set; returns (x, SolveReport)."""
         cost = np.asarray(cost, dtype=float).ravel()
-        if cost.size != n or not np.all(np.isfinite(cost)):
-            raise ValueError(f"each cost must be {n} finite numbers")
-        if tab is None and stop is None:
-            tab, stop = _phase_one(std, maxiter, pivot)
+        if cost.size != self._n or not np.all(np.isfinite(cost)):
+            raise ValueError(f"each cost must be {self._n} finite numbers")
+        std, first = self._std, False
+        if self._warm is not None:
+            self._tab = _warm_tableau(std, *self._warm)
+            self._warm = None
+        if self._tab is None and self._stop is None:
+            self._tab, self._stop = _phase_one(std, self.maxiter)
             first = True
-        if stop is not None:
-            yield None, replace(
+        if self._stop is not None:
+            stop = self._stop
+            x, report = None, replace(
                 stop, iterations=stop.iterations if first else 0,
                 standard=stop.standard and dict(stop.standard,
                                                 c=std.costs(cost)[0]))
-            first = False
-            continue
-        x, rep, binv = _phase_two(std, tab, cost, maxiter)
-        yield x, rep
-        tab = _warm_tableau(std, tab.basis, binv, pivot)
+        else:
+            x, report, binv = _phase_two(std, self._tab, cost, self.maxiter)
+            self._warm = self._tab.basis, binv
+        self.lps += 1
+        self.iterations += report.iterations
+        if report.status is Status.OPTIMAL:
+            self.delta = max(self.delta, float(report.delta))
+        else:
+            self.not_optimal += 1
+        return x, report

@@ -196,7 +196,7 @@ def _finish(problem, structure, bmat, x, report, mode, lam=0.0):
                           report=report)
 
 
-def _recover(problem, structure, mode, lam, method, tol, maxiter):
+def _recover(problem, structure, mode, lam, method, tol):
     """The body of both recovery modes; ``lam`` is 0 for regular."""
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
@@ -227,25 +227,23 @@ def _recover(problem, structure, mode, lam, method, tol, maxiter):
                       structure=structure, phi=problem.phi,
                       mode="constraint" if mode == "regular" else "penalty",
                       epsilon=problem.epsilon, lam=max(lam, 1e-12),
-                      tol=tol, maxiter=maxiter)
+                      tol=tol)
     x, report = solve_split(sp)
     return _finish(problem, structure, bmat, x, report, mode, lam)
 
 
-def recover_regular(problem, structure, method="auto", tol=1e-8,
-                    maxiter=50000):
+def recover_regular(problem, structure, method="auto", tol=1e-8):
     """Minimize ||B u|| subject to phi(A u - y) <= epsilon.
 
     method 'lp' forces the exact polyhedral path (UnsupportedNormError when
     none exists), 'split' the iterative one, 'auto' prefers LP whenever exact.
     Returns a RecoveryResult whose delta/delta_phi are measured, not assumed.
     """
-    return _recover(problem, structure, "regular", 0.0, method, tol, maxiter)
+    return _recover(problem, structure, "regular", 0.0, method, tol)
 
 
-def recover_penalized(problem, structure, lam, method="auto", tol=1e-8,
-                      maxiter=50000):
+def recover_penalized(problem, structure, lam, method="auto", tol=1e-8):
     """Minimize ||B u|| + lam * phi(A u - y); problem.epsilon plays no role."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return _recover(problem, structure, "penalized", lam, method, tol, maxiter)
+    return _recover(problem, structure, "penalized", lam, method, tol)

@@ -552,7 +552,7 @@ def stage_two_primal_oracle(lay, stages, gamma, maxiter=200000):
 def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     """The polyhedral brute-force verdict with no pruning: every signed
     support of every maximal projector (``structures.iter_projectors``), one
-    warm-started ``solve_lp_costs`` sequence on the library's kernel-ball LP.
+    ``LPSequence`` on the library's kernel-ball LP.
 
     Per projector, each coordinate of an l1 block gets a sign (counted once
     per l1 block holding it) and each linf block a (member, sign); the first
@@ -566,7 +566,7 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     """
     from sparsecert import norms, structures
     from sparsecert.certify import bruteforce
-    from sparsecert.engine import Status, solve_lp_costs
+    from sparsecert.engine import LPSequence, Status
 
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[1]
@@ -614,7 +614,9 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
                 c[:n], c[n:2 * n] = -f, f
                 costs.append(c)
     best, best_z, upper, iterations, optimal = 0.0, None, 0.0, 0, True
-    for x, rep in solve_lp_costs(lp, costs):
+    seq = LPSequence(lp)
+    for cost in costs:
+        x, rep = seq.solve(cost)
         iterations += rep.iterations
         if rep.status is not Status.OPTIMAL:
             optimal = False

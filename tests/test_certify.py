@@ -97,18 +97,6 @@ def _good_instances():
         yield np.random.default_rng(seed).standard_normal((4, 6)), st, rep, 1
 
 
-def _patch_reports(monkeypatch, change):
-    """Let ``change(index, x, report)`` rewrite the brute-force LP results."""
-    from sparsecert.certify import bruteforce
-    real = bruteforce.solve_lp_costs
-
-    def patched(lp, costs, **kwargs):
-        for i, (x, rep) in enumerate(real(lp, costs, **kwargs)):
-            yield change(i, x, rep)
-
-    monkeypatch.setattr(bruteforce, "solve_lp_costs", patched)
-
-
 def test_bruteforce_details_report_pivots_and_gaps():
     for a, st, rep, s in _good_instances():
         v = gamma_s_bruteforce(a, st, s, b=rep)
@@ -118,7 +106,7 @@ def test_bruteforce_details_report_pivots_and_gaps():
         assert 0.0 <= d["lp_delta"] <= 1e-12 and d["lps_not_optimal"] == 0
 
 
-def test_bruteforce_unsolved_lp_blocks_a_good_verdict(monkeypatch):
+def test_bruteforce_unsolved_lp_blocks_a_good_verdict(patch_reports):
     """An LP that stops at its cap leaves its value unknown: the verdict
     can no longer be exhaustive."""
     from sparsecert.engine import SolveReport, Status
@@ -128,20 +116,20 @@ def test_bruteforce_unsolved_lp_blocks_a_good_verdict(monkeypatch):
             return x, SolveReport(status=Status.MAXITER, iterations=7)
         return x, rep
 
-    _patch_reports(monkeypatch, second_stalls)
+    patch_reports(second_stalls)
     for a, st, rep, s in _good_instances():
         v = gamma_s_bruteforce(a, st, s, b=rep)
         assert v.status == "Unknown" and v.bracket[1] == 1.0
         assert v.details["lps_not_optimal"] == 1
 
 
-def test_bruteforce_good_verdict_needs_the_certified_bound(monkeypatch):
+def test_bruteforce_good_verdict_needs_the_certified_bound(patch_reports):
     """CertifiedGood is decided on max(value + delta), not on the values."""
     def loose(i, x, rep):
         rep.delta = 0.5 if i == 0 else rep.delta
         return x, rep
 
-    _patch_reports(monkeypatch, loose)
+    patch_reports(loose)
     for a, st, rep, s in _good_instances():
         v = gamma_s_bruteforce(a, st, s, b=rep)
         assert v.status == "Unknown" and v.gamma_value < 0.5
@@ -149,20 +137,17 @@ def test_bruteforce_good_verdict_needs_the_certified_bound(monkeypatch):
 
 
 def _record_costs(monkeypatch):
-    """The cost vectors the brute force hands to ``solve_lp_costs``, in the
-    order they are drawn."""
+    """The cost vectors the brute force hands to its ``LPSequence``, in the
+    order they are solved."""
     from sparsecert.certify import bruteforce
-    real = bruteforce.solve_lp_costs
     seen = []
 
-    def patched(lp, costs, **kwargs):
-        def tap():
-            for c in costs:
-                seen.append(c)
-                yield c
-        yield from real(lp, tap(), **kwargs)
+    class Recorded(bruteforce.LPSequence):
+        def solve(self, cost):
+            seen.append(cost)
+            return super().solve(cost)
 
-    monkeypatch.setattr(bruteforce, "solve_lp_costs", patched)
+    monkeypatch.setattr(bruteforce, "LPSequence", Recorded)
     return seen
 
 
@@ -181,7 +166,7 @@ _PRUNED_GOOD = (np.random.default_rng(5).standard_normal((5, 6)), 2)
 
 
 def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
-        monkeypatch):
+        monkeypatch, patch_reports):
     """A singleton LP that stops at its cap has UB +inf: every pair holding
     it has an infinite bound, so none may be pruned, and the verdict can no
     longer be exhaustive."""
@@ -196,7 +181,7 @@ def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
             return x, SolveReport(status=Status.MAXITER, iterations=7)
         return x, rep
 
-    _patch_reports(monkeypatch, first_stalls)
+    patch_reports(first_stalls)
     v = gamma_s_bruteforce(a, st, s)
     assert v.status == "Unknown" and v.bracket[1] == 1.0
     assert v.details["lps_not_optimal"] == 1
@@ -206,7 +191,7 @@ def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
 
 
 def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
-        monkeypatch):
+        monkeypatch, patch_reports):
     """A singleton's UB is its value + delta.  With delta = 0.5 on (0,) every
     pair holding it is bounded above gamma < 1/2, so every such pair is
     solved, where without the patch all but one pair is pruned."""
@@ -222,7 +207,7 @@ def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
         rep.delta = 0.5 if i == 0 else rep.delta
         return x, rep
 
-    _patch_reports(monkeypatch, loose_first)
+    patch_reports(loose_first)
     v = gamma_s_bruteforce(a, st, s)
     solved = _supports_solved(seen, 6)
     assert all(solved.get(p) == 2 for p in pairs)
@@ -347,12 +332,12 @@ def test_group_bruteforce_checks_the_budget_before_any_lp(monkeypatch):
     enumeration refuses before solving the first LP."""
     from sparsecert.certify import bruteforce
 
-    def no_lp(lp, costs, **kwargs):
-        raise AssertionError("an LP was solved")
-        yield
+    class NoLP(bruteforce.LPSequence):
+        def solve(self, cost):
+            raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(bruteforce, "_LP_BUDGET", 100)
-    monkeypatch.setattr(bruteforce, "solve_lp_costs", no_lp)
+    monkeypatch.setattr(bruteforce, "LPSequence", NoLP)
     st, rep = structures.build_group([(2 * i, 2 * i + 1) for i in range(6)],
                                      block_norm="l1")
     a = np.random.default_rng(0).standard_normal((8, 12))
@@ -505,17 +490,6 @@ def test_synthesis_monotone_rechecked_at_smaller_s():
         assert chk.ok
 
 
-def test_synthesis_pivot_rules_agree():
-    """The certificate value is an LP optimum, hence pivot-independent."""
-    st, rep = structures.build_plain(10)
-    a = np.random.default_rng(7).standard_normal((8, 10))
-    c1 = synth_certificate_group(a, rep.matrix, st, 1, phi="l1",
-                                 pivot="dantzig")
-    c2 = synth_certificate_group(a, rep.matrix, st, 1, phi="l1",
-                                 pivot="bland")
-    assert abs(c1.gamma - c2.gamma) <= 1e-7
-
-
 def test_synthesis_group_blocks(rng):
     st, rep = structures.build_group([(0, 1, 2), (3, 4), (5, 6, 7)],
                                      block_norm="l1")
@@ -628,8 +602,8 @@ def test_synthesis_per_block_matches_joint_lp_values():
 def _stage_one(st, rep, a):
     from sparsecert.certify import synthesis
     lay = synthesis._Layout(st, a, rep.matrix)
-    runs = synthesis._Runs(200000, "dantzig")
-    return synthesis, lay, runs, synthesis._stage_one(lay, runs)
+    seqs = {}
+    return synthesis, lay, seqs, synthesis._stage_one(lay, seqs)
 
 
 def _stage_one_cases():
@@ -656,10 +630,10 @@ def test_dual_stage_one_matches_cold_primal_per_block():
     from sparsecert import norms
     from oracles import stage_one_primal_oracle
     for name, st, rep, a in _stage_one_cases():
-        synthesis, lay, runs, stages = _stage_one(st, rep, a)
+        synthesis, lay, seqs, stages = _stage_one(st, rep, a)
         cold = stage_one_primal_oracle(lay)
-        assert runs.sequences == len(set(zip(lay.sizes, lay.tags))), name
-        assert runs.lps == len(stages) == len(cold)
+        assert len(seqs) == len(set(zip(lay.sizes, lay.tags))), name
+        assert sum(q.lps for q in seqs.values()) == len(stages) == len(cold)
         h = np.hstack([stage.h_cols for stage in stages])
         w = (rep.matrix - h.T @ a) @ lay.b_pinv
         omega = np.abs(w) if np.all(lay.sizes == 1) else \
@@ -680,13 +654,14 @@ def test_dual_stage_two_matches_cold_primal_per_block():
         synthesis, lay, _, stages = _stage_one(st, rep, a)
         gamma = max(stage.g for stage in stages)
         cold = stage_two_primal_oracle(lay, stages, gamma)
-        runs = synthesis._Runs(200000, "dantzig")
+        seqs = {}
         for k, (stage, (_, t_cold, status)) in enumerate(zip(stages, cold)):
             beta = synthesis._beta_lp(lay, k, stage.lp, stage.rhs, gamma)
             nh = stage.h_cols.size
-            report = runs.solve_next((lay.sizes[k], lay.tags[k]),
-                                     lambda: synthesis._dual_lp(beta, nh),
-                                     beta.h)
+            key = (lay.sizes[k], lay.tags[k])
+            if key not in seqs:
+                seqs[key] = synthesis.LPSequence(synthesis._dual_lp(beta, nh))
+            report = seqs[key].solve(beta.h)[1]
             assert status.value == report.status.value == "optimal", (name, k)
             assert -report.objective == pytest.approx(t_cold, abs=1e-9)
             h2 = report.dual[:nh].reshape(stage.h_cols.shape)
@@ -694,7 +669,7 @@ def test_dual_stage_two_matches_cold_primal_per_block():
                 lay.tags[k] != "linf" else "linf"
             assert synthesis._block_norm(h2, tag) == pytest.approx(
                 t_cold, abs=1e-9), (name, k)
-        assert runs.sequences == len(set(zip(lay.sizes, lay.tags)))
+        assert len(seqs) == len(set(zip(lay.sizes, lay.tags)))
 
 
 def test_stage_two_dual_with_a_degenerate_plateau_is_optimal():
@@ -743,32 +718,35 @@ def test_synthesis_lazy_beta_equals_full_stage_two():
         gamma = max(stage.g for stage in stages)
         norm1 = [synthesis._block_norm(stage.h_cols, tag)
                  for stage, tag in zip(stages, lay.tags)]
-        runs = synthesis._Runs(200000, "dantzig")
-        every = max(synthesis._settle_block(lay, k, stages[k], gamma, runs)[1]
+        seqs = {}
+        every = max(synthesis._settle_block(lay, k, stages[k], gamma, seqs)[1]
                     for k in np.argsort(np.negative(norm1), kind="stable"))
         assert cert.beta == pytest.approx(2.0 * every, abs=1e-9), name
-        assert runs.lps == len(stages) and runs.not_optimal == 0
+        assert sum(q.lps for q in seqs.values()) == len(stages)
+        assert sum(q.not_optimal for q in seqs.values()) == 0
         assert cert.details["beta_lps"] <= len(stages)
-        assert cert.details["stage_two_sequences"] <= runs.sequences
+        assert cert.details["stage_two_sequences"] <= len(seqs)
 
 
 def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
     from sparsecert.engine import SolveReport, Status
     _, st, rep, a, _, _ = next(_pinned_cases())
+    from sparsecert.engine import simplex
     synthesis, _, _, stages = _stage_one(st, rep, a)
-    real, opened = synthesis.solve_lp_costs, []
+    real, opened = simplex._phase_two, []
 
-    # plain blocks share one signature: the first sequence is stage one's,
-    # every later one is a stage-two sequence, and all of those stall
-    def stage_two_stalls(lp, costs, *args):
-        opened.append(lp)
-        if len(opened) == 1:
-            yield from real(lp, costs, *args)
-            return
-        for _ in costs:
-            yield None, SolveReport(status=Status.MAXITER, iterations=7)
+    # plain blocks share one signature: the first sequence (standard form)
+    # is stage one's, every later one is a stage-two sequence, and all of
+    # those stall, below the tallies of their sequence
+    def stage_two_stalls(std, tab, cost, maxiter):
+        if std not in opened:
+            opened.append(std)
+        x, rep, binv = real(std, tab, cost, maxiter)
+        if std is opened[0]:
+            return x, rep, binv
+        return None, SolveReport(status=Status.MAXITER, iterations=7), binv
 
-    monkeypatch.setattr(synthesis, "solve_lp_costs", stage_two_stalls)
+    monkeypatch.setattr(simplex, "_phase_two", stage_two_stalls)
     cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
     h_one = np.hstack([stage.h_cols for stage in stages])
     d = cert.details

@@ -165,21 +165,14 @@ def test_certify_unsupported_combo_is_exit_five(tmp_path):
     assert "unsupported" in (r.stdout + r.stderr).lower()
 
 
-def test_certify_synthesis_maxiter_is_exit_two(tmp_path, monkeypatch,
+def test_certify_synthesis_maxiter_is_exit_two(tmp_path, patch_reports,
                                                capsys):
-    from sparsecert.certify import synthesis
     from sparsecert.engine import SolveReport, Status
 
-    def capped(lp, **kwargs):
-        return None, SolveReport(status=Status.MAXITER, iterations=8000)
-
-    def capped_costs(lp, costs, *args):
-        for _ in costs:
-            yield capped(lp)
-
-    # both stages solve through solve_lp_costs, the joint LP through solve_lp
-    monkeypatch.setattr(synthesis, "solve_lp", capped)
-    monkeypatch.setattr(synthesis, "solve_lp_costs", capped_costs)
+    # every synthesis LP (both stages and the joint LP) solves in an
+    # LPSequence, whose phase two is capped here
+    patch_reports(lambda i, x, rep: (
+        None, SolveReport(status=Status.MAXITER, iterations=8000)))
     st, _ = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
@@ -190,20 +183,16 @@ def test_certify_synthesis_maxiter_is_exit_two(tmp_path, monkeypatch,
     assert len(err.splitlines()) == 1 and "maxiter" in err
 
 
-def test_certify_dual_stage_one_not_optimal_is_exit_two(tmp_path, monkeypatch,
-                                                       capsys):
+def test_certify_dual_stage_one_not_optimal_is_exit_two(tmp_path,
+                                                       patch_reports, capsys):
     """One stage-one dual LP of a warm-started sequence stops at MAXITER while
     the others solve: no certificate, exit 2."""
-    from sparsecert.certify import synthesis
     from sparsecert.engine import SolveReport, Status
-    real = synthesis.solve_lp_costs
 
-    def second_capped(lp, costs, *args):
-        for i, (x, rep) in enumerate(real(lp, costs, *args)):
-            yield (None, SolveReport(status=Status.MAXITER, iterations=9)) \
-                if i == 1 else (x, rep)
-
-    monkeypatch.setattr(synthesis, "solve_lp_costs", second_capped)
+    # the second solve of each sequence is capped
+    patch_reports(lambda i, x, rep: (
+        None, SolveReport(status=Status.MAXITER, iterations=9))
+        if i == 1 else (x, rep))
     st, _ = structures.build_plain(5)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparsecert import structures
-from sparsecert.engine import LinearProgram, Status, solve_lp, solve_lp_costs
+from sparsecert.engine import LinearProgram, LPSequence, Status, solve_lp
 from sparsecert.engine.simplex import _slack_basis, _Standard
 from sparsecert.recovery import RecoveryProblem
 
@@ -39,15 +39,6 @@ def test_matches_vertex_enumeration(rng):
         oracle, _ = vertex_enumeration_lp(lp)
         assert rep.objective == pytest.approx(oracle, abs=1e-8)
         assert np.all(x >= lp.lb - 1e-9) and np.all(x <= lp.ub + 1e-9)
-
-
-def test_pivot_rules_agree(rng):
-    for _ in range(25):
-        lp = random_feasible_lp(rng)
-        _, r1 = solve_lp(lp, pivot="dantzig")
-        _, r2 = solve_lp(lp, pivot="bland")
-        assert r1.status is Status.OPTIMAL and r2.status is Status.OPTIMAL
-        assert r1.objective == pytest.approx(r2.objective, abs=1e-8)
 
 
 def test_simple_known_solution():
@@ -228,11 +219,17 @@ def test_slack_basis_matches_column_by_column_reference(rng):
     assert np.array_equal(_slack_basis(Loose), [-1, 3, -1, 5])
 
 
+def _solve_each(lp, costs):
+    """[(x, report)] of each cost in order, solved by one ``LPSequence``."""
+    seq = LPSequence(lp)
+    return [seq.solve(cost) for cost in costs]
+
+
 def _assert_same_as_cold(lp, costs):
-    """solve_lp_costs against one cold solve_lp per cost; returns the warm
+    """An ``LPSequence`` against one cold solve_lp per cost; returns the warm
     reports."""
     reports = []
-    for cost, (x, rep) in zip(costs, solve_lp_costs(lp, costs), strict=True):
+    for cost, (x, rep) in zip(costs, _solve_each(lp, costs), strict=True):
         x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
                                               senses=lp.senses, lb=lp.lb, ub=lp.ub))
         assert rep.status is cold.status
@@ -261,7 +258,7 @@ def test_cost_sequence_first_solve_is_the_cold_solve(rng):
     cost = rng.standard_normal(5)
     x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
                                           senses=lp.senses, lb=lp.lb, ub=lp.ub))
-    (x, rep), = solve_lp_costs(lp, [cost])
+    (x, rep), = _solve_each(lp, [cost])
     assert np.array_equal(x, x_cold) and rep.iterations == cold.iterations
     assert rep.objective == cold.objective
 
@@ -279,7 +276,7 @@ def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
     monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
     lp = mixed_bounds_lp(rng, 5, 6)
     costs = [rng.standard_normal(5) for _ in range(6)]
-    for cost, (x, rep) in zip(costs, solve_lp_costs(lp, costs)):
+    for cost, (x, rep) in zip(costs, _solve_each(lp, costs)):
         x_cold, cold = _cold(lp, cost)
         assert rep.status is cold.status and rep.iterations == cold.iterations
         assert np.array_equal(x, x_cold)
@@ -301,7 +298,7 @@ def test_singular_basis_gives_least_squares_duals_and_phase_one(rng, monkeypatch
 
     monkeypatch.setattr(simplex, "_inverse", lambda bmat: None)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    reports = list(solve_lp_costs(lp, costs))
+    reports = _solve_each(lp, costs)
     for (x_cold, cold), (x, rep) in zip(colds, reports):
         assert rep.status is cold.status and rep.iterations == cold.iterations
         if rep.status is Status.OPTIMAL:
@@ -320,7 +317,7 @@ def test_cost_sequence_duals_match_cold_solves(rng):
         n = int(rng.integers(2, 7))
         lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
         costs = [rng.standard_normal(n) for _ in range(8)]
-        for cost, (_, rep) in zip(costs, solve_lp_costs(lp, costs)):
+        for cost, (_, rep) in zip(costs, _solve_each(lp, costs)):
             _, cold = _cold(lp, cost)
             assert rep.status is cold.status
             if rep.status is Status.OPTIMAL:
@@ -336,7 +333,7 @@ def test_set_costs_matches_row_by_row_pricing(rng):
     from sparsecert.engine import simplex
     for _ in range(20):
         lp = mixed_bounds_lp(rng, 5, 6)
-        tab, _ = simplex._phase_one(_Standard(lp), 20000, "dantzig")
+        tab, _ = simplex._phase_one(_Standard(lp), 20000)
         c = rng.standard_normal(tab.n)
         ref = tab.T[-1].copy()
         ref[:] = 0.0
@@ -382,7 +379,7 @@ def test_cost_sequence_on_an_empty_set_reports_farkas_every_time():
     # x1 + x2 <= -1 with x >= 0 is empty
     lp = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[-1.0])
     costs = [[1.0, 0.0], [-1.0, 2.0], [0.0, 0.0]]
-    out = list(solve_lp_costs(lp, costs))
+    out = _solve_each(lp, costs)
     assert len(out) == 3
     for cost, (x, rep) in zip(costs, out):
         assert x is None and rep.status is Status.INFEASIBLE
@@ -414,12 +411,56 @@ def test_cost_sequence_unbounded_then_bounded():
 
 def test_cost_sequence_rejects_a_bad_cost():
     lp = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[1.0])
+    seq = LPSequence(lp)
     with pytest.raises(ValueError):
-        list(solve_lp_costs(lp, [[1.0, 2.0, 3.0]]))
+        seq.solve([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        list(solve_lp_costs(lp, [[1.0, np.nan]]))
-    with pytest.raises(ValueError):
-        list(solve_lp_costs(lp, [[1.0, 0.0]], pivot="steepest"))
+        seq.solve([1.0, np.nan])
+    assert seq.lps == 0
+
+
+def test_sequence_tallies_are_the_sums_of_its_reports(rng):
+    """A sequence's ``lps``, ``iterations``, ``not_optimal`` and ``delta``
+    are the count, the pivot sum, the non-optimal count and the largest
+    optimal gap of the reports it returned: on mixed-bound LPs (optimal and
+    unbounded solves), on an empty feasible set, and on a box LP capped at
+    one pivot per solve."""
+    empty = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[-1.0])
+    box = LinearProgram(c=np.zeros(4), G=rng.uniform(0.5, 1.0, (3, 4)),
+                        h=np.ones(3))
+    cases = [(mixed_bounds_lp(rng, 4, int(rng.integers(1, 6))), 20000)
+             for _ in range(8)] + [(empty, 20000), (box, 1)]
+    seen = set()
+    for lp, maxiter in cases:
+        seq = LPSequence(lp, maxiter)
+        reports = [seq.solve(rng.standard_normal(lp.c.size))[1]
+                   for _ in range(8)]
+        gaps = [r.delta for r in reports if r.status is Status.OPTIMAL]
+        assert seq.lps == len(reports)
+        assert seq.iterations == sum(r.iterations for r in reports)
+        assert seq.not_optimal == len(reports) - len(gaps)
+        assert seq.delta == max(gaps, default=0.0)
+        seen.update(r.status for r in reports)
+    assert seen == set(Status)
+
+
+def test_warm_tableau_is_built_only_for_a_next_cost(rng, monkeypatch):
+    """``solve_lp`` builds no warm tableau, and a sequence of three costs
+    builds two, each when its next cost arrives."""
+    from sparsecert.engine import simplex
+    real, built = simplex._warm_tableau, []
+
+    def counted(*args):
+        built.append(args[1].copy())
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "_warm_tableau", counted)
+    lp = mixed_bounds_lp(rng, 5, 6)
+    assert solve_lp(lp)[1].status is Status.OPTIMAL and built == []
+    seq = LPSequence(lp)
+    for k in range(3):
+        seq.solve(rng.standard_normal(5))
+        assert len(built) == k
 
 
 def test_recovery_lp_pivots_pinned():

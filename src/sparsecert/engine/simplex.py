@@ -7,12 +7,13 @@ Problems arrive in the general form
 get converted to equality standard form (shift finite lower bounds, mirror
 upper-bounded free variables, split doubly-free variables, slack columns,
 nonnegative right-hand side), and are solved by a tableau simplex.  Pivoting
-is Dantzig's rule with a stability scan that refuses numerically tiny pivot
-elements while an alternative column exists.  A streak of degenerate steps
-turns on the lexicographic ratio test (Dantzig, Orden & Wolfe, 1955), which
-cannot cycle, until a step leaves the vertex.  Every run is deterministic.
-Optimal bases are re-verified against the untouched data; a point that lost
-feasibility to roundoff is reported as not converged, never as solved.
+is Dantzig's rule, the argmin of the reduced costs over the allowed prefix of
+columns; a sorted scan for another one runs only after a tiny pivot element.
+A streak of degenerate steps turns on the lexicographic ratio test (Dantzig,
+Orden & Wolfe, 1955), which cannot cycle, until a step leaves the vertex.
+Every run is deterministic.  Optimal bases are re-verified against the
+untouched data; a point that lost feasibility to roundoff is reported as not
+converged, never as solved.
 
 Each final basis is inverted once (``_inverse``), from the untouched
 standard form.  That inverse gives the re-verified point binv @ b, the duals
@@ -132,6 +133,7 @@ class _Standard:
         self.sign[first[~fin_lo & fin_hi]] = -1.0
         self.sign[first[free] + 1] = -1.0
         self.off = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
+        self.first, self.free, self.minus = first, np.nonzero(free)[0], first[free] + 1
         boxed = fin_lo & fin_hi
         span = hi[boxed] - lo[boxed]
         span = np.where(span < 0.0, 0.0, span)
@@ -168,8 +170,9 @@ class _Standard:
         return c_std, float(c @ self.off)
 
     def x_original(self, z):
-        x = self.off.copy()
-        np.add.at(x, self.var, self.sign * z)
+        w = self.sign * z   # a free variable's minus column adds last
+        x = self.off + w[self.first]
+        x[self.free] += w[self.minus]
         return x
 
     def drop_row(self, local_i):
@@ -207,22 +210,28 @@ class _Tableau:
         self.T[r] /= self.T[r, j]
         col = self.T[:, j].copy()
         col[r] = 0.0
-        self.T -= np.outer(col, self.T[r])
+        self.T -= col[:, None] * self.T[r]
         self.T[:, j] = 0.0
         self.T[r, j] = 1.0
         self.basis[r] = j
 
     def _leaving_row(self, colv):
         """Min-ratio row for an entering column, or None if it proves
-        unboundedness."""
-        rows = np.nonzero(colv > _TOL)[0]
-        if rows.size == 0:
+        unboundedness.  The ratios go to ``run``'s buffer, where rows with
+        no positive entry stay infinite."""
+        pos = colv > _TOL
+        if not pos.any():
             return None
-        ratios = self.T[rows, self.n] / colv[rows]
-        ties = rows[ratios <= ratios.min() + _TOL]
-        if self.lex_ref is None or ties.size == 1:
+        ratio = self._ratio
+        ratio.fill(np.inf)
+        np.divide(self._rhs, colv, out=ratio, where=pos)
+        tie = ratio <= ratio.min() + _TOL
+        if self.lex_ref is None:
             # largest pivot element: the numerically stable choice
-            return int(ties[np.argmax(colv[ties])])
+            return int(np.where(tie, colv, -np.inf).argmax())
+        ties = np.nonzero(tie & pos)[0]
+        if ties.size == 1:
+            return int(ties[0])
         big = ties[colv[ties] >= _PIVOT_MIN]
         ties = big if big.size else ties
         # lexicographic minimum of T[row, ref] / colv; the reference columns
@@ -230,38 +239,44 @@ class _Tableau:
         keys = self.T[np.ix_(ties, self.lex_ref)] / colv[ties, None]
         return int(ties[np.lexsort(keys.T[::-1])[0]])
 
-    def run(self, allowed, budget):
-        """Minimize; returns 'optimal', 'unbounded' (with column), or 'maxiter'."""
+    def run(self, ncols, budget):
+        """Minimize over the first ``ncols`` columns; returns 'optimal',
+        'unbounded' (with column), or 'maxiter'.  The entering column is the
+        argmin of the reduced costs over that prefix (lowest index on a tie);
+        the sorted scan of the other candidates runs only after its pivot
+        element fell below ``_PIVOT_MIN``."""
         # a reference restarts here: phase one's exit pivots may have voided it
         if self.lex_ref is not None:
             self.lex_ref = self.basis.copy()
+        t, m = self.T, self.m
+        red, cols = t[-1, :ncols], t[:m]
+        self._rhs, self._ratio = t[:m, self.n], np.empty(m)
         done = 0
         while done < budget:
-            red = self.T[-1, : self.n]
-            eligible = np.nonzero(allowed & (red < -_TOL))[0]
-            if eligible.size == 0:
+            j = int(red.argmin()) if ncols else 0
+            if not (ncols and red[j] < -_TOL):
                 return "optimal", None
-            order = eligible[np.argsort(red[eligible], kind="stable")]
-            # Scan candidates most-negative-first, refusing pivot elements so
-            # small that dividing by them would amplify roundoff into the
-            # tableau.  Settle for the largest-magnitude refusal only when
-            # the scan finds nothing better.
-            r = j = None
-            fall_r = fall_j = None
-            fall_mag = -1.0
-            for jc in order[:_PIVOT_SCAN]:
-                rc = self._leaving_row(self.T[: self.m, jc])
-                if rc is None:
-                    return "unbounded", int(jc)
-                mag = self.T[rc, jc]
-                if mag >= _PIVOT_MIN:
-                    r, j = rc, int(jc)
-                    break
-                if mag > fall_mag:
-                    fall_r, fall_j, fall_mag = rc, int(jc), mag
+            r = self._leaving_row(cols[:, j])
             if r is None:
-                r, j = fall_r, fall_j
-            if self.T[r, self.n] / self.T[r, j] > _TOL:
+                return "unbounded", j
+            if t[r, j] < _PIVOT_MIN:
+                # a pivot element this small would amplify roundoff: scan the
+                # next candidates most-negative-first, and settle for the
+                # largest refusal only when the scan finds nothing better
+                eligible = np.nonzero(red < -_TOL)[0]
+                order = eligible[np.argsort(red[eligible], kind="stable")]
+                fall_mag = t[r, j]
+                for jc in order[1:_PIVOT_SCAN]:
+                    rc = self._leaving_row(cols[:, jc])
+                    if rc is None:
+                        return "unbounded", int(jc)
+                    mag = t[rc, jc]
+                    if mag >= _PIVOT_MIN:
+                        r, j = rc, int(jc)
+                        break
+                    if mag > fall_mag:
+                        r, j, fall_mag = rc, int(jc), mag
+            if t[r, self.n] / t[r, j] > _TOL:
                 self._streak = 0
                 self.lex_ref = None  # degenerate vertex escaped
             else:
@@ -331,7 +346,7 @@ def _phase_one(std, maxiter):
         cost1 = np.zeros(ncols + n_art)
         cost1[ncols:] = 1.0
         tab.set_costs(cost1)
-        outcome, _ = tab.run(np.ones(ncols + n_art, dtype=bool), maxiter)
+        outcome, _ = tab.run(ncols + n_art, maxiter)
         phase1_obj = -tab.T[-1, -1]
         if outcome == "maxiter":
             return None, SolveReport(status=Status.MAXITER,
@@ -375,42 +390,42 @@ def _solves(bmat, zb, b):
         resid <= 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0)))
 
 
-def _warm_tableau(std, basis, binv):
+def _warm_tableau(std, basis, binv, zb):
     """Tableau of ``std`` at ``basis`` re-formed from the untouched data as
-    binv @ [A | b], so no pivot roundoff carries over from earlier solves;
-    None when ``binv`` is None."""
+    binv @ [A | b] (``zb`` = binv @ b), so no pivot roundoff carries over
+    from earlier solves; None when ``binv`` is None."""
     if binv is None:
         return None
     t = binv @ std.A
     t[:, basis] = np.eye(basis.size)
-    return _Tableau(t, np.maximum(binv @ std.b, 0.0), basis)
+    return _Tableau(t, np.maximum(zb, 0.0), basis)
 
 
 def _phase_two(std, tab, cost, maxiter):
     """Minimize ``cost`` from the feasible basis of ``tab`` and certify the
     outcome against the untouched standard form; returns (x, SolveReport,
-    binv), ``binv`` the inverse of the final basis matrix when its point
-    passes ``_solves`` (the next warm start), else None."""
+    warm), ``warm`` the final basis inverse and its point binv @ b when
+    they pass ``_solves`` (the next warm start), else (None, None)."""
     ncols = std.A.shape[1]
     c_std, const = std.costs(cost)
     warnings = list(std.warnings)
-    allowed = np.zeros(tab.n, dtype=bool)
-    allowed[:ncols] = True
     cost2 = np.zeros(tab.n)
     cost2[:ncols] = c_std
     tab.set_costs(cost2)
-    outcome, unb_col = tab.run(allowed, maxiter - tab.iterations)
+    outcome, unb_col = tab.run(ncols, maxiter - tab.iterations)
 
     # re-solve on the untouched matrix to shed pivot error; accept only if the
     # basis system is solved (a near-singular inverse is garbage, no error)
     bmat = std.A[:, tab.basis]
     binv = _inverse(bmat)
     zb = None if binv is None else binv @ std.b
-    warm = binv if zb is not None and _solves(bmat, zb, std.b) else None
-    z_full = tab.solution()
-    if outcome == "optimal" and warm is not None:
-        z_full = np.zeros_like(z_full)
+    ok = zb is not None and _solves(bmat, zb, std.b)
+    warm = (binv, zb) if ok else (None, None)
+    if outcome == "optimal" and ok:
+        z_full = np.zeros(tab.n)
         z_full[tab.basis] = np.maximum(zb, 0.0)
+    else:
+        z_full = tab.solution()
     z = z_full[:ncols]
     x = std.x_original(z[: std.nz])
     obj = float(c_std @ z + const)
@@ -486,7 +501,7 @@ class LPSequence:
         self._n = lp.c.size
         self._std = _Standard(lp)
         self._tab = self._stop = None
-        self._warm = None   # (basis, inverse) the last solve ended on
+        self._warm = None   # (basis, inverse, point) the last solve ended on
         self.lps = self.iterations = self.not_optimal = 0
         self.delta = 0.0
 
@@ -509,8 +524,8 @@ class LPSequence:
                 standard=stop.standard and dict(stop.standard,
                                                 c=std.costs(cost)[0]))
         else:
-            x, report, binv = _phase_two(std, self._tab, cost, self.maxiter)
-            self._warm = self._tab.basis, binv
+            x, report, warm = _phase_two(std, self._tab, cost, self.maxiter)
+            self._warm = (self._tab.basis, *warm)
         self.lps += 1
         self.iterations += report.iterations
         if report.status is Status.OPTIMAL:

@@ -554,16 +554,43 @@ def prox_vector_norm(v, tag, tau):
     raise UnsupportedNormError(f"prox not implemented for {tag!r}")
 
 
+def _block_index(structure):
+    """(block sizes, block of each E-vector entry)."""
+    sizes = np.array([len(v) for v in structure.blocks])
+    return sizes, np.repeat(np.arange(sizes.size), sizes)
+
+
 def _prox_l2_groups(structure, w, tau):
     """Block shrinkage for an all-l2 block layout in one vectorized pass."""
     w = _e_vector(structure, w)
-    sizes = [len(v) for v in structure.blocks]
-    block_id = np.repeat(np.arange(len(sizes)), sizes)
-    nrm = np.sqrt(np.bincount(block_id, weights=w * w, minlength=len(sizes)))
-    scale = np.zeros(len(sizes))
+    sizes, block_id = _block_index(structure)
+    nrm = np.sqrt(np.bincount(block_id, weights=w * w, minlength=sizes.size))
+    scale = np.zeros(sizes.size)
     keep = nrm > tau
     scale[keep] = 1.0 - tau / nrm[keep]
     return w * scale[block_id]
+
+
+def _prox_linf_groups(structure, w, tau):
+    """Block prox for an all-linf block layout in one vectorized pass: by
+    Moreau's identity, w minus each block's projection onto the l1 ball of
+    radius tau, every block's threshold found in one sorted pass (the
+    per-block rule of ``project_l1_ball``)."""
+    w = _e_vector(structure, w)
+    if tau == 0:
+        return w.copy()
+    sizes, block_id = _block_index(structure)
+    start = np.cumsum(sizes) - sizes
+    a = np.abs(w)
+    u = a[np.lexsort((-a, block_id))]          # descending inside each block
+    css = np.cumsum(u)
+    css -= np.repeat((css - u)[start], sizes)  # cumulative sums per block
+    rank = np.arange(1, a.size + 1) - np.repeat(start, sizes)
+    # last rank of each block passing the threshold test; rank 1 always does
+    rho = np.maximum.reduceat(np.where(u * rank > css - tau, rank, 0), start)
+    theta = (css[start + rho - 1] - tau) / rho
+    theta[np.bincount(block_id, weights=a) <= tau] = 0.0  # inside the ball
+    return w - np.sign(w) * np.maximum(a - theta[block_id], 0.0)
 
 
 def prox_structure_norm(structure, w, tau):
@@ -571,8 +598,8 @@ def prox_structure_norm(structure, w, tau):
 
     Per-block shrinkage adapted to each block tag (plain/group): an
     entrywise soft threshold when every block is l1, one vectorized pass
-    when every block is l2; singular value soft threshold (low-rank).  The
-    result has the same shape as the input.
+    when every block is l2 or every block is linf; singular value soft
+    threshold (low-rank).  The result has the same shape as the input.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -588,6 +615,8 @@ def prox_structure_norm(structure, w, tau):
         return soft_threshold(_e_vector(structure, w), tau)
     if structure.shared_norm == "l2":
         return _prox_l2_groups(structure, w, tau)
+    if structure.shared_norm == "linf":
+        return _prox_linf_groups(structure, w, tau)
     views = _group_block_views(structure, w)
     return np.concatenate([prox_vector_norm(b, t, tau)
                            for b, t in zip(views, structure.block_norms)])

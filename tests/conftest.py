@@ -21,9 +21,9 @@ def patch_reports(monkeypatch):
         real, counters = simplex._phase_two, {}
 
         def patched(std, tab, cost, maxiter):
-            x, rep, binv = real(std, tab, cost, maxiter)
+            x, rep, warm = real(std, tab, cost, maxiter)
             i = next(counters.setdefault(std, itertools.count()))
-            return (*change(i, x, rep), binv)
+            return (*change(i, x, rep), warm)
 
         monkeypatch.setattr(simplex, "_phase_two", patched)
 

@@ -630,3 +630,88 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
                "gamma_upper": upper}
     return bruteforce._classify(structure, bmat, s, best, best_z, upper,
                                 details)
+
+
+def reference_tableau_run(tab, allowed, budget, path, seen):
+    """The dense simplex's pivot loop in its first form: Dantzig pricing by a
+    stable argsort of every eligible column, a ratio test on fancy-indexed
+    rows and a rank-one update by ``np.outer``.  The anti-cycling rules are
+    the library's (``_PIVOT_SCAN`` candidates refuse pivot elements below
+    ``_PIVOT_MIN``; ``_DEGENERATE_STREAK`` zero steps turn on the
+    lexicographic ratio test).
+
+    Runs on ``tab``, a ``simplex._Tableau`` whose T, basis, iterations,
+    lex_ref and _streak it changes as the library's loop would, over the
+    columns where the boolean mask ``allowed`` is set; appends each pivot
+    (row, column) to ``path`` and the name of each rare branch it takes
+    ('near tie': unequal ratios within ``_TOL``; 'scan', 'fallback', 'lex',
+    'unbounded') to the set ``seen``.  Returns
+    what ``_Tableau.run`` returns.
+    """
+    from sparsecert.engine.simplex import (_DEGENERATE_STREAK, _PIVOT_MIN,
+                                           _PIVOT_SCAN, _TOL)
+    t, m, n = tab.T, tab.m, tab.n
+
+    def leaving_row(colv):
+        rows = np.nonzero(colv > _TOL)[0]
+        if rows.size == 0:
+            return None
+        ratios = t[rows, n] / colv[rows]
+        ties = rows[ratios <= ratios.min() + _TOL]
+        if np.ptp(ratios[ratios <= ratios.min() + _TOL]) > 0.0:
+            seen.add("near tie")
+        if tab.lex_ref is None or ties.size == 1:
+            return int(ties[np.argmax(colv[ties])])
+        seen.add("lex")
+        big = ties[colv[ties] >= _PIVOT_MIN]
+        ties = big if big.size else ties
+        keys = t[np.ix_(ties, tab.lex_ref)] / colv[ties, None]
+        return int(ties[np.lexsort(keys.T[::-1])[0]])
+
+    def pivot(r, j):
+        t[r] /= t[r, j]
+        col = t[:, j].copy()
+        col[r] = 0.0
+        t[...] -= np.outer(col, t[r])
+        t[:, j] = 0.0
+        t[r, j] = 1.0
+        tab.basis[r] = j
+        path.append((r, j))
+
+    if tab.lex_ref is not None:
+        tab.lex_ref = tab.basis.copy()
+    done = 0
+    while done < budget:
+        red = t[-1, :n]
+        eligible = np.nonzero(allowed & (red < -_TOL))[0]
+        if eligible.size == 0:
+            return "optimal", None
+        order = eligible[np.argsort(red[eligible], kind="stable")]
+        r = j = fall_r = fall_j = None
+        fall_mag = -1.0
+        for jc in order[:_PIVOT_SCAN]:
+            rc = leaving_row(t[:m, jc])
+            if rc is None:
+                seen.add("unbounded")
+                return "unbounded", int(jc)
+            mag = t[rc, jc]
+            if mag >= _PIVOT_MIN:
+                r, j = rc, int(jc)
+                break
+            seen.add("scan")
+            if mag > fall_mag:
+                fall_r, fall_j, fall_mag = rc, int(jc), mag
+        if r is None:
+            seen.add("fallback")
+            r, j = fall_r, fall_j
+        if t[r, n] / t[r, j] > _TOL:
+            tab._streak = 0
+            tab.lex_ref = None
+        else:
+            tab._streak += 1
+        pivot(r, j)
+        tab.iterations += 1
+        done += 1
+        if tab.lex_ref is None and tab._streak >= _DEGENERATE_STREAK:
+            tab.lex_ref = tab.basis.copy()
+    return "maxiter", None

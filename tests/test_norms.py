@@ -361,6 +361,32 @@ def test_vectorized_l2_group_prox_matches_per_block_loop(rng):
         prox_structure_norm(gr, np.ones(starts[-1] - 1), 0.5)
 
 
+def test_vectorized_linf_group_prox_matches_per_block_loop():
+    """The one-pass linf block prox equals one ``prox_vector_norm`` per
+    block to 1e-12 on seeded layouts: uneven block sizes (singletons
+    included), an all-zero block, tied magnitudes, a block exactly on the
+    l1 ball, and tau from 0 to beyond every block's l1 norm."""
+    r = np.random.default_rng(7)
+    for trial in range(60):
+        sizes = r.integers(1, 9, size=int(r.integers(1, 12)))
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        gr, _ = structures.build_group(
+            [range(starts[k], starts[k + 1]) for k in range(sizes.size)],
+            block_norm="linf")
+        w = r.standard_normal(starts[-1]) * r.uniform(0.1, 5.0)
+        w[: sizes[0]] = 0.0 if trial % 3 == 0 else w[: sizes[0]]
+        w[-1] = w[0] if trial % 4 == 0 else w[-1]
+        last = np.abs(w[starts[-2]:]).sum()
+        w[starts[-2]:] /= last if last > 0 else 1.0    # l1 norm 1 = tau
+        for tau in (0.0, 1e-3, 0.3, 1.0, 50.0):
+            ref = np.concatenate([
+                prox_vector_norm(w[starts[k]:starts[k + 1]], "linf", tau)
+                for k in range(sizes.size)])
+            got = prox_structure_norm(gr, w, tau)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
 def test_lowrank_prox_is_bitwise_the_svd_descending_formula():
     for p, q in ((3, 3), (4, 3), (5, 2)):
         lr, _ = structures.build_lowrank(p, q)

@@ -1,6 +1,8 @@
 """Dense simplex backend: correctness against vertex enumeration plus the
 status/certificate contract."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from sparsecert.engine import LinearProgram, LPSequence, Status, solve_lp
 from sparsecert.engine.simplex import _slack_basis, _Standard
 from sparsecert.recovery import RecoveryProblem
 
-from oracles import (recovery_lp_oracle, slack_basis_oracle,
-                     standard_form_oracle, vertex_enumeration_lp)
+from oracles import (recovery_lp_oracle, reference_tableau_run,
+                     slack_basis_oracle, standard_form_oracle,
+                     vertex_enumeration_lp)
 
 
 def random_feasible_lp(rng, n=None, m=None):
@@ -481,3 +484,77 @@ def test_recovery_lp_pivots_pinned():
     assert report.status is Status.OPTIMAL and not report.used_bland
     assert report.iterations == 93
     assert report.objective == pytest.approx(3.4958134631947595, rel=1e-12)
+
+
+def test_certificate_lp_counts_pinned():
+    """The LP and pivot counts of a seeded brute-force verdict (plain n=12,
+    m=7, s=3) and of a seeded synthesis (plain n=16, m=10, s=1), pinned:
+    a change to pivot choice moves them, and the outputs alone may not."""
+    from sparsecert.certify.bruteforce import gamma_s_bruteforce
+    from sparsecert.certify.synthesis import synth_certificate_group
+    st, _ = structures.build_plain(12)
+    a = np.random.default_rng(3).standard_normal((7, 12))
+    d = gamma_s_bruteforce(a, st, 3).details
+    assert (d["lp_count"], d["lp_iterations"]) == (134, 951)
+    st, rep = structures.build_plain(16)
+    a = np.random.default_rng(0).standard_normal((10, 16))
+    d = synth_certificate_group(a, rep.matrix, st, 1, phi="l1").details
+    assert (d["stage_one_iterations"], d["stage_two_iterations"],
+            d["beta_lps"]) == (153, 266, 13)
+
+
+def test_pivot_loop_matches_reference_loop(rng, monkeypatch):
+    """Every ``_Tableau.run`` makes the (row, column) pivots of the reference
+    loop (``oracles.reference_tableau_run``) and ends with a bitwise-equal
+    tableau, basis, pivot count and lexicographic state.  The LPs cover
+    phase one with artificial columns, warm phase two, a degenerate LP that
+    turns the lexicographic rule on, a first candidate whose pivot element
+    is below ``_PIVOT_MIN`` (the scan, and its fallback), an unbounded
+    column and min ratios that differ by less than ``_TOL``."""
+    from sparsecert.engine import simplex
+    real_run, seen, runs = simplex._Tableau.run, set(), []
+
+    def checked(tab, ncols, budget):
+        ref, ref_path, path = copy.deepcopy(tab), [], []
+        expect = reference_tableau_run(ref, np.arange(tab.n) < ncols, budget,
+                                       ref_path, seen)
+        tab.pivot = lambda r, j: (path.append((r, j)),
+                                  simplex._Tableau.pivot(tab, r, j))
+        try:
+            out = real_run(tab, ncols, budget)
+        finally:
+            del tab.pivot
+        assert out == expect and path == ref_path
+        assert tab.T.tobytes() == ref.T.tobytes()
+        assert np.array_equal(tab.basis, ref.basis)
+        assert tab.iterations == ref.iterations and tab._streak == ref._streak
+        assert (tab.lex_ref is None) == (ref.lex_ref is None)
+        if tab.lex_ref is not None:
+            assert np.array_equal(tab.lex_ref, ref.lex_ref)
+        runs.append((ncols < tab.n, len(path)))
+        return out
+
+    monkeypatch.setattr(simplex._Tableau, "run", checked)
+    for _ in range(6):   # phase one with artificials, then warm phase two
+        lp = mixed_bounds_lp(rng, 5, 6)
+        seq = LPSequence(lp)
+        for _ in range(4):
+            seq.solve(rng.standard_normal(5))
+    r = np.random.default_rng(1)   # 40 rows through the origin
+    g = r.standard_normal((40, 10))
+    degenerate = LinearProgram(c=r.standard_normal(10), G=g, h=np.zeros(40),
+                               ub=np.ones(10))
+    assert solve_lp(degenerate)[1].status is Status.OPTIMAL
+    assert "lex" in seen
+    tiny = LinearProgram(c=[-1.0, -0.5], G=[[1e-8, 1.0]], h=[1.0])
+    assert solve_lp(tiny)[1].objective == pytest.approx(-1e8)
+    unbounded = LinearProgram(c=[-1.0, 0.0], G=[[1.0, -1.0]], h=[1.0])
+    assert solve_lp(unbounded)[1].status is Status.UNBOUNDED
+    # ratios 1 and 1 + 1e-10 tie; the larger pivot element (row 2) leaves
+    near = LinearProgram(c=[-1.0, -1.0], G=[[1.0, 1.0], [2.0, 0.5]],
+                         h=[1.0, 2.0 + 2e-10])
+    assert solve_lp(near)[1].status is Status.OPTIMAL
+    assert seen == {"near tie", "lex", "scan", "fallback", "unbounded"}
+    # phase two after artificial columns left the basis, and pivots ran
+    assert any(prefix for prefix, _ in runs)
+    assert sum(k for _, k in runs) > 50

@@ -191,14 +191,12 @@ class _SignedSupports:
     """
 
     def __init__(self, structure, n, nv, lift=None):
-        offs, self.tags, self.weights = norms.rep_blocks(structure)
+        self.tags, self.weights = structure.block_norms, structure.weights
         if lift is None:
-            self.blocks = structure.blocks
-            self.nf = n
+            self.blocks, self.nf = structure.blocks, n
         else:
-            self.blocks = [tuple(range(lo, hi))
-                           for lo, hi in zip(offs[:-1], offs[1:])]
             self.nf = lift.shape[0]
+            self.blocks = np.split(np.arange(self.nf), structure.offsets[1:-1])
         self.n, self.nv, self.lift = n, nv, lift
 
     def plan(self, chosen):
@@ -350,27 +348,21 @@ def _group_ratio_and_grad(structure, bmat, z, s):
     den = float(vals.sum())
     if den < 1e-14:
         return 0.0, np.zeros(z.size)
-    # supergradients of per-block norms, pushed back through B
-    grad_num = np.zeros(bmat.shape[0])
-    grad_den = np.zeros(bmat.shape[0])
-    pos = 0
-    for l, (v, t) in enumerate(zip(structure.blocks, structure.block_norms)):
-        seg = slice(pos, pos + len(v))
-        wl = w[seg]
-        nl = np.linalg.norm(wl) if t == "l2" else None
-        if t == "l1":
-            gl = np.sign(wl)
-        elif t == "linf":
-            gl = np.zeros(len(v))
-            if np.abs(wl).max() > 0:
-                j = int(np.argmax(np.abs(wl)))
-                gl[j] = np.sign(wl[j])
-        else:
-            gl = wl / nl if nl > 1e-14 else np.zeros(len(v))
-        grad_den[seg] = gl
-        if mask[l]:
-            grad_num[seg] = gl
-        pos += len(v)
+    # block norm supergradients (linf: the sign of the first largest entry)
+    block_of, tags = structure.block_of, structure.block_norms
+    tag_of = np.asarray(tags)[block_of]
+    grad_den = np.sign(w)
+    if "l2" in tags:
+        nl, l2 = vals[block_of], tag_of == "l2"
+        grad_den[l2] = np.divide(w, nl, out=np.zeros_like(w),
+                                 where=nl > 1e-14)[l2]
+    if "linf" in tags:
+        linf = tag_of == "linf"
+        top = np.flatnonzero(linf & (np.abs(w) == vals[block_of]))
+        top = top[np.r_[True, np.diff(block_of[top]) != 0]]
+        grad_den[linf] = 0.0
+        grad_den[top] = np.sign(w[top])
+    grad_num = np.where(mask[block_of], grad_den, 0.0)
     ratio = num / den
     grad_w = (grad_num * den - num * grad_den) / den ** 2
     return ratio, bmat.T @ grad_w

@@ -83,24 +83,15 @@ class CsCheck:
 def worst_condition_projector(structure, w, s, rng=None, probes=0):
     """Worst (or best-known) projector for the condition's left side at w.
 
-    Returns (projector, lhs).  Exact for plain (the top-s support) and for
-    group structures where the weight knapsack is solvable; for low rank the
-    singular truncation of w is the natural candidate and ``probes`` extra
-    random projectors are tried.
+    Returns (projector, lhs): ``structures.best_sparse_approx``'s projector
+    and twice the mass it keeps, exact for plain and for group structures
+    where the weight knapsack is solvable; for low rank (its singular
+    truncation) ``probes`` extra random projectors are tried.
     """
-    w = np.asarray(w, dtype=float)
-    if structure.kind != "lowrank":
-        vals = norms.group_block_norms(structure, w)
-        value, mask, _ = norms.select_blocks(vals, structure.weights, s)
-        proj = structures.group_projector(structure, np.nonzero(mask)[0])
-        return proj, 2.0 * value
-    mat = w.reshape(structure.p, structure.q)
-    k = min(int(np.floor(s + 1e-12)), structure.p, structure.q)
-    u, sv, vt = norms.svd_descending(mat)
-    best_proj = structures.lowrank_projector(structure, u[:, :k], vt[:k, :].T)
-    best = 2.0 * float(sv[:k].sum())
-    if rng is not None:
-        total = float(sv.sum())
+    approx = structures.best_sparse_approx(structure, w, s)
+    best_proj, best = approx.projector, 2.0 * approx.kept
+    if structure.kind == "lowrank" and rng is not None:
+        total = approx.kept + approx.delta_x
         for _ in range(probes):
             proj = structures.random_projector(structure, rng, max_weight=s)
             direct = norms.structure_norm(

@@ -125,9 +125,7 @@ def _descend_level(tm, k, p, q, iters):
         sub3 = -g1 + math.sqrt(k) * _mdprime_inverse(g3, p, q)
         return val, sub2, sub3
 
-    best, _, _ = evaluate(t2, t3)
-    if iters <= 0:
-        return best
+    best = math.inf
     scale = max(np.linalg.norm(tm), 1e-12) / 8.0
     for t in range(1, iters + 1):
         val, sub2, sub3 = evaluate(t2, t3)

@@ -101,16 +101,15 @@ class _Layout:
         self.b_pinv = np.linalg.pinv(bmat)
         self.c_full = bmat @ self.b_pinv
         self.d_full = a @ self.b_pinv
-        self.offs, self.tags, self.chi = norms.rep_blocks(structure)
+        self.offs, self.block_of = structure.offsets, structure.block_of
+        self.tags, self.chi = structure.block_norms, np.asarray(structure.weights)
         self.sizes = np.diff(self.offs)
-        self.block_of = np.repeat(np.arange(self.sizes.size), self.sizes)
         self.pos = np.arange(self.offs[-1]) - self.offs[self.block_of]
         # pair (k, l) bounds the l -> k block: target tag on rows, source on
         # columns
-        from_l1 = np.array([t == "l1" for t in self.tags])[None, :]
-        from_linf = np.array([t == "linf" for t in self.tags])[None, :]
-        to_l1 = np.array([t == "l1" for t in self.tags])[:, None]
-        to_linf = np.array([t == "linf" for t in self.tags])[:, None]
+        tags = np.array(self.tags)
+        from_l1, from_linf = (tags == "l1")[None, :], (tags == "linf")[None, :]
+        to_l1, to_linf = from_l1.T, from_linf.T
         self.kind = np.where(from_l1, np.where(to_linf, _PER_ENTRY, _PER_COL),
                              np.where(to_linf, _PER_ROW, _TOTAL))
         rows1 = (self.sizes == 1)[:, None]

@@ -18,7 +18,8 @@ three families of vector/matrix norms:
 
 Structure-aware functions take the structure duck-typed, touching only
 ``kind`` (low rank or a block layout), ``blocks``, ``weights``,
-``block_norms``, ``shared_norm`` (the tag all blocks share, or None),
+``block_norms``, ``shared_norm`` (the tag all blocks share, or None), the
+block layout ``offsets`` and ``block_of`` (see :mod:`.structures`),
 ``ambient_dim_e``, ``p`` and ``q``, so there is no import cycle with
 :mod:`.structures`.  Plain means the n singleton l1 blocks, unit weights.
 """
@@ -280,19 +281,35 @@ def _e_vector(structure, w):
     return w
 
 
-def _group_block_views(structure, w):
-    sizes = [len(v) for v in structure.blocks]
-    return np.split(_e_vector(structure, w), np.cumsum(sizes)[:-1])
+# every block's norm under one tag, in one pass over w split at the starts
+_BLOCK_NORM = {
+    "l1": lambda w, starts: np.add.reduceat(np.abs(w), starts),
+    "l2": lambda w, starts: np.sqrt(np.add.reduceat(w * w, starts)),
+    "linf": lambda w, starts: np.maximum.reduceat(np.abs(w), starts),
+}
+
+
+def _block_norms(structure, w, tags):
+    """Block norms of w under ``tags``: a pass per tag, |w| for singletons."""
+    w = _e_vector(structure, w)
+    starts = structure.offsets[:-1]
+    if starts.size == w.size:
+        return np.abs(w)
+    present = set(tags)
+    if len(present) == 1:
+        return _BLOCK_NORM[present.pop()](w, starts)
+    tags = np.asarray(tags)
+    out = np.empty(starts.size)
+    for tag in present:
+        sel = tags == tag
+        out[sel] = _BLOCK_NORM[tag](w, starts)[sel]
+    return out
 
 
 def group_block_norms(structure, w):
     """Vector of per-block norms [||w^1||_(1), ..., ||w^K||_(K)]; |w| when
     every block is a singleton."""
-    if len(structure.blocks) == structure.ambient_dim_e:
-        return np.abs(_e_vector(structure, w))
-    views = _group_block_views(structure, w)
-    return np.array([vector_norm(b, t)
-                     for b, t in zip(views, structure.block_norms)])
+    return _block_norms(structure, w, structure.block_norms)
 
 
 def _as_matrix(structure, w):
@@ -307,21 +324,16 @@ def _as_matrix(structure, w):
 def structure_norm(structure, w, dual=False):
     """The representation-space norm of the structure, or its conjugate.
 
-    plain/group: sum of block norms / max of dual block norms, one l1 /
-    linf norm of w when every block is l1; low-rank: nuclear / spectral.
+    plain/group: sum of block norms / max of dual block norms; low-rank:
+    nuclear / spectral.
     """
     if structure.kind == "lowrank":
         sv = singular_values(_as_matrix(structure, w))
         return float(sv[0]) if dual else float(sv.sum())
-    if structure.shared_norm == "l1":
-        return vector_norm(_e_vector(structure, w), "linf" if dual else "l1")
-    views = _group_block_views(structure, w)
     if dual:
-        return max((vector_norm(b, dual_tag(t))
-                    for b, t in zip(views, structure.block_norms)),
-                   default=0.0)
-    return float(sum(vector_norm(b, t)
-                     for b, t in zip(views, structure.block_norms)))
+        tags = [_DUAL[t] for t in structure.block_norms]
+        return float(_block_norms(structure, w, tags).max())
+    return float(group_block_norms(structure, w).sum())
 
 
 def ps_seminorm(structure, z, s):
@@ -347,18 +359,6 @@ def has_lp_form(structure):
         t in ("l1", "linf") for t in structure.block_norms)
 
 
-def rep_blocks(structure):
-    """Representation-space block offsets, norm tags and weights: block k
-    holds the coordinates offs[k] .. offs[k+1] - 1 of B x (plain: one l1
-    coordinate per block)."""
-    if structure.kind == "lowrank":
-        raise UnsupportedNormError("low-rank structures have no block layout")
-    sizes = [len(v) for v in structure.blocks]
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    return offs, list(structure.block_norms), \
-        np.asarray(structure.weights, dtype=float)
-
-
 def structure_norm_epigraph(structure, n, b=None):
     """The LP encoding of the structure norm of B u, u in R^n: (cost, g).
 
@@ -379,42 +379,36 @@ def structure_norm_epigraph(structure, n, b=None):
             "l2 blocks and the nuclear norm have no exact LP form")
     if b is not None:
         return _general_epigraph(structure, n, np.asarray(b, dtype=float))
-    blocks, tags = structure.blocks, np.array(structure.block_norms)
-    sizes = [len(v) for v in blocks]
-    members = np.concatenate(blocks).astype(int)
-    member_tag = np.repeat(tags, sizes)
+    members = np.concatenate(structure.blocks).astype(int)
+    member_tag = np.array(structure.block_norms)[structure.block_of]
     mult = np.bincount(members[member_tag == "l1"], minlength=n).astype(float)
-    is_linf, in_linf = tags == "linf", member_tag == "linf"
-    n_t = int(is_linf.sum())
+    in_linf = member_tag == "linf"
+    linf_blocks, t_col = np.unique(structure.block_of[in_linf],
+                                   return_inverse=True)
+    n_t = linf_blocks.size
     coord = np.repeat(members[in_linf], 2)
-    t_col = np.repeat(2 * n + np.cumsum(is_linf) - 1, sizes)[in_linf]
     rows = np.arange(coord.size)
     sign = np.tile([1.0, -1.0], coord.size // 2)
     g = np.zeros((coord.size, 2 * n + n_t))
     g[rows, coord] = sign
     g[rows, n + coord] = -sign
-    g[rows, np.repeat(t_col, 2)] = -1.0
+    g[rows, np.repeat(2 * n + t_col, 2)] = -1.0
     return np.concatenate([mult, mult, np.ones(n_t)]), g
 
 
 def _general_epigraph(structure, n, b):
-    offs, tags, _ = rep_blocks(structure)
-    if b.shape != (offs[-1], n):
-        raise ValueError(f"B must be {offs[-1]} x {n} for this structure")
-    sizes = np.diff(offs)
-    is_l1 = np.repeat(np.array(tags) == "l1", sizes)
-    n_e = int(is_l1.sum())
+    dim_e, block_of = structure.ambient_dim_e, structure.block_of
+    if b.shape != (dim_e, n):
+        raise ValueError(f"B must be {dim_e} x {n} for this structure")
+    is_l1 = np.array(structure.block_norms)[block_of] == "l1"
     # the t bounding each coordinate of B u: its own (l1), its block's (linf)
-    t_col = np.empty(offs[-1], dtype=int)
-    t_col[is_l1] = 2 * n + np.arange(n_e)
-    is_linf = np.array(tags) == "linf"
-    t_col[~is_l1] = 2 * n + n_e + np.repeat(np.cumsum(is_linf) - 1,
-                                            sizes)[~is_l1]
-    n_t = n_e + int(is_linf.sum())
-    g = np.zeros((2 * offs[-1], 2 * n + n_t))
+    owner = np.where(is_l1, np.arange(dim_e), dim_e + block_of)
+    ts, t_col = np.unique(owner, return_inverse=True)
+    n_t = ts.size
+    g = np.zeros((2 * dim_e, 2 * n + n_t))
     g[0::2, :n], g[0::2, n:2 * n] = b, -b
     g[1::2, :n], g[1::2, n:2 * n] = -b, b
-    g[np.arange(g.shape[0]), np.repeat(t_col, 2)] = -1.0
+    g[np.arange(g.shape[0]), np.repeat(2 * n + t_col, 2)] = -1.0
     return np.concatenate([np.zeros(2 * n), np.ones(n_t)]), g
 
 
@@ -475,13 +469,11 @@ def omega(structure, w):
     """
     if structure.kind != "group":
         raise ValueError("omega is defined for group structures")
-    sizes = [len(v) for v in structure.blocks]
-    n_e = sum(sizes)
+    n_e, starts = structure.ambient_dim_e, structure.offsets
     w = np.asarray(w, dtype=float)
     if w.shape != (n_e, n_e):
         raise ValueError(f"expected a {n_e}x{n_e} matrix, got {w.shape}")
-    k = len(sizes)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    k = starts.size - 1
     out = np.zeros((k, k))
     exact = np.zeros((k, k), dtype=bool)
     for i in range(k):
@@ -554,21 +546,14 @@ def prox_vector_norm(v, tag, tau):
     raise UnsupportedNormError(f"prox not implemented for {tag!r}")
 
 
-def _block_index(structure):
-    """(block sizes, block of each E-vector entry)."""
-    sizes = np.array([len(v) for v in structure.blocks])
-    return sizes, np.repeat(np.arange(sizes.size), sizes)
-
-
 def _prox_l2_groups(structure, w, tau):
     """Block shrinkage for an all-l2 block layout in one vectorized pass."""
     w = _e_vector(structure, w)
-    sizes, block_id = _block_index(structure)
-    nrm = np.sqrt(np.bincount(block_id, weights=w * w, minlength=sizes.size))
-    scale = np.zeros(sizes.size)
+    nrm = np.sqrt(np.bincount(structure.block_of, weights=w * w))
+    scale = np.zeros(nrm.size)
     keep = nrm > tau
     scale[keep] = 1.0 - tau / nrm[keep]
-    return w * scale[block_id]
+    return w * scale[structure.block_of]
 
 
 def _prox_linf_groups(structure, w, tau):
@@ -579,18 +564,17 @@ def _prox_linf_groups(structure, w, tau):
     w = _e_vector(structure, w)
     if tau == 0:
         return w.copy()
-    sizes, block_id = _block_index(structure)
-    start = np.cumsum(sizes) - sizes
+    start, block_of = structure.offsets[:-1], structure.block_of
     a = np.abs(w)
-    u = a[np.lexsort((-a, block_id))]          # descending inside each block
+    u = a[np.lexsort((-a, block_of))]          # descending inside each block
     css = np.cumsum(u)
-    css -= np.repeat((css - u)[start], sizes)  # cumulative sums per block
-    rank = np.arange(1, a.size + 1) - np.repeat(start, sizes)
+    css -= (css - u)[start][block_of]          # cumulative sums per block
+    rank = np.arange(1, a.size + 1) - start[block_of]
     # last rank of each block passing the threshold test; rank 1 always does
     rho = np.maximum.reduceat(np.where(u * rank > css - tau, rank, 0), start)
     theta = (css[start + rho - 1] - tau) / rho
-    theta[np.bincount(block_id, weights=a) <= tau] = 0.0  # inside the ball
-    return w - np.sign(w) * np.maximum(a - theta[block_id], 0.0)
+    theta[np.bincount(block_of, weights=a) <= tau] = 0.0  # inside the ball
+    return w - np.sign(w) * np.maximum(a - theta[block_of], 0.0)
 
 
 def prox_structure_norm(structure, w, tau):
@@ -617,6 +601,6 @@ def prox_structure_norm(structure, w, tau):
         return _prox_l2_groups(structure, w, tau)
     if structure.shared_norm == "linf":
         return _prox_linf_groups(structure, w, tau)
-    views = _group_block_views(structure, w)
+    views = np.split(_e_vector(structure, w), structure.offsets[1:-1])
     return np.concatenate([prox_vector_norm(b, t, tau)
                            for b, t in zip(views, structure.block_norms)])

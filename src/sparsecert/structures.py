@@ -15,8 +15,10 @@ Three concrete models are implemented:
                 = max of the two ranks.  The complement is
                 (I - P_left) x (I - P_right), which is NOT identity minus P.
 
-Plain and group structures carry ``shared_norm``, the tag all their blocks
-share (None when mixed), derived at construction.
+Fields derived at construction: ``shared_norm`` (the tag all blocks share,
+else None) and the block layout of E that every block norm, prox, projector
+and LP builder reads: ``offsets`` (block k is E[offsets[k]:offsets[k+1]])
+and ``block_of`` (the block of each E coordinate; empty for low rank).
 
 The module also houses randomized verification of the three axioms the
 framework rests on: every P is idempotent (A.1), the complement kills the
@@ -59,11 +61,19 @@ class SparsityStructure:
     p: int = 0
     q: int = 0
     shared_norm: str | None = field(init=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    block_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         tags = set(self.block_norms)
         object.__setattr__(self, "shared_norm",
                            tags.pop() if len(tags) == 1 else None)
+        sizes = [len(v) for v in self.blocks]
+        offsets = np.cumsum([0] + sizes)
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        for name, arr in (("offsets", offsets), ("block_of", block_of)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def full_weight(self):
         """Largest projector weight in the family."""
@@ -280,9 +290,7 @@ def project(structure, proj, w, which="direct"):
         if w.size != structure.ambient_dim_e:
             raise ValueError(f"expected E-dimension {structure.ambient_dim_e}, "
                              f"got {w.size}")
-        kept = np.zeros(len(structure.blocks), dtype=bool)
-        kept[list(proj.block_set)] = True
-        mask = np.repeat(kept, [len(v) for v in structure.blocks])
+        mask = np.isin(structure.block_of, list(proj.block_set))
         return np.where(mask, w, 0.0) if which == "direct" else np.where(mask, 0.0, w)
     # lowrank
     w = np.asarray(w, dtype=float)
@@ -374,6 +382,7 @@ class SparseApprox(NamedTuple):
     projector: ProjectorDesc
     delta_x: float
     exact: bool
+    kept: float     # the structure-norm mass the projector keeps
 
 
 def best_sparse_approx(structure, w, s):
@@ -383,22 +392,22 @@ def best_sparse_approx(structure, w, s):
     ``norms.select_blocks`` can (unit or integer weights, or at most 25
     blocks; plain keeps the s largest magnitudes), else take its greedy
     set, an upper bound flagged exact=False; lowrank truncates the SVD.
-    delta_x is ||w - Pw|| in the structure norm.
+    delta_x is ||w - Pw|| in the structure norm, kept the norm of Pw.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if structure.kind != "lowrank":
         vals = norms.group_block_norms(structure, w)
-        _, mask, exact = norms.select_blocks(vals, structure.weights, s)
+        kept, mask, exact = norms.select_blocks(vals, structure.weights, s)
         p = group_projector(structure, np.nonzero(mask)[0])
         delta = float(vals[~mask].sum())
-        return SparseApprox(p, delta, exact)
+        return SparseApprox(p, delta, exact, kept)
     # lowrank: truncated SVD projectors
     w = np.asarray(w, dtype=float).reshape(structure.p, structure.q)
     k = min(int(math.floor(s + 1e-12)), structure.p, structure.q)
     u, sv, vt = svd_descending(w)
     p = lowrank_projector(structure, u[:, :k], vt[:k, :].T)
-    return SparseApprox(p, float(sv[k:].sum()), True)
+    return SparseApprox(p, float(sv[k:].sum()), True, float(sv[:k].sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,44 @@ def block_norms_oracle(structure, w):
     return np.array(out)
 
 
+def group_ratio_and_grad_oracle(structure, bmat, z, s):
+    """The brute force's retained-mass ratio at z and its supergradient,
+    one block at a time: sign(w) on l1 blocks, w / norm on l2 blocks (0 on
+    a zero block), and on linf blocks the sign of the block's first entry
+    of largest magnitude."""
+    from sparsecert import norms
+
+    w = bmat @ z
+    vals = block_norms_oracle(structure, w)
+    num, mask, _ = norms.select_blocks(vals, structure.weights, s)
+    den = float(vals.sum())
+    if den < 1e-14:
+        return 0.0, np.zeros(z.size)
+    grad_num = np.zeros(bmat.shape[0])
+    grad_den = np.zeros(bmat.shape[0])
+    pos = 0
+    for l, (v, t) in enumerate(zip(structure.blocks, structure.block_norms)):
+        seg = slice(pos, pos + len(v))
+        wl = w[seg]
+        nl = np.linalg.norm(wl) if t == "l2" else None
+        if t == "l1":
+            gl = np.sign(wl)
+        elif t == "linf":
+            gl = np.zeros(len(v))
+            if np.abs(wl).max() > 0:
+                j = int(np.argmax(np.abs(wl)))
+                gl[j] = np.sign(wl[j])
+        else:
+            gl = wl / nl if nl > 1e-14 else np.zeros(len(v))
+        grad_den[seg] = gl
+        if mask[l]:
+            grad_num[seg] = gl
+        pos += len(v)
+    ratio = num / den
+    grad_w = (grad_num * den - num * grad_den) / den ** 2
+    return ratio, bmat.T @ grad_w
+
+
 def ps_oracle(structure, z, s):
     """Exhaustive evaluation of the mediating seminorm."""
     if structure.kind == "plain":
@@ -564,7 +602,7 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     optimal), with ``lp_count``, ``lp_iterations`` and ``gamma_upper`` in
     its details.
     """
-    from sparsecert import norms, structures
+    from sparsecert import structures
     from sparsecert.certify import bruteforce
     from sparsecert.engine import LPSequence, Status
 
@@ -580,7 +618,7 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
             blocks, tags = structure.blocks, structure.block_norms
         nf = n
     else:
-        offs, tags, _ = norms.rep_blocks(structure)
+        offs, tags = structure.offsets, structure.block_norms
         blocks = [tuple(range(lo, hi)) for lo, hi in zip(offs[:-1], offs[1:])]
         nf = lift.shape[0]
     costs = []

@@ -8,8 +8,8 @@ from sparsecert.certify import (check_condition_Cs, gamma_s_bruteforce,
                                 psi_s, synth_certificate_group)
 from sparsecert.recovery import RecoveryProblem, recover_regular
 
-from oracles import (gamma_kernel1_oracle, matrix_with_kernel,
-                     unpruned_bruteforce_oracle)
+from oracles import (gamma_kernel1_oracle, group_ratio_and_grad_oracle,
+                     matrix_with_kernel, unpruned_bruteforce_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +380,30 @@ def test_group_bruteforce_l2_blocks_only_brackets(rng):
     assert v.status == "CertifiedBad"
     lo, hi = v.bracket
     assert lo <= v.gamma_value + 1e-12 and hi == 1.0
+
+
+def test_group_ratio_and_grad_matches_per_block_loop():
+    """The sampled ascent's ratio and supergradient, one array pass per
+    tag, equal the per-block loop to 1e-12 on mixed l1/l2/linf layouts,
+    with zero blocks and tied linf maxima (the first one takes the sign)."""
+    from sparsecert.certify.bruteforce import _group_ratio_and_grad
+    r = np.random.default_rng(5)
+    blocks = [(0, 1, 2), (2, 3), (4,), (5, 6, 7, 8), (0, 9), (10, 11, 12)]
+    for trial in range(40):
+        tags = list(r.choice(["l1", "l2", "linf"], size=len(blocks)))
+        st, rep = structures.build_group(blocks, block_norm=tags)
+        z = r.standard_normal(13)
+        if trial % 2:
+            z[5:9] = 0.0                     # a zero block
+        if trial % 3 == 0:
+            z[10:13] = [-2.0, 2.0, 1.0]      # tied maxima, first negative
+        for s in (1.0, 2.0):
+            got = _group_ratio_and_grad(st, rep.matrix, z, s)
+            want = group_ratio_and_grad_oracle(st, rep.matrix, z, s)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+            assert np.allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
+    zero = _group_ratio_and_grad(st, rep.matrix, np.zeros(13), 1.0)
+    assert zero[0] == 0.0 and not zero[1].any()
 
 
 def test_lowrank_bruteforce_injective_is_good():

@@ -400,6 +400,21 @@ def test_experiment_outputs_are_bit_identical(tmp_path):
     assert (tmp_path / "rows.csv").read_bytes() == first
 
 
+def test_readme_experiment_config_runs(tmp_path, monkeypatch):
+    """The README's example config, cut to 2 trials, runs to exit 0 and
+    writes its table and summary."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("```json", readme.index("**Experiment configs**"))
+    block = readme[start + len("```json"):readme.index("```", start + 7)]
+    cfg = dict(json.loads(block), trials=2)
+    monkeypatch.chdir(tmp_path)
+    serialize.save_json(tmp_path / "config.json", cfg)
+    assert cli.main(["experiment", "--config", "config.json"]) == 0
+    rows = (tmp_path / cfg["output"]["table"]).read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2           # header, trials x modes
+    assert serialize.load_json(tmp_path / cfg["output"]["summary"])["trials"] == 2
+
+
 def test_experiment_unsupported_combo_is_exit_five(tmp_path, capsys):
     path = make_config(tmp_path)
     cfg = serialize.load_json(path)

@@ -158,6 +158,28 @@ def test_opt_star_is_deterministic():
     assert a == b
 
 
+def test_opt_star_evaluates_each_iterate_once(monkeypatch):
+    """Each level k evaluates its iters + 1 iterates once each, the zero
+    split included, at 3 SVDs per evaluation; the seeded values are pinned
+    (they are those of evaluating the zero split twice)."""
+    from sparsecert.certify import lowrank
+    calls = []
+    real = lowrank._top_k_subgradient
+
+    def counting(mat, k):
+        calls.append(k)
+        return real(mat, k)
+
+    monkeypatch.setattr(lowrank, "_top_k_subgradient", counting)
+    w = np.random.default_rng(5).standard_normal((9, 9))
+    assert opt_star(w, 1, 3, 3, iters=40) == 10.929601513333047
+    assert len(calls) == 2 * 3 * (40 + 1)          # levels k = 1 and 2
+    calls.clear()
+    w = np.random.default_rng(8).standard_normal((8, 8))
+    assert opt_star(w, 1, 4, 2, iters=0) == 14.960559535289192
+    assert len(calls) == 2 * 3
+
+
 def test_opt_level_validation():
     with pytest.raises(ValueError):
         opt_bar(np.eye(4), 0, 2, 2)

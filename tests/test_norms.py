@@ -130,6 +130,37 @@ def test_structure_norms(rng):
     assert structure_norm(lr, m.ravel(), dual=True) == pytest.approx(sv[0])
 
 
+def test_block_norms_match_per_block_vector_norm():
+    """The array passes over the block layout give every block's norm and
+    dual norm as ``vector_norm`` does block by block, to rel 1e-13: mixed
+    l1/l2/linf layouts with block sizes 1 to 12, overlapping coordinates,
+    a zero block and tied magnitudes."""
+    r = np.random.default_rng(11)
+    for trial in range(60):
+        k = int(r.integers(1, 10))
+        sizes = r.integers(1, 13, size=k)
+        n = int(sizes.max()) + 2
+        blocks = [r.choice(n, size=int(c), replace=False) for c in sizes]
+        blocks.append(range(n))                      # cover every coordinate
+        tags = list(r.choice(norms.VECTOR_TAGS, size=len(blocks)))
+        gr, rep = structures.build_group(blocks, block_norm=tags)
+        w = rep.apply(r.standard_normal(n) * r.uniform(0.1, 5.0))
+        starts = np.concatenate([[0], np.cumsum([len(v) for v in blocks])])
+        if trial % 3 == 0:
+            w[starts[0]:starts[1]] = 0.0             # a zero block
+        if trial % 4 == 0:
+            w[starts[-2]] = -w[-1]                   # a tied magnitude
+        views = [w[starts[i]:starts[i + 1]] for i in range(len(blocks))]
+        ref = np.array([vector_norm(v, t) for v, t in zip(views, tags)])
+        ref_dual = np.array([vector_norm(v, dual_tag(t))
+                             for v, t in zip(views, tags)])
+        got = norms.group_block_norms(gr, w)
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        assert structure_norm(gr, w) == pytest.approx(ref.sum(), rel=1e-13)
+        assert structure_norm(gr, w, dual=True) == \
+            pytest.approx(ref_dual.max(), rel=1e-13)
+
+
 def test_holder_inequality_everywhere(rng):
     structs = (structures.build_plain(7)[0],
                structures.build_group([(0, 1, 2), (3, 4), (5, 6)],

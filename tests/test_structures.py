@@ -40,6 +40,24 @@ def test_shared_norm_is_derived_from_the_block_tags():
     assert build_lowrank(2, 3)[0].shared_norm is None
 
 
+def test_block_layout_is_derived_at_construction():
+    """``offsets`` (K + 1 block starts in E) and ``block_of`` (the block of
+    each E coordinate) come with the structure, read-only; overlapping
+    blocks stack in E, and low rank has no blocks."""
+    pl, _ = build_plain(4)
+    assert pl.offsets.tolist() == [0, 1, 2, 3, 4]
+    assert pl.block_of.tolist() == [0, 1, 2, 3]
+    gr, _ = build_group(BLOCKS, block_norm=["l1", "l2", "linf", "l2"])
+    assert gr.offsets.tolist() == [0, 3, 5, 8, 10]
+    assert gr.block_of.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
+    assert gr.offsets[-1] == gr.ambient_dim_e == 10
+    lr, _ = build_lowrank(2, 3)
+    assert lr.offsets.tolist() == [0] and lr.block_of.size == 0
+    for arr in (gr.offsets, gr.block_of, lr.block_of):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_plain_is_the_singleton_l1_block_layout(rng):
     """A plain structure and the group of its n singleton l1 blocks give the
     same norms, seminorm, prox, best approximation and worst projector; the
@@ -264,6 +282,41 @@ def test_best_sparse_approx_lowrank_truncates_svd(rng):
         got = best_sparse_approx(st, m, s)
         assert got.delta_x == pytest.approx(sv[s:].sum(), abs=1e-9)
     assert best_sparse_approx(st, m, 4).delta_x == pytest.approx(0.0, abs=1e-12)
+
+
+def test_worst_condition_projector_is_the_best_sparse_approx(rng):
+    """The worst projector is ``best_sparse_approx``'s, and its left side is
+    twice the mass that keeps: bitwise the selection it made by itself for
+    plain and group, the truncated SVD for low rank."""
+    from sparsecert.certify.conditions import worst_condition_projector
+    pl, _ = build_plain(9)
+    gr, _ = build_group(BLOCKS, weights=[1.0, 2.0, 1.0, 1.5],
+                        block_norm=["l1", "l2", "linf", "l2"])
+    for st in (pl, gr):
+        for _ in range(20):
+            w = rng.standard_normal(st.ambient_dim_e)
+            for s in (0.0, 1.0, 2.5, 4.0):
+                vals = norms.group_block_norms(st, w)
+                value, mask, _ = norms.select_blocks(vals, st.weights, s)
+                proj, lhs = worst_condition_projector(st, w, s)
+                assert lhs == 2.0 * value
+                assert proj.block_set == frozenset(np.nonzero(mask)[0])
+                approx = best_sparse_approx(st, w, s)
+                assert approx.kept == value
+    lr, _ = build_lowrank(4, 3)
+    for _ in range(20):
+        m = rng.standard_normal((4, 3))
+        for s in (1, 2, 5):
+            k = min(s, 3)
+            u, sv, vt = norms.svd_descending(m)
+            proj, lhs = worst_condition_projector(lr, m.ravel(), s)
+            assert lhs == 2.0 * float(sv[:k].sum())
+            assert np.array_equal(proj.left, u[:, :k])
+            assert np.array_equal(proj.right, vt[:k, :].T)
+            # the random probes never lower the left side
+            _, probed = worst_condition_projector(
+                lr, m.ravel(), s, rng=np.random.default_rng(0), probes=5)
+            assert probed >= lhs
 
 
 def test_full_weight_approx_is_lossless(rng):

@@ -487,9 +487,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()  # once per process, not per call of main
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (serialize.FormatError, structures.StructureError) as exc:

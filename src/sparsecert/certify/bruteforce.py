@@ -349,19 +349,18 @@ def _group_ratio_and_grad(structure, bmat, z, s):
     if den < 1e-14:
         return 0.0, np.zeros(z.size)
     # block norm supergradients (linf: the sign of the first largest entry)
-    block_of, tags = structure.block_of, structure.block_norms
-    tag_of = np.asarray(tags)[block_of]
+    block_of = structure.block_of
     grad_den = np.sign(w)
-    if "l2" in tags:
-        nl, l2 = vals[block_of], tag_of == "l2"
-        grad_den[l2] = np.divide(w, nl, out=np.zeros_like(w),
-                                 where=nl > 1e-14)[l2]
-    if "linf" in tags:
-        linf = tag_of == "linf"
-        top = np.flatnonzero(linf & (np.abs(w) == vals[block_of]))
-        top = top[np.r_[True, np.diff(block_of[top]) != 0]]
-        grad_den[linf] = 0.0
-        grad_den[top] = np.sign(w[top])
+    for tag, _blocks, coords, _starts in structure.tag_blocks:
+        if tag == "l2":
+            wl, nl = w[coords], vals[block_of[coords]]
+            grad_den[coords] = np.divide(wl, nl, out=np.zeros_like(wl),
+                                         where=nl > 1e-14)
+        elif tag == "linf":
+            top = coords[np.abs(w[coords]) == vals[block_of[coords]]]
+            top = top[np.r_[True, np.diff(block_of[top]) != 0]]
+            grad_den[coords] = 0.0
+            grad_den[top] = np.sign(w[top])
     grad_num = np.where(mask[block_of], grad_den, 0.0)
     ratio = num / den
     grad_w = (grad_num * den - num * grad_den) / den ** 2

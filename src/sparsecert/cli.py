@@ -74,6 +74,7 @@ def cmd_recover(args):
         "delta": result.delta,
         "delta_phi": result.delta_phi,
         "iterations": result.report.iterations,
+        "anderson": result.report.anderson,
     }
     if args.out:
         serialize.save_json(args.out, doc)
@@ -344,6 +345,8 @@ def cmd_experiment(args):
     bmat = rep.matrix
     law = cfg.signal.get("magnitude", "unit")
 
+    anderson = dict.fromkeys(("accepted", "rejected", "resets"), 0)
+
     def one_trial(i):
         sig_rng = np.random.default_rng([int(cfg.signal["seed"]), i])
         noi_rng = np.random.default_rng([int(cfg.noise["seed"]), i])
@@ -364,6 +367,8 @@ def cmd_experiment(args):
                 budget = ErrorBudget(epsilon=eps, delta_x=dx, delta=res.delta,
                                      lam=lam,
                                      phi_xi=norms.vector_norm(xi, phi))
+            for key, count in (res.report.anderson or {}).items():
+                anderson[key] += count
             if res.w_hat is None:
                 rows.append((i, mode, float(s), eps, np.inf, np.inf, -np.inf))
                 continue
@@ -395,6 +400,7 @@ def cmd_experiment(args):
         "worst_margin": min(margins) if margins else None,
         "mean_error": float(np.mean([r[4] for r in all_rows])) if all_rows else None,
         "violations": len(violations),
+        "anderson": anderson,
     }
     if cfg.output.get("summary"):
         serialize.save_json(cfg.output["summary"], summary)
@@ -404,6 +410,8 @@ def cmd_experiment(args):
         f"worst margin: {summary['worst_margin']:.3e}" if margins else "no rows",
         "all bounds hold" if not violations else
         f"{len(violations)} bound violation(s)",
+        "ADMM Anderson steps: {accepted} accepted, {rejected} rejected, "
+        "{resets} memory resets".format(**anderson),
     ])
     return 7 if violations else 0
 

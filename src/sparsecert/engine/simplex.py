@@ -109,6 +109,7 @@ class SolveReport:
     used_bland: bool = False             # lexicographic rule in force at the end
     warnings: list = field(default_factory=list)
     standard: dict | None = None         # equality-form data for verification
+    anderson: dict | None = None         # split solves: accepted/rejected/resets
 
 
 class _Standard:

@@ -19,7 +19,8 @@ three families of vector/matrix norms:
 Structure-aware functions take the structure duck-typed, touching only
 ``kind`` (low rank or a block layout), ``blocks``, ``weights``,
 ``block_norms``, ``shared_norm`` (the tag all blocks share, or None), the
-block layout ``offsets`` and ``block_of`` (see :mod:`.structures`),
+block layout ``offsets``, ``block_of`` and ``tag_blocks`` (see
+:mod:`.structures`),
 ``ambient_dim_e``, ``p`` and ``q``, so there is no import cycle with
 :mod:`.structures`.  Plain means the n singleton l1 blocks, unit weights.
 """
@@ -289,27 +290,27 @@ _BLOCK_NORM = {
 }
 
 
-def _block_norms(structure, w, tags):
-    """Block norms of w under ``tags``: a pass per tag, |w| for singletons."""
+def _block_norms(structure, w, dual=False):
+    """Block norms of w, or their dual norms: |w| for singletons, else one
+    pass per tag, a gather of that tag's blocks when the tags are mixed."""
     w = _e_vector(structure, w)
     starts = structure.offsets[:-1]
     if starts.size == w.size:
         return np.abs(w)
-    present = set(tags)
-    if len(present) == 1:
-        return _BLOCK_NORM[present.pop()](w, starts)
-    tags = np.asarray(tags)
+    if structure.shared_norm is not None:
+        tag = structure.shared_norm
+        return _BLOCK_NORM[_DUAL[tag] if dual else tag](w, starts)
     out = np.empty(starts.size)
-    for tag in present:
-        sel = tags == tag
-        out[sel] = _BLOCK_NORM[tag](w, starts)[sel]
+    for tag, blocks, coords, sub_starts in structure.tag_blocks:
+        kernel = _BLOCK_NORM[_DUAL[tag] if dual else tag]
+        out[blocks] = kernel(w[coords], sub_starts)
     return out
 
 
 def group_block_norms(structure, w):
     """Vector of per-block norms [||w^1||_(1), ..., ||w^K||_(K)]; |w| when
     every block is a singleton."""
-    return _block_norms(structure, w, structure.block_norms)
+    return _block_norms(structure, w)
 
 
 def _as_matrix(structure, w):
@@ -331,8 +332,7 @@ def structure_norm(structure, w, dual=False):
         sv = singular_values(_as_matrix(structure, w))
         return float(sv[0]) if dual else float(sv.sum())
     if dual:
-        tags = [_DUAL[t] for t in structure.block_norms]
-        return float(_block_norms(structure, w, tags).max())
+        return float(_block_norms(structure, w, dual=True).max())
     return float(group_block_norms(structure, w).sum())
 
 
@@ -501,14 +501,37 @@ def project_l1_ball(v, radius):
         raise ValueError("radius must be nonnegative")
     if radius == 0:
         return np.zeros_like(v)
+    return _l1_ball(v, radius)
+
+
+def _l1_ball(v, radius):
+    """``project_l1_ball`` of a float array v for a radius > 0, unchecked."""
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
-    css = np.cumsum(u)
+    css = u.cumsum()
     rho = np.nonzero(u * np.arange(1, a.size + 1) > css - radius)[0][-1]
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def ball_projector(phi, radius):
+    """Euclidean projection onto {x : phi(x) <= radius}, radius >= 0, as a
+    function of a float vector, picked once: no dispatch and no input
+    checks per call (``project_ball`` is the checked entry point)."""
+    if phi == "linf":
+        return lambda v: np.clip(v, -radius, radius)
+    if phi == "l2":
+        def project(v):
+            nrm = math.sqrt(v @ v)  # = np.linalg.norm(v) on a vector, bitwise
+            return v.copy() if nrm <= radius else v * (radius / nrm)
+        return project
+    if phi == "l1":
+        if radius == 0:
+            return np.zeros_like
+        return lambda v: _l1_ball(v, radius)
+    raise UnsupportedNormError(f"project_ball does not handle {phi!r}")
 
 
 def project_ball(v, phi, radius):
@@ -516,14 +539,32 @@ def project_ball(v, phi, radius):
     v = np.asarray(v, dtype=float)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if phi == "linf":
-        return np.clip(v, -radius, radius)
-    if phi == "l2":
-        nrm = math.sqrt(v @ v)  # = np.linalg.norm(v) on a vector, bitwise
-        return v.copy() if nrm <= radius else v * (radius / nrm)
-    if phi == "l1":
-        return project_l1_ball(v, radius)
-    raise UnsupportedNormError(f"project_ball does not handle {phi!r}")
+    return ball_projector(phi, radius)(v)
+
+
+def _prox_l2(v, tau):
+    nrm = math.sqrt(v @ v)  # = np.linalg.norm(v) on a vector, bitwise
+    if nrm <= tau:
+        return np.zeros_like(v)
+    return v * (1.0 - tau / nrm)
+
+
+def _prox_linf(v, tau):
+    # Moreau: prox of the linf norm is residual of the l1-ball projection
+    return v - _l1_ball(v, tau)
+
+
+_VECTOR_PROX = {"l1": soft_threshold, "l2": _prox_l2, "linf": _prox_linf}
+
+
+def vector_prox(tag):
+    """The prox of tau*||.||_tag as a function ``prox(v, tau)`` of a float
+    vector and tau > 0, picked once and unchecked (``prox_vector_norm`` is
+    the checked entry point)."""
+    try:
+        return _VECTOR_PROX[tag]
+    except KeyError:
+        raise UnsupportedNormError(f"prox not implemented for {tag!r}") from None
 
 
 def prox_vector_norm(v, tag, tau):
@@ -533,27 +574,16 @@ def prox_vector_norm(v, tag, tau):
         raise ValueError("tau must be nonnegative")
     if tau == 0:
         return v.copy()
-    if tag == "l1":
-        return soft_threshold(v, tau)
-    if tag == "l2":
-        nrm = math.sqrt(v @ v)  # = np.linalg.norm(v) on a vector, bitwise
-        if nrm <= tau:
-            return np.zeros_like(v)
-        return v * (1.0 - tau / nrm)
-    if tag == "linf":
-        # Moreau: prox of the linf norm is residual of the l1-ball projection
-        return v - project_l1_ball(v, tau)
-    raise UnsupportedNormError(f"prox not implemented for {tag!r}")
+    return vector_prox(tag)(v, tau)
 
 
-def _prox_l2_groups(structure, w, tau):
+def _prox_l2_groups(block_of, w, tau):
     """Block shrinkage for an all-l2 block layout in one vectorized pass."""
-    w = _e_vector(structure, w)
-    nrm = np.sqrt(np.bincount(structure.block_of, weights=w * w))
+    nrm = np.sqrt(np.bincount(block_of, weights=w * w))
     scale = np.zeros(nrm.size)
     keep = nrm > tau
     scale[keep] = 1.0 - tau / nrm[keep]
-    return w * scale[structure.block_of]
+    return w * scale[block_of]
 
 
 def _prox_linf_groups(structure, w, tau):
@@ -561,7 +591,6 @@ def _prox_linf_groups(structure, w, tau):
     Moreau's identity, w minus each block's projection onto the l1 ball of
     radius tau, every block's threshold found in one sorted pass (the
     per-block rule of ``project_l1_ball``)."""
-    w = _e_vector(structure, w)
     if tau == 0:
         return w.copy()
     start, block_of = structure.offsets[:-1], structure.block_of
@@ -577,6 +606,34 @@ def _prox_linf_groups(structure, w, tau):
     return w - np.sign(w) * np.maximum(a - theta[block_of], 0.0)
 
 
+def structure_prox(structure):
+    """The prox of the structure norm as a function ``prox(w, tau)`` of a
+    flat E-vector w and a weight tau >= 0, picked once for the structure.
+
+    The returned function neither dispatches nor checks its input, so a
+    solver that calls it every iteration pays for neither;
+    ``prox_structure_norm`` is the checked entry point.
+    """
+    if structure.kind == "lowrank":
+        shape = (structure.p, structure.q)
+
+        def prox(w, tau):
+            # no sign convention needed: flipping a column of U together
+            # with the matching row of Vt leaves (U * s) @ Vt bitwise unchanged
+            u, sv, vt = np.linalg.svd(w.reshape(shape), full_matrices=False)
+            return ((u * np.maximum(sv - tau, 0.0)) @ vt).reshape(-1)
+        return prox
+    if structure.shared_norm == "l1":
+        return soft_threshold
+    if structure.shared_norm == "l2":
+        return lambda w, tau: _prox_l2_groups(structure.block_of, w, tau)
+    if structure.shared_norm == "linf":
+        return lambda w, tau: _prox_linf_groups(structure, w, tau)
+    cuts, tags = structure.offsets[1:-1], structure.block_norms
+    return lambda w, tau: np.concatenate([
+        prox_vector_norm(b, t, tau) for b, t in zip(np.split(w, cuts), tags)])
+
+
 def prox_structure_norm(structure, w, tau):
     """argmin_u tau*||u|| + (1/2)*||u - w||_2^2 for the structure norm.
 
@@ -589,18 +646,6 @@ def prox_structure_norm(structure, w, tau):
         raise ValueError("tau must be nonnegative")
     if structure.kind == "lowrank":
         w = np.asarray(w, dtype=float)
-        flat = w.ndim == 1
-        # no sign convention needed: flipping a column of U together with the
-        # matching row of Vt leaves (U * s) @ Vt bitwise unchanged
-        u, sv, vt = np.linalg.svd(_as_matrix(structure, w), full_matrices=False)
-        out = (u * np.maximum(sv - tau, 0.0)) @ vt
-        return out.reshape(-1) if flat else out
-    if structure.shared_norm == "l1":
-        return soft_threshold(_e_vector(structure, w), tau)
-    if structure.shared_norm == "l2":
-        return _prox_l2_groups(structure, w, tau)
-    if structure.shared_norm == "linf":
-        return _prox_linf_groups(structure, w, tau)
-    views = np.split(_e_vector(structure, w), structure.offsets[1:-1])
-    return np.concatenate([prox_vector_norm(b, t, tau)
-                           for b, t in zip(views, structure.block_norms)])
+        out = structure_prox(structure)(_as_matrix(structure, w).reshape(-1), tau)
+        return out if w.ndim == 1 else out.reshape(structure.p, structure.q)
+    return structure_prox(structure)(_e_vector(structure, w), tau)

@@ -183,13 +183,8 @@ def _finish(problem, structure, bmat, x, report, mode, lam=0.0):
         delta_phi = max(0.0, fit - problem.epsilon)
     else:
         delta_phi = 0.0  # penalized program has no feasibility constraint
-    if np.isfinite(report.delta):
-        delta = float(report.delta)
-    else:
-        # splitting path: residual-based near-optimality estimate
-        res = report.residuals
-        delta = float((res.get("primal", 0.0) + res.get("dual", 0.0))
-                      * (1.0 + np.abs(w).sum()))
+    # both backends report a certified duality gap at x
+    delta = float(report.delta) if np.isfinite(report.delta) else np.inf
     report.objective = norms.structure_norm(structure, w) + \
         (lam * fit if mode == "penalized" else 0.0)
     return RecoveryResult(x_hat=x, w_hat=w, delta=delta, delta_phi=delta_phi,

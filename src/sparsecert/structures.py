@@ -18,7 +18,9 @@ Three concrete models are implemented:
 Fields derived at construction: ``shared_norm`` (the tag all blocks share,
 else None) and the block layout of E that every block norm, prox, projector
 and LP builder reads: ``offsets`` (block k is E[offsets[k]:offsets[k+1]])
-and ``block_of`` (the block of each E coordinate; empty for low rank).
+and ``block_of`` (the block of each E coordinate; empty for low rank), and
+``tag_blocks``, one ``TagBlocks`` per norm tag present, so that a mixed-tag
+layout takes each tag's block norms with one gather.
 
 The module also houses randomized verification of the three axioms the
 framework rests on: every P is idempotent (A.1), the complement kills the
@@ -49,6 +51,15 @@ class NotEnumerableError(RuntimeError):
     """The projector family is continuous (or too large) and cannot be listed."""
 
 
+class TagBlocks(NamedTuple):
+    """The blocks of one norm tag: their indices, their E coordinates block
+    by block, and where each block starts among those coordinates."""
+    tag: str
+    blocks: np.ndarray
+    coords: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SparsityStructure:
     kind: str
@@ -63,17 +74,28 @@ class SparsityStructure:
     shared_norm: str | None = field(init=False)
     offsets: np.ndarray = field(init=False, repr=False)
     block_of: np.ndarray = field(init=False, repr=False)
+    tag_blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        tags = set(self.block_norms)
+        tags = sorted(set(self.block_norms))
         object.__setattr__(self, "shared_norm",
-                           tags.pop() if len(tags) == 1 else None)
-        sizes = [len(v) for v in self.blocks]
-        offsets = np.cumsum([0] + sizes)
-        block_of = np.repeat(np.arange(len(sizes)), sizes)
-        for name, arr in (("offsets", offsets), ("block_of", block_of)):
+                           tags[0] if len(tags) == 1 else None)
+        sizes = np.array([len(v) for v in self.blocks], dtype=int)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        block_of = np.repeat(np.arange(sizes.size), sizes)
+        tag_of = np.array(self.block_norms)
+        groups = []
+        for tag in tags:
+            blocks = np.flatnonzero(tag_of == tag)
+            coords = np.flatnonzero(tag_of[block_of] == tag)
+            size = sizes[blocks]
+            groups.append(TagBlocks(tag, blocks, coords, np.cumsum(size) - size))
+        arrays = [offsets, block_of] + [a for g in groups for a in g[1:]]
+        for arr in arrays:
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "tag_blocks", tuple(groups))
 
     def full_weight(self):
         """Largest projector weight in the family."""

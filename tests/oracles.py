@@ -753,3 +753,71 @@ def reference_tableau_run(tab, allowed, budget, path, seen):
         if tab.lex_ref is None and tab._streak >= _DEGENERATE_STREAK:
             tab.lex_ref = tab.basis.copy()
     return "maxiter", None
+
+
+def plain_admm_oracle(sp):
+    """The splitting scheme without Anderson acceleration: (u, SolveReport).
+
+    The same ADMM map as ``engine.splitting.solve_split`` (u-step on the
+    Cholesky gain, structure prox, ball projection or phi prox, scaled dual
+    update), the same penalty start, residual balancing with its one-reversal
+    rule, and the same residual stop; every iterate is the plain step and
+    the u-iterate is returned.
+    """
+    from sparsecert import norms
+    from sparsecert.engine import SolveReport, Status
+    from sparsecert.engine.splitting import (_RESCALE_EVERY, _RHO_BOUNDS,
+                                             _objective, _penalty_start,
+                                             _u_step_gain)
+    m, n = sp.a.shape
+    e_dim = sp.b.shape[0]
+    stack = np.vstack([sp.b, sp.a])
+    gain, warnings = _u_step_gain(stack)
+    rho, dual_scale = _penalty_start(stack, bool(warnings))
+    u = np.zeros(n)
+    v = stack @ u
+    mu = np.zeros(e_dim + m)
+    status = Status.MAXITER
+    it = 0
+    r_primal = r_dual = np.inf
+    balancing, reversed_once, last_move = True, False, 0
+    for it in range(1, sp.maxiter + 1):
+        u = gain @ (v - mu)
+        stack_u = stack @ u
+        mu_full = stack_u + mu
+        w = norms.prox_structure_norm(sp.structure, mu_full[:e_dim], 1.0 / rho)
+        r_in = mu_full[e_dim:]
+        if sp.mode == "constraint":
+            r = sp.y + norms.project_ball(r_in - sp.y, sp.phi, sp.epsilon)
+        else:
+            r = sp.y + norms.prox_vector_norm(r_in - sp.y, sp.phi, sp.lam / rho)
+        v_new = np.concatenate([w, r])
+        mu = mu_full - v_new
+        r_primal = float(np.linalg.norm(stack_u - v_new))
+        r_dual = rho * float(np.linalg.norm(stack.T @ (v_new - v)))
+        v = v_new
+        if max(r_primal, r_dual) <= sp.tol:
+            status = Status.OPTIMAL
+            break
+        if balancing and it % _RESCALE_EVERY == 0:
+            r_dual_v = r_dual / dual_scale
+            move = 0
+            if r_primal > 10.0 * r_dual_v and rho < _RHO_BOUNDS[1]:
+                move = 1
+            elif r_dual_v > 10.0 * r_primal and rho > _RHO_BOUNDS[0]:
+                move = -1
+            if move and move == -last_move:
+                balancing = not reversed_once
+                reversed_once = True
+            if move and balancing:
+                factor = 2.0 if move > 0 else 0.5
+                rho = min(max(rho * factor, _RHO_BOUNDS[0]), _RHO_BOUNDS[1])
+                mu /= factor
+                last_move = move
+    residuals = {"primal": r_primal, "dual": r_dual}
+    if sp.mode == "constraint":
+        residuals["phi_gap"] = max(0.0, norms.vector_norm(
+            sp.a @ u - sp.y, sp.phi) - sp.epsilon)
+    return u, SolveReport(status=status, objective=_objective(sp, u),
+                          iterations=it, residuals=residuals,
+                          warnings=warnings)

@@ -82,6 +82,24 @@ def test_recover_json_flag_emits_machine_readable(tmp_path):
     assert np.allclose(doc["x_hat"], 1.0, atol=1e-8)
 
 
+def test_recover_json_reports_anderson_counts(tmp_path, capsys):
+    """--json prints the accelerated splitting's counts next to the
+    iterations; the LP path has none."""
+    r = np.random.default_rng(3)
+    a = r.standard_normal((4, 8))
+    y = a @ np.eye(8)[2] + 0.01 * r.standard_normal(4)
+    counts = {}
+    for phi in ("l2", "l1"):
+        p = write_plain_problem(tmp_path, a, y, phi=phi, epsilon=0.05)
+        assert cli.main(["recover", "--problem", str(p), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        counts[phi] = doc["anderson"], doc["iterations"]
+    anderson, iterations = counts["l2"]
+    assert set(anderson) == {"accepted", "rejected", "resets"}
+    assert 0 < anderson["accepted"] + anderson["rejected"] < iterations
+    assert counts["l1"][0] is None
+
+
 def test_recover_penalized_needs_lambda(tmp_path):
     p = write_plain_problem(tmp_path, np.eye(3), np.ones(3))
     r = run_cli("recover", "--problem", str(p), "--mode", "penalized")
@@ -398,6 +416,25 @@ def test_experiment_outputs_are_bit_identical(tmp_path):
     r = run_cli("experiment", "--config", str(cfg), "--threads", "4")
     assert r.returncode == 0
     assert (tmp_path / "rows.csv").read_bytes() == first
+
+
+def test_experiment_summary_totals_anderson_steps(tmp_path, capsys):
+    """The summary totals the Anderson counts of the trials' split solves:
+    l2 pairs recover through ADMM, plain l1 through the LP."""
+    totals = {}
+    for name, st in (("pairs", structures.build_group(
+            [(0, 1), (2, 3), (4, 5)], block_norm="l2")[0]),
+            ("plain", structures.build_plain(6)[0])):
+        path = make_config(tmp_path, trials=2, modes=("regular",))
+        cfg = serialize.load_json(path)
+        cfg["structure"] = structures.structure_to_dict(st)
+        cfg["matrix"]["gaussian"]["m"] = 6
+        serialize.save_json(path, cfg)
+        assert cli.main(["experiment", "--config", str(path)]) == 0
+        assert "ADMM Anderson steps:" in capsys.readouterr().out
+        totals[name] = serialize.load_json(tmp_path / "summary.json")["anderson"]
+    assert totals["pairs"]["accepted"] > 0
+    assert totals["plain"] == {"accepted": 0, "rejected": 0, "resets": 0}
 
 
 def test_readme_experiment_config_runs(tmp_path, monkeypatch):

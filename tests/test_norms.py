@@ -161,6 +161,49 @@ def test_block_norms_match_per_block_vector_norm():
             pytest.approx(ref_dual.max(), rel=1e-13)
 
 
+def test_tag_blocks_gather_matches_per_block_norms():
+    """``tag_blocks`` splits a mixed layout into one gather per tag: the
+    tags' blocks partition the blocks, their coordinates partition E, and
+    the block norms and dual block norms taken through them equal
+    ``vector_norm`` block by block to rel 1e-13."""
+    r = np.random.default_rng(16)
+    for trial in range(40):
+        k = int(r.integers(2, 12))
+        sizes = r.integers(1, 6, size=k)
+        n = int(sizes.sum())
+        perm = r.permutation(n)
+        blocks = np.split(perm, np.cumsum(sizes)[:-1])
+        tags = list(r.choice(norms.VECTOR_TAGS, size=k))
+        gr, rep = structures.build_group(blocks, block_norm=tags)
+        assert sorted(tb.tag for tb in gr.tag_blocks) == sorted(set(tags))
+        assert sorted(np.concatenate([tb.blocks for tb in gr.tag_blocks])) \
+            == list(range(k))
+        assert sorted(np.concatenate([tb.coords for tb in gr.tag_blocks])) \
+            == list(range(gr.ambient_dim_e))
+        w = rep.apply(r.standard_normal(n))
+        views = np.split(w, gr.offsets[1:-1])
+        for dual in (False, True):
+            ref = [vector_norm(v, dual_tag(t) if dual else t)
+                   for v, t in zip(views, tags)]
+            got = norms._block_norms(gr, w, dual=dual)
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_structure_prox_matches_the_checked_prox(rng):
+    """The prox picked once per structure is the checked prox."""
+    for st in (structures.build_plain(5)[0],
+               structures.build_group([(0, 1), (2, 3, 4)], block_norm="l2")[0],
+               structures.build_group([(0, 1), (2, 3, 4)], block_norm="linf")[0],
+               structures.build_group([(0, 1), (2, 3, 4)],
+                                      block_norm=["l1", "l2"])[0],
+               structures.build_lowrank(2, 3)[0]):
+        prox = norms.structure_prox(st)
+        for tau in (0.0, 0.3, 2.0):
+            w = rng.standard_normal(st.ambient_dim_e)
+            assert np.array_equal(prox(w, tau),
+                                  norms.prox_structure_norm(st, w, tau))
+
+
 def test_holder_inequality_everywhere(rng):
     structs = (structures.build_plain(7)[0],
                structures.build_group([(0, 1, 2), (3, 4), (5, 6)],

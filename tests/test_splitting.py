@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from sparsecert import structures
-from sparsecert.engine import SplitProblem, Status, solve_split
+from sparsecert import norms, structures
+from sparsecert.engine import SplitProblem, Status, solve_split, splitting
 from sparsecert.engine.splitting import _penalty_start, _u_step_gain
 from sparsecert.recovery import RecoveryProblem, recover_regular
+
+from oracles import plain_admm_oracle
 
 
 def test_identity_noiseless_recovers_input(rng):
@@ -104,7 +106,6 @@ def test_group_structure_split(rng):
     assert out.status is Status.OPTIMAL
     # solution explains the data and its objective does not exceed x0's
     assert np.linalg.norm(a @ u - y) <= 1e-6
-    from sparsecert import norms
     assert norms.structure_norm(st, rep.apply(u)) <= \
         norms.structure_norm(st, rep.apply(x0)) + 1e-6
 
@@ -152,12 +153,12 @@ def test_regularization_warning_reaches_the_report(rng):
 
 
 def test_seeded_run_is_pinned():
-    """Pins the penalty rule (rho starts at sqrt(lmin * lmax) of M'M and is
-    balanced against r_dual / sqrt(lmax); balancing never reverses on this
-    instance) and the skipped dual residual:
-    the dual residual formed only when the stop test, a rescale or the
-    report reads it leaves the iterates, and so this count and objective,
-    bitwise unchanged."""
+    """Pins the accelerated iteration: the penalty rule (rho starts at
+    sqrt(lmin * lmax) of M'M and is balanced against r_dual / sqrt(lmax)),
+    the Anderson memory and its safeguard, the u-step through the projector
+    M G and the prox-side point returned for B = I.  The plain loop
+    (``oracles.plain_admm_oracle``) takes 1,139 iterations here, to
+    objective 3.4784241516392194."""
     r = np.random.default_rng(2024)
     st, rep = structures.build_plain(30)
     a = r.standard_normal((15, 30))
@@ -168,8 +169,11 @@ def test_seeded_run_is_pinned():
                       epsilon=0.05, tol=1e-8)
     u, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
-    assert out.iterations == 1139
-    assert out.objective == pytest.approx(3.4784241516392194, rel=1e-12)
+    assert out.iterations == 368
+    assert out.objective == pytest.approx(3.478424143238484, rel=1e-12)
+    _, plain = plain_admm_oracle(sp)
+    assert plain.iterations == 1139
+    assert plain.objective == pytest.approx(3.4784241516392194, rel=1e-12)
 
 
 def _benchmark_shape(kind, seed):
@@ -294,3 +298,162 @@ def test_balancing_stops_at_its_second_reversal():
     _, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
     assert out.iterations <= 5000
+
+
+def _experiment_shape(kind, seed):
+    """One trial of an experiment-workload ADMM shape: unscaled Gaussian A,
+    a unit-magnitude planted signal and l1 noise inside the l1 ball."""
+    r = np.random.default_rng([seed, 16])
+    if kind == "lowrank-3x3":
+        st, rep = structures.build_lowrank(3, 3)
+        m = 9
+        x0 = np.outer(r.choice([-1.0, 1.0], 3), r.choice([-1.0, 1.0], 3)).ravel()
+    else:
+        st, rep = structures.build_group([(0, 1), (2, 3), (4, 5)],
+                                         block_norm="l2")
+        m = 6
+        x0 = np.zeros(6)
+        blk = r.integers(3)
+        x0[2 * blk:2 * blk + 2] = r.choice([-1.0, 1.0], 2)
+    eps = r.uniform(0.01, 0.1)
+    a = r.standard_normal((m, x0.size))
+    xi = r.standard_normal(m)
+    xi *= eps * r.uniform() / np.abs(xi).sum()
+    return dict(a=a, b=rep.matrix, y=a @ x0 + xi, structure=st, phi="l1",
+                epsilon=eps)
+
+
+_SHAPES = [(_benchmark_shape, kind) for kind in
+           ("plain-n50", "plain-n30", "l2-triples", "lowrank-4x3")] + \
+    [(_experiment_shape, kind) for kind in ("lowrank-3x3", "l2-pairs-3x2")]
+
+
+@pytest.mark.parametrize("make,kind", _SHAPES)
+def test_anderson_matches_plain_admm(make, kind):
+    """The accelerated solve reaches the plain ADMM loop's objective to
+    1e-8 * (1 + |obj|) in fewer iterations, and its certified delta covers
+    the gap to the plain loop run to tol 1e-12."""
+    for seed in range(2):
+        data = make(kind, seed)
+        sp = SplitProblem(**data)
+        _, out = solve_split(sp)
+        _, ref = plain_admm_oracle(sp)
+        assert out.status is Status.OPTIMAL and ref.status is Status.OPTIMAL
+        assert abs(out.objective - ref.objective) <= \
+            1e-8 * (1.0 + abs(ref.objective))
+        assert out.iterations < ref.iterations
+        assert out.anderson["accepted"] > 0
+        _, tight = solve_split(SplitProblem(tol=1e-12, maxiter=100000, **data))
+        assert out.delta >= out.objective - tight.objective - 1e-12
+
+
+def test_safeguard_rejects_a_bad_extrapolation(monkeypatch):
+    """An extrapolated point pushed far off (every tenth one) fails the
+    residual test: the solve falls back to the plain step, clears the
+    memory, and still ends OPTIMAL at the plain loop's objective."""
+    data = _benchmark_shape("l2-triples", 0)
+    real = splitting._Anderson.extrapolate
+    calls = iter(range(10 ** 6))
+
+    def spoiled(self, g, f):
+        x = real(self, g, f)
+        if x is not g and next(calls) % 10 == 0:
+            x = x + 10.0
+        return x
+
+    monkeypatch.setattr(splitting._Anderson, "extrapolate", spoiled)
+    sp = SplitProblem(**data)
+    _, out = solve_split(sp)
+    monkeypatch.undo()
+    _, ref = plain_admm_oracle(sp)
+    assert out.status is Status.OPTIMAL
+    assert out.anderson["rejected"] >= 1
+    assert out.anderson["resets"] >= out.anderson["rejected"]
+    assert abs(out.objective - ref.objective) <= 1e-8 * (1.0 + abs(ref.objective))
+
+
+def test_certified_delta_covers_the_lp_gap():
+    """On the polyhedral sweep forced through ADMM, the reported delta is a
+    duality gap: never below the split objective minus the exact LP one."""
+    for kind, phi, eps, seeds in _POLYHEDRAL_SWEEP:
+        if kind == "plain":
+            st, rep = structures.build_plain(20)
+        else:
+            st, rep = structures.build_group(
+                [(2 * i, 2 * i + 1) for i in range(10)], block_norm=kind)
+        for seed in seeds:
+            r = np.random.default_rng([seed, 7])
+            a = r.standard_normal((10, 20)) / np.sqrt(10)
+            x0 = np.zeros(20)
+            x0[r.choice(20, 3, replace=False)] = r.choice([-1.0, 1.0], 3)
+            y = a @ x0 + 0.01 * r.standard_normal(10)
+            prob = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=eps)
+            lp = recover_regular(prob, st, method="lp")
+            sp = recover_regular(prob, st, method="split")
+            assert sp.delta >= sp.report.objective - lp.report.objective - 1e-12
+            assert sp.delta <= 1e-5 * (1.0 + lp.report.objective)
+
+
+def test_penalty_delta_is_a_gap():
+    """Penalized splitting: delta covers the gap to the exact LP optimum."""
+    from sparsecert.recovery import recover_penalized
+    st, rep = structures.build_plain(12)
+    r = np.random.default_rng(4)
+    a = r.standard_normal((6, 12))
+    y = a @ np.eye(12)[3] + 0.02 * r.standard_normal(6)
+    prob = RecoveryProblem(a=a, b=rep, y=y, phi="l1")
+    lp = recover_penalized(prob, st, lam=1.5, method="lp")
+    sp = recover_penalized(prob, st, lam=1.5, method="split")
+    assert sp.report.status is Status.OPTIMAL
+    assert sp.delta >= sp.report.objective - lp.report.objective - 1e-12
+
+
+def test_l2_block_recovery_has_exact_zero_blocks():
+    """Where B is a permutation the prox output is returned, so blocks the
+    prox zeroes are exactly zero (the u-iterate leaves noise of 1e-13 to
+    5e-10 there)."""
+    data = _benchmark_shape("l2-triples", 1)
+    st = data["structure"]
+    prob = RecoveryProblem(a=data["a"], b=data["b"], y=data["y"], phi="l2",
+                           epsilon=data["epsilon"])
+    res = recover_regular(prob, st)
+    assert res.report.status is Status.OPTIMAL
+    block_norms = norms.group_block_norms(st, res.w_hat)
+    zero = block_norms == 0.0
+    assert zero.sum() >= 5
+    assert np.all(block_norms[~zero] > 1e-6)
+    # the u-iterate of the same solve has no exact zero
+    plain_u, _ = plain_admm_oracle(SplitProblem(**data))
+    assert np.count_nonzero(plain_u == 0.0) == 0
+
+
+def test_dual_bound_never_exceeds_the_optimum():
+    """Weak duality of the dual bound behind delta: any multipliers z with
+    M'z = 0, of any size, give a value at most the exact LP optimum, in
+    both modes and for every phi with an LP form."""
+    from sparsecert.recovery import recover_penalized
+    r = np.random.default_rng(5)
+    for kind in ("plain", "l1", "linf"):
+        if kind == "plain":
+            st, rep = structures.build_plain(8)
+        else:
+            st, rep = structures.build_group(
+                [(0, 1), (2, 3), (4, 5), (6, 7)], block_norm=kind)
+        a = r.standard_normal((4, 8))
+        y = a @ np.eye(8)[1] + 0.05 * r.standard_normal(4)
+        stack = np.vstack([rep.matrix, a])
+        null = np.linalg.svd(stack.T)[2][stack.shape[1]:]   # rows span {M'z = 0}
+        for phi in ("l1", "linf"):
+            prob = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=0.1)
+            for mode, lam in (("constraint", 1.0), ("penalty", 0.7)):
+                if mode == "constraint":
+                    opt = recover_regular(prob, st, method="lp").report.objective
+                else:
+                    opt = recover_penalized(prob, st, lam=lam,
+                                            method="lp").report.objective
+                sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi=phi,
+                                  mode=mode, epsilon=0.1, lam=lam)
+                for size in (0.1, 1.0, 30.0):
+                    for _ in range(10):
+                        z = size * (r.standard_normal(null.shape[0]) @ null)
+                        assert splitting._dual_bound(sp, z) <= opt + 1e-9

@@ -18,6 +18,11 @@ in two stages:
 The rearrangements Mprime (pq x pq -> p^2 x q^2) and Mdprime (pq x pq ->
 pq x qp) are entry bijections pinned down by their action on structured
 Kronecker products; see ``rearrange``.
+
+``certify_lowrank`` runs the chain once, on the W of one measurement dual
+map: the pseudoinverse H = (A^+)^T, for which W = Id - H^T A is the
+orthogonal projector onto the kernel of A.  ``theta``, ``opt_bar`` and
+``opt_star`` take W as its pq x pq matrix acting on row-major vec(z).
 """
 
 from __future__ import annotations
@@ -31,32 +36,16 @@ from .conditions import Certificate
 from .synthesis import psi_s
 
 
-def _materialize(w_op, p, q):
-    """Dense pq x pq matrix of an operator on p x q matrices (row-major vec)."""
-    if callable(w_op):
-        cols = np.zeros((p * q, p * q))
-        for i in range(p):
-            for j in range(q):
-                basis = np.zeros((p, q))
-                basis[i, j] = 1.0
-                out = np.asarray(w_op(basis), dtype=float)
-                if out.shape != (p, q):
-                    raise ValueError("operator output must be p x q")
-                cols[:, i * q + j] = out.ravel()
-        return cols
-    w = np.asarray(w_op, dtype=float)
-    if w.shape != (p * q, p * q):
-        raise ValueError("operator matrix must be pq x pq")
-    return w
-
-
-def theta(w_op, p, q):
+def theta(w, p, q):
     """Rearrangement Theta[W] satisfying <Theta[W], kron(h^T, z)>_F = Tr((Wz)h^T).
 
-    Entry content: with W's action tensor written as a (p,q,p,q) array,
-    Theta permutes it so the bilinear pairing above holds for all h, z.
+    ``w`` is the pq x pq matrix of W acting on row-major vec(z).  Entry
+    content: with W's action tensor written as a (p,q,p,q) array, Theta
+    permutes it so the bilinear pairing above holds for all h, z.
     """
-    w = _materialize(w_op, p, q)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (p * q, p * q):
+        raise ValueError("operator matrix must be pq x pq")
     return np.einsum("abcd->bcad", w.reshape(p, q, p, q)).reshape(p * q, p * q).copy()
 
 
@@ -87,11 +76,11 @@ def _mdprime_inverse(v, p, q):
     return np.einsum("cadb->abcd", v.reshape(p, q, q, p)).reshape(p * q, p * q).copy()
 
 
-def opt_bar(w_op, s, p, q):
+def opt_bar(w, s, p, q):
     """Closed-form box upper bound: sum of the s and 2s top singular values
     of Theta[W]."""
     _check_level(s)
-    tm = theta(w_op, p, q)
+    tm = theta(w, p, q)
     sv = norms.singular_values(tm)
     k1 = min(int(s), sv.size)
     k2 = min(2 * int(s), sv.size)
@@ -137,7 +126,7 @@ def _descend_level(tm, k, p, q, iters):
     return min(best, val)
 
 
-def opt_star(w_op, s, p, q, iters=2000):
+def opt_star(w, s, p, q, iters=2000):
     """Subgradient-minimized split upper bound; never exceeds opt_bar + fp.
 
     For each level k in {s, 2s} the split value is dual-feasible at every
@@ -146,19 +135,9 @@ def opt_star(w_op, s, p, q, iters=2000):
     is exactly opt_bar up to SVD roundoff).
     """
     _check_level(s)
-    tm = theta(w_op, p, q)
+    tm = theta(w, p, q)
     return sum(_descend_level(tm, min(k, p * q), p, q, iters)
                for k in (int(s), 2 * int(s)))
-
-
-def _default_candidates(a):
-    pinv = np.linalg.pinv(a)
-    cands = [("pseudoinverse", pinv.T)]
-    gram = a.T @ a
-    denom = float(np.linalg.norm(gram) ** 2)
-    c = float(np.trace(gram)) / denom if denom > 1e-300 else 0.0
-    cands.append(("scaled-adjoint", c * a))
-    return cands
 
 
 def _beta_bounds(h, s, p, q, phi, rng):
@@ -169,14 +148,12 @@ def _beta_bounds(h, s, p, q, phi, rng):
     m = h.shape[0]
     if phi == "linf":
         if m <= 16:
-            best = 0.0
-            for bits in range(2 ** (m - 1)):
-                v = np.ones(m)
-                for i in range(m - 1):
-                    if bits >> i & 1:
-                        v[i + 1] = -1.0
-                best = max(best, norms.ps_seminorm(st, h.T @ v, s))
-            return best, True, {"evaluated_sign_vectors": 2 ** (m - 1)}
+            # every sign vector with its first sign pinned to +, row i
+            # carrying the bits of i (beta is even in v)
+            bits = np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 1) & 1
+            signs = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
+            best = max(0.0, *(norms.ps_seminorm(st, h.T @ v, s) for v in signs))
+            return best, True, {"evaluated_sign_vectors": len(signs)}
         # row-sum relaxation: |v| <= 1 entrywise
         bound = float(sum(norms.ps_seminorm(st, row, s) for row in h))
         lower = _beta_sample_lower(h, st, s, "linf", rng)
@@ -205,15 +182,16 @@ def _beta_sample_lower(h, st, s, phi, rng, draws=200):
     return best
 
 
-def certify_lowrank(a, s, phi="l1", h_candidates=None, p=None, q=None,
-                    iters=2000, seed=0):
-    """Best certificate over a small family of measurement dual maps.
+def certify_lowrank(a, s, phi="l1", p=None, q=None, iters=2000, seed=0):
+    """Certificate from the pseudoinverse dual map H = (A^+)^T.
 
-    Each candidate H gives W = Id - H^T A; gamma is opt_star(W) (opt_bar
-    when iters=0, reported as method LowRankUBar).  beta is exact for the
-    l1 noise metric and for linf with at most 16 measurement rows; for l2
-    (or wide linf) a flagged upper bound with a sampled lower bound is
-    used instead of refusing.
+    W = Id - H^T A; gamma is opt_star(W) (opt_bar when iters=0, reported as
+    method LowRankUBar).  beta is exact for the l1 noise metric and for linf
+    with at most 16 measurement rows; for l2 (or wide linf) a flagged upper
+    bound with a sampled lower bound is used instead of refusing.
+    ``details`` holds ``gamma_bar`` (opt_bar at W) and the beta information:
+    ``evaluated_sign_vectors`` for exact linf, ``sampling_lower_bound`` for
+    a flagged upper bound.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if p is None or q is None:
@@ -222,38 +200,16 @@ def certify_lowrank(a, s, phi="l1", h_candidates=None, p=None, q=None,
     if a.shape[1] != p * q:
         raise ValueError("A must have pq columns (row-major vectorization)")
     rng = np.random.default_rng(seed)
-    if h_candidates is None:
-        cands = _default_candidates(a)
-    else:
-        cands = [(f"user-{i}", np.atleast_2d(np.asarray(h, dtype=float)))
-                 for i, h in enumerate(h_candidates)]
-        if not cands:
-            raise ValueError("h_candidates must be nonempty")
-
     ident = np.eye(p * q)
-    scored = []
-    for name, h in cands:
-        if h.shape != a.shape:
-            raise ValueError(f"candidate {name} must match A's shape")
-        w = ident - h.T @ a
-        bar = opt_bar(w, s, p, q)
-        star = opt_star(w, s, p, q, iters=iters) if iters > 0 else bar
-        scored.append({"name": name, "h": h, "w": w, "gamma_bar": bar,
-                       "gamma_star": star})
-    best = min(scored, key=lambda d: d["gamma_star"])
-
-    h, w = best["h"], best["w"]
-    gamma = best["gamma_star"] if iters > 0 else best["gamma_bar"]
+    h = np.linalg.pinv(a).T
+    hta = h.T @ a
+    w = ident - hta
+    gamma_bar = opt_bar(w, s, p, q)
+    gamma = opt_star(w, s, p, q, iters=iters) if iters > 0 else gamma_bar
     method = "LowRankUStar" if iters > 0 else "LowRankUBar"
     beta, beta_exact, beta_info = _beta_bounds(h, s, p, q, phi, rng)
-    details = {
-        "candidates": [{k: v for k, v in d.items() if k not in ("h", "w")}
-                       for d in scored],
-        "chosen": best["name"],
-        "gamma_bar": best["gamma_bar"],
-    }
-    details.update(beta_info)
-    residual = float(np.linalg.norm(ident - w - h.T @ a))
+    details = {"gamma_bar": gamma_bar, **beta_info}
+    residual = float(np.linalg.norm(ident - w - hta))
     return Certificate(gamma=float(max(0.0, gamma)), beta=float(beta),
                        s=float(s), phi=phi, method=method, h_matrix=h,
                        w_matrix=w, identity_residual=residual,

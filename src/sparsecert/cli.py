@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -45,7 +46,8 @@ _STATUS_EXIT = {Status.OPTIMAL: 0, Status.MAXITER: 2, Status.INFEASIBLE: 3,
 
 def _emit(args, doc, text_lines):
     if getattr(args, "json", False):
-        print(json.dumps(serialize._clean(doc), indent=2, sort_keys=True))
+        print(json.dumps(serialize._clean(doc), indent=2, sort_keys=True,
+                         allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -206,6 +208,16 @@ def cmd_axioms(args):
 # experiment
 
 
+_MAGNITUDE_LAWS = ("unit", "gaussian", "uniform")
+_NOISE_LAWS = ("sphere", "ball", "none")
+
+
+def _is_radius(value):
+    """A finite number >= 0 (a JSON true/false is not a number here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value) and value >= 0
+
+
 @dataclass
 class ExperimentConfig:
     structure: dict
@@ -236,9 +248,21 @@ class ExperimentConfig:
         sig = doc["signal"]
         if "s" not in sig or "seed" not in sig:
             raise serialize.FormatError("signal needs 's' and 'seed'")
+        if sig.get("magnitude", "unit") not in _MAGNITUDE_LAWS:
+            raise serialize.FormatError(f"signal.magnitude {sig['magnitude']!r}"
+                                        f" is not one of {_MAGNITUDE_LAWS}")
         noi = doc["noise"]
         if "seed" not in noi:
             raise serialize.FormatError("noise needs 'seed'")
+        if noi.get("law", "sphere") not in _NOISE_LAWS:
+            raise serialize.FormatError(f"noise.law {noi['law']!r} is not "
+                                        f"one of {_NOISE_LAWS}")
+        eps = noi.get("epsilon", 0.0)
+        bounds = eps if isinstance(eps, list) and len(eps) == 2 else [eps]
+        if not all(_is_radius(v) for v in bounds) or bounds[0] > bounds[-1]:
+            raise serialize.FormatError(
+                f"noise.epsilon {eps!r} is neither a number >= 0 nor a "
+                "[low, high] pair with 0 <= low <= high")
         mat = doc["matrix"]
         if "file" not in mat and "gaussian" not in mat:
             raise serialize.FormatError("matrix needs 'file' or 'gaussian'")
@@ -267,9 +291,8 @@ def _sparse_signal(structure, s, law, rng):
             return rng.choice([-1.0, 1.0], size=size)
         if law == "gaussian":
             return rng.standard_normal(size)
-        if law == "uniform":
-            return rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size=size)
-        raise serialize.FormatError(f"unknown magnitude law {law!r}")
+        # "uniform": ExperimentConfig.parse refuses any other law
+        return rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size=size)
 
     # plain keeps its own draw (not the group one): a seed's signals stay put
     if structure.kind == "plain":
@@ -313,8 +336,6 @@ def _noise_vector(m, phi, noise_cfg, rng):
     xi *= eps / scale
     if law == "ball":
         xi *= rng.uniform(0.0, 1.0)
-    elif law != "sphere":
-        raise serialize.FormatError(f"unknown noise law {law!r}")
     return xi, eps
 
 

@@ -4,13 +4,17 @@ Matrices travel as CSV: a literal ``rows,cols`` header line, one line with the
 two dimensions, then one line per row with ``repr``-precision floats (so a
 write/read cycle reproduces every double bit for bit).  Problems, certificates,
 and experiment configs are JSON documents with matrices inlined as nested
-lists; all index fields are 0-based.
+lists; all index fields are 0-based.  Every JSON document written is RFC 8259
+JSON: a non-finite float (an infinite ``delta`` of an infeasible recovery,
+say) is written as ``null``, and the encoder refuses NaN and infinity, so a
+value that bypasses that rule fails loudly instead of writing ``Infinity``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -63,15 +67,17 @@ def load_matrix(path):
 
 
 def _clean(value):
-    """Recursively convert to JSON-encodable built-ins; drop what will not go."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
+    """Recursively convert to JSON-encodable built-ins; drop what will not go.
+
+    Non-finite floats become None (JSON null)."""
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _clean(value.tolist())
     if isinstance(value, dict):
         return {str(k): _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -81,7 +87,7 @@ def _clean(value):
 
 def save_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(_clean(doc), fh, indent=2, sort_keys=True)
+        json.dump(_clean(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

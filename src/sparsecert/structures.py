@@ -453,30 +453,27 @@ def _dual_norm(structure, w):
     return norms.structure_norm(structure, w, dual=True)
 
 
-def axiom_margins(structure, proj, f, g, complement_fn=None):
+def axiom_margins(structure, proj, f, g):
     """Margins of the three axioms on one (P, f, g) triple.
 
     Returns dict axiom -> margin, nonnegative when the axiom holds.  A.1/A.2
     margins are negated deviations; A.3 margin is the dual-norm slack,
-    normalized by max(1, right-hand side).  ``complement_fn(w)`` overrides the
-    complement application (fault-injection hook for tests).
+    normalized by max(1, right-hand side).
     """
-    comp = (lambda w: project(structure, proj, w, "complement")) \
-        if complement_fn is None else complement_fn
     pf = project(structure, proj, f, "direct")
     ppf = project(structure, proj, pf, "direct")
     a1 = -float(np.max(np.abs(ppf - pf))) if pf.size else 0.0
-    cpf = comp(pf)
-    a2 = -float(np.max(np.abs(cpf))) if np.size(cpf) else 0.0
+    cpf = project(structure, proj, pf, "complement")
+    a2 = -float(np.max(np.abs(cpf))) if cpf.size else 0.0
     # adjoints: all three families use self-adjoint P and complement
-    mix = pf + comp(g)
+    mix = pf + project(structure, proj, g, "complement")
     rhs = max(_dual_norm(structure, f), _dual_norm(structure, g))
     a3 = (rhs - _dual_norm(structure, mix)) / max(1.0, rhs)
     return {"idempotent": a1, "complement_kills_range": a2,
             "dual_mixing": a3}
 
 
-def verify_axioms(structure, trials, seed, complement_fn=None, tol=1e-9):
+def verify_axioms(structure, trials, seed, tol=1e-9):
     """Randomized check of the three axioms; never raises on violations.
 
     Draws ``trials`` random (P, f, g) triples and records the worst margin
@@ -493,7 +490,7 @@ def verify_axioms(structure, trials, seed, complement_fn=None, tol=1e-9):
         proj = random_projector(structure, rng)
         f = rng.standard_normal(dim)
         g = rng.standard_normal(dim)
-        margins = axiom_margins(structure, proj, f, g, complement_fn)
+        margins = axiom_margins(structure, proj, f, g)
         for name, m in margins.items():
             if m < worst[name]:
                 worst[name] = m

@@ -103,6 +103,21 @@ def ps_oracle(structure, z, s):
     return float(sv[:si].sum() + sv[: 2 * si].sum())
 
 
+def exact_linf_beta_oracle(h, structure, s):
+    """Exact linf beta of a low-rank H: the largest seminorm of H^T v over
+    the sign vectors v with v[0] = +1, built one bit at a time."""
+    from sparsecert import norms
+    m = h.shape[0]
+    best = 0.0
+    for bits in range(2 ** (m - 1)):
+        v = np.ones(m)
+        for i in range(m - 1):
+            if bits >> i & 1:
+                v[i + 1] = -1.0
+        best = max(best, norms.ps_seminorm(structure, h.T @ v, s))
+    return best
+
+
 def best_plain_approx_oracle(w, s):
     """Smallest l1 residual over supports of size <= s."""
     w = np.asarray(w, dtype=float).ravel()

@@ -122,6 +122,28 @@ def test_recover_infeasible_is_exit_three(tmp_path):
     assert r.returncode == 3
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infeasible_recover_writes_strict_json(tmp_path, capsys):
+    """An infinite delta is written as null, on stdout and in --out."""
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    p = write_plain_problem(tmp_path, a, np.array([1.0, 2.0]))
+    out = tmp_path / "sol.json"
+    assert cli.main(["recover", "--problem", str(p), "--json",
+                     "--out", str(out)]) == 3
+    for doc in (_strict_json(capsys.readouterr().out),
+                _strict_json(out.read_text())):
+        assert doc["status"] == "infeasible"
+        assert doc["delta"] is None and doc["delta_phi"] is None
+    assert serialize._clean({"v": np.array([1.0, np.nan, -np.inf])}) == \
+        {"v": [1.0, None, None]}
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -467,6 +489,41 @@ def test_experiment_rejects_bad_config(tmp_path):
     r = run_cli("experiment", "--config", str(path))
     assert r.returncode == 1
     assert r.stderr.strip()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("signal", "magnitude", "bogus"),
+    ("noise", "law", "bogus"),
+    ("noise", "epsilon", -0.1),
+    ("noise", "epsilon", "0.1"),
+    ("noise", "epsilon", True),
+    ("noise", "epsilon", [0.3, 0.1]),
+    ("noise", "epsilon", [-0.1, 0.1]),
+    ("noise", "epsilon", [0.1]),
+    ("noise", "epsilon", [0.1, 0.2, 0.3]),
+], ids=["magnitude", "law-at-epsilon-0", "negative", "string", "bool",
+        "high-below-low", "negative-low", "short-pair", "triple"])
+def test_experiment_config_values_are_checked_when_parsed(
+        tmp_path, capsys, monkeypatch, section, key, value):
+    """A bad law or radius is exit 1 with the reason on stderr before any
+    trial runs, also where no draw would read it (no noise at epsilon 0,
+    no signal entry on a group whose blocks all weigh more than s)."""
+    path = make_config(tmp_path, trials=2)
+    cfg = serialize.load_json(path)
+    cfg[section][key] = value
+    if (section, key) == ("noise", "law"):
+        cfg["noise"]["epsilon"] = 0.0
+    if section == "signal":
+        st, _ = structures.build_group([(0, 1, 2), (3, 4, 5)], weights=[2, 2])
+        cfg["structure"] = structures.structure_to_dict(st)
+    serialize.save_json(path, cfg)
+    ran = []
+    monkeypatch.setattr(cli, "recover_regular",
+                        lambda *args, **kw: ran.append(args))
+    assert cli.main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert not ran
 
 
 def test_help_lists_subcommands():

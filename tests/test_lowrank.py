@@ -1,5 +1,5 @@
 """Low-rank certification chain: rearrangements, the two upper bounds,
-candidate certificates, and the universal floor."""
+the pseudoinverse certificate, and the universal floor."""
 
 import math
 
@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from sparsecert import structures
-from sparsecert.certify import badnews_check, certify_lowrank, opt_bar, \
-    opt_star
+from sparsecert.certify import badnews_check, certify_lowrank, lowrank, \
+    opt_bar, opt_star
 from sparsecert.certify.lowrank import rearrange, theta
+
+from oracles import exact_linf_beta_oracle
 
 
 def random_operator(rng, p, q):
@@ -34,12 +36,23 @@ def test_theta_bilinearity(rng):
             assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
 
 
-def test_theta_accepts_callables(rng):
-    p = q = 3
+def test_theta_of_left_multiplication(rng):
+    """W z = m z has matrix kron(m, I_q) on row-major vec(z), and then
+    Theta[W][b*p + c, a*q + d] = m[a, c] * (b == d); anything but a
+    pq x pq matrix is refused."""
+    p, q = 3, 2
     m = rng.standard_normal((p, p))
-    dense = theta(lambda z: m @ z, p, q)
-    explicit = theta(np.kron(m, np.eye(q)), p, q)
-    assert np.allclose(dense, explicit, atol=1e-12)
+    want = np.zeros((p * q, p * q))
+    for a in range(p):
+        for b in range(q):
+            for c in range(p):
+                want[b * p + c, a * q + b] = m[a, c]
+    assert np.array_equal(theta(np.kron(m, np.eye(q)), p, q), want)
+    for bad in (np.eye(p * q - 1), np.kron(m, np.eye(q))[:, :-1]):
+        with pytest.raises(ValueError):
+            theta(bad, p, q)
+    with pytest.raises(TypeError):
+        theta(lambda z: m @ z, p, q)
 
 
 def test_theta_of_identity_is_a_permutation():
@@ -99,7 +112,7 @@ def test_svd_sign_convention_is_not_needed(rng):
     U[:, :k] @ Vt[:k], which the sign convention of ``svd_descending``
     leaves bitwise unchanged."""
     from sparsecert import norms
-    from sparsecert.certify import bruteforce, lowrank
+    from sparsecert.certify import bruteforce
     for shape in ((3, 3), (4, 3), (3, 4), (9, 9)):
         mat = rng.standard_normal(shape)
         u, sv, vt = norms.svd_descending(mat)
@@ -162,7 +175,6 @@ def test_opt_star_evaluates_each_iterate_once(monkeypatch):
     """Each level k evaluates its iters + 1 iterates once each, the zero
     split included, at 3 SVDs per evaluation; the seeded values are pinned
     (they are those of evaluating the zero split twice)."""
-    from sparsecert.certify import lowrank
     calls = []
     real = lowrank._top_k_subgradient
 
@@ -194,21 +206,21 @@ def test_certify_identity_sensing_is_perfect():
     assert cert.valid
     assert cert.beta == pytest.approx(2.0, abs=1e-9)
     assert cert.exact_beta
-    assert cert.details["chosen"] == "pseudoinverse"
     assert cert.identity_residual <= 1e-10
 
 
 def test_certify_zero_candidate_gives_identity_residual_zero():
     p = q = 2
     a = np.zeros((1, 4))
-    cert = certify_lowrank(a, s=1, phi="l1", p=p, q=q, iters=0,
-                           h_candidates=[np.zeros((1, 4))])
-    # W = Id, so gamma is the box value 3 and beta vanishes
+    cert = certify_lowrank(a, s=1, phi="l1", p=p, q=q, iters=0)
+    # the pseudoinverse of a zero A is zero: W = Id, so gamma is the box
+    # value 3 and beta vanishes
+    assert np.array_equal(cert.h_matrix, np.zeros((1, 4)))
     assert cert.gamma == pytest.approx(3.0, abs=1e-9)
     assert cert.beta == 0.0
+    assert cert.identity_residual == 0.0
     assert not cert.valid
     assert cert.method == "LowRankUBar"
-    assert cert.details["chosen"] == "user-0"
 
 
 def test_certify_star_never_worse_than_bar(rng):
@@ -218,8 +230,27 @@ def test_certify_star_never_worse_than_bar(rng):
     c_star = certify_lowrank(a, s=1, phi="l1", p=p, q=q, iters=400)
     assert c_star.gamma <= c_bar.gamma + 1e-9
     assert c_star.method == "LowRankUStar"
-    for cand in c_star.details["candidates"]:
-        assert cand["gamma_star"] <= cand["gamma_bar"] + 1e-9
+    assert c_star.gamma <= c_star.details["gamma_bar"] + 1e-9
+    assert c_bar.details["gamma_bar"] == c_bar.gamma
+
+
+def test_certify_runs_the_chain_once(monkeypatch):
+    """One dual map: at s=1 opt_star's two levels evaluate iters + 1
+    iterates each at 3 SVDs per evaluation, and nothing else descends."""
+    calls = []
+    real = lowrank._top_k_subgradient
+
+    def counting(mat, k):
+        calls.append(k)
+        return real(mat, k)
+
+    monkeypatch.setattr(lowrank, "_top_k_subgradient", counting)
+    a = np.random.default_rng(4).standard_normal((7, 9))
+    for iters in (0, 1, 25):
+        calls.clear()
+        cert = certify_lowrank(a, s=1, phi="l1", p=3, q=3, iters=iters)
+        assert len(calls) == (2 * 3 * (iters + 1) if iters else 0)
+        assert np.array_equal(cert.h_matrix, np.linalg.pinv(a).T)
 
 
 def test_certify_beta_flags_by_phi(rng):
@@ -229,6 +260,7 @@ def test_certify_beta_flags_by_phi(rng):
     assert c1.exact_beta
     ci = certify_lowrank(a, s=1, phi="linf", p=p, q=q, iters=0)
     assert ci.exact_beta          # 7 rows <= 16: exact sign enumeration
+    assert ci.details["evaluated_sign_vectors"] == 2 ** 6
     c2 = certify_lowrank(a, s=1, phi="l2", p=p, q=q, iters=0)
     assert not c2.exact_beta
     assert c2.details["sampling_lower_bound"] <= c2.beta + 1e-9
@@ -240,10 +272,23 @@ def test_certify_validation():
     with pytest.raises(ValueError):
         certify_lowrank(np.eye(4), s=1, phi="l1", p=3, q=3)  # 4 != 9
     with pytest.raises(ValueError):
-        certify_lowrank(np.eye(4), s=1, phi="l1", p=2, q=2,
-                        h_candidates=[np.zeros((2, 3))])
-    with pytest.raises(ValueError):
-        certify_lowrank(np.eye(4), s=1, phi="l1", p=2, q=2, h_candidates=[])
+        certify_lowrank(np.eye(4), s=0, phi="l1", p=2, q=2)  # rank level
+
+
+def test_exact_linf_beta_matches_the_per_bit_loop():
+    """The array of pinned sign vectors gives the per-bit loop's value,
+    bit for bit, on seeded draws."""
+    for trial in range(12):
+        r = np.random.default_rng([17, trial])
+        p, q = int(r.integers(2, 4)), int(r.integers(2, 4))
+        m = int(r.integers(1, 13))
+        h = r.standard_normal((m, p * q))
+        s = int(r.integers(1, min(p, q) + 1))
+        st, _ = structures.build_lowrank(p, q)
+        beta, exact, info = lowrank._beta_bounds(h, s, p, q, "linf", r)
+        assert exact
+        assert info == {"evaluated_sign_vectors": 2 ** (m - 1)}
+        assert beta == exact_linf_beta_oracle(h, st, s)
 
 
 def test_badnews_floor(rng):

@@ -338,10 +338,16 @@ def test_axioms_hold_on_all_three_families():
         assert min(report.worst_margin.values()) >= -1e-9
 
 
-def test_axiom_checker_catches_corrupt_complement():
+def test_axiom_checker_catches_corrupt_complement(monkeypatch):
+    real = structures.project
+
+    def corrupt(structure, proj, w, which="direct"):
+        # the "complement" is the identity
+        return w if which == "complement" else real(structure, proj, w, which)
+
+    monkeypatch.setattr(structures, "project", corrupt)
     st, _ = build_plain(6)
-    report = verify_axioms(st, trials=200, seed=1,
-                           complement_fn=lambda w: w)  # "complement" = Id
+    report = verify_axioms(st, trials=200, seed=1)
     assert not report.ok
     assert any(v["axiom"] == "complement_kills_range"
                for v in report.violations)

@@ -32,8 +32,10 @@ import math
 import numpy as np
 
 from .. import norms, structures
-from .conditions import Certificate
+from .conditions import Certificate, _kernel_basis
 from .synthesis import psi_s
+
+_STACK_BYTES = 1 << 22  # bytes of matrices per stacked SVD (exact linf beta)
 
 
 def theta(w, p, q):
@@ -152,8 +154,8 @@ def _beta_bounds(h, s, p, q, phi, rng):
             # carrying the bits of i (beta is even in v)
             bits = np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 1) & 1
             signs = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
-            best = max(0.0, *(norms.ps_seminorm(st, h.T @ v, s) for v in signs))
-            return best, True, {"evaluated_sign_vectors": len(signs)}
+            return _signed_sums_max(signs, h, s, p, q), True, \
+                {"evaluated_sign_vectors": len(signs)}
         # row-sum relaxation: |v| <= 1 entrywise
         bound = float(sum(norms.ps_seminorm(st, row, s) for row in h))
         lower = _beta_sample_lower(h, st, s, "linf", rng)
@@ -167,6 +169,21 @@ def _beta_bounds(h, s, p, q, phi, rng):
         lower = _beta_sample_lower(h, st, s, "l2", rng)
         return bound, False, {"sampling_lower_bound": lower}
     raise norms.UnsupportedNormError(f"unsupported noise metric {phi!r}")
+
+
+def _signed_sums_max(signs, h, s, p, q):
+    """The largest low-rank seminorm (top-s plus top-2s singular values) of
+    H^T v over the rows v of ``signs``: one stacked SVD per chunk of about
+    ``_STACK_BYTES`` of p x q matrices."""
+    k1, k2 = min(int(s), p, q), min(2 * int(s), p, q)
+    step = max(1, _STACK_BYTES // (8 * p * q))
+    best = 0.0
+    for start in range(0, signs.shape[0], step):
+        mats = (signs[start:start + step] @ h).reshape(-1, p, q)
+        sv = np.linalg.svd(mats, compute_uv=False)
+        best = max(best, float((sv[:, :k1].sum(axis=1)
+                                + sv[:, :k2].sum(axis=1)).max()))
+    return best
 
 
 def _beta_sample_lower(h, st, s, phi, rng, draws=200):
@@ -191,7 +208,9 @@ def certify_lowrank(a, s, phi="l1", p=None, q=None, iters=2000, seed=0):
     bound with a sampled lower bound is used instead of refusing.
     ``details`` holds ``gamma_bar`` (opt_bar at W) and the beta information:
     ``evaluated_sign_vectors`` for exact linf, ``sampling_lower_bound`` for
-    a flagged upper bound.
+    a flagged upper bound.  ``identity_residual`` is ||Id - N N^T - H^T A||
+    with N a kernel basis of A from its own SVD (the rank cut of
+    ``np.linalg.pinv``), so it measures H, not W, which is built from H.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if p is None or q is None:
@@ -209,7 +228,8 @@ def certify_lowrank(a, s, phi="l1", p=None, q=None, iters=2000, seed=0):
     method = "LowRankUStar" if iters > 0 else "LowRankUBar"
     beta, beta_exact, beta_info = _beta_bounds(h, s, p, q, phi, rng)
     details = {"gamma_bar": gamma_bar, **beta_info}
-    residual = float(np.linalg.norm(ident - w - hta))
+    null = _kernel_basis(a)
+    residual = float(np.linalg.norm(ident - null @ null.T - hta))
     return Certificate(gamma=float(max(0.0, gamma)), beta=float(beta),
                        s=float(s), phi=phi, method=method, h_matrix=h,
                        w_matrix=w, identity_residual=residual,

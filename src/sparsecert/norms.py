@@ -367,11 +367,14 @@ def structure_norm_epigraph(structure, n, b=None):
     None) the l1 mass is the cost mult @ (u+ + u-), mult_i the number of l1
     blocks holding coordinate i (all ones for plain, whose coordinates are
     singleton l1 blocks).  Each linf block has one t (cost 1), in block
-    order, and the rows +-(u+_i - u-_i) <= t for its members in block order,
-    + then -; plain structures and l1 coordinates get no rows.  Any other
-    matrix ``b`` gets one t per l1 coordinate of B u, then one per linf
-    block, and the rows +-(b_j @ (u+ - u-)) <= t of each coordinate j of
-    B u, + then -.  Raises UnsupportedNormError where ``has_lp_form`` is
+    order, and one row u+_i + u-_i - t <= 0 per member, in block order;
+    plain structures and l1 coordinates get no rows.  That one row is
+    exact: every feasible point has |u+_i - u-_i| <= u+_i + u-_i <= t, and
+    the positive and negative parts of u attain it, so the projection of
+    the feasible set onto u is that of the pair +-(u+_i - u-_i) <= t.  Any
+    other matrix ``b`` gets one t per l1 coordinate of B u, then one per
+    linf block, and the rows +-(b_j @ (u+ - u-)) <= t of each coordinate j
+    of B u, + then -.  Raises UnsupportedNormError where ``has_lp_form`` is
     False.
     """
     if not has_lp_form(structure):
@@ -386,13 +389,12 @@ def structure_norm_epigraph(structure, n, b=None):
     linf_blocks, t_col = np.unique(structure.block_of[in_linf],
                                    return_inverse=True)
     n_t = linf_blocks.size
-    coord = np.repeat(members[in_linf], 2)
+    coord = members[in_linf]
     rows = np.arange(coord.size)
-    sign = np.tile([1.0, -1.0], coord.size // 2)
     g = np.zeros((coord.size, 2 * n + n_t))
-    g[rows, coord] = sign
-    g[rows, n + coord] = -sign
-    g[rows, np.repeat(2 * n + t_col, 2)] = -1.0
+    g[rows, coord] = 1.0
+    g[rows, n + coord] = 1.0
+    g[rows, 2 * n + t_col] = -1.0
     return np.concatenate([mult, mult, np.ones(n_t)]), g
 
 

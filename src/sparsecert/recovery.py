@@ -125,35 +125,42 @@ def _build_recovery_lp(problem, structure, bmat, mode, lam=0.0):
 
     Variable layout [u+ | u- | t | fit aux], all >= 0: the first three are
     the encoding of ||B u|| by ``norms.structure_norm_epigraph`` (its rows
-    come first: linf blocks only for the canonical B, every coordinate of
-    B u for any other), then the data fit on [A, -A].  That is
-    A u = y for regular recovery with epsilon = 0; otherwise the pair
-    +-(a_j u - y_j) for each j, bounded by fit aux j (l1, closed by
-    sum(fit aux) <= epsilon when regular), by one shared fit aux (linf,
-    penalized) or by epsilon (linf, regular).
+    come first), then the data fit on [A, -A].  That is A u = y for regular
+    recovery with epsilon = 0, with no fit aux.  Otherwise an l1 fit has
+    the layout [u+ | u- | t | r+ | r-]: the split residual, one equality
+    row A u - r+ + r- = y per measurement, so A u - y = r+ - r- and the fit
+    is sum(r+ + r-) at an optimum.  Regular recovery closes it with the one
+    row sum(r+ + r-) <= epsilon; penalized recovery prices both parts at
+    lam.  A linf fit keeps the pair +-(a_j u - y_j) per measurement, bounded
+    by one shared fit aux (penalized) or by epsilon (regular): an equality
+    split would need a bound row per measurement on top, so it saves no
+    rows there.
     """
     a, y = problem.a, problem.y
     m, n = a.shape
     obj_cost, obj_g = norms.structure_norm_epigraph(
         structure, n, structures.custom_rep_matrix(structure, bmat))
     a_pm = np.hstack([a, -a])
+    senses = ("eq",) * m
     if mode == "regular" and problem.epsilon == 0.0:
-        fit_cost, fit_u, fit_aux, fit_h, sense = np.zeros(0), a_pm, \
-            np.zeros((m, 0)), y, "eq"
-    elif problem.phi in ("l1", "linf"):
+        fit_cost, fit_u, fit_aux, fit_h = np.zeros(0), a_pm, np.zeros((m, 0)), y
+    elif problem.phi == "l1":
+        eye = np.eye(m)
+        fit_u, fit_aux, fit_h = a_pm, np.hstack([-eye, eye]), y
+        if mode == "penalized":
+            fit_cost = np.full(2 * m, lam)
+        else:
+            fit_cost = np.zeros(2 * m)
+            fit_u = np.vstack([fit_u, np.zeros(2 * n)])
+            fit_aux = np.vstack([fit_aux, np.ones(2 * m)])
+            fit_h = np.append(fit_h, problem.epsilon)
+            senses += ("le",)
+    elif problem.phi == "linf":
         sign = np.tile([1.0, -1.0], m)
         fit_u = np.repeat(a_pm, 2, axis=0) * sign[:, None]
         fit_h = np.repeat(y, 2) * sign
-        sense = "le"
-        if problem.phi == "l1":
-            fit_cost = np.full(m, lam) if mode == "penalized" else np.zeros(m)
-            fit_aux = np.zeros((2 * m, m))
-            fit_aux[np.arange(2 * m), np.repeat(np.arange(m), 2)] = -1.0
-            if mode == "regular":
-                fit_u = np.vstack([fit_u, np.zeros(2 * n)])
-                fit_aux = np.vstack([fit_aux, np.ones(m)])
-                fit_h = np.append(fit_h, problem.epsilon)
-        elif mode == "penalized":
+        senses = ("le",) * (2 * m)
+        if mode == "penalized":
             fit_cost, fit_aux = np.array([lam]), -np.ones((2 * m, 1))
         else:
             fit_cost, fit_aux = np.zeros(0), np.zeros((2 * m, 0))
@@ -168,7 +175,7 @@ def _build_recovery_lp(problem, structure, bmat, mode, lam=0.0):
     g[r_obj:, n_obj:] = fit_aux
     return LinearProgram(c=np.concatenate([obj_cost, fit_cost]), G=g,
                          h=np.concatenate([np.zeros(r_obj), fit_h]),
-                         senses=("le",) * r_obj + (sense,) * fit_u.shape[0]), n
+                         senses=("le",) * r_obj + senses), n
 
 
 def _finish(problem, structure, bmat, x, report, mode, lam=0.0):

@@ -320,6 +320,29 @@ def _epigraph_rows_oracle(structure, n):
     return cost, rows
 
 
+def two_row_epigraph_oracle(structure, n):
+    """The structure-norm epigraph over [u+ | u- | t] with the pair
+    +-(u+_i - u-_i) <= t per linf block member, + then -: (cost, g).
+
+    Canonical B only.  The package writes one row u+_i + u-_i <= t per
+    member instead; both have the same projection onto u = u+ - u-.
+    """
+    members = np.concatenate(structure.blocks).astype(int)
+    member_tag = np.array(structure.block_norms)[structure.block_of]
+    mult = np.bincount(members[member_tag == "l1"], minlength=n).astype(float)
+    linf_blocks = [l for l, t in enumerate(structure.block_norms)
+                   if t == "linf"]
+    rows = []
+    for k, l in enumerate(linf_blocks):
+        for i in structure.blocks[l]:
+            for sgn in (1.0, -1.0):
+                row = np.zeros(2 * n + len(linf_blocks))
+                row[i], row[n + i], row[2 * n + k] = sgn, -sgn, -1.0
+                rows.append(row)
+    g = np.array(rows).reshape(-1, 2 * n + len(linf_blocks))
+    return np.concatenate([mult, mult, np.ones(len(linf_blocks))]), g
+
+
 def recovery_lp_oracle(problem, structure, mode, lam=0.0):
     """The recovery LP assembled row by row: (c, G, h, senses, lb).
 

@@ -216,6 +216,30 @@ def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
     assert v.details["lp_count"] > plain.details["lp_count"]
 
 
+def test_bruteforce_visit_order_ignores_roundoff_in_the_bounds(
+        patch_reports):
+    """Bounds within the tie tolerance count as equal and go in set order,
+    so 1e-15 more on every LP's delta solves the same LPs (ordered by the
+    bounds alone, the counts moved on five of the six draws)."""
+    st, _ = structures.build_plain(12)
+    draws = [np.random.default_rng(seed).standard_normal((7, 12)) / np.sqrt(7)
+             for seed in range(6)]
+    before = [gamma_s_bruteforce(a, st, 3) for a in draws]
+
+    def bumped(i, x, rep):
+        rep.delta += 1e-15
+        return x, rep
+
+    patch_reports(bumped)
+    after = [gamma_s_bruteforce(a, st, 3) for a in draws]
+    for u, v in zip(before, after):
+        assert u.details["lp_count"] == v.details["lp_count"]
+        assert u.status == v.status
+        assert u.gamma_value == pytest.approx(v.gamma_value, abs=1e-12)
+        for w in (u, v):
+            assert w.details["gamma_upper"] >= w.gamma_value
+
+
 def test_maximal_sets_are_the_maximal_projectors():
     """The depth-first enumeration yields, in lexicographic order, the
     nonempty block sets of ``structures.iter_projectors``."""

@@ -276,8 +276,9 @@ def test_certify_validation():
 
 
 def test_exact_linf_beta_matches_the_per_bit_loop():
-    """The array of pinned sign vectors gives the per-bit loop's value,
-    bit for bit, on seeded draws."""
+    """The stacked SVD over the pinned sign vectors gives the per-bit
+    loop's value on seeded draws, to the roundoff of another summation
+    order."""
     for trial in range(12):
         r = np.random.default_rng([17, trial])
         p, q = int(r.integers(2, 4)), int(r.integers(2, 4))
@@ -288,7 +289,49 @@ def test_exact_linf_beta_matches_the_per_bit_loop():
         beta, exact, info = lowrank._beta_bounds(h, s, p, q, "linf", r)
         assert exact
         assert info == {"evaluated_sign_vectors": 2 ** (m - 1)}
-        assert beta == exact_linf_beta_oracle(h, st, s)
+        assert beta == pytest.approx(exact_linf_beta_oracle(h, st, s),
+                                     rel=1e-12)
+
+
+def test_exact_linf_beta_is_one_stacked_svd_per_chunk(monkeypatch):
+    """m = 16 on 3x3 is one SVD call over all 2^15 sign vectors, not one
+    per vector; a smaller stack budget splits it into chunks with the same
+    value."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(mat, *args, **kwargs):
+        calls.append(np.shape(mat))
+        return real(mat, *args, **kwargs)
+
+    h = np.random.default_rng(3).standard_normal((16, 9))
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    whole, _, _ = lowrank._beta_bounds(h, 1, 3, 3, "linf", None)
+    assert calls == [(2 ** 15, 3, 3)]
+    calls.clear()
+    monkeypatch.setattr(lowrank, "_STACK_BYTES", 8 * 9 * 5000)
+    chunked, _, _ = lowrank._beta_bounds(h, 1, 3, 3, "linf", None)
+    assert chunked == pytest.approx(whole, rel=1e-12)
+    assert [c[0] for c in calls] == [5000] * 6 + [2 ** 15 - 30000]
+
+
+def test_identity_residual_measures_the_dual_map(monkeypatch):
+    """The residual is roundoff for the pseudoinverse on square and wide
+    draws, and exposes an H that is not A's dual map."""
+    for shape in ((9, 9), (5, 9), (11, 16), (3, 12)):
+        a = np.random.default_rng(list(shape)).standard_normal(shape)
+        p = 3 if shape[1] in (9, 12) else 4
+        q = shape[1] // p
+        cert = certify_lowrank(a, s=1, phi="l1", p=p, q=q, iters=0)
+        assert cert.identity_residual < 1e-10
+        real = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda m: 1.01 * real(m))
+        bad = certify_lowrank(a, s=1, phi="l1", p=p, q=q, iters=0)
+        monkeypatch.setattr(np.linalg, "pinv", real)
+        assert bad.identity_residual > 1e-3
+        # W still comes from H, so it alone cannot tell
+        assert np.linalg.norm(np.eye(p * q) - bad.w_matrix
+                              - bad.h_matrix.T @ a) < 1e-12
 
 
 def test_badnews_floor(rng):

@@ -2,13 +2,19 @@
 
 Recovery and the brute force write the structure norm through
 ``norms.structure_norm_epigraph``: variables [u+ | u- | t] >= 0 with
-u = u+ - u-.  The row-by-row references in ``oracles`` keep the older
-t-epigraph form (u free, one t and two rows per l1 coordinate), so here the
-two must agree in what they solve to: the same status and objective.  For
-plain the brute-force LP, and the signed costs of its maximal supports in
-enumeration order, equal the hand-written l1 ball LP and cost list of
-``oracles.plain_bruteforce_lp_oracle`` exactly; the group verdicts must
-match an enumeration of cold LPs over the reference LP.
+u = u+ - u-, and one row u+_i + u-_i <= t per linf block member.  An l1
+data fit is one equality row A u - r+ + r- = y per measurement over the
+split residual [r+ | r-] >= 0.  The row-by-row references in ``oracles``
+keep the older forms (u free, one t and two rows per l1 coordinate, per
+linf member and per l1 measurement; ``two_row_epigraph_oracle`` the pair
++-(u+_i - u-_i) <= t over [u+ | u- | t]), so here they must agree in what
+they solve to: the same status and objective, and the same maxima of
+linear functionals over the brute force's kernel ball.  Row-count guards
+pin the one-row forms.  For plain the brute-force LP, and the signed costs
+of its maximal supports in enumeration order, equal the hand-written l1
+ball LP and cost list of ``oracles.plain_bruteforce_lp_oracle`` exactly;
+the group verdicts must match an enumeration of cold LPs over the
+reference LP.
 """
 
 import numpy as np
@@ -23,7 +29,7 @@ from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
 from oracles import (group_bruteforce_lp_oracle, group_gamma_lp_oracle,
                      matrix_with_kernel, plain_bruteforce_lp_oracle,
-                     recovery_lp_oracle)
+                     recovery_lp_oracle, two_row_epigraph_oracle)
 
 GROUPS = {
     "l1": ([(0, 1), (2, 3), (4, 5)], "l1"),
@@ -74,6 +80,74 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
         u = x[:n] - x[n:2 * n]
         assert got.objective >= norms.structure_norm(
             structure, structures.rep_matrix(structure) @ u) - 1e-9
+
+
+@pytest.mark.parametrize("name,structure", STRUCTURES)
+@pytest.mark.parametrize("mode,phi,eps", FITS)
+def test_recovery_lp_row_counts(name, structure, mode, phi, eps):
+    """Beyond the epigraph rows: an l1 fit is m equality rows, plus the
+    budget row when regular with eps > 0; a linf fit keeps its m pairs;
+    regular recovery with eps = 0 is A u = y."""
+    m, n = 4, 6
+    rng = np.random.default_rng(3)
+    problem = RecoveryProblem(a=rng.standard_normal((m, n)), b=None,
+                              y=rng.standard_normal(m), phi=phi, epsilon=eps)
+    lp, _ = _build_recovery_lp(problem, structure,
+                               structures.rep_matrix(structure), mode, lam=1.7)
+    cost, g = norms.structure_norm_epigraph(structure, n)
+    fit = lp.senses[g.shape[0]:]
+    assert lp.senses[:g.shape[0]] == ("le",) * g.shape[0]
+    assert np.array_equal(lp.G[:g.shape[0], :cost.size], g)
+    if mode == "regular" and eps == 0.0:
+        assert fit == ("eq",) * m and lp.c.size == cost.size
+    elif phi == "l1":
+        budget = ("le",) if mode == "regular" else ()
+        assert fit == ("eq",) * m + budget
+        assert lp.c.size == cost.size + 2 * m
+        assert np.all(lp.c[cost.size:] == (1.7 if mode == "penalized" else 0))
+    else:
+        assert fit == ("le",) * (2 * m)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_linf_epigraph_is_one_row_per_member(name):
+    blocks, tags = GROUPS[name]
+    structure, _ = structures.build_group(blocks, block_norm=tags)
+    cost, g = norms.structure_norm_epigraph(structure, 6)
+    linf = [v for v, t in zip(blocks, structure.block_norms) if t == "linf"]
+    assert g.shape == (sum(map(len, linf)), 12 + len(linf))
+    rows = iter(g)
+    for k, v in enumerate(linf):
+        for i in v:
+            want = np.zeros(g.shape[1])
+            want[i] = want[6 + i] = 1.0
+            want[12 + k] = -1.0
+            assert np.array_equal(next(rows), want)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_kernel_ball_maxima_match_the_two_row_epigraph(name):
+    """The one-row linf epigraph spans the same kernel ball as the pair
+    +-(u+_i - u-_i) <= t: 8 random functionals of z have the same maxima."""
+    blocks, tags = GROUPS[name]
+    structure, _ = structures.build_group(blocks, block_norm=tags)
+    a = np.random.default_rng(21).standard_normal((3, 6))
+    lp = _kernel_ball_lp(a, structure)
+    cost, g_ball = two_row_epigraph_oracle(structure, 6)
+    ref = LinearProgram(
+        c=np.zeros(cost.size),
+        G=np.vstack([np.hstack([a, -a, np.zeros((3, cost.size - 12))]),
+                     g_ball, cost]),
+        h=np.concatenate([np.zeros(3 + g_ball.shape[0]), [1.0]]),
+        senses=("eq",) * 3 + ("le",) * (g_ball.shape[0] + 1))
+    assert ref.G.shape[1] == lp.G.shape[1]
+    for d in np.random.default_rng(22).standard_normal((8, 6)):
+        c = np.concatenate([d, -d, np.zeros(cost.size - 12)])
+        _, got = solve_lp(LinearProgram(c=c, G=lp.G, h=lp.h,
+                                        senses=lp.senses))
+        _, want = solve_lp(LinearProgram(c=c, G=ref.G, h=ref.h,
+                                         senses=ref.senses))
+        _same_solution(got, want)
 
 
 @pytest.mark.parametrize("name", list(GROUPS))

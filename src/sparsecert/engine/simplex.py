@@ -22,6 +22,20 @@ phase one's Farkas vector comes from its own basis the same way.  A singular
 basis falls back to least-squares duals, the tableau's own point and a fresh
 phase one.
 
+On the small LPs of long sequences a solve's cost is the number of numpy
+calls, not flops, so the path of each LP is kept short without changing a
+pivot or an output bit.  A pivot does not write the entering column: the
+row division makes its pivot entry exactly 1 and the update every other
+entry exactly 0.  The ratio test needs no separate unboundedness check: an
+infinite least ratio is that check.  The epilogue takes maxima and minima
+through direct ufunc reductions, and the feasibility scale max |b| once per
+standard form.  The warm start writes binv @ A, the unit basis columns and
+the clipped point into one fresh tableau, whose cost row phase two prices.
+Every check stays: re-verification against the untouched standard form
+(``_solves``), the downgrade of an optimum that lost primal feasibility,
+``delta`` with its cushion for dual infeasibility, and a warm tableau formed
+from untouched data, never from the previous tableau.
+
 ``LPSequence`` minimizes cost vectors one at a time over one feasible set:
 phase one runs at the first solve, and each later solve starts phase two at
 the basis the previous one ended on, re-formed only when that next cost
@@ -47,6 +61,7 @@ _TOL = 1e-9
 _DEGENERATE_STREAK = 12  # zero-step pivots in a row that start the lex rule
 _PIVOT_MIN = 1e-7   # smallest pivot element worth dividing a row by
 _PIVOT_SCAN = 24    # entering candidates to try before accepting a tiny pivot
+_max, _min = np.maximum.reduce, np.minimum.reduce  # no per-call wrapper cost
 
 
 class Status(Enum):
@@ -160,6 +175,7 @@ class _Standard:
         self.row_sign[neg] = -1.0
         self.A = a
         self.b = b
+        self.b_max = float(_max(np.abs(b), initial=0.0))
         self.nz = nz
         self.c = self.costs(lp.c)[0]
         self.kept_rows = np.arange(m)  # narrowed if redundant rows get dropped
@@ -179,6 +195,7 @@ class _Standard:
     def drop_row(self, local_i):
         self.A = np.delete(self.A, local_i, axis=0)
         self.b = np.delete(self.b, local_i)
+        self.b_max = float(_max(np.abs(self.b), initial=0.0))
         self.kept_rows = np.delete(self.kept_rows, local_i)
 
     def dual_original(self, y):
@@ -190,14 +207,11 @@ class _Standard:
 
 
 class _Tableau:
-    def __init__(self, a, b, basis):
-        m, n = a.shape
-        self.T = np.zeros((m + 1, n + 1))
-        self.T[:m, :n] = a
-        self.T[:m, n] = b
+    def __init__(self, T, basis):
+        """``T`` holds [A | b] above a cost row that ``set_costs`` writes."""
+        self.T = T
+        self.m, self.n = T.shape[0] - 1, T.shape[1] - 1
         self.basis = np.asarray(basis, dtype=int)
-        self.n = n
-        self.m = m
         self.iterations = 0
         self.lex_ref = None  # reference basis of the lexicographic rule
         self._streak = 0
@@ -208,25 +222,27 @@ class _Tableau:
         self.T[-1] -= self.T[-1, self.basis] @ self.T[: self.m]
 
     def pivot(self, r, j):
+        # x / x is exactly 1 and x - x * 1 exactly 0, so the update itself
+        # leaves column j the unit column of row r
         self.T[r] /= self.T[r, j]
         col = self.T[:, j].copy()
         col[r] = 0.0
         self.T -= col[:, None] * self.T[r]
-        self.T[:, j] = 0.0
-        self.T[r, j] = 1.0
         self.basis[r] = j
 
     def _leaving_row(self, colv):
         """Min-ratio row for an entering column, or None if it proves
-        unboundedness.  The ratios go to ``run``'s buffer, where rows with
-        no positive entry stay infinite."""
+        unboundedness: no positive entry, so the least ratio is infinite
+        (also with no rows).  The ratios go to ``run``'s buffer, where rows
+        with no positive entry stay infinite."""
         pos = colv > _TOL
-        if not pos.any():
-            return None
         ratio = self._ratio
         ratio.fill(np.inf)
         np.divide(self._rhs, colv, out=ratio, where=pos)
-        tie = ratio <= ratio.min() + _TOL
+        least = _min(ratio, initial=np.inf)
+        if least == np.inf:
+            return None
+        tie = ratio <= least + _TOL
         if self.lex_ref is None:
             # largest pivot element: the numerically stable choice
             return int(np.where(tie, colv, -np.inf).argmax())
@@ -341,7 +357,10 @@ def _phase_one(std, maxiter):
     a_work[need_art, ncols + np.arange(n_art)] = 1.0
     basis[need_art] = ncols + np.arange(n_art)
 
-    tab = _Tableau(a_work, std.b, basis)
+    t = np.zeros((m + 1, ncols + n_art + 1))
+    t[:m, :-1] = a_work
+    t[:m, -1] = std.b
+    tab = _Tableau(t, basis)
 
     if n_art:
         cost1 = np.zeros(ncols + n_art)
@@ -386,20 +405,24 @@ def _phase_one(std, maxiter):
 
 def _solves(bmat, zb, b):
     """Whether zb is a nonnegative solution of bmat zb = b to tolerance."""
-    resid = float(np.max(np.abs(bmat @ zb - b), initial=0.0))
-    return zb.min(initial=0.0) >= -1e-9 and \
-        resid <= 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0)))
+    resid = float(_max(np.abs(bmat @ zb - b), initial=0.0))
+    return _min(zb, initial=0.0) >= -1e-9 and \
+        resid <= 1e-7 * (1.0 + float(_max(np.abs(b), initial=0.0)))
 
 
 def _warm_tableau(std, basis, binv, zb):
     """Tableau of ``std`` at ``basis`` re-formed from the untouched data as
-    binv @ [A | b] (``zb`` = binv @ b), so no pivot roundoff carries over
-    from earlier solves; None when ``binv`` is None."""
+    binv @ [A | b] (``zb`` = binv @ b, clipped at 0), so no pivot roundoff
+    carries over from earlier solves; None when ``binv`` is None.  The cost
+    row is left for ``set_costs``."""
     if binv is None:
         return None
-    t = binv @ std.A
-    t[:, basis] = np.eye(basis.size)
-    return _Tableau(t, np.maximum(zb, 0.0), basis)
+    m, n = std.A.shape
+    t = np.empty((m + 1, n + 1))
+    np.matmul(binv, std.A, out=t[:m, :n])
+    t[:m, basis] = np.eye(m)
+    np.maximum(zb, 0.0, out=t[:m, n])
+    return _Tableau(t, basis)
 
 
 def _phase_two(std, tab, cost, maxiter):
@@ -410,9 +433,7 @@ def _phase_two(std, tab, cost, maxiter):
     ncols = std.A.shape[1]
     c_std, const = std.costs(cost)
     warnings = list(std.warnings)
-    cost2 = np.zeros(tab.n)
-    cost2[:ncols] = c_std
-    tab.set_costs(cost2)
+    tab.set_costs(c_std)
     outcome, unb_col = tab.run(ncols, maxiter - tab.iterations)
 
     # re-solve on the untouched matrix to shed pivot error; accept only if the
@@ -423,11 +444,10 @@ def _phase_two(std, tab, cost, maxiter):
     ok = zb is not None and _solves(bmat, zb, std.b)
     warm = (binv, zb) if ok else (None, None)
     if outcome == "optimal" and ok:
-        z_full = np.zeros(tab.n)
-        z_full[tab.basis] = np.maximum(zb, 0.0)
+        z = np.zeros(ncols)
+        z[tab.basis] = np.maximum(zb, 0.0)
     else:
-        z_full = tab.solution()
-    z = z_full[:ncols]
+        z = tab.solution()[:ncols]
     x = std.x_original(z[: std.nz])
     obj = float(c_std @ z + const)
 
@@ -447,18 +467,18 @@ def _phase_two(std, tab, cost, maxiter):
 
     y = _multipliers(bmat, binv, c_std[tab.basis])
     reduced = c_std - std.A.T @ y
-    primal_resid = float(np.max(np.abs(std.A @ z - std.b))) if std.b.size else 0.0
-    primal_resid = max(primal_resid, float(max(0.0, -z.min())) if z.size else 0.0)
-    dual_infeas = float(max(0.0, -reduced.min())) if reduced.size else 0.0
-    comp = float(np.max(np.abs(z * reduced))) if z.size else 0.0
+    primal_resid = max(float(_max(np.abs(std.A @ z - std.b), initial=0.0)),
+                       -float(_min(z, initial=0.0)))
+    dual_infeas = max(0.0, -float(_min(reduced, initial=0.0)))
+    comp = float(_max(np.abs(z * reduced), initial=0.0))
     dual_obj = float(y @ std.b) + const if std.b.size else const
     # certified near-optimality: duality gap plus a cushion for any tiny dual
     # infeasibility (scaled by the iterate's l1 mass; fp-level in practice)
-    delta = max(0.0, obj - dual_obj) + dual_infeas * (1.0 + float(np.abs(z).sum()))
+    delta = max(0.0, obj - dual_obj) + \
+        dual_infeas * (1.0 + float(np.add.reduce(np.abs(z))))
 
     status = Status.OPTIMAL if outcome == "optimal" else Status.MAXITER
-    feas_tol = 1e-6 * (1.0 + (float(np.abs(std.b).max()) if std.b.size else 0.0))
-    if status is Status.OPTIMAL and primal_resid > feas_tol:
+    if status is Status.OPTIMAL and primal_resid > 1e-6 * (1.0 + std.b_max):
         # a basic point claimed optimal but not feasible is never solved
         status = Status.MAXITER
         warnings.append("pivoting lost primal feasibility; not converged")
@@ -509,7 +529,7 @@ class LPSequence:
     def solve(self, cost):
         """Minimize ``cost`` over the feasible set; returns (x, SolveReport)."""
         cost = np.asarray(cost, dtype=float).ravel()
-        if cost.size != self._n or not np.all(np.isfinite(cost)):
+        if cost.size != self._n or not np.isfinite(cost).all():
             raise ValueError(f"each cost must be {self._n} finite numbers")
         std, first = self._std, False
         if self._warm is not None:

@@ -859,3 +859,86 @@ def plain_admm_oracle(sp):
     return u, SolveReport(status=status, objective=_objective(sp, u),
                           iterations=it, residuals=residuals,
                           warnings=warnings)
+
+
+def phase_two_oracle(std, tab, cost, maxiter):
+    """The dense simplex's phase two in its earlier form: the cost row priced
+    from a padded copy of the standard-form costs, and every residual, gap
+    and tolerance read through ``np.max`` / ``ndarray.min`` with emptiness
+    guards, max |b| computed twice.  Same pivot loop and re-verification
+    helpers as the library (``_Tableau.run``, ``_inverse``, ``_solves``,
+    ``_multipliers``, looked up at call time so test patches apply).
+    Returns what ``simplex._phase_two`` returns."""
+    from sparsecert.engine import simplex as S
+    ncols = std.A.shape[1]
+    c_std, const = std.costs(cost)
+    warnings = list(std.warnings)
+    cost2 = np.zeros(tab.n)
+    cost2[:ncols] = c_std
+    tab.set_costs(cost2)
+    outcome, unb_col = tab.run(ncols, maxiter - tab.iterations)
+
+    bmat = std.A[:, tab.basis]
+    binv = S._inverse(bmat)
+    zb = None if binv is None else binv @ std.b
+    ok = zb is not None and S._solves(bmat, zb, std.b)
+    warm = (binv, zb) if ok else (None, None)
+    if outcome == "optimal" and ok:
+        z_full = np.zeros(tab.n)
+        z_full[tab.basis] = np.maximum(zb, 0.0)
+    else:
+        z_full = tab.solution()
+    z = z_full[:ncols]
+    x = std.x_original(z[: std.nz])
+    obj = float(c_std @ z + const)
+
+    if outcome == "unbounded":
+        ray = np.zeros(ncols)
+        ray[unb_col] = 1.0
+        for i, jb in enumerate(tab.basis):
+            if jb < ncols:
+                ray[jb] = -tab.T[i, unb_col]
+        ray_x = std.x_original(ray[: std.nz]) - std.off
+        cert = {"kind": "ray", "ray": ray_x, "ray_standard": ray,
+                "descent": float(c_std @ ray)}
+        return x, S.SolveReport(status=S.Status.UNBOUNDED,
+                                iterations=tab.iterations, certificate=cert,
+                                warnings=warnings,
+                                used_bland=tab.lex_ref is not None,
+                                standard={"A": std.A, "b": std.b,
+                                          "c": c_std}), warm
+
+    y = S._multipliers(bmat, binv, c_std[tab.basis])
+    reduced = c_std - std.A.T @ y
+    primal_resid = float(np.max(np.abs(std.A @ z - std.b))) if std.b.size else 0.0
+    primal_resid = max(primal_resid, float(max(0.0, -z.min())) if z.size else 0.0)
+    dual_infeas = float(max(0.0, -reduced.min())) if reduced.size else 0.0
+    comp = float(np.max(np.abs(z * reduced))) if z.size else 0.0
+    dual_obj = float(y @ std.b) + const if std.b.size else const
+    delta = max(0.0, obj - dual_obj) + dual_infeas * (1.0 + float(np.abs(z).sum()))
+
+    status = S.Status.OPTIMAL if outcome == "optimal" else S.Status.MAXITER
+    feas_tol = 1e-6 * (1.0 + (float(np.abs(std.b).max()) if std.b.size else 0.0))
+    if status is S.Status.OPTIMAL and primal_resid > feas_tol:
+        status = S.Status.MAXITER
+        warnings.append("pivoting lost primal feasibility; not converged")
+    report = S.SolveReport(
+        status=status, objective=obj, iterations=tab.iterations,
+        residuals={"primal": primal_resid, "dual": dual_infeas,
+                   "comp_slack": comp},
+        dual=std.dual_original(y), delta=float(delta),
+        used_bland=tab.lex_ref is not None, warnings=warnings,
+        standard={"A": std.A, "b": std.b, "c": c_std, "x": z, "y": y})
+    return x, report, warm
+
+
+def warm_tableau_oracle(std, basis):
+    """Rows of the warm tableau at ``basis``, from the untouched standard
+    form as two fresh products: binv @ A with the basis columns set to the
+    identity, beside the point binv @ b clipped at 0 (binv = inverse of
+    A[:, basis]).  One product binv @ [A | b] would round differently: BLAS
+    takes the point column through a matrix product, not a vector one."""
+    binv = np.linalg.inv(std.A[:, basis])
+    t = binv @ std.A
+    t[:, basis] = np.eye(basis.size)
+    return np.column_stack([t, np.maximum(binv @ std.b, 0.0)])

@@ -2,6 +2,7 @@
 status/certificate contract."""
 
 import copy
+import struct
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from sparsecert.engine import LinearProgram, LPSequence, Status, solve_lp
 from sparsecert.engine.simplex import _slack_basis, _Standard
 from sparsecert.recovery import RecoveryProblem
 
-from oracles import (recovery_lp_oracle, reference_tableau_run,
-                     slack_basis_oracle, standard_form_oracle,
-                     vertex_enumeration_lp)
+from oracles import (phase_two_oracle, recovery_lp_oracle,
+                     reference_tableau_run, slack_basis_oracle,
+                     standard_form_oracle, vertex_enumeration_lp,
+                     warm_tableau_oracle)
 
 
 def random_feasible_lp(rng, n=None, m=None):
@@ -558,3 +560,139 @@ def test_pivot_loop_matches_reference_loop(rng, monkeypatch):
     # phase two after artificial columns left the basis, and pivots ran
     assert any(prefix for prefix, _ in runs)
     assert sum(k for _, k in runs) > 50
+
+
+def _same_bits(a, b):
+    """Equality bit for bit: arrays by dtype, shape and bytes, floats by
+    their IEEE-754 bits (so -0.0 and NaN count), containers item by item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and \
+            a.dtype == b.dtype and a.shape == b.shape and \
+            a.tobytes() == b.tobytes()
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and \
+            struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and \
+            all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and \
+            all(_same_bits(u, v) for u, v in zip(a, b))
+    return a == b
+
+
+def test_phase_two_matches_reference_epilogue(rng, monkeypatch):
+    """Every ``_phase_two`` returns, bit for bit, what the earlier epilogue
+    (``oracles.phase_two_oracle``) returns on a copy of its tableau: the
+    point, every report field (status, objective, ``delta``, duals,
+    residuals, warnings, ray) and the warm inverse with its point.  The
+    solves cover warm sequences with optimal and unbounded costs, one that
+    dropped a redundant row, MAXITER at a one-pivot cap, the downgrade of
+    an optimum that lost feasibility and the least-squares duals of a
+    singular basis."""
+    from sparsecert.engine import simplex
+    real, seen = simplex._phase_two, []
+
+    def checked(std, tab, cost, maxiter):
+        ref = phase_two_oracle(std, copy.deepcopy(tab), cost, maxiter)
+        out = real(std, tab, cost, maxiter)
+        assert _same_bits(out[0], ref[0]) and _same_bits(out[2], ref[2])
+        assert _same_bits(vars(out[1]), vars(ref[1]))
+        seen.append((out[1].status, tuple(out[1].warnings), out[2][0] is None))
+        return out
+
+    monkeypatch.setattr(simplex, "_phase_two", checked)
+    box = LinearProgram(c=np.zeros(4), G=rng.uniform(0.5, 1.0, (3, 4)),
+                        h=np.ones(3))
+    cases = [(mixed_bounds_lp(rng, 5, int(rng.integers(2, 8))), 20000)
+             for _ in range(8)]
+    cases += [(mixed_bounds_lp(rng, 4, 4, redundant=True), 20000), (box, 1)]
+    for lp, maxiter in cases:
+        seq = LPSequence(lp, maxiter)
+        for _ in range(6):
+            seq.solve(rng.standard_normal(lp.c.size))
+    with monkeypatch.context() as mp:
+        # an optimum that lost feasibility: a nonbasic structural variable
+        # at -1e-3, whose column is below 1 in every row, so the negative
+        # entry and not the row residual sets the primal residual
+        solution = simplex._Tableau.solution
+
+        def lowered(tab):
+            z = solution(tab)
+            z[min(set(range(3)) - set(tab.basis))] = -1e-3
+            return z
+
+        mp.setattr(simplex._Tableau, "solution", lowered)
+        mp.setattr(simplex, "_solves", lambda bmat, zb, b: False)
+        small = LinearProgram(c=-np.ones(3), G=rng.uniform(0.1, 0.9, (2, 3)),
+                              h=np.ones(2))
+        assert solve_lp(small)[1].residuals["primal"] == 1e-3
+    lp = mixed_bounds_lp(rng, 5, 6)
+    with monkeypatch.context() as mp:   # singular basis: least-squares duals
+        mp.setattr(simplex, "_inverse", lambda bmat: None)
+        seq = LPSequence(lp)
+        for _ in range(3):
+            seq.solve(rng.standard_normal(5))
+    statuses = {status for status, _, _ in seen}
+    assert statuses == {Status.OPTIMAL, Status.UNBOUNDED, Status.MAXITER}
+    assert any("dropped 1 redundant row(s)" in w for _, w, _ in seen)
+    assert any("pivoting lost primal feasibility; not converged" in w
+               for _, w, _ in seen)
+    assert sum(no_warm for _, _, no_warm in seen) >= 4
+
+
+def test_warm_tableau_matches_reference_formula(rng, monkeypatch):
+    """At every warm start the tableau written in place holds, bit for bit,
+    the rows of ``oracles.warm_tableau_oracle`` (binv @ A with unit basis
+    columns beside the clipped point binv @ b, from the untouched standard
+    form), under a cost row that phase two prices.  One sequence dropped a
+    redundant row in phase one."""
+    from sparsecert.engine import simplex
+    real, built = simplex._warm_tableau, []
+
+    def checked(std, basis, binv, zb):
+        tab = real(std, basis, binv, zb)
+        m, n = std.A.shape
+        assert tab.T.shape == (m + 1, n + 1) and (tab.m, tab.n) == (m, n)
+        assert tab.T[:m].tobytes() == warm_tableau_oracle(std, basis).tobytes()
+        assert tab.basis is basis and tab.iterations == 0
+        built.append(any("dropped" in w for w in std.warnings))
+        return tab
+
+    monkeypatch.setattr(simplex, "_warm_tableau", checked)
+    lps = [mixed_bounds_lp(rng, 5, int(rng.integers(2, 8))) for _ in range(8)]
+    lps.append(mixed_bounds_lp(rng, 4, 4, redundant=True))
+    for lp in lps:
+        seq = LPSequence(lp)
+        for _ in range(6):
+            seq.solve(rng.standard_normal(lp.c.size))
+    assert len(built) > 30 and any(built)
+
+
+def test_pivot_leaves_an_exact_unit_column(rng):
+    """``_Tableau.pivot`` does not write column j, yet leaves it exactly the
+    unit column of row r (x / x is 1 and x - x * 1 is +0.0, also for
+    x = -0.0), and the whole tableau equals, bit for bit, a pivot that
+    writes the column: random tableaus with pivot elements of either sign
+    from 1e-300 to 1e300."""
+    from sparsecert.engine import simplex
+    for _ in range(300):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 20))
+        t = rng.standard_normal((m + 1, n + 1))
+        r, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+        t[rng.random(m + 1) < 0.2, j] = -0.0
+        t[rng.random(m + 1) < 0.2, j] = 0.0
+        t[r, j] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+        tab = simplex._Tableau(t.copy(), np.arange(m))
+        tab.pivot(r, j)
+        ref = t.copy()
+        ref[r] /= ref[r, j]
+        col = ref[:, j].copy()
+        col[r] = 0.0
+        ref -= np.outer(col, ref[r])
+        ref[:, j] = 0.0
+        ref[r, j] = 1.0
+        unit = np.zeros(m + 1)
+        unit[r] = 1.0
+        assert tab.T[:, j].tobytes() == unit.tobytes()
+        assert tab.T.tobytes() == ref.tobytes() and tab.basis[r] == j

@@ -15,7 +15,7 @@ each linf block member has the one row u+_i + u-_i <= t of its block; for a
 representation map other than the canonical one the rows bound every
 coordinate of B z, and the signs run over those coordinates.  The LPs of one
 enumeration share their feasible set and differ only in the cost, so one
-``LPSequence`` per verdict solves them: one phase one, each LP starting at
+``LPSequence`` per verdict solves them: one cold start, each LP starting at
 the optimal basis of the one before, and its tallies give the LP counts of
 ``details``.
 

@@ -29,7 +29,7 @@ their constraint matrix and differ only in the right-hand side, which holds
 the block's rows of C.  Stage one therefore solves their LP duals (Juditsky &
 Nemirovski's kernel-ball maximization, max{z_r : Az = 0, ||z|| <= 1} for
 plain structures): one feasible set per signature, with the blocks'
-right-hand sides as costs, solved by one ``LPSequence`` (one phase one, each
+right-hand sides as costs, solved by one ``LPSequence`` (one cold start, each
 LP starting at the previous optimal basis).  g_k is minus the dual optimum
 and H[:, block k] is read from the dual's multipliers.
 

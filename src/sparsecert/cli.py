@@ -76,6 +76,7 @@ def cmd_recover(args):
         "delta": result.delta,
         "delta_phi": result.delta_phi,
         "iterations": result.report.iterations,
+        "start": result.report.start,
         "anderson": result.report.anderson,
     }
     if args.out:

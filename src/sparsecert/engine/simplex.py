@@ -6,7 +6,15 @@ Problems arrive in the general form
 
 get converted to equality standard form (shift finite lower bounds, mirror
 upper-bounded free variables, split doubly-free variables, slack columns,
-nonnegative right-hand side), and are solved by a tableau simplex.  Pivoting
+nonnegative right-hand side), and are solved by a tableau simplex.  A solve
+with no warm basis first tries a lower-triangular crash basis (Bixby, 1992):
+per row a column whose first nonzero is in that row, slack and zero-cost
+columns first.  Phase two starts there when its point is feasible; when it
+is not but its reduced costs are, a dual simplex (Lemke, 1954) makes it
+feasible first.  Phase one, from the slack basis with artificial columns,
+runs when the crash misses a row or is singular, and when the dual simplex
+gives up: a row that proves the feasible set empty (phase one then gives
+the Farkas vector), a streak of zero steps or the pivot cap.  Pivoting
 is Dantzig's rule, the argmin of the reduced costs over the allowed prefix of
 columns; a sorted scan for another one runs only after a tiny pivot element.
 A streak of degenerate steps turns on the lexicographic ratio test (Dantzig,
@@ -20,7 +28,7 @@ standard form.  That inverse gives the re-verified point binv @ b, the duals
 c_B @ binv and, in a cost sequence, the next warm tableau binv @ [A | b];
 phase one's Farkas vector comes from its own basis the same way.  A singular
 basis falls back to least-squares duals, the tableau's own point and a fresh
-phase one.
+cold start.
 
 On the small LPs of long sequences a solve's cost is the number of numpy
 calls, not flops, so the path of each LP is kept short without changing a
@@ -37,11 +45,11 @@ Every check stays: re-verification against the untouched standard form
 from untouched data, never from the previous tableau.
 
 ``LPSequence`` minimizes cost vectors one at a time over one feasible set:
-phase one runs at the first solve, and each later solve starts phase two at
-the basis the previous one ended on, re-formed only when that next cost
-arrives.  The sequence tallies its solves (LPs, pivots, LPs not optimal and
-the largest gap of the optimal ones), so callers read one count.
-``solve_lp`` is the one-cost sequence.
+the first solve makes the cold start above, and each later solve starts
+phase two at the basis the previous one ended on, re-formed only when that
+next cost arrives.  The sequence tallies its solves (LPs, pivots, cold
+starts by kind, LPs not optimal and the largest gap of the optimal ones),
+so callers read one count.  ``solve_lp`` is the one-cost sequence.
 
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
@@ -58,7 +66,7 @@ from enum import Enum
 import numpy as np
 
 _TOL = 1e-9
-_DEGENERATE_STREAK = 12  # zero-step pivots in a row that start the lex rule
+_DEGENERATE_STREAK = 12  # zero steps in a row: lex rule on, dual start off
 _PIVOT_MIN = 1e-7   # smallest pivot element worth dividing a row by
 _PIVOT_SCAN = 24    # entering candidates to try before accepting a tiny pivot
 _max, _min = np.maximum.reduce, np.minimum.reduce  # no per-call wrapper cost
@@ -122,6 +130,7 @@ class SolveReport:
     certificate: dict | None = None      # farkas / ray / bounds evidence
     delta: float = np.nan                # certified near-optimality margin
     used_bland: bool = False             # lexicographic rule in force at the end
+    start: str | None = None             # LP cold start: phase_one/crash/dual
     warnings: list = field(default_factory=list)
     standard: dict | None = None         # equality-form data for verification
     anderson: dict | None = None         # split solves: accepted/rejected/resets
@@ -339,11 +348,77 @@ def _slack_basis(std):
     return basis
 
 
-def _phase_one(std, maxiter):
+def _crash_basis(std, c_std):
+    """Lower-triangular crash basis of ``std`` (Bixby, 1992), one column per
+    row in row order, or None when some row gets none: row i takes a column
+    whose first nonzero is in row i and at least ``_PIVOT_MIN`` in
+    magnitude.  Columns of zero cost under ``c_std`` (the slacks among them)
+    come first, then the sparsest, then a positive entry, then the lowest
+    index."""
+    a = std.A
+    m, n = a.shape
+    if m == 0:
+        return np.zeros(0, dtype=int)
+    nz = a != 0.0
+    row = nz.argmax(axis=0)   # an empty column reads row 0, entry 0
+    lead = a[row, np.arange(n)]
+    cand = np.nonzero(np.abs(lead) >= _PIVOT_MIN)[0]
+    if cand.size < m:
+        return None
+    order = cand[np.lexsort((lead[cand] <= 0.0, nz.sum(axis=0)[cand],
+                             c_std[cand] != 0.0, row[cand]))]
+    rows = row[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return order[first] if np.count_nonzero(first) == m else None
+
+
+def _dual_simplex(tab, c_std, maxiter):
+    """Dual simplex (Lemke, 1954) on ``tab`` under the costs ``c_std``:
+    True once the basic point is feasible, with the entries above -``_TOL``
+    clipped to 0, for phase two to go on from there.  The leaving row holds
+    the most negative basic value; the entering column has the least ratio
+    reduced cost / |entry| over the row's entries below -``_TOL``, ties to
+    the largest |entry|.  False, for phase one to take over, when a reduced
+    cost is below -``_TOL``, a leaving row has no negative entry (the
+    feasible set is empty, and phase one gives the Farkas vector), after
+    ``_DEGENERATE_STREAK`` zero steps in a row, or with ``maxiter`` pivots
+    spent (they count in ``tab.iterations``)."""
+    tab.set_costs(c_std)
+    t, m, n = tab.T, tab.m, tab.n
+    red, rhs = t[-1, :n], t[:m, n]
+    if _min(red, initial=0.0) < -_TOL:
+        return False
+    ratio = np.empty(n)
+    streak = 0
+    while True:
+        r = int(rhs.argmin())
+        if rhs[r] >= -_TOL:
+            np.maximum(rhs, 0.0, out=rhs)
+            return True
+        if tab.iterations >= maxiter or streak >= _DEGENERATE_STREAK:
+            return False
+        row = t[r, :n]
+        neg = row < -_TOL
+        # red / row is minus the ratio, so the least ratio is its maximum
+        ratio.fill(-np.inf)
+        np.divide(red, row, out=ratio, where=neg)
+        step = _max(ratio, initial=-np.inf)
+        if step == -np.inf:
+            return False
+        j = int(np.where(ratio >= step - _TOL, row, np.inf).argmin())
+        streak = streak + 1 if step >= -_TOL else 0
+        tab.pivot(r, j)
+        tab.iterations += 1
+
+
+def _phase_one(std, maxiter, spent=0):
     """Phase one on ``std``: returns (tableau, None) with a basis of
     structural columns, ready for phase two, or (None, report) when the
-    feasible set is empty or phase one hit the iteration cap.  Redundant
-    equality rows are dropped from ``std``, whose ``warnings`` says so."""
+    feasible set is empty or phase one hit the iteration cap.  ``spent``
+    pivots of a dual start that gave up count toward that cap and in the
+    report.  Redundant equality rows are dropped from ``std``, whose
+    ``warnings`` says so."""
     if std.bad_bound is not None:
         return None, SolveReport(
             status=Status.INFEASIBLE,
@@ -361,12 +436,13 @@ def _phase_one(std, maxiter):
     t[:m, :-1] = a_work
     t[:m, -1] = std.b
     tab = _Tableau(t, basis)
+    tab.iterations = spent
 
     if n_art:
         cost1 = np.zeros(ncols + n_art)
         cost1[ncols:] = 1.0
         tab.set_costs(cost1)
-        outcome, _ = tab.run(ncols + n_art, maxiter)
+        outcome, _ = tab.run(ncols + n_art, maxiter - spent)
         phase1_obj = -tab.T[-1, -1]
         if outcome == "maxiter":
             return None, SolveReport(status=Status.MAXITER,
@@ -403,11 +479,15 @@ def _phase_one(std, maxiter):
     return tab, None
 
 
+def _fits(bmat, zb, b):
+    """Whether zb solves bmat zb = b to tolerance."""
+    resid = float(_max(np.abs(bmat @ zb - b), initial=0.0))
+    return resid <= 1e-7 * (1.0 + float(_max(np.abs(b), initial=0.0)))
+
+
 def _solves(bmat, zb, b):
     """Whether zb is a nonnegative solution of bmat zb = b to tolerance."""
-    resid = float(_max(np.abs(bmat @ zb - b), initial=0.0))
-    return _min(zb, initial=0.0) >= -1e-9 and \
-        resid <= 1e-7 * (1.0 + float(_max(np.abs(b), initial=0.0)))
+    return _min(zb, initial=0.0) >= -1e-9 and _fits(bmat, zb, b)
 
 
 def _warm_tableau(std, basis, binv, zb):
@@ -423,6 +503,32 @@ def _warm_tableau(std, basis, binv, zb):
     t[:m, basis] = np.eye(m)
     np.maximum(zb, 0.0, out=t[:m, n])
     return _Tableau(t, basis)
+
+
+def _cold_start(std, cost, maxiter):
+    """First basis of a solve that has no warm one: (tableau, stop report,
+    start).  The crash basis starts phase two when its point binv @ b is
+    feasible ('crash'), or else the dual simplex under ``cost`` ('dual').
+    Phase one runs ('phase_one') when the crash basis is missing or
+    singular, or when the dual simplex gives up."""
+    spent, basis = 0, None
+    if std.bad_bound is None:
+        c_std = std.costs(cost)[0]
+        basis = _crash_basis(std, c_std)
+    if basis is not None:
+        bmat = std.A[:, basis]
+        binv = _inverse(bmat)
+        zb = None if binv is None else binv @ std.b
+        if zb is not None and _fits(bmat, zb, std.b):
+            tab = _warm_tableau(std, basis, binv, zb)
+            if _min(zb, initial=0.0) >= -_TOL:
+                return tab, None, "crash"
+            tab.T[:-1, -1] = zb   # unclipped: the dual rows are the negatives
+            if _dual_simplex(tab, c_std, maxiter):
+                return tab, None, "dual"
+            spent = tab.iterations
+    tab, stop = _phase_one(std, maxiter, spent)
+    return tab, stop, "phase_one"
 
 
 def _phase_two(std, tab, cost, maxiter):
@@ -502,19 +608,23 @@ class LPSequence:
     """Cost vectors minimized one at a time over the feasible set of ``lp``
     (``lp.c`` is ignored), each ``solve`` capped at ``maxiter`` pivots.
 
-    Phase one runs at the first solve.  Each later solve starts at the basis
-    the previous one ended on, with the tableau re-formed from the untouched
-    standard-form data through the inverse that certified the previous
-    solve, so roundoff does not build up over many solves; a singular basis,
-    or one whose point fails ``_solves``, falls back to a fresh phase one.
-    Every report carries what ``solve_lp``'s does: re-verified point, duals,
-    ``delta``, Farkas vector or ray; its ``iterations`` counts the pivots of
-    that solve, phase one included in the solve that ran it.  The first
-    solve is the one ``solve_lp`` makes.
+    The first solve makes a cold start (``_cold_start``: the crash basis,
+    the dual simplex from it, or phase one) under its own cost.  Each later
+    solve starts at the basis the previous one ended on, with the tableau
+    re-formed from the untouched standard-form data through the inverse
+    that certified the previous solve, so roundoff does not build up over
+    many solves; a singular basis, or one whose point fails ``_solves``,
+    falls back to a fresh cold start.  Every report carries what
+    ``solve_lp``'s does: re-verified point, duals, ``delta``, Farkas vector
+    or ray; its ``iterations`` counts the pivots of that solve, dual and
+    phase-one pivots included in the solve that ran them, and its
+    ``start`` names the cold start that solve made ('phase_one', 'crash'
+    or 'dual'; None for a warm solve).  The first solve is the one
+    ``solve_lp`` makes.
 
     The sequence tallies its solves: ``lps``, ``iterations`` (the sum of
-    the reports'), ``not_optimal`` and ``delta``, the largest gap among the
-    optimal solves (0 before any).
+    the reports'), ``starts`` (the cold starts by kind), ``not_optimal``
+    and ``delta``, the largest gap among the optimal solves (0 before any).
     """
 
     def __init__(self, lp, maxiter=20000):
@@ -525,27 +635,29 @@ class LPSequence:
         self._warm = None   # (basis, inverse, point) the last solve ended on
         self.lps = self.iterations = self.not_optimal = 0
         self.delta = 0.0
+        self.starts = dict.fromkeys(("phase_one", "crash", "dual"), 0)
 
     def solve(self, cost):
         """Minimize ``cost`` over the feasible set; returns (x, SolveReport)."""
         cost = np.asarray(cost, dtype=float).ravel()
         if cost.size != self._n or not np.isfinite(cost).all():
             raise ValueError(f"each cost must be {self._n} finite numbers")
-        std, first = self._std, False
+        std, start = self._std, None
         if self._warm is not None:
             self._tab = _warm_tableau(std, *self._warm)
             self._warm = None
         if self._tab is None and self._stop is None:
-            self._tab, self._stop = _phase_one(std, self.maxiter)
-            first = True
+            self._tab, self._stop, start = _cold_start(std, cost, self.maxiter)
+            self.starts[start] += 1
         if self._stop is not None:
             stop = self._stop
             x, report = None, replace(
-                stop, iterations=stop.iterations if first else 0,
+                stop, iterations=stop.iterations if start else 0, start=start,
                 standard=stop.standard and dict(stop.standard,
                                                 c=std.costs(cost)[0]))
         else:
             x, report, warm = _phase_two(std, self._tab, cost, self.maxiter)
+            report.start = start
             self._warm = (self._tab.basis, *warm)
         self.lps += 1
         self.iterations += report.iterations

@@ -513,7 +513,10 @@ def _l1_ball(v, radius):
         return v.copy()
     u = np.sort(a)[::-1]
     css = u.cumsum()
-    rho = np.nonzero(u * np.arange(1, a.size + 1) > css - radius)[0][-1]
+    # rank 1 passes the threshold test in exact arithmetic, but fails it in
+    # floating point when the radius is below half an ulp of max |v|
+    passing = np.nonzero(u * np.arange(1, a.size + 1) > css - radius)[0]
+    rho = passing[-1] if passing.size else 0
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
@@ -601,8 +604,10 @@ def _prox_linf_groups(structure, w, tau):
     css = np.cumsum(u)
     css -= (css - u)[start][block_of]          # cumulative sums per block
     rank = np.arange(1, a.size + 1) - start[block_of]
-    # last rank of each block passing the threshold test; rank 1 always does
-    rho = np.maximum.reduceat(np.where(u * rank > css - tau, rank, 0), start)
+    # last rank of each block passing the threshold test, at least rank 1,
+    # which fails it in floating point only when tau is below half an ulp
+    rho = np.maximum(np.maximum.reduceat(
+        np.where(u * rank > css - tau, rank, 0), start), 1)
     theta = (css[start + rho - 1] - tau) / rho
     theta[np.bincount(block_of, weights=a) <= tau] = 0.0  # inside the ball
     return w - np.sign(w) * np.maximum(a - theta[block_of], 0.0)

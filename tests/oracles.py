@@ -594,6 +594,28 @@ def slack_basis_oracle(std):
     return basis
 
 
+def crash_basis_oracle(std, c_std):
+    """The crash basis, row by row: row i takes, among the columns whose
+    first nonzero is in row i and at least 1e-7 in magnitude, the first by
+    (nonzero cost, nonzero count, entry <= 0, index); None when a row has
+    no such column."""
+    m, ncols = std.A.shape
+    basis = []
+    for i in range(m):
+        best = None
+        for j in range(ncols):
+            col = std.A[:, j]
+            nonzero = np.nonzero(col)[0]
+            if nonzero.size == 0 or nonzero[0] != i or abs(col[i]) < 1e-7:
+                continue
+            key = (c_std[j] != 0.0, nonzero.size, col[i] <= 0.0, j)
+            best = key if best is None else min(best, key)
+        if best is None:
+            return None
+        basis.append(best[-1])
+    return np.array(basis, dtype=int)
+
+
 def stage_one_primal_oracle(lay, maxiter=200000):
     """Synthesis stage one solved the cold, primal way: block k's LP on its
     own, one ``solve_lp`` each; [(H[:, block k], g_k, status)]."""
@@ -942,3 +964,16 @@ def warm_tableau_oracle(std, basis):
     t = binv @ std.A
     t[:, basis] = np.eye(basis.size)
     return np.column_stack([t, np.maximum(binv @ std.b, 0.0)])
+
+
+def phase_one_solve(lp, maxiter=20000):
+    """``solve_lp`` as it was before the crash basis: every LP starts at
+    phase one from the slack basis, with artificial columns where it has
+    none, then the library's phase two.  Returns (x, SolveReport)."""
+    from sparsecert.engine import simplex as S
+    std = S._Standard(lp)
+    tab, stop = S._phase_one(std, maxiter)
+    if stop is not None:
+        return None, stop
+    x, report, _ = S._phase_two(std, tab, lp.c, maxiter)
+    return x, report

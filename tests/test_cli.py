@@ -84,20 +84,23 @@ def test_recover_json_flag_emits_machine_readable(tmp_path):
 
 def test_recover_json_reports_anderson_counts(tmp_path, capsys):
     """--json prints the accelerated splitting's counts next to the
-    iterations; the LP path has none."""
+    iterations, and the LP path its start: the dual simplex from the
+    residual basis with eps > 0, phase one for A u = y."""
     r = np.random.default_rng(3)
     a = r.standard_normal((4, 8))
     y = a @ np.eye(8)[2] + 0.01 * r.standard_normal(4)
     counts = {}
-    for phi in ("l2", "l1"):
-        p = write_plain_problem(tmp_path, a, y, phi=phi, epsilon=0.05)
+    for phi, eps in (("l2", 0.05), ("l1", 0.05), ("l1", 0.0)):
+        p = write_plain_problem(tmp_path, a, y, phi=phi, epsilon=eps)
         assert cli.main(["recover", "--problem", str(p), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        counts[phi] = doc["anderson"], doc["iterations"]
-    anderson, iterations = counts["l2"]
+        counts[phi, eps] = doc["anderson"], doc["iterations"], doc["start"]
+    anderson, iterations, start = counts["l2", 0.05]
     assert set(anderson) == {"accepted", "rejected", "resets"}
     assert 0 < anderson["accepted"] + anderson["rejected"] < iterations
-    assert counts["l1"][0] is None
+    assert start is None
+    assert counts["l1", 0.05][0] is None and counts["l1", 0.05][2] == "dual"
+    assert counts["l1", 0.0][2] == "phase_one"
 
 
 def test_recover_penalized_needs_lambda(tmp_path):

@@ -1,6 +1,7 @@
 """Norms, duals, seminorms, induced norms, prox maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -459,6 +460,35 @@ def test_vectorized_linf_group_prox_matches_per_block_loop():
             got = prox_structure_norm(gr, w, tau)
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+def test_l1_ball_and_linf_prox_below_half_an_ulp(rng):
+    """A radius below half an ulp of the largest magnitude fails the
+    threshold test at rank 1 in floating point: the l1-ball projection and
+    the linf prox (one vector, all-linf and mixed-tag blocks) clamp to rank
+    1 there, with no error or warning.  On ordinary inputs the projection
+    is bitwise the unclamped sorted-threshold formula."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = norms.project_l1_ball([1.0, 1.0], 1e-17)
+        assert np.abs(p).sum() <= 1e-17
+        v = np.array([1e10, 3.0])
+        assert np.abs(prox_vector_norm(v, "linf", 1e-7) - v).sum() <= 1e-7
+        w = np.array([1e10, 3.0, 1.0, -2.0])
+        for tags in ("linf", ["linf", "l1"]):
+            st, _ = structures.build_group([(0, 1), (2, 3)], block_norm=tags)
+            out = prox_structure_norm(st, w, 1e-7)
+            assert np.all(np.isfinite(out))
+            assert np.abs(out - w).sum() <= 2e-7 + 1e-12
+    for _ in range(200):
+        x = rng.standard_normal(int(rng.integers(1, 12))) * 3
+        r = float(rng.uniform(1e-3, 0.9)) * np.abs(x).sum()
+        a = np.abs(x)
+        u = np.sort(a)[::-1]
+        css = u.cumsum()
+        rho = np.nonzero(u * np.arange(1, a.size + 1) > css - r)[0][-1]
+        ref = np.sign(x) * np.maximum(a - (css[rho] - r) / (rho + 1.0), 0.0)
+        assert norms.project_l1_ball(x, r).tobytes() == ref.tobytes()
 
 
 def test_lowrank_prox_is_bitwise_the_svd_descending_formula():

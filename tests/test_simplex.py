@@ -9,11 +9,12 @@ import pytest
 
 from sparsecert import structures
 from sparsecert.engine import LinearProgram, LPSequence, Status, solve_lp
-from sparsecert.engine.simplex import _slack_basis, _Standard
-from sparsecert.recovery import RecoveryProblem
+from sparsecert.engine.simplex import _crash_basis, _slack_basis, _Standard
+from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
-from oracles import (phase_two_oracle, recovery_lp_oracle,
-                     reference_tableau_run, slack_basis_oracle,
+from oracles import (crash_basis_oracle, phase_one_solve, phase_two_oracle,
+                     recovery_lp_oracle, reference_tableau_run,
+                     slack_basis_oracle,
                      standard_form_oracle, vertex_enumeration_lp,
                      warm_tableau_oracle)
 
@@ -275,8 +276,8 @@ def _cold(lp, cost):
 
 def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
     """A basis whose point fails ``_solves`` is not re-formed: the next cost
-    goes through phase one again, which makes that solve the cold one,
-    pivot for pivot."""
+    makes a cold start again, which makes that solve the cold one, pivot
+    for pivot."""
     from sparsecert.engine import simplex
     monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
     lp = mixed_bounds_lp(rng, 5, 6)
@@ -290,11 +291,14 @@ def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
 def test_singular_basis_gives_least_squares_duals_and_phase_one(rng, monkeypatch):
     """With the basis inverse forced to fail, every solve still certifies
     its optimum, through least-squares duals and the tableau's own point,
-    and every next cost restarts from phase one."""
+    and every next cost restarts from phase one (a crash basis needs the
+    inverse too), pivot for pivot as ``oracles.phase_one_solve``."""
     from sparsecert.engine import simplex
     lp = mixed_bounds_lp(rng, 5, 6)
     costs = [rng.standard_normal(5) for _ in range(6)]
-    colds = [_cold(lp, cost) for cost in costs]
+    colds = [phase_one_solve(LinearProgram(c=cost, G=lp.G, h=lp.h,
+                                           senses=lp.senses, lb=lp.lb,
+                                           ub=lp.ub)) for cost in costs]
     real_lstsq, fallbacks = np.linalg.lstsq, []
 
     def lstsq(*args, **kwargs):
@@ -425,9 +429,10 @@ def test_cost_sequence_rejects_a_bad_cost():
 
 
 def test_sequence_tallies_are_the_sums_of_its_reports(rng):
-    """A sequence's ``lps``, ``iterations``, ``not_optimal`` and ``delta``
-    are the count, the pivot sum, the non-optimal count and the largest
-    optimal gap of the reports it returned: on mixed-bound LPs (optimal and
+    """A sequence's ``lps``, ``iterations``, ``not_optimal``, ``delta`` and
+    ``starts`` are the count, the pivot sum, the non-optimal count, the
+    largest optimal gap and the cold starts by kind of the reports it
+    returned: on mixed-bound LPs (optimal and
     unbounded solves), on an empty feasible set, and on a box LP capped at
     one pivot per solve."""
     empty = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[-1.0])
@@ -441,7 +446,10 @@ def test_sequence_tallies_are_the_sums_of_its_reports(rng):
         reports = [seq.solve(rng.standard_normal(lp.c.size))[1]
                    for _ in range(8)]
         gaps = [r.delta for r in reports if r.status is Status.OPTIMAL]
+        starts = [r.start for r in reports if r.start is not None]
         assert seq.lps == len(reports)
+        assert seq.starts == {k: starts.count(k) for k in seq.starts}
+        assert sum(seq.starts.values()) == len(starts) >= 1
         assert seq.iterations == sum(r.iterations for r in reports)
         assert seq.not_optimal == len(reports) - len(gaps)
         assert seq.delta == max(gaps, default=0.0)
@@ -469,10 +477,15 @@ def test_warm_tableau_is_built_only_for_a_next_cost(rng, monkeypatch):
 
 
 def test_recovery_lp_pivots_pinned():
-    """Splitting solve_lp into its two phases keeps its pivot sequence: a
-    seeded recovery LP in the t-epigraph form of ``recovery_lp_oracle``
-    takes the 93 pivots and reaches the objective it did before the
-    split."""
+    """A seeded l1-fit recovery LP keeps its pivot counts and objective.
+    Built by ``recovery._build_recovery_lp``, its residual basis is dual
+    feasible, and the dual start takes 18 pivots where phase one and
+    phase two took 64.  In the t-epigraph form of ``recovery_lp_oracle``
+    every u column costs 0, so the dual steps are zero steps: the dual
+    start gives up after ``_DEGENERATE_STREAK`` of them, and phase one
+    then takes the 93 pivots it always took."""
+    from sparsecert.engine.simplex import _DEGENERATE_STREAK
+    from sparsecert.recovery import _build_recovery_lp
     r = np.random.default_rng(11)
     n, m = 30, 15
     st, rep = structures.build_plain(n)
@@ -482,10 +495,17 @@ def test_recovery_lp_pivots_pinned():
     prob = RecoveryProblem(a=a, b=rep, y=a @ x + 0.01 * r.standard_normal(m),
                            phi="l1", epsilon=0.05)
     c, g, h, senses, lb = recovery_lp_oracle(prob, st, "regular")
-    _, report = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb))
-    assert report.status is Status.OPTIMAL and not report.used_bland
-    assert report.iterations == 93
-    assert report.objective == pytest.approx(3.4958134631947595, rel=1e-12)
+    oracle_form = LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb)
+    lp, _ = _build_recovery_lp(prob, st, rep.matrix, "regular")
+    cases = [(oracle_form, phase_one_solve, None, 93),
+             (oracle_form, solve_lp, "phase_one", 93 + _DEGENERATE_STREAK),
+             (lp, phase_one_solve, None, 64), (lp, solve_lp, "dual", 18)]
+    for form, solve, start, pivots in cases:
+        _, report = solve(form)
+        assert report.status is Status.OPTIMAL and not report.used_bland
+        assert (report.start, report.iterations) == (start, pivots)
+        assert report.objective == pytest.approx(3.4958134631947595,
+                                                  rel=1e-12)
 
 
 def test_certificate_lp_counts_pinned():
@@ -502,7 +522,7 @@ def test_certificate_lp_counts_pinned():
     a = np.random.default_rng(0).standard_normal((10, 16))
     d = synth_certificate_group(a, rep.matrix, st, 1, phi="l1").details
     assert (d["stage_one_iterations"], d["stage_two_iterations"],
-            d["beta_lps"]) == (153, 266, 13)
+            d["beta_lps"]) == (153, 236, 13)
 
 
 def test_pivot_loop_matches_reference_loop(rng, monkeypatch):
@@ -696,3 +716,150 @@ def test_pivot_leaves_an_exact_unit_column(rng):
         unit[r] = 1.0
         assert tab.T[:, j].tobytes() == unit.tobytes()
         assert tab.T.tobytes() == ref.tobytes() and tab.basis[r] == j
+
+
+def test_crash_basis_matches_row_by_row_reference(rng):
+    """The vectorized crash basis is the one the loop over rows and columns
+    picks: on mixed-bound LPs with sparse rows and flipped signs (rows with
+    no candidate column give None), on seeded recovery LPs, whose slack and
+    residual columns compete, and with no rows at all."""
+    picked = 0
+    for trial in range(60):
+        lp = mixed_bounds_lp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        lp.G[rng.random(lp.G.shape) < 0.4] = 0.0
+        if trial % 3 == 0:
+            lp.h = lp.h - 5.0
+        std = _Standard(lp)
+        c_std = std.costs(np.where(rng.random(lp.c.size) < 0.5, 0.0, lp.c))[0]
+        ref = crash_basis_oracle(std, c_std)
+        got = _crash_basis(std, c_std)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(got, ref)
+            picked += 1
+    for lp in _recovery_lps(seeds=(0,)):
+        std = _Standard(lp)
+        c_std = std.costs(lp.c)[0]
+        ref = crash_basis_oracle(std, c_std)
+        assert ref is not None and np.array_equal(_crash_basis(std, c_std), ref)
+        picked += 1
+    assert picked > 20
+    empty = _Standard(LinearProgram(c=[1.0, -1.0], G=np.zeros((0, 2)), h=[]))
+    assert _crash_basis(empty, np.ones(2)).size == 0
+
+
+def _recovery_lps(seeds=(0, 1, 2)):
+    """Seeded l1- and linf-fit recovery LPs of ``recovery._build_recovery_lp``:
+    regular with eps = 0.05 and penalized with lam = 1.5, on plain n=24 and
+    on 8 triples with l1 and with linf blocks, m = 12."""
+    structs = [structures.build_plain(24)[0]] + [
+        structures.build_group([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)],
+                               [1.0] * 8, tag)[0] for tag in ("l1", "linf")]
+    lps = []
+    for seed in seeds:
+        r = np.random.default_rng([seed, 20])
+        a = r.standard_normal((12, 24))
+        x = np.zeros(24)
+        x[r.choice(24, 3, replace=False)] = r.standard_normal(3)
+        for st in structs:
+            for phi in ("l1", "linf"):
+                xi = r.standard_normal(12)
+                xi *= 0.02 / np.abs(xi).max()
+                prob = RecoveryProblem(a=a, b=None, y=a @ x + xi, phi=phi,
+                                       epsilon=0.05)
+                for mode in ("regular", "penalized"):
+                    lps.append(_build_recovery_lp(prob, st, None, mode, 1.5)[0])
+    return lps
+
+
+def test_crash_and_dual_starts_match_phase_one_on_recovery_lps():
+    """On seeded l1/linf recovery LPs (regular with eps > 0 and penalized,
+    plain and l1/linf blocks) the crash or dual start ends with phase
+    one's status and objective to 1e-9 relative; every start occurs."""
+    starts = set()
+    for lp in _recovery_lps():
+        x, rep = solve_lp(lp)
+        x_ref, ref = phase_one_solve(lp)
+        assert ref.status is Status.OPTIMAL and rep.status is ref.status
+        assert rep.objective == pytest.approx(ref.objective, rel=1e-9)
+        assert 0.0 <= rep.delta <= 1e-9 * (1.0 + abs(rep.objective))
+        assert rep.residuals["primal"] <= 1e-9
+        starts.add(rep.start)
+    assert starts == {"crash", "dual", "phase_one"}
+
+
+def _infeasible_l1_fit(seed):
+    """Regular l1 recovery LP whose eps is half the least l1 fit of an
+    overdetermined A u = y (m = 16, n = 8)."""
+    r = np.random.default_rng(seed)
+    st, rep = structures.build_plain(8)
+    a, y = r.standard_normal((16, 8)), r.standard_normal(16)
+    prob = RecoveryProblem(a=a, b=rep, y=y, phi="l1", epsilon=1e6)
+    lp, _ = _build_recovery_lp(prob, st, rep.matrix, "regular")
+    fit_cost = np.zeros(lp.c.size)
+    fit_cost[-32:] = 1.0
+    least = solve_lp(LinearProgram(c=fit_cost, G=lp.G, h=lp.h,
+                                   senses=lp.senses))[1].objective
+    lp.h[-1] = 0.5 * least
+    return lp
+
+
+def test_eps_below_the_least_fit_ends_infeasible_with_farkas():
+    """The dual start meets a row with no negative entry and hands over to
+    phase one, whose Farkas vector proves the LP empty; the report counts
+    the dual pivots too."""
+    for seed in range(3):
+        lp = _infeasible_l1_fit(seed)
+        x, rep = solve_lp(lp)
+        _, ref = phase_one_solve(lp)
+        assert x is None and rep.status is Status.INFEASIBLE
+        assert rep.start == "phase_one" and rep.iterations > ref.iterations
+        cert, std = rep.certificate, rep.standard
+        assert cert["kind"] == "farkas"
+        assert cert["y"] @ std["b"] > 1e-9
+        assert np.max(cert["y"] @ std["A"]) <= 1e-9
+
+
+def test_maxiter_caps_dual_and_primal_pivots_together():
+    """``solve_lp(lp, maxiter=k)`` makes at most k pivots across the dual
+    loop, phase one and phase two, and ends as the uncapped solve once k
+    exceeds its count (the last loop needs a pass that makes no pivot): on
+    a dual start, on one that gives up after zero steps and on one that
+    meets an empty feasible set."""
+    r = np.random.default_rng(11)
+    st, rep = structures.build_plain(30)
+    a = r.standard_normal((15, 30))
+    prob = RecoveryProblem(a=a, b=rep, y=a @ np.eye(30)[3] + 0.01 *
+                           r.standard_normal(15), phi="l1", epsilon=0.05)
+    oracle_form = LinearProgram(*recovery_lp_oracle(prob, st, "regular"))
+    lps = [_build_recovery_lp(prob, st, rep.matrix, "regular")[0],
+           oracle_form, _infeasible_l1_fit(0)]
+    for lp in lps:
+        _, full = solve_lp(lp)
+        for k in range(full.iterations + 2):
+            _, capped = solve_lp(lp, maxiter=k)
+            assert capped.iterations <= k
+            if k <= full.iterations:
+                assert capped.status is Status.MAXITER
+            else:
+                assert capped.status is full.status
+                assert capped.iterations == full.iterations
+
+
+def test_equality_fit_keeps_the_phase_one_path():
+    """With eps = 0 the data rows A u = y have no crash column, so the
+    recovery LP starts at phase one and keeps its pivots and point."""
+    for seed in range(3):
+        r = np.random.default_rng(seed)
+        for st in (structures.build_plain(24)[0],
+                   structures.build_group([[3 * i, 3 * i + 1, 3 * i + 2]
+                                           for i in range(8)], [1.0] * 8,
+                                          "linf")[0]):
+            a = r.standard_normal((12, 24))
+            prob = RecoveryProblem(a=a, b=None, y=a @ np.eye(24)[5],
+                                   phi="l1", epsilon=0.0)
+            lp = _build_recovery_lp(prob, st, None, "regular")[0]
+            x, rep = solve_lp(lp)
+            x_ref, ref = phase_one_solve(lp)
+            assert rep.start == "phase_one" and rep.iterations == ref.iterations
+            assert np.array_equal(x, x_ref) and rep.objective == ref.objective

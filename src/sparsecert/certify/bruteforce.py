@@ -17,7 +17,10 @@ coordinate of B z, and the signs run over those coordinates.  The LPs of one
 enumeration share their feasible set and differ only in the cost, so one
 ``LPSequence`` per verdict solves them: one cold start, each LP starting at
 the optimal basis of the one before, and its tallies give the LP counts of
-``details``.
+``details``.  The singletons' LPs are all known before the search starts,
+so they go to the sequence as one lockstep batch (``solve_many``), every
+one from the basis the first ended on; a larger set's few LPs are solved
+one by one, where a stack of two to four costs more than it saves.
 
 Most of those LPs cannot matter, and certified bounds prove it without
 solving them.  The value of a block set (its largest retained mass) adds up
@@ -162,16 +165,19 @@ def _maximal_sets(chi, s):
 
 def _lattice(maximal):
     """Every nonempty subset of the sets ``maximal``, by size: level k - 1
-    holds the k-block sets, in lexicographic order."""
-    by_size = {}
+    holds the k-block sets, in lexicographic order.  Also returns, for
+    every set of two or more blocks, its subsets S - l in the order of l."""
+    by_size, subsets = {}, {}
     for chosen in maximal:
         by_size.setdefault(len(chosen), set()).add(chosen)
     top = max(by_size)
     for k in range(top, 1, -1):
         below = by_size.setdefault(k - 1, set())
         for chosen in by_size.get(k, ()):
-            below.update(chosen[:i] + chosen[i + 1:] for i in range(k))
-    return [sorted(by_size.get(k, ())) for k in range(1, top + 1)]
+            subs = subsets[chosen] = [chosen[:i] + chosen[i + 1:]
+                                      for i in range(k)]
+            below.update(subs)
+    return [sorted(by_size.get(k, ())) for k in range(1, top + 1)], subsets
 
 
 class _Plan(NamedTuple):
@@ -249,10 +255,12 @@ def _pruned_search(lp, maximal, supports, witness):
     blocks l of UB(S - l) + UB({l}).  UB is the max of value + delta over a
     solved set's LPs (+inf if one did not end optimal), and for any other
     set its bound, set level by level from the singletons up, all of which
-    are solved first.  The maximal sets are then visited in descending
-    order of bound, each bound brought up to date when its set comes first,
-    until none exceeds the best value found by more than the tie tolerance
-    1e-12 (1 + best).  Bounds within the tolerance of the largest are ties,
+    are solved first, in one lockstep batch.  Each set's subsets S - l
+    come from ``_lattice`` and its singletons' UBs are read once, after the
+    singletons are solved, so a bound costs one sum per block.  The maximal
+    sets are then visited in descending order of bound, each bound brought
+    up to date when its set comes first, until none exceeds the best value
+    found by more than the tie tolerance 1e-12 (1 + best).  Bounds within the tolerance of the largest are ties,
     and the first of them in set order comes first.  Its LPs run unless the
     subset S - l of its bound is unsolved: that cheaper subset runs first,
     and the set goes back in line.  Of the subsets whose sums tie the
@@ -268,17 +276,18 @@ def _pruned_search(lp, maximal, supports, witness):
     of their bounds, a certified upper bound on the maximum, or None when
     some LP did not end optimal.
     """
-    levels = _lattice(maximal)
+    levels, subsets = _lattice(maximal)
     ub, solved = {}, set()
     best, best_z, upper = 0.0, None, 0.0
     seq = LPSequence(lp)
 
-    def solve(chosen):
+    def record(chosen, results):
+        """Take the (x, report) of each of ``chosen``'s LPs into the bounds
+        and the best value."""
         nonlocal best, best_z, upper
         ub[chosen] = 0.0    # z = 0 is feasible: no value is below 0
         solved.add(chosen)
-        for cost in supports.costs(supports.plan(chosen)):
-            x, rep = seq.solve(cost)
+        for x, rep in results:
             if rep.status is not Status.OPTIMAL:
                 ub[chosen] = math.inf
                 continue
@@ -287,6 +296,10 @@ def _pruned_search(lp, maximal, supports, witness):
             upper = max(upper, val + rep.delta)
             if val > best:
                 best, best_z = val, witness(x)
+
+    def solve(chosen):
+        record(chosen, [seq.solve(cost)
+                        for cost in supports.costs(supports.plan(chosen))])
 
     def tie():
         """The tie tolerance: bounds this close are equal to roundoff.  The
@@ -299,8 +312,7 @@ def _pruned_search(lp, maximal, supports, witness):
         the l whose sums tie the bound, the lightest, UB({l}) least, so the
         subset keeps the heaviest blocks; the first in set order of those
         tied in UB({l}) too"""
-        subs = [chosen[:i] + chosen[i + 1:] for i in range(len(chosen))]
-        single = [ub[(l,)] for l in chosen]
+        subs, single = parts[chosen]
         sums = [ub[sub] + w for sub, w in zip(subs, single)]
         value = min(sums)
         tied = [i for i, v in enumerate(sums) if v <= value + tie()]
@@ -308,10 +320,16 @@ def _pruned_search(lp, maximal, supports, witness):
         return value, subs[next(i for i in tied
                                 if single[i] <= light + tie())]
 
-    for chosen in levels[0]:
-        solve(chosen)
+    # the singletons' LPs are all known up front: one lockstep batch
+    plans = [list(supports.costs(supports.plan(c))) for c in levels[0]]
+    results = iter(seq.solve_many([c for costs in plans for c in costs]))
+    for chosen, costs in zip(levels[0], plans):
+        record(chosen, itertools.islice(results, len(costs)))
+    # each set's subsets S - l and singleton UBs, fixed from here on
+    parts = {}
     for level in levels[1:]:
         for chosen in level:
+            parts[chosen] = (subsets[chosen], [ub[(l,)] for l in chosen])
             ub[chosen] = bound(chosen)[0]
     queue = [(-ub[m], m) for m in maximal if len(m) > 1]
     heapq.heapify(queue)

@@ -29,9 +29,11 @@ their constraint matrix and differ only in the right-hand side, which holds
 the block's rows of C.  Stage one therefore solves their LP duals (Juditsky &
 Nemirovski's kernel-ball maximization, max{z_r : Az = 0, ||z|| <= 1} for
 plain structures): one feasible set per signature, with the blocks'
-right-hand sides as costs, solved by one ``LPSequence`` (one cold start, each
-LP starting at the previous optimal basis).  g_k is minus the dual optimum
-and H[:, block k] is read from the dual's multipliers.
+right-hand sides as costs, all known before the first pivot.  So one
+``LPSequence.solve_many`` per signature solves them: one cold start for the
+first block, then the others in lockstep from the basis it ended on, on one
+stacked tableau.  g_k is minus the dual optimum and H[:, block k] is read
+from the dual's multipliers.
 
 beta = psi_1(H) = 2 * max_k max_i ||H[i, block k]|| decouples the same way.
 In the per-block case a second LP per block minimizes that block norm subject
@@ -303,22 +305,23 @@ def _stage_one(lay, seqs):
     """Per-block LPs at s = 1, unit weights: one ``_StageOne`` per block.
 
     Blocks of one (size, tag) share G and differ only in h, so one dual LP
-    per signature serves them all: its costs are their h, solved by the
-    signature's ``LPSequence`` in ``seqs``, and block k's H is read from its
-    duals.
+    per signature serves them all: its costs are their h, solved as one
+    batch (``solve_many``) by the signature's ``LPSequence`` in ``seqs``,
+    and block k's H is read from its duals.
     """
     m = lay.d_full.shape[0]
-    lps, out = {}, []
+    blocks = {}
     for k in range(lay.sizes.size):
-        key = (lay.sizes[k], lay.tags[k])
-        if key not in lps:
-            lp, nh, _ = lps[key] = _synthesis_lp(lay, [k], 1.0, simple=True)
-            seqs[key] = LPSequence(_dual_lp(lp, nh), _MAXITER)
-        lp, nh, rhs = lps[key]
-        h = rhs(lay.offs[k])
-        report = _optimal(seqs[key].solve(h)[1])
-        cols = report.dual[:nh].reshape(m, lay.sizes[k])
-        out.append(_StageOne(lp, h, cols, -float(report.objective)))
+        blocks.setdefault((lay.sizes[k], lay.tags[k]), []).append(k)
+    out = [None] * lay.sizes.size
+    for key, ks in blocks.items():
+        lp, nh, rhs = _synthesis_lp(lay, ks[:1], 1.0, simple=True)
+        seqs[key] = LPSequence(_dual_lp(lp, nh), _MAXITER)
+        hs = np.array([rhs(lay.offs[k]) for k in ks])
+        for k, h, (_, report) in zip(ks, hs, seqs[key].solve_many(hs)):
+            report = _optimal(report)
+            cols = report.dual[:nh].reshape(m, lay.sizes[k])
+            out[k] = _StageOne(lp, h, cols, -float(report.objective))
     return out
 
 

@@ -44,12 +44,26 @@ Every check stays: re-verification against the untouched standard form
 ``delta`` with its cushion for dual infeasibility, and a warm tableau formed
 from untouched data, never from the previous tableau.
 
-``LPSequence`` minimizes cost vectors one at a time over one feasible set:
-the first solve makes the cold start above, and each later solve starts
-phase two at the basis the previous one ended on, re-formed only when that
-next cost arrives.  The sequence tallies its solves (LPs, pivots, cold
-starts by kind, LPs not optimal and the largest gap of the optimal ones),
-so callers read one count.  ``solve_lp`` is the one-cost sequence.
+``LPSequence`` minimizes cost vectors over one feasible set: the first
+solve makes the cold start above, and each later solve starts phase two at
+the basis the previous one ended on, re-formed only when that next cost
+arrives.  Costs known in advance go to ``solve_many``: the first is
+``solve``'s, and the others start at the basis it ended on and pivot in
+lockstep on one stacked tableau (``_lockstep``), each LP with the pivots
+``_Tableau.run`` would make from there: both take the leaving row from
+``_ratio_test`` and pivot with ``_pivot``, which work on one tableau or a
+stack.  An LP leaves the stack and finishes in ``_Tableau.run`` when it
+needs the small-pivot scan or the lexicographic rule, proves unbounded or
+reaches the pivot cap, and so does the last LP in the stack.  One stacked
+inverse then certifies every final basis, and each LP gets the checks of
+every solve (``_certify_many``, the stacked form of ``_certify``, through
+the same ``_solves``, ``_gaps`` and ``_report``).  On these small LPs one
+numpy call over the stack costs about what it costs for one LP, which is
+the gain.  Products over a stack are stacked ``matmul`` calls (``_mv``,
+``_vm``, ``_dot``), which give each LP the bits of its one-vector product.
+The sequence tallies its solves (LPs, pivots, cold starts by kind, LPs not
+optimal and the largest gap of the optimal ones), so callers read one
+count.  ``solve_lp`` is the one-cost sequence.
 
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
@@ -69,7 +83,13 @@ _TOL = 1e-9
 _DEGENERATE_STREAK = 12  # zero steps in a row: lex rule on, dual start off
 _PIVOT_MIN = 1e-7   # smallest pivot element worth dividing a row by
 _PIVOT_SCAN = 24    # entering candidates to try before accepting a tiny pivot
+# tableau cells a lockstep stack updates per numpy call (512 KB): the
+# product temporary of a whole large stack outgrows the cache (plain n = 100
+# stage one: 0.27 s unblocked, 0.23 s in blocks of 2^16 cells, 0.24-0.25 s
+# at 2^15 or 2^17, and 0.25 s solved one by one)
+_UPDATE_CELLS = 1 << 16
 _max, _min = np.maximum.reduce, np.minimum.reduce  # no per-call wrapper cost
+_ALL = slice(None)
 
 
 class Status(Enum):
@@ -113,11 +133,18 @@ class LinearProgram:
             np.asarray(self.ub, dtype=float).ravel()
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bounds must match variable count")
-        for name, arr in (("c", self.c), ("G", self.G), ("h", self.h)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
-            raise ValueError("bounds must not be NaN")
+        _check_finite(self)
+
+
+def _check_finite(lp):
+    """Raise ValueError, naming the field, when c, G or h holds an entry
+    that is not finite or a bound is NaN.  ``_Standard`` checks again: the
+    fields of a ``LinearProgram`` can be written after it was made."""
+    for name, arr in (("c", lp.c), ("G", lp.G), ("h", lp.h)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if np.isnan(lp.lb).any() or np.isnan(lp.ub).any():
+        raise ValueError("bounds must not be NaN")
 
 
 @dataclass
@@ -140,6 +167,7 @@ class _Standard:
     """Equality-form problem plus the bookkeeping to map back."""
 
     def __init__(self, lp):
+        _check_finite(lp)
         self.warnings = []  # phase one's notes on this form, shown by every solve
         lo, hi = lp.lb, lp.ub
         bad = np.nonzero(lo > hi + _TOL)[0]
@@ -190,15 +218,25 @@ class _Standard:
         self.kept_rows = np.arange(m)  # narrowed if redundant rows get dropped
 
     def costs(self, c):
-        """Equality-form cost vector and constant offset of the cost ``c``."""
-        c_std = np.zeros(self.A.shape[1])
-        c_std[: self.nz] = self.sign * c[self.var]
-        return c_std, float(c @ self.off)
+        """Equality-form cost vector and constant offset of the cost ``c``,
+        or of each row of a stack of costs."""
+        c_std = np.zeros(c.shape[:-1] + (self.A.shape[1],))
+        if c.ndim == 1:   # a lone cost indexes its one axis: no ``:`` to pay
+            c_std[: self.nz] = self.sign * c[self.var]
+            return c_std, c @ self.off
+        c_std[:, : self.nz] = self.sign * c[:, self.var]
+        return c_std, _dot(c, self.off)
 
     def x_original(self, z):
+        """The original variables of the point ``z``, or of each row of a
+        stack of points."""
         w = self.sign * z   # a free variable's minus column adds last
-        x = self.off + w[self.first]
-        x[self.free] += w[self.minus]
+        if z.ndim == 1:
+            x = self.off + w[self.first]
+            x[self.free] += w[self.minus]
+        else:
+            x = self.off + w[:, self.first]
+            x[:, self.free] += w[:, self.minus]
         return x
 
     def drop_row(self, local_i):
@@ -213,6 +251,57 @@ class _Standard:
         full[self.kept_rows] = y
         full *= self.row_sign
         return full[: self.n_orig_rows]
+
+
+# a @ v, v @ a and u @ v of one vector, or of each row of a stack of
+# vectors (with each matrix or row of a stack): stacked matmul gives each
+# row the bits of its one-vector product, and numpy before 2.2 has no
+# ``np.matvec``, ``np.vecmat`` (nor, before 2.0, ``np.vecdot``)
+def _mv(a, v):
+    return a @ v if v.ndim == 1 else (a @ v[..., None])[..., 0]
+
+
+def _vm(v, a):
+    return v @ a if v.ndim == 1 else (v[..., None, :] @ a)[..., 0, :]
+
+
+def _dot(u, v):
+    return u @ v if u.ndim == 1 else \
+        (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _ratio_test(rhs, colv, ratio):
+    """The least-ratio test of the entering column ``colv`` against the
+    basic values ``rhs`` of one tableau, or of each column of (m, k) stacks
+    of them: ``ratio``, shaped like ``colv``, gets rhs / colv where colv >
+    ``_TOL`` and inf elsewhere.  Returns the least ratio, which is infinite
+    when the column proves the LP unbounded (also with no rows), the rows
+    within ``_TOL`` of it, and of those the row of the largest pivot
+    element, the numerically stable choice (None with no rows)."""
+    ratio.fill(np.inf)
+    np.divide(rhs, colv, out=ratio, where=colv > _TOL)
+    least = _min(ratio, axis=0, initial=np.inf)
+    tie = ratio <= least + _TOL
+    return least, tie, \
+        np.where(tie, colv, -np.inf).argmax(axis=0) if len(ratio) else None
+
+
+def _pivot(t, basis, r, j, piv, at=()):
+    """Pivot the tableau ``t`` on row ``r``, column ``j``, whose entry is
+    ``piv``, and put ``j`` in ``basis`` at ``r``; returns whether the step
+    moves the point (a ratio above ``_TOL``).  With ``at`` = (arange(k),),
+    ``t`` is a (k, m+1, n+1) stack of tableaus, ``basis`` (k, m), ``r`` and
+    ``j`` hold one index per tableau and ``piv`` is (k, 1)."""
+    at_r = at + (r,)
+    t[at_r] /= piv
+    row = t[at_r]
+    # x / x is exactly 1 and x - x * 1 exactly 0, so the update itself
+    # leaves column j the unit column of row r
+    col = t[at + (_ALL, j)].copy()
+    col[at_r] = 0.0
+    t -= col[..., None] * row[..., None, :]
+    basis[at_r] = j
+    return row.T[-1] > _TOL
 
 
 class _Tableau:
@@ -231,31 +320,19 @@ class _Tableau:
         self.T[-1] -= self.T[-1, self.basis] @ self.T[: self.m]
 
     def pivot(self, r, j):
-        # x / x is exactly 1 and x - x * 1 exactly 0, so the update itself
-        # leaves column j the unit column of row r
-        self.T[r] /= self.T[r, j]
-        col = self.T[:, j].copy()
-        col[r] = 0.0
-        self.T -= col[:, None] * self.T[r]
-        self.basis[r] = j
+        """``_pivot`` on entry (r, j); True when the step moves the point."""
+        return _pivot(self.T, self.basis, r, j, self.T[r, j])
 
     def _leaving_row(self, colv):
-        """Min-ratio row for an entering column, or None if it proves
-        unboundedness: no positive entry, so the least ratio is infinite
-        (also with no rows).  The ratios go to ``run``'s buffer, where rows
-        with no positive entry stay infinite."""
-        pos = colv > _TOL
-        ratio = self._ratio
-        ratio.fill(np.inf)
-        np.divide(self._rhs, colv, out=ratio, where=pos)
-        least = _min(ratio, initial=np.inf)
+        """Min-ratio row for an entering column (``_ratio_test``), or None
+        if it proves unboundedness.  The ratios go to ``run``'s buffer."""
+        least, tie, row = _ratio_test(self._rhs, colv, self._ratio)
         if least == np.inf:
             return None
-        tie = ratio <= least + _TOL
         if self.lex_ref is None:
-            # largest pivot element: the numerically stable choice
-            return int(np.where(tie, colv, -np.inf).argmax())
-        ties = np.nonzero(tie & pos)[0]
+            return int(row)
+        # a finite least ratio ties only rows with a positive entry
+        ties = np.nonzero(tie)[0]
         if ties.size == 1:
             return int(ties[0])
         big = ties[colv[ties] >= _PIVOT_MIN]
@@ -302,12 +379,11 @@ class _Tableau:
                         break
                     if mag > fall_mag:
                         r, j, fall_mag = rc, int(jc), mag
-            if t[r, self.n] / t[r, j] > _TOL:
+            if self.pivot(r, j):
                 self._streak = 0
                 self.lex_ref = None  # degenerate vertex escaped
             else:
                 self._streak += 1
-            self.pivot(r, j)
             self.iterations += 1
             done += 1
             if self.lex_ref is None and self._streak >= _DEGENERATE_STREAK:
@@ -330,11 +406,11 @@ def _inverse(bmat):
 
 
 def _multipliers(bmat, binv, cb):
-    """y with y @ bmat = cb: cb @ binv, or least squares when the basis is
-    singular (``binv`` None)."""
+    """y with y @ bmat = cb: cb @ binv (row by row over a stack of bases),
+    or least squares when the one basis is singular (``binv`` None)."""
     if binv is None:
         return np.linalg.lstsq(bmat.T, cb, rcond=None)[0]
-    return cb @ binv
+    return _vm(cb, binv)
 
 
 def _slack_basis(std):
@@ -480,14 +556,16 @@ def _phase_one(std, maxiter, spent=0):
 
 
 def _fits(bmat, zb, b):
-    """Whether zb solves bmat zb = b to tolerance."""
-    resid = float(_max(np.abs(bmat @ zb - b), initial=0.0))
+    """Whether zb solves bmat zb = b to tolerance, one verdict per basis of
+    a stack."""
+    resid = _max(np.abs(_mv(bmat, zb) - b), axis=-1, initial=0.0)
     return resid <= 1e-7 * (1.0 + float(_max(np.abs(b), initial=0.0)))
 
 
 def _solves(bmat, zb, b):
-    """Whether zb is a nonnegative solution of bmat zb = b to tolerance."""
-    return _min(zb, initial=0.0) >= -1e-9 and _fits(bmat, zb, b)
+    """Whether zb is a nonnegative solution of bmat zb = b to tolerance, one
+    verdict per basis of a stack."""
+    return (_min(zb, axis=-1, initial=0.0) >= -1e-9) & _fits(bmat, zb, b)
 
 
 def _warm_tableau(std, basis, binv, zb):
@@ -533,31 +611,96 @@ def _cold_start(std, cost, maxiter):
 
 def _phase_two(std, tab, cost, maxiter):
     """Minimize ``cost`` from the feasible basis of ``tab`` and certify the
-    outcome against the untouched standard form; returns (x, SolveReport,
-    warm), ``warm`` the final basis inverse and its point binv @ b when
-    they pass ``_solves`` (the next warm start), else (None, None)."""
-    ncols = std.A.shape[1]
+    outcome (``_certify``); returns (x, SolveReport, warm)."""
     c_std, const = std.costs(cost)
-    warnings = list(std.warnings)
     tab.set_costs(c_std)
-    outcome, unb_col = tab.run(ncols, maxiter - tab.iterations)
+    outcome, unb_col = tab.run(std.A.shape[1], maxiter - tab.iterations)
+    return _certify(std, tab, outcome, unb_col, c_std, const)
 
+
+def _certify(std, tab, outcome, unb_col, c_std, const):
+    """Certify the final tableau ``tab`` of one LP against the untouched
+    standard form; ``outcome`` and ``unb_col`` are what its run returned,
+    ``c_std`` and ``const`` its cost (``_Standard.costs``).  Returns (x,
+    SolveReport, warm), ``warm`` the final basis inverse and its point
+    binv @ b when they pass ``_solves`` (the next warm start), else (None,
+    None)."""
+    ncols = std.A.shape[1]
     # re-solve on the untouched matrix to shed pivot error; accept only if the
     # basis system is solved (a near-singular inverse is garbage, no error)
     bmat = std.A[:, tab.basis]
     binv = _inverse(bmat)
     zb = None if binv is None else binv @ std.b
     ok = zb is not None and _solves(bmat, zb, std.b)
-    warm = (binv, zb) if ok else (None, None)
     if outcome == "optimal" and ok:
         z = np.zeros(ncols)
         z[tab.basis] = np.maximum(zb, 0.0)
     else:
         z = tab.solution()[:ncols]
-    x = std.x_original(z[: std.nz])
-    obj = float(c_std @ z + const)
+    y = _multipliers(bmat, binv, c_std[tab.basis])
+    obj = c_std @ z + const
+    report = _report(std, tab, outcome, unb_col, c_std, z, obj, y,
+                     _gaps(std, z, y, c_std, obj, const))
+    return std.x_original(z[: std.nz]), report, \
+        (binv, zb) if ok else (None, None)
 
+
+def _certify_many(std, tabs, runs, c_std, const):
+    """``_certify`` of the final tableaus ``tabs`` of LPs over ``std``, with
+    ``runs`` their (outcome, unbounded column) and ``c_std``, ``const`` their
+    costs, one row each: one stacked inverse of the final bases, then
+    ``_solves``, ``_multipliers`` and ``_gaps`` over the stack and
+    ``_report`` per LP.  A singular basis in the stack sends every LP to
+    ``_certify``.  Returns [(x, SolveReport, warm)] in order."""
+    basis = np.array([tab.basis for tab in tabs])
+    bmat = std.A[:, basis].transpose(1, 0, 2)
+    binv = _inverse(bmat)
+    if binv is None:
+        return [_certify(std, tab, *run, c, c0)
+                for tab, run, c, c0 in zip(tabs, runs, c_std, const)]
+    zb = binv @ std.b
+    ok = _solves(bmat, zb, std.b)
+    optimal = np.array([outcome == "optimal" for outcome, _ in runs])
+    rows = np.arange(len(tabs))[:, None]
+    z = np.zeros(c_std.shape)
+    z[rows, basis] = np.where((optimal & ok)[:, None], np.maximum(zb, 0.0),
+                              [tab.T[:-1, -1] for tab in tabs])
+    y = _multipliers(bmat, binv, c_std[rows, basis])
+    obj = _dot(c_std, z) + const
+    gaps = _gaps(std, z, y, c_std, obj, const)
+    x = std.x_original(z[:, : std.nz])
+    return [(x[i], _report(std, tab, *run, c_std[i], z[i], obj[i], y[i],
+                           [g[i] for g in gaps]),
+             (binv[i], zb[i]) if ok[i] else (None, None))
+            for i, (tab, run) in enumerate(zip(tabs, runs))]
+
+
+def _gaps(std, z, y, c_std, obj, const):
+    """The reductions behind a report's residuals and ``delta``, one each
+    per row of a stack: max |A z - b|, max(0, -min z), the dual
+    infeasibility max(0, -min reduced cost), the complementary slackness
+    max |z * reduced cost|, the duality gap obj - y.b - const and the l1
+    mass of ``z``, for the point ``z`` with duals ``y`` under the cost
+    ``c_std`` (objective ``obj``, constant ``const``)."""
+    reduced = c_std - _mv(std.A.T, y)
+    dual_obj = _dot(y, std.b) + const if std.b.size else const
+    # 0.0 - min(v, 0) is max(0, -v) with no -0.0
+    return (_max(np.abs(_mv(std.A, z) - std.b), axis=-1, initial=0.0),
+            0.0 - _min(z, axis=-1, initial=0.0),
+            0.0 - _min(reduced, axis=-1, initial=0.0),
+            _max(np.abs(z * reduced), axis=-1, initial=0.0),
+            obj - dual_obj, np.add.reduce(np.abs(z), axis=-1))
+
+
+def _report(std, tab, outcome, unb_col, c_std, z, obj, y, gaps):
+    """The SolveReport of one LP's final tableau ``tab``: a ray when
+    ``outcome`` is 'unbounded', else the point ``z`` with objective ``obj``,
+    duals ``y`` and residuals and ``delta`` from ``gaps`` (``_gaps``).  An
+    optimum whose primal residual exceeds the feasibility tolerance is
+    reported MAXITER."""
+    warnings = list(std.warnings)
     if outcome == "unbounded":
+        ncols = std.A.shape[1]
         ray = np.zeros(ncols)
         ray[unb_col] = 1.0
         for i, jb in enumerate(tab.basis):
@@ -566,36 +709,106 @@ def _phase_two(std, tab, cost, maxiter):
         ray_x = std.x_original(ray[: std.nz]) - std.off
         cert = {"kind": "ray", "ray": ray_x, "ray_standard": ray,
                 "descent": float(c_std @ ray)}
-        return x, SolveReport(status=Status.UNBOUNDED, iterations=tab.iterations,
-                              certificate=cert, warnings=warnings,
-                              used_bland=tab.lex_ref is not None,
-                              standard={"A": std.A, "b": std.b, "c": c_std}), warm
-
-    y = _multipliers(bmat, binv, c_std[tab.basis])
-    reduced = c_std - std.A.T @ y
-    primal_resid = max(float(_max(np.abs(std.A @ z - std.b), initial=0.0)),
-                       -float(_min(z, initial=0.0)))
-    dual_infeas = max(0.0, -float(_min(reduced, initial=0.0)))
-    comp = float(_max(np.abs(z * reduced), initial=0.0))
-    dual_obj = float(y @ std.b) + const if std.b.size else const
+        return SolveReport(status=Status.UNBOUNDED, iterations=tab.iterations,
+                           certificate=cert, warnings=warnings,
+                           used_bland=tab.lex_ref is not None,
+                           standard={"A": std.A, "b": std.b, "c": c_std})
+    resid, negative, dual, comp, gap, mass = map(float, gaps)
+    primal = max(resid, negative)
     # certified near-optimality: duality gap plus a cushion for any tiny dual
-    # infeasibility (scaled by the iterate's l1 mass; fp-level in practice)
-    delta = max(0.0, obj - dual_obj) + \
-        dual_infeas * (1.0 + float(np.add.reduce(np.abs(z))))
-
+    # infeasibility (scaled by the point's l1 mass; fp-level in practice)
+    delta = max(0.0, gap) + dual * (1.0 + mass)
     status = Status.OPTIMAL if outcome == "optimal" else Status.MAXITER
-    if status is Status.OPTIMAL and primal_resid > 1e-6 * (1.0 + std.b_max):
+    if status is Status.OPTIMAL and primal > 1e-6 * (1.0 + std.b_max):
         # a basic point claimed optimal but not feasible is never solved
         status = Status.MAXITER
         warnings.append("pivoting lost primal feasibility; not converged")
-    report = SolveReport(
-        status=status, objective=obj, iterations=tab.iterations,
-        residuals={"primal": primal_resid, "dual": dual_infeas,
-                   "comp_slack": comp},
-        dual=std.dual_original(y), delta=float(delta),
+    return SolveReport(
+        status=status, objective=float(obj), iterations=tab.iterations,
+        residuals={"primal": primal, "dual": dual, "comp_slack": comp},
+        dual=std.dual_original(y), delta=delta,
         used_bland=tab.lex_ref is not None, warnings=warnings,
         standard={"A": std.A, "b": std.b, "c": c_std, "x": z, "y": y})
-    return x, report, warm
+
+
+def _lockstep(tab, c_std, maxiter):
+    """Phase two of each row of ``c_std`` from the feasible basis of the
+    warm tableau ``tab`` (left untouched), on one (k, m+1, n+1) stack of
+    tableaus; returns the final tableaus and the (outcome, unbounded column)
+    of the runs, in row order.
+
+    Every LP makes the pivots ``_Tableau.run`` would make from ``tab``,
+    through the same ``_ratio_test`` and ``_pivot`` over the stack: the
+    entering column is the argmin of its reduced costs, the leaving row has
+    the least ratio, ties to the largest pivot element.  The update runs by
+    blocks of LPs of at most ``_UPDATE_CELLS`` cells.  LPs that end optimal
+    are compacted out of the stack.  An LP leaves the stack and finishes in
+    ``_Tableau.run`` when it needs what the stack does not do: a pivot
+    element below ``_PIVOT_MIN`` (the scan), ``_DEGENERATE_STREAK`` zero
+    steps (the lexicographic rule), a column that proves it unbounded or
+    the pivot cap; so does the last LP still in the stack."""
+    k, m, n = c_std.shape[0], tab.m, tab.n
+    t = np.empty((k, m + 1, n + 1))
+    t[:, :m] = tab.T[:m]
+    t[:, m, :n] = c_std
+    t[:, m, n] = 0.0
+    t[:, m] -= _vm(c_std[:, tab.basis], tab.T[:m])   # ``set_costs``
+    basis = np.repeat(tab.basis[None], k, axis=0)
+    ids, streak = np.arange(k), np.zeros(k, dtype=int)
+    tabs, runs = [None] * k, [None] * k
+    block = max(1, _UPDATE_CELLS // tab.T.size)   # LPs per update call
+    steps = 0
+
+    def finish(i, outcome):
+        """Take stack row i out, as its own copy: ended optimal, or handed
+        to ``run``."""
+        final = _Tableau(t[i].copy(), basis[i].copy())
+        final.iterations, final._streak = steps, int(streak[i])
+        if final._streak >= _DEGENERATE_STREAK:
+            final.lex_ref = final.basis  # ``run`` restarts it at the basis
+        tabs[ids[i]] = final
+        runs[ids[i]] = (outcome, None) if outcome else \
+            final.run(n, maxiter - steps)
+
+    def compact(keep):
+        nonlocal t, basis, ids, streak
+        t, basis, ids, streak = t[keep], basis[keep], ids[keep], streak[keep]
+
+    while ids.size > 1 and steps < maxiter:
+        live = np.arange(ids.size)
+        red = t[:, m, :n]
+        j = red.argmin(axis=1)
+        colv = t[live, :m, j]
+        # rows down the first axis, as in one tableau; r is any row of an
+        # LP that proves unbounded
+        least, _, r = _ratio_test(t[:, :m, n].T, colv.T,
+                                  np.empty((m, live.size)))
+        piv = colv[live, r]
+        optimal = ~(red[live, j] < -_TOL)
+        done = optimal | (least == np.inf) | (piv < _PIVOT_MIN)
+        if done.any():
+            for i in np.nonzero(done)[0]:
+                finish(i, "optimal" if optimal[i] else None)
+            keep = ~done
+            compact(keep)
+            j, r, piv, live = j[keep], r[keep], piv[keep], live[:ids.size]
+            if ids.size < 2:
+                break
+        moved = np.empty(ids.size, dtype=bool)
+        for lo in range(0, ids.size, block):
+            b = slice(lo, lo + block)
+            moved[b] = _pivot(t[b], basis[b], r[b], j[b], piv[b, None],
+                              (live[: moved[b].size],))
+        steps += 1
+        streak = np.where(moved, 0, streak + 1)
+        lex = streak >= _DEGENERATE_STREAK
+        if lex.any():
+            for i in np.nonzero(lex)[0]:
+                finish(i, None)
+            compact(~lex)
+    for i in range(ids.size):
+        finish(i, None)
+    return tabs, runs
 
 
 def solve_lp(lp, maxiter=20000):
@@ -605,8 +818,9 @@ def solve_lp(lp, maxiter=20000):
 
 
 class LPSequence:
-    """Cost vectors minimized one at a time over the feasible set of ``lp``
-    (``lp.c`` is ignored), each ``solve`` capped at ``maxiter`` pivots.
+    """Cost vectors minimized over the feasible set of ``lp`` (``lp.c`` is
+    ignored), one at a time (``solve``) or as a batch (``solve_many``),
+    each capped at ``maxiter`` pivots.
 
     The first solve makes a cold start (``_cold_start``: the crash basis,
     the dual simplex from it, or phase one) under its own cost.  Each later
@@ -620,7 +834,9 @@ class LPSequence:
     phase-one pivots included in the solve that ran them, and its
     ``start`` names the cold start that solve made ('phase_one', 'crash'
     or 'dual'; None for a warm solve).  The first solve is the one
-    ``solve_lp`` makes.
+    ``solve_lp`` makes.  In a batch, every LP after the first starts at
+    the basis the first ended on, not at the one before it; its report
+    is the one ``solve`` gives from that basis, bit for bit.
 
     The sequence tallies its solves: ``lps``, ``iterations`` (the sum of
     the reports'), ``starts`` (the cold starts by kind), ``not_optimal``
@@ -659,10 +875,44 @@ class LPSequence:
             x, report, warm = _phase_two(std, self._tab, cost, self.maxiter)
             report.start = start
             self._warm = (self._tab.basis, *warm)
+        self._count(report)
+        return x, report
+
+    def solve_many(self, costs):
+        """Minimize each row of ``costs`` (k x n) over the feasible set;
+        returns [(x, SolveReport)] in row order, each report what ``solve``
+        reports.
+
+        The first cost goes through ``solve``.  The others start at the
+        basis it ended on and pivot in lockstep on one stacked tableau
+        (``_lockstep``), and their final bases are certified together
+        (``_certify_many``).  With at most two costs, or with no warm
+        basis to share (an empty feasible set, or a final basis that failed
+        ``_solves``), each cost goes through ``solve``, so a batch of one or
+        two is ``solve``'s, pivot for pivot.  The next solve starts at the
+        basis the last cost ended on."""
+        costs = np.asarray(costs, dtype=float)
+        if costs.ndim != 2 or costs.shape[1] != self._n \
+                or not np.isfinite(costs).all():
+            raise ValueError(f"costs must be rows of {self._n} finite numbers")
+        out = [self.solve(cost) for cost in costs[:1]]
+        std = self._std
+        if costs.shape[0] <= 2 or self._warm is None or self._warm[1] is None \
+                or not std.A.shape[0]:
+            return out + [self.solve(cost) for cost in costs[1:]]
+        c_std, const = std.costs(costs[1:])
+        tabs, runs = _lockstep(_warm_tableau(std, *self._warm), c_std,
+                               self.maxiter)
+        for x, report, warm in _certify_many(std, tabs, runs, c_std, const):
+            self._count(report)
+            out.append((x, report))
+        self._warm = (tabs[-1].basis, *warm)
+        return out
+
+    def _count(self, report):
         self.lps += 1
         self.iterations += report.iterations
         if report.status is Status.OPTIMAL:
             self.delta = max(self.delta, float(report.delta))
         else:
             self.not_optimal += 1
-        return x, report

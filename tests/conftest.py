@@ -13,19 +13,27 @@ def rng():
 def patch_reports(monkeypatch):
     """``patch_reports(change)`` lets ``change(index, x, report)`` rewrite
     the (x, report) of every phase two, below the tallies of its
-    ``LPSequence``; ``index`` counts the solves of one sequence (of one
-    standard form)."""
+    ``LPSequence``: of each ``solve`` and of each LP of a lockstep batch;
+    ``index`` counts the solves of one sequence (of one standard form)."""
     from sparsecert.engine import simplex
 
     def patch(change):
-        real, counters = simplex._phase_two, {}
+        real, real_many, counters = simplex._phase_two, \
+            simplex._certify_many, {}
 
-        def patched(std, tab, cost, maxiter):
-            x, rep, warm = real(std, tab, cost, maxiter)
+        def changed(std, x, rep, warm):
             i = next(counters.setdefault(std, itertools.count()))
             return (*change(i, x, rep), warm)
 
+        def patched(std, tab, cost, maxiter):
+            return changed(std, *real(std, tab, cost, maxiter))
+
+        def patched_many(std, tabs, runs, c_std, const):
+            return [changed(std, *out)
+                    for out in real_many(std, tabs, runs, c_std, const)]
+
         monkeypatch.setattr(simplex, "_phase_two", patched)
+        monkeypatch.setattr(simplex, "_certify_many", patched_many)
 
     return patch
 

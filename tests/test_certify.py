@@ -805,6 +805,68 @@ def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
     assert cert.beta == pytest.approx(psi_s(h_one, st, 1))
 
 
+# gamma and beta at s = 1 as computed when every stage-one LP was solved one
+# by one, each from the basis the one before ended on
+_ONE_BY_ONE = [
+    ("plain-16", 0, 0.6659461087697044, 0.6250970691767701),
+    ("plain-16", 1, 0.6735426339936008, 0.487497975095302),
+    ("plain-20", 0, 0.6249228845892526, 0.4887719794404152),
+    ("plain-20", 1, 0.5413158746413008, 0.4664404535649016),
+    ("l1-pairs", 0, 1.084691996539873, 0.9383063684585747),
+    ("l1-pairs", 1, 0.8877854197341041, 0.8425123453413396),
+    ("linf-pairs", 0, 1.2217641146178424, 1.6607603119624674),
+    ("linf-pairs", 1, 1.142122435367353, 0.8507587006273016),
+]
+
+
+def test_lockstep_stage_one_keeps_the_one_by_one_certificates(monkeypatch):
+    """Stage one in lockstep batches: gamma within 1e-9 of the one-by-one
+    solves and beta no higher (plain n = 16 / 20, 5 pairs with l1 and linf
+    blocks, two seeded draws each), and every sequence's ``lps``,
+    ``starts`` and ``not_optimal`` count the reports it returned."""
+    from sparsecert.engine import LPSequence, Status
+    real_solve, real_many = LPSequence.solve, LPSequence.solve_many
+    returned, depth = {}, []
+
+    def solve(seq, cost):
+        out = real_solve(seq, cost)
+        if not depth:
+            returned.setdefault(seq, []).append(out[1])
+        return out
+
+    def solve_many(seq, costs):
+        depth.append(seq)
+        try:
+            out = real_many(seq, costs)
+        finally:
+            depth.pop()
+        returned.setdefault(seq, []).extend(rep for _, rep in out)
+        return out
+
+    monkeypatch.setattr(LPSequence, "solve", solve)
+    monkeypatch.setattr(LPSequence, "solve_many", solve_many)
+    shapes = {"plain-16": (structures.build_plain(16), 10),
+              "plain-20": (structures.build_plain(20), 12),
+              "l1-pairs": (structures.build_group(PAIRS, block_norm="l1"), 6),
+              "linf-pairs": (structures.build_group(PAIRS, block_norm="linf"),
+                             6)}
+    for name, d, gamma, beta in _ONE_BY_ONE:
+        (st, rep), m = shapes[name]
+        a = np.random.default_rng([2110, list(shapes).index(name), d]) \
+            .standard_normal((m, rep.matrix.shape[1]))
+        returned.clear()
+        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+        assert cert.gamma == pytest.approx(gamma, abs=1e-9), (name, d)
+        assert cert.beta <= beta + 1e-9, (name, d)
+        assert cert.details["lps"] == sum(map(len, returned.values()))
+        for seq, reports in returned.items():
+            starts = [r.start for r in reports if r.start is not None]
+            assert seq.lps == len(reports)
+            assert seq.starts == {k: starts.count(k) for k in seq.starts}
+            assert seq.not_optimal == sum(r.status is not Status.OPTIMAL
+                                          for r in reports)
+
+
 def test_synthesis_details_count_the_lps():
     _, st, rep, a, _, _ = next(_pinned_cases())
     cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")

@@ -511,18 +511,20 @@ def test_recovery_lp_pivots_pinned():
 def test_certificate_lp_counts_pinned():
     """The LP and pivot counts of a seeded brute-force verdict (plain n=12,
     m=7, s=3) and of a seeded synthesis (plain n=16, m=10, s=1), pinned:
-    a change to pivot choice moves them, and the outputs alone may not."""
+    a change to pivot choice moves them, and the outputs alone may not.
+    Stage one and the brute force's singletons run as lockstep batches,
+    every LP from the basis the batch's first LP ended on."""
     from sparsecert.certify.bruteforce import gamma_s_bruteforce
     from sparsecert.certify.synthesis import synth_certificate_group
     st, _ = structures.build_plain(12)
     a = np.random.default_rng(3).standard_normal((7, 12))
     d = gamma_s_bruteforce(a, st, 3).details
-    assert (d["lp_count"], d["lp_iterations"]) == (136, 954)
+    assert (d["lp_count"], d["lp_iterations"]) == (136, 940)
     st, rep = structures.build_plain(16)
     a = np.random.default_rng(0).standard_normal((10, 16))
     d = synth_certificate_group(a, rep.matrix, st, 1, phi="l1").details
     assert (d["stage_one_iterations"], d["stage_two_iterations"],
-            d["beta_lps"]) == (153, 236, 13)
+            d["beta_lps"]) == (135, 236, 13)
 
 
 def test_pivot_loop_matches_reference_loop(rng, monkeypatch):
@@ -541,7 +543,7 @@ def test_pivot_loop_matches_reference_loop(rng, monkeypatch):
         expect = reference_tableau_run(ref, np.arange(tab.n) < ncols, budget,
                                        ref_path, seen)
         tab.pivot = lambda r, j: (path.append((r, j)),
-                                  simplex._Tableau.pivot(tab, r, j))
+                                  simplex._Tableau.pivot(tab, r, j))[1]
         try:
             out = real_run(tab, ncols, budget)
         finally:
@@ -863,3 +865,282 @@ def test_equality_fit_keeps_the_phase_one_path():
             x_ref, ref = phase_one_solve(lp)
             assert rep.start == "phase_one" and rep.iterations == ref.iterations
             assert np.array_equal(x, x_ref) and rep.objective == ref.objective
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+
+
+def _from_first_basis(lp, costs, maxiter=20000):
+    """Each cost solved by ``solve`` from the basis the first cost ended on:
+    a fresh sequence solves the first cost, then that cost."""
+    out = []
+    for i, cost in enumerate(costs):
+        seq = LPSequence(lp, maxiter)
+        if i:
+            seq.solve(costs[0])
+        out.append(seq.solve(cost))
+    return out
+
+
+def _assert_batch_is_solve(lp, costs, maxiter=20000):
+    """``solve_many`` against ``solve`` from the same warm basis: the same
+    status and pivots, the same objective, point, duals and report bit for
+    bit, and every optimal point a nonnegative solution of the untouched
+    standard form (what ``_solves`` accepts); returns the reports."""
+    seq = LPSequence(lp, maxiter)
+    got = seq.solve_many(costs)
+    reports = []
+    for (x, rep), (x_ref, ref) in zip(got, _from_first_basis(lp, costs, maxiter),
+                                      strict=True):
+        assert (rep.status, rep.iterations) == (ref.status, ref.iterations)
+        assert _same_bits(x, x_ref) and _same_bits(vars(rep), vars(ref))
+        if rep.status is Status.OPTIMAL:
+            assert rep.objective == pytest.approx(ref.objective, rel=1e-9,
+                                                  abs=1e-9)
+            std, z = rep.standard, rep.standard["x"]
+            scale = 1.0 + np.max(np.abs(std["b"]), initial=0.0)
+            assert z.min(initial=0.0) >= -1e-9
+            assert np.max(np.abs(std["A"] @ z - std["b"]),
+                          initial=0.0) <= 1e-7 * scale
+        reports.append(rep)
+    assert seq.lps == len(costs)
+    assert seq.iterations == sum(r.iterations for r in reports)
+    return reports
+
+
+def _degenerate_lp(seed):
+    """30 rows through the origin in 15 variables in [0, 1]: a vertex where
+    long streaks of zero steps turn the lexicographic rule on."""
+    r = np.random.default_rng(seed)
+    return LinearProgram(c=np.zeros(15), G=r.standard_normal((30, 15)),
+                         h=np.zeros(30), ub=np.ones(15))
+
+
+def test_solve_many_is_solve_from_the_first_basis(rng):
+    """Seeded LPs with mixed bounds, a redundant row, degenerate vertices and
+    costs unbounded over the set, k = 1 to 20 costs and pivot caps of 2, 3
+    and 20,000: every LP of a batch reports what ``solve`` reports from the
+    basis the batch's first LP ended on."""
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(2, 8))
+        if trial % 6 == 5:
+            lp, n = _degenerate_lp(trial), 15
+        else:
+            lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)),
+                                 redundant=trial % 6 == 4)
+        k = 1 + trial % 20
+        maxiter = (2, 3, 20000, 20000)[trial % 4]
+        reports = _assert_batch_is_solve(lp, rng.standard_normal((k, n)),
+                                         maxiter)
+        seen.update(r.status for r in reports)
+    assert seen == {Status.OPTIMAL, Status.UNBOUNDED, Status.MAXITER}
+
+
+def test_solve_many_of_one_cost_is_solve(rng):
+    """A batch of one is ``solve``: the same x, duals, pivots and start."""
+    for _ in range(10):
+        lp = mixed_bounds_lp(rng, 5, 6)
+        cost = rng.standard_normal(5)
+        (x, rep), = LPSequence(lp).solve_many([cost])
+        x_ref, ref = LPSequence(lp).solve(cost)
+        assert _same_bits(x, x_ref) and _same_bits(vars(rep), vars(ref))
+        assert rep.start == ref.start is not None
+
+
+def test_solve_many_hands_lps_out_of_the_stack(rng, monkeypatch):
+    """LPs leave the stack mid-batch, before its last LP, and finish in
+    ``_Tableau.run``: after a pivot element below ``_PIVOT_MIN`` (x1 enters
+    on the row 1e-8 x1 + x2 <= 1) and after ``_DEGENERATE_STREAK`` zero
+    steps (the lexicographic rule on); they, and the LPs around them,
+    report what ``solve`` reports."""
+    from sparsecert.engine import simplex
+    real_run, real_lockstep, batches = simplex._Tableau.run, \
+        simplex._lockstep, []
+
+    def run(tab, ncols, budget):
+        if batches and batches[-1][0]:    # a hand-over from the stack
+            red = tab.T[-1, :ncols]
+            j = int(red.argmin())
+            colv, rhs = tab.T[:-1, j], tab.T[:-1, -1]
+            pos = colv > simplex._TOL
+            ratio = np.where(pos, rhs / np.where(pos, colv, 1.0), np.inf)
+            tiny = bool(red[j] < -simplex._TOL and np.isfinite(ratio.min())
+                        and colv[ratio.argmin()] < simplex._PIVOT_MIN)
+            batches[-1][1].append((tiny, tab.lex_ref is not None))
+        return real_run(tab, ncols, budget)
+
+    def lockstep(tab, c_std, maxiter):
+        batches.append([True, []])
+        try:
+            return real_lockstep(tab, c_std, maxiter)
+        finally:
+            batches[-1][0] = False
+
+    monkeypatch.setattr(simplex._Tableau, "run", run)
+    monkeypatch.setattr(simplex, "_lockstep", lockstep)
+    tiny = LinearProgram(c=[0.0, 0.0], G=[[1e-8, 1.0]], h=[1.0])
+    costs = [[0.0, 1.0], [-1.0, -0.5], [-1.0, 1.0], [0.0, -1.0], [1.0, 1.0]]
+    reports = _assert_batch_is_solve(tiny, np.array(costs))
+    assert reports[1].objective == pytest.approx(-1e8)
+    assert any(t for t, _ in batches[-1][1][:-1])
+    for seed in range(6):
+        # the first cost ends at the origin, where all 30 rows meet
+        costs = np.vstack([np.ones(15), rng.standard_normal((24, 15))])
+        _assert_batch_is_solve(_degenerate_lp(seed), costs)
+    assert any(lex for _, handed in batches for _, lex in handed[:-1])
+
+
+def test_solve_many_in_update_blocks_and_with_a_singular_stack(
+        rng, monkeypatch):
+    """A stack updated in blocks of LPs, one LP or three to a block (the
+    last one short), and a stack whose inverse fails and certifies its LPs
+    one by one: either way every LP reports what ``solve`` reports."""
+    from sparsecert.engine import simplex
+    lps = [mixed_bounds_lp(rng, 5, 6) for _ in range(6)]
+    real_pivot, blocks = simplex._pivot, []
+
+    def pivot(t, basis, r, j, piv, at=()):
+        if at:
+            blocks.append(at[0].size)
+        return real_pivot(t, basis, r, j, piv, at)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_pivot", pivot)
+        for lp in lps:
+            m, n = LPSequence(lp)._std.A.shape
+            for per in (1, 3):
+                mp.setattr(simplex, "_UPDATE_CELLS", per * (m + 1) * (n + 1))
+                blocks.clear()
+                _assert_batch_is_solve(lp, rng.standard_normal((9, 5)))
+                assert blocks and max(blocks) == per
+    real, stacked = simplex._inverse, []
+
+    def inverse(bmat):
+        if bmat.ndim == 3:
+            stacked.append(bmat.shape[0])
+            return None
+        return real(bmat)
+
+    monkeypatch.setattr(simplex, "_inverse", inverse)
+    for lp in lps:
+        _assert_batch_is_solve(lp, rng.standard_normal((9, 5)))
+    assert stacked
+
+
+def test_lockstep_tableaus_own_their_data(rng):
+    """Each final tableau of ``_lockstep`` owns its table and basis, so a
+    finished LP holds one tableau, never a view that keeps a whole
+    (compacted-away) stack alive."""
+    from sparsecert.engine import simplex
+    checked = 0
+    while checked < 5:
+        seq = LPSequence(mixed_bounds_lp(rng, 5, 6))
+        seq.solve(rng.standard_normal(5))
+        if seq._warm is None or seq._warm[1] is None:
+            continue    # no basis to start a stack from
+        std = seq._std
+        c_std, _ = std.costs(rng.standard_normal((8, 5)))
+        tabs, _ = simplex._lockstep(simplex._warm_tableau(std, *seq._warm),
+                                    c_std, 20000)
+        assert all(tab.T.base is None and tab.basis.base is None
+                   for tab in tabs)
+        checked += 1
+
+
+def test_solves_run_without_the_numpy_2_vector_products(rng, monkeypatch):
+    """The package asks for numpy >= 1.24, which has no ``np.matvec``,
+    ``np.vecmat`` or ``np.vecdot``: with them gone, ``solve``, ``solve_lp``
+    and ``solve_many`` still run and report what they report with them."""
+    def solved(lp, c):
+        return [(x, vars(rep)) for x, rep in
+                [solve_lp(lp)] + LPSequence(lp).solve_many(c)]
+
+    lps = [mixed_bounds_lp(rng, 5, 6) for _ in range(4)]
+    costs = [rng.standard_normal((7, 5)) for _ in lps]
+    want = [solved(lp, c) for lp, c in zip(lps, costs)]
+    for name in ("matvec", "vecmat", "vecdot"):
+        monkeypatch.delattr(np, name, raising=False)
+    for lp, c, ref in zip(lps, costs, want):
+        assert _same_bits(solved(lp, c), ref)
+
+
+def test_solve_many_reverifies_every_lp(rng, monkeypatch):
+    """Every LP of a batch is certified from the untouched standard form: a
+    basic value knocked off by 1e-3 in the stacked tableau is replaced by
+    binv @ b when the basis passes ``_solves``, and an optimum whose basis
+    fails it is reported MAXITER, never OPTIMAL."""
+    from sparsecert.engine import simplex
+    real_lockstep, real_solves = simplex._lockstep, simplex._solves
+
+    def knocked(tab, c_std, maxiter):
+        tabs, runs = real_lockstep(tab, c_std, maxiter)
+        for final in tabs:
+            final.T[0, -1] += 1e-3
+        return tabs, runs
+
+    lps = [mixed_bounds_lp(rng, 5, 6) for _ in range(6)]
+    costs = [rng.standard_normal((8, 5)) for _ in lps]
+    clean = [LPSequence(lp).solve_many(c) for lp, c in zip(lps, costs)]
+    monkeypatch.setattr(simplex, "_lockstep", knocked)
+    for lp, c, want in zip(lps, costs, clean):
+        for (x, rep), (x_ref, ref) in zip(LPSequence(lp).solve_many(c), want):
+            assert _same_bits(x, x_ref) and _same_bits(vars(rep), vars(ref))
+    # the stacked bases fail ``_solves``; a lone one (the first) passes
+    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: real_solves(
+        bmat, zb, b) if bmat.ndim == 2 else np.zeros(bmat.shape[0], bool))
+    downgraded = 0
+    for lp, c, want in zip(lps, costs, clean):
+        for (_, rep), (_, ref) in zip(LPSequence(lp).solve_many(c)[1:],
+                                      want[1:]):
+            if ref.status is Status.OPTIMAL:
+                assert rep.status is Status.MAXITER
+                assert "pivoting lost primal feasibility; not converged" \
+                    in rep.warnings
+                downgraded += 1
+    assert downgraded > 20
+
+
+def test_solve_many_on_an_empty_set_and_its_tallies(rng):
+    """On an empty feasible set every cost reports the Farkas vector, with
+    phase one's pivots on the first; the tallies are the sums of the
+    reports; a bad cost is refused before any solve, and no costs solve
+    nothing."""
+    empty = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[-1.0])
+    seq = LPSequence(empty)
+    out = seq.solve_many(rng.standard_normal((4, 2)))
+    assert [rep.status for _, rep in out] == [Status.INFEASIBLE] * 4
+    assert all(x is None for x, _ in out)
+    assert out[0][1].iterations == solve_lp(empty)[1].iterations
+    assert [rep.iterations for _, rep in out[1:]] == [0, 0, 0]
+    assert (seq.lps, seq.not_optimal, seq.starts["phase_one"]) == (4, 4, 1)
+    lp = mixed_bounds_lp(rng, 4, 5)
+    seq = LPSequence(lp)
+    reports = [rep for _, rep in seq.solve_many(rng.standard_normal((9, 4)))]
+    gaps = [r.delta for r in reports if r.status is Status.OPTIMAL]
+    starts = [r.start for r in reports if r.start is not None]
+    assert seq.starts == {k: starts.count(k) for k in seq.starts}
+    assert seq.iterations == sum(r.iterations for r in reports)
+    assert seq.not_optimal == len(reports) - len(gaps)
+    assert seq.delta == max(gaps, default=0.0)
+    seq = LPSequence(lp)
+    for bad in ([[1.0, 2.0, 3.0]], [[1.0, np.nan, 0.0, 0.0]], [1.0] * 4):
+        with pytest.raises(ValueError):
+            seq.solve_many(bad)
+    assert seq.solve_many(np.zeros((0, 4))) == [] and seq.lps == 0
+
+
+def test_non_finite_data_written_after_construction_is_refused():
+    """A right-hand side, cost or matrix entry set to NaN or inf after the
+    ``LinearProgram`` was made is refused by name when it is solved, before
+    it reaches the ratio test."""
+    for field, index, value in (("h", 0, np.nan), ("c", 1, np.inf),
+                                ("G", (1, 0), np.nan)):
+        lp = LinearProgram(c=[1, 1], G=[[1, 1], [1, -1]], h=[1, 2],
+                           senses=("ge", "eq"))
+        getattr(lp, field)[index] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            solve_lp(lp)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LPSequence(lp)

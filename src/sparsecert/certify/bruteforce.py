@@ -488,8 +488,8 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
     See the module docstring for the search strategy per structure and the
     uniform verdict semantics.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 <= s < math.inf:   # NaN fails too
+        raise ValueError("s must be a finite number >= 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     bmat = structures.rep_matrix(structure, b)
     if structure.kind == "group" and len(structure.blocks) > 12 \

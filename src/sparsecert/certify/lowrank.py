@@ -90,7 +90,7 @@ def opt_bar(w, s, p, q):
 
 
 def _check_level(s):
-    if s < 1 or abs(s - round(s)) > 1e-9:
+    if not 1 <= s < math.inf or abs(s - round(s)) > 1e-9:   # NaN fails too
         raise ValueError("the rank level must be a positive integer")
 
 

@@ -129,8 +129,10 @@ def _synthesis_lp(lay, targets, s, simple):
     directly; otherwise each surrogate flows into the relaxed-selection dual
     through lam and mu, closed by one row 2*(s*lam_l + sum_k mu_kl) <= g per
     column block l.  Variables: H[:, rows] row-major, the surrogate entries
-    of the non-scalar pairs, [lam, mu,] and g last.  Returns the LP, the
-    number of H variables and ``rhs``: rhs(r0) is the LP's h with the target
+    of the non-scalar pairs, [lam, mu,] and g last; H is free, the others
+    are >= 0, so the LP is solved through its dual (``_dual_lp``) or with
+    H split (``_split_free``).  Returns the LP, the number of H variables
+    and ``rhs``: rhs(r0) is the LP's h with the target
     rows moved to start at row r0 of C, which for a single target is the h
     of any block with its size and tag (G does not depend on C).
     """
@@ -224,9 +226,8 @@ def _synthesis_lp(lay, targets, s, simple):
 
     cost = np.zeros(nvars)
     cost[g_var] = 1.0
-    lb = np.concatenate([np.full(nh, -np.inf), np.zeros(nvars - nh)])
     return LinearProgram(c=cost, G=g_mat, h=rhs(rows_t[0]),
-                         senses=("le",) * nrows, lb=lb), nh, rhs
+                         senses=("le",) * nrows), nh, rhs
 
 
 def _dual_lp(lp, nh):
@@ -245,6 +246,18 @@ def _dual_lp(lp, nh):
         senses=("eq",) * nh + ("le",) * (lp.c.size - nh))
 
 
+def _split_free(lp, nh):
+    """``lp`` with its first ``nh`` variables free, over x >= 0: each free
+    column is followed by its negative, so x[2i] - x[2i + 1] is free
+    variable i for i < nh."""
+    var = np.concatenate([np.repeat(np.arange(nh), 2),
+                          np.arange(nh, lp.c.size)])
+    sign = np.ones(var.size)
+    sign[1:2 * nh:2] = -1.0
+    return LinearProgram(c=sign * lp.c[var], G=lp.G[:, var] * sign, h=lp.h,
+                         senses=lp.senses)
+
+
 def _beta_lp(lay, k, lp, rhs, gamma):
     """Stage two for block k: min max_i ||H[i, block k]|| s.t. g <= gamma.
 
@@ -252,7 +265,8 @@ def _beta_lp(lay, k, lp, rhs, gamma):
     right-hand side; its last variable g is fixed at gamma.
     Linf and scalar blocks bound |H_ij| <= t; the others bound |H_ij| <= u_ij
     and sum_j u_ij <= t, the l1 norm (a linear surrogate for l2).
-    Variables: H[:, block k] row-major, the stage-one surrogates, t, [u].
+    Variables: H[:, block k] row-major (free, as in ``_synthesis_lp``), the
+    stage-one surrogates, t, [u].
     """
     m, a = lay.d_full.shape[0], int(lay.sizes[k])
     nh = m * a
@@ -276,9 +290,7 @@ def _beta_lp(lay, k, lp, rhs, gamma):
         g_mat[bound, n0] = -1.0
     cost = np.zeros(nvars)
     cost[n0] = 1.0
-    lb = np.concatenate([np.full(nh, -np.inf), np.zeros(nvars - nh)])
-    return LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * nrows,
-                         lb=lb)
+    return LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * nrows)
 
 
 def _block_norm(h, tag):
@@ -368,8 +380,8 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
         raise norms.UnsupportedNormError(
             "certificate synthesis needs the l1 noise metric (beta is "
             "intractable otherwise)")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 <= s < np.inf:   # NaN fails too
+        raise ValueError("s must be a finite number >= 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     bmat = structures.rep_matrix(structure, b)
     m, n_amb = a.shape
@@ -402,10 +414,11 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
         h_opt = np.hstack(cols)
     else:
         lp, nh, _ = _synthesis_lp(lay, range(kk), s, simple=False)
+        lp = _split_free(lp, nh)
         joint["joint"] = LPSequence(lp, _MAXITER)
         x, report = joint["joint"].solve(lp.c)
         gamma_lp = float(_optimal(report).objective)
-        h_opt = x[:nh].reshape(m, big_m)
+        h_opt = (x[0:2 * nh:2] - x[1:2 * nh:2]).reshape(m, big_m)
 
     w_opt = (bmat - h_opt.T @ a) @ lay.b_pinv
     identity_residual = float(

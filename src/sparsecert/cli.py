@@ -232,23 +232,42 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, doc):
+        if not isinstance(doc, dict):
+            raise serialize.FormatError("config must be a JSON object")
         missing = [k for k in ("structure", "matrix", "signal", "noise",
                                "recovery", "certificate", "trials")
                    if k not in doc]
         if missing:
             raise serialize.FormatError(f"config missing fields: {missing}")
+        for name in ("structure", "matrix", "signal", "noise", "certificate",
+                     "output"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise serialize.FormatError(f"{name} must be a JSON object")
         trials = doc["trials"]
         if not isinstance(trials, int) or trials < 1:
             raise serialize.FormatError("trials must be an integer >= 1")
         modes = doc["recovery"]
         if isinstance(modes, str):
             modes = [modes]
+        if not isinstance(modes, list):
+            raise serialize.FormatError("recovery must be a mode or a list")
         bad = [m for m in modes if m not in ("regular", "penalized")]
         if bad:
             raise serialize.FormatError(f"unknown recovery mode(s): {bad}")
+        cert = doc["certificate"]
+        if "lambda" in cert and not (_is_radius(cert["lambda"])
+                                     and cert["lambda"] > 0):
+            raise serialize.FormatError(
+                f"certificate.lambda {cert['lambda']!r} is not a number > 0")
+        if not isinstance(cert.get("iters", 0), int) or cert.get("iters", 0) < 0:
+            raise serialize.FormatError("certificate.iters must be an "
+                                        "integer >= 0")
         sig = doc["signal"]
         if "s" not in sig or "seed" not in sig:
             raise serialize.FormatError("signal needs 's' and 'seed'")
+        if not _is_radius(sig["s"]):
+            raise serialize.FormatError(
+                f"signal.s {sig['s']!r} is not a number >= 0")
         if sig.get("magnitude", "unit") not in _MAGNITUDE_LAWS:
             raise serialize.FormatError(f"signal.magnitude {sig['magnitude']!r}"
                                         f" is not one of {_MAGNITUDE_LAWS}")
@@ -382,20 +401,20 @@ def cmd_experiment(args):
         for mode in cfg.recovery:
             if mode == "regular":
                 res = recover_regular(problem, structure, tol=args.tol)
-                budget = ErrorBudget(epsilon=eps, delta_x=dx,
-                                     delta_phi=res.delta_phi, delta=res.delta)
+                terms = {"delta_phi": res.delta_phi}
             else:
                 res = recover_penalized(problem, structure, lam, tol=args.tol)
-                budget = ErrorBudget(epsilon=eps, delta_x=dx, delta=res.delta,
-                                     lam=lam,
-                                     phi_xi=norms.vector_norm(xi, phi))
+                terms = {"lam": lam, "phi_xi": norms.vector_norm(xi, phi)}
             for key, count in (res.report.anderson or {}).items():
                 anderson[key] += count
             if res.w_hat is None:
                 rows.append((i, mode, float(s), eps, np.inf, np.inf, -np.inf))
                 continue
             err = norms.structure_norm(structure, res.w_hat - w0)
-            bound = error_bound(cert.gamma, cert.beta, budget, mode)
+            # a point with no certified gap (delta inf) has no finite bound
+            bound = error_bound(cert.gamma, cert.beta, ErrorBudget(
+                epsilon=eps, delta_x=dx, delta=res.delta, **terms), mode) \
+                if math.isfinite(res.delta) else math.inf
             rows.append((i, mode, float(s), eps, err, bound, bound - err))
         return rows
 
@@ -524,16 +543,11 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (serialize.FormatError, structures.StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SynthesisNotOptimalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    # FormatError and StructureError are ValueErrors
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

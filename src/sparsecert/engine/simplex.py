@@ -1,12 +1,12 @@
 """Dense two-phase simplex solver with optimality and infeasibility certificates.
 
-Problems arrive in the general form
+Every problem arrives in one form,
 
-    min c.x  subject to  G x (<=|=|>=) h,  lb <= x <= ub,
+    min c.x  subject to  G x (<=|=) h,  x >= 0,
 
-get converted to equality standard form (shift finite lower bounds, mirror
-upper-bounded free variables, split doubly-free variables, slack columns,
-nonnegative right-hand side), and are solved by a tableau simplex.  A solve
+gets a slack column per inequality row and its rows with a negative
+right-hand side negated (equality standard form A z = b, z >= 0, b >= 0),
+and is solved by a tableau simplex.  x is the first columns of z.  A solve
 with no warm basis first tries a lower-triangular crash basis (Bixby, 1992):
 per row a column whose first nonzero is in that row, slack and zero-cost
 columns first.  Phase two starts there when its point is feasible; when it
@@ -31,39 +31,16 @@ basis falls back to least-squares duals, the tableau's own point and a fresh
 cold start.
 
 On the small LPs of long sequences a solve's cost is the number of numpy
-calls, not flops, so the path of each LP is kept short without changing a
-pivot or an output bit.  A pivot does not write the entering column: the
-row division makes its pivot entry exactly 1 and the update every other
-entry exactly 0.  The ratio test needs no separate unboundedness check: an
-infinite least ratio is that check.  The epilogue takes maxima and minima
-through direct ufunc reductions, and the feasibility scale max |b| once per
-standard form.  The warm start writes binv @ A, the unit basis columns and
-the clipped point into one fresh tableau, whose cost row phase two prices.
-Every check stays: re-verification against the untouched standard form
-(``_solves``), the downgrade of an optimum that lost primal feasibility,
-``delta`` with its cushion for dual infeasibility, and a warm tableau formed
-from untouched data, never from the previous tableau.
+calls, not flops, so each LP's path is kept short (``_pivot``,
+``_ratio_test``, ``_warm_tableau``) without changing a pivot, an output bit
+or a check.
 
-``LPSequence`` minimizes cost vectors over one feasible set: the first
-solve makes the cold start above, and each later solve starts phase two at
-the basis the previous one ended on, re-formed only when that next cost
-arrives.  Costs known in advance go to ``solve_many``: the first is
-``solve``'s, and the others start at the basis it ended on and pivot in
-lockstep on one stacked tableau (``_lockstep``), each LP with the pivots
-``_Tableau.run`` would make from there: both take the leaving row from
-``_ratio_test`` and pivot with ``_pivot``, which work on one tableau or a
-stack.  An LP leaves the stack and finishes in ``_Tableau.run`` when it
-needs the small-pivot scan or the lexicographic rule, proves unbounded or
-reaches the pivot cap, and so does the last LP in the stack.  One stacked
-inverse then certifies every final basis, and each LP gets the checks of
-every solve (``_certify_many``, the stacked form of ``_certify``, through
-the same ``_solves``, ``_gaps`` and ``_report``).  On these small LPs one
-numpy call over the stack costs about what it costs for one LP, which is
-the gain.  Products over a stack are stacked ``matmul`` calls (``_mv``,
-``_vm``, ``_dot``), which give each LP the bits of its one-vector product.
-The sequence tallies its solves (LPs, pivots, cold starts by kind, LPs not
-optimal and the largest gap of the optimal ones), so callers read one
-count.  ``solve_lp`` is the one-cost sequence.
+``LPSequence`` minimizes cost vectors over one feasible set, each solve
+after the first from the basis the one before ended on.  ``solve_many``
+pivots a batch of costs in lockstep on one stacked tableau (``_lockstep``)
+and certifies their final bases with one stacked inverse
+(``_certify_many``): on small LPs a numpy call over the stack costs about
+what it costs for one LP.  ``solve_lp`` is the one-cost sequence.
 
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
@@ -101,17 +78,16 @@ class Status(Enum):
 
 @dataclass
 class LinearProgram:
-    """min c.x s.t. G x (senses) h, lb <= x <= ub.
+    """min c.x s.t. G x (senses) h, x >= 0.
 
-    ``senses`` holds one of 'le', 'eq', 'ge' per row.  Bounds default to
-    x >= 0; entries may be +-inf.
+    ``senses`` holds 'le' or 'eq' per row, 'le' for every row by default.
+    A variable with other bounds is written by its caller in this form: a
+    free one as a (+, -) pair of columns, a bounded one with a row.
     """
     c: np.ndarray
     G: np.ndarray
     h: np.ndarray
     senses: tuple = ()
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -125,26 +101,18 @@ class LinearProgram:
         if not self.senses:
             self.senses = ("le",) * m
         self.senses = tuple(self.senses)
-        if len(self.senses) != m or any(s not in ("le", "eq", "ge") for s in self.senses):
-            raise ValueError("senses must be 'le'/'eq'/'ge', one per row")
-        self.lb = np.zeros(n) if self.lb is None else \
-            np.asarray(self.lb, dtype=float).ravel()
-        self.ub = np.full(n, np.inf) if self.ub is None else \
-            np.asarray(self.ub, dtype=float).ravel()
-        if self.lb.size != n or self.ub.size != n:
-            raise ValueError("bounds must match variable count")
+        if len(self.senses) != m or any(s not in ("le", "eq") for s in self.senses):
+            raise ValueError("senses must be 'le'/'eq', one per row")
         _check_finite(self)
 
 
 def _check_finite(lp):
     """Raise ValueError, naming the field, when c, G or h holds an entry
-    that is not finite or a bound is NaN.  ``_Standard`` checks again: the
-    fields of a ``LinearProgram`` can be written after it was made."""
+    that is not finite.  ``_Standard`` checks again: the fields of a
+    ``LinearProgram`` can be written after it was made."""
     for name, arr in (("c", lp.c), ("G", lp.G), ("h", lp.h)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
-    if np.isnan(lp.lb).any() or np.isnan(lp.ub).any():
-        raise ValueError("bounds must not be NaN")
 
 
 @dataclass
@@ -154,7 +122,7 @@ class SolveReport:
     iterations: int = 0
     residuals: dict = field(default_factory=dict)
     dual: np.ndarray | None = None       # multipliers for the original rows
-    certificate: dict | None = None      # farkas / ray / bounds evidence
+    certificate: dict | None = None      # farkas (infeasible) / ray (unbounded)
     delta: float = np.nan                # certified near-optimality margin
     used_bland: bool = False             # lexicographic rule in force at the end
     start: str | None = None             # LP cold start: phase_one/crash/dual
@@ -164,48 +132,20 @@ class SolveReport:
 
 
 class _Standard:
-    """Equality-form problem plus the bookkeeping to map back."""
+    """Equality standard form A z = b, z >= 0, b >= 0 of an LP: its G with
+    one slack column per 'le' row, the rows with a negative right-hand side
+    negated.  The LP's x is z[:nz]."""
 
     def __init__(self, lp):
         _check_finite(lp)
         self.warnings = []  # phase one's notes on this form, shown by every solve
-        lo, hi = lp.lb, lp.ub
-        bad = np.nonzero(lo > hi + _TOL)[0]
-        self.bad_bound = int(bad[0]) if bad.size else None
-        if bad.size:
-            return
-        # variable transform x = off + S z, z >= 0: a finite lower bound
-        # shifts, an upper bound alone mirrors, a free variable splits in two
-        # columns (+, -); a doubly bounded one gets a row z <= hi - lo
-        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
-        free = ~fin_lo & ~fin_hi
-        width = 1 + free.astype(int)
-        first = np.cumsum(width) - width       # first z column of each variable
-        self.var = np.repeat(np.arange(lp.c.size), width)
-        self.sign = np.ones(self.var.size)
-        self.sign[first[~fin_lo & fin_hi]] = -1.0
-        self.sign[first[free] + 1] = -1.0
-        self.off = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
-        self.first, self.free, self.minus = first, np.nonzero(free)[0], first[free] + 1
-        boxed = fin_lo & fin_hi
-        span = hi[boxed] - lo[boxed]
-        span = np.where(span < 0.0, 0.0, span)
-        nz, m0, nb = self.var.size, lp.G.shape[0], span.size
-
-        g = np.zeros((m0 + nb, nz))
-        g[:m0] = lp.G[:, self.var] * self.sign
-        g[m0 + np.arange(nb), first[boxed]] = 1.0
-        h = np.concatenate([lp.h - lp.G @ self.off, span])
-        senses = np.array(lp.senses + ("le",) * nb, dtype=object)
-        self.n_orig_rows = m0
-
-        m = g.shape[0]
-        slack_rows = np.nonzero(senses != "eq")[0]
-        a = np.hstack([g, np.zeros((m, slack_rows.size))])
-        a[slack_rows, nz + np.arange(slack_rows.size)] = \
-            np.where(senses[slack_rows] == "le", 1.0, -1.0)
+        m, nz = lp.G.shape
+        slack_rows = np.nonzero(np.array(lp.senses, dtype=object) == "le")[0]
+        a = np.zeros((m, nz + slack_rows.size))
+        a[:, :nz] = lp.G
+        a[slack_rows, nz + np.arange(slack_rows.size)] = 1.0
         self.row_sign = np.ones(m)
-        b = h.copy()
+        b = lp.h.copy()
         neg = b < 0
         a[neg] *= -1.0
         b[neg] *= -1.0
@@ -214,30 +154,14 @@ class _Standard:
         self.b = b
         self.b_max = float(_max(np.abs(b), initial=0.0))
         self.nz = nz
-        self.c = self.costs(lp.c)[0]
         self.kept_rows = np.arange(m)  # narrowed if redundant rows get dropped
 
     def costs(self, c):
-        """Equality-form cost vector and constant offset of the cost ``c``,
-        or of each row of a stack of costs."""
+        """The equality-form cost of the cost ``c``, or of each row of a
+        stack of costs: zero on the slack columns."""
         c_std = np.zeros(c.shape[:-1] + (self.A.shape[1],))
-        if c.ndim == 1:   # a lone cost indexes its one axis: no ``:`` to pay
-            c_std[: self.nz] = self.sign * c[self.var]
-            return c_std, c @ self.off
-        c_std[:, : self.nz] = self.sign * c[:, self.var]
-        return c_std, _dot(c, self.off)
-
-    def x_original(self, z):
-        """The original variables of the point ``z``, or of each row of a
-        stack of points."""
-        w = self.sign * z   # a free variable's minus column adds last
-        if z.ndim == 1:
-            x = self.off + w[self.first]
-            x[self.free] += w[self.minus]
-        else:
-            x = self.off + w[:, self.first]
-            x[:, self.free] += w[:, self.minus]
-        return x
+        c_std[..., : self.nz] = c
+        return c_std
 
     def drop_row(self, local_i):
         self.A = np.delete(self.A, local_i, axis=0)
@@ -246,11 +170,11 @@ class _Standard:
         self.kept_rows = np.delete(self.kept_rows, local_i)
 
     def dual_original(self, y):
-        """Map equality-form duals back to the original rows (dropped rows -> 0)."""
+        """Map equality-form duals back to the LP's rows (dropped rows -> 0)."""
         full = np.zeros(self.row_sign.size)
         full[self.kept_rows] = y
         full *= self.row_sign
-        return full[: self.n_orig_rows]
+        return full
 
 
 # a @ v, v @ a and u @ v of one vector, or of each row of a stack of
@@ -495,11 +419,6 @@ def _phase_one(std, maxiter, spent=0):
     pivots of a dual start that gave up count toward that cap and in the
     report.  Redundant equality rows are dropped from ``std``, whose
     ``warnings`` says so."""
-    if std.bad_bound is not None:
-        return None, SolveReport(
-            status=Status.INFEASIBLE,
-            certificate={"kind": "bounds", "index": std.bad_bound})
-
     m, ncols = std.A.shape
     basis = _slack_basis(std)
     need_art = np.nonzero(basis == -1)[0]
@@ -533,7 +452,7 @@ def _phase_one(std, maxiter, spent=0):
             return None, SolveReport(
                 status=Status.INFEASIBLE, iterations=tab.iterations,
                 certificate=cert,
-                standard={"A": std.A, "b": std.b, "c": std.c},
+                standard={"A": std.A, "b": std.b},   # ``solve`` adds c
                 residuals={"phase1_objective": phase1_obj})
         # drive leftover artificial variables out of the basis
         drop = []
@@ -589,10 +508,9 @@ def _cold_start(std, cost, maxiter):
     feasible ('crash'), or else the dual simplex under ``cost`` ('dual').
     Phase one runs ('phase_one') when the crash basis is missing or
     singular, or when the dual simplex gives up."""
-    spent, basis = 0, None
-    if std.bad_bound is None:
-        c_std = std.costs(cost)[0]
-        basis = _crash_basis(std, c_std)
+    spent = 0
+    c_std = std.costs(cost)
+    basis = _crash_basis(std, c_std)
     if basis is not None:
         bmat = std.A[:, basis]
         binv = _inverse(bmat)
@@ -612,16 +530,16 @@ def _cold_start(std, cost, maxiter):
 def _phase_two(std, tab, cost, maxiter):
     """Minimize ``cost`` from the feasible basis of ``tab`` and certify the
     outcome (``_certify``); returns (x, SolveReport, warm)."""
-    c_std, const = std.costs(cost)
+    c_std = std.costs(cost)
     tab.set_costs(c_std)
     outcome, unb_col = tab.run(std.A.shape[1], maxiter - tab.iterations)
-    return _certify(std, tab, outcome, unb_col, c_std, const)
+    return _certify(std, tab, outcome, unb_col, c_std)
 
 
-def _certify(std, tab, outcome, unb_col, c_std, const):
+def _certify(std, tab, outcome, unb_col, c_std):
     """Certify the final tableau ``tab`` of one LP against the untouched
     standard form; ``outcome`` and ``unb_col`` are what its run returned,
-    ``c_std`` and ``const`` its cost (``_Standard.costs``).  Returns (x,
+    ``c_std`` its cost (``_Standard.costs``).  Returns (x,
     SolveReport, warm), ``warm`` the final basis inverse and its point
     binv @ b when they pass ``_solves`` (the next warm start), else (None,
     None)."""
@@ -638,17 +556,17 @@ def _certify(std, tab, outcome, unb_col, c_std, const):
     else:
         z = tab.solution()[:ncols]
     y = _multipliers(bmat, binv, c_std[tab.basis])
-    obj = c_std @ z + const
+    obj = c_std @ z
     report = _report(std, tab, outcome, unb_col, c_std, z, obj, y,
-                     _gaps(std, z, y, c_std, obj, const))
-    return std.x_original(z[: std.nz]), report, \
+                     _gaps(std, z, y, c_std, obj))
+    return z[: std.nz], report, \
         (binv, zb) if ok else (None, None)
 
 
-def _certify_many(std, tabs, runs, c_std, const):
+def _certify_many(std, tabs, runs, c_std):
     """``_certify`` of the final tableaus ``tabs`` of LPs over ``std``, with
-    ``runs`` their (outcome, unbounded column) and ``c_std``, ``const`` their
-    costs, one row each: one stacked inverse of the final bases, then
+    ``runs`` their (outcome, unbounded column) and ``c_std`` their costs,
+    one row each: one stacked inverse of the final bases, then
     ``_solves``, ``_multipliers`` and ``_gaps`` over the stack and
     ``_report`` per LP.  A singular basis in the stack sends every LP to
     ``_certify``.  Returns [(x, SolveReport, warm)] in order."""
@@ -656,8 +574,8 @@ def _certify_many(std, tabs, runs, c_std, const):
     bmat = std.A[:, basis].transpose(1, 0, 2)
     binv = _inverse(bmat)
     if binv is None:
-        return [_certify(std, tab, *run, c, c0)
-                for tab, run, c, c0 in zip(tabs, runs, c_std, const)]
+        return [_certify(std, tab, *run, c)
+                for tab, run, c in zip(tabs, runs, c_std)]
     zb = binv @ std.b
     ok = _solves(bmat, zb, std.b)
     optimal = np.array([outcome == "optimal" for outcome, _ in runs])
@@ -666,24 +584,24 @@ def _certify_many(std, tabs, runs, c_std, const):
     z[rows, basis] = np.where((optimal & ok)[:, None], np.maximum(zb, 0.0),
                               [tab.T[:-1, -1] for tab in tabs])
     y = _multipliers(bmat, binv, c_std[rows, basis])
-    obj = _dot(c_std, z) + const
-    gaps = _gaps(std, z, y, c_std, obj, const)
-    x = std.x_original(z[:, : std.nz])
+    obj = _dot(c_std, z)
+    gaps = _gaps(std, z, y, c_std, obj)
+    x = z[:, : std.nz]
     return [(x[i], _report(std, tab, *run, c_std[i], z[i], obj[i], y[i],
                            [g[i] for g in gaps]),
              (binv[i], zb[i]) if ok[i] else (None, None))
             for i, (tab, run) in enumerate(zip(tabs, runs))]
 
 
-def _gaps(std, z, y, c_std, obj, const):
+def _gaps(std, z, y, c_std, obj):
     """The reductions behind a report's residuals and ``delta``, one each
     per row of a stack: max |A z - b|, max(0, -min z), the dual
     infeasibility max(0, -min reduced cost), the complementary slackness
-    max |z * reduced cost|, the duality gap obj - y.b - const and the l1
-    mass of ``z``, for the point ``z`` with duals ``y`` under the cost
-    ``c_std`` (objective ``obj``, constant ``const``)."""
+    max |z * reduced cost|, the duality gap obj - y.b and the l1 mass of
+    ``z``, for the point ``z`` with duals ``y`` under the cost ``c_std``
+    (objective ``obj``)."""
     reduced = c_std - _mv(std.A.T, y)
-    dual_obj = _dot(y, std.b) + const if std.b.size else const
+    dual_obj = _dot(y, std.b)
     # 0.0 - min(v, 0) is max(0, -v) with no -0.0
     return (_max(np.abs(_mv(std.A, z) - std.b), axis=-1, initial=0.0),
             0.0 - _min(z, axis=-1, initial=0.0),
@@ -706,8 +624,7 @@ def _report(std, tab, outcome, unb_col, c_std, z, obj, y, gaps):
         for i, jb in enumerate(tab.basis):
             if jb < ncols:
                 ray[jb] = -tab.T[i, unb_col]
-        ray_x = std.x_original(ray[: std.nz]) - std.off
-        cert = {"kind": "ray", "ray": ray_x, "ray_standard": ray,
+        cert = {"kind": "ray", "ray": ray[: std.nz], "ray_standard": ray,
                 "descent": float(c_std @ ray)}
         return SolveReport(status=Status.UNBOUNDED, iterations=tab.iterations,
                            certificate=cert, warnings=warnings,
@@ -870,7 +787,7 @@ class LPSequence:
             x, report = None, replace(
                 stop, iterations=stop.iterations if start else 0, start=start,
                 standard=stop.standard and dict(stop.standard,
-                                                c=std.costs(cost)[0]))
+                                                c=std.costs(cost)))
         else:
             x, report, warm = _phase_two(std, self._tab, cost, self.maxiter)
             report.start = start
@@ -900,10 +817,10 @@ class LPSequence:
         if costs.shape[0] <= 2 or self._warm is None or self._warm[1] is None \
                 or not std.A.shape[0]:
             return out + [self.solve(cost) for cost in costs[1:]]
-        c_std, const = std.costs(costs[1:])
+        c_std = std.costs(costs[1:])
         tabs, runs = _lockstep(_warm_tableau(std, *self._warm), c_std,
                                self.maxiter)
-        for x, report, warm in _certify_many(std, tabs, runs, c_std, const):
+        for x, report, warm in _certify_many(std, tabs, runs, c_std):
             self._count(report)
             out.append((x, report))
         self._warm = (tabs[-1].basis, *warm)

@@ -112,8 +112,8 @@ class SplitProblem:
             raise ValueError("mode must be 'constraint' or 'penalty'")
         if self.phi not in norms.VECTOR_TAGS:
             raise ValueError("phi must be one of l1/l2/linf")
-        if self.tol <= 0 or self.maxiter < 1:
-            raise ValueError("tol must be positive; maxiter >= 1")
+        if not 0 < self.tol < math.inf or self.maxiter < 1:   # NaN fails too
+            raise ValueError("tol must be positive and finite; maxiter >= 1")
         if self.mode == "constraint" and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.mode == "penalty" and self.lam <= 0:

@@ -76,7 +76,8 @@ class RecoveryResult:
 
 @dataclass
 class ErrorBudget:
-    """Tolerances entering the closed-form bounds; all nonnegative."""
+    """Tolerances entering the closed-form bounds; all finite and
+    nonnegative (``lam`` positive)."""
     epsilon: float = 0.0
     delta_x: float = 0.0
     delta_phi: float = 0.0
@@ -85,11 +86,12 @@ class ErrorBudget:
     phi_xi: float = 0.0        # realized phi(noise), penalized only
 
     def __post_init__(self):
+        # comparisons read NaN as out of range
         for name in ("epsilon", "delta_x", "delta_phi", "delta", "phi_xi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite number >= 0")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("lam must be a finite number > 0")
 
 
 def error_bound(gamma, beta, budget, mode):

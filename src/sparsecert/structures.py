@@ -250,16 +250,43 @@ def structure_to_dict(structure):
     return {"kind": "lowrank", "p": structure.p, "q": structure.q}
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list_of(v, check):
+    return isinstance(v, list) and all(map(check, v))
+
+
 def structure_from_dict(d):
+    """(structure, representation map) of a structure document, the format
+    of ``structure_to_dict``; StructureError naming the field that is
+    missing or of the wrong type."""
+    if not isinstance(d, dict):
+        raise StructureError("a structure must be a JSON object")
     kind = d.get("kind")
-    if kind == "plain":
-        return build_plain(d["n"])
-    if kind == "group":
-        return build_group(d["blocks"], d.get("weights"),
-                           d.get("block_norms", d.get("block_norm", "l2")))
-    if kind == "lowrank":
-        return build_lowrank(d["p"], d["q"])
-    raise StructureError(f"unknown structure kind {kind!r}")
+    need = {"plain": ("n",), "group": ("blocks",), "lowrank": ("p", "q")}
+    if kind not in need:
+        raise StructureError(f"unknown structure kind {kind!r}")
+    for name in need[kind]:
+        if name not in d:
+            raise StructureError(f"{kind} structure needs '{name}'")
+        if kind != "group" and not _is_int(d[name]):
+            raise StructureError(f"{name} must be an integer")
+    if kind != "group":
+        return build_plain(d["n"]) if kind == "plain" else \
+            build_lowrank(d["p"], d["q"])
+    blocks, weights = d["blocks"], d.get("weights")
+    tags = d.get("block_norms", d.get("block_norm", "l2"))
+    if not _is_list_of(blocks, lambda v: _is_list_of(v, _is_int)):
+        raise StructureError("blocks must be a list of lists of integers")
+    if weights is not None and not _is_list_of(
+            weights, lambda c: _is_int(c) or isinstance(c, float)):
+        raise StructureError("weights must be a list of numbers")
+    if not (isinstance(tags, str)
+            or _is_list_of(tags, lambda t: isinstance(t, str))):
+        raise StructureError("block_norms must be a tag or a list of tags")
+    return build_group(blocks, weights, tags)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ def patch_reports(monkeypatch):
         def patched(std, tab, cost, maxiter):
             return changed(std, *real(std, tab, cost, maxiter))
 
-        def patched_many(std, tabs, runs, c_std, const):
+        def patched_many(std, tabs, runs, c_std):
             return [changed(std, *out)
-                    for out in real_many(std, tabs, runs, c_std, const)]
+                    for out in real_many(std, tabs, runs, c_std)]
 
         monkeypatch.setattr(simplex, "_phase_two", patched)
         monkeypatch.setattr(simplex, "_certify_many", patched_many)

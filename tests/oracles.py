@@ -144,10 +144,10 @@ def best_group_approx_oracle(structure, w, s):
 def vertex_enumeration_lp(lp):
     """Optimal value of a bounded LP by checking every basic point.
 
-    Stacks G with the finite bound rows, solves each n x n subsystem and keeps
-    the feasible solutions.  Exponential, so callers keep n and the row count
-    small.  Returns (best_value, best_point); (inf, None) when no vertex is
-    feasible.
+    Stacks G with the rows x_j = 0 of the bounds x >= 0, solves each n x n
+    subsystem and keeps the feasible solutions.  Exponential, so callers
+    keep n and the row count small.  Returns (best_value, best_point);
+    (inf, None) when no vertex is feasible.
     """
     n = lp.c.size
     rows = [np.asarray(lp.G[i], float) for i in range(lp.G.shape[0])]
@@ -155,12 +155,8 @@ def vertex_enumeration_lp(lp):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        if np.isfinite(lp.lb[j]):
-            rows.append(e.copy())
-            rhs.append(float(lp.lb[j]))
-        if np.isfinite(lp.ub[j]):
-            rows.append(e.copy())
-            rhs.append(float(lp.ub[j]))
+        rows.append(e)
+        rhs.append(0.0)
     rows = np.array(rows)
     rhs = np.array(rhs)
     best, best_x = np.inf, None
@@ -178,14 +174,12 @@ def vertex_enumeration_lp(lp):
 
 
 def _lp_feasible(lp, x, tol=1e-7):
-    if np.any(x < lp.lb - tol) or np.any(x > lp.ub + tol):
+    if np.any(x < -tol):
         return False
     gx = lp.G @ x
     for i, s in enumerate(lp.senses):
         scale = 1.0 + abs(lp.h[i])
         if s == "le" and gx[i] > lp.h[i] + tol * scale:
-            return False
-        if s == "ge" and gx[i] < lp.h[i] - tol * scale:
             return False
         if s == "eq" and abs(gx[i] - lp.h[i]) > tol * scale:
             return False
@@ -344,9 +338,10 @@ def two_row_epigraph_oracle(structure, n):
 
 
 def recovery_lp_oracle(problem, structure, mode, lam=0.0):
-    """The recovery LP assembled row by row: (c, G, h, senses, lb).
+    """The recovery LP assembled row by row: (c, G, h, senses) over x >= 0.
 
-    Variables [u | obj aux | fit aux]; rows: the norm epigraph, then the
+    Variables [u | obj aux | fit aux], u free and written as (+, -) column
+    pairs (``split_free``); rows: the norm epigraph, then the
     data fit (equalities for regular recovery with epsilon = 0, else the
     signed residual pairs per measurement and, for regular l1, the budget
     row).  Plain and l1/linf group structures, phi l1/linf or epsilon = 0.
@@ -397,14 +392,17 @@ def recovery_lp_oracle(problem, structure, mode, lam=0.0):
         h_vals.append(rhs)
         senses.append(sense)
     c = np.concatenate([np.zeros(n), obj_cost, fit_cost])
-    lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_obj + fit_cost.size)])
-    return c, np.array(g_rows), np.array(h_vals), tuple(senses), lb
+    split, _ = split_free(np.arange(nv) < n)
+    return split(c), split(np.array(g_rows)), np.array(h_vals), tuple(senses)
 
 
 def group_bruteforce_lp_oracle(a, structure):
-    """The shared LP of the group brute force, row by row: (G, h, senses, lb).
+    """The shared LP of the group brute force, row by row: (G, h, senses,
+    split) over x >= 0.
 
-    Variables [z | per-coordinate l1 aux | per-block linf aux]; rows: A z = 0,
+    Variables [z | per-coordinate l1 aux | per-block linf aux], z free and
+    written as (+, -) column pairs; ``split`` maps a cost over these
+    variables to G's columns (``split_free``).  Rows: A z = 0,
     the epigraph pairs of the l1 coordinates then of the linf block members,
     and the normalization row.
     """
@@ -451,8 +449,8 @@ def group_bruteforce_lp_oracle(a, structure):
     rows.append(denom)
     rhs.append(1.0)
     senses.append("le")
-    lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_u + n_t)])
-    return np.array(rows), np.array(rhs), tuple(senses), lb
+    split, _ = split_free(np.arange(nv) < n)
+    return split(np.array(rows)), np.array(rhs), tuple(senses), split
 
 
 def plain_bruteforce_lp_oracle(a, s):
@@ -496,7 +494,7 @@ def group_gamma_lp_oracle(a, structure, s):
     """
     from sparsecert.engine import LinearProgram, solve_lp
 
-    g, h, senses, lb = group_bruteforce_lp_oracle(a, structure)
+    g, h, senses, split = group_bruteforce_lp_oracle(a, structure)
     chi = np.asarray(structure.weights, dtype=float)
     kk = len(structure.blocks)
     best, statuses = 0.0, []
@@ -513,72 +511,69 @@ def group_gamma_lp_oracle(a, structure, s):
             else:
                 spaces.append([[(i, sg)] for i in v for sg in (1.0, -1.0)])
         for pick in itertools.product(*spaces):
-            c = np.zeros(g.shape[1])
+            c = np.zeros(g.shape[1] - structure.n)
             for terms in pick:
                 for i, sg in terms:
                     c[i] -= sg
-            _, rep = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses,
-                                            lb=lb))
+            _, rep = solve_lp(LinearProgram(c=split(c), G=g, h=h,
+                                            senses=senses))
             statuses.append(rep.status)
             best = max(best, -rep.objective)
     return best, statuses
 
 
-def standard_form_oracle(lp, tol=1e-9):
-    """Equality standard form of ``lp`` built column by column: (A, b, c,
-    x_original), or None when some lower bound exceeds its upper bound.
+def standard_form_oracle(lp):
+    """Equality standard form of ``lp`` built column by column: (A, b, c).
 
-    Finite lower bounds shift, an upper bound alone mirrors, a free variable
-    splits into (+, -) columns and a doubly bounded one adds a row
-    z <= hi - lo; then one slack column per inequality row, and rows with a
-    negative right-hand side are negated.  ``x_original(z)`` maps the
-    structural columns back.
+    The columns of G, then one slack column per 'le' row; rows with a
+    negative right-hand side are negated.
     """
-    n = lp.c.size
-    cols, off, upper_rows = [], np.zeros(n), []
-    for j in range(n):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if lo > hi + tol:
-            return None
-        if np.isfinite(lo):
-            off[j] = lo
-            cols.append((j, 1.0))
-            if np.isfinite(hi):
-                upper_rows.append((len(cols) - 1, max(hi - lo, 0.0)))
-        elif np.isfinite(hi):
-            off[j] = hi
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    nz, m0 = len(cols), lp.G.shape[0]
-    g = np.zeros((m0 + len(upper_rows), nz))
-    for k, (j, sgn) in enumerate(cols):
-        g[:m0, k] = sgn * lp.G[:, j]
-    h = np.concatenate([lp.h - lp.G @ off, [r for _, r in upper_rows]])
-    senses = list(lp.senses)
-    for k, (zc, _) in enumerate(upper_rows):
-        g[m0 + k, zc] = 1.0
-        senses.append("le")
-    m = g.shape[0]
-    slack_rows = [i for i, s in enumerate(senses) if s != "eq"]
-    a = np.hstack([g, np.zeros((m, len(slack_rows)))])
+    m, nz = lp.G.shape
+    slack_rows = [i for i, s in enumerate(lp.senses) if s == "le"]
+    a = np.zeros((m, nz + len(slack_rows)))
+    for j in range(nz):
+        a[:, j] = lp.G[:, j]
     for k, i in enumerate(slack_rows):
-        a[i, nz + k] = 1.0 if senses[i] == "le" else -1.0
-    b = h.copy()
+        a[i, nz + k] = 1.0
+    b = lp.h.copy()
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
-    c = np.concatenate([np.array([sgn * lp.c[j] for j, sgn in cols]),
-                        np.zeros(len(slack_rows))])
+    c = np.concatenate([lp.c, np.zeros(len(slack_rows))])
+    return a, b, c
 
-    def x_original(z):
-        x = off.copy()
-        for k, (j, sgn) in enumerate(cols):
-            x[j] += sgn * z[k]
-        return x
 
-    return a, b, c, x_original
+def split_free(free):
+    """The columns over x >= 0 of an LP whose variables ``free`` (a mask)
+    are free: (split, join).  ``split(v)`` maps a cost, or each row of a
+    matrix, to columns where each free variable is the pair (x+, x-) side
+    by side, x+ with the variable's column and x- with its negative (the
+    column order that pinned pivot counts, such as those of
+    ``test_recovery_lp_pivots_pinned``, depend on).  ``join(z)`` maps a
+    point back, x = x+ - x-."""
+    free = np.asarray(free, dtype=bool)
+    width = 1 + free
+    var = np.repeat(np.arange(free.size), width)
+    sign = np.ones(var.size)
+    sign[np.cumsum(width)[free] - 1] = -1.0
+
+    def split(v):
+        return v[..., var] * sign
+
+    def join(z):
+        return np.bincount(var, weights=sign * z, minlength=free.size)
+
+    return split, join
+
+
+def solve_free_split(lp, nh, maxiter=20000):
+    """``solve_lp`` of ``lp`` with its first ``nh`` variables free, split by
+    ``split_free``: (x, SolveReport), x joined back (None if not solved)."""
+    from sparsecert.engine import LinearProgram, solve_lp
+    split, join = split_free(np.arange(lp.c.size) < nh)
+    z, rep = solve_lp(LinearProgram(split(lp.c), split(lp.G), lp.h,
+                                    lp.senses), maxiter=maxiter)
+    return (None if z is None else join(z)), rep
 
 
 def slack_basis_oracle(std):
@@ -618,14 +613,14 @@ def crash_basis_oracle(std, c_std):
 
 def stage_one_primal_oracle(lay, maxiter=200000):
     """Synthesis stage one solved the cold, primal way: block k's LP on its
-    own, one ``solve_lp`` each; [(H[:, block k], g_k, status)]."""
+    own, H split (``split_free``), one ``solve_lp`` each; [(H[:, block k],
+    g_k, status)]."""
     from sparsecert.certify import synthesis
-    from sparsecert.engine import solve_lp
     m = lay.d_full.shape[0]
     out = []
     for k in range(lay.sizes.size):
         lp, nh, _ = synthesis._synthesis_lp(lay, [k], 1.0, simple=True)
-        x, rep = solve_lp(lp, maxiter=maxiter)
+        x, rep = solve_free_split(lp, nh, maxiter)
         out.append((x[:nh].reshape(m, lay.sizes[k]), float(rep.objective),
                     rep.status))
     return out
@@ -634,14 +629,15 @@ def stage_one_primal_oracle(lay, maxiter=200000):
 def stage_two_primal_oracle(lay, stages, gamma, maxiter=200000):
     """Synthesis stage two solved the cold, primal way: block k's beta LP
     (``_beta_lp`` at g = ``gamma``) on its own, one ``solve_lp`` each, from
-    the ``_StageOne`` of every block; [(H[:, block k], optimum, status)]."""
+    the ``_StageOne`` of every block, H split (``split_free``); [(H[:, block
+    k], optimum, status)]."""
     from sparsecert.certify import synthesis
-    from sparsecert.engine import solve_lp
     out = []
     for k, stage in enumerate(stages):
-        x, rep = solve_lp(synthesis._beta_lp(lay, k, stage.lp, stage.rhs,
-                                             gamma), maxiter=maxiter)
         h = stage.h_cols
+        x, rep = solve_free_split(
+            synthesis._beta_lp(lay, k, stage.lp, stage.rhs, gamma), h.size,
+            maxiter)
         out.append((x[:h.size].reshape(h.shape), float(rep.objective),
                     rep.status))
     return out
@@ -893,7 +889,7 @@ def phase_two_oracle(std, tab, cost, maxiter):
     Returns what ``simplex._phase_two`` returns."""
     from sparsecert.engine import simplex as S
     ncols = std.A.shape[1]
-    c_std, const = std.costs(cost)
+    c_std = std.costs(cost)
     warnings = list(std.warnings)
     cost2 = np.zeros(tab.n)
     cost2[:ncols] = c_std
@@ -911,8 +907,8 @@ def phase_two_oracle(std, tab, cost, maxiter):
     else:
         z_full = tab.solution()
     z = z_full[:ncols]
-    x = std.x_original(z[: std.nz])
-    obj = float(c_std @ z + const)
+    x = z[: std.nz]
+    obj = float(c_std @ z)
 
     if outcome == "unbounded":
         ray = np.zeros(ncols)
@@ -920,8 +916,7 @@ def phase_two_oracle(std, tab, cost, maxiter):
         for i, jb in enumerate(tab.basis):
             if jb < ncols:
                 ray[jb] = -tab.T[i, unb_col]
-        ray_x = std.x_original(ray[: std.nz]) - std.off
-        cert = {"kind": "ray", "ray": ray_x, "ray_standard": ray,
+        cert = {"kind": "ray", "ray": ray[: std.nz], "ray_standard": ray,
                 "descent": float(c_std @ ray)}
         return x, S.SolveReport(status=S.Status.UNBOUNDED,
                                 iterations=tab.iterations, certificate=cert,
@@ -936,7 +931,7 @@ def phase_two_oracle(std, tab, cost, maxiter):
     primal_resid = max(primal_resid, float(max(0.0, -z.min())) if z.size else 0.0)
     dual_infeas = float(max(0.0, -reduced.min())) if reduced.size else 0.0
     comp = float(np.max(np.abs(z * reduced))) if z.size else 0.0
-    dual_obj = float(y @ std.b) + const if std.b.size else const
+    dual_obj = float(y @ std.b) if std.b.size else 0.0
     delta = max(0.0, obj - dual_obj) + dual_infeas * (1.0 + float(np.abs(z).sum()))
 
     status = S.Status.OPTIMAL if outcome == "optimal" else S.Status.MAXITER

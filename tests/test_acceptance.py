@@ -191,6 +191,7 @@ def test_criterion_4_error_bounds():
 
 
 def _random_box_lp(rng, n, m):
+    # 'ge' rows written as negated 'le' rows; rows x <= 3 close the box
     g = rng.standard_normal((m, n))
     x0 = rng.uniform(0.2, 1.5, size=n)
     senses = [("le", "ge", "eq")[rng.integers(0, 3)] for _ in range(m)]
@@ -200,8 +201,10 @@ def _random_box_lp(rng, n, m):
             h[k] += rng.uniform(0.1, 1.0)
         elif sense == "ge":
             h[k] -= rng.uniform(0.1, 1.0)
-    return LinearProgram(c=rng.standard_normal(n), G=g, h=h, senses=senses,
-                         ub=np.full(n, 3.0))
+            g[k], h[k], senses[k] = -g[k], -h[k], "le"
+    return LinearProgram(c=rng.standard_normal(n), G=np.vstack([g, np.eye(n)]),
+                         h=np.concatenate([h, np.full(n, 3.0)]),
+                         senses=senses + ["le"] * n)
 
 
 def _random_coercive_lp(rng, n, m):

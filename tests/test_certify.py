@@ -9,7 +9,8 @@ from sparsecert.certify import (check_condition_Cs, gamma_s_bruteforce,
 from sparsecert.recovery import RecoveryProblem, recover_regular
 
 from oracles import (gamma_kernel1_oracle, group_ratio_and_grad_oracle,
-                     matrix_with_kernel, unpruned_bruteforce_oracle)
+                     matrix_with_kernel, solve_free_split, split_free,
+                     unpruned_bruteforce_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +734,8 @@ def test_stage_two_dual_with_a_degenerate_plateau_is_optimal():
     beta = synthesis._beta_lp(lay, 0, stages[0].lp, stages[0].rhs, gamma)
     dual = synthesis._dual_lp(beta, 12)
     _, report = solve_lp(LinearProgram(c=beta.h, G=dual.G, h=dual.h,
-                                       senses=dual.senses, lb=dual.lb))
-    _, primal = solve_lp(beta)
+                                       senses=dual.senses))
+    _, primal = solve_free_split(beta, 12)
     assert report.status is Status.OPTIMAL
     assert -report.objective == pytest.approx(primal.objective, abs=1e-9)
 
@@ -895,6 +896,27 @@ def test_synthesis_budget_sizes_the_lp_solved(monkeypatch):
         synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
 
 
+def test_joint_lp_pinned():
+    """The joint LP (s = 2; one case with non-unit weights) keeps its gamma,
+    beta and pivots bit for bit: they depend on the order of its columns,
+    each free H column beside its negative (``_split_free``)."""
+    plain8, plain12 = structures.build_plain(8)[0], structures.build_plain(12)[0]
+    group = structures.build_group([[0, 1], [2, 3], [4, 5], [6, 7]],
+                                   weights=[1, 2, 1.5, 1],
+                                   block_norm=["l1", "linf", "l2", "l1"])[0]
+    cases = [
+        (plain8, np.random.default_rng([0, 8]).standard_normal((5, 8)),
+         1.5407870482039185, 2.6396485941068137, 132),
+        (plain12, np.random.default_rng([1, 12]).standard_normal((7, 12)),
+         1.2984578327253389, 1.4844361126744676, 599),
+        (group, np.random.default_rng(7).standard_normal((5, 8)),
+         1.8914990885201606, 1.2610015382290438, 153)]
+    for st, a, gamma, beta, pivots in cases:
+        cert = synth_certificate_group(a, None, st, 2.0)
+        assert (cert.gamma, cert.beta, cert.details["lp_iterations"]) == \
+            (gamma, beta, pivots)
+
+
 def test_joint_lp_matches_row_by_row_reference():
     """Where pi_s couples the blocks, the array-built joint LP is the one
     the row-by-row assembly gives, entry for entry."""
@@ -915,4 +937,10 @@ def test_joint_lp_matches_row_by_row_reference():
             a, rep.matrix, lay.sizes, lay.tags, lay.chi, s)
         assert nh == nh_ref
         assert np.array_equal(lp.G, g_ref) and np.array_equal(lp.h, h_ref)
-        assert lp.c[-1] == 1.0 and np.all(np.isinf(lp.lb[:nh]))
+        assert lp.c[-1] == 1.0
+        # the LP solved: each H column beside its negative, the others after
+        split, _ = split_free(np.arange(lp.c.size) < nh)
+        joint = synthesis._split_free(lp, nh)
+        assert np.array_equal(joint.G, split(g_ref))
+        assert np.array_equal(joint.c, split(lp.c))
+        assert np.array_equal(joint.h, lp.h) and joint.senses == lp.senses

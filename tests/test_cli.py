@@ -355,6 +355,104 @@ def test_non_finite_inputs_are_exit_one(tmp_path):
     assert r.returncode == 1
 
 
+def _refused(argv, capsys, field):
+    """``main(argv)`` is exit 1 with one ``error:`` line naming ``field`` on
+    stderr, no traceback and no verdict on stdout."""
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err and "CertifiedGood" not in out
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("nullspace", ["--s", "nan"], "s must be"),
+    ("nullspace", ["--s", "inf"], "s must be"),
+    ("certify", ["--s", "nan"], "s must be"),
+    ("certify", ["--s", "inf", "--method", "synth"], "s must be"),
+], ids=["nullspace-nan", "nullspace-inf", "certify-nan", "certify-inf"])
+def test_non_finite_level_is_refused(tmp_path, capsys, command, flags, field):
+    """A NaN level once read as 'no maximal sets' (CertifiedGood, gamma 0)
+    and an infinite one overflowed; both are bad input."""
+    st, _ = structures.build_plain(6)
+    a = np.random.default_rng(0).standard_normal((3, 6))
+    _refused([command, "--structure", str(write_structure(tmp_path, st)),
+              "--matrix", str(write_matrix(tmp_path, a)), *flags], capsys,
+             field)
+
+
+def test_non_finite_rank_level_is_refused(tmp_path, capsys):
+    st, _ = structures.build_lowrank(2, 3)
+    a = np.random.default_rng(0).standard_normal((4, 6))
+    for level in ("nan", "inf"):
+        _refused(["certify", "--structure", str(write_structure(tmp_path, st)),
+                  "--matrix", str(write_matrix(tmp_path, a)), "--s", level],
+                 capsys, "rank level")
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--epsilon", "nan"], "epsilon"),
+    (["--delta", "inf"], "delta"),
+    (["--mode", "penalized", "--lambda", "nan"], "lam"),
+    (["--mode", "penalized", "--lambda", "3", "--phi-xi", "nan"], "phi_xi"),
+], ids=["epsilon-nan", "delta-inf", "lambda-nan", "phi-xi-nan"])
+def test_non_finite_bound_terms_are_refused(tmp_path, capsys, flags, field):
+    """A NaN term once printed a NaN bound with exit 0."""
+    from sparsecert.certify import Certificate
+    cert_path = tmp_path / "cert.json"
+    serialize.save_certificate(cert_path, Certificate(
+        gamma=0.5, beta=2.0, s=1.0, phi="l1", method="ColumnLP"))
+    _refused(["bound", "--certificate", str(cert_path), *flags], capsys, field)
+
+
+def test_non_finite_tolerance_is_refused(tmp_path, capsys):
+    """A NaN tolerance once ran ADMM to its iteration cap (exit 2)."""
+    a = np.random.default_rng(1).standard_normal((2, 4))
+    path = write_plain_problem(tmp_path, a, a @ np.eye(4)[0], phi="l2",
+                               epsilon=0.1)
+    for tol in ("nan", "inf"):
+        _refused(["recover", "--problem", str(path), "--tol", tol], capsys,
+                 "tol must be")
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1, 2], "JSON object"),
+    ({"kind": "group", "blocks": 5}, "blocks"),
+    ({"kind": "group", "blocks": [[0, 1]], "weights": 5}, "weights"),
+    ({"kind": "group", "blocks": [[0, 1]], "block_norms": 5}, "block_norms"),
+    ({"kind": "plain", "n": [3]}, "n must be"),
+    ({"kind": "plain"}, "plain structure needs 'n'"),
+    ({"kind": "lowrank", "p": 2}, "lowrank structure needs 'q'"),
+], ids=["list", "blocks-int", "weights-int", "tags-int", "n-list",
+        "missing-n", "missing-q"])
+def test_malformed_structure_file_is_an_error_line(tmp_path, capsys, doc,
+                                                   field):
+    path = tmp_path / "structure.json"
+    serialize.save_json(path, doc)
+    _refused(["nullspace", "--structure", str(path), "--matrix",
+              str(write_matrix(tmp_path, np.ones((1, 2)))), "--s", "1"],
+             capsys, field)
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("certificate", "lambda", "abc", "certificate.lambda"),
+    ("certificate", "lambda", None, "certificate.lambda"),
+    ("certificate", "iters", None, "certificate.iters"),
+    ("signal", "s", "two", "signal.s"),
+    ("signal", "s", float("nan"), "signal.s"),
+    (None, "certificate", [1], "certificate must be"),
+    (None, "output", "out.csv", "output must be"),
+    (None, "recovery", 5, "recovery must be"),
+], ids=["lambda-string", "lambda-null", "iters-null", "s-string", "s-nan",
+        "certificate-list", "output-string", "recovery-int"])
+def test_malformed_experiment_config_is_an_error_line(
+        tmp_path, capsys, section, key, value, field):
+    path = make_config(tmp_path, trials=1)
+    cfg = serialize.load_json(path)
+    (cfg if section is None else cfg[section])[key] = value
+    path.write_text(json.dumps(cfg))    # NaN as the JSON token NaN
+    _refused(["experiment", "--config", str(path)], capsys, field)
+
+
 def test_bound_evaluates_closed_form(tmp_path):
     from sparsecert.certify import Certificate
     cert_path = tmp_path / "cert.json"

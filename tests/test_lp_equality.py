@@ -68,12 +68,10 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
     problem = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
     lp, n = _build_recovery_lp(problem, structure,
                                structures.rep_matrix(structure), mode, lam=1.7)
-    c, g, h, senses, lb = recovery_lp_oracle(problem, structure, mode,
-                                             lam=1.7)
     assert n == 6
-    assert np.all(lp.lb == 0.0) and np.all(np.isinf(lp.ub))
     x, got = solve_lp(lp)
-    _, want = solve_lp(LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb))
+    _, want = solve_lp(LinearProgram(*recovery_lp_oracle(problem, structure,
+                                                         mode, lam=1.7)))
     _same_solution(got, want)
     if got.status is Status.OPTIMAL:
         # the objective is the structure norm of u = u+ - u- plus the fit
@@ -159,15 +157,15 @@ def test_group_bruteforce_lp_matches_row_by_row_reference(name):
     a = np.random.default_rng(11).standard_normal((3, 6))
     a[0, 4] = 0.0
     lp = _kernel_ball_lp(a, structure)
-    g, h, senses, lb = group_bruteforce_lp_oracle(a, structure)
-    n_aux = g.shape[1] - 6
+    g, h, senses, split = group_bruteforce_lp_oracle(a, structure)
+    n_aux = g.shape[1] - 12
     for d in np.random.default_rng(12).standard_normal((8, 6)):
         _, got = solve_lp(LinearProgram(
             c=np.concatenate([d, -d, np.zeros(lp.c.size - 12)]), G=lp.G,
             h=lp.h, senses=lp.senses))
         _, want = solve_lp(LinearProgram(
-            c=np.concatenate([d, np.zeros(n_aux)]), G=g, h=h, senses=senses,
-            lb=lb))
+            c=split(np.concatenate([d, np.zeros(n_aux)])), G=g, h=h,
+            senses=senses))
         _same_solution(got, want)
 
 
@@ -180,7 +178,7 @@ def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
     lp = _kernel_ball_lp(a, st)
     g, h, senses, costs = plain_bruteforce_lp_oracle(a, s)
     ref = LinearProgram(c=np.zeros(2 * n), G=g, h=h, senses=senses)
-    for name in ("c", "G", "h", "lb", "ub"):
+    for name in ("c", "G", "h"):
         got, want = getattr(lp, name), getattr(ref, name)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name

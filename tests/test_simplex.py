@@ -14,13 +14,22 @@ from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
 from oracles import (crash_basis_oracle, phase_one_solve, phase_two_oracle,
                      recovery_lp_oracle, reference_tableau_run,
-                     slack_basis_oracle,
+                     slack_basis_oracle, split_free,
                      standard_form_oracle, vertex_enumeration_lp,
                      warm_tableau_oracle)
 
 
+def _le_and_eq(g, h, senses):
+    """(G, h, senses) with each 'ge' row written as the negated 'le' row."""
+    ge = np.array([s == "ge" for s in senses], dtype=bool)
+    flip = np.where(ge, -1.0, 1.0)
+    return g * flip[:, None], h * flip, ["le" if s == "ge" else s
+                                         for s in senses]
+
+
 def random_feasible_lp(rng, n=None, m=None):
-    """Bounded LP with a known interior point (boxes keep it bounded)."""
+    """Bounded LP over x >= 0 with a known interior point: rows x <= 3 after
+    the random 'le', 'ge' (negated 'le') and 'eq' rows keep it bounded."""
     n = int(rng.integers(2, 5)) if n is None else n
     m = int(rng.integers(1, 9)) if m is None else m
     g = rng.standard_normal((m, n))
@@ -33,8 +42,10 @@ def random_feasible_lp(rng, n=None, m=None):
         elif s == "ge":
             h[i] -= rng.uniform(0.1, 1.0)
     c = rng.standard_normal(n)
-    ub = np.full(n, 3.0)
-    return LinearProgram(c=c, G=g, h=h, senses=senses, ub=ub)
+    g, h, senses = _le_and_eq(g, h, senses)
+    return LinearProgram(c=c, G=np.vstack([g, np.eye(n)]),
+                         h=np.concatenate([h, np.full(n, 3.0)]),
+                         senses=senses + ["le"] * n)
 
 
 def test_matches_vertex_enumeration(rng):
@@ -44,7 +55,7 @@ def test_matches_vertex_enumeration(rng):
         assert rep.status is Status.OPTIMAL
         oracle, _ = vertex_enumeration_lp(lp)
         assert rep.objective == pytest.approx(oracle, abs=1e-8)
-        assert np.all(x >= lp.lb - 1e-9) and np.all(x <= lp.ub + 1e-9)
+        assert np.all(x >= -1e-9) and np.all(x <= 3.0 + 1e-9)
 
 
 def test_simple_known_solution():
@@ -63,15 +74,6 @@ def test_equality_rows():
     assert rep.status is Status.OPTIMAL
     assert rep.objective == pytest.approx(0.0)       # all mass on x3
     assert x.sum() == pytest.approx(1.0)
-
-
-def test_free_variables_via_bounds():
-    # minimize x subject to x >= -4 with free upper end
-    lp = LinearProgram(c=[1.0], G=np.zeros((0, 1)), h=[],
-                       lb=[-4.0], ub=[np.inf])
-    x, rep = solve_lp(lp)
-    assert rep.status is Status.OPTIMAL
-    assert x[0] == pytest.approx(-4.0)
 
 
 def test_infeasible_reports_farkas_certificate():
@@ -100,13 +102,6 @@ def test_unbounded_reports_ray():
     assert np.all(ray >= -1e-9)        # recession direction of x >= 0
 
 
-def test_crossed_bounds_are_infeasible():
-    lp = LinearProgram(c=[1.0], G=np.zeros((0, 1)), h=[],
-                       lb=[2.0], ub=[1.0])
-    x, rep = solve_lp(lp)
-    assert rep.status is Status.INFEASIBLE
-
-
 def test_degenerate_lp_terminates(rng):
     """Many redundant rows through one vertex; anti-cycling must kick in."""
     for trial in range(15):
@@ -130,12 +125,10 @@ def test_duals_certify_optimality(rng):
         assert rep.status is Status.OPTIMAL
         assert rep.dual is not None
         y = rep.dual
-        # dual feasibility sign conventions per row sense
+        # dual feasibility sign convention of a 'le' row
         for i, s in enumerate(lp.senses):
             if s == "le":
                 assert y[i] <= 1e-7
-            elif s == "ge":
-                assert y[i] >= -1e-7
         assert rep.delta >= -1e-9       # certified gap is nonnegative
 
 
@@ -160,8 +153,12 @@ def test_report_residuals_small(rng):
 
 def mixed_bounds_lp(rng, n, m, redundant=False):
     """Feasible LP around a point x0 whose variables are free, lower-bounded,
-    upper-bounded or doubly bounded, in random order; ``redundant`` repeats
-    the first row as an equality."""
+    upper-bounded or doubly bounded, in random order, written over z >= 0:
+    x = lb + z, x = ub - z, a free x as the pair (z+, z-) (``split_free``)
+    and a doubly bounded one with a row z <= ub - lb after the others; 'ge'
+    rows are negated 'le' rows.  ``redundant`` repeats the first row as an
+    equality.  Returns (lp, spread): ``spread`` maps a cost over x, or each
+    row of a stack of them, to the LP's columns."""
     g = rng.standard_normal((m, n))
     x0 = rng.uniform(-1.0, 1.5, size=n)
     senses = [("le", "ge", "eq")[rng.integers(0, 3)] for _ in range(m)]
@@ -175,41 +172,52 @@ def mixed_bounds_lp(rng, n, m, redundant=False):
     kind = rng.integers(0, 4, size=n)
     lb = np.where(kind % 2 == 0, -np.inf, x0 - rng.uniform(0.0, 2.0, size=n))
     ub = np.where(kind < 2, np.inf, x0 + rng.uniform(0.0, 2.0, size=n))
-    return LinearProgram(c=rng.standard_normal(n), G=g, h=h, senses=senses,
-                         lb=lb, ub=ub)
+    c = rng.standard_normal(n)
+    off = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    mirror = np.where(kind == 2, -1.0, 1.0)
+    box = np.nonzero(kind == 3)[0]
+    g, h, senses = _le_and_eq(g, h - g @ off, senses)
+    split, _ = split_free(kind == 0)
+
+    def spread(cost):
+        return split(np.asarray(cost) * mirror)
+
+    return LinearProgram(c=spread(c),
+                         G=split(np.vstack([g * mirror, np.eye(n)[box]])),
+                         h=np.concatenate([h, (ub - lb)[box]]),
+                         senses=senses + ["le"] * box.size), spread
+
+
+def _same(cost):
+    """The ``spread`` of an LP whose columns are its variables."""
+    return cost
 
 
 def test_standard_form_matches_column_by_column_reference(rng):
     for trial in range(60):
-        lp = mixed_bounds_lp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        lp, _ = mixed_bounds_lp(rng, int(rng.integers(1, 7)),
+                                int(rng.integers(1, 7)))
         if trial % 5 == 0:
             lp.h = lp.h - 10.0       # negative right-hand sides flip rows
-        a_ref, b_ref, c_ref, x_original = standard_form_oracle(lp)
+        a_ref, b_ref, c_ref = standard_form_oracle(lp)
         std = _Standard(lp)
         assert np.array_equal(std.A, a_ref) and np.array_equal(std.b, b_ref)
-        assert np.array_equal(std.c, c_ref)
-        z = rng.uniform(0.0, 2.0, size=c_ref.size)
-        assert np.array_equal(std.x_original(z[: std.nz]), x_original(z))
+        assert np.array_equal(std.costs(lp.c), c_ref) and std.nz == lp.c.size
         x, rep = solve_lp(lp)
         if not rep.warnings:         # no redundant row was dropped
             assert np.array_equal(rep.standard["A"], a_ref)
             assert np.array_equal(rep.standard["b"], b_ref)
             assert np.array_equal(rep.standard["c"], c_ref)
         if rep.status is Status.OPTIMAL:
-            assert np.array_equal(x, x_original(rep.standard["x"]))
-    crossed = LinearProgram(c=[1.0, 1.0], G=np.zeros((0, 2)), h=[],
-                            lb=[0.0, 2.0], ub=[1.0, 1.0])
-    assert standard_form_oracle(crossed) is None
-    _, rep = solve_lp(crossed)
-    assert rep.certificate == {"kind": "bounds", "index": 1}
+            assert np.array_equal(x, rep.standard["x"][: lp.c.size])
 
 
 def test_slack_basis_matches_column_by_column_reference(rng):
     """Phase one's initial basis, built from arrays, is the one the loop over
     slack columns picks, so the pivots that follow do not move."""
     for trial in range(60):
-        lp = mixed_bounds_lp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)),
-                             redundant=trial % 7 == 0)
+        lp, _ = mixed_bounds_lp(rng, int(rng.integers(1, 7)),
+                                int(rng.integers(1, 7)), redundant=trial % 7 == 0)
         if trial % 5 == 0:
             lp.h = lp.h - 10.0       # negative right-hand sides flip rows
         std = _Standard(lp)
@@ -236,15 +244,14 @@ def _assert_same_as_cold(lp, costs):
     reports."""
     reports = []
     for cost, (x, rep) in zip(costs, _solve_each(lp, costs), strict=True):
-        x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
-                                              senses=lp.senses, lb=lp.lb, ub=lp.ub))
+        x_cold, cold = _cold(lp, cost)
         assert rep.status is cold.status
         if rep.status is Status.OPTIMAL:
             assert rep.objective == pytest.approx(cold.objective, abs=1e-9)
             assert float(np.dot(cost, x)) == pytest.approx(rep.objective, abs=1e-9)
             assert 0.0 <= rep.delta <= 1e-9
             assert rep.residuals["primal"] <= 1e-9
-            assert np.all(x >= lp.lb - 1e-9) and np.all(x <= lp.ub + 1e-9)
+            assert np.all(x >= -1e-9)
         reports.append(rep)
     return reports
 
@@ -253,25 +260,23 @@ def test_cost_sequence_matches_cold_solves(rng):
     seen = set()
     for _ in range(30):
         n = int(rng.integers(2, 7))
-        lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
-        costs = [rng.standard_normal(n) for _ in range(12)]
+        lp, spread = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
+        costs = [spread(rng.standard_normal(n)) for _ in range(12)]
         seen.update(r.status for r in _assert_same_as_cold(lp, costs))
     assert Status.OPTIMAL in seen and Status.UNBOUNDED in seen
 
 
 def test_cost_sequence_first_solve_is_the_cold_solve(rng):
-    lp = mixed_bounds_lp(rng, 5, 6)
-    cost = rng.standard_normal(5)
-    x_cold, cold = solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h,
-                                          senses=lp.senses, lb=lp.lb, ub=lp.ub))
+    lp, spread = mixed_bounds_lp(rng, 5, 6)
+    cost = spread(rng.standard_normal(5))
+    x_cold, cold = _cold(lp, cost)
     (x, rep), = _solve_each(lp, [cost])
     assert np.array_equal(x, x_cold) and rep.iterations == cold.iterations
     assert rep.objective == cold.objective
 
 
 def _cold(lp, cost):
-    return solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h, senses=lp.senses,
-                                  lb=lp.lb, ub=lp.ub))
+    return solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h, senses=lp.senses))
 
 
 def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
@@ -280,8 +285,8 @@ def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
     for pivot."""
     from sparsecert.engine import simplex
     monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
-    lp = mixed_bounds_lp(rng, 5, 6)
-    costs = [rng.standard_normal(5) for _ in range(6)]
+    lp, spread = mixed_bounds_lp(rng, 5, 6)
+    costs = [spread(rng.standard_normal(5)) for _ in range(6)]
     for cost, (x, rep) in zip(costs, _solve_each(lp, costs)):
         x_cold, cold = _cold(lp, cost)
         assert rep.status is cold.status and rep.iterations == cold.iterations
@@ -294,11 +299,11 @@ def test_singular_basis_gives_least_squares_duals_and_phase_one(rng, monkeypatch
     and every next cost restarts from phase one (a crash basis needs the
     inverse too), pivot for pivot as ``oracles.phase_one_solve``."""
     from sparsecert.engine import simplex
-    lp = mixed_bounds_lp(rng, 5, 6)
-    costs = [rng.standard_normal(5) for _ in range(6)]
+    lp, spread = mixed_bounds_lp(rng, 5, 6)
+    costs = [spread(rng.standard_normal(5)) for _ in range(6)]
     colds = [phase_one_solve(LinearProgram(c=cost, G=lp.G, h=lp.h,
-                                           senses=lp.senses, lb=lp.lb,
-                                           ub=lp.ub)) for cost in costs]
+                                           senses=lp.senses))
+             for cost in costs]
     real_lstsq, fallbacks = np.linalg.lstsq, []
 
     def lstsq(*args, **kwargs):
@@ -324,8 +329,8 @@ def test_cost_sequence_duals_match_cold_solves(rng):
     compared = 0
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
-        costs = [rng.standard_normal(n) for _ in range(8)]
+        lp, spread = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)))
+        costs = [spread(rng.standard_normal(n)) for _ in range(8)]
         for cost, (_, rep) in zip(costs, _solve_each(lp, costs)):
             _, cold = _cold(lp, cost)
             assert rep.status is cold.status
@@ -341,7 +346,7 @@ def test_set_costs_matches_row_by_row_pricing(rng):
     to roundoff, with the basic reduced costs exactly zero."""
     from sparsecert.engine import simplex
     for _ in range(20):
-        lp = mixed_bounds_lp(rng, 5, 6)
+        lp, _ = mixed_bounds_lp(rng, 5, 6)
         tab, _ = simplex._phase_one(_Standard(lp), 20000)
         c = rng.standard_normal(tab.n)
         ref = tab.T[-1].copy()
@@ -359,7 +364,7 @@ def test_lost_feasibility_optimum_is_maxiter(rng, monkeypatch):
     reported MAXITER with a warning, never as solved, and the report counts
     its pivots."""
     from sparsecert.engine import simplex
-    lp = mixed_bounds_lp(rng, 5, 6)
+    lp, _ = mixed_bounds_lp(rng, 5, 6)
     dantzig = solve_lp(lp)[1]
     assert dantzig.status is Status.OPTIMAL and dantzig.iterations > 0
     real = simplex._Tableau.solution
@@ -374,10 +379,10 @@ def test_lost_feasibility_optimum_is_maxiter(rng, monkeypatch):
 
 def test_cost_sequence_drops_a_redundant_row(rng):
     for _ in range(10):
-        lp = mixed_bounds_lp(rng, 4, 4, redundant=True)
-        costs = [rng.standard_normal(4) for _ in range(8)]
+        lp, spread = mixed_bounds_lp(rng, 4, 4, redundant=True)
+        costs = [spread(rng.standard_normal(4)) for _ in range(8)]
         reports = _assert_same_as_cold(lp, costs)
-        rows = lp.G.shape[0] - 1 + int(np.sum(np.isfinite(lp.lb) & np.isfinite(lp.ub)))
+        rows = lp.G.shape[0] - 1
         for rep in reports:
             # every report built on the reduced form says it was reduced
             assert "dropped 1 redundant row(s)" in rep.warnings
@@ -438,12 +443,13 @@ def test_sequence_tallies_are_the_sums_of_its_reports(rng):
     empty = LinearProgram(c=[0.0, 0.0], G=[[1.0, 1.0]], h=[-1.0])
     box = LinearProgram(c=np.zeros(4), G=rng.uniform(0.5, 1.0, (3, 4)),
                         h=np.ones(3))
-    cases = [(mixed_bounds_lp(rng, 4, int(rng.integers(1, 6))), 20000)
-             for _ in range(8)] + [(empty, 20000), (box, 1)]
+    cases = [(*mixed_bounds_lp(rng, 4, int(rng.integers(1, 6))), 20000)
+             for _ in range(8)] + [(empty, _same, 20000), (box, _same, 1)]
     seen = set()
-    for lp, maxiter in cases:
+    for lp, spread, maxiter in cases:
         seq = LPSequence(lp, maxiter)
-        reports = [seq.solve(rng.standard_normal(lp.c.size))[1]
+        n = 2 if lp is empty else 4
+        reports = [seq.solve(spread(rng.standard_normal(n)))[1]
                    for _ in range(8)]
         gaps = [r.delta for r in reports if r.status is Status.OPTIMAL]
         starts = [r.start for r in reports if r.start is not None]
@@ -468,11 +474,11 @@ def test_warm_tableau_is_built_only_for_a_next_cost(rng, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simplex, "_warm_tableau", counted)
-    lp = mixed_bounds_lp(rng, 5, 6)
+    lp, spread = mixed_bounds_lp(rng, 5, 6)
     assert solve_lp(lp)[1].status is Status.OPTIMAL and built == []
     seq = LPSequence(lp)
     for k in range(3):
-        seq.solve(rng.standard_normal(5))
+        seq.solve(spread(rng.standard_normal(5)))
         assert len(built) == k
 
 
@@ -494,8 +500,7 @@ def test_recovery_lp_pivots_pinned():
     x[[3, 17, 22]] = [1.0, -2.0, 0.5]
     prob = RecoveryProblem(a=a, b=rep, y=a @ x + 0.01 * r.standard_normal(m),
                            phi="l1", epsilon=0.05)
-    c, g, h, senses, lb = recovery_lp_oracle(prob, st, "regular")
-    oracle_form = LinearProgram(c=c, G=g, h=h, senses=senses, lb=lb)
+    oracle_form = LinearProgram(*recovery_lp_oracle(prob, st, "regular"))
     lp, _ = _build_recovery_lp(prob, st, rep.matrix, "regular")
     cases = [(oracle_form, phase_one_solve, None, 93),
              (oracle_form, solve_lp, "phase_one", 93 + _DEGENERATE_STREAK),
@@ -560,14 +565,15 @@ def test_pivot_loop_matches_reference_loop(rng, monkeypatch):
 
     monkeypatch.setattr(simplex._Tableau, "run", checked)
     for _ in range(6):   # phase one with artificials, then warm phase two
-        lp = mixed_bounds_lp(rng, 5, 6)
+        lp, spread = mixed_bounds_lp(rng, 5, 6)
         seq = LPSequence(lp)
         for _ in range(4):
-            seq.solve(rng.standard_normal(5))
-    r = np.random.default_rng(1)   # 40 rows through the origin
+            seq.solve(spread(rng.standard_normal(5)))
+    r = np.random.default_rng(1)   # 40 rows through the origin, x <= 1
     g = r.standard_normal((40, 10))
-    degenerate = LinearProgram(c=r.standard_normal(10), G=g, h=np.zeros(40),
-                               ub=np.ones(10))
+    degenerate = LinearProgram(c=r.standard_normal(10),
+                               G=np.vstack([g, np.eye(10)]),
+                               h=np.concatenate([np.zeros(40), np.ones(10)]))
     assert solve_lp(degenerate)[1].status is Status.OPTIMAL
     assert "lex" in seen
     tiny = LinearProgram(c=[-1.0, -0.5], G=[[1e-8, 1.0]], h=[1.0])
@@ -626,13 +632,14 @@ def test_phase_two_matches_reference_epilogue(rng, monkeypatch):
     monkeypatch.setattr(simplex, "_phase_two", checked)
     box = LinearProgram(c=np.zeros(4), G=rng.uniform(0.5, 1.0, (3, 4)),
                         h=np.ones(3))
-    cases = [(mixed_bounds_lp(rng, 5, int(rng.integers(2, 8))), 20000)
+    cases = [(*mixed_bounds_lp(rng, 5, int(rng.integers(2, 8))), 5, 20000)
              for _ in range(8)]
-    cases += [(mixed_bounds_lp(rng, 4, 4, redundant=True), 20000), (box, 1)]
-    for lp, maxiter in cases:
+    cases += [(*mixed_bounds_lp(rng, 4, 4, redundant=True), 4, 20000),
+              (box, _same, 4, 1)]
+    for lp, spread, n, maxiter in cases:
         seq = LPSequence(lp, maxiter)
         for _ in range(6):
-            seq.solve(rng.standard_normal(lp.c.size))
+            seq.solve(spread(rng.standard_normal(n)))
     with monkeypatch.context() as mp:
         # an optimum that lost feasibility: a nonbasic structural variable
         # at -1e-3, whose column is below 1 in every row, so the negative
@@ -649,12 +656,12 @@ def test_phase_two_matches_reference_epilogue(rng, monkeypatch):
         small = LinearProgram(c=-np.ones(3), G=rng.uniform(0.1, 0.9, (2, 3)),
                               h=np.ones(2))
         assert solve_lp(small)[1].residuals["primal"] == 1e-3
-    lp = mixed_bounds_lp(rng, 5, 6)
+    lp, spread = mixed_bounds_lp(rng, 5, 6)
     with monkeypatch.context() as mp:   # singular basis: least-squares duals
         mp.setattr(simplex, "_inverse", lambda bmat: None)
         seq = LPSequence(lp)
         for _ in range(3):
-            seq.solve(rng.standard_normal(5))
+            seq.solve(spread(rng.standard_normal(5)))
     statuses = {status for status, _, _ in seen}
     assert statuses == {Status.OPTIMAL, Status.UNBOUNDED, Status.MAXITER}
     assert any("dropped 1 redundant row(s)" in w for _, w, _ in seen)
@@ -682,12 +689,13 @@ def test_warm_tableau_matches_reference_formula(rng, monkeypatch):
         return tab
 
     monkeypatch.setattr(simplex, "_warm_tableau", checked)
-    lps = [mixed_bounds_lp(rng, 5, int(rng.integers(2, 8))) for _ in range(8)]
-    lps.append(mixed_bounds_lp(rng, 4, 4, redundant=True))
-    for lp in lps:
+    lps = [(*mixed_bounds_lp(rng, 5, int(rng.integers(2, 8))), 5)
+           for _ in range(8)]
+    lps.append((*mixed_bounds_lp(rng, 4, 4, redundant=True), 4))
+    for lp, spread, n in lps:
         seq = LPSequence(lp)
         for _ in range(6):
-            seq.solve(rng.standard_normal(lp.c.size))
+            seq.solve(spread(rng.standard_normal(n)))
     assert len(built) > 30 and any(built)
 
 
@@ -727,12 +735,13 @@ def test_crash_basis_matches_row_by_row_reference(rng):
     residual columns compete, and with no rows at all."""
     picked = 0
     for trial in range(60):
-        lp = mixed_bounds_lp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        lp, _ = mixed_bounds_lp(rng, int(rng.integers(1, 7)),
+                                int(rng.integers(1, 7)))
         lp.G[rng.random(lp.G.shape) < 0.4] = 0.0
         if trial % 3 == 0:
             lp.h = lp.h - 5.0
         std = _Standard(lp)
-        c_std = std.costs(np.where(rng.random(lp.c.size) < 0.5, 0.0, lp.c))[0]
+        c_std = std.costs(np.where(rng.random(lp.c.size) < 0.5, 0.0, lp.c))
         ref = crash_basis_oracle(std, c_std)
         got = _crash_basis(std, c_std)
         assert (got is None) == (ref is None)
@@ -741,7 +750,7 @@ def test_crash_basis_matches_row_by_row_reference(rng):
             picked += 1
     for lp in _recovery_lps(seeds=(0,)):
         std = _Standard(lp)
-        c_std = std.costs(lp.c)[0]
+        c_std = std.costs(lp.c)
         ref = crash_basis_oracle(std, c_std)
         assert ref is not None and np.array_equal(_crash_basis(std, c_std), ref)
         picked += 1
@@ -910,11 +919,13 @@ def _assert_batch_is_solve(lp, costs, maxiter=20000):
 
 
 def _degenerate_lp(seed):
-    """30 rows through the origin in 15 variables in [0, 1]: a vertex where
-    long streaks of zero steps turn the lexicographic rule on."""
+    """30 rows through the origin in 15 variables in [0, 1] (rows x <= 1
+    after them): a vertex where long streaks of zero steps turn the
+    lexicographic rule on."""
     r = np.random.default_rng(seed)
-    return LinearProgram(c=np.zeros(15), G=r.standard_normal((30, 15)),
-                         h=np.zeros(30), ub=np.ones(15))
+    return LinearProgram(c=np.zeros(15),
+                         G=np.vstack([r.standard_normal((30, 15)), np.eye(15)]),
+                         h=np.concatenate([np.zeros(30), np.ones(15)]))
 
 
 def test_solve_many_is_solve_from_the_first_basis(rng):
@@ -926,14 +937,14 @@ def test_solve_many_is_solve_from_the_first_basis(rng):
     for trial in range(60):
         n = int(rng.integers(2, 8))
         if trial % 6 == 5:
-            lp, n = _degenerate_lp(trial), 15
+            lp, spread, n = _degenerate_lp(trial), _same, 15
         else:
-            lp = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)),
-                                 redundant=trial % 6 == 4)
+            lp, spread = mixed_bounds_lp(rng, n, int(rng.integers(1, 8)),
+                                         redundant=trial % 6 == 4)
         k = 1 + trial % 20
         maxiter = (2, 3, 20000, 20000)[trial % 4]
-        reports = _assert_batch_is_solve(lp, rng.standard_normal((k, n)),
-                                         maxiter)
+        reports = _assert_batch_is_solve(
+            lp, spread(rng.standard_normal((k, n))), maxiter)
         seen.update(r.status for r in reports)
     assert seen == {Status.OPTIMAL, Status.UNBOUNDED, Status.MAXITER}
 
@@ -941,8 +952,8 @@ def test_solve_many_is_solve_from_the_first_basis(rng):
 def test_solve_many_of_one_cost_is_solve(rng):
     """A batch of one is ``solve``: the same x, duals, pivots and start."""
     for _ in range(10):
-        lp = mixed_bounds_lp(rng, 5, 6)
-        cost = rng.standard_normal(5)
+        lp, spread = mixed_bounds_lp(rng, 5, 6)
+        cost = spread(rng.standard_normal(5))
         (x, rep), = LPSequence(lp).solve_many([cost])
         x_ref, ref = LPSequence(lp).solve(cost)
         assert _same_bits(x, x_ref) and _same_bits(vars(rep), vars(ref))
@@ -1008,12 +1019,12 @@ def test_solve_many_in_update_blocks_and_with_a_singular_stack(
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "_pivot", pivot)
-        for lp in lps:
+        for lp, spread in lps:
             m, n = LPSequence(lp)._std.A.shape
             for per in (1, 3):
                 mp.setattr(simplex, "_UPDATE_CELLS", per * (m + 1) * (n + 1))
                 blocks.clear()
-                _assert_batch_is_solve(lp, rng.standard_normal((9, 5)))
+                _assert_batch_is_solve(lp, spread(rng.standard_normal((9, 5))))
                 assert blocks and max(blocks) == per
     real, stacked = simplex._inverse, []
 
@@ -1024,8 +1035,8 @@ def test_solve_many_in_update_blocks_and_with_a_singular_stack(
         return real(bmat)
 
     monkeypatch.setattr(simplex, "_inverse", inverse)
-    for lp in lps:
-        _assert_batch_is_solve(lp, rng.standard_normal((9, 5)))
+    for lp, spread in lps:
+        _assert_batch_is_solve(lp, spread(rng.standard_normal((9, 5))))
     assert stacked
 
 
@@ -1036,12 +1047,13 @@ def test_lockstep_tableaus_own_their_data(rng):
     from sparsecert.engine import simplex
     checked = 0
     while checked < 5:
-        seq = LPSequence(mixed_bounds_lp(rng, 5, 6))
-        seq.solve(rng.standard_normal(5))
+        lp, spread = mixed_bounds_lp(rng, 5, 6)
+        seq = LPSequence(lp)
+        seq.solve(spread(rng.standard_normal(5)))
         if seq._warm is None or seq._warm[1] is None:
             continue    # no basis to start a stack from
         std = seq._std
-        c_std, _ = std.costs(rng.standard_normal((8, 5)))
+        c_std = std.costs(spread(rng.standard_normal((8, 5))))
         tabs, _ = simplex._lockstep(simplex._warm_tableau(std, *seq._warm),
                                     c_std, 20000)
         assert all(tab.T.base is None and tab.basis.base is None
@@ -1057,8 +1069,8 @@ def test_solves_run_without_the_numpy_2_vector_products(rng, monkeypatch):
         return [(x, vars(rep)) for x, rep in
                 [solve_lp(lp)] + LPSequence(lp).solve_many(c)]
 
-    lps = [mixed_bounds_lp(rng, 5, 6) for _ in range(4)]
-    costs = [rng.standard_normal((7, 5)) for _ in lps]
+    lps, spreads = zip(*[mixed_bounds_lp(rng, 5, 6) for _ in range(4)])
+    costs = [spread(rng.standard_normal((7, 5))) for spread in spreads]
     want = [solved(lp, c) for lp, c in zip(lps, costs)]
     for name in ("matvec", "vecmat", "vecdot"):
         monkeypatch.delattr(np, name, raising=False)
@@ -1080,8 +1092,8 @@ def test_solve_many_reverifies_every_lp(rng, monkeypatch):
             final.T[0, -1] += 1e-3
         return tabs, runs
 
-    lps = [mixed_bounds_lp(rng, 5, 6) for _ in range(6)]
-    costs = [rng.standard_normal((8, 5)) for _ in lps]
+    lps, spreads = zip(*[mixed_bounds_lp(rng, 5, 6) for _ in range(6)])
+    costs = [spread(rng.standard_normal((8, 5))) for spread in spreads]
     clean = [LPSequence(lp).solve_many(c) for lp, c in zip(lps, costs)]
     monkeypatch.setattr(simplex, "_lockstep", knocked)
     for lp, c, want in zip(lps, costs, clean):
@@ -1115,9 +1127,11 @@ def test_solve_many_on_an_empty_set_and_its_tallies(rng):
     assert out[0][1].iterations == solve_lp(empty)[1].iterations
     assert [rep.iterations for _, rep in out[1:]] == [0, 0, 0]
     assert (seq.lps, seq.not_optimal, seq.starts["phase_one"]) == (4, 4, 1)
-    lp = mixed_bounds_lp(rng, 4, 5)
+    lp, spread = mixed_bounds_lp(rng, 4, 5)
+    n = lp.c.size
     seq = LPSequence(lp)
-    reports = [rep for _, rep in seq.solve_many(rng.standard_normal((9, 4)))]
+    reports = [rep for _, rep in
+               seq.solve_many(spread(rng.standard_normal((9, 4))))]
     gaps = [r.delta for r in reports if r.status is Status.OPTIMAL]
     starts = [r.start for r in reports if r.start is not None]
     assert seq.starts == {k: starts.count(k) for k in seq.starts}
@@ -1125,10 +1139,11 @@ def test_solve_many_on_an_empty_set_and_its_tallies(rng):
     assert seq.not_optimal == len(reports) - len(gaps)
     assert seq.delta == max(gaps, default=0.0)
     seq = LPSequence(lp)
-    for bad in ([[1.0, 2.0, 3.0]], [[1.0, np.nan, 0.0, 0.0]], [1.0] * 4):
+    for bad in ([[1.0] * (n + 1)], [[1.0, np.nan] + [0.0] * (n - 2)],
+                [1.0] * n):
         with pytest.raises(ValueError):
             seq.solve_many(bad)
-    assert seq.solve_many(np.zeros((0, 4))) == [] and seq.lps == 0
+    assert seq.solve_many(np.zeros((0, n))) == [] and seq.lps == 0
 
 
 def test_non_finite_data_written_after_construction_is_refused():
@@ -1137,10 +1152,25 @@ def test_non_finite_data_written_after_construction_is_refused():
     it reaches the ratio test."""
     for field, index, value in (("h", 0, np.nan), ("c", 1, np.inf),
                                 ("G", (1, 0), np.nan)):
-        lp = LinearProgram(c=[1, 1], G=[[1, 1], [1, -1]], h=[1, 2],
-                           senses=("ge", "eq"))
+        lp = LinearProgram(c=[1, 1], G=[[-1, -1], [1, -1]], h=[-1, 2],
+                           senses=("le", "eq"))
         getattr(lp, field)[index] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             solve_lp(lp)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LPSequence(lp)
+
+
+def test_one_lp_form():
+    """Every LP is min c.x over x >= 0 with 'le' and 'eq' rows: bounds and
+    'ge' rows are refused, and the standard form holds no variable
+    transform, only the LP's columns and one slack per 'le' row."""
+    with pytest.raises(TypeError):
+        LinearProgram(c=[1.0], G=[[1.0]], h=[1.0], lb=[-1.0])
+    with pytest.raises(ValueError, match="senses"):
+        LinearProgram(c=[1.0], G=[[1.0]], h=[1.0], senses=("ge",))
+    std = _Standard(LinearProgram(c=[1.0, 2.0], G=[[1.0, 1.0], [1.0, -1.0]],
+                                  h=[1.0, -2.0], senses=("le", "eq")))
+    assert np.array_equal(std.A, [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]])
+    assert np.array_equal(std.b, [1.0, 2.0]) and std.nz == 2
+    assert not {"var", "sign", "off", "free", "bad_bound"} & set(vars(std))

@@ -259,7 +259,8 @@ class ExperimentConfig:
                                      and cert["lambda"] > 0):
             raise serialize.FormatError(
                 f"certificate.lambda {cert['lambda']!r} is not a number > 0")
-        if not isinstance(cert.get("iters", 0), int) or cert.get("iters", 0) < 0:
+        iters = cert.get("iters", 0)
+        if not isinstance(iters, int) or iters < 0:
             raise serialize.FormatError("certificate.iters must be an "
                                         "integer >= 0")
         sig = doc["signal"]

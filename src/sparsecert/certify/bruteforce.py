@@ -16,11 +16,11 @@ representation map other than the canonical one the rows bound every
 coordinate of B z, and the signs run over those coordinates.  The LPs of one
 enumeration share their feasible set and differ only in the cost, so one
 ``LPSequence`` per verdict solves them: one cold start, each LP starting at
-the optimal basis of the one before, and its tallies give the LP counts of
-``details``.  The singletons' LPs are all known before the search starts,
-so they go to the sequence as one lockstep batch (``solve_many``), every
-one from the basis the first ended on; a larger set's few LPs are solved
-one by one, where a stack of two to four costs more than it saves.
+an earlier optimal basis, and its tallies give the LP counts of
+``details``.  The search hands the sequence its LPs in rounds, each one
+lockstep batch (``solve_many``), every LP of a round from the basis the
+round's first LP ended on: a stack of one set's two to four LPs costs a
+little more than solving them one by one, one of about 32 far less.
 
 Most of those LPs cannot matter, and certified bounds prove it without
 solving them.  The value of a block set (its largest retained mass) adds up
@@ -34,10 +34,13 @@ found by more than a tie tolerance of 1e-12 (1 + best); when a set's bound
 comes from an unsolved subset, that cheaper subset is solved first, the one
 that keeps the heaviest blocks when several tie (``_pruned_search``).
 Bounds within the tolerance of each other are ties, broken in set order,
-so roundoff in the bounds does not move the visit order.  Every visited set
-lies inside a maximal one, so the best value is the maximum to within the
-tolerance, and the certified upper bound is the largest of value + delta
-over the LPs solved and of the skipped sets' bounds.
+so roundoff in the bounds does not move the visit order.  A round takes
+the sets next in that order against the best value found before it, so it
+may solve sets a value found within it would prune: they only raise the
+best value.  Every visited set lies inside a maximal one, so the best
+value is the maximum to within the tolerance, and the certified upper
+bound is the largest of value + delta over the LPs solved and of the
+skipped sets' bounds.
 
 l2 blocks and low rank leave the polyhedral world: there the search is
 Monte-Carlo plus projected ratio ascent on a kernel basis, which can certify
@@ -52,12 +55,12 @@ are CertifiedBad (two sparse signals share a measurement, non-uniqueness).
 An enumeration with an LP that did not end optimal reports at most a bracket,
 or CertifiedBad by witness.  ``details`` carries ``signed_supports`` (the
 LPs of the maximal sets, which ``_LP_BUDGET`` caps before any LP runs),
-``lp_count`` (the LPs solved), ``lps_pruned`` (the maximal sets' LPs
-skipped, so the maximal sets' LPs solved are ``signed_supports -
-lps_pruned`` and the rest of ``lp_count`` went to smaller sets), the total
-pivots (``lp_iterations``), the largest per-LP gap (``lp_delta``),
-``lps_not_optimal`` and, when every LP ended optimal, the certified upper
-bound ``gamma_upper``.
+``lp_count`` (the LPs solved, speculative ones too), ``lps_pruned`` (the
+maximal sets' LPs skipped, so the maximal sets' LPs solved are
+``signed_supports - lps_pruned`` and the rest of ``lp_count`` went to
+smaller sets), the total pivots (``lp_iterations``), the largest per-LP
+gap (``lp_delta``), ``lps_not_optimal`` and, when every LP ended optimal,
+the certified upper bound ``gamma_upper``.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ from ..engine import solve_lp  # noqa: F401
 from .conditions import NullspaceVerdict, worst_condition_projector, _kernel_basis
 
 _LP_BUDGET = 20000
+# LPs per round of ``_pruned_search``: the seed-1 ``nullspace`` verdicts run
+# about 1.7x as fast as with one set's LPs per round, on a tenth more LPs
+_ROUND_LPS = 32
 _GOOD_MARGIN = 1e-9
 
 
@@ -254,22 +260,28 @@ def _pruned_search(lp, maximal, supports, witness):
     val({l}), so a set of two or more blocks is bounded by the min over its
     blocks l of UB(S - l) + UB({l}).  UB is the max of value + delta over a
     solved set's LPs (+inf if one did not end optimal), and for any other
-    set its bound, set level by level from the singletons up, all of which
-    are solved first, in one lockstep batch.  Each set's subsets S - l
-    come from ``_lattice`` and its singletons' UBs are read once, after the
-    singletons are solved, so a bound costs one sum per block.  The maximal
-    sets are then visited in descending order of bound, each bound brought
-    up to date when its set comes first, until none exceeds the best value
-    found by more than the tie tolerance 1e-12 (1 + best).  Bounds within the tolerance of the largest are ties,
-    and the first of them in set order comes first.  Its LPs run unless the
-    subset S - l of its bound is unsolved: that cheaper subset runs first,
-    and the set goes back in line.  Of the subsets whose sums tie the
-    bound, the one without the lightest block l (least UB({l})) runs: one
-    z rarely carries the mass of several heavy blocks at once, so their
-    joint bound tends to fall furthest (on the plain n=12, s=3 verdicts
-    this solves about a fifth fewer LPs than set order).  Every set is a
-    subset of a maximal one, so its value is a lower bound on theirs, and
-    the best is the maximum to within the tolerance.
+    set its bound, set level by level from the singletons up.  Each set's
+    subsets S - l come from ``_lattice`` and its singletons' UBs are read
+    once, after round zero, so a bound costs one sum per block.
+
+    The LPs run in rounds of one lockstep batch (``solve_many``) each.
+    Round zero is every singleton.  Each later round takes the maximal sets
+    in descending order of bound, each bound brought up to date when its
+    set comes first, while that bound exceeds the best value found before
+    the round by more than the tie tolerance 1e-12 (1 + best), until it
+    holds ``_ROUND_LPS`` LPs.  Bounds within the tolerance of the largest
+    are ties, and the first of them in set order comes first.  A set's LPs
+    join the round unless the subset S - l of its bound is unsolved: that
+    cheaper subset joins it (once), and the set goes back in line after the
+    round.  Of the subsets whose sums tie the bound, the one without the
+    lightest block l (least UB({l})) runs: one z rarely carries the mass of
+    several heavy blocks at once, so their joint bound tends to fall
+    furthest (on the plain n=12, s=3 verdicts this solves about a fifth
+    fewer LPs than set order).  A value found within a round prunes no set
+    of it: such speculative LPs only raise the best value, ``lp_count``
+    counts them and ``lps_pruned`` does not.  Every set is a subset of a
+    maximal one, so its value is a lower bound on theirs, and the best is
+    the maximum to within the tolerance.
 
     Returns (best value, witness(x) at the best, upper, stats): ``upper`` is
     the max over the LPs solved of value + delta and over the skipped sets
@@ -297,9 +309,12 @@ def _pruned_search(lp, maximal, supports, witness):
             if val > best:
                 best, best_z = val, witness(x)
 
-    def solve(chosen):
-        record(chosen, [seq.solve(cost)
-                        for cost in supports.costs(supports.plan(chosen))])
+    def solve(batch):
+        """Solve the LPs of a round, ``batch`` (set -> its costs), as one
+        lockstep batch and record them set by set."""
+        results = iter(seq.solve_many([c for cs in batch.values() for c in cs]))
+        for chosen, cs in batch.items():
+            record(chosen, itertools.islice(results, len(cs)))
 
     def tie():
         """The tie tolerance: bounds this close are equal to roundoff.  The
@@ -320,11 +335,7 @@ def _pruned_search(lp, maximal, supports, witness):
         return value, subs[next(i for i in tied
                                 if single[i] <= light + tie())]
 
-    # the singletons' LPs are all known up front: one lockstep batch
-    plans = [list(supports.costs(supports.plan(c))) for c in levels[0]]
-    results = iter(seq.solve_many([c for costs in plans for c in costs]))
-    for chosen, costs in zip(levels[0], plans):
-        record(chosen, itertools.islice(results, len(costs)))
+    solve({c: list(supports.costs(supports.plan(c))) for c in levels[0]})
     # each set's subsets S - l and singleton UBs, fixed from here on
     parts = {}
     for level in levels[1:]:
@@ -333,25 +344,34 @@ def _pruned_search(lp, maximal, supports, witness):
             ub[chosen] = bound(chosen)[0]
     queue = [(-ub[m], m) for m in maximal if len(m) > 1]
     heapq.heapify(queue)
-    while queue and -queue[0][0] > best + tie():
-        # the first in set order of the keys tied with the largest; keys
-        # that are equal (+inf ones too) already leave the heap in set order
-        ties = [heapq.heappop(queue)]
-        while queue and ties[0][0] > -math.inf \
-                and -queue[0][0] >= -ties[0][0] - tie():
-            ties.append(heapq.heappop(queue))
-        key, chosen = min(ties, key=lambda entry: entry[1])
-        for entry in ties:
-            if entry[1] != chosen:
-                heapq.heappush(queue, entry)
-        value, sub = bound(chosen)
-        if value < -key:            # tightened since it was queued
-            heapq.heappush(queue, (-value, chosen))
-        elif len(sub) > 1 and sub not in solved:
-            solve(sub)
-            heapq.heappush(queue, (-value, chosen))
-        else:
-            solve(chosen)
+    while True:
+        batch, held, size = {}, [], 0
+        while size < _ROUND_LPS and queue and -queue[0][0] > best + tie():
+            # the first in set order of the keys tied with the largest; keys
+            # that are equal (+inf ones too) already leave the heap in set order
+            ties = [heapq.heappop(queue)]
+            while queue and ties[0][0] > -math.inf \
+                    and -queue[0][0] >= -ties[0][0] - tie():
+                ties.append(heapq.heappop(queue))
+            key, chosen = min(ties, key=lambda entry: entry[1])
+            for entry in ties:
+                if entry[1] != chosen:
+                    heapq.heappush(queue, entry)
+            value, sub = bound(chosen)
+            if value < -key:            # tightened since it was queued
+                heapq.heappush(queue, (-value, chosen))
+                continue
+            if len(sub) > 1 and sub not in solved:
+                held.append((-value, chosen))   # back in line after the round
+                chosen = sub
+            if chosen not in batch:
+                batch[chosen] = list(supports.costs(supports.plan(chosen)))
+                size += len(batch[chosen])
+        if not batch:
+            break
+        solve(batch)
+        for entry in held:
+            heapq.heappush(queue, entry)
     if queue:       # a skipped set's bound is within the tie tolerance
         upper = max(upper, -queue[0][0])
     pruned = sum(c for m, c in maximal.items() if m not in solved)

@@ -181,8 +181,9 @@ def _synthesis_lp(lay, targets, s, simple):
     n_core = keys.size
     nrows = n_core + (0 if simple else kk)
     # size the tableau of the LP actually solved: stage one (``simple``)
-    # solves the dual, one row per variable here and one column per row
-    rows, cols = (nvars, nrows) if simple else (nrows, nvars)
+    # solves the dual, one row per variable here and one column per row;
+    # the joint LP has a negative beside each H column (``_split_free``)
+    rows, cols = (nvars, nrows) if simple else (nrows, nvars + nh)
     if rows * (cols + rows) > _LP_ENTRY_BUDGET:
         raise norms.UnsupportedNormError(
             "synthesis LP too large for the dense solver "

@@ -540,9 +540,9 @@ def _certify(std, tab, outcome, unb_col, c_std):
     """Certify the final tableau ``tab`` of one LP against the untouched
     standard form; ``outcome`` and ``unb_col`` are what its run returned,
     ``c_std`` its cost (``_Standard.costs``).  Returns (x,
-    SolveReport, warm), ``warm`` the final basis inverse and its point
-    binv @ b when they pass ``_solves`` (the next warm start), else (None,
-    None)."""
+    SolveReport, warm): x is None for an unbounded LP (its report has the
+    ray), ``warm`` the final basis inverse and its point binv @ b when they
+    pass ``_solves`` (the next warm start), else (None, None)."""
     ncols = std.A.shape[1]
     # re-solve on the untouched matrix to shed pivot error; accept only if the
     # basis system is solved (a near-singular inverse is garbage, no error)
@@ -559,7 +559,7 @@ def _certify(std, tab, outcome, unb_col, c_std):
     obj = c_std @ z
     report = _report(std, tab, outcome, unb_col, c_std, z, obj, y,
                      _gaps(std, z, y, c_std, obj))
-    return z[: std.nz], report, \
+    return None if outcome == "unbounded" else z[: std.nz], report, \
         (binv, zb) if ok else (None, None)
 
 
@@ -587,8 +587,9 @@ def _certify_many(std, tabs, runs, c_std):
     obj = _dot(c_std, z)
     gaps = _gaps(std, z, y, c_std, obj)
     x = z[:, : std.nz]
-    return [(x[i], _report(std, tab, *run, c_std[i], z[i], obj[i], y[i],
-                           [g[i] for g in gaps]),
+    return [(None if run[0] == "unbounded" else x[i],
+             _report(std, tab, *run, c_std[i], z[i], obj[i], y[i],
+                     [g[i] for g in gaps]),
              (binv[i], zb[i]) if ok[i] else (None, None))
             for i, (tab, run) in enumerate(zip(tabs, runs))]
 
@@ -730,7 +731,8 @@ def _lockstep(tab, c_std, maxiter):
 
 def solve_lp(lp, maxiter=20000):
     """Solve the LP; returns (x, SolveReport).  x is None unless a basic
-    feasible point was reached (optimal or iteration-capped)."""
+    feasible point was reached and the LP is not unbounded (optimal or
+    iteration-capped)."""
     return LPSequence(lp, maxiter).solve(lp.c)
 
 

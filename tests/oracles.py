@@ -886,7 +886,8 @@ def phase_two_oracle(std, tab, cost, maxiter):
     guards, max |b| computed twice.  Same pivot loop and re-verification
     helpers as the library (``_Tableau.run``, ``_inverse``, ``_solves``,
     ``_multipliers``, looked up at call time so test patches apply).
-    Returns what ``simplex._phase_two`` returns."""
+    Returns what ``simplex._phase_two`` returns: no point (x None) for an
+    unbounded LP, whose report carries the ray."""
     from sparsecert.engine import simplex as S
     ncols = std.A.shape[1]
     c_std = std.costs(cost)
@@ -918,7 +919,7 @@ def phase_two_oracle(std, tab, cost, maxiter):
                 ray[jb] = -tab.T[i, unb_col]
         cert = {"kind": "ray", "ray": ray[: std.nz], "ray_standard": ray,
                 "descent": float(c_std @ ray)}
-        return x, S.SolveReport(status=S.Status.UNBOUNDED,
+        return None, S.SolveReport(status=S.Status.UNBOUNDED,
                                 iterations=tab.iterations, certificate=cert,
                                 warnings=warnings,
                                 used_bland=tab.lex_ref is not None,

@@ -138,15 +138,27 @@ def test_bruteforce_good_verdict_needs_the_certified_bound(patch_reports):
 
 
 def _record_costs(monkeypatch):
-    """The cost vectors the brute force hands to its ``LPSequence``, in the
-    order they are solved."""
+    """The cost vectors the brute force hands to its ``LPSequence``, each
+    once, in the order they are solved: every row of a ``solve_many`` batch
+    and every cost of a ``solve`` made outside one."""
     from sparsecert.certify import bruteforce
     seen = []
 
     class Recorded(bruteforce.LPSequence):
+        in_batch = False
+
         def solve(self, cost):
-            seen.append(cost)
+            if not self.in_batch:
+                seen.append(cost)
             return super().solve(cost)
+
+        def solve_many(self, costs):
+            seen.extend(costs)
+            self.in_batch = True
+            try:
+                return super().solve_many(costs)
+            finally:
+                self.in_batch = False
 
     monkeypatch.setattr(bruteforce, "LPSequence", Recorded)
     return seen
@@ -195,26 +207,36 @@ def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
         monkeypatch, patch_reports):
     """A singleton's UB is its value + delta.  With delta = 0.5 on (0,) every
     pair holding it is bounded above gamma < 1/2, so every such pair is
-    solved, where without the patch all but one pair is pruned."""
+    solved, where without the patch all but one pair is pruned.  The
+    pruning shows when each round holds one set's LPs (``_ROUND_LPS`` = 1):
+    a round of 32 LPs takes every pair whose bound exceeds the singletons'
+    best value, here 11 of the 15 pairs and 4 of these 5.  The patched
+    bounds hold at both round sizes."""
+    from sparsecert.certify import bruteforce
     a, s = _PRUNED_GOOD
     st, _ = structures.build_plain(6)
     seen = _record_costs(monkeypatch)
-    plain = gamma_s_bruteforce(a, st, s)
+    with monkeypatch.context() as mp:
+        mp.setattr(bruteforce, "_ROUND_LPS", 1)
+        plain = gamma_s_bruteforce(a, st, s)
     pairs = [(0, j) for j in range(1, 6)]
     assert sum(p in _supports_solved(seen, 6) for p in pairs) <= 1
-    seen.clear()
 
     def loose_first(i, x, rep):
         rep.delta = 0.5 if i == 0 else rep.delta
         return x, rep
 
     patch_reports(loose_first)
-    v = gamma_s_bruteforce(a, st, s)
-    solved = _supports_solved(seen, 6)
-    assert all(solved.get(p) == 2 for p in pairs)
-    assert v.gamma_value == pytest.approx(plain.gamma_value, abs=1e-12)
-    assert v.status == "Unknown" and v.details["gamma_upper"] >= 0.5
-    assert v.details["lp_count"] > plain.details["lp_count"]
+    for round_lps in (1, bruteforce._ROUND_LPS):
+        seen.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(bruteforce, "_ROUND_LPS", round_lps)
+            v = gamma_s_bruteforce(a, st, s)
+        solved = _supports_solved(seen, 6)
+        assert all(solved.get(p) == 2 for p in pairs)
+        assert v.gamma_value == pytest.approx(plain.gamma_value, abs=1e-12)
+        assert v.status == "Unknown" and v.details["gamma_upper"] >= 0.5
+        assert v.details["lp_count"] > plain.details["lp_count"]
 
 
 def test_bruteforce_visit_order_ignores_roundoff_in_the_bounds(
@@ -316,6 +338,51 @@ def test_pruned_bruteforce_matches_unpruned_oracle(name):
     assert d["signed_supports"] == want.details["lp_count"]
     assert 0 <= d["lps_pruned"] <= d["signed_supports"]
     assert d["signed_supports"] - d["lps_pruned"] <= d["lp_count"]
+
+
+def _round_draws():
+    """(a, structure, b, s) of 42 seeded draws for the lockstep rounds:
+    plain n = 8 to 12 (m = n - 4 to n - 1) at s = 2 and 3, six l1 pairs and
+    six linf pairs at s = 1 and 2, and plain n = 8 under B = I + 0.4 G.
+    9 of them are CertifiedGood."""
+    for seed in range(24):
+        rng = np.random.default_rng([31, seed])
+        n, s = 8 + seed % 5, 2 + seed % 2
+        m = int(rng.integers(n - 4, n))
+        yield rng.standard_normal((m, n)), structures.build_plain(n)[0], \
+            None, s
+    pairs = [(2 * i, 2 * i + 1) for i in range(6)]
+    for tag in ("l1", "linf"):
+        st, rep = structures.build_group(pairs, block_norm=tag)
+        for seed in range(8):
+            rng = np.random.default_rng([32, seed])
+            m = int(rng.integers(6, 11))
+            yield rng.standard_normal((m, 12)), st, rep, 1 + seed % 2
+    for seed in range(2):
+        rng = np.random.default_rng([33, seed])
+        b = np.eye(8) + 0.4 * rng.standard_normal((8, 8))
+        yield rng.standard_normal((5, 8)), structures.build_plain(8)[0], b, 2
+
+
+def test_lockstep_rounds_keep_the_unpruned_verdict(monkeypatch):
+    """Rounds of ``_ROUND_LPS`` LPs solve sets that an earlier set of the
+    round would have pruned; the verdict is still the one of solving every
+    signed support (status, gamma to 1e-9, a certified upper bound at least
+    gamma), and the one of rounds that hold one set's LPs each."""
+    from sparsecert.certify import bruteforce
+    speculative = 0
+    for a, st, b, s in _round_draws():
+        want = unpruned_bruteforce_oracle(a, st, s, b=b)
+        got = gamma_s_bruteforce(a, st, s, b=b)
+        with monkeypatch.context() as mp:
+            mp.setattr(bruteforce, "_ROUND_LPS", 1)
+            one = gamma_s_bruteforce(a, st, s, b=b)
+        for v in (got, one):
+            assert v.status == want.status
+            assert v.gamma_value == pytest.approx(want.gamma_value, abs=1e-9)
+            assert v.details["gamma_upper"] >= v.gamma_value
+        speculative += got.details["lp_count"] > one.details["lp_count"]
+    assert speculative >= 10
 
 
 @pytest.mark.parametrize("name", [n for n in _ORACLE_CASES
@@ -893,6 +960,21 @@ def test_synthesis_budget_sizes_the_lp_solved(monkeypatch):
     cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
     assert cert.details["stage_one_sequences"] == 1
     with pytest.raises(UnsupportedNormError, match="too large"):
+        synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
+
+
+def test_synthesis_budget_counts_the_split_columns(monkeypatch):
+    """The joint LP is solved with a negative beside each free H column
+    (``_split_free``): plain n = 20, m = 12, s = 2 has 820 rows, 661
+    variables and 240 H columns, so 820 x (661 + 240 + 820) = 1,411,220
+    cells where 820 x (661 + 820) = 1,214,420.  A budget between the two
+    refuses it."""
+    from sparsecert.certify import synthesis
+    from sparsecert.norms import UnsupportedNormError
+    st, rep = structures.build_plain(20)
+    a = np.random.default_rng(0).standard_normal((12, 20))
+    monkeypatch.setattr(synthesis, "_LP_ENTRY_BUDGET", 1.3e6)
+    with pytest.raises(UnsupportedNormError, match="820 rows, 901 variables"):
         synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
 
 

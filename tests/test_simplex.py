@@ -95,11 +95,31 @@ def test_infeasible_reports_farkas_certificate():
 def test_unbounded_reports_ray():
     lp = LinearProgram(c=[-1.0, 0.0], G=[[0.0, 1.0]], h=[1.0])
     x, rep = solve_lp(lp)
-    assert rep.status is Status.UNBOUNDED
+    assert rep.status is Status.UNBOUNDED and x is None
     ray = np.asarray(rep.certificate["ray"])
     assert float(lp.c @ ray) < -1e-9
     assert np.all(lp.G @ ray <= 1e-9)
     assert np.all(ray >= -1e-9)        # recession direction of x >= 0
+
+
+def test_unbounded_lps_of_a_batch_have_no_point():
+    """x is None for every unbounded LP, solved alone or in the lockstep
+    stack of a ``solve_many`` batch, and every one has its ray; the
+    bounded LPs around them keep their points."""
+    lp = LinearProgram(c=[0.0, 0.0], G=[[0.0, 1.0]], h=[1.0])  # x2 <= 1
+    costs = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [2.0, -1.0],
+             [1.0, -2.0]]
+    unbounded = [False, True, False, True, False, False]
+    for out in (LPSequence(lp).solve_many(costs),
+                [LPSequence(lp).solve(c) for c in costs]):
+        for (x, rep), cost, unb in zip(out, costs, unbounded, strict=True):
+            assert (rep.status is Status.UNBOUNDED) == unb
+            if unb:
+                assert x is None
+                assert float(np.dot(cost, rep.certificate["ray"])) < -1e-9
+            else:
+                assert rep.status is Status.OPTIMAL and x is not None
+                assert float(np.dot(cost, x)) == pytest.approx(rep.objective)
 
 
 def test_degenerate_lp_terminates(rng):
@@ -517,14 +537,14 @@ def test_certificate_lp_counts_pinned():
     """The LP and pivot counts of a seeded brute-force verdict (plain n=12,
     m=7, s=3) and of a seeded synthesis (plain n=16, m=10, s=1), pinned:
     a change to pivot choice moves them, and the outputs alone may not.
-    Stage one and the brute force's singletons run as lockstep batches,
+    Stage one and every round of the brute force run as lockstep batches,
     every LP from the basis the batch's first LP ended on."""
     from sparsecert.certify.bruteforce import gamma_s_bruteforce
     from sparsecert.certify.synthesis import synth_certificate_group
     st, _ = structures.build_plain(12)
     a = np.random.default_rng(3).standard_normal((7, 12))
     d = gamma_s_bruteforce(a, st, 3).details
-    assert (d["lp_count"], d["lp_iterations"]) == (136, 940)
+    assert (d["lp_count"], d["lp_iterations"]) == (132, 898)
     st, rep = structures.build_plain(16)
     a = np.random.default_rng(0).standard_normal((10, 16))
     d = synth_certificate_group(a, rep.matrix, st, 1, phi="l1").details

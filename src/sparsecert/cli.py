@@ -219,6 +219,15 @@ def _is_radius(value):
         and math.isfinite(value) and value >= 0
 
 
+def _check_integer(value, name, least=0):
+    """Refuse the field ``name`` unless its ``value`` is an integer >=
+    ``least`` (a JSON true/false is not an integer here, a missing field
+    reads None)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise serialize.FormatError(
+            f"{name} {value!r} is not an integer >= {least}")
+
+
 @dataclass
 class ExperimentConfig:
     structure: dict
@@ -244,8 +253,7 @@ class ExperimentConfig:
             if not isinstance(doc.get(name, {}), dict):
                 raise serialize.FormatError(f"{name} must be a JSON object")
         trials = doc["trials"]
-        if not isinstance(trials, int) or trials < 1:
-            raise serialize.FormatError("trials must be an integer >= 1")
+        _check_integer(trials, "trials", 1)
         modes = doc["recovery"]
         if isinstance(modes, str):
             modes = [modes]
@@ -259,22 +267,17 @@ class ExperimentConfig:
                                      and cert["lambda"] > 0):
             raise serialize.FormatError(
                 f"certificate.lambda {cert['lambda']!r} is not a number > 0")
-        iters = cert.get("iters", 0)
-        if not isinstance(iters, int) or iters < 0:
-            raise serialize.FormatError("certificate.iters must be an "
-                                        "integer >= 0")
+        _check_integer(cert.get("iters", 0), "certificate.iters")
         sig = doc["signal"]
-        if "s" not in sig or "seed" not in sig:
-            raise serialize.FormatError("signal needs 's' and 'seed'")
-        if not _is_radius(sig["s"]):
+        _check_integer(sig.get("seed"), "signal.seed")
+        if not _is_radius(sig.get("s")):
             raise serialize.FormatError(
-                f"signal.s {sig['s']!r} is not a number >= 0")
+                f"signal.s {sig.get('s')!r} is not a number >= 0")
         if sig.get("magnitude", "unit") not in _MAGNITUDE_LAWS:
             raise serialize.FormatError(f"signal.magnitude {sig['magnitude']!r}"
                                         f" is not one of {_MAGNITUDE_LAWS}")
         noi = doc["noise"]
-        if "seed" not in noi:
-            raise serialize.FormatError("noise needs 'seed'")
+        _check_integer(noi.get("seed"), "noise.seed")
         if noi.get("law", "sphere") not in _NOISE_LAWS:
             raise serialize.FormatError(f"noise.law {noi['law']!r} is not "
                                         f"one of {_NOISE_LAWS}")
@@ -289,12 +292,20 @@ class ExperimentConfig:
             raise serialize.FormatError("matrix needs 'file' or 'gaussian'")
         if "gaussian" in mat:
             g = mat["gaussian"]
-            if "m" not in g or "seed" not in g:
-                raise serialize.FormatError("matrix.gaussian needs 'm' and 'seed'")
+            if not isinstance(g, dict):
+                raise serialize.FormatError("matrix.gaussian must be a JSON object")
+            _check_integer(g.get("m"), "matrix.gaussian.m", 1)
+            _check_integer(g.get("seed"), "matrix.gaussian.seed")
+        output = doc.get("output", {})
+        for key in ("summary", "table"):
+            # a path; an integer would be opened as a file descriptor
+            if not isinstance(output.get(key, ""), (str, type(None))):
+                raise serialize.FormatError(
+                    f"output.{key} {output[key]!r} is not a file path")
         return cls(structure=doc["structure"], matrix=mat, signal=sig,
                    noise=noi, recovery=list(modes),
                    certificate=doc["certificate"], trials=trials,
-                   output=doc.get("output", {}))
+                   output=output)
 
 
 def _sensing_matrix(cfg, structure):

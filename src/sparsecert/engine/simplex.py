@@ -38,9 +38,10 @@ or a check.
 ``LPSequence`` minimizes cost vectors over one feasible set, each solve
 after the first from the basis the one before ended on.  ``solve_many``
 pivots a batch of costs in lockstep on one stacked tableau (``_lockstep``)
-and certifies their final bases with one stacked inverse
-(``_certify_many``): on small LPs a numpy call over the stack costs about
-what it costs for one LP.  ``solve_lp`` is the one-cost sequence.
+and certifies their final bases with one stacked inverse: on small LPs a
+numpy call over the stack costs about what it costs for one LP.  A lone
+solve is certified as a stack of one, so ``_certify`` is the one
+certification path.  ``solve_lp`` is the one-cost sequence.
 
 Reports carry whatever makes the outcome checkable: optimal solves include the
 dual vector, complementary-slackness residuals, and a duality-gap-based
@@ -177,10 +178,10 @@ class _Standard:
         return full
 
 
-# a @ v, v @ a and u @ v of one vector, or of each row of a stack of
-# vectors (with each matrix or row of a stack): stacked matmul gives each
-# row the bits of its one-vector product, and numpy before 2.2 has no
-# ``np.matvec``, ``np.vecmat`` (nor, before 2.0, ``np.vecdot``)
+# a @ v and v @ a of one vector or of each row of a stack of vectors (with
+# each matrix of a stack), u @ v of each row of a stack: stacked matmul
+# gives each row the bits of its one-vector product, and numpy before 2.2
+# has no ``np.matvec``, ``np.vecmat`` (nor, before 2.0, ``np.vecdot``)
 def _mv(a, v):
     return a @ v if v.ndim == 1 else (a @ v[..., None])[..., 0]
 
@@ -190,8 +191,7 @@ def _vm(v, a):
 
 
 def _dot(u, v):
-    return u @ v if u.ndim == 1 else \
-        (u[..., None, :] @ v[..., None])[..., 0, 0]
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 def _ratio_test(rhs, colv, ratio):
@@ -532,58 +532,45 @@ def _phase_two(std, tab, cost, maxiter):
     outcome (``_certify``); returns (x, SolveReport, warm)."""
     c_std = std.costs(cost)
     tab.set_costs(c_std)
-    outcome, unb_col = tab.run(std.A.shape[1], maxiter - tab.iterations)
-    return _certify(std, tab, outcome, unb_col, c_std)
+    run = tab.run(std.A.shape[1], maxiter - tab.iterations)
+    return _certify(std, [tab], [run], c_std[None])[0]
 
 
-def _certify(std, tab, outcome, unb_col, c_std):
-    """Certify the final tableau ``tab`` of one LP against the untouched
-    standard form; ``outcome`` and ``unb_col`` are what its run returned,
-    ``c_std`` its cost (``_Standard.costs``).  Returns (x,
-    SolveReport, warm): x is None for an unbounded LP (its report has the
-    ray), ``warm`` the final basis inverse and its point binv @ b when they
-    pass ``_solves`` (the next warm start), else (None, None)."""
-    ncols = std.A.shape[1]
+def _certify(std, tabs, runs, c_std):
+    """Certify the final tableaus ``tabs`` of k >= 1 LPs over ``std``
+    against the untouched standard form; ``runs`` holds what their runs
+    returned, (outcome, unbounded column), and ``c_std`` their costs, one
+    row each (``_Standard.costs``).  One stacked inverse of the final
+    bases, then ``_solves``, ``_multipliers`` and ``_gaps`` over the stack
+    and ``_report`` per LP.  Returns [(x, SolveReport, warm)] in order: x
+    is None for an unbounded LP (its report has the ray), ``warm`` the
+    basis inverse and its point binv @ b when they pass ``_solves`` (the
+    next warm start), else (None, None).  When the stacked inverse fails,
+    several LPs are certified one by one, and a lone singular basis gets
+    least-squares duals and the tableau's own point."""
+    k = len(tabs)
+    basis = np.array([tab.basis for tab in tabs])
     # re-solve on the untouched matrix to shed pivot error; accept only if the
     # basis system is solved (a near-singular inverse is garbage, no error)
-    bmat = std.A[:, tab.basis]
-    binv = _inverse(bmat)
-    zb = None if binv is None else binv @ std.b
-    ok = zb is not None and _solves(bmat, zb, std.b)
-    if outcome == "optimal" and ok:
-        z = np.zeros(ncols)
-        z[tab.basis] = np.maximum(zb, 0.0)
-    else:
-        z = tab.solution()[:ncols]
-    y = _multipliers(bmat, binv, c_std[tab.basis])
-    obj = c_std @ z
-    report = _report(std, tab, outcome, unb_col, c_std, z, obj, y,
-                     _gaps(std, z, y, c_std, obj))
-    return None if outcome == "unbounded" else z[: std.nz], report, \
-        (binv, zb) if ok else (None, None)
-
-
-def _certify_many(std, tabs, runs, c_std):
-    """``_certify`` of the final tableaus ``tabs`` of LPs over ``std``, with
-    ``runs`` their (outcome, unbounded column) and ``c_std`` their costs,
-    one row each: one stacked inverse of the final bases, then
-    ``_solves``, ``_multipliers`` and ``_gaps`` over the stack and
-    ``_report`` per LP.  A singular basis in the stack sends every LP to
-    ``_certify``.  Returns [(x, SolveReport, warm)] in order."""
-    basis = np.array([tab.basis for tab in tabs])
     bmat = std.A[:, basis].transpose(1, 0, 2)
     binv = _inverse(bmat)
-    if binv is None:
-        return [_certify(std, tab, *run, c)
-                for tab, run, c in zip(tabs, runs, c_std)]
-    zb = binv @ std.b
-    ok = _solves(bmat, zb, std.b)
-    optimal = np.array([outcome == "optimal" for outcome, _ in runs])
-    rows = np.arange(len(tabs))[:, None]
+    if binv is None and k > 1:
+        return [out for i in range(k) for out in
+                _certify(std, tabs[i:i + 1], runs[i:i + 1], c_std[i:i + 1])]
+    rows = np.arange(k)[:, None]
+    cb = c_std[rows, basis]
     z = np.zeros(c_std.shape)
-    z[rows, basis] = np.where((optimal & ok)[:, None], np.maximum(zb, 0.0),
-                              [tab.T[:-1, -1] for tab in tabs])
-    y = _multipliers(bmat, binv, c_std[rows, basis])
+    if binv is None:
+        zb, ok = None, [False]
+        y = _multipliers(bmat[0], None, cb[0])[None]
+    else:
+        zb = binv @ std.b
+        ok = _solves(bmat, zb, std.b).tolist()
+        z[rows, basis] = np.maximum(zb, 0.0)
+        y = _multipliers(bmat, binv, cb)
+    for i, (tab, (outcome, _)) in enumerate(zip(tabs, runs)):
+        if outcome != "optimal" or not ok[i]:
+            z[i] = tab.solution()[: z.shape[1]]   # the tableau's own point
     obj = _dot(c_std, z)
     gaps = _gaps(std, z, y, c_std, obj)
     x = z[:, : std.nz]
@@ -805,10 +792,9 @@ class LPSequence:
         The first cost goes through ``solve``.  The others start at the
         basis it ended on and pivot in lockstep on one stacked tableau
         (``_lockstep``), and their final bases are certified together
-        (``_certify_many``).  With at most two costs, or with no warm
-        basis to share (an empty feasible set, or a final basis that failed
-        ``_solves``), each cost goes through ``solve``, so a batch of one or
-        two is ``solve``'s, pivot for pivot.  The next solve starts at the
+        (``_certify``).  With no warm basis to share (an empty feasible
+        set, or a final basis that failed ``_solves``) or with no rows,
+        each cost goes through ``solve``.  The next solve starts at the
         basis the last cost ended on."""
         costs = np.asarray(costs, dtype=float)
         if costs.ndim != 2 or costs.shape[1] != self._n \
@@ -816,13 +802,13 @@ class LPSequence:
             raise ValueError(f"costs must be rows of {self._n} finite numbers")
         out = [self.solve(cost) for cost in costs[:1]]
         std = self._std
-        if costs.shape[0] <= 2 or self._warm is None or self._warm[1] is None \
+        if costs.shape[0] < 2 or self._warm is None or self._warm[1] is None \
                 or not std.A.shape[0]:
             return out + [self.solve(cost) for cost in costs[1:]]
         c_std = std.costs(costs[1:])
         tabs, runs = _lockstep(_warm_tableau(std, *self._warm), c_std,
                                self.maxiter)
-        for x, report, warm in _certify_many(std, tabs, runs, c_std):
+        for x, report, warm in _certify(std, tabs, runs, c_std):
             self._count(report)
             out.append((x, report))
         self._warm = (tabs[-1].basis, *warm)

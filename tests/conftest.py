@@ -12,28 +12,28 @@ def rng():
 @pytest.fixture
 def patch_reports(monkeypatch):
     """``patch_reports(change)`` lets ``change(index, x, report)`` rewrite
-    the (x, report) of every phase two, below the tallies of its
+    the (x, report) of every certified phase two, below the tallies of its
     ``LPSequence``: of each ``solve`` and of each LP of a lockstep batch;
     ``index`` counts the solves of one sequence (of one standard form)."""
     from sparsecert.engine import simplex
 
     def patch(change):
-        real, real_many, counters = simplex._phase_two, \
-            simplex._certify_many, {}
+        real, counters, nested = simplex._certify, {}, []
 
-        def changed(std, x, rep, warm):
-            i = next(counters.setdefault(std, itertools.count()))
-            return (*change(i, x, rep), warm)
+        def patched(std, tabs, runs, c_std):
+            # a stack certified LP by LP calls ``_certify`` again: change
+            # each LP once, in the outermost call
+            nested.append(True)
+            try:
+                out = real(std, tabs, runs, c_std)
+            finally:
+                nested.pop()
+            if nested:
+                return out
+            return [(*change(next(counters.setdefault(std, itertools.count())),
+                             x, rep), warm) for x, rep, warm in out]
 
-        def patched(std, tab, cost, maxiter):
-            return changed(std, *real(std, tab, cost, maxiter))
-
-        def patched_many(std, tabs, runs, c_std):
-            return [changed(std, *out)
-                    for out in real_many(std, tabs, runs, c_std)]
-
-        monkeypatch.setattr(simplex, "_phase_two", patched)
-        monkeypatch.setattr(simplex, "_certify_many", patched_many)
+        monkeypatch.setattr(simplex, "_certify", patched)
 
     return patch
 

@@ -442,8 +442,18 @@ def test_malformed_structure_file_is_an_error_line(tmp_path, capsys, doc,
     (None, "certificate", [1], "certificate must be"),
     (None, "output", "out.csv", "output must be"),
     (None, "recovery", 5, "recovery must be"),
+    ("output", "summary", 1, "output.summary"),
+    ("output", "table", 2, "output.table"),
+    ("signal", "seed", None, "signal.seed"),
+    ("signal", "seed", "x", "signal.seed"),
+    ("noise", "seed", [1, "a"], "noise.seed"),
+    ("matrix", "gaussian", {"m": None, "seed": 3}, "matrix.gaussian.m"),
+    (None, "trials", True, "trials"),
+    ("certificate", "iters", True, "certificate.iters"),
 ], ids=["lambda-string", "lambda-null", "iters-null", "s-string", "s-nan",
-        "certificate-list", "output-string", "recovery-int"])
+        "certificate-list", "output-string", "recovery-int", "summary-fd",
+        "table-fd", "signal-seed-null", "signal-seed-string",
+        "noise-seed-list", "gaussian-m-null", "trials-true", "iters-true"])
 def test_malformed_experiment_config_is_an_error_line(
         tmp_path, capsys, section, key, value, field):
     path = make_config(tmp_path, trials=1)

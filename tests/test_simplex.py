@@ -295,6 +295,12 @@ def test_cost_sequence_first_solve_is_the_cold_solve(rng):
     assert rep.objective == cold.objective
 
 
+def _rejects_every_basis(bmat, zb, b):
+    """``_solves`` failing every basis: one False per basis of a stack (a
+    0-d array for one basis), as the real one answers."""
+    return np.zeros(bmat.shape[:-2], dtype=bool)
+
+
 def _cold(lp, cost):
     return solve_lp(LinearProgram(c=cost, G=lp.G, h=lp.h, senses=lp.senses))
 
@@ -304,7 +310,7 @@ def test_cost_sequence_restarts_phase_one_when_a_basis_fails(rng, monkeypatch):
     makes a cold start again, which makes that solve the cold one, pivot
     for pivot."""
     from sparsecert.engine import simplex
-    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
+    monkeypatch.setattr(simplex, "_solves", _rejects_every_basis)
     lp, spread = mixed_bounds_lp(rng, 5, 6)
     costs = [spread(rng.standard_normal(5)) for _ in range(6)]
     for cost, (x, rep) in zip(costs, _solve_each(lp, costs)):
@@ -390,7 +396,7 @@ def test_lost_feasibility_optimum_is_maxiter(rng, monkeypatch):
     real = simplex._Tableau.solution
     monkeypatch.setattr(simplex._Tableau, "solution",
                         lambda tab: real(tab) - 1.0)
-    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: False)
+    monkeypatch.setattr(simplex, "_solves", _rejects_every_basis)
     _, rep = solve_lp(lp)
     assert rep.status is Status.MAXITER
     assert "pivoting lost primal feasibility; not converged" in rep.warnings
@@ -672,7 +678,7 @@ def test_phase_two_matches_reference_epilogue(rng, monkeypatch):
             return z
 
         mp.setattr(simplex._Tableau, "solution", lowered)
-        mp.setattr(simplex, "_solves", lambda bmat, zb, b: False)
+        mp.setattr(simplex, "_solves", _rejects_every_basis)
         small = LinearProgram(c=-np.ones(3), G=rng.uniform(0.1, 0.9, (2, 3)),
                               h=np.ones(2))
         assert solve_lp(small)[1].residuals["primal"] == 1e-3
@@ -1026,8 +1032,11 @@ def test_solve_many_hands_lps_out_of_the_stack(rng, monkeypatch):
 def test_solve_many_in_update_blocks_and_with_a_singular_stack(
         rng, monkeypatch):
     """A stack updated in blocks of LPs, one LP or three to a block (the
-    last one short), and a stack whose inverse fails and certifies its LPs
-    one by one: either way every LP reports what ``solve`` reports."""
+    last one short), and a stack whose inverse fails, so each LP is
+    certified as a stack of one: first with every LP's own inverse found,
+    then with the bases some LPs end on singular as well, which gives those
+    LPs least-squares duals, the tableau's own point and no warm inverse.
+    Every LP reports what ``solve`` reports."""
     from sparsecert.engine import simplex
     lps = [mixed_bounds_lp(rng, 5, 6) for _ in range(6)]
     real_pivot, blocks = simplex._pivot, []
@@ -1046,18 +1055,56 @@ def test_solve_many_in_update_blocks_and_with_a_singular_stack(
                 blocks.clear()
                 _assert_batch_is_solve(lp, spread(rng.standard_normal((9, 5))))
                 assert blocks and max(blocks) == per
-    real, stacked = simplex._inverse, []
+    real_inverse, real_certify = simplex._inverse, simplex._certify
+    singular, failed, batched, least_squares = [], [], [], []
 
     def inverse(bmat):
-        if bmat.ndim == 3:
-            stacked.append(bmat.shape[0])
+        # a batch's stack fails, and so does a lone basis in ``singular``
+        if bmat.ndim == 3 and (len(bmat) > 1 or any(
+                np.array_equal(bmat[0], s) for s in singular)):
+            failed.append(len(bmat))
             return None
-        return real(bmat)
+        return real_inverse(bmat)
+
+    def certify(std, tabs, runs, c_std):
+        out = real_certify(std, tabs, runs, c_std)
+        for tab, c, (_, rep, warm) in zip(tabs, c_std, out):
+            bmat = std.A[:, tab.basis]
+            if any(np.array_equal(bmat, s) for s in singular):
+                assert warm == (None, None)
+                if rep.status is not Status.UNBOUNDED:
+                    y = np.linalg.lstsq(bmat.T, c[tab.basis], rcond=None)[0]
+                    assert _same_bits(rep.standard["y"], y)
+                    assert _same_bits(rep.standard["x"],
+                                      tab.solution()[: std.A.shape[1]])
+                    least_squares.append(rep.status)
+            if len(tabs) > 1:   # what the batch hands its sequence
+                batched.append(warm[0] is not None)
+        return out
 
     monkeypatch.setattr(simplex, "_inverse", inverse)
+    monkeypatch.setattr(simplex, "_certify", certify)
     for lp, spread in lps:
-        _assert_batch_is_solve(lp, spread(rng.standard_normal((9, 5))))
-    assert stacked
+        costs = spread(rng.standard_normal((9, 5)))
+        singular.clear()
+        seq = LPSequence(lp)
+        seq.solve(costs[0])
+        std = seq._std
+        if seq._warm[1] is None:
+            continue    # no basis to start a stack from
+        tabs, _ = simplex._lockstep(simplex._warm_tableau(std, *seq._warm),
+                                    std.costs(costs[1:]), 20000)
+        # a basis a batch LP ends on, not the first LP's
+        ends = [std.A[:, tab.basis] for tab in tabs
+                if not np.array_equal(tab.basis, seq._warm[0])]
+        for also_singular in (False, True):
+            singular[:] = ends[-1:] if also_singular else []
+            failed.clear()
+            batched.clear()
+            _assert_batch_is_solve(lp, costs)
+            assert max(failed) == 8 and len(batched) == 8 and any(batched)
+            assert all(batched) == (not singular)
+    assert Status.OPTIMAL in least_squares
 
 
 def test_lockstep_tableaus_own_their_data(rng):
@@ -1119,9 +1166,10 @@ def test_solve_many_reverifies_every_lp(rng, monkeypatch):
     for lp, c, want in zip(lps, costs, clean):
         for (x, rep), (x_ref, ref) in zip(LPSequence(lp).solve_many(c), want):
             assert _same_bits(x, x_ref) and _same_bits(vars(rep), vars(ref))
-    # the stacked bases fail ``_solves``; a lone one (the first) passes
+    # the bases of the batch's stack fail ``_solves``; the first LP's, a
+    # stack of one, passes
     monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: real_solves(
-        bmat, zb, b) if bmat.ndim == 2 else np.zeros(bmat.shape[0], bool))
+        bmat, zb, b) if len(bmat) == 1 else np.zeros(len(bmat), bool))
     downgraded = 0
     for lp, c, want in zip(lps, costs, clean):
         for (_, rep), (_, ref) in zip(LPSequence(lp).solve_many(c)[1:],

@@ -5,10 +5,11 @@ group structures with l1/linf blocks) the quantity of interest is the exact
 maximum of the retained mass over {z in Ker(A), ||Bz|| <= 1}, obtained by
 maximizing signed-support linear functionals with one LP each (the max of
 finitely many linear maximizations is the max of the convex objective over
-the polytope).  One enumeration serves both kinds: a plain structure is the
-group of singleton l1 blocks, so its maximal projectors are the supports of
-size min(floor(s), n).  Per block set, each coordinate of an l1 block gets a
-sign and each linf block a (representative, sign).  The LPs are written in
+the polytope).  One enumeration, ``structures.maximal_block_sets``, serves
+both kinds: a plain structure is the group of singleton l1 blocks, so its
+maximal projectors are the supports of size min(floor(s), n).  Per block
+set, each coordinate of an l1 block gets a sign and each linf block a
+(representative, sign).  The LPs are written in
 the one encoding of ``norms.structure_norm_epigraph``, variables
 [u+ | u- | t] >= 0 with z = u+ - u-: the l1 mass is priced on u+ + u-, and
 each linf block member has the one row u+_i + u-_i <= t of its block; for a
@@ -147,26 +148,6 @@ def _kernel_ball_lp(a, structure, lift=None):
     h[-1] = 1.0
     return LinearProgram(c=np.zeros(cost.size), G=g, h=h,
                          senses=("eq",) * m + ("le",) * (r + 1))
-
-
-def _maximal_sets(chi, s):
-    """The inclusion-maximal block sets of weight <= s (block weights
-    ``chi``), as sorted tuples in lexicographic order, depth first, so the
-    first ones come without enumerating the rest."""
-    cap = s + 1e-12
-    kk = len(chi)
-
-    def grow(chosen, weight):
-        extended = False
-        for l in range(chosen[-1] + 1 if chosen else 0, kk):
-            if weight + chi[l] <= cap:
-                extended = True
-                yield from grow(chosen + (l,), weight + chi[l])
-        if not extended and chosen and all(
-                weight + chi[l] > cap for l in range(kk) if l not in chosen):
-            yield chosen
-
-    return grow((), 0.0)
 
 
 def _lattice(maximal):
@@ -387,7 +368,7 @@ def _lp_bruteforce(a, structure, bmat, s, kernel_dim):
     lp = _kernel_ball_lp(a, structure, lift)
     supports = _SignedSupports(structure, n, lp.c.size, lift)
     maximal = {}
-    for chosen in _maximal_sets(supports.weights, s):
+    for chosen in structures.maximal_block_sets(supports.weights, s):
         maximal[chosen] = supports.plan(chosen).count
         if len(maximal) > _LP_BUDGET:   # each set has at least one LP
             break

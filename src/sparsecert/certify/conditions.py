@@ -26,8 +26,8 @@ from .. import norms, structures
 class Certificate:
     """A (gamma, beta) pair certifying the contraction condition at level s.
 
-    ``method`` tags how it was produced: BruteForce, ColumnLP (group/plain
-    synthesis), LowRankUBar, or LowRankUStar.  For synthesized certificates the
+    ``method`` tags how it was produced: ColumnLP (group/plain synthesis),
+    LowRankUBar, or LowRankUStar.  For synthesized certificates the
     algebraic identity B = W B + H^T A holds; ``identity_residual`` records its
     Frobenius defect.  ``exact_gamma``/``exact_beta`` flag whether the numbers
     are exact optima or certified upper bounds (still sound either way).

@@ -290,6 +290,10 @@ class ExperimentConfig:
         mat = doc["matrix"]
         if "file" not in mat and "gaussian" not in mat:
             raise serialize.FormatError("matrix needs 'file' or 'gaussian'")
+        if not isinstance(mat.get("file", ""), str):
+            # a path; an integer would be opened as a file descriptor
+            raise serialize.FormatError(
+                f"matrix.file {mat['file']!r} is not a file path")
         if "gaussian" in mat:
             g = mat["gaussian"]
             if not isinstance(g, dict):
@@ -558,8 +562,9 @@ def main(argv=None):
     except SynthesisNotOptimalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # FormatError and StructureError are ValueErrors
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    # FormatError and StructureError are ValueErrors; an OSError is a path
+    # that cannot be read or written (missing, a directory, no permission)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

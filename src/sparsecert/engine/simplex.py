@@ -474,17 +474,17 @@ def _phase_one(std, maxiter, spent=0):
     return tab, None
 
 
-def _fits(bmat, zb, b):
-    """Whether zb solves bmat zb = b to tolerance, one verdict per basis of
-    a stack."""
-    resid = _max(np.abs(_mv(bmat, zb) - b), axis=-1, initial=0.0)
-    return resid <= 1e-7 * (1.0 + float(_max(np.abs(b), initial=0.0)))
+def _fits(bmat, zb, std):
+    """Whether zb solves bmat zb = std.b to tolerance, one verdict per basis
+    of a stack."""
+    resid = _max(np.abs(_mv(bmat, zb) - std.b), axis=-1, initial=0.0)
+    return resid <= 1e-7 * (1.0 + std.b_max)
 
 
-def _solves(bmat, zb, b):
-    """Whether zb is a nonnegative solution of bmat zb = b to tolerance, one
-    verdict per basis of a stack."""
-    return (_min(zb, axis=-1, initial=0.0) >= -1e-9) & _fits(bmat, zb, b)
+def _solves(bmat, zb, std):
+    """Whether zb is a nonnegative solution of bmat zb = std.b to tolerance,
+    one verdict per basis of a stack."""
+    return (_min(zb, axis=-1, initial=0.0) >= -1e-9) & _fits(bmat, zb, std)
 
 
 def _warm_tableau(std, basis, binv, zb):
@@ -515,7 +515,7 @@ def _cold_start(std, cost, maxiter):
         bmat = std.A[:, basis]
         binv = _inverse(bmat)
         zb = None if binv is None else binv @ std.b
-        if zb is not None and _fits(bmat, zb, std.b):
+        if zb is not None and _fits(bmat, zb, std):
             tab = _warm_tableau(std, basis, binv, zb)
             if _min(zb, initial=0.0) >= -_TOL:
                 return tab, None, "crash"
@@ -565,7 +565,7 @@ def _certify(std, tabs, runs, c_std):
         y = _multipliers(bmat[0], None, cb[0])[None]
     else:
         zb = binv @ std.b
-        ok = _solves(bmat, zb, std.b).tolist()
+        ok = _solves(bmat, zb, std).tolist()
         z[rows, basis] = np.maximum(zb, 0.0)
         y = _multipliers(bmat, binv, cb)
     for i, (tab, (outcome, _)) in enumerate(zip(tabs, runs)):

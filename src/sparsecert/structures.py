@@ -9,7 +9,7 @@ Three concrete models are implemented:
                 blocks, weight = sum of kept chi_l;
 * ``plain``   - coordinate sparsity in R^n: the n singleton l1 blocks (i,)
                 with unit weights, run by the group code; its projectors
-                keep a support;
+                keep a support, block i being coordinate i;
 * ``lowrank`` - p x q matrices (any shape), nuclear norm, projectors
                 P(x) = P_left x P_right built from orthonormal bases, weight
                 = max of the two ranks.  The complement is
@@ -21,6 +21,10 @@ and LP builder reads: ``offsets`` (block k is E[offsets[k]:offsets[k+1]])
 and ``block_of`` (the block of each E coordinate; empty for low rank), and
 ``tag_blocks``, one ``TagBlocks`` per norm tag present, so that a mixed-tag
 layout takes each tag's block norms with one gather.
+
+The finite families (plain and group) have one projector per
+inclusion-maximal block set of weight <= s, listed by
+``maximal_block_sets``, which the brute-force verdicts share.
 
 The module also houses randomized verification of the three axioms the
 framework rests on: every P is idempotent (A.1), the complement kills the
@@ -48,7 +52,7 @@ class StructureError(ValueError):
 
 
 class NotEnumerableError(RuntimeError):
-    """The projector family is continuous (or too large) and cannot be listed."""
+    """The projector family is continuous (low rank) and cannot be listed."""
 
 
 class TagBlocks(NamedTuple):
@@ -120,13 +124,12 @@ class RepresentationMap:
 class ProjectorDesc:
     """One member of the projector family, with its weight.
 
-    group: ``block_set`` (frozenset of block indices); plain: ``support``
-    (frozenset of coordinates), which is also its ``block_set``; lowrank:
+    plain and group: ``block_set``, the frozenset of kept block indices (for
+    plain, block i is coordinate i, so it is the support); lowrank:
     ``left``/``right`` orthonormal bases of the row/column ranges.
     """
     kind: str
     nu: float
-    support: frozenset = frozenset()
     block_set: frozenset = frozenset()
     left: np.ndarray | None = None
     right: np.ndarray | None = None
@@ -293,23 +296,15 @@ def structure_from_dict(d):
 # projectors
 
 
-def plain_projector(structure, support):
-    support = frozenset(int(i) for i in support)
-    if support and (min(support) < 0 or max(support) >= structure.n):
-        raise StructureError("support outside 0..n-1")
-    return ProjectorDesc(kind="plain", nu=float(len(support)), support=support,
-                         block_set=support)
-
-
 def group_projector(structure, block_set):
-    """The projector keeping ``block_set`` (plain: block i is coordinate i)."""
-    if structure.kind == "plain":
-        return plain_projector(structure, block_set)
+    """The projector of a plain or group structure keeping the blocks
+    ``block_set`` (plain: block i is coordinate i); its weight is the sum of
+    theirs."""
     block_set = frozenset(int(i) for i in block_set)
     if block_set and (min(block_set) < 0 or max(block_set) >= len(structure.blocks)):
         raise StructureError("block index out of range")
     nu = float(sum(structure.weights[i] for i in block_set))
-    return ProjectorDesc(kind="group", nu=nu, block_set=block_set)
+    return ProjectorDesc(kind=structure.kind, nu=nu, block_set=block_set)
 
 
 def lowrank_projector(structure, left, right):
@@ -364,7 +359,7 @@ def random_projector(structure, rng, max_weight=None):
     if structure.kind == "plain":
         cap = structure.n if max_weight is None else min(structure.n, int(max_weight))
         k = int(rng.integers(0, cap + 1))
-        return plain_projector(structure, rng.choice(structure.n, size=k, replace=False))
+        return group_projector(structure, rng.choice(structure.n, size=k, replace=False))
     if structure.kind == "group":
         order = rng.permutation(len(structure.blocks))
         if max_weight is None:
@@ -387,44 +382,60 @@ def random_projector(structure, rng, max_weight=None):
     return lowrank_projector(structure, left, right)
 
 
+def maximal_block_sets(weights, s):
+    """The nonempty inclusion-maximal sets of blocks whose weights sum to at
+    most s (to 1e-12; block l weighs ``weights[l]``), as sorted tuples in
+    lexicographic order, one at a time.  None when no block fits.
+
+    An iterative depth-first walk takes each block that fits before it
+    skips it.  A set is maximal exactly when the lightest block skipped
+    that would have fitted no longer fits, and a branch is cut when even
+    every later block cannot fill the room that block leaves.  With equal
+    weights every branch walked ends in a set, so the walk costs at most K
+    steps per set, K the number of blocks.
+    """
+    cap = s + 1e-12
+    chi = [float(c) for c in weights]
+    # rest[l]: the weight of blocks l.. together
+    rest = list(itertools.accumulate(reversed(chi), initial=0.0))[::-1]
+    # each branch: (first block to decide, weight, lightest skipped, size)
+    chosen, branches = [], [(0, 0.0, math.inf, 0)]
+    while branches:
+        first, weight, light, size = branches.pop()
+        del chosen[size:]
+        for l in range(first, len(chi)):
+            if weight + chi[l] <= cap:
+                skipped = min(light, chi[l])
+                if weight + rest[l + 1] + skipped > cap:
+                    branches.append((l + 1, weight, skipped, len(chosen)))
+                chosen.append(l)
+                weight += chi[l]
+        if chosen and weight + light > cap:
+            yield tuple(chosen)
+
+
 def enumerate_projectors(structure, s):
     """All maximal projectors of weight <= s, where the family is finite.
 
-    plain: supports of size exactly min(floor(s), n) (smaller supports are
-    dominated); group: inclusion-maximal block subsets with total weight <= s;
-    lowrank: raises NotEnumerableError (continuous family).
+    plain and group: one projector per inclusion-maximal block set of
+    weight <= s (``maximal_block_sets``; for plain the supports of size
+    min(floor(s), n)), in its lexicographic order, or the empty projector
+    alone when no block fits; lowrank: raises NotEnumerableError
+    (continuous family).
     """
     return list(iter_projectors(structure, s))
 
 
 def iter_projectors(structure, s):
     """``enumerate_projectors`` one at a time, in the same order; the checks
-    run at the first ``next``.  Plain lists its supports directly: the
-    reference enumeration the tests compare against."""
-    if s < 0:
+    run at the first ``next``."""
+    if not s >= 0:      # NaN fails too
         raise ValueError("s must be nonnegative")
-    if structure.kind == "plain":
-        k = min(int(math.floor(s + 1e-12)), structure.n)
-        for c in itertools.combinations(range(structure.n), k):
-            yield plain_projector(structure, c)
-        return
-    if structure.kind == "group":
-        kk = len(structure.blocks)
-        if 2 ** kk > 4_000_000:
-            raise NotEnumerableError(f"2^{kk} block subsets is beyond the "
-                                     "enumeration budget")
-        chi = np.asarray(structure.weights)
-        for mask in range(2 ** kk):
-            members = [i for i in range(kk) if mask >> i & 1]
-            tot = chi[members].sum() if members else 0.0
-            if tot > s + 1e-12:
-                continue
-            # inclusion-maximal: no outside block still fits under the cap
-            if any(tot + chi[i] <= s + 1e-12 for i in range(kk) if not mask >> i & 1):
-                continue
-            yield group_projector(structure, members)
-        return
-    raise NotEnumerableError("the low-rank projector family is continuous")
+    if structure.kind == "lowrank":
+        raise NotEnumerableError("the low-rank projector family is continuous")
+    sets = maximal_block_sets(structure.weights, s)
+    for chosen in itertools.chain([next(sets, ())], sets):
+        yield group_projector(structure, chosen)
 
 
 class SparseApprox(NamedTuple):

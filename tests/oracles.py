@@ -33,6 +33,28 @@ def pi_s_oracle(u, chi, s):
     return 2.0 * best
 
 
+def maximal_block_sets_oracle(weights, s):
+    """The nonempty inclusion-maximal block sets of positive weights
+    ``weights`` with weight <= s (to 1e-12), sorted tuples in lexicographic
+    order, by scanning the subsets size by size until none of a size fits:
+    a set's weight is summed in block order, and it is maximal when adding
+    any outside block passes the cap."""
+    weights = [float(c) for c in weights]
+    cap = s + 1e-12
+    found = []
+    for k in range(1, len(weights) + 1):
+        fits = False
+        for chosen in itertools.combinations(range(len(weights)), k):
+            total = sum(weights[l] for l in chosen)
+            fits = fits or total <= cap
+            if total <= cap and all(total + c > cap for l, c in
+                                    enumerate(weights) if l not in chosen):
+                found.append(chosen)
+        if not fits:
+            break
+    return sorted(found)
+
+
 def block_norms_oracle(structure, w):
     w = np.asarray(w, dtype=float).ravel()
     out = []
@@ -645,7 +667,7 @@ def stage_two_primal_oracle(lay, stages, gamma, maxiter=200000):
 
 def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     """The polyhedral brute-force verdict with no pruning: every signed
-    support of every maximal projector (``structures.iter_projectors``), one
+    support of every maximal block set (``maximal_block_sets_oracle``), one
     ``LPSequence`` on the library's kernel-ball LP.
 
     Per projector, each coordinate of an l1 block gets a sign (counted once
@@ -678,18 +700,15 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
         blocks = [tuple(range(lo, hi)) for lo, hi in zip(offs[:-1], offs[1:])]
         nf = lift.shape[0]
     costs = []
-    for proj in structures.iter_projectors(structure, s):
-        chosen = proj.support if structure.kind == "plain" else proj.block_set
+    for chosen in maximal_block_sets_oracle(structure.weights, s):
         mult, linf_members = {}, []
-        for l in sorted(chosen):
+        for l in chosen:
             if tags[l] == "l1":
                 for i in blocks[l]:
                     mult[i] = mult.get(i, 0.0) + 1.0
             else:
                 linf_members.append(blocks[l])
         u1 = sorted(mult)
-        if not u1 and not linf_members:
-            continue
         rep_space = [[(i, sg) for i in v for sg in (1.0, -1.0)]
                      for v in linf_members]
         for signs in itertools.product((1.0, -1.0), repeat=len(u1)):
@@ -900,7 +919,7 @@ def phase_two_oracle(std, tab, cost, maxiter):
     bmat = std.A[:, tab.basis]
     binv = S._inverse(bmat)
     zb = None if binv is None else binv @ std.b
-    ok = zb is not None and S._solves(bmat, zb, std.b)
+    ok = zb is not None and S._solves(bmat, zb, std)
     warm = (binv, zb) if ok else (None, None)
     if outcome == "optimal" and ok:
         z_full = np.zeros(tab.n)

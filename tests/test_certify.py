@@ -263,20 +263,17 @@ def test_bruteforce_visit_order_ignores_roundoff_in_the_bounds(
             assert w.details["gamma_upper"] >= w.gamma_value
 
 
-def test_maximal_sets_are_the_maximal_projectors():
-    """The depth-first enumeration yields, in lexicographic order, the
-    nonempty block sets of ``structures.iter_projectors``."""
-    from sparsecert.certify.bruteforce import _maximal_sets
-    rng = np.random.default_rng(8)
-    blocks = [(i,) for i in range(7)]
-    for _ in range(12):
-        weights = rng.choice([0.5, 1.0, 1.5, 0.7, 2.0], size=7)
-        st, _ = structures.build_group(blocks, weights, block_norm="l1")
-        for s in (0.4, 1.0, 1.7, 2.0, 3.3, 20.0):
-            want = sorted(tuple(sorted(p.block_set))
-                          for p in structures.iter_projectors(st, s)
-                          if len(p.block_set))
-            assert list(_maximal_sets(weights, s)) == want
+def test_bruteforce_budget_refusal_is_fast_on_many_blocks():
+    """Few maximal sets over many blocks: the enumeration is output-sensitive
+    and recursion-free, so the LP budget refuses at once (plain n=22 at
+    s=21 walked every subset of the blocks that fit; 1,200 blocks at s=1,200
+    overflowed the recursion)."""
+    for n, m, s in ((22, 12, 21), (22, 12, 18), (1200, 1, 1200)):
+        st, _ = structures.build_plain(n)
+        a = np.random.default_rng(n).standard_normal((m, n))
+        verdict = gamma_s_bruteforce(a, st, s)
+        assert verdict.status == "Unknown"
+        assert "exceed the LP budget" in verdict.details["reason"]
 
 
 def _oracle_cases():

@@ -414,6 +414,20 @@ def test_non_finite_tolerance_is_refused(tmp_path, capsys):
                  "tol must be")
 
 
+@pytest.mark.parametrize("which", ["structure", "matrix", "out"])
+def test_a_directory_as_a_path_is_an_error_line(tmp_path, capsys, which):
+    """A directory where a file is read or written is an OSError other than
+    FileNotFoundError; it ended in an IsADirectoryError traceback."""
+    st, _ = structures.build_plain(4)
+    paths = {"structure": str(write_structure(tmp_path, st)),
+             "matrix": str(write_matrix(tmp_path, np.ones((2, 4)))),
+             "out": str(tmp_path / "verdict.json")}
+    paths[which] = str(tmp_path)
+    _refused(["nullspace", "--structure", paths["structure"], "--matrix",
+              paths["matrix"], "--s", "1", "--out", paths["out"]], capsys,
+             str(tmp_path))
+
+
 @pytest.mark.parametrize("doc, field", [
     ([1, 2], "JSON object"),
     ({"kind": "group", "blocks": 5}, "blocks"),
@@ -450,10 +464,16 @@ def test_malformed_structure_file_is_an_error_line(tmp_path, capsys, doc,
     ("matrix", "gaussian", {"m": None, "seed": 3}, "matrix.gaussian.m"),
     (None, "trials", True, "trials"),
     ("certificate", "iters", True, "certificate.iters"),
+    ("matrix", "file", 0, "matrix.file"),
+    ("matrix", "file", True, "matrix.file"),
+    ("matrix", "file", ["a.csv"], "matrix.file"),
+    ("matrix", "file", {"path": "a.csv"}, "matrix.file"),
+    ("matrix", "file", None, "matrix.file"),
 ], ids=["lambda-string", "lambda-null", "iters-null", "s-string", "s-nan",
         "certificate-list", "output-string", "recovery-int", "summary-fd",
         "table-fd", "signal-seed-null", "signal-seed-string",
-        "noise-seed-list", "gaussian-m-null", "trials-true", "iters-true"])
+        "noise-seed-list", "gaussian-m-null", "trials-true", "iters-true",
+        "file-fd", "file-true", "file-list", "file-object", "file-null"])
 def test_malformed_experiment_config_is_an_error_line(
         tmp_path, capsys, section, key, value, field):
     path = make_config(tmp_path, trials=1)

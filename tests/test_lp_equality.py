@@ -22,8 +22,7 @@ import pytest
 
 from sparsecert import norms, structures
 from sparsecert.certify import gamma_s_bruteforce
-from sparsecert.certify.bruteforce import (_kernel_ball_lp, _maximal_sets,
-                                          _SignedSupports)
+from sparsecert.certify.bruteforce import _kernel_ball_lp, _SignedSupports
 from sparsecert.engine import LinearProgram, Status, solve_lp
 from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
@@ -185,7 +184,7 @@ def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
     assert lp.senses == ref.senses
     supports = _SignedSupports(st, n, lp.c.size)
     plans = [supports.plan(chosen)
-             for chosen in _maximal_sets(supports.weights, s)]
+             for chosen in structures.maximal_block_sets(supports.weights, s)]
     seq = [c for plan in plans for c in supports.costs(plan)]
     assert sum(plan.count for plan in plans) == len(seq) == len(costs)
     for got, want in zip(seq, costs):

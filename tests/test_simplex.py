@@ -295,7 +295,7 @@ def test_cost_sequence_first_solve_is_the_cold_solve(rng):
     assert rep.objective == cold.objective
 
 
-def _rejects_every_basis(bmat, zb, b):
+def _rejects_every_basis(bmat, zb, std):
     """``_solves`` failing every basis: one False per basis of a stack (a
     0-d array for one basis), as the real one answers."""
     return np.zeros(bmat.shape[:-2], dtype=bool)
@@ -1168,8 +1168,8 @@ def test_solve_many_reverifies_every_lp(rng, monkeypatch):
             assert _same_bits(x, x_ref) and _same_bits(vars(rep), vars(ref))
     # the bases of the batch's stack fail ``_solves``; the first LP's, a
     # stack of one, passes
-    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, b: real_solves(
-        bmat, zb, b) if len(bmat) == 1 else np.zeros(len(bmat), bool))
+    monkeypatch.setattr(simplex, "_solves", lambda bmat, zb, std: real_solves(
+        bmat, zb, std) if len(bmat) == 1 else np.zeros(len(bmat), bool))
     downgraded = 0
     for lp, c, want in zip(lps, costs, clean):
         for (_, rep), (_, ref) in zip(LPSequence(lp).solve_many(c)[1:],

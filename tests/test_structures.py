@@ -14,7 +14,8 @@ from sparsecert.structures import (NotEnumerableError, StructureError,
                                    random_projector, structure_from_dict,
                                    structure_to_dict, verify_axioms)
 
-from oracles import best_group_approx_oracle, best_plain_approx_oracle
+from oracles import (best_group_approx_oracle, best_plain_approx_oracle,
+                     maximal_block_sets_oracle)
 
 BLOCKS = [(0, 1, 2), (2, 3), (4, 5, 6), (6, 7)]
 
@@ -87,14 +88,14 @@ def test_plain_is_the_singleton_l1_block_layout(rng):
             got = best_sparse_approx(pl, w, s)
             want = best_sparse_approx(gr, w, s)
             assert got.projector.kind == "plain" and got.exact
-            assert got.projector.support == want.projector.block_set \
+            assert got.projector.block_set == want.projector.block_set \
                 == frozenset(keep.tolist())
             assert got.delta_x == want.delta_x
             proj, lhs = worst_condition_projector(pl, w, s)
             assert lhs == worst_condition_projector(gr, w, s)[1]
             assert lhs == 2.0 * float(np.abs(w)[keep].sum())
             assert proj.kind == "plain"
-            assert proj.support == proj.block_set == frozenset(keep.tolist())
+            assert proj.block_set == frozenset(keep.tolist())
 
 
 def test_group_builder_overlap():
@@ -165,8 +166,11 @@ def test_plain_projector_family():
     fam = enumerate_projectors(st, 2)
     assert len(fam) == math.comb(6, 2)
     assert all(p.nu == 2.0 for p in fam)
+    assert [tuple(sorted(p.block_set)) for p in fam] == \
+        list(itertools.combinations(range(6), 2))
     w = np.arange(1.0, 7.0)
-    p = structures.plain_projector(st, [1, 4])
+    p = structures.group_projector(st, [1, 4])
+    assert p.kind == "plain" and p.nu == 2.0
     direct = project(st, p, w)
     comp = project(st, p, w, "complement")
     assert np.array_equal(direct, [0, 2, 0, 0, 5, 0])
@@ -181,6 +185,13 @@ def test_group_projector_family_maximality():
     assert sets == [(0, 2), (0, 3), (1,), (2, 3)]
     for p in fam:
         assert p.nu <= 2.0 + 1e-12
+
+
+def test_enumeration_refuses_a_level_that_is_not_a_number():
+    for st, _ in (build_plain(4), build_group(BLOCKS)):
+        for s in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                enumerate_projectors(st, s)
 
 
 def test_lowrank_family_not_enumerable():
@@ -362,7 +373,45 @@ def test_random_projector_respects_weight_cap(rng):
         assert random_projector(lr, rng, max_weight=2).nu <= 2
 
 
-def test_group_enumeration_budget_guard():
+def test_group_enumeration_lists_every_maximal_set():
+    """30 unit blocks at s=3: the C(30, 3) triples in lexicographic order,
+    with no 2^K walk and no budget to refuse it."""
     st, _ = build_group([(i,) for i in range(30)])
-    with pytest.raises(NotEnumerableError):
-        enumerate_projectors(st, 3)
+    fam = enumerate_projectors(st, 3)
+    assert [tuple(sorted(p.block_set)) for p in fam] == \
+        list(itertools.combinations(range(30), 3))
+    assert len(fam) == 4060 and all(p.kind == "group" for p in fam)
+
+
+def test_maximal_block_sets_match_the_reference():
+    """The depth-first enumeration yields the itertools reference's sets in
+    its lexicographic order, ties at the cap included, and they are the
+    nonempty block sets of ``iter_projectors``."""
+    rng = np.random.default_rng(8)
+    draws = [([0.1] * 10, 1.0), ([0.2, 0.1, 0.3], 0.6), ([1.0] * 6, 2.0)]
+    for _ in range(12):
+        weights = rng.choice([0.5, 1.0, 1.5, 0.7, 2.0], size=7)
+        draws += [(weights, s) for s in (0.4, 1.0, 1.7, 2.0, 3.3, 20.0)]
+    for _ in range(40):
+        weights = rng.choice([0.1, 0.2, 0.3, 0.6], size=int(rng.integers(1, 9)))
+        draws.append((weights, float(rng.choice([0.3, 0.6, 0.9, 1.2]))))
+    for weights, s in draws:
+        want = maximal_block_sets_oracle(weights, s)
+        assert list(structures.maximal_block_sets(weights, s)) == want
+        st, _ = build_group([(i,) for i in range(len(weights))], weights)
+        fam = [tuple(sorted(p.block_set))
+               for p in structures.iter_projectors(st, s)]
+        assert fam == (want or [()])
+
+
+def test_maximal_block_sets_are_output_sensitive():
+    """Many blocks and few maximal sets: the walk is recursion-free and
+    costs about K steps per set."""
+    st, _ = build_group([(i,) for i in range(1200)])
+    assert [p.block_set for p in enumerate_projectors(st, 1200)] == \
+        [frozenset(range(1200))]
+    st, _ = build_group([(i,) for i in range(60)])
+    fam = enumerate_projectors(st, 58)
+    assert [tuple(sorted(p.block_set)) for p in fam] == \
+        list(itertools.combinations(range(60), 58))
+    assert len(fam) == 1770

@@ -13,10 +13,10 @@ from .norms import (UnsupportedNormError, dual_tag, induced_norm, omega, pi_s,
                     ps_seminorm, sigma_sum, structure_norm, sum_top,
                     vector_norm)
 from .structures import (AxiomReport, NotEnumerableError, ProjectorDesc,
-                         RepresentationMap, SparsityStructure, StructureError,
-                         best_sparse_approx, build_group, build_lowrank,
-                         build_plain, build_structure, enumerate_projectors,
-                         project, random_projector, structure_from_dict,
+                         SparsityStructure, StructureError, best_sparse_approx,
+                         build_group, build_lowrank, build_plain,
+                         build_structure, enumerate_projectors, project,
+                         random_projector, structure_from_dict,
                          structure_to_dict, verify_axioms)
 from .engine import (LinearProgram, SolveReport, SplitProblem, Status,
                      solve_lp, solve_split)
@@ -32,10 +32,10 @@ __all__ = [
     "UnsupportedNormError", "dual_tag", "induced_norm", "omega", "pi_s",
     "project_ball", "prox_structure_norm", "prox_vector_norm", "ps_seminorm",
     "sigma_sum", "structure_norm", "sum_top", "vector_norm",
-    "AxiomReport", "NotEnumerableError", "ProjectorDesc", "RepresentationMap",
-    "SparsityStructure", "StructureError", "best_sparse_approx", "build_group",
-    "build_lowrank", "build_plain", "build_structure", "enumerate_projectors",
-    "project", "random_projector", "structure_from_dict", "structure_to_dict",
+    "AxiomReport", "NotEnumerableError", "ProjectorDesc", "SparsityStructure",
+    "StructureError", "best_sparse_approx", "build_group", "build_lowrank",
+    "build_plain", "build_structure", "enumerate_projectors", "project",
+    "random_projector", "structure_from_dict", "structure_to_dict",
     "verify_axioms",
     "LinearProgram", "SolveReport", "SplitProblem", "Status", "solve_lp",
     "solve_split",

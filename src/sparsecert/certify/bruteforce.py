@@ -362,11 +362,10 @@ def _pruned_search(lp, maximal, supports, witness):
     return best, best_z, None if seq.not_optimal else upper, stats
 
 
-def _lp_bruteforce(a, structure, bmat, s, kernel_dim):
+def _lp_bruteforce(a, structure, bmat, custom, s, kernel_dim):
     n = a.shape[1]
-    lift = structures.custom_rep_matrix(structure, bmat)
-    lp = _kernel_ball_lp(a, structure, lift)
-    supports = _SignedSupports(structure, n, lp.c.size, lift)
+    lp = _kernel_ball_lp(a, structure, custom)
+    supports = _SignedSupports(structure, n, lp.c.size, custom)
     maximal = {}
     for chosen in structures.maximal_block_sets(supports.weights, s):
         maximal[chosen] = supports.plan(chosen).count
@@ -492,7 +491,7 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
     if not 0 <= s < math.inf:   # NaN fails too
         raise ValueError("s must be a finite number >= 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    bmat = structures.rep_matrix(structure, b)
+    bmat, custom = structures.representation(structure, b)
     if structure.kind == "group" and len(structure.blocks) > 12 \
             and not norms.has_lp_form(structure):
         return NullspaceVerdict(
@@ -503,7 +502,7 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
         return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
                                 details={"kernel_dim": 0})
     if norms.has_lp_form(structure):
-        return _lp_bruteforce(a, structure, bmat, s, null.shape[1])
+        return _lp_bruteforce(a, structure, bmat, custom, s, null.shape[1])
     if structure.kind == "group":
         z, best = _ascent_search(
             null, lambda zz: _group_ratio_and_grad(structure, bmat, zz, s),

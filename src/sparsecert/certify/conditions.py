@@ -123,7 +123,7 @@ def check_condition_Cs(a, b, structure, s, gamma, beta, phi, trials, seed,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    bmat = structures.rep_matrix(structure, b)
+    bmat, _ = structures.representation(structure, b)
     n = a.shape[1]
     rng = np.random.default_rng(seed)
     null = _kernel_basis(a)

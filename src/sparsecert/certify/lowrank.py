@@ -144,7 +144,7 @@ def opt_star(w, s, p, q, iters=2000):
 
 def _beta_bounds(h, s, p, q, phi, rng):
     """(beta, exact, details) for the noise-amplification constant."""
-    st, _ = structures.build_lowrank(p, q)
+    st = structures.build_lowrank(p, q)
     if phi == "l1":
         return psi_s(h, st, s, "l1"), True, {}
     m = h.shape[0]

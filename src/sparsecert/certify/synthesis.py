@@ -365,7 +365,7 @@ def _settle_block(lay, k, stage, gamma, seqs):
 def synth_certificate_group(a, b, structure, s, phi="l1"):
     """Best LP-synthesized contraction certificate; see the module docstring.
 
-    b = None uses the structure's canonical representation map.  The result
+    b = None uses the structure's own ``structure.b``.  The result
     carries the full H and W, the identity residual of B = WB + H^T A, and
     exactness flags for the reported gamma and beta.  ``details`` counts the
     LPs solved (``lps``, of which ``beta_lps`` in stage two), their pivots
@@ -384,7 +384,7 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
     if not 0 <= s < np.inf:   # NaN fails too
         raise ValueError("s must be a finite number >= 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    bmat = structures.rep_matrix(structure, b)
+    bmat, _ = structures.representation(structure, b)
     m, n_amb = a.shape
     big_m = bmat.shape[0]
     if bmat.shape[1] != n_amb:

@@ -58,7 +58,7 @@ def _emit(args, doc, text_lines):
 
 
 def cmd_recover(args):
-    problem, structure, _rep = serialize.load_problem(args.problem)
+    problem, structure = serialize.load_problem(args.problem)
     if args.mode == "penalized":
         if args.lam is None:
             raise serialize.FormatError("--mode penalized needs --lambda")
@@ -95,11 +95,10 @@ def cmd_recover(args):
 
 
 def _load_structure(path):
-    structure, rep = structures.structure_from_dict(serialize.load_json(path))
-    return structure, rep
+    return structures.structure_from_dict(serialize.load_json(path))
 
 
-def _make_certificate(structure, rep, a, s, phi, method, iters, seed):
+def _make_certificate(structure, a, s, phi, method, iters, seed):
     if structure.kind == "lowrank":
         if method in ("auto", "ustar"):
             return certify_lowrank(a, s, phi=phi, p=structure.p,
@@ -112,7 +111,7 @@ def _make_certificate(structure, rep, a, s, phi, method, iters, seed):
     if method not in ("auto", "synth"):
         raise serialize.FormatError(
             f"method {method!r} only applies to low-rank structures")
-    return synth_certificate_group(a, rep.matrix, structure, s, phi=phi)
+    return synth_certificate_group(a, None, structure, s, phi=phi)
 
 
 def _report_unsupported(args, exc):
@@ -122,10 +121,11 @@ def _report_unsupported(args, exc):
 
 
 def cmd_certify(args):
-    structure, rep = _load_structure(args.structure)
+    _check_integer(args.iters, "--iters")
+    structure = _load_structure(args.structure)
     a = serialize.load_matrix(args.matrix)
     try:
-        cert = _make_certificate(structure, rep, a, args.s, args.phi,
+        cert = _make_certificate(structure, a, args.s, args.phi,
                                  args.method, args.iters, args.seed)
     except norms.UnsupportedNormError as exc:
         return _report_unsupported(args, exc)
@@ -146,7 +146,7 @@ def cmd_certify(args):
 
 
 def cmd_nullspace(args):
-    structure, _rep = _load_structure(args.structure)
+    structure = _load_structure(args.structure)
     a = serialize.load_matrix(args.matrix)
     verdict = gamma_s_bruteforce(a, structure, args.s, seed=args.seed)
     doc = {
@@ -192,7 +192,7 @@ def cmd_bound(args):
 
 
 def cmd_axioms(args):
-    structure, _rep = _load_structure(args.structure)
+    structure = _load_structure(args.structure)
     report = structures.verify_axioms(structure, args.trials, args.seed)
     doc = {"kind": report.kind, "trials": report.trials,
            "worst_margin": report.worst_margin,
@@ -377,7 +377,7 @@ def _noise_vector(m, phi, noise_cfg, rng):
 
 def cmd_experiment(args):
     cfg = ExperimentConfig.parse(serialize.load_json(args.config))
-    structure, rep = structures.structure_from_dict(cfg.structure)
+    structure = structures.structure_from_dict(cfg.structure)
     a = _sensing_matrix(cfg, structure)
     s = cfg.signal["s"]
     phi = cfg.certificate.get("phi", "l1")
@@ -385,7 +385,7 @@ def cmd_experiment(args):
     method = cfg.certificate.get("method", "auto")
     iters = int(cfg.certificate.get("iters", 2000))
     try:
-        cert = _make_certificate(structure, rep, a, s, phi, method, iters,
+        cert = _make_certificate(structure, a, s, phi, method, iters,
                                  args.seed)
     except norms.UnsupportedNormError as exc:
         return _report_unsupported(args, exc)
@@ -399,7 +399,6 @@ def cmd_experiment(args):
         raise serialize.FormatError(
             f"configured lambda {lam} is below beta {cert.beta:.6g}")
 
-    bmat = rep.matrix
     law = cfg.signal.get("magnitude", "unit")
 
     anderson = dict.fromkeys(("accepted", "rejected", "resets"), 0)
@@ -410,8 +409,8 @@ def cmd_experiment(args):
         x0 = _sparse_signal(structure, s, law, sig_rng)
         xi, eps = _noise_vector(a.shape[0], phi, cfg.noise, noi_rng)
         y = a @ x0 + xi
-        problem = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=eps)
-        w0 = bmat @ x0
+        problem = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
+        w0 = structure.b @ x0
         dx = structures.best_sparse_approx(structure, w0, s).delta_x
         rows = []
         for mode in cfg.recovery:

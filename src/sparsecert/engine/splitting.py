@@ -114,10 +114,11 @@ class SplitProblem:
             raise ValueError("phi must be one of l1/l2/linf")
         if not 0 < self.tol < math.inf or self.maxiter < 1:   # NaN fails too
             raise ValueError("tol must be positive and finite; maxiter >= 1")
-        if self.mode == "constraint" and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.mode == "penalty" and self.lam <= 0:
-            raise ValueError("lam must be positive")
+        # comparisons read NaN as out of range
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be a finite number >= 0")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be a finite number > 0")
 
 
 def _objective(sp, u):

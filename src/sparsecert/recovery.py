@@ -5,7 +5,8 @@ ball phi(Au - y) <= epsilon; ``recover_penalized`` minimizes the structure
 norm plus lam * phi(Au - y) and deliberately ignores epsilon (the penalized
 program needs no a priori noise level).  Polyhedral instances go through the
 exact LP backend, everything else through operator splitting; ``method="auto"``
-picks for you.
+picks for you.  B is ``problem.b`` when given, else the structure's own
+``structure.b``; ``structures.representation`` resolves and validates it.
 
 ``error_bound`` evaluates the two closed forms
 
@@ -39,8 +40,7 @@ class LambdaBelowBetaError(ValueError):
 @dataclass
 class RecoveryProblem:
     a: np.ndarray
-    b: object                 # RepresentationMap, dense matrix or None
-                              # (the structure's canonical map)
+    b: np.ndarray | None      # a custom B, or None for structure.b
     y: np.ndarray
     phi: str = "l2"
     epsilon: float = 0.0
@@ -48,15 +48,16 @@ class RecoveryProblem:
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
         self.y = np.asarray(self.y, dtype=float).ravel()
+        if self.b is not None:
+            self.b = np.asarray(self.b, dtype=float)
         if self.a.shape[0] != self.y.size:
             raise ValueError("A row count must match y length")
         if self.phi not in norms.VECTOR_TAGS:
             raise ValueError("phi must be one of l1/l2/linf")
+        # B is checked against the structure by structures.representation
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.y))
-                and (self.b is None or np.all(np.isfinite(
-                    structures.rep_matrix(None, self.b))))
                 and np.isfinite(self.epsilon)):
-            raise ValueError("a, b, y and epsilon must be finite")
+            raise ValueError("a, y and epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
@@ -122,13 +123,14 @@ def error_bound(gamma, beta, budget, mode):
 # LP reformulations
 
 
-def _build_recovery_lp(problem, structure, bmat, mode, lam=0.0):
+def _build_recovery_lp(problem, structure, custom, mode, lam=0.0):
     """Exact LP for polyhedral instances: (lp, n), with u = x[:n] - x[n:2n].
 
     Variable layout [u+ | u- | t | fit aux], all >= 0: the first three are
     the encoding of ||B u|| by ``norms.structure_norm_epigraph`` (its rows
-    come first), then the data fit on [A, -A].  That is A u = y for regular
-    recovery with epsilon = 0, with no fit aux.  Otherwise an l1 fit has
+    come first; ``custom`` is that of ``structures.representation``), then
+    the data fit on [A, -A].  That is A u = y for regular recovery with
+    epsilon = 0, with no fit aux.  Otherwise an l1 fit has
     the layout [u+ | u- | t | r+ | r-]: the split residual, one equality
     row A u - r+ + r- = y per measurement, so A u - y = r+ - r- and the fit
     is sum(r+ + r-) at an optimum.  Regular recovery closes it with the one
@@ -140,8 +142,7 @@ def _build_recovery_lp(problem, structure, bmat, mode, lam=0.0):
     """
     a, y = problem.a, problem.y
     m, n = a.shape
-    obj_cost, obj_g = norms.structure_norm_epigraph(
-        structure, n, structures.custom_rep_matrix(structure, bmat))
+    obj_cost, obj_g = norms.structure_norm_epigraph(structure, n, custom)
     a_pm = np.hstack([a, -a])
     senses = ("eq",) * m
     if mode == "regular" and problem.epsilon == 0.0:
@@ -204,15 +205,15 @@ def _recover(problem, structure, mode, lam, method, tol):
     """The body of both recovery modes; ``lam`` is 0 for regular."""
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
-    shape = (structure.ambient_dim_e, problem.a.shape[1])
-    bmat = structures.rep_matrix(structure, problem.b)
-    if bmat.shape != shape:
-        raise ValueError(f"B must be {shape[0]} x {shape[1]} for this structure")
+    if problem.a.shape[1] != structure.ambient_dim_x:
+        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
+                         "for this structure")
+    bmat, custom = structures.representation(structure, problem.b)
     lp_fit = problem.phi in ("l1", "linf") or (
         mode == "regular" and problem.epsilon == 0.0)
     if method == "lp" or (method == "auto" and lp_fit
                           and norms.has_lp_form(structure)):
-        lp, n = _build_recovery_lp(problem, structure, bmat, mode, lam)
+        lp, n = _build_recovery_lp(problem, structure, custom, mode, lam)
         x, report = solve_lp(lp)
         return _finish(problem, structure, bmat,
                        None if x is None else x[:n] - x[n:2 * n], report,
@@ -248,6 +249,6 @@ def recover_regular(problem, structure, method="auto", tol=1e-8):
 
 def recover_penalized(problem, structure, lam, method="auto", tol=1e-8):
     """Minimize ||B u|| + lam * phi(A u - y); problem.epsilon plays no role."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:    # NaN fails too
+        raise ValueError("lam must be a finite number > 0")
     return _recover(problem, structure, "penalized", lam, method, tol)

@@ -111,26 +111,25 @@ def problem_to_dict(problem, structure):
         "phi": problem.phi,
         "epsilon": float(problem.epsilon),
     }
+    if problem.b is not None:
+        doc["b"] = problem.b.tolist()
     return doc
 
 
 def problem_from_dict(doc):
-    """(problem, structure, rep_map) from a problem document."""
+    """(problem, structure) from a problem document; ``b``, when present,
+    is a custom representation map."""
     try:
-        structure, rep = structures.structure_from_dict(doc["structure"])
+        structure = structures.structure_from_dict(doc["structure"])
         a = np.asarray(doc["a"], dtype=float)
         y = np.asarray(doc["y"], dtype=float)
         phi = doc.get("phi", "l2")
         epsilon = float(doc.get("epsilon", 0.0))
-    except (KeyError, TypeError, ValueError, structures.StructureError) as exc:
+        problem = RecoveryProblem(a=a, b=doc.get("b"), y=y, phi=phi,
+                                  epsilon=epsilon)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad problem document: {exc}") from exc
-    b = doc.get("b")
-    bmap = np.asarray(b, dtype=float) if b is not None else rep
-    try:
-        problem = RecoveryProblem(a=a, b=bmap, y=y, phi=phi, epsilon=epsilon)
-    except ValueError as exc:
-        raise FormatError(f"bad problem document: {exc}") from exc
-    return problem, structure, rep
+    return problem, structure
 
 
 def save_problem(path, problem, structure):

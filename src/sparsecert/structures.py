@@ -20,7 +20,11 @@ else None) and the block layout of E that every block norm, prox, projector
 and LP builder reads: ``offsets`` (block k is E[offsets[k]:offsets[k+1]])
 and ``block_of`` (the block of each E coordinate; empty for low rank), and
 ``tag_blocks``, one ``TagBlocks`` per norm tag present, so that a mixed-tag
-layout takes each tag's block norms with one gather.
+layout takes each tag's block norms with one gather.  ``b`` is the
+canonical representation map B, a read-only E x n matrix: the 0/1 selection
+of each block's coordinates for plain and group, the identity for low rank.
+Every solver takes an optional B of its own; ``representation`` is the one
+place that resolves and validates it.
 
 The finite families (plain and group) have one projector per
 inclusion-maximal block set of weight <= s, listed by
@@ -79,6 +83,7 @@ class SparsityStructure:
     offsets: np.ndarray = field(init=False, repr=False)
     block_of: np.ndarray = field(init=False, repr=False)
     tag_blocks: tuple = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         tags = sorted(set(self.block_norms))
@@ -94,30 +99,24 @@ class SparsityStructure:
             coords = np.flatnonzero(tag_of[block_of] == tag)
             size = sizes[blocks]
             groups.append(TagBlocks(tag, blocks, coords, np.cumsum(size) - size))
-        arrays = [offsets, block_of] + [a for g in groups for a in g[1:]]
+        if self.kind == "lowrank":
+            b = np.eye(self.ambient_dim_e)
+        else:
+            b = np.zeros((self.ambient_dim_e, self.ambient_dim_x))
+            b[np.arange(block_of.size), np.concatenate(self.blocks)] = 1.0
+        arrays = [offsets, block_of, b] + [a for g in groups for a in g[1:]]
         for arr in arrays:
             arr.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "block_of", block_of)
         object.__setattr__(self, "tag_blocks", tuple(groups))
+        object.__setattr__(self, "b", b)
 
     def full_weight(self):
         """Largest projector weight in the family."""
         if self.kind == "lowrank":
             return float(min(self.p, self.q))
         return float(sum(self.weights))
-
-
-@dataclass(frozen=True, eq=False)
-class RepresentationMap:
-    matrix: np.ndarray
-    identity_shortcut: bool
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        if self.identity_shortcut:
-            return x.copy()
-        return self.matrix @ x
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,36 +138,24 @@ class ProjectorDesc:
 # construction
 
 
-def _build_rep_map(structure):
-    if structure.kind == "lowrank":
-        dim = structure.ambient_dim_e
-        return RepresentationMap(matrix=np.eye(dim), identity_shortcut=True)
-    members = np.fromiter(itertools.chain.from_iterable(structure.blocks),
-                          dtype=int, count=structure.ambient_dim_e)
-    b = np.zeros((structure.ambient_dim_e, structure.ambient_dim_x))
-    b[np.arange(members.size), members] = 1.0
-    ident = bool(np.array_equal(members, np.arange(structure.ambient_dim_x)))
-    return RepresentationMap(matrix=b, identity_shortcut=ident)
+def representation(structure, b=None):
+    """(B, custom): the representation map B of ``structure`` and, when it
+    is not the canonical ``structure.b``, that same matrix, else None.
 
-
-def rep_matrix(structure, b=None):
-    """Dense matrix of B: ``b`` (a RepresentationMap or array-like) if given,
-    else the structure's canonical representation map."""
+    ``b`` None is ``structure.b`` itself; any other ``b`` must be a finite
+    E x n matrix (ValueError naming B otherwise).  A ``b`` equal to
+    ``structure.b`` gives custom None, so a caller that has a cheaper form
+    for the canonical B keeps it.
+    """
     if b is None:
-        return _build_rep_map(structure).matrix
-    return b.matrix if hasattr(b, "matrix") else \
-        np.atleast_2d(np.asarray(b, dtype=float))
-
-
-def custom_rep_matrix(structure, b):
-    """The dense B of ``b`` when it is not the structure's canonical
-    representation map, else None (``b`` None included)."""
-    if b is None:
-        return None
-    bmat = rep_matrix(structure, b)
-    canon = _build_rep_map(structure).matrix
-    same = bmat.shape == canon.shape and np.array_equal(bmat, canon)
-    return None if same else bmat
+        return structure.b, None
+    bmat = np.asarray(b, dtype=float)
+    if bmat.shape != structure.b.shape or not np.all(np.isfinite(bmat)):
+        raise ValueError("B must be {} x {} and finite for this structure"
+                         .format(*structure.b.shape))
+    if np.array_equal(bmat, structure.b):
+        return structure.b, None
+    return bmat, bmat
 
 
 def build_plain(n):
@@ -176,10 +163,10 @@ def build_plain(n):
     n = int(n)
     if n < 1:
         raise StructureError("plain structure needs n >= 1")
-    s = SparsityStructure(kind="plain", n=n, ambient_dim_x=n, ambient_dim_e=n,
-                          blocks=tuple((i,) for i in range(n)),
-                          weights=(1.0,) * n, block_norms=("l1",) * n)
-    return s, _build_rep_map(s)
+    return SparsityStructure(kind="plain", n=n, ambient_dim_x=n,
+                             ambient_dim_e=n,
+                             blocks=tuple((i,) for i in range(n)),
+                             weights=(1.0,) * n, block_norms=("l1",) * n)
 
 
 def build_group(blocks, weights=None, block_norm="l2"):
@@ -215,23 +202,21 @@ def build_group(blocks, weights=None, block_norm="l2"):
         tags = tuple(block_norm)
     if len(tags) != k or any(t not in norms.VECTOR_TAGS for t in tags):
         raise StructureError("block norms must be l1/l2/linf, one per block")
-    s = SparsityStructure(kind="group", n=n, blocks=blocks, weights=weights,
-                          block_norms=tags, ambient_dim_x=n,
-                          ambient_dim_e=sum(len(v) for v in blocks))
-    return s, _build_rep_map(s)
+    return SparsityStructure(kind="group", n=n, blocks=blocks, weights=weights,
+                             block_norms=tags, ambient_dim_x=n,
+                             ambient_dim_e=sum(len(v) for v in blocks))
 
 
 def build_lowrank(p, q):
     p, q = int(p), int(q)
     if p < 1 or q < 1:
         raise StructureError("lowrank structure needs p, q >= 1")
-    s = SparsityStructure(kind="lowrank", p=p, q=q,
-                          ambient_dim_x=p * q, ambient_dim_e=p * q)
-    return s, _build_rep_map(s)
+    return SparsityStructure(kind="lowrank", p=p, q=q,
+                             ambient_dim_x=p * q, ambient_dim_e=p * q)
 
 
 def build_structure(kind, **params):
-    """Dispatching constructor; returns (structure, representation map)."""
+    """Dispatching constructor of the three kinds."""
     if kind == "plain":
         return build_plain(**params)
     if kind == "group":
@@ -262,9 +247,9 @@ def _is_list_of(v, check):
 
 
 def structure_from_dict(d):
-    """(structure, representation map) of a structure document, the format
-    of ``structure_to_dict``; StructureError naming the field that is
-    missing or of the wrong type."""
+    """The structure of a structure document, the format of
+    ``structure_to_dict``; StructureError naming the field that is missing
+    or of the wrong type."""
     if not isinstance(d, dict):
         raise StructureError("a structure must be a JSON object")
     kind = d.get("kind")

@@ -686,8 +686,7 @@ def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
 
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[1]
-    bmat = structures.rep_matrix(structure, b)
-    lift = structures.custom_rep_matrix(structure, bmat)
+    bmat, lift = structures.representation(structure, b)
     lp = bruteforce._kernel_ball_lp(a, structure, lift)
     if lift is None:
         if structure.kind == "plain":   # the singleton l1 blocks (i,)

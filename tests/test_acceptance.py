@@ -40,10 +40,10 @@ def _verdict(num, label, ok, detail):
 
 
 def _three_structures():
-    stp, _ = structures.build_plain(10)
-    stg, _ = structures.build_group([(0, 1, 2), (2, 3), (4, 5, 6), (6, 7),
-                                     (8, 9)], block_norm="l2")
-    stl, _ = structures.build_lowrank(4, 3)
+    stp = structures.build_plain(10)
+    stg = structures.build_group([(0, 1, 2), (2, 3), (4, 5, 6), (6, 7),
+                                  (8, 9)], block_norm="l2")
+    stl = structures.build_lowrank(4, 3)
     return stp, stg, stl
 
 
@@ -95,7 +95,7 @@ def test_criterion_2_decomposition_inequality():
 @acceptance
 def test_criterion_3_noiseless_exactness():
     t0 = time.perf_counter()
-    st, rep = structures.build_plain(12)
+    st = structures.build_plain(12)
     a = np.random.default_rng(6).standard_normal((8, 12))
 
     worst_err = 0.0
@@ -107,7 +107,7 @@ def test_criterion_3_noiseless_exactness():
             for signs in itertools.product((1.0, -1.0), repeat=s):
                 x0 = np.zeros(12)
                 x0[list(support)] = signs
-                prob = RecoveryProblem(a=a, b=rep, y=a @ x0, phi="l1",
+                prob = RecoveryProblem(a=a, b=None, y=a @ x0, phi="l1",
                                        epsilon=0.0)
                 res = recover_regular(prob, st)
                 worst_err = max(worst_err,
@@ -132,7 +132,7 @@ def test_criterion_3_noiseless_exactness():
     sig_b[j] = 1.0
     y = ones @ sig_a
     assert np.allclose(ones @ sig_b, y)
-    res = recover_regular(RecoveryProblem(a=ones, b=rep, y=y, phi="l1",
+    res = recover_regular(RecoveryProblem(a=ones, b=None, y=y, phi="l1",
                                           epsilon=0.0), st)
     miss = max(float(np.max(np.abs(res.x_hat - sig_a))),
                float(np.max(np.abs(res.x_hat - sig_b))))
@@ -149,9 +149,9 @@ def test_criterion_3_noiseless_exactness():
 
 @acceptance
 def test_criterion_4_error_bounds():
-    st, rep = structures.build_plain(12)
+    st = structures.build_plain(12)
     a = np.random.default_rng(6).standard_normal((8, 12))
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
     assert cert.valid and cert.gamma < 1.0
 
     rng = np.random.default_rng(404)
@@ -163,7 +163,7 @@ def test_criterion_4_error_bounds():
         x0[rng.integers(12)] = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
         eta = rng.standard_normal(8)
         eta *= rng.uniform(0.0, 1.0) * eps / np.abs(eta).sum()
-        prob = RecoveryProblem(a=a, b=rep, y=a @ x0 + eta, phi="l1",
+        prob = RecoveryProblem(a=a, b=None, y=a @ x0 + eta, phi="l1",
                                epsilon=eps)
 
         res = recover_regular(prob, st)
@@ -236,11 +236,11 @@ def test_criterion_5_oracle_equivalence():
         worst_comb = max(worst_comb, abs(norms.pi_s(u, chi, s, "exact")
                                          - pi_s_oracle(u, chi, s)))
 
-    stp, _ = structures.build_plain(12)
-    stg, _ = structures.build_group([(0, 1), (2, 3, 4), (5,), (6, 7)],
-                                    weights=[1.0, 2.0, 1.0, 1.0],
-                                    block_norm="l2")
-    stl, _ = structures.build_lowrank(4, 3)
+    stp = structures.build_plain(12)
+    stg = structures.build_group([(0, 1), (2, 3, 4), (5,), (6, 7)],
+                                 weights=[1.0, 2.0, 1.0, 1.0],
+                                 block_norm="l2")
+    stl = structures.build_lowrank(4, 3)
     worst_svd = 0.0
     for _ in range(100):
         wp = rng.standard_normal(12)
@@ -293,10 +293,10 @@ def test_criterion_5_oracle_equivalence():
 @acceptance
 def test_criterion_6_group_reduction():
     n = 8
-    stp, repp = structures.build_plain(n)
-    stg, repg = structures.build_group([(i,) for i in range(n)],
-                                       weights=[1.0] * n, block_norm="l1")
-    assert repg.identity_shortcut
+    stp = structures.build_plain(n)
+    stg = structures.build_group([(i,) for i in range(n)],
+                                 weights=[1.0] * n, block_norm="l1")
+    assert np.array_equal(stg.b, np.eye(n))
 
     rng = np.random.default_rng(606)
     worst = 0.0
@@ -304,10 +304,10 @@ def test_criterion_6_group_reduction():
         a = rng.standard_normal((5, n))
         for s in (1, 2):
             vp = gamma_s_bruteforce(a, stp, s)
-            vg = gamma_s_bruteforce(a, stg, s, b=repg)
+            vg = gamma_s_bruteforce(a, stg, s, b=None)
             worst = max(worst, abs(vp.gamma_value - vg.gamma_value))
-            cp = synth_certificate_group(a, repp.matrix, stp, s, phi="l1")
-            cg = synth_certificate_group(a, repg.matrix, stg, s, phi="l1")
+            cp = synth_certificate_group(a, None, stp, s, phi="l1")
+            cg = synth_certificate_group(a, None, stg, s, phi="l1")
             worst = max(worst, abs(cp.gamma - cg.gamma),
                         abs(cp.beta - cg.beta))
 
@@ -315,8 +315,8 @@ def test_criterion_6_group_reduction():
         x0[[1, 5]] = [1.5, -0.7]
         y = a @ x0
         for phi, eps in (("linf", 0.05), ("l1", 0.0)):
-            pp = RecoveryProblem(a=a, b=repp, y=y, phi=phi, epsilon=eps)
-            pg = RecoveryProblem(a=a, b=repg, y=y, phi=phi, epsilon=eps)
+            pp = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
+            pg = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
             rp = recover_regular(pp, stp)
             rg = recover_regular(pg, stg)
             worst = max(worst, float(np.max(np.abs(rp.x_hat - rg.x_hat))))
@@ -413,31 +413,31 @@ def test_criterion_8_certificate_soundness():
     results = []
 
     # plain, synthesized
-    stp, repp = structures.build_plain(12)
+    stp = structures.build_plain(12)
     ap = np.random.default_rng(6).standard_normal((8, 12))
-    cp = synth_certificate_group(ap, repp.matrix, stp, 1, phi="l1")
-    results.append(("plain", ap, None, stp, repp, cp))
+    cp = synth_certificate_group(ap, None, stp, 1, phi="l1")
+    results.append(("plain", ap, stp, cp))
 
     # group, synthesized
-    stg, repg = structures.build_group([(0, 1), (2, 3), (4, 5)],
-                                       block_norm="l1")
+    stg = structures.build_group([(0, 1), (2, 3), (4, 5)],
+                                 block_norm="l1")
     ag = np.random.default_rng(20).standard_normal((5, 6))
-    cg = synth_certificate_group(ag, repg.matrix, stg, 1, phi="l1")
-    results.append(("group", ag, repg, stg, repg, cg))
+    cg = synth_certificate_group(ag, None, stg, 1, phi="l1")
+    results.append(("group", ag, stg, cg))
 
     # low-rank, pseudoinverse candidate
     r = np.random.default_rng(2)
     al = np.eye(9) + 0.1 * r.standard_normal((9, 9))
-    stl, repl = structures.build_lowrank(3, 3)
+    stl = structures.build_lowrank(3, 3)
     cl = certify_lowrank(al, s=1, phi="l1", p=3, q=3, iters=400)
-    results.append(("lowrank", al, None, stl, repl, cl))
+    results.append(("lowrank", al, stl, cl))
 
     details = []
     ok = True
     rng = np.random.default_rng(808)
-    for name, a, bmat, st, rep, cert in results:
+    for name, a, st, cert in results:
         assert cert.valid and cert.gamma < 1.0
-        chk = check_condition_Cs(a, bmat, st, 1, cert.gamma, cert.beta,
+        chk = check_condition_Cs(a, None, st, 1, cert.gamma, cert.beta,
                                  cert.phi, trials=10_000, seed=909)
         ok = ok and chk.ok and chk.violation is None
 
@@ -455,7 +455,7 @@ def test_criterion_8_certificate_soundness():
                 x0 = rng.uniform(0.5, 2.0) * np.outer(
                     rng.standard_normal(3), rng.standard_normal(3)).ravel()
             phi = "l1" if st.kind != "lowrank" else "l2"
-            prob = RecoveryProblem(a=a, b=rep, y=a @ x0, phi=phi, epsilon=0.0)
+            prob = RecoveryProblem(a=a, b=None, y=a @ x0, phi=phi, epsilon=0.0)
             res = recover_regular(prob, st, tol=1e-10)
             worst_err = max(worst_err, float(np.max(np.abs(res.x_hat - x0))))
         ok = ok and worst_err <= 1e-6

@@ -18,7 +18,7 @@ from oracles import (gamma_kernel1_oracle, group_ratio_and_grad_oracle,
 
 
 def test_injective_map_is_certified_good():
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     for s in (1, 2, 4):
         v = gamma_s_bruteforce(np.eye(4), st, s)
         assert v.status == "CertifiedGood"
@@ -28,7 +28,7 @@ def test_injective_map_is_certified_good():
 
 def test_all_ones_row_is_the_boundary_case():
     """One balanced row: gamma_1 = 1/2 exactly, an uncertifiable tie."""
-    st, _ = structures.build_plain(5)
+    st = structures.build_plain(5)
     v = gamma_s_bruteforce(np.ones((1, 5)), st, 1)
     assert v.status == "CertifiedBad"
     assert v.gamma_value == pytest.approx(0.5, abs=1e-9)
@@ -42,7 +42,7 @@ def test_all_ones_row_is_the_boundary_case():
 
 def test_all_ones_row_s2_reaches_one():
     # (1, -1, 0, ...) sits in the kernel with its whole mass on 2 entries
-    st, _ = structures.build_plain(5)
+    st = structures.build_plain(5)
     v = gamma_s_bruteforce(np.ones((1, 5)), st, 2)
     assert v.status == "CertifiedBad"
     assert v.gamma_value == pytest.approx(1.0, abs=1e-9)
@@ -50,7 +50,7 @@ def test_all_ones_row_s2_reaches_one():
 
 def test_fixed_small_instance():
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    st, _ = structures.build_plain(3)
+    st = structures.build_plain(3)
     v = gamma_s_bruteforce(a, st, 1)
     assert v.status == "CertifiedGood"
     # kernel is span (1, 1, -1): best single coordinate holds 1/3 of the mass
@@ -62,7 +62,7 @@ def test_kernel_dim_one_matches_closed_form(rng):
         r = np.random.default_rng(trial)
         v = r.standard_normal(7)
         a = matrix_with_kernel(v)
-        st, _ = structures.build_plain(7)
+        st = structures.build_plain(7)
         for s in (1, 2, 3):
             got = gamma_s_bruteforce(a, st, s)
             assert got.gamma_value == pytest.approx(
@@ -70,7 +70,7 @@ def test_kernel_dim_one_matches_closed_form(rng):
 
 
 def test_gamma_monotone_in_s(rng):
-    st, _ = structures.build_plain(8)
+    st = structures.build_plain(8)
     for trial in range(5):
         a = np.random.default_rng(trial).standard_normal((5, 8))
         vals = [gamma_s_bruteforce(a, st, s).gamma_value for s in (1, 2, 3)]
@@ -79,28 +79,28 @@ def test_gamma_monotone_in_s(rng):
 
 def test_group_bruteforce_l1_blocks_exhaustive(rng):
     """L1 blocks linearize exactly, so the group verdict is exhaustive."""
-    st, rep = structures.build_group([(0, 1), (2, 3), (4, 5)],
-                                     block_norm="l1")
+    st = structures.build_group([(0, 1), (2, 3), (4, 5)],
+                                block_norm="l1")
     a = np.random.default_rng(2).standard_normal((4, 6))
-    v = gamma_s_bruteforce(a, st, 1, b=rep)
+    v = gamma_s_bruteforce(a, st, 1, b=None)
     assert v.status in ("CertifiedGood", "CertifiedBad")
     assert v.bracket is None        # exact, not sampled
     assert 0.0 <= v.gamma_value <= 1.0 + 1e-9
 
 
 def _good_instances():
-    """(a, structure, rep, s) whose exhaustive verdict is CertifiedGood."""
-    st, rep = structures.build_plain(3)
-    yield np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), st, rep, 1
+    """(a, structure, s) whose exhaustive verdict is CertifiedGood."""
+    st = structures.build_plain(3)
+    yield np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), st, 1
     blocks = [(0, 1), (2, 3), (4, 5)]
     for tag, seed in (("l1", 1), ("linf", 4)):
-        st, rep = structures.build_group(blocks, block_norm=tag)
-        yield np.random.default_rng(seed).standard_normal((4, 6)), st, rep, 1
+        st = structures.build_group(blocks, block_norm=tag)
+        yield np.random.default_rng(seed).standard_normal((4, 6)), st, 1
 
 
 def test_bruteforce_details_report_pivots_and_gaps():
-    for a, st, rep, s in _good_instances():
-        v = gamma_s_bruteforce(a, st, s, b=rep)
+    for a, st, s in _good_instances():
+        v = gamma_s_bruteforce(a, st, s, b=None)
         assert v.status == "CertifiedGood"
         d = v.details
         assert d["lp_iterations"] >= d["lp_count"] > 0
@@ -118,8 +118,8 @@ def test_bruteforce_unsolved_lp_blocks_a_good_verdict(patch_reports):
         return x, rep
 
     patch_reports(second_stalls)
-    for a, st, rep, s in _good_instances():
-        v = gamma_s_bruteforce(a, st, s, b=rep)
+    for a, st, s in _good_instances():
+        v = gamma_s_bruteforce(a, st, s, b=None)
         assert v.status == "Unknown" and v.bracket[1] == 1.0
         assert v.details["lps_not_optimal"] == 1
 
@@ -131,8 +131,8 @@ def test_bruteforce_good_verdict_needs_the_certified_bound(patch_reports):
         return x, rep
 
     patch_reports(loose)
-    for a, st, rep, s in _good_instances():
-        v = gamma_s_bruteforce(a, st, s, b=rep)
+    for a, st, s in _good_instances():
+        v = gamma_s_bruteforce(a, st, s, b=None)
         assert v.status == "Unknown" and v.gamma_value < 0.5
         assert v.details["lp_delta"] == 0.5
 
@@ -185,7 +185,7 @@ def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
     longer be exhaustive."""
     from sparsecert.engine import SolveReport, Status
     a, s = _PRUNED_GOOD
-    st, _ = structures.build_plain(6)
+    st = structures.build_plain(6)
     assert gamma_s_bruteforce(a, st, s).status == "CertifiedGood"
     seen = _record_costs(monkeypatch)
 
@@ -214,7 +214,7 @@ def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
     bounds hold at both round sizes."""
     from sparsecert.certify import bruteforce
     a, s = _PRUNED_GOOD
-    st, _ = structures.build_plain(6)
+    st = structures.build_plain(6)
     seen = _record_costs(monkeypatch)
     with monkeypatch.context() as mp:
         mp.setattr(bruteforce, "_ROUND_LPS", 1)
@@ -244,7 +244,7 @@ def test_bruteforce_visit_order_ignores_roundoff_in_the_bounds(
     """Bounds within the tie tolerance count as equal and go in set order,
     so 1e-15 more on every LP's delta solves the same LPs (ordered by the
     bounds alone, the counts moved on five of the six draws)."""
-    st, _ = structures.build_plain(12)
+    st = structures.build_plain(12)
     draws = [np.random.default_rng(seed).standard_normal((7, 12)) / np.sqrt(7)
              for seed in range(6)]
     before = [gamma_s_bruteforce(a, st, 3) for a in draws]
@@ -269,7 +269,7 @@ def test_bruteforce_budget_refusal_is_fast_on_many_blocks():
     s=21 walked every subset of the blocks that fit; 1,200 blocks at s=1,200
     overflowed the recursion)."""
     for n, m, s in ((22, 12, 21), (22, 12, 18), (1200, 1, 1200)):
-        st, _ = structures.build_plain(n)
+        st = structures.build_plain(n)
         a = np.random.default_rng(n).standard_normal((m, n))
         verdict = gamma_s_bruteforce(a, st, s)
         assert verdict.status == "Unknown"
@@ -283,7 +283,7 @@ def _oracle_cases():
                     (10, 8, 2), (10, 6, 3), (11, 6, 2.5), (12, 7, 1),
                     (12, 7, 2), (12, 7, 3), (12, 11, 3), (13, 7, 1.5),
                     (14, 8, 2), (16, 10, 2), (16, 10, 3), (24, 14, 1)]:
-        st, _ = structures.build_plain(n)
+        st = structures.build_plain(n)
         for seed in (0, 1):
             a = np.random.default_rng([n, m, seed]).standard_normal((m, n))
             yield f"plain-n{n}-m{m}-s{s}-{seed}", a, st, None, s
@@ -301,16 +301,16 @@ def _oracle_cases():
                      [0.5, 1.0, 1.5, 0.7, 1.2, 1.0]),
     }
     for name, (blocks, tags, weights) in groups.items():
-        st, rep = structures.build_group(blocks, weights, block_norm=tags)
+        st = structures.build_group(blocks, weights, block_norm=tags)
         for s, m in ((1, 6), (2, 7), (2.6, 8)):
             a = np.random.default_rng([len(blocks), m]).standard_normal(
                 (m, 12))
-            yield f"{name}-s{s}", a, st, rep, s
+            yield f"{name}-s{s}", a, st, None, s
     # non-canonical B: plain and mixed blocks under B = I + 0.4 G
-    for name, st, s in (("plain", structures.build_plain(9)[0], 2),
+    for name, st, s in (("plain", structures.build_plain(9), 2),
                         ("mixed", structures.build_group(
                             [(0, 1, 2), (3, 4), (5, 6, 7, 8)],
-                            block_norm=["l1", "linf", "l1"])[0], 2)):
+                            block_norm=["l1", "linf", "l1"]), 2)):
         rng = np.random.default_rng(77)
         a = rng.standard_normal((5, 9))
         b = np.eye(9) + 0.4 * rng.standard_normal((9, 9))
@@ -346,19 +346,19 @@ def _round_draws():
         rng = np.random.default_rng([31, seed])
         n, s = 8 + seed % 5, 2 + seed % 2
         m = int(rng.integers(n - 4, n))
-        yield rng.standard_normal((m, n)), structures.build_plain(n)[0], \
+        yield rng.standard_normal((m, n)), structures.build_plain(n), \
             None, s
     pairs = [(2 * i, 2 * i + 1) for i in range(6)]
     for tag in ("l1", "linf"):
-        st, rep = structures.build_group(pairs, block_norm=tag)
+        st = structures.build_group(pairs, block_norm=tag)
         for seed in range(8):
             rng = np.random.default_rng([32, seed])
             m = int(rng.integers(6, 11))
-            yield rng.standard_normal((m, 12)), st, rep, 1 + seed % 2
+            yield rng.standard_normal((m, 12)), st, None, 1 + seed % 2
     for seed in range(2):
         rng = np.random.default_rng([33, seed])
         b = np.eye(8) + 0.4 * rng.standard_normal((8, 8))
-        yield rng.standard_normal((5, 8)), structures.build_plain(8)[0], b, 2
+        yield rng.standard_normal((5, 8)), structures.build_plain(8), b, 2
 
 
 def test_lockstep_rounds_keep_the_unpruned_verdict(monkeypatch):
@@ -401,18 +401,18 @@ def test_pinned_first_sign_keeps_gamma_with_linf_blocks(name):
 def test_lp_structures_have_no_size_guard():
     """Plain n > 20 and more than 12 l1/linf blocks run the LP enumeration;
     only l2 blocks keep the 12-block guard of the sampled search."""
-    st, _ = structures.build_plain(30)
+    st = structures.build_plain(30)
     a = np.random.default_rng(4).standard_normal((20, 30))
     v = gamma_s_bruteforce(a, st, 1)
     assert v.bracket is None and v.details["signed_supports"] == 30
     blocks = [(2 * i, 2 * i + 1) for i in range(14)]
     a = np.random.default_rng(5).standard_normal((18, 28))
     for tag in ("l1", "linf"):
-        st, rep = structures.build_group(blocks, block_norm=tag)
-        v = gamma_s_bruteforce(a, st, 1, b=rep)
+        st = structures.build_group(blocks, block_norm=tag)
+        v = gamma_s_bruteforce(a, st, 1, b=None)
         assert v.bracket is None and v.details["maximal_sets"] == 14
-    st, rep = structures.build_group(blocks, block_norm="l2")
-    v = gamma_s_bruteforce(a, st, 1, b=rep)
+    st = structures.build_group(blocks, block_norm="l2")
+    v = gamma_s_bruteforce(a, st, 1, b=None)
     assert v.status == "Unknown" and "12 blocks" in v.details["reason"]
 
 
@@ -427,29 +427,50 @@ def test_group_bruteforce_checks_the_budget_before_any_lp(monkeypatch):
 
     monkeypatch.setattr(bruteforce, "_LP_BUDGET", 100)
     monkeypatch.setattr(bruteforce, "LPSequence", NoLP)
-    st, rep = structures.build_group([(2 * i, 2 * i + 1) for i in range(6)],
-                                     block_norm="l1")
+    st = structures.build_group([(2 * i, 2 * i + 1) for i in range(6)],
+                                block_norm="l1")
     a = np.random.default_rng(0).standard_normal((8, 12))
-    v = gamma_s_bruteforce(a, st, 2, b=rep)
+    v = gamma_s_bruteforce(a, st, 2, b=None)
     assert v.status == "Unknown" and "120" in v.details["reason"]
 
 
 def test_bruteforce_measures_a_non_canonical_b():
     """||Bz|| with B = diag(1, 10, 1): the kernel direction (1, -1, 1) keeps
     10 of its 12 units on coordinate 1, so the verdict is bad at 10/12."""
-    st, _ = structures.build_plain(3)
+    st = structures.build_plain(3)
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     v = gamma_s_bruteforce(a, st, 1, b=np.diag([1.0, 10.0, 1.0]))
     assert v.status == "CertifiedBad"
     assert v.gamma_value == pytest.approx(10.0 / 12.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_a_bad_custom_b_is_the_resolvers_error_everywhere(bad):
+    """A 5 x 4 B, or one with a NaN or an infinite entry, for plain n = 4
+    gets the one ValueError naming B at each entry point that takes a B."""
+    st = structures.build_plain(4)
+    a = np.random.default_rng(3).standard_normal((3, 4))
+    b = np.eye(5, 4) if bad == "shape" else np.eye(4)
+    if bad != "shape":
+        b[1, 2] = float(bad)
+    calls = (
+        lambda: synth_certificate_group(a, b, st, 1, phi="l1"),
+        lambda: gamma_s_bruteforce(a, st, 1, b=b),
+        lambda: check_condition_Cs(a, b, st, 1, 0.5, 1.0, "l1", trials=5,
+                                   seed=0),
+        lambda: recover_regular(RecoveryProblem(a=a, b=b, y=np.ones(3),
+                                                phi="l1"), st))
+    for call in calls:
+        with pytest.raises(ValueError, match="B must be 4 x 4 and finite"):
+            call()
+
+
 def test_bruteforce_invertible_b_is_a_change_of_variables():
     """For invertible B on non-overlapping blocks (canonical B = I), the
     verdict for (A, B) is the canonical one for A B^-1, since w = B z."""
-    cases = [(structures.build_plain(7)[0], 2)] + [
+    cases = [(structures.build_plain(7), 2)] + [
         (structures.build_group([(0, 1), (2, 3), (4, 5, 6)],
-                                block_norm=tags)[0], 1)
+                                block_norm=tags), 1)
         for tags in ("l1", "linf", ["l1", "linf", "l1"])]
     for i, (st, s) in enumerate(cases):
         rng = np.random.default_rng(60 + i)
@@ -463,9 +484,9 @@ def test_bruteforce_invertible_b_is_a_change_of_variables():
 
 def test_group_bruteforce_l2_blocks_only_brackets(rng):
     """Sampled ascent cannot certify goodness; it returns a bracket."""
-    st, rep = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
+    st = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
     a = np.zeros((1, 4))        # kernel is everything; truly bad
-    v = gamma_s_bruteforce(a, st, 1, b=rep)
+    v = gamma_s_bruteforce(a, st, 1, b=None)
     assert v.status == "CertifiedBad"
     lo, hi = v.bracket
     assert lo <= v.gamma_value + 1e-12 and hi == 1.0
@@ -480,31 +501,31 @@ def test_group_ratio_and_grad_matches_per_block_loop():
     blocks = [(0, 1, 2), (2, 3), (4,), (5, 6, 7, 8), (0, 9), (10, 11, 12)]
     for trial in range(40):
         tags = list(r.choice(["l1", "l2", "linf"], size=len(blocks)))
-        st, rep = structures.build_group(blocks, block_norm=tags)
+        st = structures.build_group(blocks, block_norm=tags)
         z = r.standard_normal(13)
         if trial % 2:
             z[5:9] = 0.0                     # a zero block
         if trial % 3 == 0:
             z[10:13] = [-2.0, 2.0, 1.0]      # tied maxima, first negative
         for s in (1.0, 2.0):
-            got = _group_ratio_and_grad(st, rep.matrix, z, s)
-            want = group_ratio_and_grad_oracle(st, rep.matrix, z, s)
+            got = _group_ratio_and_grad(st, st.b, z, s)
+            want = group_ratio_and_grad_oracle(st, st.b, z, s)
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
             assert np.allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
-    zero = _group_ratio_and_grad(st, rep.matrix, np.zeros(13), 1.0)
+    zero = _group_ratio_and_grad(st, st.b, np.zeros(13), 1.0)
     assert zero[0] == 0.0 and not zero[1].any()
 
 
 def test_lowrank_bruteforce_injective_is_good():
     # trivial kernel: the condition is vacuous, so Good even here
-    st, _ = structures.build_lowrank(3, 3)
+    st = structures.build_lowrank(3, 3)
     v = gamma_s_bruteforce(np.eye(9), st, 1)
     assert v.status == "CertifiedGood"
     assert v.details["kernel_dim"] == 0
 
 
 def test_lowrank_bruteforce_never_claims_good_from_sampling(rng):
-    st, _ = structures.build_lowrank(3, 3)
+    st = structures.build_lowrank(3, 3)
     a = np.random.default_rng(3).standard_normal((5, 9))   # 4-dim kernel
     v = gamma_s_bruteforce(a, st, 1)
     # continuous family: sampling gives Unknown or CertifiedBad, never Good
@@ -519,16 +540,16 @@ def test_lowrank_bruteforce_never_claims_good_from_sampling(rng):
 
 
 def test_identity_passes_condition():
-    st, rep = structures.build_plain(4)
-    chk = check_condition_Cs(np.eye(4), rep, st, s=1, gamma=0.5, beta=2.0,
+    st = structures.build_plain(4)
+    chk = check_condition_Cs(np.eye(4), None, st, s=1, gamma=0.5, beta=2.0,
                              phi="l1", trials=500, seed=0)
     assert chk.ok and chk.violation is None
     assert chk.trials == 500
 
 
 def test_zero_map_fails_condition():
-    st, rep = structures.build_plain(4)
-    chk = check_condition_Cs(np.zeros((2, 4)), rep, st, s=2, gamma=0.1,
+    st = structures.build_plain(4)
+    chk = check_condition_Cs(np.zeros((2, 4)), None, st, s=2, gamma=0.1,
                              beta=5.0, phi="l1", trials=500, seed=0)
     assert not chk.ok
     assert chk.violation is not None
@@ -537,8 +558,8 @@ def test_zero_map_fails_condition():
 
 
 def test_checker_worst_margin_sane():
-    st, rep = structures.build_plain(4)
-    chk = check_condition_Cs(np.eye(4), rep, st, s=1, gamma=0.9, beta=9.0,
+    st = structures.build_plain(4)
+    chk = check_condition_Cs(np.eye(4), None, st, s=1, gamma=0.9, beta=9.0,
                              phi="l2", trials=300, seed=1)
     assert chk.ok
     assert np.isfinite(chk.worst_margin)
@@ -549,8 +570,8 @@ def test_checker_worst_margin_sane():
 
 
 def test_synthesis_identity_gives_zero_gamma():
-    st, rep = structures.build_plain(4)
-    cert = synth_certificate_group(np.eye(4), rep.matrix, st, 1, phi="l1")
+    st = structures.build_plain(4)
+    cert = synth_certificate_group(np.eye(4), None, st, 1, phi="l1")
     assert cert.gamma == pytest.approx(0.0, abs=1e-8)
     assert cert.valid
     assert cert.method == "ColumnLP"
@@ -560,9 +581,9 @@ def test_synthesis_identity_gives_zero_gamma():
 def test_synthesis_zero_map_gamma_two():
     """With A = 0 the residual W must be the identity, whose best gamma is
     2 * s / s = 2 at unit weights."""
-    st, rep = structures.build_plain(5)
+    st = structures.build_plain(5)
     for s in (1, 2):
-        cert = synth_certificate_group(np.zeros((2, 5)), rep.matrix, st, s,
+        cert = synth_certificate_group(np.zeros((2, 5)), None, st, s,
                                        phi="l1")
         assert cert.gamma == pytest.approx(2.0, abs=1e-8)
         assert not cert.valid
@@ -571,45 +592,45 @@ def test_synthesis_zero_map_gamma_two():
 def test_synthesis_conservative_vs_bruteforce(rng):
     """The verifiable route can lose at most a factor 2 on plain structures:
     gamma_synth >= 2*gamma_s - tol always."""
-    st, _ = structures.build_plain(8)
-    _, rep = structures.build_plain(8)
+    st = structures.build_plain(8)
+    _ = structures.build_plain(8)
     for trial in range(6):
         a = np.random.default_rng(trial + 10).standard_normal((6, 8))
         bf = gamma_s_bruteforce(a, st, 1)
-        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+        cert = synth_certificate_group(a, None, st, 1, phi="l1")
         assert cert.gamma >= 2.0 * bf.gamma_value - 1e-7
 
 
 def test_synthesis_certificate_passes_checker(rng):
     """Soundness: every valid synthesized certificate satisfies the
     condition it claims (C+ implies C)."""
-    st, rep = structures.build_plain(10)
+    st = structures.build_plain(10)
     a = np.random.default_rng(7).standard_normal((8, 10))
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
     assert cert.valid
-    chk = check_condition_Cs(a, rep, st, 1, cert.gamma, cert.beta,
+    chk = check_condition_Cs(a, None, st, 1, cert.gamma, cert.beta,
                              phi="l1", trials=2000, seed=0)
     assert chk.ok, chk.violation
 
 
 def test_synthesis_monotone_rechecked_at_smaller_s():
     """A certificate valid at s stays valid when rechecked at s' <= s."""
-    st, rep = structures.build_plain(10)
+    st = structures.build_plain(10)
     a = np.random.default_rng(7).standard_normal((8, 10))
-    cert = synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
+    cert = synth_certificate_group(a, None, st, 2, phi="l1")
     for s_prime in (1, 2):
-        chk = check_condition_Cs(a, rep, st, s_prime, cert.gamma, cert.beta,
+        chk = check_condition_Cs(a, None, st, s_prime, cert.gamma, cert.beta,
                                  phi="l1", trials=2000, seed=0)
         assert chk.ok
 
 
 def test_synthesis_group_blocks(rng):
-    st, rep = structures.build_group([(0, 1, 2), (3, 4), (5, 6, 7)],
-                                     block_norm="l1")
+    st = structures.build_group([(0, 1, 2), (3, 4), (5, 6, 7)],
+                                block_norm="l1")
     a = np.random.default_rng(5).standard_normal((5, 8))
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
     assert cert.gamma >= 0.0 and cert.beta >= 0.0
-    chk = check_condition_Cs(a, rep, st, 1, cert.gamma + 1e-9,
+    chk = check_condition_Cs(a, None, st, 1, cert.gamma + 1e-9,
                              cert.beta + 1e-9, phi="l1", trials=1500,
                              seed=0)
     assert chk.ok, chk.violation
@@ -617,26 +638,26 @@ def test_synthesis_group_blocks(rng):
 
 def test_synthesis_group_l2_blocks_still_sound(rng):
     """Inexact induced-norm entries only make gamma larger, never unsound."""
-    st, rep = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
+    st = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
     a = np.random.default_rng(4).standard_normal((3, 4))
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
-    chk = check_condition_Cs(a, rep, st, 1, cert.gamma + 1e-9,
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
+    chk = check_condition_Cs(a, None, st, 1, cert.gamma + 1e-9,
                              cert.beta + 1e-9, phi="l1", trials=1500, seed=0)
     assert chk.ok, chk.violation
 
 
 def test_synthesis_unsupported_phi_refused():
     from sparsecert.norms import UnsupportedNormError
-    st, rep = structures.build_plain(4)
+    st = structures.build_plain(4)
     for phi in ("l2", "linf"):
         with pytest.raises(UnsupportedNormError):
-            synth_certificate_group(np.eye(4), rep.matrix, st, 1, phi=phi)
+            synth_certificate_group(np.eye(4), None, st, 1, phi=phi)
 
 
 def test_psi_s_fixed_value():
     """Max over rows of the mediating seminorm; dual certificate rows
     (1, 2) and (3, 0) at s = 1 give 2 * 3 = 6."""
-    st, _ = structures.build_plain(2)
+    st = structures.build_plain(2)
     h = np.array([[1.0, 2.0], [3.0, 0.0]])
     assert psi_s(h, st, 1, phi="l1") == pytest.approx(6.0)
 
@@ -644,24 +665,24 @@ def test_psi_s_fixed_value():
 def test_soundness_chain_small_instance():
     """gamma < 1 from synthesis implies goodness at the halved level:
     exact recovery of every signed pattern when gamma/2 < 1/2."""
-    st, rep = structures.build_plain(6)
+    st = structures.build_plain(6)
     found = None
     for seed in range(40):
         a = np.random.default_rng(seed).standard_normal((5, 6))
-        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+        cert = synth_certificate_group(a, None, st, 1, phi="l1")
         if cert.gamma < 1.0 - 1e-6:
             found = (a, cert)
             break
     assert found is not None, "no certifiable 5x6 instance in 40 seeds"
     a, cert = found
-    chk = check_condition_Cs(a, rep, st, 1, cert.gamma, cert.beta, "l1",
+    chk = check_condition_Cs(a, None, st, 1, cert.gamma, cert.beta, "l1",
                              trials=3000, seed=0)
     assert chk.ok
     for i in range(6):
         for sign in (-1.0, 1.0):
             x0 = np.zeros(6)
             x0[i] = sign
-            prob = RecoveryProblem(a=a, b=rep, y=a @ x0, phi="l1",
+            prob = RecoveryProblem(a=a, b=None, y=a @ x0, phi="l1",
                                    epsilon=0.0)
             res = recover_regular(prob, st)
             assert np.max(np.abs(res.x_hat - x0)) <= 1e-6
@@ -676,34 +697,34 @@ PAIRS = [(2 * i, 2 * i + 1) for i in range(5)]
 def _pinned_cases():
     """Instances with gamma and beta of the joint LP (one LP over all of H),
     as computed before synthesis was split per block."""
-    st, rep = structures.build_plain(12)
+    st = structures.build_plain(12)
     a = np.random.default_rng(1201).standard_normal((7, 12))
-    yield "plain", st, rep, a, 0.9705505435282762, 0.7811197466195434
+    yield "plain", st, a, 0.9705505435282762, 0.7811197466195434
     for j, (tag, gamma, beta) in enumerate((
             ("l1", 1.1919386469854878, 1.5645743848241265),
             ("linf", 1.016099896234997, 1.2653717606884254),
             ("l2", 2.138084350277359, 3.1465109823480475))):
-        st, rep = structures.build_group(PAIRS, block_norm=tag)
+        st = structures.build_group(PAIRS, block_norm=tag)
         a = np.random.default_rng(1300 + j).standard_normal((6, 10))
-        yield tag, st, rep, a, gamma, beta
+        yield tag, st, a, gamma, beta
 
 
 def test_synthesis_s1_plain_is_exact():
     """At s = 1 the verifiable LP loses nothing: gamma = 2 * gamma_1."""
     for n in (6, 9, 12):
-        st, rep = structures.build_plain(n)
+        st = structures.build_plain(n)
         for trial in range(2):
             a = np.random.default_rng(40 + 3 * n + trial).standard_normal(
                 (n // 2 + 1, n))
-            cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+            cert = synth_certificate_group(a, None, st, 1, phi="l1")
             bf = gamma_s_bruteforce(a, st, 1)
             assert cert.gamma == pytest.approx(2.0 * bf.gamma_value, abs=1e-8)
             assert cert.exact_gamma
 
 
 def test_synthesis_per_block_matches_joint_lp_values():
-    for name, st, rep, a, gamma, beta in _pinned_cases():
-        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    for name, st, a, gamma, beta in _pinned_cases():
+        cert = synth_certificate_group(a, None, st, 1, phi="l1")
         assert cert.gamma == pytest.approx(gamma, abs=1e-9), name
         assert cert.identity_residual <= 1e-8
         if name != "l2":     # l2 stage two minimizes only a surrogate
@@ -712,9 +733,9 @@ def test_synthesis_per_block_matches_joint_lp_values():
         assert cert.gamma >= cert.details["gamma_recheck_exact_norms"]
 
 
-def _stage_one(st, rep, a):
+def _stage_one(st, a):
     from sparsecert.certify import synthesis
-    lay = synthesis._Layout(st, a, rep.matrix)
+    lay = synthesis._Layout(st, a, st.b)
     seqs = {}
     return synthesis, lay, seqs, synthesis._stage_one(lay, seqs)
 
@@ -729,11 +750,11 @@ def _stage_one_cases():
                                 block_norm=["l1", "linf", "l2", "l1", "linf"]), 7),
         (structures.build_group(blocks, block_norm="linf"), 7),
         (structures.build_group(blocks, block_norm="l1"), 7)]
-    for i, ((st, rep), m) in enumerate(shapes):
+    for i, (st, m) in enumerate(shapes):
         for d in range(2):
             a = np.random.default_rng([77, i, d]).standard_normal(
-                (m, rep.matrix.shape[1]))
-            yield f"{i}.{d}", st, rep, a
+                (m, st.b.shape[1]))
+            yield f"{i}.{d}", st, a
 
 
 def test_dual_stage_one_matches_cold_primal_per_block():
@@ -742,13 +763,13 @@ def test_dual_stage_one_matches_cold_primal_per_block():
     row of 2 * Omega is at most g_k."""
     from sparsecert import norms
     from oracles import stage_one_primal_oracle
-    for name, st, rep, a in _stage_one_cases():
-        synthesis, lay, seqs, stages = _stage_one(st, rep, a)
+    for name, st, a in _stage_one_cases():
+        synthesis, lay, seqs, stages = _stage_one(st, a)
         cold = stage_one_primal_oracle(lay)
         assert len(seqs) == len(set(zip(lay.sizes, lay.tags))), name
         assert sum(q.lps for q in seqs.values()) == len(stages) == len(cold)
         h = np.hstack([stage.h_cols for stage in stages])
-        w = (rep.matrix - h.T @ a) @ lay.b_pinv
+        w = (st.b - h.T @ a) @ lay.b_pinv
         omega = np.abs(w) if np.all(lay.sizes == 1) else \
             norms.omega(st, w)[0]
         for k, (stage, (_, g_cold, status)) in enumerate(zip(stages, cold)):
@@ -763,8 +784,8 @@ def test_dual_stage_two_matches_cold_primal_per_block():
     from its multipliers attains it in the norm that LP minimizes (l1 for
     l1 and l2 blocks, linf for linf and scalar ones)."""
     from oracles import stage_two_primal_oracle
-    for name, st, rep, a in _stage_one_cases():
-        synthesis, lay, _, stages = _stage_one(st, rep, a)
+    for name, st, a in _stage_one_cases():
+        synthesis, lay, _, stages = _stage_one(st, a)
         gamma = max(stage.g for stage in stages)
         cold = stage_two_primal_oracle(lay, stages, gamma)
         seqs = {}
@@ -791,9 +812,9 @@ def test_stage_two_dual_with_a_degenerate_plateau_is_optimal():
     vertex on which a leaving rule that drops tied rows with small pivot
     elements cycles; the lexicographic rule reaches the primal optimum."""
     from sparsecert.engine import LinearProgram, Status, solve_lp
-    st, rep = structures.build_plain(20)
+    st = structures.build_plain(20)
     a = np.random.default_rng(5).standard_normal((12, 20))
-    synthesis, lay, _, stages = _stage_one(st, rep, a)
+    synthesis, lay, _, stages = _stage_one(st, a)
     gamma = max(stage.g for stage in stages)
     beta = synthesis._beta_lp(lay, 0, stages[0].lp, stages[0].rhs, gamma)
     dual = synthesis._dual_lp(beta, 12)
@@ -811,13 +832,13 @@ def test_stage_two_sequences_end_optimal():
     cases = [structures.build_plain(n) for n in (16, 20, 24, 30)] + [
         structures.build_group([(2 * i, 2 * i + 1) for i in range(8)],
                                block_norm=tag) for tag in ("l1", "linf", "l2")]
-    for i, (st, rep) in enumerate(cases):
-        n = rep.matrix.shape[1]
+    for i, st in enumerate(cases):
+        n = st.b.shape[1]
         m = round(0.6 * n)
         for d in range(4):
             a = np.random.default_rng([31, i, d]).standard_normal((m, n))
             a /= np.sqrt(m) if d % 2 else 1.0
-            cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+            cert = synth_certificate_group(a, None, st, 1, phi="l1")
             assert cert.details["beta_lps"] >= 1
             assert cert.details["stage_two_not_optimal"] == 0, (i, d)
 
@@ -825,9 +846,9 @@ def test_stage_two_sequences_end_optimal():
 def test_synthesis_lazy_beta_equals_full_stage_two():
     """Stopping the visit early gives the beta of settling every block in
     the same order through the same stage-two sequences."""
-    for name, st, rep, a, _, _ in _pinned_cases():
-        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
-        synthesis, lay, _, stages = _stage_one(st, rep, a)
+    for name, st, a, _, _ in _pinned_cases():
+        cert = synth_certificate_group(a, None, st, 1, phi="l1")
+        synthesis, lay, _, stages = _stage_one(st, a)
         gamma = max(stage.g for stage in stages)
         norm1 = [synthesis._block_norm(stage.h_cols, tag)
                  for stage, tag in zip(stages, lay.tags)]
@@ -843,9 +864,9 @@ def test_synthesis_lazy_beta_equals_full_stage_two():
 
 def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
     from sparsecert.engine import SolveReport, Status
-    _, st, rep, a, _, _ = next(_pinned_cases())
+    _, st, a, _, _ = next(_pinned_cases())
     from sparsecert.engine import simplex
-    synthesis, _, _, stages = _stage_one(st, rep, a)
+    synthesis, _, _, stages = _stage_one(st, a)
     real, opened = simplex._phase_two, []
 
     # plain blocks share one signature: the first sequence (standard form)
@@ -860,7 +881,7 @@ def test_synthesis_failed_stage_two_keeps_stage_one(monkeypatch):
         return None, SolveReport(status=Status.MAXITER, iterations=7), binv
 
     monkeypatch.setattr(simplex, "_phase_two", stage_two_stalls)
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
     h_one = np.hstack([stage.h_cols for stage in stages])
     d = cert.details
     assert d["beta_lps"] >= 1 and d["stage_two_not_optimal"] == d["beta_lps"]
@@ -916,11 +937,11 @@ def test_lockstep_stage_one_keeps_the_one_by_one_certificates(monkeypatch):
               "linf-pairs": (structures.build_group(PAIRS, block_norm="linf"),
                              6)}
     for name, d, gamma, beta in _ONE_BY_ONE:
-        (st, rep), m = shapes[name]
+        st, m = shapes[name]
         a = np.random.default_rng([2110, list(shapes).index(name), d]) \
-            .standard_normal((m, rep.matrix.shape[1]))
+            .standard_normal((m, st.b.shape[1]))
         returned.clear()
-        cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+        cert = synth_certificate_group(a, None, st, 1, phi="l1")
         assert cert.gamma == pytest.approx(gamma, abs=1e-9), (name, d)
         assert cert.beta <= beta + 1e-9, (name, d)
         assert cert.details["lps"] == sum(map(len, returned.values()))
@@ -933,14 +954,14 @@ def test_lockstep_stage_one_keeps_the_one_by_one_certificates(monkeypatch):
 
 
 def test_synthesis_details_count_the_lps():
-    _, st, rep, a, _, _ = next(_pinned_cases())
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    _, st, a, _, _ = next(_pinned_cases())
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
     d = cert.details
     assert d["lps"] == st.n + d["beta_lps"] and d["beta_lps"] >= 1
     assert d["lp_iterations"] > 0 and 0.0 <= d["lp_delta"] <= 1e-8
-    st6, rep6 = structures.build_plain(6)
+    st6 = structures.build_plain(6)
     a6 = np.random.default_rng(5).standard_normal((4, 6))
-    joint = synth_certificate_group(a6, rep6.matrix, st6, 2, phi="l1")
+    joint = synth_certificate_group(a6, None, st6, 2, phi="l1")
     assert joint.details["lps"] == 1 and joint.details["beta_lps"] == 0
 
 
@@ -951,13 +972,13 @@ def test_synthesis_budget_sizes_the_lp_solved(monkeypatch):
     (s = 2) is sized on its primal and refused."""
     from sparsecert.certify import synthesis
     from sparsecert.norms import UnsupportedNormError
-    st, rep = structures.build_plain(20)
+    st = structures.build_plain(20)
     a = np.random.default_rng(8).standard_normal((12, 20))
     monkeypatch.setattr(synthesis, "_LP_ENTRY_BUDGET", 1000)
-    cert = synth_certificate_group(a, rep.matrix, st, 1, phi="l1")
+    cert = synth_certificate_group(a, None, st, 1, phi="l1")
     assert cert.details["stage_one_sequences"] == 1
     with pytest.raises(UnsupportedNormError, match="too large"):
-        synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
+        synth_certificate_group(a, None, st, 2, phi="l1")
 
 
 def test_synthesis_budget_counts_the_split_columns(monkeypatch):
@@ -968,21 +989,21 @@ def test_synthesis_budget_counts_the_split_columns(monkeypatch):
     refuses it."""
     from sparsecert.certify import synthesis
     from sparsecert.norms import UnsupportedNormError
-    st, rep = structures.build_plain(20)
+    st = structures.build_plain(20)
     a = np.random.default_rng(0).standard_normal((12, 20))
     monkeypatch.setattr(synthesis, "_LP_ENTRY_BUDGET", 1.3e6)
     with pytest.raises(UnsupportedNormError, match="820 rows, 901 variables"):
-        synth_certificate_group(a, rep.matrix, st, 2, phi="l1")
+        synth_certificate_group(a, None, st, 2, phi="l1")
 
 
 def test_joint_lp_pinned():
     """The joint LP (s = 2; one case with non-unit weights) keeps its gamma,
     beta and pivots bit for bit: they depend on the order of its columns,
     each free H column beside its negative (``_split_free``)."""
-    plain8, plain12 = structures.build_plain(8)[0], structures.build_plain(12)[0]
+    plain8, plain12 = structures.build_plain(8), structures.build_plain(12)
     group = structures.build_group([[0, 1], [2, 3], [4, 5], [6, 7]],
                                    weights=[1, 2, 1.5, 1],
-                                   block_norm=["l1", "linf", "l2", "l1"])[0]
+                                   block_norm=["l1", "linf", "l2", "l1"])
     cases = [
         (plain8, np.random.default_rng([0, 8]).standard_normal((5, 8)),
          1.5407870482039185, 2.6396485941068137, 132),
@@ -1007,13 +1028,13 @@ def test_joint_lp_matches_row_by_row_reference():
         cases.append((structures.build_group(blocks, block_norm=tags), 2.0))
         cases.append((structures.build_group(blocks, weights=[1, 2, 1.5, 1],
                                              block_norm=tags), 1.0))
-    for i, ((st, rep), s) in enumerate(cases):
+    for i, (st, s) in enumerate(cases):
         a = np.random.default_rng(i).standard_normal((5, 9))
-        lay = synthesis._Layout(st, a, rep.matrix)
+        lay = synthesis._Layout(st, a, st.b)
         lp, nh, _ = synthesis._synthesis_lp(lay, range(lay.sizes.size), s,
                                          simple=False)
         g_ref, h_ref, nh_ref = joint_synthesis_lp_oracle(
-            a, rep.matrix, lay.sizes, lay.tags, lay.chi, s)
+            a, st.b, lay.sizes, lay.tags, lay.chi, s)
         assert nh == nh_ref
         assert np.array_equal(lp.G, g_ref) and np.array_equal(lp.h, h_ref)
         assert lp.c[-1] == 1.0

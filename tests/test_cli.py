@@ -26,8 +26,8 @@ def run_cli(*args):
 
 
 def write_plain_problem(tmp_path, a, y, phi="linf", epsilon=0.0):
-    st, rep = structures.build_plain(a.shape[1])
-    prob = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=epsilon)
+    st = structures.build_plain(a.shape[1])
+    prob = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=epsilon)
     path = tmp_path / "problem.json"
     serialize.save_problem(path, prob, st)
     return path
@@ -72,6 +72,22 @@ def test_recover_rejects_b_of_the_wrong_shape(tmp_path, capsys):
             "epsilon": epsilon}))
         assert cli.main(["recover", "--problem", str(pp)]) == 1
         assert "B must be 4 x 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+@pytest.mark.parametrize("phi, epsilon", [("l2", 0.1), ("l1", 0.0)])
+def test_recover_refuses_a_non_finite_lambda(tmp_path, capsys, lam, phi,
+                                             epsilon):
+    """--lambda nan or inf is bad input (exit 1, one error line) on the ADMM
+    path (l2, epsilon > 0) and the LP path (l1) alike."""
+    p = write_plain_problem(tmp_path, np.array([[1.0, 0.0, 1.0],
+                                                [0.0, 1.0, 1.0]]),
+                            np.array([1.0, 0.5]), phi=phi, epsilon=epsilon)
+    assert cli.main(["recover", "--problem", str(p), "--mode", "penalized",
+                     "--lambda", lam]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: lam must be a finite number > 0\n"
 
 
 def test_recover_json_flag_emits_machine_readable(tmp_path):
@@ -152,7 +168,7 @@ def test_infeasible_recover_writes_strict_json(tmp_path, capsys):
 
 
 def test_certify_identity_valid_and_round_trips(tmp_path):
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
     out = tmp_path / "cert.json"
@@ -168,7 +184,7 @@ def test_certify_identity_valid_and_round_trips(tmp_path):
 
 
 def test_certify_json_reports_lp_counts(tmp_path):
-    st, _ = structures.build_plain(6)
+    st = structures.build_plain(6)
     sp = write_structure(tmp_path, st)
     a = np.random.default_rng(3).standard_normal((5, 6))
     r = run_cli("certify", "--structure", str(sp), "--matrix",
@@ -190,7 +206,7 @@ def test_certify_json_reports_lp_counts(tmp_path):
 
 
 def test_certify_zero_map_not_certifiable(tmp_path):
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.zeros((2, 4)))
     r = run_cli("certify", "--structure", str(sp), "--matrix", str(mp),
@@ -199,7 +215,7 @@ def test_certify_zero_map_not_certifiable(tmp_path):
 
 
 def test_certify_unsupported_combo_is_exit_five(tmp_path):
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
     r = run_cli("certify", "--structure", str(sp), "--matrix", str(mp),
@@ -216,7 +232,7 @@ def test_certify_synthesis_maxiter_is_exit_two(tmp_path, patch_reports,
     # LPSequence, whose phase two is capped here
     patch_reports(lambda i, x, rep: (
         None, SolveReport(status=Status.MAXITER, iterations=8000)))
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
     code = cli.main(["certify", "--structure", str(sp), "--matrix", str(mp),
@@ -236,7 +252,7 @@ def test_certify_dual_stage_one_not_optimal_is_exit_two(tmp_path,
     patch_reports(lambda i, x, rep: (
         None, SolveReport(status=Status.MAXITER, iterations=9))
         if i == 1 else (x, rep))
-    st, _ = structures.build_plain(5)
+    st = structures.build_plain(5)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path,
                       np.random.default_rng(4).standard_normal((3, 5)))
@@ -248,7 +264,7 @@ def test_certify_dual_stage_one_not_optimal_is_exit_two(tmp_path,
 
 
 def test_certify_lowrank_methods(tmp_path):
-    st, _ = structures.build_lowrank(2, 2)
+    st = structures.build_lowrank(2, 2)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
     out = tmp_path / "lr.json"
@@ -268,7 +284,7 @@ def test_lowrank_rank_level_must_be_an_integer(tmp_path, capsys):
     """--s 1.5 on a low-rank structure is bad input (exit 1), as it is for
     ``nullspace``, not a certificate at level 1; ``experiment`` builds its
     certificate the same way."""
-    st, _ = structures.build_lowrank(2, 2)
+    st = structures.build_lowrank(2, 2)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
     for method in ("ustar", "bar"):
@@ -277,11 +293,23 @@ def test_lowrank_rank_level_must_be_an_integer(tmp_path, capsys):
                          "--iters", "10"]) == 1
         assert "positive integer" in capsys.readouterr().err
     with pytest.raises(ValueError, match="positive integer"):
-        cli._make_certificate(st, None, np.eye(4), 1.5, "l1", "auto", 10, 0)
+        cli._make_certificate(st, np.eye(4), 1.5, "l1", "auto", 10, 0)
+
+
+def test_certify_refuses_negative_iters(tmp_path, capsys):
+    """--iters -5 is bad input (exit 1) naming --iters, as certificate.iters
+    -5 is in an experiment config, not a silent box bound."""
+    sp = write_structure(tmp_path, structures.build_lowrank(2, 2))
+    mp = write_matrix(tmp_path, np.eye(4))
+    assert cli.main(["certify", "--structure", str(sp), "--matrix", str(mp),
+                     "--s", "1", "--iters", "-5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: --iters -5 ")
+    assert out.err.count("\n") == 1
 
 
 def test_certify_wrong_method_for_structure(tmp_path):
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     sp = write_structure(tmp_path, st)
     mp = write_matrix(tmp_path, np.eye(4))
     r = run_cli("certify", "--structure", str(sp), "--matrix", str(mp),
@@ -294,7 +322,7 @@ def test_certify_wrong_method_for_structure(tmp_path):
 
 
 def test_nullspace_verdicts(tmp_path):
-    st, _ = structures.build_plain(5)
+    st = structures.build_plain(5)
     sp = write_structure(tmp_path, st)
     good = run_cli("nullspace", "--structure", str(sp), "--matrix",
                    str(write_matrix(tmp_path, np.eye(5))), "--s", "1")
@@ -316,7 +344,7 @@ def test_nullspace_verdicts(tmp_path):
 def test_nullspace_json_reports_the_pruning(tmp_path):
     """Plain n=8, s=2: 28 pairs of 2 signed supports each; the bounds from
     the 8 singleton LPs prune most pairs."""
-    st, _ = structures.build_plain(8)
+    st = structures.build_plain(8)
     sp = write_structure(tmp_path, st)
     a = np.random.default_rng(3).standard_normal((5, 8))
     r = run_cli("nullspace", "--structure", str(sp), "--matrix",
@@ -373,7 +401,7 @@ def _refused(argv, capsys, field):
 def test_non_finite_level_is_refused(tmp_path, capsys, command, flags, field):
     """A NaN level once read as 'no maximal sets' (CertifiedGood, gamma 0)
     and an infinite one overflowed; both are bad input."""
-    st, _ = structures.build_plain(6)
+    st = structures.build_plain(6)
     a = np.random.default_rng(0).standard_normal((3, 6))
     _refused([command, "--structure", str(write_structure(tmp_path, st)),
               "--matrix", str(write_matrix(tmp_path, a)), *flags], capsys,
@@ -381,7 +409,7 @@ def test_non_finite_level_is_refused(tmp_path, capsys, command, flags, field):
 
 
 def test_non_finite_rank_level_is_refused(tmp_path, capsys):
-    st, _ = structures.build_lowrank(2, 3)
+    st = structures.build_lowrank(2, 3)
     a = np.random.default_rng(0).standard_normal((4, 6))
     for level in ("nan", "inf"):
         _refused(["certify", "--structure", str(write_structure(tmp_path, st)),
@@ -418,7 +446,7 @@ def test_non_finite_tolerance_is_refused(tmp_path, capsys):
 def test_a_directory_as_a_path_is_an_error_line(tmp_path, capsys, which):
     """A directory where a file is read or written is an OSError other than
     FileNotFoundError; it ended in an IsADirectoryError traceback."""
-    st, _ = structures.build_plain(4)
+    st = structures.build_plain(4)
     paths = {"structure": str(write_structure(tmp_path, st)),
              "matrix": str(write_matrix(tmp_path, np.ones((2, 4)))),
              "out": str(tmp_path / "verdict.json")}
@@ -511,7 +539,7 @@ def test_bound_outside_validity_is_exit_four(tmp_path):
 
 
 def test_axioms_exit_codes(tmp_path):
-    st, _ = structures.build_group([(0, 1), (1, 2)], block_norm="l2")
+    st = structures.build_group([(0, 1), (1, 2)], block_norm="l2")
     sp = write_structure(tmp_path, st)
     r = run_cli("axioms", "--structure", str(sp), "--trials", "300")
     assert r.returncode == 0, r.stderr
@@ -522,7 +550,7 @@ def test_axioms_exit_codes(tmp_path):
 
 
 def make_config(tmp_path, trials=6, modes=("regular", "penalized")):
-    st, _ = structures.build_plain(6)
+    st = structures.build_plain(6)
     cfg = {
         "structure": structures.structure_to_dict(st),
         "matrix": {"gaussian": {"m": 5, "seed": 3}},
@@ -576,8 +604,8 @@ def test_experiment_summary_totals_anderson_steps(tmp_path, capsys):
     l2 pairs recover through ADMM, plain l1 through the LP."""
     totals = {}
     for name, st in (("pairs", structures.build_group(
-            [(0, 1), (2, 3), (4, 5)], block_norm="l2")[0]),
-            ("plain", structures.build_plain(6)[0])):
+            [(0, 1), (2, 3), (4, 5)], block_norm="l2")),
+            ("plain", structures.build_plain(6))):
         path = make_config(tmp_path, trials=2, modes=("regular",))
         cfg = serialize.load_json(path)
         cfg["structure"] = structures.structure_to_dict(st)
@@ -645,7 +673,7 @@ def test_experiment_config_values_are_checked_when_parsed(
     if (section, key) == ("noise", "law"):
         cfg["noise"]["epsilon"] = 0.0
     if section == "signal":
-        st, _ = structures.build_group([(0, 1, 2), (3, 4, 5)], weights=[2, 2])
+        st = structures.build_group([(0, 1, 2), (3, 4, 5)], weights=[2, 2])
         cfg["structure"] = structures.structure_to_dict(st)
     serialize.save_json(path, cfg)
     ran = []

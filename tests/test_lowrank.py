@@ -121,7 +121,7 @@ def test_svd_sign_convention_is_not_needed(rng):
             val, grad = lowrank._top_k_subgradient(mat, k)
             assert val == float(sv[:kk].sum())
             assert np.array_equal(grad, u[:, :kk] @ vt[:kk])
-        st, _ = structures.build_lowrank(*shape)
+        st = structures.build_lowrank(*shape)
         ratio, grad = bruteforce._lowrank_ratio_and_grad(st, mat.ravel(), 2)
         num, den = float(sv[:2].sum()), float(sv.sum())
         want = ((u[:, :2] @ vt[:2]) * den - num * (u @ vt)) / den ** 2
@@ -285,7 +285,7 @@ def test_exact_linf_beta_matches_the_per_bit_loop():
         m = int(r.integers(1, 13))
         h = r.standard_normal((m, p * q))
         s = int(r.integers(1, min(p, q) + 1))
-        st, _ = structures.build_lowrank(p, q)
+        st = structures.build_lowrank(p, q)
         beta, exact, info = lowrank._beta_bounds(h, s, p, q, "linf", r)
         assert exact
         assert info == {"evaluated_sign_vectors": 2 ** (m - 1)}

@@ -38,8 +38,8 @@ GROUPS = {
     "overlap": ([(0, 1, 2), (2, 3, 4), (4, 5), (1, 5), (5,)],
                 ["l1", "l1", "linf", "linf", "l1"]),
 }
-STRUCTURES = [("plain", structures.build_plain(6)[0])] + [
-    (name, structures.build_group(blocks, block_norm=tags)[0])
+STRUCTURES = [("plain", structures.build_plain(6))] + [
+    (name, structures.build_group(blocks, block_norm=tags))
     for name, (blocks, tags) in GROUPS.items()]
 FITS = [("regular", "l1", 0.0), ("regular", "l1", 0.3),
         ("regular", "linf", 0.0), ("regular", "linf", 0.3),
@@ -65,8 +65,7 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
     y = rng.standard_normal(4)
     y[3] = 0.0
     problem = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
-    lp, n = _build_recovery_lp(problem, structure,
-                               structures.rep_matrix(structure), mode, lam=1.7)
+    lp, n = _build_recovery_lp(problem, structure, None, mode, lam=1.7)
     assert n == 6
     x, got = solve_lp(lp)
     _, want = solve_lp(LinearProgram(*recovery_lp_oracle(problem, structure,
@@ -76,7 +75,7 @@ def test_recovery_lp_matches_row_by_row_reference(name, structure, mode, phi,
         # the objective is the structure norm of u = u+ - u- plus the fit
         u = x[:n] - x[n:2 * n]
         assert got.objective >= norms.structure_norm(
-            structure, structures.rep_matrix(structure) @ u) - 1e-9
+            structure, structure.b @ u) - 1e-9
 
 
 @pytest.mark.parametrize("name,structure", STRUCTURES)
@@ -89,8 +88,7 @@ def test_recovery_lp_row_counts(name, structure, mode, phi, eps):
     rng = np.random.default_rng(3)
     problem = RecoveryProblem(a=rng.standard_normal((m, n)), b=None,
                               y=rng.standard_normal(m), phi=phi, epsilon=eps)
-    lp, _ = _build_recovery_lp(problem, structure,
-                               structures.rep_matrix(structure), mode, lam=1.7)
+    lp, _ = _build_recovery_lp(problem, structure, None, mode, lam=1.7)
     cost, g = norms.structure_norm_epigraph(structure, n)
     fit = lp.senses[g.shape[0]:]
     assert lp.senses[:g.shape[0]] == ("le",) * g.shape[0]
@@ -109,7 +107,7 @@ def test_recovery_lp_row_counts(name, structure, mode, phi, eps):
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_linf_epigraph_is_one_row_per_member(name):
     blocks, tags = GROUPS[name]
-    structure, _ = structures.build_group(blocks, block_norm=tags)
+    structure = structures.build_group(blocks, block_norm=tags)
     cost, g = norms.structure_norm_epigraph(structure, 6)
     linf = [v for v, t in zip(blocks, structure.block_norms) if t == "linf"]
     assert g.shape == (sum(map(len, linf)), 12 + len(linf))
@@ -127,7 +125,7 @@ def test_kernel_ball_maxima_match_the_two_row_epigraph(name):
     """The one-row linf epigraph spans the same kernel ball as the pair
     +-(u+_i - u-_i) <= t: 8 random functionals of z have the same maxima."""
     blocks, tags = GROUPS[name]
-    structure, _ = structures.build_group(blocks, block_norm=tags)
+    structure = structures.build_group(blocks, block_norm=tags)
     a = np.random.default_rng(21).standard_normal((3, 6))
     lp = _kernel_ball_lp(a, structure)
     cost, g_ball = two_row_epigraph_oracle(structure, 6)
@@ -152,7 +150,7 @@ def test_group_bruteforce_lp_matches_row_by_row_reference(name):
     """Both LPs span the same ball of Ker(A): every linear functional of z
     has the same maximum over them."""
     blocks, tags = GROUPS[name]
-    structure, _ = structures.build_group(blocks, block_norm=tags)
+    structure = structures.build_group(blocks, block_norm=tags)
     a = np.random.default_rng(11).standard_normal((3, 6))
     a[0, 4] = 0.0
     lp = _kernel_ball_lp(a, structure)
@@ -173,7 +171,7 @@ def test_group_bruteforce_lp_matches_row_by_row_reference(name):
 def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
     a = np.random.default_rng(n + m).standard_normal((m, n))
     a[0, 1] = 0.0
-    st, _ = structures.build_plain(n)
+    st = structures.build_plain(n)
     lp = _kernel_ball_lp(a, st)
     g, h, senses, costs = plain_bruteforce_lp_oracle(a, s)
     ref = LinearProgram(c=np.zeros(2 * n), G=g, h=h, senses=senses)
@@ -197,7 +195,7 @@ def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
 def test_group_bruteforce_verdict_matches_oracle_enumeration(name, s, m,
                                                              seed):
     blocks, tags = GROUPS[name]
-    structure, rep = structures.build_group(blocks, block_norm=tags)
+    structure = structures.build_group(blocks, block_norm=tags)
     if seed is None:    # kernel near the all-ones vector: mass spread evenly
         v = 1.0 + 0.1 * np.random.default_rng(3).standard_normal(6)
         a = matrix_with_kernel(v)
@@ -205,7 +203,7 @@ def test_group_bruteforce_verdict_matches_oracle_enumeration(name, s, m,
         a = np.random.default_rng(seed).standard_normal((m, 6))
     gamma, statuses = group_gamma_lp_oracle(a, structure, s)
     assert all(st is Status.OPTIMAL for st in statuses)
-    v = gamma_s_bruteforce(a, structure, s, b=rep)
+    v = gamma_s_bruteforce(a, structure, s, b=None)
     assert v.gamma_value == pytest.approx(gamma, abs=1e-9)
     assert abs(gamma - 0.5) > 1e-6      # away from the tie, so status is sharp
     assert v.status == ("CertifiedGood" if gamma < 0.5 else "CertifiedBad")

@@ -111,20 +111,20 @@ def test_pi_s_nonint_weights_blocked_above_25():
 
 
 def test_structure_norms(rng):
-    pl, _ = structures.build_plain(6)
+    pl = structures.build_plain(6)
     v = rng.standard_normal(6)
     assert structure_norm(pl, v) == pytest.approx(np.abs(v).sum())
     assert structure_norm(pl, v, dual=True) == pytest.approx(np.abs(v).max())
 
-    gr, rep = structures.build_group([(0, 1), (1, 2)],
-                                     block_norm=["l2", "linf"])
-    w = rep.apply(rng.standard_normal(3))
+    gr = structures.build_group([(0, 1), (1, 2)],
+                                block_norm=["l2", "linf"])
+    w = gr.b @ rng.standard_normal(3)
     expect = np.linalg.norm(w[:2]) + np.abs(w[2:]).max()
     assert structure_norm(gr, w) == pytest.approx(expect)
     expect_dual = max(np.linalg.norm(w[:2]), np.abs(w[2:]).sum())
     assert structure_norm(gr, w, dual=True) == pytest.approx(expect_dual)
 
-    lr, _ = structures.build_lowrank(3, 4)
+    lr = structures.build_lowrank(3, 4)
     m = rng.standard_normal((3, 4))
     sv = np.linalg.svd(m, compute_uv=False)
     assert structure_norm(lr, m.ravel()) == pytest.approx(sv.sum())
@@ -144,8 +144,8 @@ def test_block_norms_match_per_block_vector_norm():
         blocks = [r.choice(n, size=int(c), replace=False) for c in sizes]
         blocks.append(range(n))                      # cover every coordinate
         tags = list(r.choice(norms.VECTOR_TAGS, size=len(blocks)))
-        gr, rep = structures.build_group(blocks, block_norm=tags)
-        w = rep.apply(r.standard_normal(n) * r.uniform(0.1, 5.0))
+        gr = structures.build_group(blocks, block_norm=tags)
+        w = gr.b @ (r.standard_normal(n) * r.uniform(0.1, 5.0))
         starts = np.concatenate([[0], np.cumsum([len(v) for v in blocks])])
         if trial % 3 == 0:
             w[starts[0]:starts[1]] = 0.0             # a zero block
@@ -175,13 +175,13 @@ def test_tag_blocks_gather_matches_per_block_norms():
         perm = r.permutation(n)
         blocks = np.split(perm, np.cumsum(sizes)[:-1])
         tags = list(r.choice(norms.VECTOR_TAGS, size=k))
-        gr, rep = structures.build_group(blocks, block_norm=tags)
+        gr = structures.build_group(blocks, block_norm=tags)
         assert sorted(tb.tag for tb in gr.tag_blocks) == sorted(set(tags))
         assert sorted(np.concatenate([tb.blocks for tb in gr.tag_blocks])) \
             == list(range(k))
         assert sorted(np.concatenate([tb.coords for tb in gr.tag_blocks])) \
             == list(range(gr.ambient_dim_e))
-        w = rep.apply(r.standard_normal(n))
+        w = gr.b @ r.standard_normal(n)
         views = np.split(w, gr.offsets[1:-1])
         for dual in (False, True):
             ref = [vector_norm(v, dual_tag(t) if dual else t)
@@ -192,12 +192,12 @@ def test_tag_blocks_gather_matches_per_block_norms():
 
 def test_structure_prox_matches_the_checked_prox(rng):
     """The prox picked once per structure is the checked prox."""
-    for st in (structures.build_plain(5)[0],
-               structures.build_group([(0, 1), (2, 3, 4)], block_norm="l2")[0],
-               structures.build_group([(0, 1), (2, 3, 4)], block_norm="linf")[0],
+    for st in (structures.build_plain(5),
+               structures.build_group([(0, 1), (2, 3, 4)], block_norm="l2"),
+               structures.build_group([(0, 1), (2, 3, 4)], block_norm="linf"),
                structures.build_group([(0, 1), (2, 3, 4)],
-                                      block_norm=["l1", "l2"])[0],
-               structures.build_lowrank(2, 3)[0]):
+                                      block_norm=["l1", "l2"]),
+               structures.build_lowrank(2, 3)):
         prox = norms.structure_prox(st)
         for tau in (0.0, 0.3, 2.0):
             w = rng.standard_normal(st.ambient_dim_e)
@@ -206,10 +206,10 @@ def test_structure_prox_matches_the_checked_prox(rng):
 
 
 def test_holder_inequality_everywhere(rng):
-    structs = (structures.build_plain(7)[0],
+    structs = (structures.build_plain(7),
                structures.build_group([(0, 1, 2), (3, 4), (5, 6)],
-                                      block_norm=["l1", "l2", "linf"])[0],
-               structures.build_lowrank(3, 3)[0])
+                                      block_norm=["l1", "l2", "linf"]),
+               structures.build_lowrank(3, 3))
     for st in structs:
         for _ in range(100):
             f = rng.standard_normal(st.ambient_dim_e)
@@ -225,8 +225,8 @@ def test_duality_by_sampling(rng):
     subdifferential witness (sign vector / outer product of singular bases)
     is added so the max is tight, not just close.
     """
-    pl, _ = structures.build_plain(6)
-    lr, _ = structures.build_lowrank(3, 3)
+    pl = structures.build_plain(6)
+    lr = structures.build_lowrank(3, 3)
     for st in (pl, lr):
         w = rng.standard_normal(st.ambient_dim_e)
         target = structure_norm(st, w)
@@ -260,10 +260,10 @@ def test_norm_axioms_hypothesis(xs, ys, tag):
 
 
 def test_ps_seminorm_against_enumeration(rng):
-    pl, _ = structures.build_plain(8)
-    gr, _ = structures.build_group([(0, 1, 2), (2, 3), (4, 5, 6), (6, 7)],
-                                   weights=[1, 2, 1, 1])
-    lr, _ = structures.build_lowrank(3, 4)
+    pl = structures.build_plain(8)
+    gr = structures.build_group([(0, 1, 2), (2, 3), (4, 5, 6), (6, 7)],
+                                weights=[1, 2, 1, 1])
+    lr = structures.build_lowrank(3, 4)
     for _ in range(20):
         z = rng.standard_normal(8)
         for s in (0.5, 1, 2, 8):
@@ -281,7 +281,7 @@ def test_ps_seminorm_against_enumeration(rng):
 
 def test_ps_seminorm_fixed_point():
     # rows (1,2) and (3,0): top singular values are sqrt(10) and sqrt(5)
-    lr, _ = structures.build_lowrank(2, 2)
+    lr = structures.build_lowrank(2, 2)
     z = np.array([[1.0, 2.0], [3.0, 0.0]])
     sv = np.linalg.svd(z, compute_uv=False)
     assert ps_seminorm(lr, z.ravel(), 1) == pytest.approx(sv[0] + sv.sum(),
@@ -323,7 +323,7 @@ def test_induced_norm_hard_cases_are_upper_bounds(rng):
 
 
 def test_omega_blocks(rng):
-    gr, _ = structures.build_group([(0, 1), (2, 3, 4)], block_norm="l1")
+    gr = structures.build_group([(0, 1), (2, 3, 4)], block_norm="l1")
     w = rng.standard_normal((5, 5))
     out, exact = omega(gr, w)
     assert out.shape == (2, 2) and exact.all()   # l1 -> l1 is exact
@@ -331,7 +331,7 @@ def test_omega_blocks(rng):
     val, _ = induced_norm(w[:2, 2:], "l1", "l1")
     assert out[0, 1] == pytest.approx(val)
     with pytest.raises(ValueError):
-        omega(structures.build_plain(3)[0], np.eye(3))
+        omega(structures.build_plain(3), np.eye(3))
 
 
 def test_soft_threshold_and_l1_projection(rng):
@@ -379,12 +379,12 @@ def test_prox_vector_norm_optimality(rng):
 
 
 def test_prox_structure_norm_all_kinds(rng):
-    pl, _ = structures.build_plain(5)
+    pl = structures.build_plain(5)
     v = rng.standard_normal(5)
     assert np.allclose(prox_structure_norm(pl, v, 0.3),
                        soft_threshold(v, 0.3))
 
-    gr, _ = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
+    gr = structures.build_group([(0, 1), (2, 3)], block_norm="l2")
     w = rng.standard_normal(4)
     got = prox_structure_norm(gr, w, 0.4)
     for blk in (slice(0, 2), slice(2, 4)):
@@ -392,7 +392,7 @@ def test_prox_structure_norm_all_kinds(rng):
         expect = np.zeros(2) if nb <= 0.4 else w[blk] * (1 - 0.4 / nb)
         assert np.allclose(got[blk], expect)
 
-    lr, _ = structures.build_lowrank(3, 3)
+    lr = structures.build_lowrank(3, 3)
     m = rng.standard_normal((3, 3))
     got = prox_structure_norm(lr, m, 0.5)
     u, sv, vt = np.linalg.svd(m)
@@ -410,8 +410,8 @@ def test_prox_structure_norm_all_kinds(rng):
 
 def test_vectorized_l2_group_prox_matches_per_block_loop(rng):
     # unequal block sizes, overlapping coordinates, one block of size 1
-    gr, _ = structures.build_group([(0, 1, 2), (2, 3), (4,), (5, 6, 7, 8), (0, 9)],
-                                   block_norm="l2")
+    gr = structures.build_group([(0, 1, 2), (2, 3), (4,), (5, 6, 7, 8), (0, 9)],
+                                block_norm="l2")
     sizes = [len(v) for v in gr.blocks]
     starts = np.concatenate([[0], np.cumsum(sizes)])
 
@@ -445,7 +445,7 @@ def test_vectorized_linf_group_prox_matches_per_block_loop():
     for trial in range(60):
         sizes = r.integers(1, 9, size=int(r.integers(1, 12)))
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        gr, _ = structures.build_group(
+        gr = structures.build_group(
             [range(starts[k], starts[k + 1]) for k in range(sizes.size)],
             block_norm="linf")
         w = r.standard_normal(starts[-1]) * r.uniform(0.1, 5.0)
@@ -476,7 +476,7 @@ def test_l1_ball_and_linf_prox_below_half_an_ulp(rng):
         assert np.abs(prox_vector_norm(v, "linf", 1e-7) - v).sum() <= 1e-7
         w = np.array([1e10, 3.0, 1.0, -2.0])
         for tags in ("linf", ["linf", "l1"]):
-            st, _ = structures.build_group([(0, 1), (2, 3)], block_norm=tags)
+            st = structures.build_group([(0, 1), (2, 3)], block_norm=tags)
             out = prox_structure_norm(st, w, 1e-7)
             assert np.all(np.isfinite(out))
             assert np.abs(out - w).sum() <= 2e-7 + 1e-12
@@ -493,7 +493,7 @@ def test_l1_ball_and_linf_prox_below_half_an_ulp(rng):
 
 def test_lowrank_prox_is_bitwise_the_svd_descending_formula():
     for p, q in ((3, 3), (4, 3), (5, 2)):
-        lr, _ = structures.build_lowrank(p, q)
+        lr = structures.build_lowrank(p, q)
         r = np.random.default_rng([p, q])
         for _ in range(10):
             m = r.standard_normal((p, q))
@@ -525,8 +525,8 @@ def test_structure_norm_epigraph_minimum_is_the_norm(rng):
     """Over [u+ | u- | t] >= 0 with u+ - u- pinned to u, the least cost
     under the epigraph rows is the structure norm of B u."""
     from sparsecert.engine import LinearProgram, Status, solve_lp
-    cases = [structures.build_plain(5)[0]] + [
-        structures.build_group(blocks, block_norm=tags)[0]
+    cases = [structures.build_plain(5)] + [
+        structures.build_group(blocks, block_norm=tags)
         for blocks, tags in (
             ([(0, 1), (2, 3, 4)], "l1"),
             ([(0, 1), (2, 3, 4)], "linf"),
@@ -542,15 +542,15 @@ def test_structure_norm_epigraph_minimum_is_the_norm(rng):
                 h=np.concatenate([np.zeros(g.shape[0]), u]),
                 senses=("le",) * g.shape[0] + ("eq",) * 5))
             assert rep.status is Status.OPTIMAL
-            want = structure_norm(st, structures.rep_matrix(st) @ u)
+            want = structure_norm(st, st.b @ u)
             assert rep.objective == pytest.approx(want, rel=1e-9)
 
 
 def test_structure_norm_epigraph_of_any_b_is_the_norm(rng):
     """The same for a representation map other than the canonical one."""
     from sparsecert.engine import LinearProgram, Status, solve_lp
-    cases = [structures.build_plain(5)[0]] + [
-        structures.build_group(blocks, block_norm=tags)[0]
+    cases = [structures.build_plain(5)] + [
+        structures.build_group(blocks, block_norm=tags)
         for blocks, tags in (
             ([(0, 1), (2, 3, 4)], "l1"),
             ([(0, 1), (2, 3, 4)], "linf"),
@@ -574,12 +574,12 @@ def test_structure_norm_epigraph_of_any_b_is_the_norm(rng):
 
 
 def test_lp_form_predicate():
-    assert norms.has_lp_form(structures.build_plain(3)[0])
+    assert norms.has_lp_form(structures.build_plain(3))
     assert norms.has_lp_form(structures.build_group(
-        [(0, 1), (2,)], block_norm=["l1", "linf"])[0])
+        [(0, 1), (2,)], block_norm=["l1", "linf"]))
     for st in (structures.build_group([(0, 1), (2,)],
-                                      block_norm=["l1", "l2"])[0],
-               structures.build_lowrank(2, 2)[0]):
+                                      block_norm=["l1", "l2"]),
+               structures.build_lowrank(2, 2)):
         assert not norms.has_lp_form(st)
         with pytest.raises(UnsupportedNormError):
             norms.structure_norm_epigraph(st, st.ambient_dim_x)

@@ -11,8 +11,8 @@ from sparsecert.recovery import (ErrorBudget, GammaTooLargeError,
 
 
 def make_plain_problem(a, y, phi="l1", epsilon=0.0):
-    st, rep = structures.build_plain(a.shape[1])
-    return RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=epsilon), st
+    st = structures.build_plain(a.shape[1])
+    return RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=epsilon), st
 
 
 def test_noiseless_exact_recovery_fixed_instance():
@@ -129,30 +129,53 @@ def test_error_bound_guards():
 
 
 def test_problem_validation():
-    st, rep = structures.build_plain(3)
+    st = structures.build_plain(3)
     with pytest.raises(ValueError):
-        RecoveryProblem(a=np.eye(3), b=rep, y=np.zeros(2))
+        RecoveryProblem(a=np.eye(3), b=None, y=np.zeros(2))
     with pytest.raises(ValueError):
-        RecoveryProblem(a=np.eye(3), b=rep, y=np.zeros(3), phi="l7")
+        RecoveryProblem(a=np.eye(3), b=None, y=np.zeros(3), phi="l7")
     with pytest.raises(ValueError):
-        RecoveryProblem(a=np.eye(3), b=rep, y=np.zeros(3), epsilon=-1.0)
+        RecoveryProblem(a=np.eye(3), b=None, y=np.zeros(3), epsilon=-1.0)
     with pytest.raises(ValueError):
-        recover_penalized(RecoveryProblem(a=np.eye(3), b=rep, y=np.zeros(3)),
+        recover_penalized(RecoveryProblem(a=np.eye(3), b=None, y=np.zeros(3)),
                           st, lam=-1.0)
 
 
 def test_problem_rejects_non_finite_data():
-    _, rep = structures.build_plain(2)
+    _ = structures.build_plain(2)
     a, y = np.eye(2), np.ones(2)
     for bad in (np.nan, np.inf):
         a_bad = a.copy()
         a_bad[0, 1] = bad
         with pytest.raises(ValueError):
-            RecoveryProblem(a=a_bad, b=rep, y=y)
+            RecoveryProblem(a=a_bad, b=None, y=y)
         with pytest.raises(ValueError):
-            RecoveryProblem(a=a, b=rep, y=np.array([bad, 1.0]))
+            RecoveryProblem(a=a, b=None, y=np.array([bad, 1.0]))
         with pytest.raises(ValueError):
-            RecoveryProblem(a=a, b=rep, y=y, epsilon=bad)
+            RecoveryProblem(a=a, b=None, y=y, epsilon=bad)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+@pytest.mark.parametrize("phi, epsilon", [("l2", 0.1), ("l1", 0.0)])
+def test_penalized_refuses_a_non_finite_lambda(lam, phi, epsilon):
+    """NaN or an infinite penalty is refused on the ADMM path (l2) and the
+    LP path (l1) alike, before any solve."""
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    prob, st = make_plain_problem(a, np.array([1.0, 0.5]), phi=phi,
+                                  epsilon=epsilon)
+    with pytest.raises(ValueError, match="lam must be a finite number > 0"):
+        recover_penalized(prob, st, lam)
+
+
+def test_recovery_refuses_an_a_of_the_wrong_width():
+    """A must have one column per coordinate of the structure."""
+    st = structures.build_plain(4)
+    for a in (np.ones((2, 3)), np.ones((2, 5))):
+        for phi, epsilon in (("l1", 0.0), ("l2", 0.1)):
+            prob = RecoveryProblem(a=a, b=None, y=np.ones(2), phi=phi,
+                                   epsilon=epsilon)
+            with pytest.raises(ValueError, match="A must have 4 columns"):
+                recover_regular(prob, st)
 
 
 def test_lp_stopped_in_phase_one_returns_no_point(monkeypatch):
@@ -187,14 +210,14 @@ def test_b_none_is_the_canonical_map(rng, phi, eps):
     """b=None resolves to the structure's representation map on the LP path
     (l1, eps = 0) and the splitting path (l2, eps > 0): the same result as
     passing that map, for plain and for overlapping group blocks."""
-    for st, rep in (structures.build_plain(6),
-                    structures.build_group([(0, 1, 2), (2, 3), (3, 4, 5)],
-                                           block_norm="l1")):
+    for st in (structures.build_plain(6),
+               structures.build_group([(0, 1, 2), (2, 3), (3, 4, 5)],
+                                      block_norm="l1")):
         a = rng.standard_normal((4, 6))
         y = a @ np.array([0.0, 1.5, 0.0, 0.0, -2.0, 0.0])
         got = recover_regular(RecoveryProblem(a=a, b=None, y=y, phi=phi,
                                               epsilon=eps), st)
-        want = recover_regular(RecoveryProblem(a=a, b=rep, y=y, phi=phi,
+        want = recover_regular(RecoveryProblem(a=a, b=None, y=y, phi=phi,
                                                epsilon=eps), st)
         assert got.feasible_solve
         assert got.report.iterations == want.report.iterations
@@ -206,7 +229,7 @@ def test_b_none_is_the_canonical_map(rng, phi, eps):
 def test_lp_path_minimizes_a_non_canonical_b():
     """B = diag(1, 10, 1): x = (1, 0, 1) fits y = (1, 1) with ||Bx||_1 = 2,
     where (0, 1, 0) costs 10; every method finds the former."""
-    st, _ = structures.build_plain(3)
+    st = structures.build_plain(3)
     prob = RecoveryProblem(a=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
                            b=np.diag([1.0, 10.0, 1.0]), y=np.ones(2),
                            phi="l1", epsilon=0.0)
@@ -219,9 +242,9 @@ def test_lp_path_minimizes_a_non_canonical_b():
 def test_lp_path_with_invertible_b_is_a_change_of_variables(rng):
     """min ||B u|| s.t. fit(A u - y) equals min ||w|| s.t. fit(A B^-1 w - y)
     under the canonical B, for each LP fit."""
-    for st in (structures.build_plain(6)[0],
+    for st in (structures.build_plain(6),
                structures.build_group([(0, 1), (2, 3, 4), (5,)],
-                                      block_norm=["linf", "l1", "linf"])[0]):
+                                      block_norm=["linf", "l1", "linf"])):
         a = rng.standard_normal((3, 6))
         b = np.eye(6) + 0.5 * rng.standard_normal((6, 6))
         y = rng.standard_normal(3)
@@ -245,10 +268,10 @@ def test_lp_path_with_invertible_b_is_a_change_of_variables(rng):
 def test_group_recovery_lp_vs_oracle_objective(rng):
     """Group objective with l1 blocks is a weighted l1; LP must match the
     direct enumeration of the tiny kernel instance."""
-    st, rep = structures.build_group([(0, 1), (2,)], block_norm="l1")
+    st = structures.build_group([(0, 1), (2,)], block_norm="l1")
     a = np.array([[1.0, 1.0, 1.0]])
     y = np.array([1.0])
-    prob = RecoveryProblem(a=a, b=rep, y=y, phi="linf", epsilon=0.0)
+    prob = RecoveryProblem(a=a, b=None, y=y, phi="linf", epsilon=0.0)
     res = recover_regular(prob, st)
     # any single-coordinate solution has objective 1
     assert res.report.objective == pytest.approx(1.0, abs=1e-8)

@@ -63,25 +63,43 @@ def test_json_is_stable(tmp_path):
 
 def test_problem_round_trip(tmp_path, rng):
     from sparsecert.recovery import RecoveryProblem
-    st, rep = structures.build_group([(0, 1), (1, 2)], block_norm="l2")
+    st = structures.build_group([(0, 1), (1, 2)], block_norm="l2")
     a = rng.standard_normal((2, 3))
     y = rng.standard_normal(2)
-    problem = RecoveryProblem(a=a, b=rep, y=y, phi="linf", epsilon=0.25)
+    problem = RecoveryProblem(a=a, b=None, y=y, phi="linf", epsilon=0.25)
     doc = problem_to_dict(problem, st)
-    prob, st2, rep2 = problem_from_dict(doc)
+    prob, st2 = problem_from_dict(doc)
     assert prob.phi == "linf" and prob.epsilon == 0.25
     assert np.array_equal(prob.a, a) and np.array_equal(prob.y, y)
     assert structures.structure_to_dict(st2) == \
         structures.structure_to_dict(st)
     path = tmp_path / "p.json"
     save_problem(path, problem, st)
-    prob2, _, _ = load_problem(path)
+    prob2, _ = load_problem(path)
     assert np.array_equal(prob2.a, prob.a)
 
 
+def test_problem_round_trip_keeps_a_custom_b(tmp_path):
+    """save_problem writes a custom B, so the reloaded problem recovers what
+    the saved one did: x = [1, 0, 1] under B = diag(1, 10, 1), where the
+    canonical B would give [0, 1, 0]."""
+    from sparsecert.recovery import RecoveryProblem, recover_regular
+    st = structures.build_plain(3)
+    problem = RecoveryProblem(a=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                              b=np.diag([1.0, 10.0, 1.0]), y=[1.0, 1.0],
+                              phi="l1")
+    path = tmp_path / "p.json"
+    save_problem(path, problem, st)
+    loaded, st2 = load_problem(path)
+    assert np.array_equal(loaded.b, problem.b)
+    before = recover_regular(problem, st).x_hat
+    assert np.allclose(before, [1.0, 0.0, 1.0], atol=1e-9)
+    assert np.array_equal(recover_regular(loaded, st2).x_hat, before)
+
+
 def test_problem_defaults():
-    st, rep = structures.build_plain(2)
-    prob, _, _ = problem_from_dict({
+    st = structures.build_plain(2)
+    prob, _ = problem_from_dict({
         "structure": structures.structure_to_dict(st),
         "a": [[1.0, 0.0], [0.0, 1.0]], "y": [0.0, 0.0]})
     assert prob.phi == "l2" and prob.epsilon == 0.0

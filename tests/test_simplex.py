@@ -520,14 +520,14 @@ def test_recovery_lp_pivots_pinned():
     from sparsecert.recovery import _build_recovery_lp
     r = np.random.default_rng(11)
     n, m = 30, 15
-    st, rep = structures.build_plain(n)
+    st = structures.build_plain(n)
     a = r.standard_normal((m, n))
     x = np.zeros(n)
     x[[3, 17, 22]] = [1.0, -2.0, 0.5]
-    prob = RecoveryProblem(a=a, b=rep, y=a @ x + 0.01 * r.standard_normal(m),
+    prob = RecoveryProblem(a=a, b=None, y=a @ x + 0.01 * r.standard_normal(m),
                            phi="l1", epsilon=0.05)
     oracle_form = LinearProgram(*recovery_lp_oracle(prob, st, "regular"))
-    lp, _ = _build_recovery_lp(prob, st, rep.matrix, "regular")
+    lp, _ = _build_recovery_lp(prob, st, None, "regular")
     cases = [(oracle_form, phase_one_solve, None, 93),
              (oracle_form, solve_lp, "phase_one", 93 + _DEGENERATE_STREAK),
              (lp, phase_one_solve, None, 64), (lp, solve_lp, "dual", 18)]
@@ -547,13 +547,13 @@ def test_certificate_lp_counts_pinned():
     every LP from the basis the batch's first LP ended on."""
     from sparsecert.certify.bruteforce import gamma_s_bruteforce
     from sparsecert.certify.synthesis import synth_certificate_group
-    st, _ = structures.build_plain(12)
+    st = structures.build_plain(12)
     a = np.random.default_rng(3).standard_normal((7, 12))
     d = gamma_s_bruteforce(a, st, 3).details
     assert (d["lp_count"], d["lp_iterations"]) == (132, 898)
-    st, rep = structures.build_plain(16)
+    st = structures.build_plain(16)
     a = np.random.default_rng(0).standard_normal((10, 16))
-    d = synth_certificate_group(a, rep.matrix, st, 1, phi="l1").details
+    d = synth_certificate_group(a, None, st, 1, phi="l1").details
     assert (d["stage_one_iterations"], d["stage_two_iterations"],
             d["beta_lps"]) == (135, 236, 13)
 
@@ -789,9 +789,9 @@ def _recovery_lps(seeds=(0, 1, 2)):
     """Seeded l1- and linf-fit recovery LPs of ``recovery._build_recovery_lp``:
     regular with eps = 0.05 and penalized with lam = 1.5, on plain n=24 and
     on 8 triples with l1 and with linf blocks, m = 12."""
-    structs = [structures.build_plain(24)[0]] + [
+    structs = [structures.build_plain(24)] + [
         structures.build_group([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)],
-                               [1.0] * 8, tag)[0] for tag in ("l1", "linf")]
+                               [1.0] * 8, tag) for tag in ("l1", "linf")]
     lps = []
     for seed in seeds:
         r = np.random.default_rng([seed, 20])
@@ -829,10 +829,10 @@ def _infeasible_l1_fit(seed):
     """Regular l1 recovery LP whose eps is half the least l1 fit of an
     overdetermined A u = y (m = 16, n = 8)."""
     r = np.random.default_rng(seed)
-    st, rep = structures.build_plain(8)
+    st = structures.build_plain(8)
     a, y = r.standard_normal((16, 8)), r.standard_normal(16)
-    prob = RecoveryProblem(a=a, b=rep, y=y, phi="l1", epsilon=1e6)
-    lp, _ = _build_recovery_lp(prob, st, rep.matrix, "regular")
+    prob = RecoveryProblem(a=a, b=None, y=y, phi="l1", epsilon=1e6)
+    lp, _ = _build_recovery_lp(prob, st, None, "regular")
     fit_cost = np.zeros(lp.c.size)
     fit_cost[-32:] = 1.0
     least = solve_lp(LinearProgram(c=fit_cost, G=lp.G, h=lp.h,
@@ -864,12 +864,12 @@ def test_maxiter_caps_dual_and_primal_pivots_together():
     a dual start, on one that gives up after zero steps and on one that
     meets an empty feasible set."""
     r = np.random.default_rng(11)
-    st, rep = structures.build_plain(30)
+    st = structures.build_plain(30)
     a = r.standard_normal((15, 30))
-    prob = RecoveryProblem(a=a, b=rep, y=a @ np.eye(30)[3] + 0.01 *
+    prob = RecoveryProblem(a=a, b=None, y=a @ np.eye(30)[3] + 0.01 *
                            r.standard_normal(15), phi="l1", epsilon=0.05)
     oracle_form = LinearProgram(*recovery_lp_oracle(prob, st, "regular"))
-    lps = [_build_recovery_lp(prob, st, rep.matrix, "regular")[0],
+    lps = [_build_recovery_lp(prob, st, None, "regular")[0],
            oracle_form, _infeasible_l1_fit(0)]
     for lp in lps:
         _, full = solve_lp(lp)
@@ -888,10 +888,10 @@ def test_equality_fit_keeps_the_phase_one_path():
     recovery LP starts at phase one and keeps its pivots and point."""
     for seed in range(3):
         r = np.random.default_rng(seed)
-        for st in (structures.build_plain(24)[0],
+        for st in (structures.build_plain(24),
                    structures.build_group([[3 * i, 3 * i + 1, 3 * i + 2]
                                            for i in range(8)], [1.0] * 8,
-                                          "linf")[0]):
+                                          "linf")):
             a = r.standard_normal((12, 24))
             prob = RecoveryProblem(a=a, b=None, y=a @ np.eye(24)[5],
                                    phi="l1", epsilon=0.0)

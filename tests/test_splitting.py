@@ -12,9 +12,9 @@ from oracles import plain_admm_oracle
 
 
 def test_identity_noiseless_recovers_input(rng):
-    st, rep = structures.build_plain(6)
+    st = structures.build_plain(6)
     x0 = np.array([0.0, 2.0, 0.0, -1.0, 0.0, 0.0])
-    sp = SplitProblem(a=np.eye(6), b=rep.matrix, y=x0, structure=st,
+    sp = SplitProblem(a=np.eye(6), b=st.b, y=x0, structure=st,
                       phi="l2", epsilon=0.0, tol=1e-10)
     u, rep_out = solve_split(sp)
     assert rep_out.status is Status.OPTIMAL
@@ -22,11 +22,11 @@ def test_identity_noiseless_recovers_input(rng):
 
 
 def test_constraint_mode_feasibility(rng):
-    st, rep = structures.build_plain(8)
+    st = structures.build_plain(8)
     a = rng.standard_normal((5, 8))
     y = rng.standard_normal(5)
     for phi in ("l1", "l2", "linf"):
-        sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi=phi,
+        sp = SplitProblem(a=a, b=st.b, y=y, structure=st, phi=phi,
                           epsilon=0.3, tol=1e-9)
         u, out = solve_split(sp)
         assert out.status is Status.OPTIMAL
@@ -35,14 +35,14 @@ def test_constraint_mode_feasibility(rng):
 
 def test_agrees_with_lp_backend(rng):
     """Same instance through both solvers; polyhedral data, so LP is exact."""
-    st, rep = structures.build_plain(8)
+    st = structures.build_plain(8)
     for trial in range(5):
         r = np.random.default_rng(trial)
         a = r.standard_normal((4, 8))
         x0 = np.zeros(8)
         x0[r.choice(8, 2, replace=False)] = r.choice([-1.0, 1.0], 2)
         y = a @ x0
-        prob = RecoveryProblem(a=a, b=rep, y=y, phi="linf", epsilon=0.1)
+        prob = RecoveryProblem(a=a, b=None, y=y, phi="linf", epsilon=0.1)
         lp_res = recover_regular(prob, st, method="lp")
         sp_res = recover_regular(prob, st, method="split", tol=1e-10)
         obj_lp = lp_res.report.objective
@@ -51,11 +51,11 @@ def test_agrees_with_lp_backend(rng):
 
 
 def test_penalty_mode_matches_lp(rng):
-    st, rep = structures.build_plain(6)
+    st = structures.build_plain(6)
     a = rng.standard_normal((3, 6))
     y = rng.standard_normal(3)
     from sparsecert.recovery import recover_penalized
-    prob = RecoveryProblem(a=a, b=rep, y=y, phi="l1")
+    prob = RecoveryProblem(a=a, b=None, y=y, phi="l1")
     lp_res = recover_penalized(prob, st, lam=2.0, method="lp")
     sp_res = recover_penalized(prob, st, lam=2.0, method="split", tol=1e-10)
     assert abs(lp_res.report.objective - sp_res.report.objective) <= \
@@ -65,13 +65,13 @@ def test_penalty_mode_matches_lp(rng):
 def test_nuclear_norm_completion_shrinks_rank(rng):
     """Low-rank recovery from partial entries lands near the planted matrix."""
     p = q = 4
-    st, rep = structures.build_lowrank(p, q)
+    st = structures.build_lowrank(p, q)
     r = np.random.default_rng(7)
     planted = np.outer(r.standard_normal(p), r.standard_normal(q))
     mask = r.random(p * q) < 0.8
     a = np.eye(p * q)[mask]
     y = a @ planted.ravel()
-    sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi="l2",
+    sp = SplitProblem(a=a, b=st.b, y=y, structure=st, phi="l2",
                       epsilon=1e-8, tol=1e-9, maxiter=20000)
     u, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
@@ -81,33 +81,44 @@ def test_nuclear_norm_completion_shrinks_rank(rng):
 
 
 def test_input_validation():
-    st, rep = structures.build_plain(3)
+    st = structures.build_plain(3)
     with pytest.raises(ValueError):
-        SplitProblem(a=np.eye(3), b=rep.matrix, y=np.zeros(2), structure=st)
+        SplitProblem(a=np.eye(3), b=st.b, y=np.zeros(2), structure=st)
     with pytest.raises(ValueError):
-        SplitProblem(a=np.eye(3), b=rep.matrix, y=np.zeros(3), structure=st,
+        SplitProblem(a=np.eye(3), b=st.b, y=np.zeros(3), structure=st,
                      mode="dual")
     with pytest.raises(ValueError):
-        SplitProblem(a=np.eye(3), b=rep.matrix, y=np.zeros(3), structure=st,
+        SplitProblem(a=np.eye(3), b=st.b, y=np.zeros(3), structure=st,
                      mode="penalty", lam=0.0)
     with pytest.raises(ValueError):
-        SplitProblem(a=np.eye(3), b=rep.matrix, y=np.zeros(3), structure=st,
+        SplitProblem(a=np.eye(3), b=st.b, y=np.zeros(3), structure=st,
                      epsilon=-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_split_problem_refuses_a_non_finite_radius_or_penalty(bad):
+    st = structures.build_plain(3)
+    kw = dict(a=np.eye(3), b=st.b, y=np.zeros(3), structure=st)
+    with pytest.raises(ValueError,
+                       match="epsilon must be a finite number >= 0"):
+        SplitProblem(**kw, epsilon=bad)
+    with pytest.raises(ValueError, match="lam must be a finite number > 0"):
+        SplitProblem(**kw, mode="penalty", lam=bad)
+
+
 def test_group_structure_split(rng):
-    st, rep = structures.build_group([(0, 1, 2), (3, 4)], block_norm="l2")
+    st = structures.build_group([(0, 1, 2), (3, 4)], block_norm="l2")
     a = rng.standard_normal((3, 5))
     x0 = np.array([0.0, 0.0, 0.0, 1.0, -2.0])   # one active block
     y = a @ x0
-    sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi="l2",
+    sp = SplitProblem(a=a, b=st.b, y=y, structure=st, phi="l2",
                       epsilon=0.0, tol=1e-10, maxiter=30000)
     u, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
     # solution explains the data and its objective does not exceed x0's
     assert np.linalg.norm(a @ u - y) <= 1e-6
-    assert norms.structure_norm(st, rep.apply(u)) <= \
-        norms.structure_norm(st, rep.apply(x0)) + 1e-6
+    assert norms.structure_norm(st, st.b @ u) <= \
+        norms.structure_norm(st, st.b @ x0) + 1e-6
 
 
 def _two_solve_reference(stack, rhs, regularize):
@@ -140,9 +151,9 @@ def test_u_step_gain_matches_two_triangular_solves(rng):
 
 
 def test_regularization_warning_reaches_the_report(rng):
-    st, rep = structures.build_plain(4)
+    st = structures.build_plain(4)
     a = rng.standard_normal((2, 4))
-    b = rep.matrix.copy()
+    b = st.b.copy()
     b[3, 3] = 0.0
     a[:, 3] = 0.0
     sp = SplitProblem(a=a, b=b, y=a @ np.array([1.0, 0.0, 0.0, 0.0]),
@@ -160,12 +171,12 @@ def test_seeded_run_is_pinned():
     (``oracles.plain_admm_oracle``) takes 1,139 iterations here, to
     objective 3.4784241516392194."""
     r = np.random.default_rng(2024)
-    st, rep = structures.build_plain(30)
+    st = structures.build_plain(30)
     a = r.standard_normal((15, 30))
     x0 = np.zeros(30)
     x0[[3, 11, 20]] = [1.0, -2.0, 0.5]
     y = a @ x0 + 0.01 * r.standard_normal(15)
-    sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi="l2",
+    sp = SplitProblem(a=a, b=st.b, y=y, structure=st, phi="l2",
                       epsilon=0.05, tol=1e-8)
     u, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
@@ -182,25 +193,25 @@ def _benchmark_shape(kind, seed):
     r = np.random.default_rng([seed, 12])
     if kind in ("plain-n50", "plain-n30"):
         n, m, k, eps = (50, 25, 3, 0.2) if kind == "plain-n50" else (30, 15, 2, 0.05)
-        st, rep = structures.build_plain(n)
+        st = structures.build_plain(n)
         x0 = np.zeros(n)
         support = r.choice(n, k, replace=False)
         x0[support] = r.choice([-1.0, 1.0], k) * r.uniform(0.5, 1.5, k)
     elif kind == "l2-triples":
-        st, rep = structures.build_group(
+        st = structures.build_group(
             [tuple(range(3 * i, 3 * i + 3)) for i in range(10)], block_norm="l2")
         m, eps = 15, 0.05
         x0 = np.zeros(30)
         blk = r.integers(10)
         x0[3 * blk:3 * blk + 3] = r.standard_normal(3)
     else:
-        st, rep = structures.build_lowrank(4, 3)
+        st = structures.build_lowrank(4, 3)
         m, eps = 9, 0.05
         x0 = np.outer(r.standard_normal(4), r.standard_normal(3)).ravel()
     a = r.standard_normal((m, x0.size))
     xi = r.standard_normal(m)
     xi *= eps * r.uniform(0.2, 0.9) / np.linalg.norm(xi)
-    return dict(a=a, b=rep.matrix, y=a @ x0 + xi, structure=st, phi="l2",
+    return dict(a=a, b=st.b, y=a @ x0 + xi, structure=st, phi="l2",
                 epsilon=eps)
 
 
@@ -227,9 +238,9 @@ def test_penalty_start_is_spectral_unless_regularized(rng):
     assert rho == pytest.approx(np.sqrt(eig[0] * eig[-1]), rel=1e-12)
     assert scale == pytest.approx(np.sqrt(eig[-1]), rel=1e-12)
     # a singular M'M (coordinate 3 in neither B nor A) starts at rho 1
-    st, rep = structures.build_plain(4)
+    st = structures.build_plain(4)
     a = rng.standard_normal((2, 4))
-    b = rep.matrix.copy()
+    b = st.b.copy()
     b[3, 3] = 0.0
     a[:, 3] = 0.0
     rho, _ = _penalty_start(np.vstack([b, a]), True)
@@ -258,9 +269,9 @@ def test_forced_split_matches_lp_on_polyhedral_sweep():
     objective; none stops at the iteration cap."""
     for kind, phi, eps, seeds in _POLYHEDRAL_SWEEP:
         if kind == "plain":
-            st, rep = structures.build_plain(20)
+            st = structures.build_plain(20)
         else:
-            st, rep = structures.build_group(
+            st = structures.build_group(
                 [(2 * i, 2 * i + 1) for i in range(10)], block_norm=kind)
         for seed in seeds:
             r = np.random.default_rng([seed, 7])
@@ -268,7 +279,7 @@ def test_forced_split_matches_lp_on_polyhedral_sweep():
             x0 = np.zeros(20)
             x0[r.choice(20, 3, replace=False)] = r.choice([-1.0, 1.0], 3)
             y = a @ x0 + 0.01 * r.standard_normal(10)
-            prob = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=eps)
+            prob = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
             lp = recover_regular(prob, st, method="lp").report
             sp = recover_regular(prob, st, method="split").report
             assert sp.status is Status.OPTIMAL, (kind, phi, seed)
@@ -284,16 +295,16 @@ def test_balancing_stops_at_its_second_reversal():
     residuals grow, and stops at the iteration cap; rho kept from the second
     reversal on ends OPTIMAL."""
     r = np.random.default_rng([1, 0, 3, 2])
-    st, rep = structures.build_plain(60)
+    st = structures.build_plain(60)
     a = r.standard_normal((30, 60))
     x0 = np.zeros(60)
     support = r.choice(60, 2, replace=False)
     x0[support] = r.standard_normal(2)
     xi = r.standard_normal(30)
     y = a @ x0 + 0.05 * xi / np.linalg.norm(xi)
-    sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi="l2",
+    sp = SplitProblem(a=a, b=st.b, y=y, structure=st, phi="l2",
                       mode="penalty", lam=1.5)
-    assert _penalty_start(np.vstack([rep.matrix, a]), False)[0] == \
+    assert _penalty_start(np.vstack([st.b, a]), False)[0] == \
         pytest.approx(12.86, abs=0.01)
     _, out = solve_split(sp)
     assert out.status is Status.OPTIMAL
@@ -305,12 +316,12 @@ def _experiment_shape(kind, seed):
     a unit-magnitude planted signal and l1 noise inside the l1 ball."""
     r = np.random.default_rng([seed, 16])
     if kind == "lowrank-3x3":
-        st, rep = structures.build_lowrank(3, 3)
+        st = structures.build_lowrank(3, 3)
         m = 9
         x0 = np.outer(r.choice([-1.0, 1.0], 3), r.choice([-1.0, 1.0], 3)).ravel()
     else:
-        st, rep = structures.build_group([(0, 1), (2, 3), (4, 5)],
-                                         block_norm="l2")
+        st = structures.build_group([(0, 1), (2, 3), (4, 5)],
+                                    block_norm="l2")
         m = 6
         x0 = np.zeros(6)
         blk = r.integers(3)
@@ -319,7 +330,7 @@ def _experiment_shape(kind, seed):
     a = r.standard_normal((m, x0.size))
     xi = r.standard_normal(m)
     xi *= eps * r.uniform() / np.abs(xi).sum()
-    return dict(a=a, b=rep.matrix, y=a @ x0 + xi, structure=st, phi="l1",
+    return dict(a=a, b=st.b, y=a @ x0 + xi, structure=st, phi="l1",
                 epsilon=eps)
 
 
@@ -377,9 +388,9 @@ def test_certified_delta_covers_the_lp_gap():
     duality gap: never below the split objective minus the exact LP one."""
     for kind, phi, eps, seeds in _POLYHEDRAL_SWEEP:
         if kind == "plain":
-            st, rep = structures.build_plain(20)
+            st = structures.build_plain(20)
         else:
-            st, rep = structures.build_group(
+            st = structures.build_group(
                 [(2 * i, 2 * i + 1) for i in range(10)], block_norm=kind)
         for seed in seeds:
             r = np.random.default_rng([seed, 7])
@@ -387,7 +398,7 @@ def test_certified_delta_covers_the_lp_gap():
             x0 = np.zeros(20)
             x0[r.choice(20, 3, replace=False)] = r.choice([-1.0, 1.0], 3)
             y = a @ x0 + 0.01 * r.standard_normal(10)
-            prob = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=eps)
+            prob = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=eps)
             lp = recover_regular(prob, st, method="lp")
             sp = recover_regular(prob, st, method="split")
             assert sp.delta >= sp.report.objective - lp.report.objective - 1e-12
@@ -397,11 +408,11 @@ def test_certified_delta_covers_the_lp_gap():
 def test_penalty_delta_is_a_gap():
     """Penalized splitting: delta covers the gap to the exact LP optimum."""
     from sparsecert.recovery import recover_penalized
-    st, rep = structures.build_plain(12)
+    st = structures.build_plain(12)
     r = np.random.default_rng(4)
     a = r.standard_normal((6, 12))
     y = a @ np.eye(12)[3] + 0.02 * r.standard_normal(6)
-    prob = RecoveryProblem(a=a, b=rep, y=y, phi="l1")
+    prob = RecoveryProblem(a=a, b=None, y=y, phi="l1")
     lp = recover_penalized(prob, st, lam=1.5, method="lp")
     sp = recover_penalized(prob, st, lam=1.5, method="split")
     assert sp.report.status is Status.OPTIMAL
@@ -435,23 +446,23 @@ def test_dual_bound_never_exceeds_the_optimum():
     r = np.random.default_rng(5)
     for kind in ("plain", "l1", "linf"):
         if kind == "plain":
-            st, rep = structures.build_plain(8)
+            st = structures.build_plain(8)
         else:
-            st, rep = structures.build_group(
+            st = structures.build_group(
                 [(0, 1), (2, 3), (4, 5), (6, 7)], block_norm=kind)
         a = r.standard_normal((4, 8))
         y = a @ np.eye(8)[1] + 0.05 * r.standard_normal(4)
-        stack = np.vstack([rep.matrix, a])
+        stack = np.vstack([st.b, a])
         null = np.linalg.svd(stack.T)[2][stack.shape[1]:]   # rows span {M'z = 0}
         for phi in ("l1", "linf"):
-            prob = RecoveryProblem(a=a, b=rep, y=y, phi=phi, epsilon=0.1)
+            prob = RecoveryProblem(a=a, b=None, y=y, phi=phi, epsilon=0.1)
             for mode, lam in (("constraint", 1.0), ("penalty", 0.7)):
                 if mode == "constraint":
                     opt = recover_regular(prob, st, method="lp").report.objective
                 else:
                     opt = recover_penalized(prob, st, lam=lam,
                                             method="lp").report.objective
-                sp = SplitProblem(a=a, b=rep.matrix, y=y, structure=st, phi=phi,
+                sp = SplitProblem(a=a, b=st.b, y=y, structure=st, phi=phi,
                                   mode=mode, epsilon=0.1, lam=lam)
                 for size in (0.1, 1.0, 30.0):
                     for _ in range(10):

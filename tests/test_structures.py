@@ -21,13 +21,12 @@ BLOCKS = [(0, 1, 2), (2, 3), (4, 5, 6), (6, 7)]
 
 
 def test_plain_builder():
-    st, rep = build_plain(5)
+    st = build_plain(5)
     assert st.kind == "plain" and st.n == 5
     assert st.ambient_dim_x == st.ambient_dim_e == 5
-    assert rep.identity_shortcut
-    assert np.array_equal(rep.matrix, np.eye(5))
+    assert np.array_equal(st.b, np.eye(5))
     x = np.arange(5.0)
-    assert np.array_equal(rep.apply(x), x)
+    assert np.array_equal(st.b @ x, x)
     assert st.full_weight() == 5.0
     # the block layout of the n singleton l1 blocks with unit weights
     assert st.blocks == tuple((i,) for i in range(5))
@@ -35,24 +34,24 @@ def test_plain_builder():
 
 
 def test_shared_norm_is_derived_from_the_block_tags():
-    assert build_group(BLOCKS, block_norm="linf")[0].shared_norm == "linf"
-    mixed, _ = build_group(BLOCKS, block_norm=["l1", "l2", "l1", "l1"])
+    assert build_group(BLOCKS, block_norm="linf").shared_norm == "linf"
+    mixed = build_group(BLOCKS, block_norm=["l1", "l2", "l1", "l1"])
     assert mixed.shared_norm is None
-    assert build_lowrank(2, 3)[0].shared_norm is None
+    assert build_lowrank(2, 3).shared_norm is None
 
 
 def test_block_layout_is_derived_at_construction():
     """``offsets`` (K + 1 block starts in E) and ``block_of`` (the block of
     each E coordinate) come with the structure, read-only; overlapping
     blocks stack in E, and low rank has no blocks."""
-    pl, _ = build_plain(4)
+    pl = build_plain(4)
     assert pl.offsets.tolist() == [0, 1, 2, 3, 4]
     assert pl.block_of.tolist() == [0, 1, 2, 3]
-    gr, _ = build_group(BLOCKS, block_norm=["l1", "l2", "linf", "l2"])
+    gr = build_group(BLOCKS, block_norm=["l1", "l2", "linf", "l2"])
     assert gr.offsets.tolist() == [0, 3, 5, 8, 10]
     assert gr.block_of.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
     assert gr.offsets[-1] == gr.ambient_dim_e == 10
-    lr, _ = build_lowrank(2, 3)
+    lr = build_lowrank(2, 3)
     assert lr.offsets.tolist() == [0] and lr.block_of.size == 0
     for arr in (gr.offsets, gr.block_of, lr.block_of):
         with pytest.raises(ValueError):
@@ -65,8 +64,8 @@ def test_plain_is_the_singleton_l1_block_layout(rng):
     plain projectors keep their kind and pick the stable top-s support."""
     from sparsecert.certify.conditions import worst_condition_projector
     n = 7
-    pl, _ = build_plain(n)
-    gr, _ = build_group([(i,) for i in range(n)], block_norm="l1")
+    pl = build_plain(n)
+    gr = build_group([(i,) for i in range(n)], block_norm="l1")
     for _ in range(10):
         w = rng.standard_normal(n)
         w[int(rng.integers(1, n))] = -w[0]      # a tie in magnitude
@@ -99,14 +98,33 @@ def test_plain_is_the_singleton_l1_block_layout(rng):
 
 
 def test_group_builder_overlap():
-    st, rep = build_group(BLOCKS, weights=[1, 2, 1, 1], block_norm="l2")
+    st = build_group(BLOCKS, weights=[1, 2, 1, 1], block_norm="l2")
     assert st.ambient_dim_x == 8
     # overlapping coordinates are duplicated in the representation space
     assert st.ambient_dim_e == 3 + 2 + 3 + 2
     x = np.arange(8.0)
-    w = rep.apply(x)
+    w = st.b @ x
     assert np.array_equal(w, [0, 1, 2, 2, 3, 4, 5, 6, 6, 7])
     assert st.full_weight() == 5.0
+
+
+def test_structure_owns_its_read_only_b():
+    """``structure.b`` is built once and cannot be written; resolving B again
+    returns that same array, and so does passing it back explicitly, with
+    no custom matrix, while any other B is the custom one."""
+    for st in (build_plain(4), build_group(BLOCKS), build_lowrank(2, 3)):
+        assert st.b.shape == (st.ambient_dim_e, st.ambient_dim_x)
+        with pytest.raises(ValueError):
+            st.b[0, 0] = 2.0
+        first, custom = structures.representation(st)
+        assert first is st.b and custom is None
+        assert structures.representation(st)[0] is first
+        again, custom = structures.representation(st, st.b.copy())
+        assert again is st.b and custom is None
+    st = build_plain(3)
+    b = np.diag([1.0, 10.0, 1.0])
+    bmat, custom = structures.representation(st, b.tolist())
+    assert np.array_equal(bmat, b) and custom is bmat
 
 
 def test_group_builder_rejects_bad_blocks():
@@ -132,10 +150,10 @@ def test_group_builder_rejects_non_finite_weights():
 def test_lowrank_builder_keeps_wide_inputs():
     """A 2 x 4 structure acts on 2 x 4 matrices: norms, projectors and the
     file format all keep the shape the caller gave."""
-    st, rep = build_lowrank(2, 4)
+    st = build_lowrank(2, 4)
     assert (st.p, st.q) == (2, 4)
     assert st.full_weight() == 2.0
-    assert rep.identity_shortcut
+    assert np.array_equal(st.b, np.eye(8))
     x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
     assert norms.structure_norm(st, x.ravel()) == pytest.approx(
         math.sqrt(30.0), abs=1e-12)
@@ -144,25 +162,25 @@ def test_lowrank_builder_keeps_wide_inputs():
         0.0, abs=1e-12)
     d = structure_to_dict(st)
     assert (d["p"], d["q"]) == (2, 4)
-    st2, _ = structure_from_dict(d)
+    st2 = structure_from_dict(d)
     assert (st2.p, st2.q) == (2, 4)
     with pytest.raises(StructureError):
         build_lowrank(0, 3)
 
 
 def test_dispatch_and_dict_round_trip():
-    for st, _ in (build_plain(4),
-                  build_group(BLOCKS, weights=[1, 2, 1, 1],
-                              block_norm=["l1", "l2", "linf", "l2"]),
-                  build_lowrank(3, 3)):
-        st2, _ = structure_from_dict(structure_to_dict(st))
+    for st in (build_plain(4),
+               build_group(BLOCKS, weights=[1, 2, 1, 1],
+                           block_norm=["l1", "l2", "linf", "l2"]),
+               build_lowrank(3, 3)):
+        st2 = structure_from_dict(structure_to_dict(st))
         assert structure_to_dict(st2) == structure_to_dict(st)
     with pytest.raises(StructureError):
         build_structure("ring", n=3)
 
 
 def test_plain_projector_family():
-    st, _ = build_plain(6)
+    st = build_plain(6)
     fam = enumerate_projectors(st, 2)
     assert len(fam) == math.comb(6, 2)
     assert all(p.nu == 2.0 for p in fam)
@@ -178,7 +196,7 @@ def test_plain_projector_family():
 
 
 def test_group_projector_family_maximality():
-    st, _ = build_group(BLOCKS, weights=[1, 2, 1, 1])
+    st = build_group(BLOCKS, weights=[1, 2, 1, 1])
     fam = enumerate_projectors(st, 2)
     sets = sorted(tuple(sorted(p.block_set)) for p in fam)
     # weight-2 maximal subsets of chi = (1,2,1,1)
@@ -188,20 +206,20 @@ def test_group_projector_family_maximality():
 
 
 def test_enumeration_refuses_a_level_that_is_not_a_number():
-    for st, _ in (build_plain(4), build_group(BLOCKS)):
+    for st in (build_plain(4), build_group(BLOCKS)):
         for s in (-1.0, math.nan):
             with pytest.raises(ValueError):
                 enumerate_projectors(st, s)
 
 
 def test_lowrank_family_not_enumerable():
-    st, _ = build_lowrank(3, 3)
+    st = build_lowrank(3, 3)
     with pytest.raises(NotEnumerableError):
         enumerate_projectors(st, 1)
 
 
 def test_lowrank_projection_shapes_and_idempotence(rng):
-    st, _ = build_lowrank(4, 3)
+    st = build_lowrank(4, 3)
     proj = random_projector(st, rng, max_weight=2)
     m = rng.standard_normal((4, 3))
     pm = project(st, proj, m)
@@ -216,9 +234,9 @@ def test_lowrank_projection_shapes_and_idempotence(rng):
 
 
 def test_projection_idempotent_and_complementary(rng):
-    for st, _ in (build_plain(7),
-                  build_group(BLOCKS, weights=[1, 2, 1, 1]),
-                  build_lowrank(3, 4)):
+    for st in (build_plain(7),
+               build_group(BLOCKS, weights=[1, 2, 1, 1]),
+               build_lowrank(3, 4)):
         for _ in range(50):
             proj = random_projector(st, rng)
             w = rng.standard_normal(st.ambient_dim_e)
@@ -229,7 +247,7 @@ def test_projection_idempotent_and_complementary(rng):
 
 
 def test_best_sparse_approx_plain_matches_enumeration(rng):
-    st, _ = build_plain(9)
+    st = build_plain(9)
     for _ in range(40):
         w = rng.standard_normal(9)
         for s in (1, 3, 9):
@@ -241,7 +259,7 @@ def test_best_sparse_approx_plain_matches_enumeration(rng):
 
 
 def test_best_sparse_approx_group_matches_enumeration(rng):
-    st, _ = build_group(BLOCKS, weights=[1, 2, 1, 1])
+    st = build_group(BLOCKS, weights=[1, 2, 1, 1])
     for _ in range(40):
         w = rng.standard_normal(st.ambient_dim_e)
         for s in (1, 2, 3, 5):
@@ -252,7 +270,7 @@ def test_best_sparse_approx_group_matches_enumeration(rng):
 
 
 def test_best_sparse_approx_group_real_weights_is_upper_bound(rng):
-    st, _ = build_group([(0, 1), (2, 3), (4,)], weights=[1.5, 0.7, 1.1])
+    st = build_group([(0, 1), (2, 3), (4,)], weights=[1.5, 0.7, 1.1])
     for _ in range(20):
         w = rng.standard_normal(5)
         got = best_sparse_approx(st, w, 2.0)
@@ -266,7 +284,7 @@ def test_best_sparse_approx_group_real_weights_is_upper_bound(rng):
 def test_best_sparse_approx_real_weights_beats_greedy():
     # greedy by norm/weight ratio keeps block 0 (2.3/1.1) and nothing else
     # fits; the best set is blocks 1 and 2
-    st, _ = build_group([(0,), (1,), (2,)], weights=[1.1, 1.0, 1.0])
+    st = build_group([(0,), (1,), (2,)], weights=[1.1, 1.0, 1.0])
     got = best_sparse_approx(st, np.array([2.3, 2.0, -2.0]), 2.0)
     assert got.exact
     assert got.delta_x == pytest.approx(2.3, abs=1e-12)
@@ -277,7 +295,7 @@ def test_best_sparse_approx_many_real_weights_falls_back_to_greedy():
     # past 25 non-integer weights the greedy set is used and flagged; the
     # same trap as above makes it strictly worse than the best set
     weights = [1.1, 1.0, 1.0] + [1.5] * 24
-    st, _ = build_group([(i,) for i in range(27)], weights=weights)
+    st = build_group([(i,) for i in range(27)], weights=weights)
     w = np.concatenate([[2.3, 2.0, 2.0], np.full(24, 0.1)])
     got = best_sparse_approx(st, w, 2.0)
     assert not got.exact
@@ -286,7 +304,7 @@ def test_best_sparse_approx_many_real_weights_falls_back_to_greedy():
 
 
 def test_best_sparse_approx_lowrank_truncates_svd(rng):
-    st, _ = build_lowrank(4, 4)
+    st = build_lowrank(4, 4)
     m = rng.standard_normal((4, 4))
     sv = np.linalg.svd(m, compute_uv=False)
     for s in (1, 2, 4):
@@ -300,9 +318,9 @@ def test_worst_condition_projector_is_the_best_sparse_approx(rng):
     twice the mass that keeps: bitwise the selection it made by itself for
     plain and group, the truncated SVD for low rank."""
     from sparsecert.certify.conditions import worst_condition_projector
-    pl, _ = build_plain(9)
-    gr, _ = build_group(BLOCKS, weights=[1.0, 2.0, 1.0, 1.5],
-                        block_norm=["l1", "l2", "linf", "l2"])
+    pl = build_plain(9)
+    gr = build_group(BLOCKS, weights=[1.0, 2.0, 1.0, 1.5],
+                     block_norm=["l1", "l2", "linf", "l2"])
     for st in (pl, gr):
         for _ in range(20):
             w = rng.standard_normal(st.ambient_dim_e)
@@ -314,7 +332,7 @@ def test_worst_condition_projector_is_the_best_sparse_approx(rng):
                 assert proj.block_set == frozenset(np.nonzero(mask)[0])
                 approx = best_sparse_approx(st, w, s)
                 assert approx.kept == value
-    lr, _ = build_lowrank(4, 3)
+    lr = build_lowrank(4, 3)
     for _ in range(20):
         m = rng.standard_normal((4, 3))
         for s in (1, 2, 5):
@@ -331,19 +349,19 @@ def test_worst_condition_projector_is_the_best_sparse_approx(rng):
 
 
 def test_full_weight_approx_is_lossless(rng):
-    for st, _ in (build_plain(6),
-                  build_group(BLOCKS, weights=[1, 2, 1, 1]),
-                  build_lowrank(3, 3)):
+    for st in (build_plain(6),
+               build_group(BLOCKS, weights=[1, 2, 1, 1]),
+               build_lowrank(3, 3)):
         w = rng.standard_normal(st.ambient_dim_e)
         assert best_sparse_approx(st, w, st.full_weight()).delta_x == \
             pytest.approx(0.0, abs=1e-9)
 
 
 def test_axioms_hold_on_all_three_families():
-    for st, _ in (build_plain(6),
-                  build_group(BLOCKS, weights=[1, 2, 1, 1],
-                              block_norm=["l1", "l2", "linf", "l2"]),
-                  build_lowrank(3, 4)):
+    for st in (build_plain(6),
+               build_group(BLOCKS, weights=[1, 2, 1, 1],
+                           block_norm=["l1", "l2", "linf", "l2"]),
+               build_lowrank(3, 4)):
         report = verify_axioms(st, trials=500, seed=3)
         assert report.ok, report.violations[:1]
         assert min(report.worst_margin.values()) >= -1e-9
@@ -357,7 +375,7 @@ def test_axiom_checker_catches_corrupt_complement(monkeypatch):
         return w if which == "complement" else real(structure, proj, w, which)
 
     monkeypatch.setattr(structures, "project", corrupt)
-    st, _ = build_plain(6)
+    st = build_plain(6)
     report = verify_axioms(st, trials=200, seed=1)
     assert not report.ok
     assert any(v["axiom"] == "complement_kills_range"
@@ -365,10 +383,10 @@ def test_axiom_checker_catches_corrupt_complement(monkeypatch):
 
 
 def test_random_projector_respects_weight_cap(rng):
-    st, _ = build_group(BLOCKS, weights=[1, 2, 1, 1])
+    st = build_group(BLOCKS, weights=[1, 2, 1, 1])
     for _ in range(100):
         assert random_projector(st, rng, max_weight=2).nu <= 2 + 1e-12
-    lr, _ = build_lowrank(4, 4)
+    lr = build_lowrank(4, 4)
     for _ in range(50):
         assert random_projector(lr, rng, max_weight=2).nu <= 2
 
@@ -376,7 +394,7 @@ def test_random_projector_respects_weight_cap(rng):
 def test_group_enumeration_lists_every_maximal_set():
     """30 unit blocks at s=3: the C(30, 3) triples in lexicographic order,
     with no 2^K walk and no budget to refuse it."""
-    st, _ = build_group([(i,) for i in range(30)])
+    st = build_group([(i,) for i in range(30)])
     fam = enumerate_projectors(st, 3)
     assert [tuple(sorted(p.block_set)) for p in fam] == \
         list(itertools.combinations(range(30), 3))
@@ -398,7 +416,7 @@ def test_maximal_block_sets_match_the_reference():
     for weights, s in draws:
         want = maximal_block_sets_oracle(weights, s)
         assert list(structures.maximal_block_sets(weights, s)) == want
-        st, _ = build_group([(i,) for i in range(len(weights))], weights)
+        st = build_group([(i,) for i in range(len(weights))], weights)
         fam = [tuple(sorted(p.block_set))
                for p in structures.iter_projectors(st, s)]
         assert fam == (want or [()])
@@ -407,10 +425,10 @@ def test_maximal_block_sets_match_the_reference():
 def test_maximal_block_sets_are_output_sensitive():
     """Many blocks and few maximal sets: the walk is recursion-free and
     costs about K steps per set."""
-    st, _ = build_group([(i,) for i in range(1200)])
+    st = build_group([(i,) for i in range(1200)])
     assert [p.block_set for p in enumerate_projectors(st, 1200)] == \
         [frozenset(range(1200))]
-    st, _ = build_group([(i,) for i in range(60)])
+    st = build_group([(i,) for i in range(60)])
     fam = enumerate_projectors(st, 58)
     assert [tuple(sorted(p.block_set)) for p in fam] == \
         list(itertools.combinations(range(60), 58))

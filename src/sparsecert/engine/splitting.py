@@ -114,10 +114,10 @@ class SplitProblem:
             raise ValueError("phi must be one of l1/l2/linf")
         if not 0 < self.tol < math.inf or self.maxiter < 1:   # NaN fails too
             raise ValueError("tol must be positive and finite; maxiter >= 1")
-        # comparisons read NaN as out of range
-        if not 0 <= self.epsilon < math.inf:
+        # each mode checks only its own parameter; NaN fails the range test
+        if self.mode == "constraint" and not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be a finite number >= 0")
-        if not 0 < self.lam < math.inf:
+        if self.mode == "penalty" and not 0 < self.lam < math.inf:
             raise ValueError("lam must be a finite number > 0")
 
 

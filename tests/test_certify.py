@@ -593,7 +593,6 @@ def test_synthesis_conservative_vs_bruteforce(rng):
     """The verifiable route can lose at most a factor 2 on plain structures:
     gamma_synth >= 2*gamma_s - tol always."""
     st = structures.build_plain(8)
-    _ = structures.build_plain(8)
     for trial in range(6):
         a = np.random.default_rng(trial + 10).standard_normal((6, 8))
         bf = gamma_s_bruteforce(a, st, 1)

@@ -142,7 +142,6 @@ def test_problem_validation():
 
 
 def test_problem_rejects_non_finite_data():
-    _ = structures.build_plain(2)
     a, y = np.eye(2), np.ones(2)
     for bad in (np.nan, np.inf):
         a_bad = a.copy()
@@ -217,8 +216,8 @@ def test_b_none_is_the_canonical_map(rng, phi, eps):
         y = a @ np.array([0.0, 1.5, 0.0, 0.0, -2.0, 0.0])
         got = recover_regular(RecoveryProblem(a=a, b=None, y=y, phi=phi,
                                               epsilon=eps), st)
-        want = recover_regular(RecoveryProblem(a=a, b=None, y=y, phi=phi,
-                                               epsilon=eps), st)
+        want = recover_regular(RecoveryProblem(a=a, b=st.b.copy(), y=y,
+                                               phi=phi, epsilon=eps), st)
         assert got.feasible_solve
         assert got.report.iterations == want.report.iterations
         assert np.array_equal(got.x_hat, want.x_hat)

@@ -106,6 +106,19 @@ def test_split_problem_refuses_a_non_finite_radius_or_penalty(bad):
         SplitProblem(**kw, mode="penalty", lam=bad)
 
 
+def test_split_problem_checks_only_the_parameter_its_mode_reads():
+    """Constraint mode never reads lam and penalty mode never reads epsilon,
+    so neither refuses the parameter it ignores."""
+    st = structures.build_plain(3)
+    kw = dict(a=np.eye(3), b=st.b, y=np.zeros(3), structure=st)
+    for lam in (0.0, -1.0, np.nan):
+        assert SplitProblem(**kw, mode="constraint", lam=lam).mode == \
+            "constraint"
+    for epsilon in (-1.0, np.nan, np.inf):
+        assert SplitProblem(**kw, mode="penalty", epsilon=epsilon).mode == \
+            "penalty"
+
+
 def test_group_structure_split(rng):
     st = structures.build_group([(0, 1, 2), (3, 4)], block_norm="l2")
     a = rng.standard_normal((3, 5))

@@ -491,6 +491,9 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
     if not 0 <= s < math.inf:   # NaN fails too
         raise ValueError("s must be a finite number >= 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[1] != structure.ambient_dim_x:
+        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
+                         "for this structure")
     bmat, custom = structures.representation(structure, b)
     if structure.kind == "group" and len(structure.blocks) > 12 \
             and not norms.has_lp_form(structure):

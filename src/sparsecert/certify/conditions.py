@@ -8,9 +8,12 @@ every projector P of weight at most s,
 ``check_condition_Cs`` samples z (half the draws biased into Ker(A), where the
 condition bites) and evaluates the left side at the worst projector the
 structure admits: the top-s support (entrywise), the weight-knapsack block set
-(group), or singular-subspace truncations of Bz plus random probes (low rank,
+of ``norms.select_blocks`` (group; past its block limit for real weights the
+greedy set, a feasible projector whose left side may fall short of the
+worst), or singular-subspace truncations of Bz plus random probes (low rank,
 where the family is continuous and the aligned projector is only the natural
-candidate, not a proven maximizer).
+candidate, not a proven maximizer).  Every projector tried has weight <= s,
+so a violation found is a real one.
 """
 
 from __future__ import annotations
@@ -84,9 +87,11 @@ def worst_condition_projector(structure, w, s, rng=None, probes=0):
     """Worst (or best-known) projector for the condition's left side at w.
 
     Returns (projector, lhs): ``structures.best_sparse_approx``'s projector
-    and twice the mass it keeps, exact for plain and for group structures
-    where the weight knapsack is solvable; for low rank (its singular
-    truncation) ``probes`` extra random projectors are tried.
+    and twice the mass it keeps, the worst for plain and for group
+    structures wherever that selection is exact (``SparseApprox.exact``),
+    else a feasible projector whose lhs is a lower bound on the worst; for
+    low rank (its singular truncation) ``probes`` extra random projectors
+    are tried.
     """
     approx = structures.best_sparse_approx(structure, w, s)
     best_proj, best = approx.projector, 2.0 * approx.kept
@@ -123,8 +128,11 @@ def check_condition_Cs(a, b, structure, s, gamma, beta, phi, trials, seed,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    bmat, _ = structures.representation(structure, b)
     n = a.shape[1]
+    if n != structure.ambient_dim_x:
+        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
+                         "for this structure")
+    bmat, _ = structures.representation(structure, b)
     rng = np.random.default_rng(seed)
     null = _kernel_basis(a)
     worst = np.inf

@@ -28,6 +28,7 @@ orthogonal projector onto the kernel of A.  ``theta``, ``opt_bar`` and
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -203,9 +204,10 @@ def certify_lowrank(a, s, phi="l1", p=None, q=None, iters=2000, seed=0):
     """Certificate from the pseudoinverse dual map H = (A^+)^T.
 
     W = Id - H^T A; gamma is opt_star(W) (opt_bar when iters=0, reported as
-    method LowRankUBar).  beta is exact for the l1 noise metric and for linf
-    with at most 16 measurement rows; for l2 (or wide linf) a flagged upper
-    bound with a sampled lower bound is used instead of refusing.
+    method LowRankUBar; iters must be an integer >= 0).  beta is exact for
+    the l1 noise metric and for linf with at most 16 measurement rows; for
+    l2 (or wide linf) a flagged upper bound with a sampled lower bound is
+    used instead of refusing.
     ``details`` holds ``gamma_bar`` (opt_bar at W) and the beta information:
     ``evaluated_sign_vectors`` for exact linf, ``sampling_lower_bound`` for
     a flagged upper bound.  ``identity_residual`` is ||Id - N N^T - H^T A||
@@ -216,6 +218,9 @@ def certify_lowrank(a, s, phi="l1", p=None, q=None, iters=2000, seed=0):
     if p is None or q is None:
         raise ValueError("the matrix shape (p, q) is required")
     _check_level(s)
+    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) \
+            or iters < 0:
+        raise ValueError(f"iters {iters!r} is not an integer >= 0")
     if a.shape[1] != p * q:
         raise ValueError("A must have pq columns (row-major vectorization)")
     rng = np.random.default_rng(seed)

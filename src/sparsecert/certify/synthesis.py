@@ -50,8 +50,14 @@ whatever vertex the simplex lands on.
 The reported gamma is the LP optimal value, which is unique even though the
 minimizing H need not be, so the primal and dual routes to it agree to
 solver tolerance.  It is never below the recheck of the final W with exact
-induced norms.  Each stage keeps its ``LPSequence``s in one dict, and
-``details`` sums their tallies.
+induced norms.  The recheck and beta = psi_s(H) read pi_s from the
+certified upper bound of ``norms.select_blocks``: the exact selection for
+unit and integer weights and up to its block limit of real weights, the
+fractional bound past it, so neither is ever optimistic.  ``exact_gamma``
+needs unit weights, exact induced norms and an LP optimum that meets the
+recheck; ``exact_beta`` needs the largest mass a row's selection keeps to
+meet the largest row bound.  Each stage keeps its ``LPSequence``s in one
+dict, and ``details`` sums their tallies.
 """
 
 from __future__ import annotations
@@ -82,10 +88,11 @@ class SynthesisNotOptimalError(RuntimeError):
 
 
 def psi_s(h, structure, s, phi="l1"):
-    """Exact noise-amplification constant for l1-ball noise metrics.
+    """Noise-amplification constant for l1-ball noise metrics.
 
     Maximizes the retained-mass seminorm of H^T v over the extreme points
-    +-e_i of the unit l1 ball, i.e. over the rows of H.
+    +-e_i of the unit l1 ball, i.e. over the rows of H: exact wherever
+    ``norms.pi_s`` is, else its certified upper bound.
     """
     if phi != "l1":
         raise norms.UnsupportedNormError(
@@ -397,7 +404,7 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
     kk = lay.sizes.size
     # when s = 1 with unit weights the relaxed selection of a column is just
     # twice its maximum, so the row blocks of W decouple
-    simple_max = float(s) == 1.0 and _weights_unit(lay.chi)
+    simple_max = float(s) == 1.0 and norms.unit_weights(lay.chi)
     # the LPSequences of stage one and stage two by block signature, and of
     # the joint LP
     one, two, joint = {}, {}, {}
@@ -438,10 +445,15 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
             norms.pi_s(omega_vals[:, l], lay.chi, s) for l in range(kk))
     exact_gamma = bool(np.all(lay.pair_exact) and np.all(omega_exact)
                        and abs(gamma_lp - gamma_recheck) <= 1e-8
-                       and _weights_unit(lay.chi))
+                       and norms.unit_weights(lay.chi))
     gamma = max(0.0, gamma_lp, gamma_recheck)
 
-    beta = psi_s(h_opt, structure, s, phi)
+    # beta = psi_s(H), twice the largest row bound; exact when some row's
+    # selected mass reaches it
+    rows = [norms.select_blocks(norms.group_block_norms(structure, row),
+                                lay.chi, s) for row in h_opt]
+    beta = 2.0 * max((upper for _, _, upper in rows), default=0.0)
+    exact_beta = beta == 2.0 * max((value for value, _, _ in rows), default=0.0)
     every = [*one.values(), *two.values(), *joint.values()]
     details = {
         "lps": sum(q.lps for q in every),
@@ -458,9 +470,5 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
     return Certificate(gamma=gamma, beta=float(beta), s=float(s), phi=phi,
                        method="ColumnLP", h_matrix=h_opt, w_matrix=w_opt,
                        identity_residual=identity_residual,
-                       exact_gamma=exact_gamma, exact_beta=True,
+                       exact_gamma=exact_gamma, exact_beta=exact_beta,
                        details=details)
-
-
-def _weights_unit(chi):
-    return bool(np.all(np.abs(np.asarray(chi) - 1.0) < 1e-12))

@@ -11,10 +11,11 @@ three families of vector/matrix norms:
   [u+ | u- | t], all >= 0 with u = u+ - u-: the l1 mass is a cost on
   u+ + u- and only linf blocks add a t and rows,
 * the sparsity-weighted objects used by the certification machinery:
-  ``sum_top`` (sum of the s largest magnitudes), ``pi_s`` (weighted
-  block-selection norm, exact and relaxed variants) with its maximizing
-  block set ``select_blocks``, ``sigma_sum`` (partial sum of singular
-  values) and ``ps_seminorm``.
+  ``sum_top`` (sum of the s largest magnitudes), the weighted block
+  selection ``select_blocks`` (a heaviest block set of weight <= s and a
+  certified upper bound on its mass, equal to it wherever the selection is
+  exact) and ``pi_s``, twice that bound, ``sigma_sum`` (partial sum of
+  singular values) and ``ps_seminorm``.
 
 Structure-aware functions take the structure duck-typed, touching only
 ``kind`` (low rank or a block layout), ``blocks``, ``weights``,
@@ -105,29 +106,30 @@ def sigma_sum(z, k):
 
 
 # ---------------------------------------------------------------------------
-# weighted selection (knapsack) machinery behind pi_s
+# the weighted block selection behind pi_s (a 0/1 knapsack)
+
+# real (non-integer) weights up to which the selection runs branch and bound;
+# past it the greedy set and its fractional bound stand in for the optimum
+_EXACT_BLOCKS = 25
+
+
+def unit_weights(chi):
+    """Whether every block weight is 1 (to 1e-12), where the heaviest
+    selection is the floor(s) largest blocks."""
+    return bool(np.all(np.abs(np.asarray(chi, dtype=float) - 1.0) < 1e-12))
 
 
 def _weights_are_integer(chi):
     return bool(np.all(np.abs(chi - np.round(chi)) <= 1e-9 * np.maximum(1.0, chi)))
 
 
-def knapsack_argmax(values, weights, capacity):
-    """Exact 0/1 knapsack for integer weights.
-
-    Maximizes sum(values[i] for chosen i) subject to
-    sum(weights[i]) <= capacity.  Returns (best_value, boolean mask).
-    Weights must be positive integers, values nonnegative reals.
-    """
-    values = np.asarray(values, dtype=float)
-    w = np.round(np.asarray(weights, dtype=float)).astype(int)
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    cap = int(capacity)
+def _knapsack_argmax(values, weights, capacity):
+    """Exact 0/1 knapsack for positive integer weights and nonnegative
+    values by dynamic programming: (best value, boolean mask)."""
+    w = np.round(weights).astype(int)
+    cap = int(min(capacity, w.sum()))
     k = len(values)
     chosen = np.zeros(k, dtype=bool)
-    if cap <= 0 or k == 0:
-        return 0.0, chosen
     # dp[c] = best value at capacity c; keep takes for reconstruction
     dp = np.zeros(cap + 1)
     take = np.zeros((k, cap + 1), dtype=bool)
@@ -145,129 +147,91 @@ def knapsack_argmax(values, weights, capacity):
     return float(dp[cap]), chosen
 
 
-def _knapsack_branch_bound(values, weights, capacity):
-    """Exact 0/1 knapsack for real weights via depth-first branch and bound."""
-    order = np.argsort(-values / weights)
-    v = values[order]
-    w = weights[order]
-    k = len(v)
-    best = 0.0
-    best_set: list[int] = []
+def _ratio_pass(a, chi, order, room):
+    """One pass over the blocks ``order``, by descending |u|/chi, in ``room``:
+    (mass, taken, bound).  ``taken`` is the greedy set, each block that still
+    fits, and ``mass`` its mass.  ``bound`` is Dantzig's fractional bound
+    (Oper. Res. 5, 1957) on the mass of every set that fits: the blocks
+    taken before the first one that fits alone but no longer fits, plus that
+    block's fraction of the room left."""
+    taken, mass, bound, left = [], 0.0, None, room
+    for i in order:
+        if chi[i] <= left:
+            taken.append(i)
+            mass += a[i]
+            left -= chi[i]
+        elif bound is None and chi[i] <= room:
+            bound = mass + a[i] * left / chi[i]
+    return mass, taken, mass if bound is None else bound
 
-    def frac_bound(i, cap):
-        # fractional-knapsack upper bound for the tail starting at item i
-        total = 0.0
-        for j in range(i, k):
-            if w[j] <= cap:
-                cap -= w[j]
-                total += v[j]
-            else:
-                total += v[j] * (cap / w[j])
-                break
-        return total
 
-    stack = [(0, capacity, 0.0, [])]
+def _branch_and_bound(a, chi, order, room):
+    """Exact 0/1 knapsack by depth-first branch and bound over ``order``:
+    each node's ratio pass is both a feasible completion and its bound."""
+    best, best_set = 0.0, []
+    stack = [(0, room, 0.0, [])]
     while stack:
-        i, cap, acc, taken = stack.pop()
-        if acc > best:
-            best = acc
-            best_set = taken
-        if i >= k or frac_bound(i, cap) + acc <= best + 1e-15:
+        i, left, acc, taken = stack.pop()
+        mass, greedy, bound = _ratio_pass(a, chi, order[i:], left)
+        if acc + mass > best:
+            best, best_set = acc + mass, taken + greedy
+        if acc + bound <= best + 1e-15:   # a leaf's bound is 0
             continue
-        # branch: skip item i, then take it (explored first, LIFO)
-        stack.append((i + 1, cap, acc, taken))
-        if w[i] <= cap:
-            stack.append((i + 1, cap - w[i], acc + v[i], taken + [i]))
-    mask = np.zeros(k, dtype=bool)
-    mask[[order[j] for j in best_set]] = True
-    return best, mask
+        # branch on block order[i]: skip it, then take it (explored first)
+        j = order[i]
+        stack.append((i + 1, left, acc, taken))
+        if chi[j] <= left:
+            stack.append((i + 1, left - chi[j], acc + a[j], taken + [j]))
+    return best, best_set
 
 
-def pi_s_argmax(u, chi, s):
-    """Maximizer behind the exact pi_s: (value_without_factor_2, mask).
-    Unit weights keep the floor(s) largest |u_l|, lower index first among
-    ties (a stable sort)."""
+def select_blocks(u, chi, s):
+    """Heaviest block set of total weight <= s: (value, mask, upper).
+
+    ``mask`` is a block set of weight <= s (to 1e-12) and ``value`` its mass,
+    the sum of its |u_l|; ``upper`` is a certified upper bound on the mass
+    of every such set.  The selection is exact, ``upper == value``, for unit
+    weights (the floor(s) largest |u_l|, lower index first among ties: a
+    stable sort), integer weights (a dynamic program) and up to
+    ``_EXACT_BLOCKS`` real weights (branch and bound).  Past that limit the
+    one pass by |u_l|/chi_l ratio gives the greedy set and Dantzig's
+    fractional bound as ``upper``.  s = inf keeps every block; a NaN or
+    negative s is a ValueError.
+    """
     a = np.abs(np.asarray(u, dtype=float)).ravel()
     chi = np.asarray(chi, dtype=float).ravel()
     if np.any(chi <= 0):
         raise ValueError("weights must be positive")
     if a.shape != chi.shape:
         raise ValueError("u and chi must have matching length")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if np.all(chi == 1.0):
-        keep = np.argsort(-a, kind="stable")[:int(math.floor(s + 1e-12))]
-        mask = np.zeros(a.size, dtype=bool)
-        mask[keep] = True
-        return float(a[keep].sum()), mask
-    feasible = chi <= s + 1e-12
-    if not np.any(feasible):
-        return 0.0, np.zeros(a.size, dtype=bool)
-    if _weights_are_integer(chi):
-        cap = int(math.floor(s + 1e-12))
-        return knapsack_argmax(a, chi, cap)
-    if a.size > 25:
-        raise UnsupportedNormError(
-            "exact pi_s with non-integer weights is limited to 25 blocks; "
-            "use variant='hat'")
-    return _knapsack_branch_bound(a, chi, float(s))
-
-
-def select_blocks(u, chi, s):
-    """Heaviest block set of total weight <= s: (value, mask, exact).
-
-    The exact maximizer of ``pi_s_argmax`` where it is available; beyond its
-    25-block limit for non-integer weights, the greedy set by |u_l|/chi_l
-    ratio, which is feasible (so its value understates the maximum) and is
-    flagged exact=False.
-    """
-    try:
-        value, mask = pi_s_argmax(u, chi, s)
-        return value, mask, True
-    except UnsupportedNormError:
-        pass
-    a = np.abs(np.asarray(u, dtype=float)).ravel()
-    chi = np.asarray(chi, dtype=float).ravel()
+    if not s >= 0:   # NaN fails too
+        raise ValueError(f"s must be a number >= 0, got {s!r}")
+    room = s + 1e-12
     mask = np.zeros(a.size, dtype=bool)
-    budget = float(s)
-    for i in sorted(range(a.size), key=lambda j: -(a[j] / chi[j])):
-        if chi[i] <= budget + 1e-12:
-            mask[i] = True
-            budget -= chi[i]
-    return float(a[mask].sum()), mask, False
+    if unit_weights(chi):
+        keep = np.argsort(-a, kind="stable")[:int(min(room, a.size))]
+        mask[keep] = True
+        value = float(a[keep].sum())
+        return value, mask, value
+    if _weights_are_integer(chi):
+        value, mask = _knapsack_argmax(a, chi, room)
+        return value, mask, value
+    order = np.argsort(-a / chi, kind="stable")
+    if a.size <= _EXACT_BLOCKS:
+        value, taken = _branch_and_bound(a, chi, order, room)
+        upper = value
+    else:
+        value, taken, upper = _ratio_pass(a, chi, order, room)
+    mask[taken] = True
+    return float(value), mask, float(upper)
 
 
-def pi_s(u, chi, s, variant="exact"):
-    """Weighted block-selection norm 2*max{sum eta_l*|u_l| : sum chi*eta <= s}.
-
-    variant="exact" solves the 0/1 selection exactly (a sort for unit
-    weights, dynamic program for integer weights, branch and bound for up to
-    25 non-integer weights);
-    variant="hat" is the continuous relaxation 0 <= eta_l <= min(1,
-    floor(s/chi_l)) solved greedily by the |u_l|/chi_l ratio.  The relaxed
-    value is never below the exact one.
-    """
-    if variant == "exact":
-        val, _ = pi_s_argmax(u, chi, s)
-        return 2.0 * val
-    if variant != "hat":
-        raise ValueError("variant must be 'exact' or 'hat'")
-    a = np.abs(np.asarray(u, dtype=float)).ravel()
-    chi = np.asarray(chi, dtype=float).ravel()
-    if np.any(chi <= 0):
-        raise ValueError("weights must be positive")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    eligible = chi <= s + 1e-12  # blocks with floor(s/chi) >= 1
-    total = 0.0
-    budget = float(s)
-    for i in sorted(np.nonzero(eligible)[0], key=lambda j: -(a[j] / chi[j])):
-        if budget <= 0:
-            break
-        eta = min(1.0, budget / chi[i])
-        total += eta * a[i]
-        budget -= eta * chi[i]
-    return 2.0 * total
+def pi_s(u, chi, s):
+    """Weighted block-selection norm 2*max{sum eta_l*|u_l| : sum chi*eta <= s},
+    eta in {0, 1}: twice the certified upper bound of ``select_blocks``,
+    exact except past its block limit for real weights, where it is twice
+    the fractional bound and never below the norm."""
+    return 2.0 * select_blocks(u, chi, s)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -433,23 +433,26 @@ class SparseApprox(NamedTuple):
 def best_sparse_approx(structure, w, s):
     """Best weight-<= s projector for w and the structure-norm residual.
 
-    plain/group solve the retained-norm knapsack exactly where
-    ``norms.select_blocks`` can (unit or integer weights, or at most 25
-    blocks; plain keeps the s largest magnitudes), else take its greedy
-    set, an upper bound flagged exact=False; lowrank truncates the SVD.
-    delta_x is ||w - Pw|| in the structure norm, kept the norm of Pw.
+    plain/group take the block set of ``norms.select_blocks`` for the block
+    norms of w (plain keeps the s largest magnitudes); it is a projector of
+    weight <= s, and exact is True when the selection certifies it the
+    heaviest (its mass meets the selection's upper bound).  Past the
+    selection's block limit for real weights it may be the greedy set, so
+    kept is then a lower and delta_x an upper bound on the best values.
+    lowrank truncates the SVD.  delta_x is ||w - Pw|| in the structure
+    norm, kept the norm of Pw.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
     if structure.kind != "lowrank":
         vals = norms.group_block_norms(structure, w)
-        kept, mask, exact = norms.select_blocks(vals, structure.weights, s)
+        kept, mask, upper = norms.select_blocks(vals, structure.weights, s)
         p = group_projector(structure, np.nonzero(mask)[0])
         delta = float(vals[~mask].sum())
-        return SparseApprox(p, delta, exact, kept)
+        return SparseApprox(p, delta, kept == upper, kept)
+    if not s >= 0:   # NaN fails too
+        raise ValueError(f"s must be a number >= 0, got {s!r}")
     # lowrank: truncated SVD projectors
     w = np.asarray(w, dtype=float).reshape(structure.p, structure.q)
-    k = min(int(math.floor(s + 1e-12)), structure.p, structure.q)
+    k = int(min(s + 1e-12, structure.p, structure.q))
     u, sv, vt = svd_descending(w)
     p = lowrank_projector(structure, u[:, :k], vt[:k, :].T)
     return SparseApprox(p, float(sv[k:].sum()), True, float(sv[:k].sum()))

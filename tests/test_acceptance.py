@@ -233,7 +233,7 @@ def test_criterion_5_oracle_equivalence():
         chi = rng.integers(1, 3, size=nb).astype(float)
         u = rng.standard_normal(nb)
         s = float(rng.integers(1, int(chi.sum()) + 1))
-        worst_comb = max(worst_comb, abs(norms.pi_s(u, chi, s, "exact")
+        worst_comb = max(worst_comb, abs(norms.pi_s(u, chi, s)
                                          - pi_s_oracle(u, chi, s)))
 
     stp = structures.build_plain(12)

@@ -465,6 +465,26 @@ def test_a_bad_custom_b_is_the_resolvers_error_everywhere(bad):
             call()
 
 
+@pytest.mark.parametrize("cols", [3, 5])
+def test_an_a_of_the_wrong_width_is_refused_before_any_lp(cols, monkeypatch):
+    """An A whose column count is not the structure's n is refused up
+    front, in recovery's wording, by the brute force and the checker."""
+    from sparsecert.engine import simplex
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(simplex.LPSequence, "__init__", no_lp)
+    st = structures.build_plain(4)
+    a = np.random.default_rng(3).standard_normal((2, cols))
+    with pytest.raises(ValueError, match="A must have 4 columns for this "
+                       "structure"):
+        gamma_s_bruteforce(a, st, 1)
+    with pytest.raises(ValueError, match="A must have 4 columns for this "
+                       "structure"):
+        check_condition_Cs(a, None, st, 1, 0.5, 1.0, "l1", trials=5, seed=0)
+
+
 def test_bruteforce_invertible_b_is_a_change_of_variables():
     """For invertible B on non-overlapping blocks (canonical B = I), the
     verdict for (A, B) is the canonical one for A B^-1, since w = B z."""
@@ -643,6 +663,28 @@ def test_synthesis_group_l2_blocks_still_sound(rng):
     chk = check_condition_Cs(a, None, st, 1, cert.gamma + 1e-9,
                              cert.beta + 1e-9, phi="l1", trials=1500, seed=0)
     assert chk.ok, chk.violation
+
+
+def test_synthesis_past_the_block_limit_flags_its_bounds(monkeypatch):
+    """With the selection's block limit below the block count, pi_s is the
+    fractional bound: the certificate still comes out, its gamma covers the
+    recheck and its beta is flagged as an upper bound, above the exact
+    selection's values for the same H."""
+    from sparsecert import norms
+    st = structures.build_group([(i,) for i in range(6)], block_norm="l1",
+                                weights=[1.5, 0.7, 1.2, 2.2, 1.1, 0.9])
+    a = np.random.default_rng(6).standard_normal((4, 6))
+    exact = synth_certificate_group(a, None, st, 2.5, phi="l1")
+    assert exact.exact_beta and not exact.exact_gamma
+    monkeypatch.setattr(norms, "_EXACT_BLOCKS", 2)
+    cert = synth_certificate_group(a, None, st, 2.5, phi="l1")
+    assert cert.method == "ColumnLP"
+    assert not cert.exact_beta and not cert.exact_gamma
+    assert cert.gamma >= cert.details["gamma_recheck_exact_norms"]
+    assert np.array_equal(cert.h_matrix, exact.h_matrix)
+    assert cert.beta == psi_s(cert.h_matrix, st, 2.5) > exact.beta
+    assert cert.details["gamma_recheck_exact_norms"] >= \
+        exact.details["gamma_recheck_exact_norms"]
 
 
 def test_synthesis_unsupported_phi_refused():

@@ -209,6 +209,14 @@ def test_certify_identity_sensing_is_perfect():
     assert cert.identity_residual <= 1e-10
 
 
+@pytest.mark.parametrize("iters", [-5, -1, 2.5, 3.0, True, None])
+def test_certify_refuses_iters_that_are_not_an_integer_at_least_zero(iters):
+    """A negative or non-integer iters is refused, in the CLI's wording,
+    rather than read as the box bound."""
+    with pytest.raises(ValueError, match="is not an integer >= 0"):
+        certify_lowrank(np.eye(4), 1, phi="l1", p=2, q=2, iters=iters)
+
+
 def test_certify_zero_candidate_gives_identity_residual_zero():
     p = q = 2
     a = np.zeros((1, 4))

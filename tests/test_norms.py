@@ -89,25 +89,92 @@ def test_pi_s_real_weights_branch_and_bound(rng):
                                                 abs=1e-10)
 
 
-def test_pi_s_hat_dominates_exact(rng):
+def test_pi_s_hat_dominates_exact(rng, monkeypatch):
+    """Past the block limit pi_s is twice the fractional bound: never below
+    the exact norm, and equal to it when every block fits whole."""
+    monkeypatch.setattr(norms, "_EXACT_BLOCKS", 0)
     for _ in range(50):
         k = int(rng.integers(1, 9))
         u = rng.standard_normal(k)
-        chi = rng.integers(1, 4, size=k).astype(float)
-        s = float(rng.integers(0, 7))
-        exact = pi_s(u, chi, s)
-        hat = pi_s(u, chi, s, variant="hat")
-        assert hat >= exact - 1e-10
-        if np.all(chi == 1.0):
-            assert hat == pytest.approx(exact, abs=1e-10)
+        chi = rng.uniform(0.3, 2.5, size=k)
+        s = float(rng.uniform(0.0, 7.0))
+        value, _, upper = norms.select_blocks(u, chi, s)
+        assert pi_s(u, chi, s) == 2.0 * upper
+        assert 2.0 * upper >= pi_s_oracle(u, chi, s) - 1e-10
+        if chi.sum() <= s:
+            assert upper == value == pytest.approx(np.abs(u).sum(), abs=1e-12)
 
 
-def test_pi_s_nonint_weights_blocked_above_25():
-    u = np.ones(26)
+def test_pi_s_nonint_weights_blocked_above_25(monkeypatch):
+    """Past 25 real weights the selection is the greedy set and pi_s twice
+    its fractional bound, which covers the heaviest set: here the greedy
+    set keeps 1.2 + 1.5 = 2.7, the two 1.5-blocks 3.0, and the bound is
+    2.7 + 1.5 * 0.4 / 1.5 = 3.1."""
+    u = np.zeros(26)
+    u[:3] = (1.2, 1.5, 1.5)
     chi = np.full(26, 1.5)
-    with pytest.raises(UnsupportedNormError):
-        pi_s(u, chi, 3.0)
-    assert pi_s(u, chi, 3.0, variant="hat") > 0.0
+    chi[0] = 1.1
+    value, mask, upper = norms.select_blocks(u, chi, 3.0)
+    assert np.flatnonzero(mask).tolist() == [0, 1]
+    assert value == pytest.approx(2.7, abs=1e-12)
+    assert upper == pytest.approx(3.1, abs=1e-11)
+    assert pi_s(u, chi, 3.0) == 2.0 * upper
+    monkeypatch.setattr(norms, "_EXACT_BLOCKS", 26)
+    assert norms.select_blocks(u, chi, 3.0)[::2] == pytest.approx((3.0, 3.0))
+    # equal weights: the greedy set is the heaviest, the bound a hair above
+    value, mask, upper = norms.select_blocks(np.ones(26), np.full(26, 1.5), 3.0)
+    assert mask.sum() == 2 and value == 2.0 and 2.0 <= upper <= 2.0 + 1e-11
+
+
+@pytest.mark.parametrize("kind", ["unit", "integer", "real", "past_limit"])
+def test_select_blocks_against_enumeration(kind, rng, monkeypatch):
+    """Each draw's mask fits within s and value is its mass; the exact
+    norm lies between value and upper, and equals both on the exact paths
+    (the sort, the dynamic program, branch and bound).  Past the block
+    limit, here patched down to 2, value is the greedy set's mass."""
+    if kind == "past_limit":
+        monkeypatch.setattr(norms, "_EXACT_BLOCKS", 2)
+    for _ in range(60):
+        k = int(rng.integers(1, 10))
+        u = rng.standard_normal(k) * rng.choice((0.1, 1.0, 10.0))
+        chi = {"unit": np.ones(k),
+               "integer": rng.integers(1, 4, size=k).astype(float)}.get(
+                   kind, rng.uniform(0.3, 2.5, size=k))
+        for s in (0.0, 0.5, 1.0, float(rng.uniform(0.5, 6.0)), 20.0):
+            value, mask, upper = norms.select_blocks(u, chi, s)
+            best = pi_s_oracle(u, chi, s) / 2.0
+            assert chi[mask].sum() <= s + 1e-12
+            assert value == pytest.approx(np.abs(u[mask]).sum(), abs=1e-12)
+            assert value <= best + 1e-12 and best <= upper + 1e-12
+            assert pi_s(u, chi, s) == 2.0 * upper
+            if kind != "past_limit" or k <= 2:
+                assert upper == value == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["unit", "integer", "real"])
+def test_selection_level_nan_is_refused_and_inf_keeps_every_block(kind):
+    """One check on s, for every kind of weight: NaN is a ValueError naming
+    s, inf keeps every block."""
+    chi = {"unit": [1.0] * 4, "integer": [1.0, 2.0, 1.0, 3.0],
+           "real": [1.5, 0.7, 1.2, 2.2]}[kind]
+    st = structures.build_group([(0,), (1, 2), (3,), (4, 5)], weights=chi,
+                                block_norm="l1")
+    w = np.array([1.0, -2.0, 0.5, 3.0, 0.0, -1.0])
+    u = norms.group_block_norms(st, w)
+    for call in (lambda s: norms.select_blocks(u, chi, s),
+                 lambda s: pi_s(u, chi, s),
+                 lambda s: ps_seminorm(st, w, s),
+                 lambda s: structures.best_sparse_approx(st, w, s)):
+        with pytest.raises(ValueError, match="s must be a number >= 0"):
+            call(math.nan)
+        with pytest.raises(ValueError, match="s must be a number >= 0"):
+            call(-1.0)
+    value, mask, upper = norms.select_blocks(u, chi, math.inf)
+    assert mask.all() and value == upper == u.sum()
+    approx = structures.best_sparse_approx(st, w, math.inf)
+    assert approx.projector.block_set == frozenset(range(4))
+    assert approx.delta_x == 0.0 and approx.exact and approx.kept == u.sum()
+    assert pi_s(u, chi, math.inf) == 2.0 * u.sum()
 
 
 def test_structure_norms(rng):

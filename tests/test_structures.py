@@ -311,6 +311,10 @@ def test_best_sparse_approx_lowrank_truncates_svd(rng):
         got = best_sparse_approx(st, m, s)
         assert got.delta_x == pytest.approx(sv[s:].sum(), abs=1e-9)
     assert best_sparse_approx(st, m, 4).delta_x == pytest.approx(0.0, abs=1e-12)
+    # inf keeps the whole spectrum, as it keeps every block elsewhere
+    assert best_sparse_approx(st, m, np.inf).kept == pytest.approx(sv.sum())
+    with pytest.raises(ValueError, match="s must be a number >= 0"):
+        best_sparse_approx(st, m, np.nan)
 
 
 def test_worst_condition_projector_is_the_best_sparse_approx(rng):

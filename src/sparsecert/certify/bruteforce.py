@@ -2,10 +2,36 @@
 
 Where the structure norm is polyhedral (``norms.has_lp_form``: plain, and
 group structures with l1/linf blocks) the quantity of interest is the exact
-maximum of the retained mass over {z in Ker(A), ||Bz|| <= 1}, obtained by
-maximizing signed-support linear functionals with one LP each (the max of
-finitely many linear maximizations is the max of the convex objective over
-the polytope).  One enumeration, ``structures.maximal_block_sets``, serves
+maximum of the retained mass over the kernel ball {z in Ker(A), ||Bz|| <= 1}.
+The retained mass is convex, so its maximum over the polytope is attained
+at a vertex, and two routes find it: the vertices themselves, where every
+block is l1 with unit weight and the kernel is small, and otherwise one LP
+per signed support.
+
+The vertex route (``_vertex_search``).  With N a kernel basis (k columns)
+and every block l1, ||B N u|| = ||G u||_1 for G = B N, so the ball is
+{u : ||G u||_1 <= 1}: the polar of the zonotope G^T [-1, 1]^E.  Its
+vertices are the zonotope's facet normals v / ||G v||_1, one per
+hyperplane spanned by k - 1 independent rows of G (for k = 1 the kernel
+vector itself).  Zero rows of G span nothing and parallel rows span the
+same hyperplanes, so they are dropped and merged first, leaving E' row
+directions and C(E', k - 1) candidates, whose unit normals come from a
+Householder QR vectorized over batches of ``_VERTEX_CHUNK`` stacks.  Every
+candidate is a feasible point, scored by its top floor(s) block masses of
+|G u| over ||G u||_1, so the best score is the maximum.  Its rounding is
+bounded: the computed normal lies within ||G_S u|| / sigma_{k-1}(G_S) of
+the exact one of its k - 1 rows G_S, which moves the score by at most
+2 sum_i ||g_i|| that / ||G u||_1, and merging moves it by at most
+4 sum_i ||g_i - g~_i|| / sigma_k(G).  ``gamma_upper`` is the largest score
+plus its allowance (no score exceeds 1).  The route cost grows with the
+kernel dimension, not with s.  It is taken when the candidates number at
+most ``_VERTEX_CAP`` and ``_VERTICES_PER_SUPPORT`` per signed support
+(measured against the LP search beside that constant); an input whose
+rounding allowance exceeds ``_VERTEX_ALLOWANCE`` (near-singular sets of
+k - 1 rows, or a rank-deficient B N) goes to the LP search, and linf or
+weighted blocks always do.
+
+The LP search.  One enumeration, ``structures.maximal_block_sets``, serves
 both kinds: a plain structure is the group of singleton l1 blocks, so its
 maximal projectors are the supports of size min(floor(s), n).  Per block
 set, each coordinate of an l1 block gets a sign and each linf block a
@@ -41,7 +67,8 @@ may solve sets a value found within it would prune: they only raise the
 best value.  Every visited set lies inside a maximal one, so the best
 value is the maximum to within the tolerance, and the certified upper
 bound is the largest of value + delta over the LPs solved and of the
-skipped sets' bounds.
+skipped sets' bounds.  The LP search refuses an input with more than
+``_LP_BUDGET`` signed supports before any LP runs.
 
 l2 blocks and low rank leave the polyhedral world: there the search is
 Monte-Carlo plus projected ratio ascent on a kernel basis, which can certify
@@ -54,18 +81,23 @@ CertifiedGood needs an exhaustive method whose LPs all ended optimal and a
 certified upper bound max_k (value_k + delta_k) < 1/2 - 1e-9; ties at 1/2
 are CertifiedBad (two sparse signals share a measurement, non-uniqueness).
 An enumeration with an LP that did not end optimal reports at most a bracket,
-or CertifiedBad by witness.  ``details`` carries ``signed_supports`` (the
-LPs of the maximal sets, which ``_LP_BUDGET`` caps before any LP runs),
-``lp_count`` (the LPs solved, speculative ones too), ``lps_pruned`` (the
-maximal sets' LPs skipped, so the maximal sets' LPs solved are
-``signed_supports - lps_pruned`` and the rest of ``lp_count`` went to
-smaller sets), the total pivots (``lp_iterations``), the largest per-LP
-gap (``lp_delta``), ``lps_not_optimal`` and, when every LP ended optimal,
-the certified upper bound ``gamma_upper``.
+or CertifiedBad by witness.  Both polyhedral routes report in ``details``
+the ``method`` ("kernel-ball vertices" or "LP search"), ``kernel_dim``,
+``signed_supports`` (the LPs of the maximal sets, which ``_LP_BUDGET``
+caps), ``maximal_sets``, ``lp_count`` (the LPs solved, speculative ones
+too; 0 on the vertex route), ``vertex_candidates`` (C(E', k - 1), None
+where linf or weighted blocks rule the vertices out) and, when the search
+was exhaustive, the certified upper bound ``gamma_upper``.  The LP search
+adds ``vertex_route`` (why the vertices did not serve), ``lps_pruned`` (the maximal sets' LPs skipped, so
+the maximal sets' LPs solved are ``signed_supports - lps_pruned`` and the
+rest of ``lp_count`` went to smaller sets), the total pivots
+(``lp_iterations``), the largest per-LP gap (``lp_delta``) and
+``lps_not_optimal``.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -84,6 +116,23 @@ _LP_BUDGET = 20000
 # about 1.7x as fast as with one set's LPs per round, on a tenth more LPs
 _ROUND_LPS = 32
 _GOOD_MARGIN = 1e-9
+# the vertex route scores at most this many candidate normals, about 0.5 s
+# at 1.3 to 2.6 us each, so an input past it and ``_LP_BUDGET`` is refused
+# at once
+_VERTEX_CAP = 200_000
+# and at most this many per signed support.  On 2 cores a candidate costs
+# 1.3 to 2.6 us (kernel dimension 5 to 8, batches of ``_VERTEX_CHUNK``).
+# The pruned LP search costs 20 to 70 us per signed support at s = 2 (plain
+# n = 12 to 16, l1 pairs) but 9 to 14 us at s = 3 (plain n = 18, 20), where
+# it prunes more: the routes break even at 3.8 to 21 candidates per
+# support.  4 takes the vertex route only where it is not slower on any of
+# those inputs.
+_VERTICES_PER_SUPPORT = 4
+_VERTEX_CHUNK = 4096        # candidates per vectorized batch
+_VERTEX_ALLOWANCE = 1e-10   # largest rounding allowance the route accepts
+_ZERO_ROW = 1e-14           # rows of B N below this fraction of the largest
+_PARALLEL = 1e-13           # unit rows this close (up to sign) are merged
+_EPS = np.finfo(float).eps
 
 
 def _classify(structure, bmat, s, gamma, z, upper, details):
@@ -213,6 +262,40 @@ class _SignedSupports:
         for v in linf_members:
             count *= 2 * len(v)
         return _Plan(mult, u1, linf_members, count // 2)
+
+    def maximal(self, s):
+        """The maximal block sets at level s, each with its LP count, in
+        the order of ``structures.maximal_block_sets``; the walk stops once
+        it holds more than ``_LP_BUDGET`` sets (each has at least one LP)."""
+        out = {}
+        for chosen in structures.maximal_block_sets(self.weights, s):
+            out[chosen] = self.plan(chosen).count
+            if len(out) > _LP_BUDGET:
+                break
+        return out
+
+    def tally(self, s):
+        """(maximal sets, signed supports) at level s without the walk,
+        where every block is l1 with unit weight and no coordinate lies in
+        two blocks; else None.  The maximal sets are then the t-subsets of
+        the K blocks, t = min(floor(s), K), and a set of d coordinates has
+        2^d / 2 signed supports: the sum runs over how many blocks of each
+        size a set takes."""
+        sizes = [len(v) for v in self.blocks]
+        if set(self.tags) != {"l1"} or not norms.unit_weights(self.weights) \
+                or len({i for v in self.blocks for i in v}) != sum(sizes):
+            return None
+        t = int(min(s + 1e-12, len(sizes)))
+        if t == 0:
+            return 0, 0
+        ways = [1] + [0] * t    # j -> sum over j-subsets of 2^(their size)
+        for size, many in collections.Counter(sizes).items():
+            new = [0] * (t + 1)
+            for j, w in enumerate(ways):
+                for i in range(min(many, t - j) + 1 if w else 0):
+                    new[j + i] += w * math.comb(many, i) << (size * i)
+            ways = new
+        return math.comb(len(sizes), t), ways[t] // 2
 
     def costs(self, plan):
         """The cost vectors of one block set's ``plan``, lazily."""
@@ -362,35 +445,188 @@ def _pruned_search(lp, maximal, supports, witness):
     return best, best_z, None if seq.not_optimal else upper, stats
 
 
-def _lp_bruteforce(a, structure, bmat, custom, s, kernel_dim):
+def _polyhedral(a, structure, bmat, custom, s, null, vertices=True):
+    """The exact verdict of a polyhedral structure: the vertex route where
+    ``_vertex_search`` takes it (never when ``vertices`` is False), else the
+    LP search, refused past ``_LP_BUDGET`` signed supports."""
     n = a.shape[1]
     lp = _kernel_ball_lp(a, structure, custom)
     supports = _SignedSupports(structure, n, lp.c.size, custom)
-    maximal = {}
-    for chosen in structures.maximal_block_sets(supports.weights, s):
-        maximal[chosen] = supports.plan(chosen).count
-        if len(maximal) > _LP_BUDGET:   # each set has at least one LP
-            break
-    count = sum(maximal.values())
-    if count > _LP_BUDGET:
-        more = "more than " if len(maximal) > _LP_BUDGET else ""
-        return NullspaceVerdict(
-            status="Unknown", s=s,
-            details={"reason": f"{more}{count} signed supports exceed the "
-                     "LP budget"})
-    details = {"signed_supports": count, "maximal_sets": len(maximal),
-               "kernel_dim": kernel_dim}
+    maximal, tally = None, supports.tally(s)
+    if tally is None:
+        maximal = supports.maximal(s)
+        tally = len(maximal), sum(maximal.values())
+    sets, count = tally
+    details = {"signed_supports": count, "maximal_sets": sets,
+               "kernel_dim": null.shape[1]}
     if count == 0:
         return NullspaceVerdict(
             status="CertifiedGood", s=s, gamma_value=0.0,
             details=dict(details, lp_count=0, lps_pruned=0,
                          note="only the zero projector has weight <= s"))
+    found, route = _vertex_search(structure, bmat, null, s, count) \
+        if vertices else (None, {"vertex_route": "not tried",
+                                 "vertex_candidates": None})
+    if found is not None:
+        found.details = dict(details, **found.details)
+        return found
+    details.update(route, method="LP search")
+    if count > _LP_BUDGET:
+        more = "more than " if maximal and len(maximal) > _LP_BUDGET else ""
+        return NullspaceVerdict(
+            status="Unknown", s=s,
+            details=dict(details, reason=f"{more}{count} signed supports "
+                         "exceed the LP budget"))
+    if maximal is None:
+        maximal = supports.maximal(s)
     best, best_z, upper, stats = _pruned_search(
         lp, maximal, supports, lambda x: x[:n] - x[n:2 * n])
     if upper is not None:
         stats["gamma_upper"] = upper
     return _classify(structure, bmat, s, best, best_z, upper,
                      dict(details, **stats))
+
+
+# ---------------------------------------------------------------------------
+# l1 with unit weights: the vertices of the kernel ball
+
+
+def _generators(bmat, null):
+    """(G, dirs, merge_error): G = B N, the unit directions ``dirs`` of its
+    rows with zero rows dropped and parallel ones merged, and the sum over
+    the rows of G of their distance to the G~ those directions generate
+    (a dropped row's norm, a merged row's distance to its multiple of the
+    kept direction), plus the rounding of forming them."""
+    g = bmat @ null
+    size = np.linalg.norm(g, axis=1)
+    live = np.flatnonzero(size > _ZERO_ROW * size.max())
+    unit = g[live] / size[live, None]
+
+    def dist(i, j):     # between unit rows, up to sign
+        return np.minimum(np.linalg.norm(unit[i] - unit[j], axis=-1),
+                          np.linalg.norm(unit[i] + unit[j], axis=-1))
+
+    # each row's representative: the first row parallel to it (the cosines
+    # find the few pairs to measure), followed down the chain; a row is
+    # kept when it represents itself
+    ii, jj = np.nonzero(np.tril(np.abs(unit @ unit.T) > 1.0 - 1e-10, -1))
+    close = dist(ii, jj) <= _PARALLEL
+    rep = np.arange(live.size)
+    np.minimum.at(rep, ii[close], jj[close])
+    while np.any(rep[rep] != rep):
+        rep = rep[rep]
+    kept = np.flatnonzero(rep == np.arange(live.size))
+    error = size.sum() - size[live].sum() \
+        + size[live] @ dist(np.arange(live.size), rep)
+    error += (g.shape[1] + 2) * _EPS * size.sum()
+    return g, unit[kept], float(error)
+
+
+def _candidate_normals(rows):
+    """Unit normals of k - 1 rows each, stacked k x (k - 1) x c (row j of
+    stack i is ``rows[:, j, i]``), by Householder QR of each stack
+    vectorized over the stacks: (normals k x c, residual bounds on
+    ||rows @ normal||, lower bounds on sigma_{k-1} of the rows, 0 where
+    none holds)."""
+    k, p, c = rows.shape
+    r = rows.copy()
+    reflectors = []
+    for j in range(p):
+        x = r[j:, j]
+        norm = np.sqrt((x * x).sum(axis=0))
+        alpha = np.where(x[0] >= 0, -norm, norm)
+        v = x.copy()
+        v[0] -= alpha
+        vv = (v * v).sum(axis=0)
+        beta = np.divide(2.0, vv, out=np.zeros(c), where=vv > 0)
+        rest = r[j:, j + 1:]
+        rest -= v[:, None] * (beta * (v[:, None] * rest).sum(axis=0))
+        r[j, j] = alpha
+        reflectors.append((v, beta))
+    normal = np.zeros((k, c))
+    normal[-1] = 1.0
+    for j in reversed(range(p)):
+        v, beta = reflectors[j]
+        normal[j:] -= v * (beta * (v * normal[j:]).sum(axis=0))
+    # sigma_min(R) >= 1 / ||R^-1||_F, R^-1 by back substitution, less the
+    # backward errors of the QR and of the substitution
+    inv = np.zeros((p, p, c))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in reversed(range(p)):
+            inv[i, i] = 1.0 / r[i, i]
+            inv[i, i + 1:] = -(r[i, i + 1:p, None] * inv[i + 1:, i + 1:]).sum(
+                axis=0) * inv[i, i]
+        sigma = 1.0 / np.sqrt((inv * inv).sum(axis=(0, 1))) - 4.0 * k * k * _EPS
+    sigma = np.where(sigma > 0, sigma, 0.0)     # NaN too; inf when k = 1
+    residual = np.sqrt((((rows * normal[:, None]).sum(axis=0)) ** 2).sum(axis=0)) \
+        + (k + 1) * k * _EPS
+    return normal, residual, sigma
+
+
+def _vertex_search(structure, bmat, null, s, signed_supports):
+    """(the exact verdict from the vertices of the kernel ball, None), or
+    (None, {``vertex_route``: why the LP search serves this input instead,
+    ``vertex_candidates``}).  The module docstring gives the polarity
+    argument, the selection rule and the rounding allowance."""
+    count = None
+
+    def refuse(reason):
+        return None, {"vertex_route": reason, "vertex_candidates": count}
+
+    if structure.shared_norm != "l1" or not norms.unit_weights(structure.weights):
+        return refuse("linf or weighted blocks")
+    k = null.shape[1]
+    g, dirs, merge_error = _generators(bmat, null)
+    count = math.comb(dirs.shape[0], k - 1)
+    if count > min(_VERTEX_CAP, _VERTICES_PER_SUPPORT * signed_supports):
+        return refuse(f"{count} vertex candidates exceed the cap of min("
+                      f"{_VERTEX_CAP}, {_VERTICES_PER_SUPPORT} per signed support)")
+    details = {"method": "kernel-ball vertices", "lp_count": 0,
+               "vertex_candidates": count}
+    sigma_g = np.linalg.svd(g, compute_uv=False)[-1] \
+        - (k + 2) * _EPS * np.linalg.norm(g)
+    if dirs.shape[0] < k or sigma_g <= 0:
+        return refuse("B N has rank below the kernel dimension")
+    # val(u) = kept / total is within 2 ||G~ u - G u||_1 / ||G u||_1 of
+    # its value for G~, and ||G u||_1 >= sigma_k(G) ||u||
+    allowance = 4.0 * merge_error / float(sigma_g)
+    offsets, blocks = structure.offsets[:-1], len(structure.blocks)
+    top = int(min(s + 1e-12, blocks))
+    row_sum = float(np.linalg.norm(g, axis=1).sum())
+    best, best_u, upper = -1.0, None, 0.0
+    combos = itertools.combinations(range(dirs.shape[0]), k - 1)
+    for start in range(0, count, _VERTEX_CHUNK):
+        size = min(_VERTEX_CHUNK, count - start)
+        idx = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, size)), dtype=np.intp,
+            count=size * (k - 1)).reshape(size, k - 1)
+        normal, residual, sigma = _candidate_normals(dirs.T[:, idx.T])
+        mass = np.add.reduceat(np.abs(g @ normal), offsets, axis=0)
+        total = mass.sum(axis=0)
+        kept = total if top == blocks else \
+            np.partition(mass, blocks - top, axis=0)[blocks - top:].sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = kept / total
+            # the exact normal is within residual / sigma of the computed
+            # one, which moves val by at most 2 row_sum that / total; then
+            # the rounding of G u and of the sums
+            slack = 2.0 * row_sum * (residual / sigma + (k + 1) * _EPS) / total \
+                + 4.0 * g.shape[0] * _EPS
+        # no retained fraction exceeds 1; NaN (a zero total) stays NaN
+        bound = float(np.max(np.minimum(value + slack, 1.0)))
+        if not bound <= 1.0:
+            return refuse("a candidate normal has no mass")
+        upper = max(upper, bound)
+        i = int(np.argmax(value))
+        if value[i] > best:
+            best, best_u = float(value[i]), normal[:, i] / total[i]
+    upper += allowance
+    if not upper - best <= _VERTEX_ALLOWANCE:
+        return refuse(f"rounding allowance {upper - best:.3g} exceeds "
+                      f"{_VERTEX_ALLOWANCE:g}")
+    details["gamma_upper"] = upper
+    return _classify(structure, bmat, s, best, null @ best_u, upper,
+                     details), None
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +741,7 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
         return NullspaceVerdict(status="CertifiedGood", s=s, gamma_value=0.0,
                                 details={"kernel_dim": 0})
     if norms.has_lp_form(structure):
-        return _lp_bruteforce(a, structure, bmat, custom, s, null.shape[1])
+        return _polyhedral(a, structure, bmat, custom, s, null)
     if structure.kind == "group":
         z, best = _ascent_search(
             null, lambda zz: _group_ratio_and_grad(structure, bmat, zz, s),

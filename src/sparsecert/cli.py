@@ -129,9 +129,9 @@ def cmd_certify(args):
                                  args.method, args.iters, args.seed)
     except norms.UnsupportedNormError as exc:
         return _report_unsupported(args, exc)
-    if args.out:
-        serialize.save_certificate(args.out, cert)
     doc = serialize.certificate_to_dict(cert)
+    if args.out:
+        serialize.save_json(args.out, doc)
     _emit(args, doc, [
         f"method: {cert.method}",
         f"gamma: {cert.gamma:.10g}  (exact: {cert.exact_gamma})",

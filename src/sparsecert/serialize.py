@@ -86,9 +86,10 @@ def _clean(value):
 
 
 def save_json(path, doc):
+    # one write: json.dump to a file writes each token on its own
+    text = json.dumps(_clean(doc), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_clean(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path):

@@ -665,6 +665,21 @@ def stage_two_primal_oracle(lay, stages, gamma, maxiter=200000):
     return out
 
 
+def lp_search(a, structure, s, b=None):
+    """The LP search of ``gamma_s_bruteforce`` on a polyhedral structure,
+    whichever route the verdict would take: ``bruteforce._polyhedral``
+    with the vertex route off, on the inputs ``gamma_s_bruteforce`` hands
+    it (A as floats, the resolved B and the kernel basis of A)."""
+    from sparsecert import structures
+    from sparsecert.certify import bruteforce
+    from sparsecert.certify.conditions import _kernel_basis
+
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    bmat, custom = structures.representation(structure, b)
+    return bruteforce._polyhedral(a, structure, bmat, custom, s,
+                                  _kernel_basis(a), vertices=False)
+
+
 def unpruned_bruteforce_oracle(a, structure, s, b=None, pin_first=True):
     """The polyhedral brute-force verdict with no pruning: every signed
     support of every maximal block set (``maximal_block_sets_oracle``), one

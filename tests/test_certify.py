@@ -1,5 +1,9 @@
 """Certification: brute-force verdicts, the condition checker, synthesis."""
 
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +13,8 @@ from sparsecert.certify import (check_condition_Cs, gamma_s_bruteforce,
 from sparsecert.recovery import RecoveryProblem, recover_regular
 
 from oracles import (gamma_kernel1_oracle, group_ratio_and_grad_oracle,
-                     matrix_with_kernel, solve_free_split, split_free,
-                     unpruned_bruteforce_oracle)
+                     lp_search, matrix_with_kernel, solve_free_split,
+                     split_free, unpruned_bruteforce_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def _good_instances():
 
 def test_bruteforce_details_report_pivots_and_gaps():
     for a, st, s in _good_instances():
-        v = gamma_s_bruteforce(a, st, s, b=None)
+        v = lp_search(a, st, s, b=None)
         assert v.status == "CertifiedGood"
         d = v.details
         assert d["lp_iterations"] >= d["lp_count"] > 0
@@ -119,7 +123,7 @@ def test_bruteforce_unsolved_lp_blocks_a_good_verdict(patch_reports):
 
     patch_reports(second_stalls)
     for a, st, s in _good_instances():
-        v = gamma_s_bruteforce(a, st, s, b=None)
+        v = lp_search(a, st, s, b=None)
         assert v.status == "Unknown" and v.bracket[1] == 1.0
         assert v.details["lps_not_optimal"] == 1
 
@@ -132,7 +136,7 @@ def test_bruteforce_good_verdict_needs_the_certified_bound(patch_reports):
 
     patch_reports(loose)
     for a, st, s in _good_instances():
-        v = gamma_s_bruteforce(a, st, s, b=None)
+        v = lp_search(a, st, s, b=None)
         assert v.status == "Unknown" and v.gamma_value < 0.5
         assert v.details["lp_delta"] == 0.5
 
@@ -186,7 +190,7 @@ def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
     from sparsecert.engine import SolveReport, Status
     a, s = _PRUNED_GOOD
     st = structures.build_plain(6)
-    assert gamma_s_bruteforce(a, st, s).status == "CertifiedGood"
+    assert lp_search(a, st, s).status == "CertifiedGood"
     seen = _record_costs(monkeypatch)
 
     def first_stalls(i, x, rep):
@@ -195,7 +199,7 @@ def test_bruteforce_stalled_singleton_leaves_its_supersets_unpruned(
         return x, rep
 
     patch_reports(first_stalls)
-    v = gamma_s_bruteforce(a, st, s)
+    v = lp_search(a, st, s)
     assert v.status == "Unknown" and v.bracket[1] == 1.0
     assert v.details["lps_not_optimal"] == 1
     assert "gamma_upper" not in v.details
@@ -218,7 +222,7 @@ def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
     seen = _record_costs(monkeypatch)
     with monkeypatch.context() as mp:
         mp.setattr(bruteforce, "_ROUND_LPS", 1)
-        plain = gamma_s_bruteforce(a, st, s)
+        plain = lp_search(a, st, s)
     pairs = [(0, j) for j in range(1, 6)]
     assert sum(p in _supports_solved(seen, 6) for p in pairs) <= 1
 
@@ -231,7 +235,7 @@ def test_bruteforce_singleton_delta_raises_the_bounds_built_on_it(
         seen.clear()
         with monkeypatch.context() as mp:
             mp.setattr(bruteforce, "_ROUND_LPS", round_lps)
-            v = gamma_s_bruteforce(a, st, s)
+            v = lp_search(a, st, s)
         solved = _supports_solved(seen, 6)
         assert all(solved.get(p) == 2 for p in pairs)
         assert v.gamma_value == pytest.approx(plain.gamma_value, abs=1e-12)
@@ -247,14 +251,14 @@ def test_bruteforce_visit_order_ignores_roundoff_in_the_bounds(
     st = structures.build_plain(12)
     draws = [np.random.default_rng(seed).standard_normal((7, 12)) / np.sqrt(7)
              for seed in range(6)]
-    before = [gamma_s_bruteforce(a, st, 3) for a in draws]
+    before = [lp_search(a, st, 3) for a in draws]
 
     def bumped(i, x, rep):
         rep.delta += 1e-15
         return x, rep
 
     patch_reports(bumped)
-    after = [gamma_s_bruteforce(a, st, 3) for a in draws]
+    after = [lp_search(a, st, 3) for a in draws]
     for u, v in zip(before, after):
         assert u.details["lp_count"] == v.details["lp_count"]
         assert u.status == v.status
@@ -327,7 +331,7 @@ def test_pruned_bruteforce_matches_unpruned_oracle(name):
     gamma, and the LP count of the maximal sets the oracle solves."""
     a, st, b, s = _ORACLE_CASES[name]
     want = unpruned_bruteforce_oracle(a, st, s, b=b)
-    got = gamma_s_bruteforce(a, st, s, b=b)
+    got = lp_search(a, st, s, b=b)
     assert got.status == want.status
     assert got.gamma_value == pytest.approx(want.gamma_value, abs=1e-9)
     d = got.details
@@ -370,10 +374,10 @@ def test_lockstep_rounds_keep_the_unpruned_verdict(monkeypatch):
     speculative = 0
     for a, st, b, s in _round_draws():
         want = unpruned_bruteforce_oracle(a, st, s, b=b)
-        got = gamma_s_bruteforce(a, st, s, b=b)
+        got = lp_search(a, st, s, b=b)
         with monkeypatch.context() as mp:
             mp.setattr(bruteforce, "_ROUND_LPS", 1)
-            one = gamma_s_bruteforce(a, st, s, b=b)
+            one = lp_search(a, st, s, b=b)
         for v in (got, one):
             assert v.status == want.status
             assert v.gamma_value == pytest.approx(want.gamma_value, abs=1e-9)
@@ -396,6 +400,230 @@ def test_pinned_first_sign_keeps_gamma_with_linf_blocks(name):
     assert pinned.gamma_value == pytest.approx(both.gamma_value, abs=1e-9)
     assert got.gamma_value == pytest.approx(both.gamma_value, abs=1e-9)
     assert 2 * got.details["signed_supports"] == both.details["lp_count"]
+
+
+def _vertex_draws():
+    """(kind, a, structure, b, s) of 252 seeded all-l1, unit-weight draws
+    for the vertex route: plain n = 6 to 14 with kernel dimension 1 to 6,
+    l1 pairs and triples, overlapping l1 blocks, a custom B, s from 1 up to
+    the block count, kernel dimension 1, an A whose kernel keeps one
+    coordinate at zero and an A with a duplicated column."""
+    for seed in range(96):
+        rng = np.random.default_rng([41, seed])
+        n = 6 + seed % 9
+        m = n - 1 - int(rng.integers(0, 6))
+        s = n if n <= 7 and seed % 4 == 0 else 1 + seed % 3 + 0.5 * (seed % 5 == 0)
+        yield "plain", rng.standard_normal((m, n)), structures.build_plain(n), \
+            None, s
+    groups = {"pairs": [(2 * i, 2 * i + 1) for i in range(5)],
+              "triples": [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(4)],
+              "overlap": [(0, 1, 2), (2, 3), (3, 4, 5), (5, 6, 0), (1, 4),
+                          (6, 7), (7, 8, 9), (9, 10, 11), (11,)]}
+    for name, blocks in groups.items():
+        st = structures.build_group(blocks, block_norm="l1")
+        for seed in range(36):
+            rng = np.random.default_rng([42, seed, len(blocks)])
+            m = st.n - 1 - int(rng.integers(0, 5))
+            s = 1 + seed % len(blocks)
+            if name == "overlap":
+                s = 1 + seed % 3
+            yield name, rng.standard_normal((m, st.n)), st, None, s
+    for seed in range(12):
+        rng = np.random.default_rng([43, seed])
+        st = structures.build_plain(8) if seed % 2 else \
+            structures.build_group([(0, 1), (2, 3), (4, 5), (6, 7)],
+                                   block_norm="l1")
+        b = np.eye(8) + 0.4 * rng.standard_normal((8, 8))
+        yield "custom-b", rng.standard_normal((5, 8)), st, b, 1 + seed % 3
+    for seed in range(12):
+        rng = np.random.default_rng([44, seed])
+        n = 5 + seed % 6
+        yield "kernel-1", rng.standard_normal((n - 1, n)), \
+            structures.build_plain(n), None, 1 + seed % 3
+    for seed in range(12):
+        rng = np.random.default_rng([45, seed])
+        a = rng.standard_normal((5, 9))
+        a[0] = 0.0
+        a[0, 3] = 1.0       # z_3 = 0 on the kernel: a zero row of B N
+        yield "zero-coordinate", a, structures.build_plain(9), None, \
+            1 + seed % 3
+    for seed in range(12):
+        rng = np.random.default_rng([46, seed])
+        a = rng.standard_normal((5, 9))
+        a[:, 4] = a[:, 2]   # e_2 - e_4 in the kernel: gamma_1 >= 1/2
+        yield "duplicate-column", a, structures.build_plain(9), None, \
+            1 + seed % 3
+
+
+def test_vertex_route_matches_the_lp_search(monkeypatch):
+    """On every draw the vertex route, taken whatever its candidate count
+    per signed support, reaches the LP search's status and gamma to 1e-12
+    (and the unpruned oracle's where its LPs are few), with a certified
+    upper bound no lower than the LP value and within the route's rounding
+    allowance of its gamma; no CertifiedGood verdict has an LP value within
+    1e-9 of 1/2."""
+    from sparsecert.certify import bruteforce
+    monkeypatch.setattr(bruteforce, "_VERTICES_PER_SUPPORT", 10 ** 9)
+    kinds, oracle_checked = {}, 0
+    for kind, a, st, b, s in _vertex_draws():
+        got = gamma_s_bruteforce(a, st, s, b=b)
+        want = lp_search(a, st, s, b=b)
+        d = got.details
+        assert d["method"] == "kernel-ball vertices", (kind, d)
+        assert d["lp_count"] == 0 and d["vertex_candidates"] >= 1
+        assert d["signed_supports"] == want.details["signed_supports"]
+        assert got.status == want.status, kind
+        assert abs(got.gamma_value - want.gamma_value) <= 1e-12, kind
+        assert want.gamma_value <= d["gamma_upper"] <= \
+            got.gamma_value + bruteforce._VERTEX_ALLOWANCE
+        if got.status == "CertifiedGood":
+            assert want.gamma_value < 0.5 - 1e-9
+        if d["signed_supports"] <= 200:
+            oracle = unpruned_bruteforce_oracle(a, st, s, b=b)
+            assert got.status == oracle.status
+            assert abs(got.gamma_value - oracle.gamma_value) <= 1e-12
+            oracle_checked += 1
+        if kind == "zero-coordinate":   # the zero row is dropped
+            assert d["vertex_candidates"] == math.comb(8, 3)
+        if kind == "duplicate-column":
+            assert got.status == "CertifiedBad"
+            assert got.gamma_value >= 0.5 - 1e-12
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert sum(kinds.values()) >= 200 and len(kinds) == 8
+    assert oracle_checked >= 100
+
+
+def test_vertex_bound_covers_inexact_normals(monkeypatch):
+    """Each computed normal is moved off its exact vertex by about 1e-12,
+    with its residual measured: the scores fall below the LP maximum, and
+    ``gamma_upper`` still covers it, since residual / sigma_{k-1} bounds
+    the distance to the exact normal and the bound moves the score by
+    2 sum_i ||g_i|| times that over ||G u||_1."""
+    from sparsecert.certify import bruteforce
+    real = bruteforce._candidate_normals
+
+    def off(rows):
+        normal, residual, sigma = real(rows)
+        normal = normal + 1e-12 * np.random.default_rng(
+            rows.shape[2]).standard_normal(normal.shape)
+        moved = np.sqrt(((rows * normal[:, None]).sum(axis=0) ** 2).sum(axis=0))
+        return normal, residual + moved, sigma
+
+    monkeypatch.setattr(bruteforce, "_candidate_normals", off)
+    monkeypatch.setattr(bruteforce, "_VERTICES_PER_SUPPORT", 10 ** 9)
+    below = 0
+    for seed in range(12):
+        rng = np.random.default_rng([47, seed])
+        n = 8 + seed % 5
+        a = rng.standard_normal((n - 3 - seed % 3, n))
+        st = structures.build_plain(n)
+        got = gamma_s_bruteforce(a, st, 1 + seed % 3)
+        want = lp_search(a, st, 1 + seed % 3)
+        assert got.details["method"] == "kernel-ball vertices"
+        assert got.status == want.status
+        assert want.gamma_value <= got.details["gamma_upper"]
+        below += got.gamma_value < want.gamma_value - 1e-14
+    assert below >= 6
+
+
+def test_signed_support_tally_matches_the_enumeration():
+    """Unit-weight l1 blocks that share no coordinate are counted in closed
+    form (t-subsets of blocks, 2^d / 2 signs for d coordinates), as the
+    enumeration counts them; shared coordinates, linf or other weights
+    leave the count to the enumeration."""
+    from sparsecert.certify import bruteforce
+    counted = [structures.build_plain(7),
+               structures.build_group([(0, 1), (2, 3, 4), (5,), (6, 7)],
+                                      block_norm="l1"),
+               structures.build_group([(0, 1), (2, 3), (4, 5)],
+                                      block_norm="l1")]
+    for st in counted:
+        supports = bruteforce._SignedSupports(st, st.n, 2 * st.n)
+        for s in (0, 0.5, 1, 2, 2.5, 3, 4, 9):
+            sets = supports.maximal(s)
+            assert supports.tally(s) == (len(sets), sum(sets.values()))
+    b = np.eye(8) + 0.4 * np.random.default_rng(0).standard_normal((8, 8))
+    supports = bruteforce._SignedSupports(counted[1], 8, 24, b)
+    sets = supports.maximal(2)
+    assert supports.tally(2) == (len(sets), sum(sets.values())) == (6, 56)
+    for st in (structures.build_group([(0, 1), (1, 2)], block_norm="l1"),
+               structures.build_group([(0, 1), (2, 3)], block_norm="linf"),
+               structures.build_group([(0, 1), (2, 3)], [1.0, 2.0], "l1")):
+        assert bruteforce._SignedSupports(st, st.n, 2 * st.n).tally(2) is None
+
+
+def test_vertex_route_is_chosen_by_its_candidate_count():
+    """The route takes at most ``_VERTICES_PER_SUPPORT`` candidates per
+    signed support: plain n=12, m=7 (kernel dimension 5, C(12, 4) = 495
+    candidates) is a vertex verdict at s=2 (132 signed supports) and at
+    s=3 (880), plain n=14, m=8 (C(14, 5) = 2,002) at s=2 (182) is an LP
+    verdict, and linf blocks always are."""
+    cases = [(12, 7, 2, "kernel-ball vertices"), (12, 7, 3, "kernel-ball vertices"),
+             (14, 8, 2, "LP search")]
+    for n, m, s, method in cases:
+        a = np.random.default_rng(n).standard_normal((m, n))
+        v = gamma_s_bruteforce(a, structures.build_plain(n), s)
+        assert v.details["method"] == method
+        assert (v.details["lp_count"] == 0) == (method != "LP search")
+    st = structures.build_group([(i,) for i in range(12)], block_norm="linf")
+    a = np.random.default_rng(12).standard_normal((7, 12))
+    v = gamma_s_bruteforce(a, st, 2)
+    assert v.details["method"] == "LP search"
+    assert v.details["vertex_route"] == "linf or weighted blocks"
+
+
+def test_an_ill_conditioned_vertex_route_falls_back_to_the_lp_search(
+        monkeypatch):
+    """A rounding allowance above ``_VERTEX_ALLOWANCE`` leaves the verdict
+    to the LP search, which then reports why."""
+    from sparsecert.certify import bruteforce
+    a = np.random.default_rng(12).standard_normal((7, 12))
+    st = structures.build_plain(12)
+    monkeypatch.setattr(bruteforce, "_VERTEX_ALLOWANCE", 0.0)
+    v = gamma_s_bruteforce(a, st, 2)
+    assert v.details["method"] == "LP search" and v.details["lp_count"] > 0
+    assert v.details["vertex_route"].startswith("rounding allowance")
+    assert v.gamma_value == pytest.approx(lp_search(a, st, 2).gamma_value,
+                                          abs=1e-15)
+
+
+def test_over_budget_plain_verdict_from_the_vertices():
+    """Plain n=20, m=14, s=4 has 38,760 signed supports, past the LP
+    budget; its 15,504 vertex candidates give the exact CertifiedBad
+    verdict at once."""
+    a = np.random.default_rng(0).standard_normal((14, 20)) / np.sqrt(14)
+    start = time.perf_counter()
+    v = gamma_s_bruteforce(a, structures.build_plain(20), 4)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "CertifiedBad"
+    assert v.gamma_value == pytest.approx(0.7235432183, abs=1e-10)
+    assert v.details["signed_supports"] == 38760
+    assert v.details["vertex_candidates"] == 15504
+
+
+def test_over_both_caps_the_refusal_is_fast_and_memory_stays_small():
+    """Plain n=30, m=20, s=4: 219,240 signed supports and C(30, 9) vertex
+    candidates, past both caps: Unknown with a reason, at once.  A vertex
+    verdict near the cap (n=24, m=17, s=4: 134,596 candidates) allocates
+    a few MB at a time, in chunks."""
+    from sparsecert.certify import bruteforce
+    a = np.random.default_rng(1).standard_normal((20, 30))
+    start = time.perf_counter()
+    v = gamma_s_bruteforce(a, structures.build_plain(30), 4)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "Unknown" and "LP budget" in v.details["reason"]
+    assert v.details["vertex_route"].startswith(
+        f"{math.comb(30, 9)} vertex candidates exceed")
+    a = np.random.default_rng(2).standard_normal((17, 24))
+    tracemalloc.start()
+    try:
+        v = gamma_s_bruteforce(a, structures.build_plain(24), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.details["vertex_candidates"] == math.comb(24, 6) \
+        > bruteforce._VERTEX_CHUNK
+    assert peak < 16 * 2 ** 20
 
 
 def test_lp_structures_have_no_size_guard():
@@ -430,7 +658,7 @@ def test_group_bruteforce_checks_the_budget_before_any_lp(monkeypatch):
     st = structures.build_group([(2 * i, 2 * i + 1) for i in range(6)],
                                 block_norm="l1")
     a = np.random.default_rng(0).standard_normal((8, 12))
-    v = gamma_s_bruteforce(a, st, 2, b=None)
+    v = lp_search(a, st, 2, b=None)
     assert v.status == "Unknown" and "120" in v.details["reason"]
 
 

@@ -183,6 +183,22 @@ def test_certify_identity_valid_and_round_trips(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_certify_out_file_is_the_printed_document(tmp_path, capsys):
+    """``certify --out --json`` builds its document once: the file holds
+    the bytes printed, and the same bytes as ``save_certificate``."""
+    st = structures.build_plain(6)
+    a = np.random.default_rng(3).standard_normal((5, 6))
+    out = tmp_path / "cert.json"
+    code = cli.main(["certify", "--structure", str(write_structure(tmp_path, st)),
+                     "--matrix", str(write_matrix(tmp_path, a)), "--s", "1",
+                     "--method", "synth", "--json", "--out", str(out)])
+    assert code in (0, 4)
+    assert out.read_text() == capsys.readouterr().out
+    again = tmp_path / "again.json"
+    serialize.save_certificate(again, serialize.load_certificate(out))
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_certify_json_reports_lp_counts(tmp_path):
     st = structures.build_plain(6)
     sp = write_structure(tmp_path, st)
@@ -321,9 +337,14 @@ def test_certify_wrong_method_for_structure(tmp_path):
 # nullspace / bound / axioms
 
 
+def _singleton_linf(n):
+    """Plain sparsity written as n singleton linf blocks: the same norm and
+    the same verdicts, but linf blocks always take the LP search."""
+    return structures.build_group([(i,) for i in range(n)], block_norm="linf")
+
+
 def test_nullspace_verdicts(tmp_path):
-    st = structures.build_plain(5)
-    sp = write_structure(tmp_path, st)
+    sp = write_structure(tmp_path, _singleton_linf(5))
     good = run_cli("nullspace", "--structure", str(sp), "--matrix",
                    str(write_matrix(tmp_path, np.eye(5))), "--s", "1")
     assert good.returncode == 0
@@ -341,11 +362,29 @@ def test_nullspace_verdicts(tmp_path):
     assert details["lps_not_optimal"] == 0
 
 
+def test_nullspace_verdicts_from_the_kernel_ball_vertices(tmp_path):
+    """Plain n=5 with one all-ones row: the kernel has dimension 4, so the
+    vertex route scores C(5, 3) = 10 candidate normals and solves no LP."""
+    sp = write_structure(tmp_path, structures.build_plain(5))
+    bad = run_cli("nullspace", "--structure", str(sp), "--matrix",
+                  str(write_matrix(tmp_path, np.ones((1, 5)))),
+                  "--s", "1", "--json")
+    assert bad.returncode == 4
+    doc = json.loads(bad.stdout)
+    assert doc["status"] == "CertifiedBad"
+    assert doc["gamma_value"] == pytest.approx(0.5, abs=1e-9)
+    details = doc["details"]
+    assert details["method"] == "kernel-ball vertices"
+    assert details["lp_count"] == 0 and details["vertex_candidates"] == 10
+    assert details["signed_supports"] == 5 and details["kernel_dim"] == 4
+    assert doc["gamma_value"] <= details["gamma_upper"] \
+        <= doc["gamma_value"] + 1e-10
+
+
 def test_nullspace_json_reports_the_pruning(tmp_path):
-    """Plain n=8, s=2: 28 pairs of 2 signed supports each; the bounds from
-    the 8 singleton LPs prune most pairs."""
-    st = structures.build_plain(8)
-    sp = write_structure(tmp_path, st)
+    """n=8, s=2: 28 pairs of 2 signed supports each; the bounds from the 8
+    singleton LPs prune most pairs."""
+    sp = write_structure(tmp_path, _singleton_linf(8))
     a = np.random.default_rng(3).standard_normal((5, 8))
     r = run_cli("nullspace", "--structure", str(sp), "--matrix",
                 str(write_matrix(tmp_path, a)), "--s", "2", "--json")
@@ -357,6 +396,31 @@ def test_nullspace_json_reports_the_pruning(tmp_path):
     assert 56 - details["lps_pruned"] <= details["lp_count"] - 8
     assert details["lp_count"] < 56
     assert details["gamma_upper"] >= doc["gamma_value"]
+
+
+def test_nullspace_json_reports_the_vertex_route(tmp_path):
+    """Plain n=8, m=5, s=2: the kernel has dimension 3, so C(8, 2) = 28
+    candidate normals, at most 4 per signed support, replace the LPs; the
+    verdict is the one of the singleton linf form above."""
+    a = np.random.default_rng(3).standard_normal((5, 8))
+    docs = []
+    for name, st in (("plain", structures.build_plain(8)),
+                     ("linf", _singleton_linf(8))):
+        r = run_cli("nullspace", "--structure",
+                    str(write_structure(tmp_path, st, f"{name}.json")),
+                    "--matrix", str(write_matrix(tmp_path, a)), "--s", "2",
+                    "--json")
+        assert r.returncode == 4, r.stderr
+        docs.append(json.loads(r.stdout))
+    vertex, lp = docs
+    details = vertex["details"]
+    assert details["method"] == "kernel-ball vertices"
+    assert details["signed_supports"] == 56 and details["maximal_sets"] == 28
+    assert details["vertex_candidates"] == 28 and details["lp_count"] == 0
+    assert vertex["status"] == lp["status"]
+    assert vertex["gamma_value"] == pytest.approx(lp["gamma_value"], abs=1e-12)
+    assert vertex["gamma_value"] <= details["gamma_upper"] \
+        <= vertex["gamma_value"] + 1e-10
 
 
 def test_non_finite_inputs_are_exit_one(tmp_path):

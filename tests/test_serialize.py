@@ -1,5 +1,6 @@
 """File formats: CSV matrices, JSON problems and certificates."""
 
+import io
 import json
 
 import numpy as np
@@ -59,6 +60,27 @@ def test_json_is_stable(tmp_path):
     save_json(p1, {"b": 1, "a": np.float64(2.5), "v": np.arange(3)})
     save_json(p2, {"v": [0, 1, 2], "a": 2.5, "b": 1})
     assert p1.read_bytes() == p2.read_bytes()   # sorted keys, cleaned values
+
+
+def test_save_json_writes_the_bytes_of_json_dump(tmp_path, rng):
+    """One write of the encoded text gives the bytes that ``json.dump`` to
+    the file and a newline gave: a certificate with matrices, nested
+    details, a non-finite value and non-ASCII text."""
+    cert = Certificate(gamma=0.4, beta=np.float64(1.5), s=2.0, phi="l1",
+                       method="GroupSynthesis",
+                       h_matrix=rng.standard_normal((3, 5)),
+                       w_matrix=rng.standard_normal((5, 5)),
+                       details={"lps": np.int64(7), "gaps": [0.1, np.inf],
+                                "note": "\u03b3 < 1", "nested": {"b": 1,
+                                                                  "a": (2,)}})
+    doc = certificate_to_dict(cert)
+    path = tmp_path / "c.json"
+    save_json(path, doc)
+    want = io.StringIO()
+    json.dump(serialize._clean(doc), want, indent=2, sort_keys=True,
+              allow_nan=False)
+    want.write("\n")
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_problem_round_trip(tmp_path, rng):

@@ -12,8 +12,8 @@ from sparsecert.engine import LinearProgram, LPSequence, Status, solve_lp
 from sparsecert.engine.simplex import _crash_basis, _slack_basis, _Standard
 from sparsecert.recovery import RecoveryProblem, _build_recovery_lp
 
-from oracles import (crash_basis_oracle, phase_one_solve, phase_two_oracle,
-                     recovery_lp_oracle, reference_tableau_run,
+from oracles import (crash_basis_oracle, lp_search, phase_one_solve,
+                     phase_two_oracle, recovery_lp_oracle, reference_tableau_run,
                      slack_basis_oracle, split_free,
                      standard_form_oracle, vertex_enumeration_lp,
                      warm_tableau_oracle)
@@ -545,11 +545,10 @@ def test_certificate_lp_counts_pinned():
     a change to pivot choice moves them, and the outputs alone may not.
     Stage one and every round of the brute force run as lockstep batches,
     every LP from the basis the batch's first LP ended on."""
-    from sparsecert.certify.bruteforce import gamma_s_bruteforce
     from sparsecert.certify.synthesis import synth_certificate_group
     st = structures.build_plain(12)
     a = np.random.default_rng(3).standard_normal((7, 12))
-    d = gamma_s_bruteforce(a, st, 3).details
+    d = lp_search(a, st, 3).details
     assert (d["lp_count"], d["lp_iterations"]) == (132, 898)
     st = structures.build_plain(16)
     a = np.random.default_rng(0).standard_normal((10, 16))

@@ -17,8 +17,8 @@ vector itself).  Zero rows of G span nothing and parallel rows span the
 same hyperplanes, so they are dropped and merged first, leaving E' row
 directions and C(E', k - 1) candidates, whose unit normals come from a
 Householder QR vectorized over batches of ``_VERTEX_CHUNK`` stacks.  Every
-candidate is a feasible point, scored by its top floor(s) block masses of
-|G u| over ||G u||_1, so the best score is the maximum.  Its rounding is
+candidate is a feasible point, scored by its ``level_size(s)`` heaviest
+blocks of |G u| over ||G u||_1, so the best is the maximum.  Its rounding is
 bounded: the computed normal lies within ||G_S u|| / sigma_{k-1}(G_S) of
 the exact one of its k - 1 rows G_S, which moves the score by at most
 2 sum_i ||g_i|| that / ||G u||_1, and merging moves it by at most
@@ -33,10 +33,10 @@ weighted blocks always do.
 
 The LP search.  One enumeration, ``structures.maximal_block_sets``, serves
 both kinds: a plain structure is the group of singleton l1 blocks, so its
-maximal projectors are the supports of size min(floor(s), n).  Per block
-set, each coordinate of an l1 block gets a sign and each linf block a
-(representative, sign).  The LPs are written in
-the one encoding of ``norms.structure_norm_epigraph``, variables
+maximal projectors are the supports of size ``norms.level_size(s)``.  Per
+block set, each coordinate of an l1 block gets a sign and each linf block a
+(representative, sign).  The LPs are written in the one encoding of
+``norms.structure_norm_epigraph``, variables
 [u+ | u- | t] >= 0 with z = u+ - u-: the l1 mass is priced on u+ + u-, and
 each linf block member has the one row u+_i + u-_i <= t of its block; for a
 representation map other than the canonical one the rows bound every
@@ -238,14 +238,14 @@ class _SignedSupports:
     pinned to +.  Costs are mirrored on u-.
     """
 
-    def __init__(self, structure, n, nv, lift=None):
+    def __init__(self, structure, n, lift=None):
         self.tags, self.weights = structure.block_norms, structure.weights
         if lift is None:
             self.blocks, self.nf = structure.blocks, n
         else:
             self.nf = lift.shape[0]
             self.blocks = np.split(np.arange(self.nf), structure.offsets[1:-1])
-        self.n, self.nv, self.lift = n, nv, lift
+        self.n, self.lift = n, lift
 
     def plan(self, chosen):
         """The ``_Plan`` of block set ``chosen``."""
@@ -278,14 +278,14 @@ class _SignedSupports:
         """(maximal sets, signed supports) at level s without the walk,
         where every block is l1 with unit weight and no coordinate lies in
         two blocks; else None.  The maximal sets are then the t-subsets of
-        the K blocks, t = min(floor(s), K), and a set of d coordinates has
-        2^d / 2 signed supports: the sum runs over how many blocks of each
+        the K blocks, t = ``norms.level_size(s)``, and a set of d coordinates
+        has 2^d / 2 signed supports: the sum runs over how many blocks of each
         size a set takes."""
         sizes = [len(v) for v in self.blocks]
         if set(self.tags) != {"l1"} or not norms.unit_weights(self.weights) \
                 or len({i for v in self.blocks for i in v}) != sum(sizes):
             return None
-        t = int(min(s + 1e-12, len(sizes)))
+        t = norms.level_size(s, len(sizes))
         if t == 0:
             return 0, 0
         ways = [1] + [0] * t    # j -> sum over j-subsets of 2^(their size)
@@ -297,8 +297,9 @@ class _SignedSupports:
             ways = new
         return math.comb(len(sizes), t), ways[t] // 2
 
-    def costs(self, plan):
-        """The cost vectors of one block set's ``plan``, lazily."""
+    def costs(self, plan, nv):
+        """The cost vectors of one block set's ``plan`` in an LP of ``nv``
+        variables [u+ | u- | ...], lazily."""
         n = self.n
         choices = [[(i, plan.mult[i]), (i, -plan.mult[i])] for i in plan.l1]
         choices += [[(i, sg) for i in v for sg in (1.0, -1.0)]
@@ -310,7 +311,7 @@ class _SignedSupports:
                 f[i] += w
             if self.lift is not None:
                 f = f @ self.lift
-            c = np.zeros(self.nv)
+            c = np.zeros(nv)
             c[:n], c[n:2 * n] = -f, f
             yield c
 
@@ -399,7 +400,8 @@ def _pruned_search(lp, maximal, supports, witness):
         return value, subs[next(i for i in tied
                                 if single[i] <= light + tie())]
 
-    solve({c: list(supports.costs(supports.plan(c))) for c in levels[0]})
+    nv = lp.c.size
+    solve({c: list(supports.costs(supports.plan(c), nv)) for c in levels[0]})
     # each set's subsets S - l and singleton UBs, fixed from here on
     parts = {}
     for level in levels[1:]:
@@ -429,7 +431,7 @@ def _pruned_search(lp, maximal, supports, witness):
                 held.append((-value, chosen))   # back in line after the round
                 chosen = sub
             if chosen not in batch:
-                batch[chosen] = list(supports.costs(supports.plan(chosen)))
+                batch[chosen] = list(supports.costs(supports.plan(chosen), nv))
                 size += len(batch[chosen])
         if not batch:
             break
@@ -450,8 +452,7 @@ def _polyhedral(a, structure, bmat, custom, s, null, vertices=True):
     ``_vertex_search`` takes it (never when ``vertices`` is False), else the
     LP search, refused past ``_LP_BUDGET`` signed supports."""
     n = a.shape[1]
-    lp = _kernel_ball_lp(a, structure, custom)
-    supports = _SignedSupports(structure, n, lp.c.size, custom)
+    supports = _SignedSupports(structure, n, custom)
     maximal, tally = None, supports.tally(s)
     if tally is None:
         maximal = supports.maximal(s)
@@ -480,7 +481,8 @@ def _polyhedral(a, structure, bmat, custom, s, null, vertices=True):
     if maximal is None:
         maximal = supports.maximal(s)
     best, best_z, upper, stats = _pruned_search(
-        lp, maximal, supports, lambda x: x[:n] - x[n:2 * n])
+        _kernel_ball_lp(a, structure, custom), maximal, supports,
+        lambda x: x[:n] - x[n:2 * n])
     if upper is not None:
         stats["gamma_upper"] = upper
     return _classify(structure, bmat, s, best, best_z, upper,
@@ -591,7 +593,7 @@ def _vertex_search(structure, bmat, null, s, signed_supports):
     # its value for G~, and ||G u||_1 >= sigma_k(G) ||u||
     allowance = 4.0 * merge_error / float(sigma_g)
     offsets, blocks = structure.offsets[:-1], len(structure.blocks)
-    top = int(min(s + 1e-12, blocks))
+    top = norms.level_size(s, blocks)
     row_sum = float(np.linalg.norm(g, axis=1).sum())
     best, best_u, upper = -1.0, None, 0.0
     combos = itertools.combinations(range(dirs.shape[0]), k - 1)
@@ -660,13 +662,12 @@ def _group_ratio_and_grad(structure, bmat, z, s):
 
 
 def _lowrank_ratio_and_grad(structure, z, s):
-    p, q = structure.p, structure.q
-    k = min(int(math.floor(s + 1e-12)), p, q)
-    mat = z.reshape(p, q)
+    k = norms.level_size(s, min(structure.p, structure.q))
+    mat = z.reshape(structure.p, structure.q)
     # no sign convention needed: it leaves U[:, :k] @ Vt[:k] bitwise unchanged
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     den = float(sv.sum())
-    if den < 1e-14 or k == 0:
+    if den < 1e-14:
         return 0.0, np.zeros(z.size)
     num = float(sv[:k].sum())
     g_num = u[:, :k] @ vt[:k]
@@ -722,14 +723,10 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
     """Nullspace verdict at level s; exact where the problem is polyhedral.
 
     See the module docstring for the search strategy per structure and the
-    uniform verdict semantics.
+    uniform verdict semantics; s is the structure's ``norms.level``.
     """
-    if not 0 <= s < math.inf:   # NaN fails too
-        raise ValueError("s must be a finite number >= 0")
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[1] != structure.ambient_dim_x:
-        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
-                         "for this structure")
+    s = float(norms.level(structure, s))
+    a = structures.sensing_matrix(structure, a)
     bmat, custom = structures.representation(structure, b)
     if structure.kind == "group" and len(structure.blocks) > 12 \
             and not norms.has_lp_form(structure):
@@ -749,8 +746,6 @@ def gamma_s_bruteforce(a, structure, s, b=None, seed=0):
         return _classify(structure, bmat, s, best, z, None,
                          {"method": "sampled ascent (l2 blocks)"})
     # lowrank
-    if abs(s - round(s)) > 1e-9:
-        raise ValueError("low-rank sparsity level must be an integer")
     z, best = _ascent_search(
         null, lambda zz: _lowrank_ratio_and_grad(structure, zz, s), seed)
     return _classify(structure, bmat, s, best, z, None,

@@ -110,7 +110,6 @@ def worst_condition_projector(structure, w, s, rng=None, probes=0):
 
 
 def _kernel_basis(a):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
     u, sv, vt = np.linalg.svd(a)
     tol = max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int((sv > tol).sum())
@@ -127,11 +126,8 @@ def check_condition_Cs(a, b, structure, s, gamma, beta, phi, trials, seed,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[1]
-    if n != structure.ambient_dim_x:
-        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
-                         "for this structure")
+    s = norms.level(structure, s)
+    a = structures.sensing_matrix(structure, a)
     bmat, _ = structures.representation(structure, b)
     rng = np.random.default_rng(seed)
     null = _kernel_basis(a)
@@ -140,7 +136,7 @@ def check_condition_Cs(a, b, structure, s, gamma, beta, phi, trials, seed,
         if t % 2 == 0 and null.shape[1]:
             z = null @ rng.standard_normal(null.shape[1])
         else:
-            z = rng.standard_normal(n)
+            z = rng.standard_normal(a.shape[1])
         nz = np.linalg.norm(z)
         if nz < 1e-14:
             continue

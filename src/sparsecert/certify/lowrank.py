@@ -82,24 +82,15 @@ def _mdprime_inverse(v, p, q):
 def opt_bar(w, s, p, q):
     """Closed-form box upper bound: sum of the s and 2s top singular values
     of Theta[W]."""
-    _check_level(s)
-    tm = theta(w, p, q)
-    sv = norms.singular_values(tm)
-    k1 = min(int(s), sv.size)
-    k2 = min(2 * int(s), sv.size)
-    return float(sv[:k1].sum() + sv[:k2].sum())
-
-
-def _check_level(s):
-    if not 1 <= s < math.inf or abs(s - round(s)) > 1e-9:   # NaN fails too
-        raise ValueError("the rank level must be a positive integer")
+    k = norms.level(structures.build_lowrank(p, q), s)
+    sv = norms.singular_values(theta(w, p, q))
+    return float(sv[:k].sum() + sv[:2 * k].sum())
 
 
 def _top_k_subgradient(mat, k):
     """(value, subgradient) of the sum of the k largest singular values."""
     # no sign convention needed: it leaves U[:, :k] @ Vt[:k] bitwise unchanged
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
-    k = min(k, sv.size)
     return float(sv[:k].sum()), u[:, :k] @ vt[:k]
 
 
@@ -137,15 +128,15 @@ def opt_star(w, s, p, q, iters=2000):
     reproduces opt_bar's terms.  iters=0 disables descent (then the value
     is exactly opt_bar up to SVD roundoff).
     """
-    _check_level(s)
+    k = norms.level(structures.build_lowrank(p, q), s)
     tm = theta(w, p, q)
-    return sum(_descend_level(tm, min(k, p * q), p, q, iters)
-               for k in (int(s), 2 * int(s)))
+    return sum(_descend_level(tm, min(j, p * q), p, q, iters)
+               for j in (k, 2 * k))
 
 
-def _beta_bounds(h, s, p, q, phi, rng):
+def _beta_bounds(h, s, st, phi, rng):
     """(beta, exact, details) for the noise-amplification constant."""
-    st = structures.build_lowrank(p, q)
+    p, q = st.p, st.q
     if phi == "l1":
         return psi_s(h, st, s, "l1"), True, {}
     m = h.shape[0]
@@ -164,9 +155,7 @@ def _beta_bounds(h, s, p, q, phi, rng):
     if phi == "l2":
         sing = norms.singular_values(h)
         top = float(sing[0]) if sing.size else 0.0
-        k1 = min(int(s), p, q)
-        k2 = min(2 * int(s), p, q)
-        bound = (math.sqrt(k1) + math.sqrt(k2)) * top
+        bound = (math.sqrt(min(s, p, q)) + math.sqrt(min(2 * s, p, q))) * top
         lower = _beta_sample_lower(h, st, s, "l2", rng)
         return bound, False, {"sampling_lower_bound": lower}
     raise norms.UnsupportedNormError(f"unsupported noise metric {phi!r}")
@@ -176,14 +165,13 @@ def _signed_sums_max(signs, h, s, p, q):
     """The largest low-rank seminorm (top-s plus top-2s singular values) of
     H^T v over the rows v of ``signs``: one stacked SVD per chunk of about
     ``_STACK_BYTES`` of p x q matrices."""
-    k1, k2 = min(int(s), p, q), min(2 * int(s), p, q)
     step = max(1, _STACK_BYTES // (8 * p * q))
     best = 0.0
     for start in range(0, signs.shape[0], step):
         mats = (signs[start:start + step] @ h).reshape(-1, p, q)
         sv = np.linalg.svd(mats, compute_uv=False)
-        best = max(best, float((sv[:, :k1].sum(axis=1)
-                                + sv[:, :k2].sum(axis=1)).max()))
+        best = max(best, float((sv[:, :s].sum(axis=1)
+                                + sv[:, :2 * s].sum(axis=1)).max()))
     return best
 
 
@@ -214,27 +202,25 @@ def certify_lowrank(a, s, phi="l1", p=None, q=None, iters=2000, seed=0):
     with N a kernel basis of A from its own SVD (the rank cut of
     ``np.linalg.pinv``), so it measures H, not W, which is built from H.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
     if p is None or q is None:
         raise ValueError("the matrix shape (p, q) is required")
-    _check_level(s)
+    st = structures.build_lowrank(p, q)
+    s = norms.level(st, s)
     if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) \
             or iters < 0:
         raise ValueError(f"iters {iters!r} is not an integer >= 0")
-    if a.shape[1] != p * q:
-        raise ValueError("A must have pq columns (row-major vectorization)")
+    a = structures.sensing_matrix(st, a)
     rng = np.random.default_rng(seed)
-    ident = np.eye(p * q)
     h = np.linalg.pinv(a).T
     hta = h.T @ a
-    w = ident - hta
+    w = st.b - hta   # B = Id for low rank
     gamma_bar = opt_bar(w, s, p, q)
     gamma = opt_star(w, s, p, q, iters=iters) if iters > 0 else gamma_bar
     method = "LowRankUStar" if iters > 0 else "LowRankUBar"
-    beta, beta_exact, beta_info = _beta_bounds(h, s, p, q, phi, rng)
+    beta, beta_exact, beta_info = _beta_bounds(h, s, st, phi, rng)
     details = {"gamma_bar": gamma_bar, **beta_info}
     null = _kernel_basis(a)
-    residual = float(np.linalg.norm(ident - null @ null.T - hta))
+    residual = float(np.linalg.norm(st.b - null @ null.T - hta))
     return Certificate(gamma=float(max(0.0, gamma)), beta=float(beta),
                        s=float(s), phi=phi, method=method, h_matrix=h,
                        w_matrix=w, identity_residual=residual,
@@ -250,10 +236,10 @@ def badnews_check(a, h, s, p, q):
     holds = (lhs >= floor - 1e-6).  The floor explains why box-relaxation
     certificates exist only for small rank levels.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    st = structures.build_lowrank(p, q)
+    s, a = norms.level(st, s), structures.sensing_matrix(st, a)
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    _check_level(s)
-    w = np.eye(p * q) - h.T @ a
+    w = st.b - h.T @ a
     lhs = opt_bar(w, s, p, q)
     d = p * q - int(np.linalg.matrix_rank(a))
     floor = min(2.0 * s * math.sqrt(d / (p * q)), math.sqrt(d))

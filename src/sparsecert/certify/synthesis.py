@@ -39,13 +39,13 @@ beta = psi_1(H) = 2 * max_k max_i ||H[i, block k]|| decouples the same way.
 In the per-block case a second LP per block minimizes that block norm subject
 to g_k <= gamma (l2 blocks minimize the l1 norm, a linear surrogate), and the
 block keeps the new columns only if their true block norm is smaller.  Its G,
-too, depends only on the block's signature, so stage two solves the duals in
-one warm-started sequence per signature as well.  It runs lazily: blocks are
-visited in descending order of their first-stage norm, and the visit stops
-once the next one cannot raise the running maximum, which gives the beta of
-running it on every block.  A stage-two LP that is not optimal only costs
-time: its block keeps the stage-one columns.  The joint LP's beta is
-whatever vertex the simplex lands on.
+too, depends only on the block's signature, so stage two builds it once and
+solves the duals in one warm-started sequence per signature.  It runs
+lazily: blocks are visited in descending order of their first-stage norm,
+and the visit stops once the next one cannot raise the running maximum,
+which gives the beta of running it on every block.  A stage-two LP that is
+not optimal only costs time: its block keeps the stage-one columns.  The
+joint LP's beta is whatever vertex the simplex lands on.
 
 The reported gamma is the LP optimal value, which is unique even though the
 minimizing H need not be, so the primal and dual routes to it agree to
@@ -279,14 +279,12 @@ def _beta_lp(lay, k, lp, rhs, gamma):
     m, a = lay.d_full.shape[0], int(lay.sizes[k])
     nh = m * a
     n0 = lp.c.size - 1
+    h_vec = _beta_rhs(lay, k, lp, rhs, gamma)
+    r0, nrows = rhs.size, h_vec.size
     split = a > 1 and lay.tags[k] != "linf"
     nvars = n0 + 1 + (nh if split else 0)
-    r0 = rhs.size
-    nrows = r0 + 2 * nh + (m if split else 0)
     g_mat = np.zeros((nrows, nvars))
-    h_vec = np.zeros(nrows)
     g_mat[:r0, :n0] = lp.G[:, :n0]
-    h_vec[:r0] = rhs - lp.G[:, n0] * gamma
     eye = np.eye(nh)
     bound = slice(r0, r0 + 2 * nh)
     g_mat[bound, :nh] = np.vstack([eye, -eye])
@@ -299,6 +297,14 @@ def _beta_lp(lay, k, lp, rhs, gamma):
     cost = np.zeros(nvars)
     cost[n0] = 1.0
     return LinearProgram(c=cost, G=g_mat, h=h_vec, senses=("le",) * nrows)
+
+
+def _beta_rhs(lay, k, lp, rhs, gamma):
+    """Block k's h in ``_beta_lp``: its stage-one ``rhs`` at g = gamma, then
+    a zero per bound row."""
+    split = lay.sizes[k] > 1 and lay.tags[k] != "linf"
+    return np.concatenate([rhs - lp.G[:, -1] * gamma, np.zeros(
+        (2 * lay.sizes[k] + split) * lay.d_full.shape[0])])
 
 
 def _block_norm(h, tag):
@@ -349,18 +355,18 @@ def _settle_block(lay, k, stage, gamma, seqs):
     """Block k's columns of H after stage two, and their block norm.
 
     Stage two solves the dual of ``_beta_lp`` in the block signature's
-    ``LPSequence`` in ``seqs``, which the signature's first block opens.
-    Its H replaces the stage-one H only when that LP is optimal and its
-    true block norm is smaller.
+    ``LPSequence`` in ``seqs``, which the signature's first block opens;
+    the others add only their h.  Its H replaces the stage-one H only when
+    that LP is optimal and its true block norm is smaller.
     """
     h1 = stage.h_cols
     tag = lay.tags[k]
     norm1 = _block_norm(h1, tag)
-    beta = _beta_lp(lay, k, stage.lp, stage.rhs, gamma)
     key = (lay.sizes[k], tag)
     if key not in seqs:
-        seqs[key] = LPSequence(_dual_lp(beta, h1.size), _MAXITER)
-    report = seqs[key].solve(beta.h)[1]
+        seqs[key] = LPSequence(_dual_lp(_beta_lp(
+            lay, k, stage.lp, stage.rhs, gamma), h1.size), _MAXITER)
+    report = seqs[key].solve(_beta_rhs(lay, k, stage.lp, stage.rhs, gamma))[1]
     if report.status == Status.OPTIMAL:
         h2 = report.dual[:h1.size].reshape(h1.shape)
         norm2 = _block_norm(h2, tag)
@@ -388,14 +394,11 @@ def synth_certificate_group(a, b, structure, s, phi="l1"):
         raise norms.UnsupportedNormError(
             "certificate synthesis needs the l1 noise metric (beta is "
             "intractable otherwise)")
-    if not 0 <= s < np.inf:   # NaN fails too
-        raise ValueError("s must be a finite number >= 0")
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    s = norms.level(structure, s)
+    a = structures.sensing_matrix(structure, a)
     bmat, _ = structures.representation(structure, b)
     m, n_amb = a.shape
     big_m = bmat.shape[0]
-    if bmat.shape[1] != n_amb:
-        raise ValueError("A and B must share their domain dimension")
     if np.linalg.matrix_rank(bmat) < n_amb:
         raise norms.UnsupportedNormError(
             "synthesis requires a representation map with full column rank")

@@ -332,7 +332,7 @@ def _sparse_signal(structure, s, law, rng):
 
     # plain keeps its own draw (not the group one): a seed's signals stay put
     if structure.kind == "plain":
-        k = min(int(s), structure.n)
+        k = norms.level_size(s, structure.n)
         x = np.zeros(structure.n)
         if k:
             support = rng.choice(structure.n, size=k, replace=False)
@@ -350,7 +350,7 @@ def _sparse_signal(structure, s, law, rng):
         return x
     p, q = structure.p, structure.q
     mat = np.zeros((p, q))
-    for _ in range(min(int(s), p, q)):
+    for _ in range(min(s, p, q)):
         mat += np.outer(draw(p), draw(q))
     return mat.reshape(-1)
 
@@ -378,8 +378,8 @@ def _noise_vector(m, phi, noise_cfg, rng):
 def cmd_experiment(args):
     cfg = ExperimentConfig.parse(serialize.load_json(args.config))
     structure = structures.structure_from_dict(cfg.structure)
+    s = norms.level(structure, cfg.signal["s"])
     a = _sensing_matrix(cfg, structure)
-    s = cfg.signal["s"]
     phi = cfg.certificate.get("phi", "l1")
 
     method = cfg.certificate.get("method", "auto")

@@ -11,6 +11,7 @@ three families of vector/matrix norms:
   [u+ | u- | t], all >= 0 with u = u+ - u-: the l1 mass is a cost on
   u+ + u- and only linf blocks add a t and rows,
 * the sparsity-weighted objects used by the certification machinery:
+  the level s (``level``) and its integer size (``level_size``),
   ``sum_top`` (sum of the s largest magnitudes), the weighted block
   selection ``select_blocks`` (a heaviest block set of weight <= s and a
   certified upper bound on its mass, equal to it wherever the selection is
@@ -84,25 +85,42 @@ def singular_values(m):
     return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
 
 
+def level(structure, s):
+    """The level s of a certificate, verdict or check on ``structure``:
+    plain and group, a finite number >= 0, returned as is; low rank, an
+    integer >= 1 to within 1e-9, returned as that int.  ValueError else."""
+    if structure.kind != "lowrank":
+        if not 0 <= s < math.inf:   # NaN fails too
+            raise ValueError("s must be a finite number >= 0")
+        return s
+    if not (math.isfinite(s) and round(s) >= 1 and abs(s - round(s)) <= 1e-9):
+        raise ValueError("the rank level must be a positive integer")
+    return round(s)
+
+
+def level_size(s, cap):
+    """floor(s) to within 1e-12, at most ``cap``: the unit-weight blocks (or
+    the rank) kept at level s.  s = inf is allowed; NaN or s < 0 is not."""
+    if not s >= 0:   # NaN fails too
+        raise ValueError(f"s must be a number >= 0, got {s!r}")
+    return int(min(s + 1e-12, cap))
+
+
 def sum_top(x, s):
-    """Sum of the s largest magnitudes of x; the full l1 norm when s >= dim."""
+    """Sum of the ``level_size(s)`` largest magnitudes of x, s >= 1: the
+    unit-weight ``select_blocks``."""
     if s < 1:
         raise ValueError("s must be a positive integer")
-    a = np.abs(np.asarray(x, dtype=float)).ravel()
-    s = int(s)
-    if s >= a.size:
-        return float(a.sum())
-    # argpartition avoids the full sort; ties do not matter for the sum
-    idx = np.argpartition(a, a.size - s)[a.size - s:]
-    return float(a[idx].sum())
+    a = np.asarray(x, dtype=float).ravel()
+    return select_blocks(a, np.ones(a.size), s)[0]
 
 
 def sigma_sum(z, k):
-    """Sum of the k largest singular values; nuclear norm when k >= min(p,q)."""
+    """Sum of the ``level_size(k)`` largest singular values, k >= 1."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     sv = singular_values(np.atleast_2d(np.asarray(z, dtype=float)))
-    return float(sv[: int(k)].sum())
+    return float(sv[:level_size(k, sv.size)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +133,7 @@ _EXACT_BLOCKS = 25
 
 def unit_weights(chi):
     """Whether every block weight is 1 (to 1e-12), where the heaviest
-    selection is the floor(s) largest blocks."""
+    selection is the ``level_size(s)`` largest blocks."""
     return bool(np.all(np.abs(np.asarray(chi, dtype=float) - 1.0) < 1e-12))
 
 
@@ -123,11 +141,11 @@ def _weights_are_integer(chi):
     return bool(np.all(np.abs(chi - np.round(chi)) <= 1e-9 * np.maximum(1.0, chi)))
 
 
-def _knapsack_argmax(values, weights, capacity):
+def _knapsack_argmax(values, weights, s):
     """Exact 0/1 knapsack for positive integer weights and nonnegative
-    values by dynamic programming: (best value, boolean mask)."""
+    values by dynamic programming at level s: (best value, boolean mask)."""
     w = np.round(weights).astype(int)
-    cap = int(min(capacity, w.sum()))
+    cap = level_size(s, w.sum())
     k = len(values)
     chosen = np.zeros(k, dtype=bool)
     # dp[c] = best value at capacity c; keep takes for reconstruction
@@ -191,8 +209,8 @@ def select_blocks(u, chi, s):
     ``mask`` is a block set of weight <= s (to 1e-12) and ``value`` its mass,
     the sum of its |u_l|; ``upper`` is a certified upper bound on the mass
     of every such set.  The selection is exact, ``upper == value``, for unit
-    weights (the floor(s) largest |u_l|, lower index first among ties: a
-    stable sort), integer weights (a dynamic program) and up to
+    weights (the ``level_size(s)`` largest |u_l|, lower index first among
+    ties: a stable sort), integer weights (a dynamic program) and up to
     ``_EXACT_BLOCKS`` real weights (branch and bound).  Past that limit the
     one pass by |u_l|/chi_l ratio gives the greedy set and Dantzig's
     fractional bound as ``upper``.  s = inf keeps every block; a NaN or
@@ -204,17 +222,16 @@ def select_blocks(u, chi, s):
         raise ValueError("weights must be positive")
     if a.shape != chi.shape:
         raise ValueError("u and chi must have matching length")
-    if not s >= 0:   # NaN fails too
-        raise ValueError(f"s must be a number >= 0, got {s!r}")
+    top = level_size(s, a.size)
     room = s + 1e-12
     mask = np.zeros(a.size, dtype=bool)
     if unit_weights(chi):
-        keep = np.argsort(-a, kind="stable")[:int(min(room, a.size))]
+        keep = np.argsort(-a, kind="stable")[:top]
         mask[keep] = True
         value = float(a[keep].sum())
         return value, mask, value
     if _weights_are_integer(chi):
-        value, mask = _knapsack_argmax(a, chi, room)
+        value, mask = _knapsack_argmax(a, chi, s)
         return value, mask, value
     order = np.argsort(-a / chi, kind="stable")
     if a.size <= _EXACT_BLOCKS:
@@ -307,11 +324,9 @@ def ps_seminorm(structure, z, s):
     low-rank: sum of the s largest plus the 2s largest singular values.
     """
     if structure.kind == "lowrank":
-        si = int(round(s))
-        if abs(s - si) > 1e-9 or si < 1:
-            raise ValueError("low-rank seminorm needs a positive integer s")
+        k = level(structure, s)
         sv = singular_values(_as_matrix(structure, z))
-        return float(sv[:si].sum() + sv[: 2 * si].sum())
+        return float(sv[:k].sum() + sv[:2 * k].sum())
     return pi_s(group_block_norms(structure, z), structure.weights, s)
 
 

@@ -205,9 +205,7 @@ def _recover(problem, structure, mode, lam, method, tol):
     """The body of both recovery modes; ``lam`` is 0 for regular."""
     if method not in ("auto", "lp", "split"):
         raise ValueError("method must be auto/lp/split")
-    if problem.a.shape[1] != structure.ambient_dim_x:
-        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
-                         "for this structure")
+    structures.sensing_matrix(structure, problem.a)
     bmat, custom = structures.representation(structure, problem.b)
     lp_fit = problem.phi in ("l1", "linf") or (
         mode == "regular" and problem.epsilon == 0.0)

@@ -24,7 +24,7 @@ layout takes each tag's block norms with one gather.  ``b`` is the
 canonical representation map B, a read-only E x n matrix: the 0/1 selection
 of each block's coordinates for plain and group, the identity for low rank.
 Every solver takes an optional B of its own; ``representation`` is the one
-place that resolves and validates it.
+place that resolves and validates it; ``sensing_matrix`` checks A's width.
 
 The finite families (plain and group) have one projector per
 inclusion-maximal block set of weight <= s, listed by
@@ -156,6 +156,15 @@ def representation(structure, b=None):
     if np.array_equal(bmat, structure.b):
         return structure.b, None
     return bmat, bmat
+
+
+def sensing_matrix(structure, a):
+    """A as a 2-D float array with the structure's n columns."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[1] != structure.ambient_dim_x:
+        raise ValueError(f"A must have {structure.ambient_dim_x} columns "
+                         "for this structure")
+    return a
 
 
 def build_plain(n):
@@ -341,9 +350,9 @@ def random_projector(structure, rng, max_weight=None):
     draw (a size, then a support), so a seed draws the projectors it did
     before plain became a block layout.
     """
+    top = math.inf if max_weight is None else max_weight
     if structure.kind == "plain":
-        cap = structure.n if max_weight is None else min(structure.n, int(max_weight))
-        k = int(rng.integers(0, cap + 1))
+        k = int(rng.integers(0, norms.level_size(top, structure.n) + 1))
         return group_projector(structure, rng.choice(structure.n, size=k, replace=False))
     if structure.kind == "group":
         order = rng.permutation(len(structure.blocks))
@@ -356,10 +365,8 @@ def random_projector(structure, rng, max_weight=None):
                     keep.append(int(i))
                     acc += structure.weights[i]
         return group_projector(structure, keep)
-    cap_l = structure.p if max_weight is None else min(structure.p, int(max_weight))
-    cap_r = structure.q if max_weight is None else min(structure.q, int(max_weight))
-    r_l = int(rng.integers(0, cap_l + 1))
-    r_r = int(rng.integers(0, cap_r + 1))
+    r_l = int(rng.integers(0, norms.level_size(top, structure.p) + 1))
+    r_r = int(rng.integers(0, norms.level_size(top, structure.q) + 1))
     left = np.linalg.qr(rng.standard_normal((structure.p, r_l)))[0] if r_l else \
         np.zeros((structure.p, 0))
     right = np.linalg.qr(rng.standard_normal((structure.q, r_r)))[0] if r_r else \
@@ -395,7 +402,8 @@ def maximal_block_sets(weights, s):
                     branches.append((l + 1, weight, skipped, len(chosen)))
                 chosen.append(l)
                 weight += chi[l]
-        if chosen and weight + light > cap:
+        # light is inf when no block was skipped (at s = inf too)
+        if chosen and (light == math.inf or weight + light > cap):
             yield tuple(chosen)
 
 
@@ -404,8 +412,8 @@ def enumerate_projectors(structure, s):
 
     plain and group: one projector per inclusion-maximal block set of
     weight <= s (``maximal_block_sets``; for plain the supports of size
-    min(floor(s), n)), in its lexicographic order, or the empty projector
-    alone when no block fits; lowrank: raises NotEnumerableError
+    ``norms.level_size(s)``), in its lexicographic order, or the empty
+    projector alone when no block fits; lowrank: raises NotEnumerableError
     (continuous family).
     """
     return list(iter_projectors(structure, s))
@@ -448,11 +456,9 @@ def best_sparse_approx(structure, w, s):
         p = group_projector(structure, np.nonzero(mask)[0])
         delta = float(vals[~mask].sum())
         return SparseApprox(p, delta, kept == upper, kept)
-    if not s >= 0:   # NaN fails too
-        raise ValueError(f"s must be a number >= 0, got {s!r}")
     # lowrank: truncated SVD projectors
+    k = norms.level_size(s, min(structure.p, structure.q))
     w = np.asarray(w, dtype=float).reshape(structure.p, structure.q)
-    k = int(min(s + 1e-12, structure.p, structure.q))
     u, sv, vt = svd_descending(w)
     p = lowrank_projector(structure, u[:, :k], vt[:k, :].T)
     return SparseApprox(p, float(sv[k:].sum()), True, float(sv[:k].sum()))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sparsecert import structures
-from sparsecert.certify import (check_condition_Cs, gamma_s_bruteforce,
+from sparsecert.certify import (badnews_check, certify_lowrank,
+                                check_condition_Cs, gamma_s_bruteforce,
                                 psi_s, synth_certificate_group)
 from sparsecert.recovery import RecoveryProblem, recover_regular
 
@@ -538,18 +539,18 @@ def test_signed_support_tally_matches_the_enumeration():
                structures.build_group([(0, 1), (2, 3), (4, 5)],
                                       block_norm="l1")]
     for st in counted:
-        supports = bruteforce._SignedSupports(st, st.n, 2 * st.n)
+        supports = bruteforce._SignedSupports(st, st.n)
         for s in (0, 0.5, 1, 2, 2.5, 3, 4, 9):
             sets = supports.maximal(s)
             assert supports.tally(s) == (len(sets), sum(sets.values()))
     b = np.eye(8) + 0.4 * np.random.default_rng(0).standard_normal((8, 8))
-    supports = bruteforce._SignedSupports(counted[1], 8, 24, b)
+    supports = bruteforce._SignedSupports(counted[1], 8, b)
     sets = supports.maximal(2)
     assert supports.tally(2) == (len(sets), sum(sets.values())) == (6, 56)
     for st in (structures.build_group([(0, 1), (1, 2)], block_norm="l1"),
                structures.build_group([(0, 1), (2, 3)], block_norm="linf"),
                structures.build_group([(0, 1), (2, 3)], [1.0, 2.0], "l1")):
-        assert bruteforce._SignedSupports(st, st.n, 2 * st.n).tally(2) is None
+        assert bruteforce._SignedSupports(st, st.n).tally(2) is None
 
 
 def test_vertex_route_is_chosen_by_its_candidate_count():
@@ -696,7 +697,8 @@ def test_a_bad_custom_b_is_the_resolvers_error_everywhere(bad):
 @pytest.mark.parametrize("cols", [3, 5])
 def test_an_a_of_the_wrong_width_is_refused_before_any_lp(cols, monkeypatch):
     """An A whose column count is not the structure's n is refused up
-    front, in recovery's wording, by the brute force and the checker."""
+    front, in recovery's wording, by the brute force, the checker, the
+    synthesis, the low-rank chain and its floor."""
     from sparsecert.engine import simplex
 
     def no_lp(*args, **kwargs):
@@ -711,6 +713,71 @@ def test_an_a_of_the_wrong_width_is_refused_before_any_lp(cols, monkeypatch):
     with pytest.raises(ValueError, match="A must have 4 columns for this "
                        "structure"):
         check_condition_Cs(a, None, st, 1, 0.5, 1.0, "l1", trials=5, seed=0)
+    with pytest.raises(ValueError, match="A must have 4 columns for this "
+                       "structure"):
+        synth_certificate_group(a, None, st, 1)
+    with pytest.raises(ValueError, match="A must have 4 columns for this "
+                       "structure"):
+        certify_lowrank(a, 1, p=2, q=2)
+    with pytest.raises(ValueError, match="A must have 4 columns for this "
+                       "structure"):
+        badnews_check(a, a, 1, 2, 2)
+
+
+_LEVEL_WORDING = {"plain": "s must be a finite number >= 0",
+                  "group": "s must be a finite number >= 0",
+                  "lowrank": "the rank level must be a positive integer"}
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -1.0])
+def test_every_entry_point_refuses_a_bad_level_before_any_lp_or_svd(
+        s, monkeypatch, tmp_path, capsys):
+    """NaN, inf and -1 are a ValueError in the structure's wording at every
+    certificate, verdict and check, raised before any LP or SVD runs; an
+    experiment refuses them in its config's wording, and a low-rank one
+    refuses a level that is not an integer in the rank wording."""
+    import json
+    from sparsecert import cli
+    from sparsecert.certify import opt_bar, opt_star
+    from sparsecert.engine import simplex
+    from sparsecert.norms import ps_seminorm
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP or an SVD ran")
+
+    monkeypatch.setattr(simplex.LPSequence, "__init__", no_solve)
+    monkeypatch.setattr(np.linalg, "svd", no_solve)
+    plain, lowrank = structures.build_plain(4), structures.build_lowrank(2, 2)
+    group = structures.build_group([(0, 1), (2, 3)], block_norm="l1")
+    a = np.random.default_rng(3).standard_normal((3, 4))
+    calls = [(st, lambda st=st: gamma_s_bruteforce(a, st, s))
+             for st in (plain, group, lowrank)]
+    calls += [(st, lambda st=st: check_condition_Cs(
+        a, None, st, s, 0.5, 1.0, "l1", trials=5, seed=0))
+        for st in (plain, group, lowrank)]
+    calls += [(st, lambda st=st: synth_certificate_group(a, None, st, s))
+              for st in (plain, group)]
+    calls += [(lowrank, call) for call in (
+        lambda: certify_lowrank(a, s, p=2, q=2, iters=5),
+        lambda: opt_bar(np.eye(4), s, 2, 2),
+        lambda: opt_star(np.eye(4), s, 2, 2, iters=5),
+        lambda: badnews_check(a, a, s, 2, 2),
+        lambda: ps_seminorm(lowrank, np.ones(4), s))]
+    for st, call in calls:
+        with pytest.raises(ValueError, match=_LEVEL_WORDING[st.kind]):
+            call()
+    config = {"structure": {"kind": "lowrank", "p": 2, "q": 2},
+              "matrix": {"gaussian": {"m": 3, "seed": 1}},
+              "signal": {"s": s, "seed": 1}, "noise": {"seed": 2},
+              "recovery": "regular", "certificate": {"method": "bar"},
+              "trials": 1}
+    path = tmp_path / "config.json"
+    for level, wording in ((s, "signal.s"), (1.5, "positive integer"),
+                           (0, "positive integer")):
+        config["signal"]["s"] = level
+        path.write_text(json.dumps(config))
+        assert cli.main(["experiment", "--config", str(path)]) == 1
+        assert wording in capsys.readouterr().err
 
 
 def test_bruteforce_invertible_b_is_a_change_of_variables():

@@ -294,7 +294,7 @@ def test_exact_linf_beta_matches_the_per_bit_loop():
         h = r.standard_normal((m, p * q))
         s = int(r.integers(1, min(p, q) + 1))
         st = structures.build_lowrank(p, q)
-        beta, exact, info = lowrank._beta_bounds(h, s, p, q, "linf", r)
+        beta, exact, info = lowrank._beta_bounds(h, s, st, "linf", r)
         assert exact
         assert info == {"evaluated_sign_vectors": 2 ** (m - 1)}
         assert beta == pytest.approx(exact_linf_beta_oracle(h, st, s),
@@ -313,12 +313,13 @@ def test_exact_linf_beta_is_one_stacked_svd_per_chunk(monkeypatch):
         return real(mat, *args, **kwargs)
 
     h = np.random.default_rng(3).standard_normal((16, 9))
+    st = structures.build_lowrank(3, 3)
     monkeypatch.setattr(np.linalg, "svd", counting)
-    whole, _, _ = lowrank._beta_bounds(h, 1, 3, 3, "linf", None)
+    whole, _, _ = lowrank._beta_bounds(h, 1, st, "linf", None)
     assert calls == [(2 ** 15, 3, 3)]
     calls.clear()
     monkeypatch.setattr(lowrank, "_STACK_BYTES", 8 * 9 * 5000)
-    chunked, _, _ = lowrank._beta_bounds(h, 1, 3, 3, "linf", None)
+    chunked, _, _ = lowrank._beta_bounds(h, 1, st, "linf", None)
     assert chunked == pytest.approx(whole, rel=1e-12)
     assert [c[0] for c in calls] == [5000] * 6 + [2 ** 15 - 30000]
 
@@ -356,3 +357,44 @@ def test_badnews_floor(rng):
     # injective A: d = 0 and the floor is vacuous
     lhs, floor, holds = badnews_check(np.eye(4), np.eye(4), 1, 2, 2)
     assert floor == 0.0 and holds
+
+
+@pytest.mark.parametrize("below", [1e-10, 1e-13])
+def test_a_rank_level_just_below_an_integer_is_that_integer(below):
+    """s = k - 1e-10 and k - 1e-13 are the rank level k at every low-rank
+    entry point, so gamma and beta come from one level.  On the 4x4 case
+    (A = default_rng(0), 14 x 16) s = 3 - 1e-13 gave the level-2 gamma
+    3.728981577 beside the level-3 beta 5.847973332."""
+    from sparsecert.certify import gamma_s_bruteforce, psi_s
+    from sparsecert.norms import ps_seminorm
+    p = q = 4
+    k = 3
+    st = structures.build_lowrank(p, q)
+    a = np.random.default_rng(0).standard_normal((14, 16))
+    h = np.linalg.pinv(a).T
+    w = np.eye(p * q) - h.T @ a
+    z = np.random.default_rng(1).standard_normal(p * q)
+    small = structures.build_lowrank(3, 3)
+    a_small = np.random.default_rng(2).standard_normal((6, 9))
+
+    def cert(s, iters):
+        c = certify_lowrank(a, s, phi="l1", p=p, q=q, iters=iters)
+        return c.gamma, c.beta, c.s, c.method, c.details
+
+    def verdict(s):
+        v = gamma_s_bruteforce(a_small, small, s)
+        return v.status, v.s, v.gamma_value, v.bracket
+
+    calls = {
+        "bar": (k, lambda s: cert(s, 0)),
+        "ustar": (k, lambda s: cert(s, 20)),
+        "opt_bar": (k, lambda s: opt_bar(w, s, p, q)),
+        "opt_star": (k, lambda s: opt_star(w, s, p, q, iters=20)),
+        "ps_seminorm": (k, lambda s: ps_seminorm(st, z, s)),
+        "psi_s": (k, lambda s: psi_s(h, st, s)),
+        "gamma_s_bruteforce": (2, verdict),
+    }
+    for name, (level, call) in calls.items():
+        assert call(level - below) == call(level), name
+    gamma, beta = cert(k - below, 0)[:2]
+    assert (round(gamma, 9), round(beta, 9)) == (4.817161478, 5.847973332)

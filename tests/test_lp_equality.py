@@ -180,10 +180,10 @@ def test_plain_bruteforce_lp_is_the_hand_written_l1_ball(n, m, s):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
     assert lp.senses == ref.senses
-    supports = _SignedSupports(st, n, lp.c.size)
+    supports = _SignedSupports(st, n)
     plans = [supports.plan(chosen)
              for chosen in structures.maximal_block_sets(supports.weights, s)]
-    seq = [c for plan in plans for c in supports.costs(plan)]
+    seq = [c for plan in plans for c in supports.costs(plan, lp.c.size)]
     assert sum(plan.count for plan in plans) == len(seq) == len(costs)
     for got, want in zip(seq, costs):
         assert np.array_equal(got, want)

@@ -68,6 +68,55 @@ def test_sigma_sum(rng):
     assert sigma_sum(m, 99) == pytest.approx(sv.sum(), abs=1e-9)
 
 
+def test_an_infinite_level_is_never_an_overflow(rng):
+    """s = inf keeps everything where a primitive's domain allows it and is
+    the level's ValueError at a rank level or a condition check, never an
+    OverflowError."""
+    from sparsecert.certify import check_condition_Cs
+    x = rng.standard_normal(5)
+    z = rng.standard_normal((3, 4))
+    plain, lowrank = structures.build_plain(5), structures.build_lowrank(3, 4)
+    assert sum_top(x, math.inf) == pytest.approx(np.abs(x).sum(), rel=1e-15)
+    assert sigma_sum(z, math.inf) == float(
+        np.linalg.svd(z, compute_uv=False).sum())
+    assert ps_seminorm(plain, x, math.inf) == pytest.approx(
+        2.0 * np.abs(x).sum(), rel=1e-15)
+    for st in (plain, lowrank):
+        proj = structures.random_projector(st, rng, max_weight=math.inf)
+        assert proj.nu <= st.full_weight()
+    with pytest.raises(ValueError, match="rank level must be a positive"):
+        ps_seminorm(lowrank, z, math.inf)
+    for st in (plain, lowrank):
+        with pytest.raises(ValueError, match="s must be a finite number >= 0"
+                           if st is plain else "rank level"):
+            check_condition_Cs(rng.standard_normal((2, st.ambient_dim_x)),
+                               None, st, math.inf, 0.5, 1.0, "l1", trials=2,
+                               seed=0)
+
+
+def test_level_size_is_the_unit_selection_and_the_maximal_set_size():
+    """One integer size of a level: the blocks the unit-weight selection
+    keeps and the size of every maximal unit-weight block set, on seeded
+    levels and at k +- 1e-13; inf is the cap and NaN a ValueError."""
+    rng = np.random.default_rng(11)
+    for count in (1, 4, 7):
+        u = rng.standard_normal(count)
+        chi = [1.0] * count
+        levels = [k + d for k in range(count + 2) for d in (-1e-13, 0, 1e-13)]
+        levels += list(rng.uniform(0, count + 1, 10)) + [math.inf]
+        for s in levels:
+            if s < 0:
+                continue
+            size = norms.level_size(s, count)
+            assert size == (count if s == math.inf else
+                            min(math.floor(s + 1e-12), count)), s
+            assert norms.select_blocks(u, chi, s)[1].sum() == size, s
+            sets = list(structures.maximal_block_sets(chi, s))
+            assert {len(c) for c in sets} == ({size} if size else set()), s
+    with pytest.raises(ValueError, match="s must be a number >= 0, got nan"):
+        norms.level_size(math.nan, 3)
+
+
 def test_pi_s_exact_matches_enumeration(rng):
     """Integer weights (the knapsack) and unit weights (the sort)."""
     for _ in range(25):
